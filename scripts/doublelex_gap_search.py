@@ -9,7 +9,7 @@ at desk scale and prints every orbit that keeps more than one survivor.
 import argparse
 import sys
 
-from symbreak.breaker import doublelex_constraints
+from symbreak.breaker import doublelex_constraints, orbit_verdict
 from symbreak.model import all_assignments, binary_domains, format_assignment
 from symbreak.symmetry import orbits, row_col_group
 
@@ -28,9 +28,9 @@ def main(argv=None):
             doms = binary_domains(r * c)
             space = list(all_assignments(doms))
             group = row_col_group((r, c))
-            bset = doublelex_constraints((r, c))
-            for block in orbits(space, group).blocks:
-                kept = [a for a in block if bset.satisfied(a)]
+            partition = orbits(space, group)
+            verdict = orbit_verdict(partition, doublelex_constraints((r, c)))
+            for block, kept in zip(partition.blocks, verdict.kept):
                 if len(kept) > 1:
                     found += 1
                     members = " ".join(format_assignment(a, doms) for a in kept)

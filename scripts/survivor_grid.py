@@ -9,18 +9,9 @@ sound/complete verdicts.
 import argparse
 import sys
 
-from symbreak.breaker import doublelex_constraints, leader_constraints, per_orbit_survivors
+from symbreak.breaker import COMPARE_HEADERS, compare_table
 from symbreak.model import all_assignments, binary_domains
-from symbreak.orderings import GrayOrdering, LexOrdering, RevLexOrdering, SnakeLexOrdering
 from symbreak.symmetry import row_col_group
-
-
-def grid_row(shape, ordering_name, method, bset, space, group):
-    part, counts = per_orbit_survivors(space, bset, group)
-    return [f"{shape[0]}x{shape[1]}", ordering_name, method, len(bset),
-            sum(counts), len(part),
-            str(all(c >= 1 for c in counts)).lower(),
-            str(all(c <= 1 for c in counts)).lower()]
 
 
 def main(argv=None):
@@ -29,28 +20,16 @@ def main(argv=None):
                         help="largest r*c to include (default 9)")
     args = parser.parse_args(argv)
 
-    print("shape,ordering,method,constraints,survivors,orbits,sound,complete")
+    print(",".join(("shape",) + COMPARE_HEADERS))
     for r in range(2, args.max_cells + 1):
         for c in range(2, args.max_cells + 1):
             if r * c > args.max_cells:
                 continue
-            n = r * c
-            doms = binary_domains(n)
-            space = list(all_assignments(doms))
-            group = row_col_group((r, c))
-            orderings = [LexOrdering(doms), RevLexOrdering(doms),
-                         GrayOrdering(doms), SnakeLexOrdering(doms, (r, c))]
-            rows = []
-            for o in orderings:
-                rows.append(grid_row((r, c), o.name, "leader-full",
-                                     leader_constraints(group, o, "full"), space, group))
-                rows.append(grid_row((r, c), o.name, "leader-generators",
-                                     leader_constraints(group, o, "generators"),
-                                     space, group))
-            rows.append(grid_row((r, c), "lex", "doublelex",
-                                 doublelex_constraints((r, c)), space, group))
+            doms = binary_domains(r * c)
+            rows = compare_table(list(all_assignments(doms)), row_col_group((r, c)),
+                                 doms, (r, c))
             for row in rows:
-                print(",".join(str(x) for x in row))
+                print(",".join(str(x).lower() for x in (f"{r}x{c}",) + row))
     return 0
 
 

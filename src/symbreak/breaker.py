@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import Assignment, Domain, InputError, binary_domains
-from .orderings import GT, LT, LexOrdering, SimpleOrdering
+from .orderings import GT, LT, ORDERING_NAMES, LexOrdering, SimpleOrdering, make_ordering
 from .symmetry import (
     OrbitPartition,
     Symmetry,
@@ -85,25 +85,50 @@ def filter_solutions(solutions: Sequence[Assignment],
     return [a for a in solutions if bset.satisfied(a)]
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """Survivors of one breaking set in each block of one orbit partition.
+
+    Sound means every orbit keeps a member, complete that none keeps two.
+    """
+
+    kept: tuple[tuple[Assignment, ...], ...]  # per block, in block order
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(k) for k in self.kept)
+
+    @property
+    def sound(self) -> bool:
+        return all(c >= 1 for c in self.counts)
+
+    @property
+    def complete(self) -> bool:
+        return all(c <= 1 for c in self.counts)
+
+
+def orbit_verdict(partition: OrbitPartition, bset: SymmetryBreakingSet) -> Verdict:
+    """Judge a breaking set against a partition; `bset` runs once per member."""
+    return Verdict(tuple(tuple(a for a in block if bset.satisfied(a))
+                         for block in partition.blocks))
+
+
 def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
                         group: SymmetryGroup) -> tuple[OrbitPartition, tuple[int, ...]]:
     partition = orbits(solutions, group)
-    counts = tuple(sum(1 for a in block if bset.satisfied(a)) for block in partition.blocks)
-    return partition, counts
+    return partition, orbit_verdict(partition, bset).counts
 
 
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
              group: SymmetryGroup) -> bool:
     """At least one survivor in every orbit."""
-    _, counts = per_orbit_survivors(solutions, bset, group)
-    return all(c >= 1 for c in counts)
+    return orbit_verdict(orbits(solutions, group), bset).sound
 
 
 def is_complete(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
                 group: SymmetryGroup) -> bool:
     """At most one survivor in every orbit."""
-    _, counts = per_orbit_survivors(solutions, bset, group)
-    return all(c <= 1 for c in counts)
+    return orbit_verdict(orbits(solutions, group), bset).complete
 
 
 def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) -> bool:
@@ -129,3 +154,36 @@ def doublelex_constraints(shape: Optional[tuple[int, int]],
     ordering = LexOrdering(doms)
     cons = tuple(LeaderConstraint(g, ordering) for g in row_col_generators(shape, doms))
     return SymmetryBreakingSet(cons, "doublelex")
+
+
+COMPARE_HEADERS = ("ordering", "method", "constraints", "survivors", "orbits",
+                   "sound", "complete")
+
+
+def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
+                  domains: Sequence[Domain], shape: Optional[tuple[int, int]]) -> list[tuple]:
+    """One COMPARE_HEADERS row per breaking set, all judged on one partition.
+
+    Every ordering defined on the domains is posted both leader-full and
+    leader-generators, then doublelex when there is a shape.  The ordering
+    only picks which member of an orbit survives, so the orbits are
+    computed once.
+    """
+    binary = all(len(d) == 2 for d in domains)
+    sets = []
+    for name in ORDERING_NAMES:
+        if (name == "gray" and not binary) or (name == "snakelex" and shape is None):
+            continue
+        ordering = make_ordering(name, domains, shape)
+        sets += [(name, "leader-full", leader_constraints(group, ordering, "full")),
+                 (name, "leader-generators", leader_constraints(group, ordering, "generators"))]
+    if shape is not None:
+        sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
+    # after the sets, so a closure over its cap is reported ahead of an orbit error
+    partition = orbits(solutions, group)
+    rows = []
+    for name, method, bset in sets:
+        verdict = orbit_verdict(partition, bset)
+        rows.append((name, method, len(bset), sum(verdict.counts), len(partition),
+                     verdict.sound, verdict.complete))
+    return rows

@@ -9,18 +9,17 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .breaker import (
+    COMPARE_HEADERS,
     LeaderConstraint,
+    compare_table,
     doublelex_constraints,
     extensional_set,
-    filter_solutions,
     leader_constraints,
-    per_orbit_survivors,
+    orbit_verdict,
 )
 from .gray import build_decomposition, initial_store, propagate, store_from_candidates
 from .model import (
@@ -29,10 +28,10 @@ from .model import (
     InvariantViolationError,
     Problem,
     SymbreakError,
-    UnsupportedOrderingError,
     binary_domains,
     enumerate_solutions,
     format_assignment,
+    load_json_object,
     load_problem,
     parse_assignment,
     _reject_unknown,
@@ -56,52 +55,6 @@ from .symmetry import load_symmetry_group, orbits
 METHODS = ("leader-full", "leader-generators", "doublelex")
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; filled from parsed arguments."""
-
-    command: str
-    problem: Optional[str] = None
-    symmetries: Optional[str] = None
-    ordering: Optional[str] = None
-    method: Optional[str] = None
-    survivors: Optional[str] = None
-    instance: Optional[str] = None
-    store: Optional[str] = None
-    n: Optional[int] = None
-    k: Optional[int] = None
-    shape: Optional[tuple[int, int]] = None
-    assignment: Optional[str] = None
-    strict: bool = True
-    cap: Optional[int] = None
-    fmt: str = "table"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.cap is not None and self.cap < 1:
-            raise InputError("cap must be positive")
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        shape = _parse_shape(getattr(ns, "shape", None))
-        return cls(command=ns.command,
-                   problem=getattr(ns, "problem", None),
-                   symmetries=getattr(ns, "symmetries", None),
-                   ordering=getattr(ns, "ordering", None),
-                   method=getattr(ns, "method", None),
-                   survivors=getattr(ns, "survivors", None),
-                   instance=getattr(ns, "instance", None),
-                   store=getattr(ns, "store", None),
-                   n=getattr(ns, "n", None),
-                   k=getattr(ns, "k", None),
-                   shape=shape,
-                   assignment=getattr(ns, "assignment", None),
-                   strict=not getattr(ns, "non_strict", False),
-                   cap=getattr(ns, "cap", None),
-                   fmt=getattr(ns, "format", "table"),
-                   seed=getattr(ns, "seed", 0))
-
-
 def _parse_shape(text: Optional[str]) -> Optional[tuple[int, int]]:
     if text is None:
         return None
@@ -115,8 +68,12 @@ def _parse_shape(text: Optional[str]) -> Optional[tuple[int, int]]:
     raise InputError(f"bad shape '{text}': expected ROWSxCOLS")
 
 
+def _cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def _print_rows(headers: Sequence[str], rows: Sequence[Sequence], fmt: str) -> None:
-    table = [list(map(str, row)) for row in rows]
+    table = [list(map(_cell, row)) for row in rows]
     if fmt == "csv":
         print(",".join(headers))
         for row in table:
@@ -129,30 +86,16 @@ def _print_rows(headers: Sequence[str], rows: Sequence[Sequence], fmt: str) -> N
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
-def _load_pair(cfg: RunConfig):
-    if cfg.problem is None:
-        raise InputError("missing --problem")
-    problem = load_problem(cfg.problem)
-    if cfg.symmetries is None:
-        raise InputError("missing --symmetries")
-    group = load_symmetry_group(cfg.symmetries, problem.domains)
-    return problem, group
+def _load_pair(ns: argparse.Namespace):
+    problem = load_problem(ns.problem)
+    return problem, load_symmetry_group(ns.symmetries, problem.domains)
 
 
-def _ordering_context(cfg: RunConfig):
-    if cfg.problem is not None:
-        problem = load_problem(cfg.problem)
-        return problem.domains, problem.shape
-    if cfg.n is not None:
-        return binary_domains(cfg.n), cfg.shape
-    raise InputError("need --problem or --n")
-
-
-def _breaking_set(cfg: RunConfig, problem: Problem, group):
-    if cfg.method == "doublelex":
+def _breaking_set(ns: argparse.Namespace, problem: Problem, group):
+    if ns.method == "doublelex":
         return doublelex_constraints(problem.shape, problem.domains)
-    ordering = make_ordering(cfg.ordering or "lex", problem.domains, problem.shape)
-    mode = "full" if cfg.method == "leader-full" else "generators"
+    ordering = make_ordering(ns.ordering, problem.domains, problem.shape)
+    mode = "full" if ns.method == "leader-full" else "generators"
     return leader_constraints(group, ordering, mode)
 
 
@@ -160,42 +103,43 @@ def _breaking_set(cfg: RunConfig, problem: Problem, group):
 # subcommands
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.problem is None:
-        raise InputError("missing --problem")
-    problem = load_problem(cfg.problem)
-    sols = enumerate_solutions(problem, cfg.cap)
-    print(f"# seed={cfg.seed} solutions={len(sols)}")
+def _cmd_solve(ns: argparse.Namespace) -> int:
+    problem = load_problem(ns.problem)
+    sols = enumerate_solutions(problem, ns.cap)
+    print(f"# seed={ns.seed} solutions={len(sols)}")
     _print_rows(["assignment"],
-                [[format_assignment(a, problem.domains)] for a in sols], cfg.fmt)
+                [[format_assignment(a, problem.domains)] for a in sols], ns.format)
     return 0 if sols else 1
 
 
-def _cmd_orbits(cfg: RunConfig) -> int:
-    problem, group = _load_pair(cfg)
-    sols = enumerate_solutions(problem, cfg.cap)
+def _cmd_orbits(ns: argparse.Namespace) -> int:
+    problem, group = _load_pair(ns)
+    sols = enumerate_solutions(problem, ns.cap)
     partition = orbits(sols, group)
-    print(f"# seed={cfg.seed} orbits={len(partition)}")
+    print(f"# seed={ns.seed} orbits={len(partition)}")
     rows = [[i, len(block), " ".join(format_assignment(a, problem.domains) for a in block)]
             for i, block in enumerate(partition.blocks)]
-    _print_rows(["orbit", "size", "members"], rows, cfg.fmt)
+    _print_rows(["orbit", "size", "members"], rows, ns.format)
     return 0
 
 
-def _cmd_break(cfg: RunConfig) -> int:
-    problem, group = _load_pair(cfg)
-    bset = _breaking_set(cfg, problem, group)
-    sols = enumerate_solutions(problem, cfg.cap)
-    survivors = filter_solutions(sols, bset)
-    partition, counts = per_orbit_survivors(sols, bset, group)
-    print(f"# seed={cfg.seed} ordering={cfg.ordering} method={cfg.method} "
+def _cmd_break(ns: argparse.Namespace) -> int:
+    problem, group = _load_pair(ns)
+    bset = _breaking_set(ns, problem, group)
+    sols = enumerate_solutions(problem, ns.cap)
+    partition = orbits(sols, group)
+    verdict = orbit_verdict(partition, bset)
+    kept = {a for block in verdict.kept for a in block}
+    survivors = [a for a in sols if a in kept]
+    print(f"# seed={ns.seed} ordering={ns.ordering} method={ns.method} "
           f"constraints={len(bset)} survivors={len(survivors)}")
     _print_rows(["assignment"],
-                [[format_assignment(a, problem.domains)] for a in survivors], cfg.fmt)
+                [[format_assignment(a, problem.domains)] for a in survivors], ns.format)
     print()
     _print_rows(["orbit", "size", "survivors"],
-                [[i, len(block), counts[i]] for i, block in enumerate(partition.blocks)],
-                cfg.fmt)
+                [[i, len(block), count]
+                 for i, (block, count) in enumerate(zip(partition.blocks, verdict.counts))],
+                ns.format)
     return 0 if survivors else 1
 
 
@@ -228,49 +172,48 @@ def _read_survivors(path, domains) -> list:
     return rows
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    problem, group = _load_pair(cfg)
-    sols = enumerate_solutions(problem, cfg.cap)
-    if cfg.survivors is not None:
-        bset = extensional_set(_read_survivors(cfg.survivors, problem.domains))
+def _cmd_check(ns: argparse.Namespace) -> int:
+    problem, group = _load_pair(ns)
+    sols = enumerate_solutions(problem, ns.cap)
+    if ns.survivors is not None:
+        bset = extensional_set(_read_survivors(ns.survivors, problem.domains))
     else:
-        bset = _breaking_set(cfg, problem, group)
-    partition, counts = per_orbit_survivors(sols, bset, group)
-    sound = all(c >= 1 for c in counts)
-    complete = all(c <= 1 for c in counts)
-    print(f"# seed={cfg.seed}")
+        bset = _breaking_set(ns, problem, group)
+    partition = orbits(sols, group)
+    verdict = orbit_verdict(partition, bset)
+    print(f"# seed={ns.seed}")
     _print_rows(["sound", "complete", "orbits", "survivors"],
-                [[str(sound).lower(), str(complete).lower(), len(partition), sum(counts)]],
-                cfg.fmt)
-    return 0 if sound and complete else 1
+                [[verdict.sound, verdict.complete, len(partition), sum(verdict.counts)]],
+                ns.format)
+    return 0 if verdict.sound and verdict.complete else 1
 
 
-def _cmd_rank(cfg: RunConfig) -> int:
-    domains, shape = _ordering_context(cfg)
-    ordering = make_ordering(cfg.ordering or "lex", domains, shape)
-    if cfg.assignment is None:
-        raise InputError("missing assignment argument")
-    print(ordering.rank(parse_assignment(cfg.assignment, domains)))
+def _ordering(ns: argparse.Namespace):
+    shape = _parse_shape(ns.shape)  # checked even when --problem supplies the shape
+    if ns.problem is not None:
+        problem = load_problem(ns.problem)
+        domains, shape = problem.domains, problem.shape
+    elif ns.n is not None:
+        domains = binary_domains(ns.n)
+    else:
+        raise InputError("need --problem or --n")
+    return make_ordering(ns.ordering, domains, shape)
+
+
+def _cmd_rank(ns: argparse.Namespace) -> int:
+    ordering = _ordering(ns)
+    print(ordering.rank(parse_assignment(ns.assignment, ordering.domains)))
     return 0
 
 
-def _cmd_unrank(cfg: RunConfig) -> int:
-    domains, shape = _ordering_context(cfg)
-    ordering = make_ordering(cfg.ordering or "lex", domains, shape)
-    if cfg.k is None:
-        raise InputError("missing --k")
-    print(format_assignment(ordering.unrank(cfg.k), domains))
+def _cmd_unrank(ns: argparse.Namespace) -> int:
+    ordering = _ordering(ns)
+    print(format_assignment(ordering.unrank(ns.k), ordering.domains))
     return 0
 
 
 def _load_store(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read store file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"store file is not valid JSON: {exc}") from exc
+    data = load_json_object(path, "store file")
     _reject_unknown(data, {"strict", "lhs", "rhs", "state"}, "store file")
     lhs = _require(data, "lhs", "store file")
     rhs = _require(data, "rhs", "store file")
@@ -279,11 +222,11 @@ def _load_store(path):
     return n, strict, store_from_candidates(n, lhs, rhs, data.get("state"))
 
 
-def _cmd_gray_check(cfg: RunConfig) -> int:
-    if cfg.store is not None:
-        n, strict, store = _load_store(cfg.store)
-    elif cfg.n is not None:
-        n, strict = cfg.n, cfg.strict
+def _cmd_gray_check(ns: argparse.Namespace) -> int:
+    if ns.store is not None:
+        n, strict, store = _load_store(ns.store)
+    elif ns.n is not None:
+        n, strict = ns.n, not ns.non_strict
         store = None
     else:
         raise InputError("need --store or --n")
@@ -291,8 +234,7 @@ def _cmd_gray_check(cfg: RunConfig) -> int:
     if store is None:
         store = initial_store(decomp)
     outcome = propagate(decomp, store)
-    assert outcome.trace is not None
-    print(f"# seed={cfg.seed} n={n} strict={str(strict).lower()} "
+    print(f"# seed={ns.seed} n={n} strict={str(strict).lower()} "
           f"events={outcome.trace.removals}")
     if outcome.failed:
         print("FAIL")
@@ -300,14 +242,19 @@ def _cmd_gray_check(cfg: RunConfig) -> int:
     rows = [[decomp.var_label(idx),
              " ".join(str(v) for v in sorted(outcome.store.candidates[idx]))]
             for idx in range(decomp.num_vars)]
-    _print_rows(["variable", "candidates"], rows, cfg.fmt)
+    _print_rows(["variable", "candidates"], rows, ns.format)
     return 0
 
 
-def _cmd_demo_prop1(cfg: RunConfig) -> int:
-    if cfg.instance is None:
-        raise InputError("missing --instance")
-    inst = load_one_in_three(cfg.instance)
+def _report_verdict(verdict: str, oracle: str) -> int:
+    print(f"verdict: {verdict}")
+    print(f"oracle: {oracle}")
+    print(f"agreement: {str(verdict == oracle).lower()}")
+    return 0 if verdict == SAT else 1
+
+
+def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
+    inst = load_one_in_three(ns.instance)
     gadget = ordering_gadget(inst)
     verdict = solve_ordering_gadget(gadget)
     oracle = SAT if one_in_three_satisfiable(inst) else UNSAT
@@ -318,57 +265,28 @@ def _cmd_demo_prop1(cfg: RunConfig) -> int:
           f"indices; flag bit free; symmetry swaps the flag bit's values")
     for a in survivors:
         print(f"survivor: {format_assignment(a, gadget.problem.domains)}")
-    print(f"verdict: {verdict}")
-    print(f"oracle: {oracle}")
-    print(f"agreement: {str(verdict == oracle).lower()}")
-    return 0 if verdict == SAT else 1
+    return _report_verdict(verdict, oracle)
 
 
-def _cmd_demo_prop2(cfg: RunConfig) -> int:
-    if cfg.instance is None:
-        raise InputError("missing --instance")
-    phi = load_cnf(cfg.instance)
+def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
+    phi = load_cnf(ns.instance)
     gadget = group_gadget(phi)
+    # solve_group_gadget raises unless the gadget's solutions form one orbit
     verdict = solve_group_gadget(gadget)
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
-    partition = orbits(list(gadget.solutions), gadget.group)
     print(f"# n={gadget.n} clauses={list(list(c) for c in phi.clauses)}")
-    print(f"solutions of the gadget ({len(gadget.solutions)} members, "
-          f"{len(partition)} orbit):")
+    print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
     for a in gadget.solutions:
         print(f"  {format_assignment(a, gadget.problem.domains)}")
-    print(f"verdict: {verdict}")
-    print(f"oracle: {oracle}")
-    print(f"agreement: {str(verdict == oracle).lower()}")
-    return 0 if verdict == SAT else 1
+    return _report_verdict(verdict, oracle)
 
 
-def _cmd_compare(cfg: RunConfig) -> int:
-    problem, group = _load_pair(cfg)
-    sols = enumerate_solutions(problem, cfg.cap)
-    binary = all(len(d) == 2 for d in problem.domains)
-    rows = []
-
-    def record(name: str, method: str, bset) -> None:
-        partition, counts = per_orbit_survivors(sols, bset, group)
-        rows.append([name, method, len(bset), sum(counts), len(partition),
-                     str(all(c >= 1 for c in counts)).lower(),
-                     str(all(c <= 1 for c in counts)).lower()])
-
-    for name in ORDERING_NAMES:
-        if name == "gray" and not binary:
-            continue
-        if name == "snakelex" and problem.shape is None:
-            continue
-        ordering = make_ordering(name, problem.domains, problem.shape)
-        for mode, method in (("full", "leader-full"), ("generators", "leader-generators")):
-            record(name, method, leader_constraints(group, ordering, mode))
-    if problem.shape is not None:
-        record("lex", "doublelex", doublelex_constraints(problem.shape, problem.domains))
-
-    print(f"# seed={cfg.seed} solutions={len(sols)}")
-    _print_rows(["ordering", "method", "constraints", "survivors", "orbits",
-                 "sound", "complete"], rows, cfg.fmt)
+def _cmd_compare(ns: argparse.Namespace) -> int:
+    problem, group = _load_pair(ns)
+    sols = enumerate_solutions(problem, ns.cap)
+    rows = compare_table(sols, group, problem.domains, problem.shape)
+    print(f"# seed={ns.seed} solutions={len(sols)}")
+    _print_rows(COMPARE_HEADERS, rows, ns.format)
     return 0
 
 
@@ -454,11 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_namespace(ns)
-        return _DISPATCH[cfg.command](cfg)
-    except (InputError, UnsupportedOrderingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if getattr(ns, "cap", None) is not None and ns.cap < 1:
+            raise InputError("cap must be positive")  # before any file is read
+        return _DISPATCH[ns.command](ns)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

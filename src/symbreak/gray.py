@@ -36,8 +36,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .model import (
     DomainStore,
     InputError,
@@ -96,34 +94,33 @@ def _table(scope: Sequence[int], rows) -> TableConstraint:
     return TableConstraint(tuple(scope), frozenset(rows))
 
 
+# The five lines of position i over its slots (x_i, y_i, s_i, s_{i+1}) = 0..3,
+# as (slots of the line's scope, allowed tuples); every position shares them.
+_PAIRS = tuple(itertools.product(BITS, BITS))
+_LINES = (
+    ((2, 0, 1), frozenset((q, a, b) for q in SIGNS for a, b in _PAIRS if q != 1 or a <= b)),
+    ((2, 0, 1), frozenset((q, a, b) for q in SIGNS for a, b in _PAIRS if q != -1 or a >= b)),
+    ((0, 1, 3), frozenset((a, b, qn) for a, b in _PAIRS for qn in SIGNS if a == b or qn == 0)),
+    ((0, 1, 2, 3), frozenset((a, b, q, qn) for a, b in _PAIRS for q in SIGNS for qn in SIGNS
+                             if a == 1 or b == 1 or qn == q)),
+    ((0, 1, 2, 3), frozenset((a, b, q, qn) for a, b in _PAIRS for q in SIGNS for qn in SIGNS
+                             if a == 0 or b == 0 or qn == -q)),
+)
+# a position block is the conjunction of the position's five lines
+_BLOCK = frozenset(t for t in itertools.product(BITS, BITS, SIGNS, SIGNS)
+                   if all(tuple(t[k] for k in slots) in rows for slots, rows in _LINES))
+
+
 def build_decomposition(n: int, strict: bool) -> GrayDecomposition:
     if n < 1:
         raise InputError("need at least one bit position")
     lines: list = []
     blocks: list[TableConstraint] = []
     for i in range(n):
-        x, y = lhs_index(n, i), rhs_index(n, i)
-        s, s_next = state_index(n, i), state_index(n, i + 1)
-        pairs = tuple(itertools.product(BITS, BITS))
-        lines.append(_table((s, x, y), [(q, a, b) for q in SIGNS for a, b in pairs
-                                        if q != 1 or a <= b]))
-        lines.append(_table((s, x, y), [(q, a, b) for q in SIGNS for a, b in pairs
-                                        if q != -1 or a >= b]))
-        lines.append(_table((x, y, s_next), [(a, b, qn) for a, b in pairs for qn in SIGNS
-                                             if a == b or qn == 0]))
-        lines.append(_table((x, y, s, s_next),
-                            [(a, b, q, qn) for a, b in pairs for q in SIGNS for qn in SIGNS
-                             if a == 1 or b == 1 or qn == q]))
-        lines.append(_table((x, y, s, s_next),
-                            [(a, b, q, qn) for a, b in pairs for q in SIGNS for qn in SIGNS
-                             if a == 0 or b == 0 or qn == -q]))
-        blocks.append(_table(
-            (x, y, s, s_next),
-            [(a, b, q, qn) for a, b in pairs for q in SIGNS for qn in SIGNS
-             if (q != 1 or a <= b) and (q != -1 or a >= b)
-             and (a == b or qn == 0)
-             and (a == 1 or b == 1 or qn == q)
-             and (a == 0 or b == 0 or qn == -q)]))
+        scope = (lhs_index(n, i), rhs_index(n, i), state_index(n, i), state_index(n, i + 1))
+        lines.extend(TableConstraint(tuple(scope[k] for k in slots), rows)
+                     for slots, rows in _LINES)
+        blocks.append(TableConstraint(scope, _BLOCK))
 
     boundary: list = [UnaryConstraint(state_index(n, 0), 1)]
     props: list = [("state1=1", _table((state_index(n, 0),), [(1,)]))]
@@ -254,6 +251,8 @@ def gac_oracle(n: int, store: DomainStore, strict: bool) -> PropagationOutcome:
     strict), and the state chain the pair induces fits the current state
     candidates.  Kept values are exactly those used by some supporting pair.
     """
+    import numpy as np  # the oracle is the package's only numpy user
+
     if n > 10:
         raise InputError("oracle enumerates 4^n pairs; n must be <= 10")
     if len(store.candidates) != 3 * n + 1:

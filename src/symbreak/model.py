@@ -184,15 +184,6 @@ def binary_problem(n: int, constraints: Sequence[Constraint] = (),
     return Problem(n, binary_domains(n), tuple(constraints), shape)
 
 
-def matrix_rows(a: Sequence[int], shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-    r, c = shape
-    return tuple(tuple(a[i * c + j] for j in range(c)) for i in range(r))
-
-
-def flatten_rows(rows: Sequence[Sequence[int]]) -> Assignment:
-    return tuple(v for row in rows for v in row)
-
-
 # ---------------------------------------------------------------------------
 # checking and enumeration
 
@@ -349,15 +340,22 @@ def problem_to_dict(problem: Problem) -> dict:
     return out
 
 
-def load_problem(path) -> Problem:
+def load_json_object(path, what: str) -> dict:
+    """Parse a JSON input file whose top level must be an object."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"problem file is not valid JSON: {exc}") from exc
-    return problem_from_dict(data)
+        raise InputError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must hold a JSON object, not {type(data).__name__}")
+    return data
+
+
+def load_problem(path) -> Problem:
+    return problem_from_dict(load_json_object(path, "problem file"))
 
 
 def is_binary(domains: Sequence[Domain]) -> bool:

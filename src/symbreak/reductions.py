@@ -14,7 +14,6 @@ independent brute-force deciders in the test suite:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +28,7 @@ from .model import (
     binary_domains,
     binary_problem,
     enumerate_solutions,
+    load_json_object,
     _reject_unknown,
     _require,
 )
@@ -255,19 +255,9 @@ def cnf_from_dict(data: dict) -> Cnf:
                tuple(tuple(c) for c in _require(data, "clauses", "CNF instance")))
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{what} is not valid JSON: {exc}") from exc
-
-
 def load_one_in_three(path) -> OneInThreeInstance:
-    return one_in_three_from_dict(_load_json(path, "1-in-3 instance file"))
+    return one_in_three_from_dict(load_json_object(path, "1-in-3 instance file"))
 
 
 def load_cnf(path) -> Cnf:
-    return cnf_from_dict(_load_json(path, "CNF instance file"))
+    return cnf_from_dict(load_json_object(path, "CNF instance file"))

@@ -15,7 +15,6 @@ The two kinds never mix inside one group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -26,10 +25,18 @@ from .model import (
     InputError,
     all_assignments,
     binary_domains,
+    load_json_object,
+    _reject_unknown,
+    _require,
 )
 from .orderings import AssignmentPermutation
 
 DEFAULT_CLOSURE_CAP = 100_000
+
+
+def _check_permutation(perm: Sequence[int], n: int) -> None:
+    if sorted(perm) != list(range(n)):
+        raise InputError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class LiteralSymmetry:
 
     def __post_init__(self) -> None:
         n = len(self.var_perm)
-        if sorted(self.var_perm) != list(range(n)):
-            raise InputError(f"{self.var_perm} is not a permutation of 0..{n - 1}")
+        _check_permutation(self.var_perm, n)
         if len(self.val_maps) != n:
             raise InputError("need one value map per variable")
         maps = []
@@ -75,6 +81,7 @@ class LiteralSymmetry:
     @classmethod
     def variable(cls, perm: Sequence[int], domains: Sequence[Domain]) -> "LiteralSymmetry":
         """Pure variable permutation (identity value maps)."""
+        _check_permutation(perm, len(domains))
         for i, j in enumerate(perm):
             if set(domains[i]) != set(domains[j]):
                 raise InputError(f"variables {i} and {j} have different domains")
@@ -139,10 +146,6 @@ class AssignmentSymmetry:
     def transposition(cls, a: Assignment, b: Assignment) -> "AssignmentSymmetry":
         return cls({a: b, b: a})
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self._map)
-
     def apply(self, a: Sequence[int]) -> Assignment:
         a = tuple(a)
         return self._map.get(a, a)
@@ -190,9 +193,6 @@ class SymmetryGroup:
         lits = [g for g in self.generators if isinstance(g, LiteralSymmetry)]
         if len({g.n for g in lits}) > 1:
             raise InputError("literal generators act on different variable counts")
-
-    def is_trivial(self) -> bool:
-        return all(g.is_identity() for g in self.generators)
 
     def _identity_like(self) -> Symmetry:
         gen = self.generators[0]
@@ -386,8 +386,6 @@ def row_col_group(shape: tuple[int, int], domains: Optional[Sequence[Domain]] = 
 
 
 def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry:
-    from .model import _reject_unknown, _require  # shared validation helpers
-
     _reject_unknown(data, {"kind", "var_perm", "val_maps"}, "literal symmetry")
     perm = tuple(_require(data, "var_perm", "literal symmetry"))
     if "val_maps" in data:
@@ -397,8 +395,6 @@ def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry
 
 
 def symmetry_group_from_dict(data: dict, domains: Sequence[Domain]) -> SymmetryGroup:
-    from .model import _reject_unknown, _require
-
     _reject_unknown(data, {"generators", "cap"}, "symmetry file")
     gens: list[LiteralSymmetry] = []
     for entry in _require(data, "generators", "symmetry file"):
@@ -416,11 +412,4 @@ def symmetry_group_from_dict(data: dict, domains: Sequence[Domain]) -> SymmetryG
 
 
 def load_symmetry_group(path, domains: Sequence[Domain]) -> SymmetryGroup:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read symmetry file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"symmetry file is not valid JSON: {exc}") from exc
-    return symmetry_group_from_dict(data, domains)
+    return symmetry_group_from_dict(load_json_object(path, "symmetry file"), domains)

@@ -213,3 +213,79 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["break", "--method", "sideways"])
     assert exc.value.code == 2
+
+
+def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch):
+    import symbreak.breaker
+    import symbreak.cli
+    from symbreak.breaker import SymmetryBreakingSet
+    from symbreak.symmetry import orbits
+
+    calls = {"orbits": 0, "satisfied": 0}
+
+    def counted_orbits(*args):
+        calls["orbits"] += 1
+        return orbits(*args)
+
+    satisfied = SymmetryBreakingSet.satisfied
+
+    def counted_satisfied(self, a):
+        calls["satisfied"] += 1
+        return satisfied(self, a)
+
+    for module in (symbreak.cli, symbreak.breaker):
+        monkeypatch.setattr(module, "orbits", counted_orbits)
+    monkeypatch.setattr(SymmetryBreakingSet, "satisfied", counted_satisfied)
+    _, problem, syms = files
+    # 16 solutions; compare judges 9 breaking sets
+    for command, evaluations in (("compare", 9 * 16), ("check", 16), ("break", 16)):
+        calls.update(orbits=0, satisfied=0)
+        code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
+        assert code == 0
+        assert calls == {"orbits": 1, "satisfied": evaluations}, command
+
+
+def _run_cli_subprocess(argv):
+    import os
+    import subprocess
+    import sys
+
+    import symbreak
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(symbreak.__file__)))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("kind", ["problem", "symmetries", "store", "1-in-3", "cnf"])
+def test_top_level_json_array_is_an_input_error(files, kind):
+    tmp_path, problem, syms = files
+    bad = tmp_path / "array.json"
+    bad.write_text("[1, 2]")
+    argv = {"problem": ["solve", "--problem", str(bad)],
+            "symmetries": ["orbits", "--problem", problem, "--symmetries", str(bad)],
+            "store": ["gray-check", "--store", str(bad)],
+            "1-in-3": ["demo-prop1", "--instance", str(bad)],
+            "cnf": ["demo-prop2", "--instance", str(bad)]}[kind]
+    proc = _run_cli_subprocess(["-m", "symbreak", *argv])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_out_of_range_var_perm_is_an_input_error(capsys, tmp_path):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 2, "domains": [[0, 1]] * 2}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "literal", "var_perm": [0, 5]}]}))
+    code, _, err = invoke(capsys, ["orbits", "--problem", str(problem),
+                                   "--symmetries", str(syms)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    proc = _run_cli_subprocess(
+        ["-c", "import sys, symbreak.cli; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
