@@ -215,11 +215,13 @@ def _cmd_unrank(ns: argparse.Namespace) -> int:
 def _load_store(path):
     data = load_json_object(path, "store file")
     _reject_unknown(data, {"strict", "lhs", "rhs", "state"}, "store file")
-    lhs = _require(data, "lhs", "store file")
-    rhs = _require(data, "rhs", "store file")
+    lhs = _require(data, "lhs", "store file", [[int]])
+    rhs = _require(data, "rhs", "store file", [[int]])
+    state = (_require(data, "state", "store file", [[int]])
+             if data.get("state") is not None else None)
     strict = data.get("strict", True)
     n = len(lhs)
-    return n, strict, store_from_candidates(n, lhs, rhs, data.get("state"))
+    return n, strict, store_from_candidates(n, lhs, rhs, state)
 
 
 def _cmd_gray_check(ns: argparse.Namespace) -> int:

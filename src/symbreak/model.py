@@ -281,9 +281,25 @@ def _reject_unknown(data: dict, allowed: set[str], what: str) -> None:
         raise InputError(f"unknown field(s) in {what}: {', '.join(sorted(extra))}")
 
 
-def _require(data: dict, key: str, what: str):
+def _has_shape(value, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_has_shape(v, shape[0]) for v in value)
+    return isinstance(value, shape)
+
+
+def _shape_name(shape, plural: bool = False) -> str:
+    if isinstance(shape, list):
+        return ("lists of " if plural else "a list of ") + _shape_name(shape[0], True)
+    noun = {int: "integer", dict: "object"}[shape]
+    return f"{noun}s" if plural else f"an {noun}"
+
+
+def _require(data: dict, key: str, what: str, shape=None):
+    """data[key], checked against `shape` if given: int, dict, or [inner] for a list."""
     if key not in data:
         raise InputError(f"missing field '{key}' in {what}")
+    if shape is not None and not _has_shape(data[key], shape):
+        raise InputError(f"field '{key}' in {what} must be {_shape_name(shape)}")
     return data[key]
 
 
@@ -291,22 +307,22 @@ def constraint_from_dict(data: dict) -> Constraint:
     kind = _require(data, "kind", "constraint")
     if kind == "table":
         _reject_unknown(data, {"kind", "scope", "tuples"}, "table constraint")
-        scope = tuple(_require(data, "scope", "table constraint"))
-        rows = frozenset(tuple(row) for row in _require(data, "tuples", "table constraint"))
+        scope = tuple(_require(data, "scope", "table constraint", [int]))
+        rows = frozenset(tuple(row) for row in _require(data, "tuples", "table constraint", [[int]]))
         return TableConstraint(scope, rows)
     if kind == "clause":
         _reject_unknown(data, {"kind", "literals"}, "clause constraint")
         lits = []
-        for entry in _require(data, "literals", "clause constraint"):
+        for entry in _require(data, "literals", "clause constraint", [dict]):
             _reject_unknown(entry, {"var", "value", "positive"}, "clause literal")
-            lits.append(Literal(_require(entry, "var", "clause literal"),
-                                _require(entry, "value", "clause literal"),
+            lits.append(Literal(_require(entry, "var", "clause literal", int),
+                                _require(entry, "value", "clause literal", int),
                                 entry.get("positive", True)))
         return ClauseConstraint(tuple(lits))
     if kind == "unary":
         _reject_unknown(data, {"kind", "var", "value"}, "unary constraint")
-        return UnaryConstraint(_require(data, "var", "unary constraint"),
-                               _require(data, "value", "unary constraint"))
+        return UnaryConstraint(_require(data, "var", "unary constraint", int),
+                               _require(data, "value", "unary constraint", int))
     raise InputError(f"unknown constraint kind '{kind}'")
 
 
@@ -323,10 +339,12 @@ def constraint_to_dict(con: Constraint) -> dict:
 
 def problem_from_dict(data: dict) -> Problem:
     _reject_unknown(data, {"n", "domains", "constraints", "shape"}, "problem")
-    n = _require(data, "n", "problem")
-    domains = tuple(tuple(d) for d in _require(data, "domains", "problem"))
-    constraints = tuple(constraint_from_dict(c) for c in data.get("constraints", []))
-    shape = tuple(data["shape"]) if data.get("shape") is not None else None
+    n = _require(data, "n", "problem", int)
+    domains = tuple(tuple(d) for d in _require(data, "domains", "problem", [[int]]))
+    cons = _require(data, "constraints", "problem", [dict]) if "constraints" in data else ()
+    constraints = tuple(map(constraint_from_dict, cons))
+    shape = (tuple(_require(data, "shape", "problem", [int]))
+             if data.get("shape") is not None else None)
     if shape is not None and len(shape) != 2:
         raise InputError("shape must be a [rows, cols] pair")
     return Problem(n, domains, constraints, shape)

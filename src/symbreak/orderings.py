@@ -3,14 +3,19 @@
 Each ordering is defined over the full assignment space of fixed domains:
 `rank` is a bijection onto range(space_size), `unrank` is its inverse, and
 `compare` agrees with rank comparison.  Ranks are 0-indexed.  Values compare
-by domain position, so non-binary domains order consistently.
+by domain position, so non-binary domains order consistently.  `key` gives
+each assignment a stand-in that Python compares natively in the same order,
+built without a Python loop over the variables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import getitem, mul, neg
 from typing import Optional, Sequence
 
+from .literals import _gatherer
 from .model import (
     Assignment,
     Domain,
@@ -34,17 +39,23 @@ class SimpleOrdering:
             raise InputError("an ordering needs at least one variable")
         self._pos = tuple({v: i for i, v in enumerate(d)} for d in self.domains)
         self.n = len(self.domains)
-        self.space_size = 1
-        for d in self.domains:
-            if not d:
-                raise InputError("empty domain")
-            self.space_size *= len(d)
+        if not all(self.domains):
+            raise InputError("empty domain")
+        self.space_size = math.prod(map(len, self.domains))
+        # place value of each position in lex rank: variable 0 most significant
+        self._place = tuple(math.prod(map(len, self.domains[i + 1:])) for i in range(self.n))
+        # over one domain 0..k-1, an assignment is its own position vector
+        own = tuple(range(len(self.domains[0])))
+        self._own_positions = (frozenset(own).issuperset
+                               if all(d == own for d in self.domains) else None)
 
     def positions(self, a: Sequence[int]) -> tuple[int, ...]:
         if len(a) != self.n:
             raise InputError(f"assignment arity {len(a)} != {self.n}")
+        if self._own_positions is not None and self._own_positions(a):
+            return tuple(a)
         try:
-            return tuple(self._pos[i][v] for i, v in enumerate(a))
+            return tuple(map(getitem, self._pos, a))
         except KeyError as exc:
             raise InputError(f"value {exc.args[0]} outside its domain") from exc
 
@@ -58,20 +69,20 @@ class SimpleOrdering:
     def unrank(self, k: int) -> Assignment:
         raise NotImplementedError
 
+    def key(self, a: Sequence[int]):
+        """Natively comparable stand-in: key(a) < key(b) iff a precedes b."""
+        return self.rank(a)
+
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        ra, rb = self.rank(a), self.rank(b)
-        return LT if ra < rb else GT if ra > rb else EQ
+        ka, kb = self.key(a), self.key(b)
+        return LT if ka < kb else GT if ka > kb else EQ
 
     def minimum(self, assignments) -> Assignment:
         """Smallest of a nonempty collection under this ordering."""
         items = list(assignments)
         if not items:
             raise InputError("minimum of an empty collection")
-        best = items[0]
-        for a in items[1:]:
-            if self.compare(a, best) == LT:
-                best = a
-        return best
+        return min(items, key=self.key)
 
 
 class LexOrdering(SimpleOrdering):
@@ -80,45 +91,29 @@ class LexOrdering(SimpleOrdering):
     name = "lex"
 
     def rank(self, a: Sequence[int]) -> int:
-        k = 0
-        for base, p in zip((len(d) for d in self.domains), self.positions(a)):
-            k = k * base + p
-        return k
+        return sum(map(mul, self.positions(a), self._place))
 
     def unrank(self, k: int) -> Assignment:
         self._check_rank(k)
-        out = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            dom = self.domains[i]
-            k, p = divmod(k, len(dom))
-            out[i] = dom[p]
-        return tuple(out)
+        return tuple(d[k // place % len(d)] for d, place in zip(self.domains, self._place))
 
-    def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        for pa, pb in zip(self.positions(a), self.positions(b)):
-            if pa != pb:
-                return LT if pa < pb else GT
-        return EQ
+    key = SimpleOrdering.positions
 
 
-class RevLexOrdering(SimpleOrdering):
+class RevLexOrdering(LexOrdering):
     """Lex with every comparison reversed; rank k maps to lex rank size-1-k."""
 
     name = "revlex"
 
-    def __init__(self, domains: Sequence[Domain]):
-        super().__init__(domains)
-        self._lex = LexOrdering(domains)
-
     def rank(self, a: Sequence[int]) -> int:
-        return self.space_size - 1 - self._lex.rank(a)
+        return self.space_size - 1 - super().rank(a)
 
     def unrank(self, k: int) -> Assignment:
         self._check_rank(k)
-        return self._lex.unrank(self.space_size - 1 - k)
+        return super().unrank(self.space_size - 1 - k)
 
-    def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        return -self._lex.compare(a, b)
+    def key(self, a: Sequence[int]) -> tuple[int, ...]:
+        return tuple(map(neg, self.positions(a)))
 
 
 class GrayOrdering(SimpleOrdering):
@@ -136,11 +131,11 @@ class GrayOrdering(SimpleOrdering):
             raise UnsupportedOrderingError("gray ordering needs two-valued domains")
 
     def rank(self, a: Sequence[int]) -> int:
-        k = 0
-        acc = 0
-        for g in self.positions(a):
-            acc ^= g  # prefix-XOR decodes the codeword back to its index
-            k = (k << 1) | acc
+        k = sum(map(mul, self.positions(a), self._place))  # the codeword as a number
+        shift = 1
+        while shift < self.n:  # prefix-XOR decodes the codeword back to its index
+            k ^= k >> shift
+            shift <<= 1
         return k
 
     def unrank(self, k: int) -> Assignment:
@@ -183,29 +178,22 @@ class SnakeLexOrdering(SimpleOrdering):
             raise InputError(f"shape {shape} does not cover {self.n} variables")
         self.shape = (r, c)
         self.order = snake_variable_order(self.shape)
+        self._snake = _gatherer(self.order)
+        self._snake_place = tuple(math.prod(len(self.domains[v]) for v in self.order[i + 1:])
+                                  for i in range(self.n))
 
     def rank(self, a: Sequence[int]) -> int:
-        pos = self.positions(a)
-        k = 0
-        for v in self.order:
-            k = k * len(self.domains[v]) + pos[v]
-        return k
+        return sum(map(mul, self.key(a), self._snake_place))
 
     def unrank(self, k: int) -> Assignment:
         self._check_rank(k)
         out = [0] * self.n
-        for v in reversed(self.order):
-            dom = self.domains[v]
-            k, p = divmod(k, len(dom))
-            out[v] = dom[p]
+        for v, place in zip(self.order, self._snake_place):
+            out[v] = self.domains[v][k // place % len(self.domains[v])]
         return tuple(out)
 
-    def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        pa, pb = self.positions(a), self.positions(b)
-        for v in self.order:
-            if pa[v] != pb[v]:
-                return LT if pa[v] < pb[v] else GT
-        return EQ
+    def key(self, a: Sequence[int]) -> tuple[int, ...]:
+        return self._snake(self.positions(a))
 
 
 def make_ordering(name: str, domains: Sequence[Domain],

@@ -246,13 +246,14 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
 
 def one_in_three_from_dict(data: dict) -> OneInThreeInstance:
     _reject_unknown(data, {"clauses"}, "1-in-3 instance")
-    return OneInThreeInstance(tuple(tuple(c) for c in _require(data, "clauses", "1-in-3 instance")))
+    return OneInThreeInstance(tuple(tuple(c) for c in
+                                    _require(data, "clauses", "1-in-3 instance", [[int]])))
 
 
 def cnf_from_dict(data: dict) -> Cnf:
     _reject_unknown(data, {"n", "clauses"}, "CNF instance")
-    return Cnf(_require(data, "n", "CNF instance"),
-               tuple(tuple(c) for c in _require(data, "clauses", "CNF instance")))
+    return Cnf(_require(data, "n", "CNF instance", int),
+               tuple(tuple(c) for c in _require(data, "clauses", "CNF instance", [[int]])))
 
 
 def load_one_in_three(path) -> OneInThreeInstance:

@@ -2,10 +2,11 @@
 
 Two representations:
 
-* `LiteralSymmetry` — a variable permutation composed with per-variable value
-  bijections.  Structured this way, every complete assignment maps to a
-  complete assignment; arbitrary bijections on variable-value pairs that
-  could produce non-assignments are excluded by construction.
+* `LiteralSymmetry` (module `literals`) — a variable permutation composed
+  with per-variable value bijections.  Structured this way, every complete
+  assignment maps to a complete assignment; arbitrary bijections on
+  variable-value pairs that could produce non-assignments are excluded by
+  construction.
 * `AssignmentSymmetry` — an explicit bijection on finitely many listed
   assignments, identity outside the listed set.  This is the carrier for
   conjugated symmetries and for groups defined directly on solution sets.
@@ -29,103 +30,10 @@ from .model import (
     _reject_unknown,
     _require,
 )
+from .literals import LiteralSymmetry, _check_permutation, _gatherer
 from .orderings import AssignmentPermutation
 
 DEFAULT_CLOSURE_CAP = 100_000
-
-
-def _check_permutation(perm: Sequence[int], n: int) -> None:
-    if sorted(perm) != list(range(n)):
-        raise InputError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
-
-
-@dataclass(frozen=True)
-class LiteralSymmetry:
-    """result[var_perm[i]] = val_maps[i][a[i]].
-
-    `val_maps` stores, per source variable, the sorted (value, image) pairs of
-    a bijection from that variable's domain onto the image variable's domain.
-    """
-
-    var_perm: tuple[int, ...]
-    val_maps: tuple[tuple[tuple[int, int], ...], ...]
-    _maps: tuple[dict, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.var_perm)
-        _check_permutation(self.var_perm, n)
-        if len(self.val_maps) != n:
-            raise InputError("need one value map per variable")
-        maps = []
-        for i, pairs in enumerate(self.val_maps):
-            keys = [k for k, _ in pairs]
-            images = [v for _, v in pairs]
-            if len(set(keys)) != len(keys) or len(set(images)) != len(images):
-                raise InputError(f"value map of variable {i} is not a bijection")
-            maps.append(dict(pairs))
-        object.__setattr__(self, "_maps", tuple(maps))
-
-    @property
-    def n(self) -> int:
-        return len(self.var_perm)
-
-    @classmethod
-    def from_maps(cls, var_perm: Sequence[int], maps: Sequence[dict]) -> "LiteralSymmetry":
-        return cls(tuple(var_perm),
-                   tuple(tuple(sorted(m.items())) for m in maps))
-
-    @classmethod
-    def identity(cls, domains: Sequence[Domain]) -> "LiteralSymmetry":
-        return cls.from_maps(range(len(domains)), [{v: v for v in d} for d in domains])
-
-    @classmethod
-    def variable(cls, perm: Sequence[int], domains: Sequence[Domain]) -> "LiteralSymmetry":
-        """Pure variable permutation (identity value maps)."""
-        _check_permutation(perm, len(domains))
-        for i, j in enumerate(perm):
-            if set(domains[i]) != set(domains[j]):
-                raise InputError(f"variables {i} and {j} have different domains")
-        return cls.from_maps(perm, [{v: v for v in d} for d in domains])
-
-    @classmethod
-    def value_swap(cls, var: int, a: int, b: int, domains: Sequence[Domain]) -> "LiteralSymmetry":
-        """Identity on variables; swaps two values of one variable."""
-        maps = [{v: v for v in d} for d in domains]
-        maps[var][a], maps[var][b] = b, a
-        return cls.from_maps(range(len(domains)), maps)
-
-    def apply(self, a: Sequence[int]) -> Assignment:
-        if len(a) != self.n:
-            raise InputError(f"assignment arity {len(a)} != {self.n}")
-        out = [0] * self.n
-        try:
-            for i, v in enumerate(a):
-                out[self.var_perm[i]] = self._maps[i][v]
-        except KeyError as exc:
-            raise InputError(f"value {exc.args[0]} outside the symmetry's domain") from exc
-        return tuple(out)
-
-    def compose(self, other: "LiteralSymmetry") -> "LiteralSymmetry":
-        """Symmetry acting as self after other: (self∘other)(a) = self(other(a))."""
-        if not isinstance(other, LiteralSymmetry):
-            raise InputError("cannot compose literal and assignment-level symmetries")
-        if other.n != self.n:
-            raise InputError("mismatched variable counts")
-        perm = tuple(self.var_perm[other.var_perm[i]] for i in range(self.n))
-        maps = [{v: self._maps[other.var_perm[i]][w] for v, w in other._maps[i].items()}
-                for i in range(self.n)]
-        return LiteralSymmetry.from_maps(perm, maps)
-
-    def invert(self) -> "LiteralSymmetry":
-        inv_perm = [0] * self.n
-        for i, j in enumerate(self.var_perm):
-            inv_perm[j] = i
-        maps = [{w: v for v, w in self._maps[inv_perm[j]].items()} for j in range(self.n)]
-        return LiteralSymmetry.from_maps(inv_perm, maps)
-
-    def is_identity(self) -> bool:
-        return (self.var_perm == tuple(range(self.n))
-                and all(all(v == w for v, w in pairs) for pairs in self.val_maps))
 
 
 class AssignmentSymmetry:
@@ -190,39 +98,42 @@ class SymmetryGroup:
         kinds = {type(g) for g in self.generators}
         if len(kinds) > 1:
             raise InputError("a group cannot mix literal and assignment-level symmetries")
-        lits = [g for g in self.generators if isinstance(g, LiteralSymmetry)]
-        if len({g.n for g in lits}) > 1:
-            raise InputError("literal generators act on different variable counts")
-
-    def _identity_like(self) -> Symmetry:
-        gen = self.generators[0]
-        if isinstance(gen, AssignmentSymmetry):
-            return AssignmentSymmetry.identity()
-        return LiteralSymmetry.from_maps(range(gen.n),
-                                         [{v: v for v in m} for m in gen._maps])
+        if len({g._space.domains for g in self.generators if isinstance(g, LiteralSymmetry)}) > 1:
+            raise InputError("literal generators act on different domains")
 
     def closure(self) -> tuple[Symmetry, ...]:
-        """Breadth-first product closure, deduplicated, identity included."""
+        """Breadth-first product closure, deduplicated, identity included.
+
+        A literal group searches over literal permutations, where the
+        product g∘e is one gather, and builds each element once at the end.
+        """
+        if self._closure is None and not self.generators:
+            self._closure = ()
         if self._closure is not None:
             return self._closure
-        if not self.generators:
-            self._closure = ()
-            return self._closure
-        ident = self._identity_like()
+        literal = isinstance(self.generators[0], LiteralSymmetry)
+        if literal:
+            space = self.generators[0]._space
+            ident, gens, after = space.identity, [g.lits for g in self.generators], _gatherer
+        else:
+            ident, gens = AssignmentSymmetry.identity(), self.generators
+            after = lambda elem: lambda gen: gen.compose(elem)
         seen: dict = {ident: None}
         frontier = [ident]
         while frontier:
-            new: list[Symmetry] = []
+            new: list = []
             for elem in frontier:
-                for gen in self.generators:
-                    prod = gen.compose(elem)
+                times = after(elem)  # times(gen) is gen∘elem
+                for gen in gens:
+                    prod = times(gen)
                     if prod not in seen:
                         seen[prod] = None
                         if len(seen) > self.cap:
                             raise CapExceededError(f"closure exceeds cap={self.cap}")
                         new.append(prod)
             frontier = new
-        self._closure = tuple(seen)
+        self._closure = (tuple(LiteralSymmetry(lits, space) for lits in seen) if literal
+                         else tuple(seen))
         return self._closure
 
     def orbit_of(self, a: Assignment, cap: Optional[int] = None) -> tuple[Assignment, ...]:
@@ -250,12 +161,11 @@ class OrbitPartition:
     """Disjoint blocks covering the input set, in first-occurrence order."""
 
     blocks: tuple[tuple[Assignment, ...], ...]
-    _index: dict = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {a: i for i, block in enumerate(self.blocks) for a in block}
+    _index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def block_of(self, a: Assignment) -> int:
+        if self._index is None:  # built on first use: the verdicts never need it
+            self._index = {a: i for i, block in enumerate(self.blocks) for a in block}
         try:
             return self._index[tuple(a)]
         except KeyError as exc:
@@ -292,9 +202,9 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartit
     solution set into itself.
     """
     sols = [tuple(a) for a in solutions]
-    if len(set(sols)) != len(sols):
-        raise InputError("solution list repeats an assignment")
     index = {a: i for i, a in enumerate(sols)}
+    if len(index) != len(sols):
+        raise InputError("solution list repeats an assignment")
     uf = _UnionFind(len(sols))
     for a in sols:
         for gen in group.generators:
@@ -387,28 +297,40 @@ def row_col_group(shape: tuple[int, int], domains: Optional[Sequence[Domain]] = 
 
 def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry:
     _reject_unknown(data, {"kind", "var_perm", "val_maps"}, "literal symmetry")
-    perm = tuple(_require(data, "var_perm", "literal symmetry"))
-    if "val_maps" in data:
-        maps = [dict((int(k), int(v)) for k, v in pairs) for pairs in data["val_maps"]]
-        return LiteralSymmetry.from_maps(perm, maps)
-    return LiteralSymmetry.variable(perm, domains)
+    perm = tuple(_require(data, "var_perm", "literal symmetry", [int]))
+    if "val_maps" not in data:
+        return LiteralSymmetry.variable(perm, domains)
+    maps = _require(data, "val_maps", "literal symmetry", [[[int]]])
+    if any(len(pair) != 2 for pairs in maps for pair in pairs):
+        raise InputError("val_maps entries must be [value, image] pairs")
+    _check_permutation(perm, len(domains))
+    sym = LiteralSymmetry.from_maps(perm, [dict(pairs) for pairs in maps])
+    # each map lands on its target's keys, so keys equal to the domains settle it
+    for i, (keys, dom) in enumerate(zip(sym._space.domains, domains)):
+        if set(keys) != set(dom):
+            raise InputError(f"value map of variable {i} does not cover its domain {dom}")
+    return sym
 
 
 def symmetry_group_from_dict(data: dict, domains: Sequence[Domain]) -> SymmetryGroup:
     _reject_unknown(data, {"generators", "cap"}, "symmetry file")
     gens: list[LiteralSymmetry] = []
-    for entry in _require(data, "generators", "symmetry file"):
+    for k, entry in enumerate(_require(data, "generators", "symmetry file", [dict])):
         kind = _require(entry, "kind", "generator")
-        if kind == "literal":
-            gens.append(_literal_from_dict(entry, domains))
-        elif kind == "row_col":
-            _reject_unknown(entry, {"kind", "rows", "cols"}, "row_col generator")
-            shape = (_require(entry, "rows", "row_col generator"),
-                     _require(entry, "cols", "row_col generator"))
-            gens.extend(row_col_generators(shape, domains))
-        else:
-            raise InputError(f"unknown generator kind '{kind}'")
-    return SymmetryGroup(tuple(gens), cap=data.get("cap", DEFAULT_CLOSURE_CAP))
+        try:
+            if kind == "literal":
+                gens.append(_literal_from_dict(entry, domains))
+            elif kind == "row_col":
+                _reject_unknown(entry, {"kind", "rows", "cols"}, "row_col generator")
+                shape = (_require(entry, "rows", "row_col generator", int),
+                         _require(entry, "cols", "row_col generator", int))
+                gens.extend(row_col_generators(shape, domains))
+            else:
+                raise InputError(f"unknown generator kind '{kind}'")
+        except InputError as exc:
+            raise InputError(f"generator {k}: {exc}") from exc
+    cap = _require(data, "cap", "symmetry file", int) if "cap" in data else DEFAULT_CLOSURE_CAP
+    return SymmetryGroup(tuple(gens), cap=cap)
 
 
 def load_symmetry_group(path, domains: Sequence[Domain]) -> SymmetryGroup:

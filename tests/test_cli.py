@@ -289,3 +289,61 @@ def test_cli_import_leaves_numpy_unloaded():
         ["-c", "import sys, symbreak.cli; print('numpy' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("shape, checks", [((2, 3), 1567), ((3, 3), 14152)])
+def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, checks):
+    # the count pins closure order and short-circuit order; it was taken
+    # from the dict-based kernel that the literal permutations replaced
+    from symbreak.breaker import LeaderConstraint
+
+    r, c = shape
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": r * c, "domains": [[0, 1]] * (r * c),
+                                   "shape": [r, c]}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": r, "cols": c}]}))
+    calls = [0]
+    satisfied = LeaderConstraint.satisfied
+
+    def counted(self, a):
+        calls[0] += 1
+        return satisfied(self, a)
+
+    monkeypatch.setattr(LeaderConstraint, "satisfied", counted)
+    code, _, _ = invoke(capsys, ["compare", "--problem", str(problem),
+                                 "--symmetries", str(syms)])
+    assert code == 0
+    assert calls[0] == checks
+
+
+BINARY_2 = {"n": 2, "domains": [[0, 1]] * 2}
+NO_GENERATORS = {"generators": []}
+
+
+@pytest.mark.parametrize("problem, syms, needle", [
+    (dict(BINARY_2, n="2"), NO_GENERATORS, "'n'"),
+    (dict(BINARY_2, domains=5), NO_GENERATORS, "'domains'"),
+    (dict(BINARY_2, constraints=[{"kind": "unary", "var": "0", "value": 1}]), NO_GENERATORS,
+     "'var'"),
+    (BINARY_2, {"generators": [{"kind": "literal", "var_perm": ["a", 1]}]}, "generator 0"),
+    (BINARY_2, {"generators": 5}, "'generators'"),
+    (BINARY_2, {"generators": [], "cap": "x"}, "'cap'"),
+    # a partial value map, and one onto a value outside the domain
+    (BINARY_2, {"generators": [{"kind": "literal", "var_perm": [0, 1],
+                                "val_maps": [[[0, 0]], [[0, 0], [1, 1]]]}]}, "generator 0"),
+    (BINARY_2, {"generators": [{"kind": "row_col", "rows": 1, "cols": 2},
+                               {"kind": "literal", "var_perm": [0, 1],
+                                "val_maps": [[[0, 0], [1, 2]], [[0, 0], [1, 1]]]}]},
+     "generator 1"),
+], ids=["n-string", "domains-int", "unary-var-string", "var-perm-string", "generators-int",
+        "cap-string", "partial-val-map", "val-map-off-domain"])
+def test_malformed_field_is_a_load_time_input_error(tmp_path, problem, syms, needle):
+    ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
+    ppath.write_text(json.dumps(problem))
+    spath.write_text(json.dumps(syms))
+    proc = _run_cli_subprocess(["-m", "symbreak", "orbits", "--problem", str(ppath),
+                                "--symmetries", str(spath)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and needle in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -62,6 +62,12 @@ def test_literal_validation():
         LiteralSymmetry.from_maps((0,), [{0: 0, 1: 0}])  # value map not bijective
 
 
+def test_literal_value_map_must_land_on_its_target_domain():
+    # variable 1 maps onto variable 0, whose values are 0 and 1, not 0 and 2
+    with pytest.raises(InputError):
+        LiteralSymmetry.from_maps((1, 0), [{0: 0, 1: 1}, {0: 0, 1: 2}])
+
+
 def test_compose_and_invert_are_inverse_actions():
     doms = binary_domains(4)
     row_swap, col_swap = row_col_generators((2, 2))
