@@ -9,17 +9,9 @@ assigned worst-case pair (lhs = position 2^n - 2, rhs = 2^n - 1).
 import argparse
 import sys
 
-from symbreak.gray import build_decomposition, initial_store, propagate
+from symbreak.gray import build_decomposition, initial_store, propagate, store_from_candidates
 from symbreak.orderings import GrayOrdering
 from symbreak.model import binary_domains
-
-
-def pinned_store(decomp, lhs, rhs):
-    store = initial_store(decomp)
-    for i in range(decomp.n):
-        store.assign(decomp.lhs(i), lhs[i])
-        store.assign(decomp.rhs(i), rhs[i])
-    return store
 
 
 def main(argv=None):
@@ -40,7 +32,8 @@ def main(argv=None):
             gray = GrayOrdering(binary_domains(n))
             lhs = gray.unrank(2 ** n - 2)
             rhs = gray.unrank(2 ** n - 1)
-            out = propagate(decomp, pinned_store(decomp, lhs, rhs))
+            out = propagate(decomp, store_from_candidates(n, [[b] for b in lhs],
+                                                          [[b] for b in rhs]))
             wakes = sum(out.trace.wakes.values())
             print(f"{n},pinned,{out.trace.removals},"
                   f"{out.trace.removals / n:.3f},{wakes}")

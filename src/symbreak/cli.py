@@ -219,7 +219,7 @@ def _load_store(path):
     rhs = _require(data, "rhs", "store file", [[int]])
     state = (_require(data, "state", "store file", [[int]])
              if data.get("state") is not None else None)
-    strict = data.get("strict", True)
+    strict = _require(data, "strict", "store file", bool) if "strict" in data else True
     n = len(lhs)
     return n, strict, store_from_candidates(n, lhs, rhs, state)
 

@@ -25,8 +25,9 @@ two variables).  Grouped per position, consecutive blocks share exactly the
 one variable s_{i+1}: the block hypergraph is a chain, hence Berge acyclic,
 and enforcing domain consistency block by block to a fixpoint yields domain
 consistency on the whole conjunction.  The engine therefore wakes one
-propagator per position block (plus the boundary constraints); the
-individual lines remain available as `GrayDecomposition.constraints`.
+propagator per position block (plus the boundary constraints), and the
+network is stored only as those propagators; the individual lines are a view
+derived from the blocks on demand (`GrayDecomposition.constraints`).
 """
 
 from __future__ import annotations
@@ -47,40 +48,32 @@ BITS = (0, 1)
 SIGNS = (-1, 0, 1)
 
 
-def lhs_index(n: int, i: int) -> int:
-    return i
-
-
-def rhs_index(n: int, i: int) -> int:
-    return n + i
-
-
-def state_index(n: int, i: int) -> int:
-    return 2 * n + i
-
-
 @dataclass(frozen=True)
 class GrayDecomposition:
-    """Constraint network over lhs_1..lhs_n, rhs_1..rhs_n, state_1..state_{n+1}."""
+    """Constraint network over lhs_1..lhs_n, rhs_1..rhs_n, state_1..state_{n+1}.
+
+    Stored once, as the propagators the engine drives: the boundary
+    constraints as one-row tables, then one table per position block.
+    Without propagators it is the variable layout alone.
+    """
 
     n: int
     strict: bool
-    constraints: tuple  # the individual lines plus boundary unaries
-    blocks: tuple[TableConstraint, ...]  # per-position conjunctions
-    propagators: tuple  # (label, TableConstraint) pairs driven by the engine
+    propagators: tuple = ()  # (label, TableConstraint) pairs driven by the engine
+    watchers: tuple = ()  # watchers[var]: ids of the propagators whose scope holds var
 
     @property
     def num_vars(self) -> int:
         return 3 * self.n + 1
 
     def lhs(self, i: int) -> int:
-        return lhs_index(self.n, i)
+        return i
 
     def rhs(self, i: int) -> int:
-        return rhs_index(self.n, i)
+        return self.n + i
 
     def state(self, i: int) -> int:
-        return state_index(self.n, i)
+        return 2 * self.n + i
 
     def var_label(self, idx: int) -> str:
         if idx < self.n:
@@ -88,6 +81,20 @@ class GrayDecomposition:
         if idx < 2 * self.n:
             return f"rhs{idx - self.n + 1}"
         return f"state{idx - 2 * self.n + 1}"
+
+    @property
+    def blocks(self) -> tuple[TableConstraint, ...]:
+        """The per-position conjunctions, in position order."""
+        return tuple(con for _, con in self.propagators if len(con.scope) > 1)
+
+    @property
+    def constraints(self) -> tuple:
+        """The individual lines of every block, then the boundary as unaries."""
+        lines = tuple(TableConstraint(tuple(block.scope[k] for k in slots), rows)
+                      for block in self.blocks for slots, rows in _LINES)
+        return lines + tuple(UnaryConstraint(con.scope[0], row[0])
+                             for _, con in self.propagators if len(con.scope) == 1
+                             for row in con.allowed)
 
 
 def _table(scope: Sequence[int], rows) -> TableConstraint:
@@ -114,25 +121,18 @@ _BLOCK = frozenset(t for t in itertools.product(BITS, BITS, SIGNS, SIGNS)
 def build_decomposition(n: int, strict: bool) -> GrayDecomposition:
     if n < 1:
         raise InputError("need at least one bit position")
-    lines: list = []
-    blocks: list[TableConstraint] = []
-    for i in range(n):
-        scope = (lhs_index(n, i), rhs_index(n, i), state_index(n, i), state_index(n, i + 1))
-        lines.extend(TableConstraint(tuple(scope[k] for k in slots), rows)
-                     for slots, rows in _LINES)
-        blocks.append(TableConstraint(scope, _BLOCK))
-
-    boundary: list = [UnaryConstraint(state_index(n, 0), 1)]
-    props: list = [("state1=1", _table((state_index(n, 0),), [(1,)]))]
+    layout = GrayDecomposition(n, strict)
+    props = [("state1=1", _table((layout.state(0),), [(1,)]))]
     if strict:
-        boundary.append(UnaryConstraint(state_index(n, n), 0))
-        props.append((f"state{n + 1}=0", _table((state_index(n, n),), [(0,)])))
-    props.extend((f"block{i + 1}", blocks[i]) for i in range(n))
-
-    return GrayDecomposition(n, strict,
-                             constraints=tuple(lines) + tuple(boundary),
-                             blocks=tuple(blocks),
-                             propagators=tuple(props))
+        props.append((f"state{n + 1}=0", _table((layout.state(n),), [(0,)])))
+    props.extend((f"block{i + 1}", TableConstraint(
+        (layout.lhs(i), layout.rhs(i), layout.state(i), layout.state(i + 1)), _BLOCK))
+        for i in range(n))
+    watchers: list[list[int]] = [[] for _ in range(layout.num_vars)]
+    for pid, (_, con) in enumerate(props):
+        for var in con.scope:
+            watchers[var].append(pid)
+    return GrayDecomposition(n, strict, tuple(props), tuple(map(tuple, watchers)))
 
 
 def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:
@@ -142,7 +142,7 @@ def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:
         for j in range(i + 1, len(scopes)):
             overlap = si & scopes[j]
             if j == i + 1:
-                if overlap != {state_index(decomp.n, i + 1)}:
+                if overlap != {decomp.state(i + 1)}:
                     return False
             elif overlap:
                 return False
@@ -208,13 +208,7 @@ def propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationOutco
                          f"decomposition has {decomp.num_vars}")
     work = store.copy()
     trace = PropagationTrace()
-    props = decomp.propagators
-
-    watchers: dict[int, list[int]] = {}
-    for pid, (_, con) in enumerate(props):
-        for var in con.scope:
-            watchers.setdefault(var, []).append(pid)
-
+    props, watchers = decomp.propagators, decomp.watchers
     queue = deque(range(len(props)))
     queued = [True] * len(props)
     while queue:
@@ -260,9 +254,10 @@ def gac_oracle(n: int, store: DomainStore, strict: bool) -> PropagationOutcome:
     if any(not c for c in store.candidates):
         return PropagationOutcome(True, store.copy())
 
-    x_doms = [sorted(store.candidates[lhs_index(n, i)]) for i in range(n)]
-    y_doms = [sorted(store.candidates[rhs_index(n, i)]) for i in range(n)]
-    s_doms = [store.candidates[state_index(n, i)] for i in range(n + 1)]
+    layout = GrayDecomposition(n, strict)
+    x_doms = [sorted(store.candidates[layout.lhs(i)]) for i in range(n)]
+    y_doms = [sorted(store.candidates[layout.rhs(i)]) for i in range(n)]
+    s_doms = [store.candidates[layout.state(i)] for i in range(n + 1)]
 
     xs = np.array(list(itertools.product(*x_doms)), dtype=np.int8).reshape(-1, n)
     ys = np.array(list(itertools.product(*y_doms)), dtype=np.int8).reshape(-1, n)
@@ -292,8 +287,8 @@ def gac_oracle(n: int, store: DomainStore, strict: bool) -> PropagationOutcome:
     x_keep = ok.any(axis=1)
     y_keep = ok.any(axis=0)
     for i in range(n):
-        new.candidates[lhs_index(n, i)] = {int(v) for v in np.unique(xs[x_keep, i])}
-        new.candidates[rhs_index(n, i)] = {int(v) for v in np.unique(ys[y_keep, i])}
+        new.candidates[layout.lhs(i)] = {int(v) for v in np.unique(xs[x_keep, i])}
+        new.candidates[layout.rhs(i)] = {int(v) for v in np.unique(ys[y_keep, i])}
     for i in range(n + 1):
-        new.candidates[state_index(n, i)] = {int(v) for v in np.unique(chain[i][ok])}
+        new.candidates[layout.state(i)] = {int(v) for v in np.unique(chain[i][ok])}
     return PropagationOutcome(False, new)

@@ -169,15 +169,6 @@ class Problem:
     def space_size(self) -> int:
         return math.prod(len(d) for d in self.domains)
 
-    def cell(self, i: int, j: int) -> int:
-        """Variable index of matrix cell (i, j); requires a shape."""
-        if self.shape is None:
-            raise InputError("problem has no matrix shape")
-        r, c = self.shape
-        if not (0 <= i < r and 0 <= j < c):
-            raise InputError(f"cell ({i}, {j}) outside shape {self.shape}")
-        return i * c + j
-
 
 def binary_problem(n: int, constraints: Sequence[Constraint] = (),
                    shape: Optional[tuple[int, int]] = None) -> Problem:
@@ -247,17 +238,8 @@ class DomainStore:
 
     candidates: list[set[int]]
 
-    @classmethod
-    def full(cls, domains: Sequence[Domain]) -> "DomainStore":
-        return cls([set(d) for d in domains])
-
     def copy(self) -> "DomainStore":
         return DomainStore([set(s) for s in self.candidates])
-
-    def assign(self, var: int, value: int) -> None:
-        if value not in self.candidates[var]:
-            raise InputError(f"value {value} not a candidate of variable {var}")
-        self.candidates[var] = {value}
 
     def remove(self, var: int, value: int) -> bool:
         """Drop one candidate; True if the variable's set emptied."""
@@ -284,18 +266,19 @@ def _reject_unknown(data: dict, allowed: set[str], what: str) -> None:
 def _has_shape(value, shape) -> bool:
     if isinstance(shape, list):
         return isinstance(value, list) and all(_has_shape(v, shape[0]) for v in value)
-    return isinstance(value, shape)
+    # JSON true/false load as bool, a subclass of int, but are not integers
+    return isinstance(value, shape) and (shape is bool or not isinstance(value, bool))
 
 
 def _shape_name(shape, plural: bool = False) -> str:
     if isinstance(shape, list):
         return ("lists of " if plural else "a list of ") + _shape_name(shape[0], True)
-    noun = {int: "integer", dict: "object"}[shape]
-    return f"{noun}s" if plural else f"an {noun}"
+    noun = {int: "an integer", dict: "an object", bool: "a boolean"}[shape]
+    return noun.split()[1] + "s" if plural else noun
 
 
 def _require(data: dict, key: str, what: str, shape=None):
-    """data[key], checked against `shape` if given: int, dict, or [inner] for a list."""
+    """data[key], checked against `shape` if given: int, bool, dict, or [inner] for a list."""
     if key not in data:
         raise InputError(f"missing field '{key}' in {what}")
     if shape is not None and not _has_shape(data[key], shape):
@@ -317,7 +300,8 @@ def constraint_from_dict(data: dict) -> Constraint:
             _reject_unknown(entry, {"var", "value", "positive"}, "clause literal")
             lits.append(Literal(_require(entry, "var", "clause literal", int),
                                 _require(entry, "value", "clause literal", int),
-                                entry.get("positive", True)))
+                                _require(entry, "positive", "clause literal", bool)
+                                if "positive" in entry else True))
         return ClauseConstraint(tuple(lits))
     if kind == "unary":
         _reject_unknown(data, {"kind", "var", "value"}, "unary constraint")

@@ -137,23 +137,37 @@ class SymmetryGroup:
         return self._closure
 
     def orbit_of(self, a: Assignment, cap: Optional[int] = None) -> tuple[Assignment, ...]:
-        """Orbit of a single assignment under the generated group (BFS)."""
-        limit = cap if cap is not None else self.cap
-        a = tuple(a)
-        seen: dict = {a: None}
-        frontier = [a]
-        while frontier:
-            new = []
-            for b in frontier:
-                for gen in self.generators:
-                    c = gen.apply(b)
-                    if c not in seen:
-                        seen[c] = None
-                        if len(seen) > limit:
-                            raise CapExceededError(f"orbit exceeds cap={limit}")
-                        new.append(c)
-            frontier = new
-        return tuple(seen)
+        """Orbit of a single assignment under the generated group, in search order."""
+        return tuple(_orbit_search(tuple(a), self.generators,
+                                   cap=cap if cap is not None else self.cap))
+
+
+def _orbit_search(start: Assignment, generators: Sequence[Symmetry],
+                  inside: Optional[dict] = None, cap: Optional[int] = None) -> dict:
+    """Breadth-first search from `start` along the generators' images.
+
+    Returns the points reached, in discovery order, as the keys of a dict.
+    An image outside `inside` (when given) is an input error; more than
+    `cap` points is a cap overflow.
+    """
+    seen: dict = {start: None}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a in frontier:
+            for gen in generators:
+                b = gen.apply(a)
+                if b not in seen:
+                    if inside is not None and b not in inside:
+                        raise InputError(
+                            "generator maps a solution outside the solution set "
+                            f"({a} -> {b})")
+                    seen[b] = None
+                    if cap is not None and len(seen) > cap:
+                        raise CapExceededError(f"orbit exceeds cap={cap}")
+                    new.append(b)
+        frontier = new
+    return seen
 
 
 @dataclass
@@ -178,48 +192,25 @@ class OrbitPartition:
         return len(self.blocks)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartition:
     """Partition of the solution set into orbits of the generated group.
 
-    Works from generators alone (no closure): orbits are the connected
-    components of the edges a — gen(a).  Every generator must map the
-    solution set into itself.
+    Works from generators alone (no closure): one breadth-first search from
+    each solution not yet placed, whose images must all stay inside the
+    solution set.  Each block lists its members in input order.
     """
     sols = [tuple(a) for a in solutions]
     index = {a: i for i, a in enumerate(sols)}
     if len(index) != len(sols):
         raise InputError("solution list repeats an assignment")
-    uf = _UnionFind(len(sols))
+    placed: set = set()
+    blocks = []
     for a in sols:
-        for gen in group.generators:
-            b = gen.apply(a)
-            if b not in index:
-                raise InputError(
-                    "generator maps a solution outside the solution set "
-                    f"({a} -> {b})")
-            uf.union(index[a], index[b])
-    grouped: dict[int, list[Assignment]] = {}
-    for i, a in enumerate(sols):
-        grouped.setdefault(uf.find(i), []).append(a)
-    # first-occurrence order: root ids are minimal member indices
-    blocks = tuple(tuple(grouped[root]) for root in sorted(grouped))
-    return OrbitPartition(blocks)
+        if a not in placed:
+            reached = _orbit_search(a, group.generators, inside=index)
+            placed.update(reached)
+            blocks.append(tuple(sorted(reached, key=index.__getitem__)))
+    return OrbitPartition(tuple(blocks))
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:

@@ -126,12 +126,23 @@ def test_gray_check_full_domains(capsys):
 
 
 def test_gray_check_store_file_and_failure(capsys, tmp_path):
+    # events= counts the removals made before the wipeout, so it pins the
+    # propagator's FIFO order; the second store wipes out at block 3 of 5
+    free, signs = [0, 1], [-1, 0, 1]
+    cases = [
+        ({"strict": True, "lhs": [[1], [0]], "rhs": [free, free]},
+         "# seed=0 n=2 strict=true events=8\nFAIL\n"),
+        ({"strict": True, "lhs": [free, free, [1], free, free],
+          "rhs": [free, free, [0], free, free],
+          "state": [signs, signs, [1], signs, signs, signs]},
+         "# seed=0 n=5 strict=true events=6\nFAIL\n"),
+    ]
     store = tmp_path / "store.json"
-    store.write_text(json.dumps({"strict": True, "lhs": [[1], [0]],
-                                 "rhs": [[0, 1], [0, 1]]}))
-    code, out, _ = invoke(capsys, ["gray-check", "--store", str(store)])
-    assert code == 1
-    assert "FAIL" in out
+    for data, expected in cases:
+        store.write_text(json.dumps(data))
+        code, out, _ = invoke(capsys, ["gray-check", "--store", str(store)])
+        assert code == 1
+        assert out == expected
 
 
 def test_gray_check_non_strict(capsys):
@@ -336,14 +347,22 @@ NO_GENERATORS = {"generators": []}
                                {"kind": "literal", "var_perm": [0, 1],
                                 "val_maps": [[[0, 0], [1, 2]], [[0, 0], [1, 1]]]}]},
      "generator 1"),
+    # JSON booleans are neither integers nor strings
+    (dict(BINARY_2, n=True), NO_GENERATORS, "'n'"),
+    (dict(BINARY_2, constraints=[{"kind": "clause", "literals": [
+        {"var": 0, "value": 1, "positive": "false"}]}]), NO_GENERATORS, "'positive'"),
+    ({"strict": "no", "lhs": [[0]], "rhs": [[1]]}, None, "'strict'"),
 ], ids=["n-string", "domains-int", "unary-var-string", "var-perm-string", "generators-int",
-        "cap-string", "partial-val-map", "val-map-off-domain"])
+        "cap-string", "partial-val-map", "val-map-off-domain", "n-true", "positive-string",
+        "store-strict-string"])
 def test_malformed_field_is_a_load_time_input_error(tmp_path, problem, syms, needle):
+    # without symmetries, `problem` is a gray-check store file
     ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
     ppath.write_text(json.dumps(problem))
     spath.write_text(json.dumps(syms))
-    proc = _run_cli_subprocess(["-m", "symbreak", "orbits", "--problem", str(ppath),
-                                "--symmetries", str(spath)])
+    argv = (["orbits", "--problem", str(ppath), "--symmetries", str(spath)]
+            if syms is not None else ["gray-check", "--store", str(ppath)])
+    proc = _run_cli_subprocess(["-m", "symbreak", *argv])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and needle in proc.stderr
     assert "Traceback" not in proc.stderr

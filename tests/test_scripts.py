@@ -52,3 +52,23 @@ def test_script_output_at_six_cells(capsys, script, expected):
     main = runpy.run_path(os.path.join(SCRIPTS, script), run_name="script")["main"]
     assert main(["--max-cells", "6"]) == 0
     assert capsys.readouterr().out == expected
+
+
+PROPAGATION_EVENTS_PINNED = """\
+n,instance,events,events_per_n,wakes
+1,full,6,6.000,3
+1,pinned,4,4.000,3
+2,full,4,2.000,4
+2,pinned,6,3.000,4
+8,full,4,0.500,10
+8,pinned,18,2.250,10
+16,full,4,0.250,18
+16,pinned,34,2.125,18
+"""
+
+
+def test_propagation_events_pinned_output(capsys):
+    # the removal and wake counts pin the propagator's queue order
+    main = runpy.run_path(os.path.join(SCRIPTS, "propagation_events.py"), run_name="script")["main"]
+    assert main(["--pinned", "--widths", "1", "2", "8", "16"]) == 0
+    assert capsys.readouterr().out == PROPAGATION_EVENTS_PINNED
