@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .model import Assignment, Domain, InputError, binary_domains
-from .orderings import GT, LT, ORDERING_NAMES, LexOrdering, SimpleOrdering, make_ordering
+from .orderings import GT, LT, LexOrdering, SimpleOrdering, applicable_orderings
 from .symmetry import (
     OrbitPartition,
     Symmetry,
@@ -29,7 +29,7 @@ class LeaderConstraint:
     """Satisfied by a iff a precedes-or-equals sigma(a) under the ordering."""
 
     sigma: Symmetry
-    ordering: SimpleOrdering  # anything with .compare works, incl. bespoke comparators
+    ordering: SimpleOrdering
 
     def satisfied(self, a: Sequence[int]) -> bool:
         return self.ordering.compare(a, self.sigma.apply(a)) != GT
@@ -169,14 +169,9 @@ def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
     only picks which member of an orbit survives, so the orbits are
     computed once.
     """
-    binary = all(len(d) == 2 for d in domains)
-    sets = []
-    for name in ORDERING_NAMES:
-        if (name == "gray" and not binary) or (name == "snakelex" and shape is None):
-            continue
-        ordering = make_ordering(name, domains, shape)
-        sets += [(name, "leader-full", leader_constraints(group, ordering, "full")),
-                 (name, "leader-generators", leader_constraints(group, ordering, "generators"))]
+    sets = [(ordering.name, method, leader_constraints(group, ordering, mode))
+            for ordering in applicable_orderings(domains, shape)
+            for method, mode in (("leader-full", "full"), ("leader-generators", "generators"))]
     if shape is not None:
         sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
     # after the sets, so a closure over its cap is reported ahead of an orbit error

@@ -189,15 +189,16 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 
 
 def _ordering(ns: argparse.Namespace):
-    shape = _parse_shape(ns.shape)  # checked even when --problem supplies the shape
     if ns.problem is not None:
+        for option in ("n", "shape"):
+            if getattr(ns, option) is not None:
+                raise InputError(f"--problem gives the domains and shape; drop --{option}")
         problem = load_problem(ns.problem)
-        domains, shape = problem.domains, problem.shape
-    elif ns.n is not None:
-        domains = binary_domains(ns.n)
-    else:
+        return make_ordering(ns.ordering, problem.domains, problem.shape)
+    shape = _parse_shape(ns.shape)
+    if ns.n is None:
         raise InputError("need --problem or --n")
-    return make_ordering(ns.ordering, domains, shape)
+    return make_ordering(ns.ordering, binary_domains(ns.n), shape)
 
 
 def _cmd_rank(ns: argparse.Namespace) -> int:

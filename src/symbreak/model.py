@@ -33,7 +33,7 @@ class CapExceededError(SymbreakError):
     """An enumeration or closure grew past its configured cap."""
 
 
-class UnsupportedOrderingError(SymbreakError):
+class UnsupportedOrderingError(InputError):
     """The requested ordering is not defined over the given domains."""
 
 
@@ -349,7 +349,7 @@ def load_json_object(path, what: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+    except (ValueError, RecursionError) as exc:  # bad syntax or text, or nested too deep
         raise InputError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{what} must hold a JSON object, not {type(data).__name__}")

@@ -1,18 +1,20 @@
-"""Total orderings on assignments with position (rank) / unrank bijections.
+"""Total orderings on assignments: lex after a bijection of the digits.
 
-Each ordering is defined over the full assignment space of fixed domains:
-`rank` is a bijection onto range(space_size), `unrank` is its inverse, and
-`compare` agrees with rank comparison.  Ranks are 0-indexed.  Values compare
-by domain position, so non-binary domains order consistently.  `key` gives
-each assignment a stand-in that Python compares natively in the same order,
-built without a Python loop over the variables.
+An assignment's positions are the positions of its values in their domains.
+Each ordering maps the positions bijectively onto digits and compares the
+digits lexicographically, so every ordering here is lex after a relabelling
+of the assignment space.  `rank` is a bijection onto range(space_size),
+`unrank` is its inverse, and `compare` agrees with rank comparison.  Ranks
+are 0-indexed.  `key` gives each assignment a stand-in that Python compares
+natively in the same order, built without a Python loop over the variables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import getitem, mul, neg
+from itertools import accumulate
+from operator import getitem, sub, xor
 from typing import Optional, Sequence
 
 from .literals import _gatherer
@@ -25,15 +27,25 @@ from .model import (
 
 LT, EQ, GT = -1, 0, 1
 
-ORDERING_NAMES = ("lex", "revlex", "gray", "snakelex")
-
 
 class SimpleOrdering:
-    """Base ordering: subclasses implement rank/unrank over `self.domains`."""
+    """Lex over `digits(positions(a))`; the only statement of rank, unrank and compare.
+
+    `rank` reads the digits as a mixed-radix number over `radices`, digit 0
+    most significant; `unrank` decodes one and applies `undigits`, the
+    inverse map.  A subclass supplies its digit map, that inverse, and
+    `unsupported`, its check of the domains (and matrix shape) it is
+    defined on.  The map here is the identity.
+    """
 
     name = "?"
 
-    def __init__(self, domains: Sequence[Domain]):
+    @staticmethod
+    def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
+        """Why the ordering is undefined on these domains and shape, or None."""
+        return None
+
+    def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
         self.domains = tuple(tuple(d) for d in domains)
         if not self.domains:
             raise InputError("an ordering needs at least one variable")
@@ -41,9 +53,11 @@ class SimpleOrdering:
         self.n = len(self.domains)
         if not all(self.domains):
             raise InputError("empty domain")
-        self.space_size = math.prod(map(len, self.domains))
-        # place value of each position in lex rank: variable 0 most significant
-        self._place = tuple(math.prod(map(len, self.domains[i + 1:])) for i in range(self.n))
+        reason = self.unsupported(self.domains, shape)
+        if reason is not None:
+            raise UnsupportedOrderingError(reason)
+        self.radices = tuple(map(len, self.domains))
+        self.space_size = math.prod(self.radices)
         # over one domain 0..k-1, an assignment is its own position vector
         own = tuple(range(len(self.domains[0])))
         self._own_positions = (frozenset(own).issuperset
@@ -59,19 +73,30 @@ class SimpleOrdering:
         except KeyError as exc:
             raise InputError(f"value {exc.args[0]} outside its domain") from exc
 
-    def _check_rank(self, k: int) -> None:
-        if not 0 <= k < self.space_size:
-            raise InputError(f"rank {k} outside [0, {self.space_size})")
+    @staticmethod
+    def digits(p: tuple[int, ...]) -> tuple[int, ...]:
+        return p
+
+    undigits = digits
+
+    def key(self, a: Sequence[int]) -> tuple[int, ...]:
+        """Natively comparable stand-in: key(a) < key(b) iff a precedes b."""
+        return self.digits(self.positions(a))
 
     def rank(self, a: Sequence[int]) -> int:
-        raise NotImplementedError
+        k = 0
+        for digit, radix in zip(self.key(a), self.radices):
+            k = k * radix + digit
+        return k
 
     def unrank(self, k: int) -> Assignment:
-        raise NotImplementedError
-
-    def key(self, a: Sequence[int]):
-        """Natively comparable stand-in: key(a) < key(b) iff a precedes b."""
-        return self.rank(a)
+        if not 0 <= k < self.space_size:
+            raise InputError(f"rank {k} outside [0, {self.space_size})")
+        digits = []
+        for radix in reversed(self.radices):
+            k, digit = divmod(k, radix)
+            digits.append(digit)
+        return tuple(map(getitem, self.domains, self.undigits(tuple(reversed(digits)))))
 
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -89,31 +114,22 @@ class LexOrdering(SimpleOrdering):
     """Big-endian positional order: variable 0 is most significant."""
 
     name = "lex"
-
-    def rank(self, a: Sequence[int]) -> int:
-        return sum(map(mul, self.positions(a), self._place))
-
-    def unrank(self, k: int) -> Assignment:
-        self._check_rank(k)
-        return tuple(d[k // place % len(d)] for d, place in zip(self.domains, self._place))
-
-    key = SimpleOrdering.positions
+    key = SimpleOrdering.positions  # the digits are the positions: no map call
 
 
-class RevLexOrdering(LexOrdering):
-    """Lex with every comparison reversed; rank k maps to lex rank size-1-k."""
+class RevLexOrdering(SimpleOrdering):
+    """Lex with every comparison reversed: each digit p becomes len(d) - 1 - p."""
 
     name = "revlex"
 
-    def rank(self, a: Sequence[int]) -> int:
-        return self.space_size - 1 - super().rank(a)
+    def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
+        super().__init__(domains, shape)
+        self._top = tuple(radix - 1 for radix in self.radices)
 
-    def unrank(self, k: int) -> Assignment:
-        self._check_rank(k)
-        return super().unrank(self.space_size - 1 - k)
+    def digits(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(sub, self._top, p))
 
-    def key(self, a: Sequence[int]) -> tuple[int, ...]:
-        return tuple(map(neg, self.positions(a)))
+    undigits = digits
 
 
 class GrayOrdering(SimpleOrdering):
@@ -121,27 +137,23 @@ class GrayOrdering(SimpleOrdering):
 
     Defined for two-valued domains only; consecutive codewords differ in one
     position and the second half mirrors the first over the leading bit.
+    The prefix XOR of a codeword is its rank in binary.
     """
 
     name = "gray"
 
-    def __init__(self, domains: Sequence[Domain]):
-        super().__init__(domains)
-        if any(len(d) != 2 for d in self.domains):
-            raise UnsupportedOrderingError("gray ordering needs two-valued domains")
+    @staticmethod
+    def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
+        two_valued = all(len(d) == 2 for d in domains)
+        return None if two_valued else "gray ordering needs two-valued domains"
 
-    def rank(self, a: Sequence[int]) -> int:
-        k = sum(map(mul, self.positions(a), self._place))  # the codeword as a number
-        shift = 1
-        while shift < self.n:  # prefix-XOR decodes the codeword back to its index
-            k ^= k >> shift
-            shift <<= 1
-        return k
+    @staticmethod
+    def digits(p: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(accumulate(p, xor))
 
-    def unrank(self, k: int) -> Assignment:
-        self._check_rank(k)
-        g = k ^ (k >> 1)
-        return tuple(self.domains[i][(g >> (self.n - 1 - i)) & 1] for i in range(self.n))
+    @staticmethod
+    def undigits(d: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(xor, d, (0,) + d[:-1]))
 
 
 def snake_variable_order(shape: tuple[int, int]) -> tuple[int, ...]:
@@ -165,48 +177,44 @@ def snake_vectorize(values: Sequence[int], shape: Optional[tuple[int, int]]) -> 
 
 
 class SnakeLexOrdering(SimpleOrdering):
-    """Lex comparison of the serpentine vectorization of a matrix."""
+    """Lex comparison of the serpentine vectorization of a matrix: the
+    digits are the positions gathered in snake order."""
 
     name = "snakelex"
 
-    def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]]):
-        super().__init__(domains)
+    @staticmethod
+    def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
         if shape is None:
-            raise InputError("snakelex needs a matrix shape")
-        r, c = shape
-        if r * c != self.n:
-            raise InputError(f"shape {shape} does not cover {self.n} variables")
-        self.shape = (r, c)
+            return "snakelex needs a matrix shape"
+        if shape[0] * shape[1] != len(domains):
+            return f"shape {shape} does not cover {len(domains)} variables"
+        return None
+
+    def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
+        super().__init__(domains, shape)
+        self.shape = tuple(shape)
         self.order = snake_variable_order(self.shape)
-        self._snake = _gatherer(self.order)
-        self._snake_place = tuple(math.prod(len(self.domains[v]) for v in self.order[i + 1:])
-                                  for i in range(self.n))
+        self.digits = _gatherer(self.order)
+        self.undigits = _gatherer(sorted(range(self.n), key=self.order.__getitem__))
+        self.radices = self.digits(self.radices)
 
-    def rank(self, a: Sequence[int]) -> int:
-        return sum(map(mul, self.key(a), self._snake_place))
 
-    def unrank(self, k: int) -> Assignment:
-        self._check_rank(k)
-        out = [0] * self.n
-        for v, place in zip(self.order, self._snake_place):
-            out[v] = self.domains[v][k // place % len(self.domains[v])]
-        return tuple(out)
-
-    def key(self, a: Sequence[int]) -> tuple[int, ...]:
-        return self._snake(self.positions(a))
+ORDERINGS = {o.name: o for o in (LexOrdering, RevLexOrdering, GrayOrdering, SnakeLexOrdering)}
+ORDERING_NAMES = tuple(ORDERINGS)
 
 
 def make_ordering(name: str, domains: Sequence[Domain],
                   shape: Optional[tuple[int, int]] = None) -> SimpleOrdering:
-    if name == "lex":
-        return LexOrdering(domains)
-    if name == "revlex":
-        return RevLexOrdering(domains)
-    if name == "gray":
-        return GrayOrdering(domains)
-    if name == "snakelex":
-        return SnakeLexOrdering(domains, shape)
-    raise InputError(f"unknown ordering '{name}' (choose from {', '.join(ORDERING_NAMES)})")
+    if name not in ORDERINGS:
+        raise InputError(f"unknown ordering '{name}' (choose from {', '.join(ORDERING_NAMES)})")
+    return ORDERINGS[name](domains, shape)
+
+
+def applicable_orderings(domains: Sequence[Domain],
+                         shape: Optional[tuple[int, int]] = None) -> list[SimpleOrdering]:
+    """Every named ordering defined on the domains and shape, in ORDERING_NAMES order."""
+    return [make_ordering(name, domains, shape) for name, cls in ORDERINGS.items()
+            if cls.unsupported(domains, shape) is None]
 
 
 @dataclass(frozen=True)

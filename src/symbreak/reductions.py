@@ -4,8 +4,8 @@ Two constructions, both solved exhaustively here and cross-checked against
 independent brute-force deciders in the test suite:
 
 * the *ordering gadget*: a single value-swap symmetry whose leader constraint
-  decides 1-in-3 satisfiability, because the comparator itself embeds that
-  question;
+  decides 1-in-3 satisfiability, because its ordering is lex after a
+  bijection that embeds that question;
 * the *group gadget*: a polynomial comparator (reverse lex) whose leader
   constraints decide CNF satisfiability, because the group glues all
   solutions into one orbit.
@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional, Sequence
 
 from .breaker import LeaderConstraint
 from .model import (
     Assignment,
+    Domain,
     InputError,
     InvariantViolationError,
     Problem,
@@ -32,7 +34,7 @@ from .model import (
     _reject_unknown,
     _require,
 )
-from .orderings import EQ, GT, LT, RevLexOrdering
+from .orderings import RevLexOrdering, SimpleOrdering
 from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
 
 MAX_ONE_IN_THREE_VARS = 12
@@ -73,40 +75,31 @@ def one_in_three_satisfiable(inst: OneInThreeInstance) -> bool:
     return False
 
 
-class OneInThreeOrdering:
-    """Orders gadget assignments: prefixes compare lexicographically; equal
-    prefixes order the final flag bit by whether the instance the prefix
-    spells out is 1-in-3 satisfiable (satisfiable puts flag 0 first).
+class OneInThreeOrdering(SimpleOrdering):
+    """Orders gadget assignments: lex after flipping the flag digit whenever
+    the prefix spells out an instance that is not 1-in-3 satisfiable, so a
+    satisfiable prefix puts flag 0 first and an unsatisfiable one flag 1.
 
-    Deliberately not a SimpleOrdering: each comparison with tied prefixes
-    embeds an NP-hard decision, answered by brute force at this scale.
-    Pairs with equal prefixes and equal flags compare EQ.
+    The map keeps the prefix, so it is its own inverse, but computing it
+    embeds an NP-hard decision, answered by brute force at this scale once
+    per prefix.
     """
 
     name = "one-in-three"
 
-    def __init__(self, num_clauses: int):
-        self.num_clauses = num_clauses
-        self._cache: dict[tuple[int, ...], bool] = {}
+    def __init__(self, domains: Sequence[Domain]):
+        super().__init__(domains)
+        self._satisfiable: dict[tuple[int, ...], bool] = {}
 
-    def _prefix_satisfiable(self, prefix: tuple[int, ...]) -> bool:
-        if prefix not in self._cache:
-            clauses = tuple(prefix[3 * p:3 * p + 3] for p in range(self.num_clauses))
-            self._cache[prefix] = one_in_three_satisfiable(OneInThreeInstance(clauses))
-        return self._cache[prefix]
+    def digits(self, p: tuple[int, ...]) -> tuple[int, ...]:
+        prefix = p[:-1]
+        if prefix not in self._satisfiable:
+            values = tuple(map(getitem, self.domains, prefix))
+            self._satisfiable[prefix] = one_in_three_satisfiable(OneInThreeInstance(
+                tuple(values[i:i + 3] for i in range(0, len(values), 3))))
+        return p if self._satisfiable[prefix] else prefix + (1 - p[-1],)
 
-    def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        width = 3 * self.num_clauses + 1
-        if len(a) != width or len(b) != width:
-            raise InputError(f"expected assignments of arity {width}")
-        pa, pb = tuple(a[:-1]), tuple(b[:-1])
-        if pa != pb:
-            return LT if pa < pb else GT
-        if a[-1] == b[-1]:
-            return EQ
-        if self._prefix_satisfiable(pa):
-            return LT if a[-1] == 0 else GT
-        return LT if a[-1] == 1 else GT
+    undigits = digits
 
 
 @dataclass(frozen=True)
@@ -132,7 +125,7 @@ def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
         constraints.append(UnaryConstraint(3 * p + 2, k))
     problem = Problem(n, domains, tuple(constraints))
     flip = LiteralSymmetry.value_swap(flag, 0, 1, domains)
-    return OrderingGadget(inst, problem, flip, OneInThreeOrdering(m))
+    return OrderingGadget(inst, problem, flip, OneInThreeOrdering(domains))
 
 
 def solve_ordering_gadget(gadget: OrderingGadget) -> str:

@@ -366,3 +366,88 @@ def test_malformed_field_is_a_load_time_input_error(tmp_path, problem, syms, nee
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and needle in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _nested_argv(kind, bad, problem):
+    return {"problem": ["solve", "--problem", bad],
+            "symmetries": ["orbits", "--problem", problem, "--symmetries", bad],
+            "store": ["gray-check", "--store", bad],
+            "1-in-3": ["demo-prop1", "--instance", bad],
+            "cnf": ["demo-prop2", "--instance", bad]}[kind]
+
+
+@pytest.mark.parametrize("kind", ["problem", "symmetries", "store", "1-in-3", "cnf"])
+def test_deeply_nested_json_is_an_input_error(capsys, files, kind):
+    # json.load gives up with RecursionError, which must not escape `run`
+    tmp_path, problem, _ = files
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = invoke(capsys, _nested_argv(kind, str(bad), problem))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("extra", [["--n", "5"], ["--shape", "1x2"],
+                                   ["--n", "2", "--shape", "1x2"]],
+                         ids=["n", "shape", "n-and-shape"])
+@pytest.mark.parametrize("command", [["rank", "01"], ["unrank", "--k", "1"]],
+                         ids=["rank", "unrank"])
+def test_rank_options_conflicting_with_problem_are_refused(capsys, tmp_path, command, extra):
+    problem = tmp_path / "p2.json"
+    problem.write_text(json.dumps(BINARY_2))
+    code, out, err = invoke(capsys, [*command, "--ordering", "gray",
+                                     "--problem", str(problem), *extra])
+    assert code == 2 and out == ""
+    assert err == f"error: --problem gives the domains and shape; drop {extra[0]}\n"
+
+
+def test_rank_with_n_and_shape_still_works(capsys):
+    assert invoke(capsys, ["rank", "--ordering", "snakelex", "--n", "6", "--shape", "2x3",
+                           "010011"]) == (0, "13\n", "")
+    assert invoke(capsys, ["unrank", "--ordering", "snakelex", "--n", "6", "--shape", "3x2",
+                           "--k", "19"]) == (0, "011100\n", "")
+
+
+MIXED = {"n": 3, "domains": [[0, 1, 2], [5, 7], [1, 3, 4, 9]], "constraints": []}
+MIXED_2x2 = {"n": 4, "domains": [[0, 1, 2], [5, 7], [1, 3, 4], [0, 1]], "constraints": [],
+             "shape": [2, 2]}
+
+# `unrank` of every k, as printed by the per-ordering rank code that the
+# digit maps replaced; `rank` must invert each line
+GOLDEN_LISTINGS = [
+    ("lex", MIXED,
+     "0,5,1 0,5,3 0,5,4 0,5,9 0,7,1 0,7,3 0,7,4 0,7,9 1,5,1 1,5,3 1,5,4 1,5,9 "
+     "1,7,1 1,7,3 1,7,4 1,7,9 2,5,1 2,5,3 2,5,4 2,5,9 2,7,1 2,7,3 2,7,4 2,7,9"),
+    ("revlex", MIXED,
+     "2,7,9 2,7,4 2,7,3 2,7,1 2,5,9 2,5,4 2,5,3 2,5,1 1,7,9 1,7,4 1,7,3 1,7,1 "
+     "1,5,9 1,5,4 1,5,3 1,5,1 0,7,9 0,7,4 0,7,3 0,7,1 0,5,9 0,5,4 0,5,3 0,5,1"),
+    ("snakelex", MIXED_2x2,
+     "0,5,1,0 0,7,1,0 0,5,1,1 0,7,1,1 0,5,3,0 0,7,3,0 0,5,3,1 0,7,3,1 0,5,4,0 "
+     "0,7,4,0 0,5,4,1 0,7,4,1 1,5,1,0 1,7,1,0 1,5,1,1 1,7,1,1 1,5,3,0 1,7,3,0 "
+     "1,5,3,1 1,7,3,1 1,5,4,0 1,7,4,0 1,5,4,1 1,7,4,1 2,5,1,0 2,7,1,0 2,5,1,1 "
+     "2,7,1,1 2,5,3,0 2,7,3,0 2,5,3,1 2,7,3,1 2,5,4,0 2,7,4,0 2,5,4,1 2,7,4,1"),
+    ("gray", None,
+     "00000 00001 00011 00010 00110 00111 00101 00100 01100 01101 01111 01110 "
+     "01010 01011 01001 01000 11000 11001 11011 11010 11110 11111 11101 11100 "
+     "10100 10101 10111 10110 10010 10011 10001 10000"),
+]
+
+
+@pytest.mark.parametrize("ordering, problem, listing", GOLDEN_LISTINGS,
+                         ids=["lex-mixed", "revlex-mixed", "snakelex-mixed-2x2", "gray-5"])
+def test_rank_unrank_golden(capsys, tmp_path, ordering, problem, listing):
+    if problem is None:
+        space = ["--n", "5"]
+    else:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(problem))
+        space = ["--problem", str(path)]
+    words = listing.split()
+    for k, text in enumerate(words):
+        assert invoke(capsys, ["unrank", "--ordering", ordering, *space, "--k", str(k)]) \
+            == (0, text + "\n", "")
+        assert invoke(capsys, ["rank", "--ordering", ordering, *space, text]) \
+            == (0, f"{k}\n", "")
+    for k in (-1, len(words)):
+        assert invoke(capsys, ["unrank", "--ordering", ordering, *space, "--k", str(k)]) \
+            == (2, "", f"error: rank {k} outside [0, {len(words)})\n")

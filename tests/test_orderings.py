@@ -14,6 +14,7 @@ from symbreak.orderings import (
     LexOrdering,
     RevLexOrdering,
     SnakeLexOrdering,
+    applicable_orderings,
     make_ordering,
     rank_preserving_map,
     snake_vectorize,
@@ -204,3 +205,13 @@ def test_permutation_requires_matching_spaces():
     with pytest.raises(InputError):
         AssignmentPermutation(LexOrdering(binary_domains(3)),
                               GrayOrdering(binary_domains(4)))
+
+
+@pytest.mark.parametrize("domains, shape, names", [
+    (binary_domains(4), (2, 2), ["lex", "revlex", "gray", "snakelex"]),
+    (binary_domains(4), None, ["lex", "revlex", "gray"]),
+    (((0, 1, 2),) * 4, (2, 2), ["lex", "revlex", "snakelex"]),
+    (((0, 1, 2), (0, 1)), None, ["lex", "revlex"]),
+])
+def test_applicable_orderings_follow_each_orderings_own_check(domains, shape, names):
+    assert [o.name for o in applicable_orderings(domains, shape)] == names

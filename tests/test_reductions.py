@@ -54,6 +54,30 @@ def test_gadget_ordering_cases():
     assert o.compare((1, 1, 1, 1), (1, 2, 3, 0)) == LT
 
 
+def _tie_break_compare(a, b):
+    """The gadget's ordering as a comparator: prefixes by value, then the
+    flag, flag 0 first iff the prefix is 1-in-3 satisfiable."""
+    if a[:-1] != b[:-1]:
+        return LT if a[:-1] < b[:-1] else GT
+    if a[-1] == b[-1]:
+        return EQ
+    clauses = tuple(a[i:i + 3] for i in range(0, len(a) - 1, 3))
+    first = 0 if one_in_three_satisfiable(OneInThreeInstance(clauses)) else 1
+    return LT if a[-1] == first else GT
+
+
+@pytest.mark.parametrize("clauses", [((1, 2, 3),), ((1, 1, 2), (1, 2, 2))])
+def test_gadget_ordering_rank_unrank_round_trip(clauses):
+    o = ordering_gadget(OneInThreeInstance(clauses)).ordering
+    listing = [o.unrank(k) for k in range(o.space_size)]
+    assert [o.rank(a) for a in listing] == list(range(o.space_size))
+    assert sorted(listing) == list(itertools.product(*o.domains))
+    for a, b in itertools.product(listing[::5], listing[::3]):
+        assert o.compare(a, b) == _tie_break_compare(a, b)
+        assert o.compare(a, b) == (LT if o.rank(a) < o.rank(b) else
+                                   GT if o.rank(a) > o.rank(b) else EQ)
+
+
 def test_one_in_three_brute_force():
     assert one_in_three_satisfiable(OneInThreeInstance(((1, 2, 3),)))
     assert not one_in_three_satisfiable(OneInThreeInstance(((1, 1, 1),)))
