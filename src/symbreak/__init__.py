@@ -1,86 +1,7 @@
-"""Symmetry breaking for finite-domain problems under pluggable orderings."""
+"""Symmetry breaking for finite-domain problems under pluggable orderings.
 
-from .model import (
-    Assignment,
-    CapExceededError,
-    ClauseConstraint,
-    DomainStore,
-    InputError,
-    InvariantViolationError,
-    Literal,
-    Problem,
-    SymbreakError,
-    TableConstraint,
-    UnaryConstraint,
-    UnsupportedOrderingError,
-    all_assignments,
-    binary_domains,
-    binary_problem,
-    check_assignment,
-    enumerate_solutions,
-)
-from .orderings import (
-    EQ,
-    GT,
-    LT,
-    AssignmentPermutation,
-    GrayOrdering,
-    LexOrdering,
-    RevLexOrdering,
-    SimpleOrdering,
-    SnakeLexOrdering,
-    make_ordering,
-    rank_preserving_map,
-    snake_vectorize,
-)
-from .symmetry import (
-    AssignmentSymmetry,
-    LiteralSymmetry,
-    OrbitPartition,
-    SymmetryGroup,
-    conjugate,
-    map_constraint_set,
-    orbits,
-    partitions_isomorphic,
-    row_col_generators,
-    row_col_group,
-)
-from .breaker import (
-    LeaderConstraint,
-    SymmetryBreakingSet,
-    Verdict,
-    compare_table,
-    doublelex_constraints,
-    extensional_set,
-    filter_solutions,
-    is_complete,
-    is_sound,
-    leader_constraints,
-    min_in_class,
-    orbit_verdict,
-    per_orbit_survivors,
-)
-from .gray import (
-    GrayDecomposition,
-    PropagationOutcome,
-    PropagationTrace,
-    build_decomposition,
-    gac_oracle,
-    initial_store,
-    is_berge_acyclic_chain,
-    propagate,
-    store_from_candidates,
-)
-from .reductions import (
-    Cnf,
-    OneInThreeInstance,
-    cnf_models,
-    cnf_satisfiable,
-    group_gadget,
-    one_in_three_satisfiable,
-    ordering_gadget,
-    solve_group_gadget,
-    solve_ordering_gadget,
-)
+Import names from the submodules (`symbreak.model`, `symbreak.orderings`,
+`symbreak.symmetry`, ...); importing one loads only what it depends on.
+"""
 
 __version__ = "0.1.0"

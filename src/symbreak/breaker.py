@@ -21,9 +21,6 @@ from .symmetry import (
     row_col_generators,
 )
 
-PROVENANCES = ("full-group", "generators-only", "doublelex", "mapped")
-
-
 @dataclass(frozen=True)
 class LeaderConstraint:
     """Satisfied by a iff a precedes-or-equals sigma(a) under the ordering."""
@@ -40,12 +37,7 @@ class SymmetryBreakingSet:
     """Conjunction of leader constraints, or an extensional satisfying set."""
 
     constraints: tuple[LeaderConstraint, ...]
-    provenance: str
     allowed: Optional[frozenset] = None
-
-    def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
-            raise InputError(f"unknown provenance '{self.provenance}'")
 
     def satisfied(self, a: Sequence[int]) -> bool:
         if self.allowed is not None:
@@ -56,9 +48,8 @@ class SymmetryBreakingSet:
         return len(self.constraints)
 
 
-def extensional_set(satisfying: Iterable[Assignment],
-                    provenance: str = "mapped") -> SymmetryBreakingSet:
-    return SymmetryBreakingSet((), provenance, frozenset(tuple(a) for a in satisfying))
+def extensional_set(satisfying: Iterable[Assignment]) -> SymmetryBreakingSet:
+    return SymmetryBreakingSet((), frozenset(tuple(a) for a in satisfying))
 
 
 def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
@@ -69,14 +60,12 @@ def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
     """
     if mode == "full":
         elements: Sequence[Symmetry] = group.closure()
-        provenance = "full-group"
     elif mode == "generators":
         elements = group.generators
-        provenance = "generators-only"
     else:
         raise InputError(f"unknown mode '{mode}' (use 'full' or 'generators')")
     cons = tuple(LeaderConstraint(s, ordering) for s in elements if not s.is_identity())
-    return SymmetryBreakingSet(cons, provenance)
+    return SymmetryBreakingSet(cons)
 
 
 def filter_solutions(solutions: Sequence[Assignment],
@@ -153,7 +142,7 @@ def doublelex_constraints(shape: Optional[tuple[int, int]],
     doms = tuple(domains) if domains is not None else binary_domains(r * c)
     ordering = LexOrdering(doms)
     cons = tuple(LeaderConstraint(g, ordering) for g in row_col_generators(shape, doms))
-    return SymmetryBreakingSet(cons, "doublelex")
+    return SymmetryBreakingSet(cons)
 
 
 COMPARE_HEADERS = ("ordering", "method", "constraints", "survivors", "orbits",

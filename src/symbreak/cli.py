@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 from .breaker import (
     COMPARE_HEADERS,
-    LeaderConstraint,
     compare_table,
     doublelex_constraints,
     extensional_set,
@@ -34,8 +33,7 @@ from .model import (
     load_json_object,
     load_problem,
     parse_assignment,
-    _reject_unknown,
-    _require,
+    read_fields,
 )
 from .orderings import ORDERING_NAMES, make_ordering
 from .reductions import (
@@ -214,13 +212,9 @@ def _cmd_unrank(ns: argparse.Namespace) -> int:
 
 
 def _load_store(path):
-    data = load_json_object(path, "store file")
-    _reject_unknown(data, {"strict", "lhs", "rhs", "state"}, "store file")
-    lhs = _require(data, "lhs", "store file", [[int]])
-    rhs = _require(data, "rhs", "store file", [[int]])
-    state = (_require(data, "state", "store file", [[int]])
-             if data.get("state") is not None else None)
-    strict = _require(data, "strict", "store file", bool) if "strict" in data else True
+    lhs, rhs, state, strict = read_fields(
+        load_json_object(path, "store file"), "store file", ("lhs", [[int]]),
+        ("rhs", [[int]]), ("state", [[int]], None), ("strict", bool, True))
     n = len(lhs)
     return n, strict, store_from_candidates(n, lhs, rhs, state)
 
@@ -259,15 +253,12 @@ def _report_verdict(verdict: str, oracle: str) -> int:
 def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
     inst = load_one_in_three(ns.instance)
     gadget = ordering_gadget(inst)
-    verdict = solve_ordering_gadget(gadget)
+    verdict, survivor = solve_ordering_gadget(gadget)
     oracle = SAT if one_in_three_satisfiable(inst) else UNSAT
-    leader = LeaderConstraint(gadget.flip, gadget.ordering)
-    survivors = [a for a in enumerate_solutions(gadget.problem) if leader.satisfied(a)]
     print(f"# clauses={list(list(c) for c in inst.clauses)}")
     print(f"problem: {gadget.problem.n} variables; prefix fixed to the clause "
           f"indices; flag bit free; symmetry swaps the flag bit's values")
-    for a in survivors:
-        print(f"survivor: {format_assignment(a, gadget.problem.domains)}")
+    print(f"survivor: {format_assignment(survivor, gadget.problem.domains)}")
     return _report_verdict(verdict, oracle)
 
 

@@ -257,10 +257,8 @@ class DomainStore:
 # serialization
 
 
-def _reject_unknown(data: dict, allowed: set[str], what: str) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise InputError(f"unknown field(s) in {what}: {', '.join(sorted(extra))}")
+#: The default of an optional field whose absence means something of its own.
+ABSENT = object()
 
 
 def _has_shape(value, shape) -> bool:
@@ -277,69 +275,62 @@ def _shape_name(shape, plural: bool = False) -> str:
     return noun.split()[1] + "s" if plural else noun
 
 
-def _require(data: dict, key: str, what: str, shape=None):
-    """data[key], checked against `shape` if given: int, bool, dict, or [inner] for a list."""
-    if key not in data:
-        raise InputError(f"missing field '{key}' in {what}")
-    if shape is not None and not _has_shape(data[key], shape):
-        raise InputError(f"field '{key}' in {what} must be {_shape_name(shape)}")
-    return data[key]
+def read_field(data: dict, what: str, name: str, shape=None, *default):
+    """data[name], checked against `shape` if given: int, bool, dict, or [inner] for a list.
+
+    With a default the field is optional: it reads as the default when
+    absent, and also when null if the default is None.  Any other null
+    fails the shape check.
+    """
+    if name not in data or (data[name] is None and default == (None,)):
+        if not default:
+            raise InputError(f"missing field '{name}' in {what}")
+        return default[0]
+    if shape is not None and not _has_shape(data[name], shape):
+        raise InputError(f"field '{name}' in {what} must be {_shape_name(shape)}")
+    return data[name]
+
+
+def read_fields(data: dict, what: str, *fields: tuple) -> list:
+    """Every field of a JSON object, each given as (name, shape[, default]).
+
+    A field not listed is an error, reported before any listed one is read;
+    then each is read in turn by `read_field`.
+    """
+    extra = set(data) - {f[0] for f in fields}
+    if extra:
+        raise InputError(f"unknown field(s) in {what}: {', '.join(sorted(extra))}")
+    return [read_field(data, what, *f) for f in fields]
 
 
 def constraint_from_dict(data: dict) -> Constraint:
-    kind = _require(data, "kind", "constraint")
+    kind = read_field(data, "constraint", "kind")
     if kind == "table":
-        _reject_unknown(data, {"kind", "scope", "tuples"}, "table constraint")
-        scope = tuple(_require(data, "scope", "table constraint", [int]))
-        rows = frozenset(tuple(row) for row in _require(data, "tuples", "table constraint", [[int]]))
-        return TableConstraint(scope, rows)
+        _, scope, rows = read_fields(data, "table constraint", ("kind",), ("scope", [int]),
+                                     ("tuples", [[int]]))
+        return TableConstraint(tuple(scope), frozenset(map(tuple, rows)))
     if kind == "clause":
-        _reject_unknown(data, {"kind", "literals"}, "clause constraint")
-        lits = []
-        for entry in _require(data, "literals", "clause constraint", [dict]):
-            _reject_unknown(entry, {"var", "value", "positive"}, "clause literal")
-            lits.append(Literal(_require(entry, "var", "clause literal", int),
-                                _require(entry, "value", "clause literal", int),
-                                _require(entry, "positive", "clause literal", bool)
-                                if "positive" in entry else True))
-        return ClauseConstraint(tuple(lits))
+        _, entries = read_fields(data, "clause constraint", ("kind",), ("literals", [dict]))
+        return ClauseConstraint(tuple(
+            Literal(*read_fields(entry, "clause literal", ("var", int), ("value", int),
+                                 ("positive", bool, True)))
+            for entry in entries))
     if kind == "unary":
-        _reject_unknown(data, {"kind", "var", "value"}, "unary constraint")
-        return UnaryConstraint(_require(data, "var", "unary constraint", int),
-                               _require(data, "value", "unary constraint", int))
+        _, var, value = read_fields(data, "unary constraint", ("kind",), ("var", int),
+                                    ("value", int))
+        return UnaryConstraint(var, value)
     raise InputError(f"unknown constraint kind '{kind}'")
 
 
-def constraint_to_dict(con: Constraint) -> dict:
-    if isinstance(con, TableConstraint):
-        return {"kind": "table", "scope": list(con.scope),
-                "tuples": sorted(list(row) for row in con.allowed)}
-    if isinstance(con, ClauseConstraint):
-        return {"kind": "clause",
-                "literals": [{"var": l.var, "value": l.value, "positive": l.positive}
-                             for l in con.literals]}
-    return {"kind": "unary", "var": con.var, "value": con.value}
-
-
 def problem_from_dict(data: dict) -> Problem:
-    _reject_unknown(data, {"n", "domains", "constraints", "shape"}, "problem")
-    n = _require(data, "n", "problem", int)
-    domains = tuple(tuple(d) for d in _require(data, "domains", "problem", [[int]]))
-    cons = _require(data, "constraints", "problem", [dict]) if "constraints" in data else ()
+    n, domains, cons, shape = read_fields(
+        data, "problem", ("n", int), ("domains", [[int]]), ("constraints", [dict], ()),
+        ("shape", [int], None))
     constraints = tuple(map(constraint_from_dict, cons))
-    shape = (tuple(_require(data, "shape", "problem", [int]))
-             if data.get("shape") is not None else None)
     if shape is not None and len(shape) != 2:
         raise InputError("shape must be a [rows, cols] pair")
-    return Problem(n, domains, constraints, shape)
-
-
-def problem_to_dict(problem: Problem) -> dict:
-    out: dict = {"n": problem.n, "domains": [list(d) for d in problem.domains],
-                 "constraints": [constraint_to_dict(c) for c in problem.constraints]}
-    if problem.shape is not None:
-        out["shape"] = list(problem.shape)
-    return out
+    return Problem(n, tuple(map(tuple, domains)), constraints,
+                   tuple(shape) if shape is not None else None)
 
 
 def load_json_object(path, what: str) -> dict:

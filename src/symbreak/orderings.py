@@ -186,7 +186,7 @@ class SnakeLexOrdering(SimpleOrdering):
     def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
         if shape is None:
             return "snakelex needs a matrix shape"
-        if shape[0] * shape[1] != len(domains):
+        if min(shape) < 1 or shape[0] * shape[1] != len(domains):
             return f"shape {shape} does not cover {len(domains)} variables"
         return None
 

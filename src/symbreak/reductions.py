@@ -31,8 +31,7 @@ from .model import (
     binary_problem,
     enumerate_solutions,
     load_json_object,
-    _reject_unknown,
-    _require,
+    read_fields,
 )
 from .orderings import RevLexOrdering, SimpleOrdering
 from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
@@ -128,18 +127,18 @@ def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
     return OrderingGadget(inst, problem, flip, OneInThreeOrdering(domains))
 
 
-def solve_ordering_gadget(gadget: OrderingGadget) -> str:
+def solve_ordering_gadget(gadget: OrderingGadget) -> tuple[str, Assignment]:
     """Solve the gadget with its leader constraint posted; read the flag bit.
 
-    Exactly one assignment survives; flag 0 means the encoded instance is
-    satisfiable.
+    Returns the verdict and the one assignment that survives; flag 0 means
+    the encoded instance is satisfiable.
     """
     leader = LeaderConstraint(gadget.flip, gadget.ordering)
     survivors = [a for a in enumerate_solutions(gadget.problem) if leader.satisfied(a)]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"ordering gadget left {len(survivors)} solutions, expected 1")
-    return SAT if survivors[0][-1] == 0 else UNSAT
+    return (SAT if survivors[0][-1] == 0 else UNSAT), survivors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +237,13 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
 
 
 def one_in_three_from_dict(data: dict) -> OneInThreeInstance:
-    _reject_unknown(data, {"clauses"}, "1-in-3 instance")
-    return OneInThreeInstance(tuple(tuple(c) for c in
-                                    _require(data, "clauses", "1-in-3 instance", [[int]])))
+    (clauses,) = read_fields(data, "1-in-3 instance", ("clauses", [[int]]))
+    return OneInThreeInstance(tuple(map(tuple, clauses)))
 
 
 def cnf_from_dict(data: dict) -> Cnf:
-    _reject_unknown(data, {"n", "clauses"}, "CNF instance")
-    return Cnf(_require(data, "n", "CNF instance", int),
-               tuple(tuple(c) for c in _require(data, "clauses", "CNF instance", [[int]])))
+    n, clauses = read_fields(data, "CNF instance", ("n", int), ("clauses", [[int]]))
+    return Cnf(n, tuple(map(tuple, clauses)))
 
 
 def load_one_in_three(path) -> OneInThreeInstance:

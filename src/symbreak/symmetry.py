@@ -17,9 +17,10 @@ The two kinds never mix inside one group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .model import (
+    ABSENT,
     Assignment,
     Domain,
     CapExceededError,
@@ -27,8 +28,8 @@ from .model import (
     all_assignments,
     binary_domains,
     load_json_object,
-    _reject_unknown,
-    _require,
+    read_field,
+    read_fields,
 )
 from .literals import LiteralSymmetry, _check_permutation, _gatherer
 from .orderings import AssignmentPermutation
@@ -102,61 +103,55 @@ class SymmetryGroup:
             raise InputError("literal generators act on different domains")
 
     def closure(self) -> tuple[Symmetry, ...]:
-        """Breadth-first product closure, deduplicated, identity included.
+        """Every group element: the orbit of the identity when the neighbours
+        of e are the products gen∘e, so breadth-first and identity first.
 
-        A literal group searches over literal permutations, where the
-        product g∘e is one gather, and builds each element once at the end.
+        A literal group searches over literal tuples, where a product is one
+        gather, and builds each element once at the end.
         """
-        if self._closure is None and not self.generators:
+        gens = self.generators
+        if self._closure is None and not gens:
             self._closure = ()
         if self._closure is not None:
             return self._closure
-        literal = isinstance(self.generators[0], LiteralSymmetry)
-        if literal:
-            space = self.generators[0]._space
-            ident, gens, after = space.identity, [g.lits for g in self.generators], _gatherer
+        if isinstance(gens[0], LiteralSymmetry):
+            space, lits = gens[0]._space, [g.lits for g in gens]
+            found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits),
+                                  cap=self.cap, what="closure")
+            self._closure = tuple(LiteralSymmetry(e, space) for e in found)
         else:
-            ident, gens = AssignmentSymmetry.identity(), self.generators
-            after = lambda elem: lambda gen: gen.compose(elem)
-        seen: dict = {ident: None}
-        frontier = [ident]
-        while frontier:
-            new: list = []
-            for elem in frontier:
-                times = after(elem)  # times(gen) is gen∘elem
-                for gen in gens:
-                    prod = times(gen)
-                    if prod not in seen:
-                        seen[prod] = None
-                        if len(seen) > self.cap:
-                            raise CapExceededError(f"closure exceeds cap={self.cap}")
-                        new.append(prod)
-            frontier = new
-        self._closure = (tuple(LiteralSymmetry(lits, space) for lits in seen) if literal
-                         else tuple(seen))
+            found = _orbit_search(AssignmentSymmetry.identity(),
+                                  lambda e: [g.compose(e) for g in gens],
+                                  cap=self.cap, what="closure")
+            self._closure = tuple(found)
         return self._closure
 
     def orbit_of(self, a: Assignment, cap: Optional[int] = None) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order."""
-        return tuple(_orbit_search(tuple(a), self.generators,
+        return tuple(_orbit_search(tuple(a), _images(self.generators),
                                    cap=cap if cap is not None else self.cap))
 
 
-def _orbit_search(start: Assignment, generators: Sequence[Symmetry],
-                  inside: Optional[dict] = None, cap: Optional[int] = None) -> dict:
-    """Breadth-first search from `start` along the generators' images.
+def _images(generators: Sequence[Symmetry]) -> Callable:
+    """The neighbours of an assignment: its image under each generator."""
+    return lambda a: [g.apply(a) for g in generators]
+
+
+def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[dict] = None,
+                  cap: Optional[int] = None, what: str = "orbit") -> dict:
+    """Breadth-first search from `start`; neighbours(p) lists the points one
+    step from p, one per generator, in generator order.
 
     Returns the points reached, in discovery order, as the keys of a dict.
     An image outside `inside` (when given) is an input error; more than
-    `cap` points is a cap overflow.
+    `cap` points overflow the `what` being searched.
     """
     seen: dict = {start: None}
     frontier = [start]
     while frontier:
         new = []
         for a in frontier:
-            for gen in generators:
-                b = gen.apply(a)
+            for b in neighbours(a):
                 if b not in seen:
                     if inside is not None and b not in inside:
                         raise InputError(
@@ -164,7 +159,7 @@ def _orbit_search(start: Assignment, generators: Sequence[Symmetry],
                             f"({a} -> {b})")
                     seen[b] = None
                     if cap is not None and len(seen) > cap:
-                        raise CapExceededError(f"orbit exceeds cap={cap}")
+                        raise CapExceededError(f"{what} exceeds cap={cap}")
                     new.append(b)
         frontier = new
     return seen
@@ -175,15 +170,6 @@ class OrbitPartition:
     """Disjoint blocks covering the input set, in first-occurrence order."""
 
     blocks: tuple[tuple[Assignment, ...], ...]
-    _index: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-
-    def block_of(self, a: Assignment) -> int:
-        if self._index is None:  # built on first use: the verdicts never need it
-            self._index = {a: i for i, block in enumerate(self.blocks) for a in block}
-        try:
-            return self._index[tuple(a)]
-        except KeyError as exc:
-            raise InputError("assignment not covered by the partition") from exc
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
@@ -203,11 +189,12 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartit
     index = {a: i for i, a in enumerate(sols)}
     if len(index) != len(sols):
         raise InputError("solution list repeats an assignment")
+    images = _images(group.generators)
     placed: set = set()
     blocks = []
     for a in sols:
         if a not in placed:
-            reached = _orbit_search(a, group.generators, inside=index)
+            reached = _orbit_search(a, images, inside=index)
             placed.update(reached)
             blocks.append(tuple(sorted(reached, key=index.__getitem__)))
     return OrbitPartition(tuple(blocks))
@@ -287,11 +274,10 @@ def row_col_group(shape: tuple[int, int], domains: Optional[Sequence[Domain]] = 
 
 
 def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry:
-    _reject_unknown(data, {"kind", "var_perm", "val_maps"}, "literal symmetry")
-    perm = tuple(_require(data, "var_perm", "literal symmetry", [int]))
-    if "val_maps" not in data:
+    _, perm, maps = read_fields(data, "literal symmetry", ("kind",), ("var_perm", [int]),
+                                ("val_maps", [[[int]]], ABSENT))
+    if maps is ABSENT:
         return LiteralSymmetry.variable(perm, domains)
-    maps = _require(data, "val_maps", "literal symmetry", [[[int]]])
     if any(len(pair) != 2 for pairs in maps for pair in pairs):
         raise InputError("val_maps entries must be [value, image] pairs")
     _check_permutation(perm, len(domains))
@@ -304,23 +290,22 @@ def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry
 
 
 def symmetry_group_from_dict(data: dict, domains: Sequence[Domain]) -> SymmetryGroup:
-    _reject_unknown(data, {"generators", "cap"}, "symmetry file")
+    entries, cap = read_fields(data, "symmetry file", ("generators", [dict]),
+                               ("cap", int, DEFAULT_CLOSURE_CAP))
     gens: list[LiteralSymmetry] = []
-    for k, entry in enumerate(_require(data, "generators", "symmetry file", [dict])):
-        kind = _require(entry, "kind", "generator")
+    for k, entry in enumerate(entries):
+        kind = read_field(entry, "generator", "kind")
         try:
             if kind == "literal":
                 gens.append(_literal_from_dict(entry, domains))
             elif kind == "row_col":
-                _reject_unknown(entry, {"kind", "rows", "cols"}, "row_col generator")
-                shape = (_require(entry, "rows", "row_col generator", int),
-                         _require(entry, "cols", "row_col generator", int))
-                gens.extend(row_col_generators(shape, domains))
+                _, rows, cols = read_fields(entry, "row_col generator", ("kind",),
+                                            ("rows", int), ("cols", int))
+                gens.extend(row_col_generators((rows, cols), domains))
             else:
                 raise InputError(f"unknown generator kind '{kind}'")
         except InputError as exc:
             raise InputError(f"generator {k}: {exc}") from exc
-    cap = _require(data, "cap", "symmetry file", int) if "cap" in data else DEFAULT_CLOSURE_CAP
     return SymmetryGroup(tuple(gens), cap=cap)
 
 

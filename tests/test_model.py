@@ -18,7 +18,6 @@ from symbreak.model import (
     format_assignment,
     parse_assignment,
     problem_from_dict,
-    problem_to_dict,
 )
 
 
@@ -139,9 +138,16 @@ def test_problem_validation():
 
 def test_problem_dict_round_trip():
     p = binary_problem(4, [one_hot_table(4),
-                           ClauseConstraint((Literal(0, 1),)),
+                           ClauseConstraint((Literal(0, 1), Literal(2, 0, False))),
                            UnaryConstraint(3, 0)], shape=(2, 2))
-    assert problem_from_dict(problem_to_dict(p)) == p
+    assert problem_from_dict({
+        "n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2],
+        "constraints": [
+            {"kind": "table", "scope": [0, 1, 2, 3],
+             "tuples": [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]},
+            {"kind": "clause", "literals": [{"var": 0, "value": 1},
+                                            {"var": 2, "value": 0, "positive": False}]},
+            {"kind": "unary", "var": 3, "value": 0}]}) == p
 
 
 def test_problem_dict_rejects_unknown_fields():

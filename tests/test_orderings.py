@@ -212,6 +212,7 @@ def test_permutation_requires_matching_spaces():
     (binary_domains(4), None, ["lex", "revlex", "gray"]),
     (((0, 1, 2),) * 4, (2, 2), ["lex", "revlex", "snakelex"]),
     (((0, 1, 2), (0, 1)), None, ["lex", "revlex"]),
+    (binary_domains(2), (-1, -2), ["lex", "revlex", "gray"]),  # covers 2 cells, but no matrix
 ])
 def test_applicable_orderings_follow_each_orderings_own_check(domains, shape, names):
     assert [o.name for o in applicable_orderings(domains, shape)] == names

@@ -92,7 +92,10 @@ def test_one_in_three_brute_force():
     (((1, 1, 2), (1, 2, 2)), UNSAT),
 ])
 def test_solve_ordering_gadget_examples(clauses, expected):
-    assert solve_ordering_gadget(ordering_gadget(OneInThreeInstance(clauses))) == expected
+    # the survivor spells out the clauses, then flag 0 exactly when satisfiable
+    flag = 0 if expected == SAT else 1
+    assert solve_ordering_gadget(ordering_gadget(OneInThreeInstance(clauses))) == \
+        (expected, sum(clauses, ()) + (flag,))
 
 
 def all_clauses(max_index):
@@ -103,7 +106,7 @@ def all_clauses(max_index):
 def test_ordering_gadget_exhaustive_single_clause():
     for clause in all_clauses(6):
         inst = OneInThreeInstance((clause,))
-        assert solve_ordering_gadget(ordering_gadget(inst)) == \
+        assert solve_ordering_gadget(ordering_gadget(inst))[0] == \
             verdict(one_in_three_satisfiable(inst))
 
 
@@ -112,7 +115,7 @@ def test_ordering_gadget_two_clause_sample():
     rng = random.Random(11)
     for _ in range(120):
         inst = OneInThreeInstance((rng.choice(clauses), rng.choice(clauses)))
-        assert solve_ordering_gadget(ordering_gadget(inst)) == \
+        assert solve_ordering_gadget(ordering_gadget(inst))[0] == \
             verdict(one_in_three_satisfiable(inst))
 
 

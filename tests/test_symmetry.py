@@ -201,6 +201,18 @@ def test_conjugate_matches_definition_pointwise():
             assert cgen.apply(pi.forward(b)) == pi.forward(gen.apply(b))
 
 
+def test_conjugated_closure_keeps_its_breadth_first_order():
+    # each element as the lex ranks of its images of the space, in the order
+    # the closure listed them before it became the search from the identity
+    pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
+    closure = conjugate(pi, row_col_group((2, 2))).closure()
+    assert [[SPACE2x2.index(s.apply(a)) for a in SPACE2x2] for s in closure] == [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        [0, 6, 10, 12, 11, 13, 1, 7, 8, 14, 2, 4, 3, 5, 9, 15],
+        [0, 3, 2, 1, 14, 13, 12, 15, 8, 11, 10, 9, 6, 5, 4, 7],
+        [0, 12, 10, 6, 9, 5, 3, 15, 8, 4, 2, 14, 1, 13, 11, 7]]
+
+
 def test_conjugate_preserves_orbit_size_multiset():
     pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
     group = row_col_group((2, 2))
