@@ -28,6 +28,7 @@ from .model import (
     Problem,
     SymbreakError,
     binary_domains,
+    check_shape,
     enumerate_solutions,
     format_assignment,
     load_json_object,
@@ -196,7 +197,10 @@ def _ordering(ns: argparse.Namespace):
     shape = _parse_shape(ns.shape)
     if ns.n is None:
         raise InputError("need --problem or --n")
-    return make_ordering(ns.ordering, binary_domains(ns.n), shape)
+    ordering = make_ordering(ns.ordering, binary_domains(ns.n), shape)
+    if shape is not None:
+        check_shape(shape, ns.n)
+    return ordering
 
 
 def _cmd_rank(ns: argparse.Namespace) -> int:
@@ -268,7 +272,7 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     # solve_group_gadget raises unless the gadget's solutions form one orbit
     verdict = solve_group_gadget(gadget)
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
-    print(f"# n={gadget.n} clauses={list(list(c) for c in phi.clauses)}")
+    print(f"# n={phi.num_vars} clauses={list(list(c) for c in phi.clauses)}")
     print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
     for a in gadget.solutions:
         print(f"  {format_assignment(a, gadget.problem.domains)}")

@@ -26,8 +26,8 @@ one variable s_{i+1}: the block hypergraph is a chain, hence Berge acyclic,
 and enforcing domain consistency block by block to a fixpoint yields domain
 consistency on the whole conjunction.  The engine therefore wakes one
 propagator per position block (plus the boundary constraints), and the
-network is stored only as those propagators; the individual lines are a view
-derived from the blocks on demand (`GrayDecomposition.constraints`).
+network is stored only as those propagators.  The five lines live once, as
+the table `_LINES` that every position's block is built from.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .model import (
-    DomainStore,
-    InputError,
-    TableConstraint,
-    UnaryConstraint,
-)
+from .model import DomainStore, InputError, TableConstraint
 
 BITS = (0, 1)
 SIGNS = (-1, 0, 1)
@@ -81,20 +76,6 @@ class GrayDecomposition:
         if idx < 2 * self.n:
             return f"rhs{idx - self.n + 1}"
         return f"state{idx - 2 * self.n + 1}"
-
-    @property
-    def blocks(self) -> tuple[TableConstraint, ...]:
-        """The per-position conjunctions, in position order."""
-        return tuple(con for _, con in self.propagators if len(con.scope) > 1)
-
-    @property
-    def constraints(self) -> tuple:
-        """The individual lines of every block, then the boundary as unaries."""
-        lines = tuple(TableConstraint(tuple(block.scope[k] for k in slots), rows)
-                      for block in self.blocks for slots, rows in _LINES)
-        return lines + tuple(UnaryConstraint(con.scope[0], row[0])
-                             for _, con in self.propagators if len(con.scope) == 1
-                             for row in con.allowed)
 
 
 def _table(scope: Sequence[int], rows) -> TableConstraint:
@@ -137,7 +118,7 @@ def build_decomposition(n: int, strict: bool) -> GrayDecomposition:
 
 def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:
     """Structural check: position blocks form a chain sharing one state each."""
-    scopes = [set(b.scope) for b in decomp.blocks]
+    scopes = [set(con.scope) for _, con in decomp.propagators if len(con.scope) > 1]
     for i, si in enumerate(scopes):
         for j in range(i + 1, len(scopes)):
             overlap = si & scopes[j]
@@ -160,22 +141,16 @@ def store_from_candidates(n: int, lhs: Sequence[Sequence[int]], rhs: Sequence[Se
                           state: Optional[Sequence[Sequence[int]]] = None) -> DomainStore:
     if len(lhs) != n or len(rhs) != n:
         raise InputError(f"expected {n} candidate lists for each vector")
-    if state is not None and len(state) != n + 1:
+    if state is None:
+        state = (SIGNS,) * (n + 1)
+    elif len(state) != n + 1:
         raise InputError(f"expected {n + 1} state candidate lists")
     cands: list[set[int]] = []
-    for name, lists, ok in (("lhs", lhs, BITS), ("rhs", rhs, BITS)):
+    for name, lists, ok in (("lhs", lhs, BITS), ("rhs", rhs, BITS), ("state", state, SIGNS)):
         for i, values in enumerate(lists):
             vals = set(values)
             if not vals <= set(ok):
                 raise InputError(f"{name}{i + 1} candidates {sorted(vals)} outside {ok}")
-            cands.append(vals)
-    if state is None:
-        cands.extend(set(SIGNS) for _ in range(n + 1))
-    else:
-        for i, values in enumerate(state):
-            vals = set(values)
-            if not vals <= set(SIGNS):
-                raise InputError(f"state{i + 1} candidates {sorted(vals)} outside {SIGNS}")
             cands.append(vals)
     return DomainStore(cands)
 

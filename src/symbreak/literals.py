@@ -7,7 +7,7 @@ from itertools import accumulate
 from operator import contains, getitem, itemgetter
 from typing import Callable, Sequence
 
-from .model import Assignment, Domain, InputError
+from .model import Assignment, Domain, InputError, check_values
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -115,8 +115,7 @@ class LiteralSymmetry:
         if len(a) != len(self.var_perm):
             raise InputError(f"assignment arity {len(a)} != {self.n}")
         if not self._space.in_domains(a):
-            bad = next(v for v, dom in zip(a, self._space.index) if v not in dom)
-            raise InputError(f"value {bad} outside the symmetry's domain")
+            check_values(self._space.domains, enumerate(a))
         image = self._gather(a)
         if self._tables is None:
             return image

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Assignment = tuple[int, ...]
 Domain = tuple[int, ...]
@@ -48,6 +48,36 @@ def binary_domains(n: int) -> tuple[Domain, ...]:
 def all_assignments(domains: Sequence[Domain]) -> Iterator[Assignment]:
     """Full assignment space, lexicographic by domain position."""
     return itertools.product(*domains)
+
+
+# ---------------------------------------------------------------------------
+# the rules every problem, ordering and symmetry checks its input against
+
+
+def check_domains(what: str, n: int, domains: Sequence[Domain]) -> None:
+    """n >= 1 variables, one domain each, every domain nonempty and free of repeats."""
+    if n < 1:
+        raise InputError(f"{what} needs at least one variable")
+    if len(domains) != n:
+        raise InputError(f"expected {n} domains, got {len(domains)}")
+    for i, dom in enumerate(domains):
+        if not dom:
+            raise InputError(f"domain of variable {i} is empty")
+        if len(set(dom)) != len(dom):
+            raise InputError(f"domain of variable {i} repeats a value")
+
+
+def check_shape(shape: tuple[int, int], n: int) -> None:
+    """A matrix of n cells: rows >= 1, cols >= 1 and rows * cols == n."""
+    if min(shape) < 1 or shape[0] * shape[1] != n:
+        raise InputError(f"shape {shape} does not cover {n} variables")
+
+
+def check_values(domains: Sequence[Domain], pairs: Iterable[tuple[int, int]]) -> None:
+    """Every (variable, value) pair has its value in the variable's domain."""
+    for var, value in pairs:
+        if value not in domains[var]:
+            raise InputError(f"value {value} outside domain of variable {var}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +153,9 @@ class Problem:
     shape: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("a problem needs at least one variable")
-        if len(self.domains) != self.n:
-            raise InputError(f"expected {self.n} domains, got {len(self.domains)}")
-        for i, dom in enumerate(self.domains):
-            if not dom:
-                raise InputError(f"domain of variable {i} is empty")
-            if len(set(dom)) != len(dom):
-                raise InputError(f"domain of variable {i} repeats a value")
+        check_domains("a problem", self.n, self.domains)
         if self.shape is not None:
-            r, c = self.shape
-            if r < 1 or c < 1 or r * c != self.n:
-                raise InputError(f"shape {self.shape} does not cover {self.n} variables")
+            check_shape(self.shape, self.n)
         for con in self.constraints:
             self._check_constraint(con)
 
@@ -152,16 +172,11 @@ class Problem:
             for row in con.allowed:
                 if len(row) != len(scope):
                     raise InputError("table row arity differs from scope")
-                for v, val in zip(scope, row):
-                    if val not in self.domains[v]:
-                        raise InputError(f"table value {val} outside domain of variable {v}")
+                check_values(self.domains, zip(scope, row))
         elif isinstance(con, ClauseConstraint):
-            for lit in con.literals:
-                if lit.value not in self.domains[lit.var]:
-                    raise InputError(f"literal value {lit.value} outside domain of variable {lit.var}")
+            check_values(self.domains, ((lit.var, lit.value) for lit in con.literals))
         elif isinstance(con, UnaryConstraint):
-            if con.value not in self.domains[con.var]:
-                raise InputError(f"fixed value {con.value} outside domain of variable {con.var}")
+            check_values(self.domains, [(con.var, con.value)])
         else:
             raise InputError(f"unknown constraint type {type(con).__name__}")
 
@@ -170,9 +185,8 @@ class Problem:
         return math.prod(len(d) for d in self.domains)
 
 
-def binary_problem(n: int, constraints: Sequence[Constraint] = (),
-                   shape: Optional[tuple[int, int]] = None) -> Problem:
-    return Problem(n, binary_domains(n), tuple(constraints), shape)
+def binary_problem(n: int, constraints: Sequence[Constraint] = ()) -> Problem:
+    return Problem(n, binary_domains(n), tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +197,7 @@ def check_assignment(problem: Problem, assignment: Sequence[int]) -> bool:
     """True iff the assignment satisfies every constraint of the problem."""
     if len(assignment) != problem.n:
         raise InputError(f"assignment has arity {len(assignment)}, problem has {problem.n}")
-    for i, v in enumerate(assignment):
-        if v not in problem.domains[i]:
-            raise InputError(f"value {v} outside domain of variable {i}")
+    check_values(problem.domains, enumerate(assignment))
     return all(con.satisfied(assignment) for con in problem.constraints)
 
 
@@ -245,12 +257,6 @@ class DomainStore:
         """Drop one candidate; True if the variable's set emptied."""
         self.candidates[var].discard(value)
         return not self.candidates[var]
-
-    def total_size(self) -> int:
-        return sum(len(s) for s in self.candidates)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DomainStore) and self.candidates == other.candidates
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +381,5 @@ def parse_assignment(text: str, domains: Sequence[Domain]) -> Assignment:
         values = tuple(int(ch) for ch in text)
     if len(values) != len(domains):
         raise InputError(f"assignment '{text}' has arity {len(values)}, expected {len(domains)}")
-    for i, v in enumerate(values):
-        if v not in domains[i]:
-            raise InputError(f"value {v} outside domain of variable {i}")
+    check_values(domains, enumerate(values))
     return values

@@ -23,6 +23,9 @@ from .model import (
     Domain,
     InputError,
     UnsupportedOrderingError,
+    check_domains,
+    check_shape,
+    check_values,
 )
 
 LT, EQ, GT = -1, 0, 1
@@ -47,12 +50,9 @@ class SimpleOrdering:
 
     def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
         self.domains = tuple(tuple(d) for d in domains)
-        if not self.domains:
-            raise InputError("an ordering needs at least one variable")
-        self._pos = tuple({v: i for i, v in enumerate(d)} for d in self.domains)
         self.n = len(self.domains)
-        if not all(self.domains):
-            raise InputError("empty domain")
+        check_domains("an ordering", self.n, self.domains)
+        self._pos = tuple({v: i for i, v in enumerate(d)} for d in self.domains)
         reason = self.unsupported(self.domains, shape)
         if reason is not None:
             raise UnsupportedOrderingError(reason)
@@ -70,8 +70,9 @@ class SimpleOrdering:
             return tuple(a)
         try:
             return tuple(map(getitem, self._pos, a))
-        except KeyError as exc:
-            raise InputError(f"value {exc.args[0]} outside its domain") from exc
+        except KeyError:
+            check_values(self.domains, enumerate(a))  # raises, naming the value missed
+            raise
 
     @staticmethod
     def digits(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,9 +171,7 @@ def snake_vectorize(values: Sequence[int], shape: Optional[tuple[int, int]]) -> 
     """Serpentine read of a row-major matrix: col 0 top-down, col 1 bottom-up, ..."""
     if shape is None:
         raise InputError("snake vectorization needs a matrix shape")
-    r, c = shape
-    if r * c != len(values):
-        raise InputError(f"shape {shape} does not cover {len(values)} values")
+    check_shape(shape, len(values))
     return tuple(values[v] for v in snake_variable_order(shape))
 
 
@@ -186,8 +185,10 @@ class SnakeLexOrdering(SimpleOrdering):
     def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
         if shape is None:
             return "snakelex needs a matrix shape"
-        if min(shape) < 1 or shape[0] * shape[1] != len(domains):
-            return f"shape {shape} does not cover {len(domains)} variables"
+        try:
+            check_shape(shape, len(domains))
+        except InputError as exc:
+            return str(exc)
         return None
 
     def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):

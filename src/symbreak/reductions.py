@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import getitem
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .breaker import LeaderConstraint
 from .model import (
@@ -167,12 +167,9 @@ class Cnf:
                    for clause in self.clauses)
 
 
-def cnf_models(phi: Cnf, n: Optional[int] = None) -> list[Assignment]:
-    """All models over n >= phi.num_vars binary variables, lex order."""
-    width = phi.num_vars if n is None else n
-    if width < phi.num_vars:
-        raise InputError("model width below the CNF's variable count")
-    return [bits for bits in itertools.product((0, 1), repeat=width)
+def cnf_models(phi: Cnf) -> list[Assignment]:
+    """All models over phi's variables, lex order."""
+    return [bits for bits in itertools.product((0, 1), repeat=phi.num_vars)
             if phi.satisfied_by(bits)]
 
 
@@ -187,27 +184,24 @@ class GroupGadget:
     by a chain of solution transpositions; ordering = reverse lex."""
 
     phi: Cnf
-    n: int
     problem: Problem
     group: SymmetryGroup
     ordering: RevLexOrdering
     solutions: tuple[Assignment, ...]
 
 
-def group_gadget(phi: Cnf, n: Optional[int] = None) -> GroupGadget:
-    width = phi.num_vars if n is None else n
-    if width < phi.num_vars:
-        raise InputError("gadget width below the CNF's variable count")
+def group_gadget(phi: Cnf) -> GroupGadget:
+    width = phi.num_vars
     if width > MAX_GROUP_GADGET_VARS:
         raise InputError(f"gadget width above {MAX_GROUP_GADGET_VARS}")
     zero = (0,) * width
-    solutions = tuple(sorted(set(cnf_models(phi, width)) | {zero}))
+    solutions = tuple(sorted(set(cnf_models(phi)) | {zero}))
     problem = binary_problem(width,
                              [TableConstraint(tuple(range(width)), frozenset(solutions))])
     generators = tuple(AssignmentSymmetry.transposition(solutions[i], solutions[i + 1])
                        for i in range(len(solutions) - 1))
     group = SymmetryGroup(generators)
-    return GroupGadget(phi, width, problem, group,
+    return GroupGadget(phi, problem, group,
                        RevLexOrdering(binary_domains(width)), solutions)
 
 
@@ -227,7 +221,7 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
         raise InvariantViolationError(
             f"group gadget left {len(survivors)} solutions, expected 1")
     winner = survivors[0]
-    if winner == (0,) * gadget.n:
+    if winner == (0,) * gadget.phi.num_vars:
         return SAT if gadget.phi.satisfied_by(winner) else UNSAT
     return SAT
 

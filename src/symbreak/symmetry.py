@@ -27,6 +27,7 @@ from .model import (
     InputError,
     all_assignments,
     binary_domains,
+    check_shape,
     load_json_object,
     read_field,
     read_fields,
@@ -126,10 +127,9 @@ class SymmetryGroup:
             self._closure = tuple(found)
         return self._closure
 
-    def orbit_of(self, a: Assignment, cap: Optional[int] = None) -> tuple[Assignment, ...]:
+    def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order."""
-        return tuple(_orbit_search(tuple(a), _images(self.generators),
-                                   cap=cap if cap is not None else self.cap))
+        return tuple(_orbit_search(tuple(a), _images(self.generators), cap=self.cap))
 
 
 def _images(generators: Sequence[Symmetry]) -> Callable:
@@ -170,9 +170,6 @@ class OrbitPartition:
     """Disjoint blocks covering the input set, in first-occurrence order."""
 
     blocks: tuple[tuple[Assignment, ...], ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -219,8 +216,9 @@ def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
     """Does pi map every block of p1 exactly onto a block of p2?
 
     Returns (True, tau) with the witness block bijection, or (False, None).
+    Disjoint blocks have disjoint images under pi, so tau is one-to-one.
     """
-    if len(p1) != len(p2) or sorted(p1.sizes()) != sorted(p2.sizes()):
+    if len(p1) != len(p2):
         return False, None
     lookup = {frozenset(block): i for i, block in enumerate(p2.blocks)}
     tau = []
@@ -230,8 +228,6 @@ def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
         if target is None:
             return False, None
         tau.append(target)
-    if len(set(tau)) != len(tau):
-        return False, None
     return True, tuple(tau)
 
 
@@ -247,30 +243,24 @@ def map_constraint_set(pi: AssignmentPermutation,
 
 def row_col_generators(shape: tuple[int, int],
                        domains: Optional[Sequence[Domain]] = None) -> tuple[LiteralSymmetry, ...]:
-    """Adjacent row and column transpositions of an r x c matrix model."""
+    """Adjacent row transpositions, then adjacent column ones, of an r x c matrix
+    model; each swaps every cell x of a row (column) with cell x + step."""
     r, c = shape
-    if r < 1 or c < 1:
-        raise InputError(f"bad shape {shape}")
     doms = tuple(domains) if domains is not None else binary_domains(r * c)
-    if len(doms) != r * c:
-        raise InputError("domains do not cover the matrix")
+    check_shape(shape, len(doms))
+    swaps = ([(range(k * c, (k + 1) * c), c) for k in range(r - 1)]
+             + [(range(k, r * c, c), 1) for k in range(c - 1)])
     gens = []
-    for k in range(r - 1):
+    for cells, step in swaps:
         perm = list(range(r * c))
-        for j in range(c):
-            perm[k * c + j], perm[(k + 1) * c + j] = perm[(k + 1) * c + j], perm[k * c + j]
-        gens.append(LiteralSymmetry.variable(perm, doms))
-    for k in range(c - 1):
-        perm = list(range(r * c))
-        for i in range(r):
-            perm[i * c + k], perm[i * c + k + 1] = perm[i * c + k + 1], perm[i * c + k]
+        for x in cells:
+            perm[x], perm[x + step] = x + step, x
         gens.append(LiteralSymmetry.variable(perm, doms))
     return tuple(gens)
 
 
-def row_col_group(shape: tuple[int, int], domains: Optional[Sequence[Domain]] = None,
-                  cap: int = DEFAULT_CLOSURE_CAP) -> SymmetryGroup:
-    return SymmetryGroup(row_col_generators(shape, domains), cap=cap)
+def row_col_group(shape: tuple[int, int]) -> SymmetryGroup:
+    return SymmetryGroup(row_col_generators(shape))
 
 
 def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry:

@@ -368,9 +368,19 @@ NO_GENERATORS = {"generators": []}
      "field 'positive' in clause literal must be a boolean"),
     ({"strict": "no", "lhs": [[0]], "rhs": [[1]]}, None,
      "field 'strict' in store file must be a boolean"),
+    # every value outside its domain gets the one message, as does every uncovered shape
+    (dict(BINARY_2, constraints=[{"kind": "table", "scope": [0, 1], "tuples": [[0, 2]]}]),
+     NO_GENERATORS, "value 2 outside domain of variable 1"),
+    (dict(BINARY_2, constraints=[{"kind": "unary", "var": 0, "value": 5}]), NO_GENERATORS,
+     "value 5 outside domain of variable 0"),
+    (dict(BINARY_2, constraints=[{"kind": "clause", "literals": [{"var": 1, "value": 3}]}]),
+     NO_GENERATORS, "value 3 outside domain of variable 1"),
+    (BINARY_2, {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]},
+     "generator 0: shape (2, 2) does not cover 2 variables"),
 ], ids=["n-string", "domains-int", "unary-var-string", "var-perm-string", "generators-int",
         "cap-string", "partial-val-map", "val-map-off-domain", "n-true", "positive-string",
-        "store-strict-string"])
+        "store-strict-string", "table-value-off-domain", "unary-value-off-domain",
+        "literal-value-off-domain", "row-col-shape-uncovered"])
 def test_malformed_field_is_a_load_time_input_error(tmp_path, problem, syms, line):
     # without symmetries, `problem` is a gray-check store file
     ppath, spath = tmp_path / "p.json", tmp_path / "s.json"
@@ -421,6 +431,23 @@ def test_rank_with_n_and_shape_still_works(capsys):
                            "010011"]) == (0, "13\n", "")
     assert invoke(capsys, ["unrank", "--ordering", "snakelex", "--n", "6", "--shape", "3x2",
                            "--k", "19"]) == (0, "011100\n", "")
+    # the other orderings take a covering shape and rank as without one
+    for ordering in ("lex", "revlex", "gray"):
+        for command in (["rank", "010011"], ["unrank", "--k", "19"]):
+            plain = invoke(capsys, [*command, "--ordering", ordering, "--n", "6"])
+            assert plain[0] == 0
+            assert invoke(capsys, [*command, "--ordering", ordering, "--n", "6",
+                                   "--shape", "2x3"]) == plain
+
+
+@pytest.mark.parametrize("ordering, shape", [("lex", "5x5"), ("gray", "0x3"),
+                                             ("revlex", "-1x-2")])
+@pytest.mark.parametrize("command", [["rank", "01"], ["unrank", "--k", "1"]],
+                         ids=["rank", "unrank"])
+def test_rank_with_n_refuses_a_shape_that_does_not_cover_it(capsys, command, ordering, shape):
+    r, c = shape.split("x")
+    assert invoke(capsys, [*command, "--ordering", ordering, "--n", "2", f"--shape={shape}"]) \
+        == (2, "", f"error: shape ({r}, {c}) does not cover 2 variables\n")
 
 
 MIXED = {"n": 3, "domains": [[0, 1, 2], [5, 7], [1, 3, 4, 9]], "constraints": []}

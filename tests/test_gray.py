@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symbreak.gray import (
+    _LINES,
     SIGNS,
     build_decomposition,
     gac_oracle,
@@ -14,7 +15,7 @@ from symbreak.gray import (
     propagate,
     store_from_candidates,
 )
-from symbreak.model import InputError, TableConstraint, UnaryConstraint, binary_domains
+from symbreak.model import InputError, binary_domains
 from symbreak.orderings import GrayOrdering
 
 _DECOMPS = {}
@@ -53,14 +54,18 @@ def pair_store(n, strict, x=None, y=None):
 
 
 def test_build_counts_and_arities():
-    d1 = decomp(1, True)
-    lines = [c for c in d1.constraints if isinstance(c, TableConstraint)]
-    unaries = [c for c in d1.constraints if isinstance(c, UnaryConstraint)]
-    assert len(lines) == 5 and len(unaries) == 2
-    assert all(len(c.scope) <= 4 for c in lines)
-    d2 = decomp(3, False)
-    assert len([c for c in d2.constraints if isinstance(c, UnaryConstraint)]) == 1
-    assert len(d2.blocks) == 3
+    # five lines per position, each over at most the position's four slots
+    assert len(_LINES) == 5
+    assert all(len(slots) <= 4 and all(len(row) == len(slots) for row in rows)
+               for slots, rows in _LINES)
+    for n, strict, boundary in ((1, True, 2), (3, False, 1)):
+        d = decomp(n, strict)
+        cons = [con for _, con in d.propagators]
+        unaries = [con for con in cons if len(con.scope) == 1]
+        blocks = [con for con in cons if len(con.scope) > 1]
+        assert [(con.scope, set(con.allowed)) for con in unaries] == \
+            [((d.state(0),), {(1,)}), ((d.state(n),), {(0,)})][:boundary]
+        assert len(blocks) == n and all(len(con.scope) == 4 for con in blocks)
     with pytest.raises(InputError):
         build_decomposition(0, True)
 
@@ -202,7 +207,7 @@ def test_trace_events_bounded_by_store_size():
         d = decomp(n, True)
         store = initial_store(d)
         out = propagate(d, store)
-        assert out.trace.removals <= store.total_size()
+        assert out.trace.removals <= sum(map(len, store.candidates))
         assert out.trace.wakes  # every propagator woke at least once
 
 

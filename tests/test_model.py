@@ -65,7 +65,7 @@ def test_enumerate_full_space():
 
 
 def test_enumerate_sum_one_matrix():
-    p = binary_problem(4, [one_hot_table(4)], shape=(2, 2))
+    p = Problem(4, ((0, 1),) * 4, (one_hot_table(4),), (2, 2))
     assert len(enumerate_solutions(p)) == 4
 
 
@@ -137,9 +137,9 @@ def test_problem_validation():
 
 
 def test_problem_dict_round_trip():
-    p = binary_problem(4, [one_hot_table(4),
-                           ClauseConstraint((Literal(0, 1), Literal(2, 0, False))),
-                           UnaryConstraint(3, 0)], shape=(2, 2))
+    p = Problem(4, ((0, 1),) * 4, (one_hot_table(4),
+                                   ClauseConstraint((Literal(0, 1), Literal(2, 0, False))),
+                                   UnaryConstraint(3, 0)), (2, 2))
     assert problem_from_dict({
         "n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2],
         "constraints": [

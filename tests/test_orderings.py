@@ -80,6 +80,15 @@ def test_snake_vectorize_examples():
         snake_vectorize((1, 2), None)
     with pytest.raises(InputError):
         snake_vectorize((1, 2, 3), (2, 2))
+    with pytest.raises(InputError):
+        snake_vectorize((1, 2, 3, 4), (-2, -2))  # four cells, but no matrix
+
+
+@pytest.mark.parametrize("cls", [LexOrdering, RevLexOrdering, GrayOrdering, SnakeLexOrdering])
+def test_ordering_refuses_a_domain_that_repeats_a_value(cls):
+    # over (0, 0) x (0, 1), lex would unrank 0 and 2 to the same assignment
+    with pytest.raises(InputError, match="^domain of variable 0 repeats a value$"):
+        cls(((0, 0), (0, 1)), (1, 2))
 
 
 def test_snakelex_requires_shape():

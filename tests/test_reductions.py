@@ -141,14 +141,14 @@ def test_instance_validation():
 
 
 def test_group_gadget_unsat_formula():
-    g = group_gadget(Cnf(1, ((1,), (-1,))), n=2)
+    g = group_gadget(Cnf(2, ((1,), (-1,))))
     assert g.solutions == ((0, 0),)
     assert g.group.generators == ()
     assert solve_group_gadget(g) == UNSAT
 
 
 def test_group_gadget_positive_unit():
-    g = group_gadget(Cnf(1, ((1,),)), n=2)
+    g = group_gadget(Cnf(2, ((1,),)))
     assert g.solutions == ((0, 0), (1, 0), (1, 1))
     assert len(orbits(list(g.solutions), g.group)) == 1
     assert solve_group_gadget(g) == SAT
@@ -203,8 +203,6 @@ def test_group_gadget_random_cnfs():
 
 
 def test_group_gadget_width_checks():
-    with pytest.raises(InputError):
-        group_gadget(Cnf(3, ((1,),)), n=2)
     with pytest.raises(InputError):
         group_gadget(Cnf(11, ((1,),)))
 

@@ -148,14 +148,14 @@ def test_orbits_2x2_full_space():
     part = orbits(SPACE2x2, group)
     assert len(part) == 7
     assert len(part) == burnside_orbit_count(group, SPACE2x2)
-    assert sorted(part.sizes(), reverse=True) == [4, 4, 2, 2, 2, 1, 1]
+    assert sorted(map(len, part.blocks), reverse=True) == [4, 4, 2, 2, 2, 1, 1]
 
 
 def test_orbits_identity_only_group():
     group = SymmetryGroup((LiteralSymmetry.identity(binary_domains(4)),))
     part = orbits(SPACE2x2, group)
     assert len(part) == 16
-    assert all(size == 1 for size in part.sizes())
+    assert all(len(block) == 1 for block in part.blocks)
 
 
 def test_orbits_3x3_full_space():
@@ -218,7 +218,7 @@ def test_conjugate_preserves_orbit_size_multiset():
     group = row_col_group((2, 2))
     p1 = orbits(SPACE2x2, group)
     p2 = orbits(SPACE2x2, conjugate(pi, group))
-    assert sorted(p1.sizes()) == sorted(p2.sizes())
+    assert sorted(map(len, p1.blocks)) == sorted(map(len, p2.blocks))
     ok, tau = partitions_isomorphic(p1, p2, pi)
     assert ok
     assert sorted(tau) == list(range(len(p1)))
