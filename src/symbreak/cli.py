@@ -225,6 +225,9 @@ def _load_store(path):
 
 def _cmd_gray_check(ns: argparse.Namespace) -> int:
     if ns.store is not None:
+        for option, given in (("n", ns.n is not None), ("non-strict", ns.non_strict)):
+            if given:
+                raise InputError(f"--store gives n and strictness; drop --{option}")
         n, strict, store = _load_store(ns.store)
     elif ns.n is not None:
         n, strict = ns.n, not ns.non_strict
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ordering", choices=ORDERING_NAMES, default="lex")
         p.add_argument("--problem", help="problem file supplying domains and shape")
         p.add_argument("--n", type=int, help="binary space with this many variables")
-        p.add_argument("--shape", help="ROWSxCOLS, for snakelex with --n")
+        p.add_argument("--shape", help="ROWSxCOLS covering the --n variables (snakelex reads it)")
         if name == "rank":
             p.add_argument("assignment", help="0/1 string or comma-separated values")
         else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import contains, getitem, itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import Assignment, Domain, InputError, check_values
 
@@ -120,6 +120,12 @@ class LiteralSymmetry:
         if self._tables is None:
             return image
         return tuple(map(getitem, self._tables, image))
+
+    def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
+        """`apply` to each of many assignments already checked against the domains."""
+        if self._tables is None:
+            return map(self._gather, assignments)
+        return (tuple(map(getitem, self._tables, self._gather(a))) for a in assignments)
 
     def compose(self, other: "LiteralSymmetry") -> "LiteralSymmetry":
         """Symmetry acting as self after other: (self∘other)(a) = self(other(a))."""

@@ -17,7 +17,8 @@ The two kinds never mix inside one group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
     ABSENT,
@@ -60,6 +61,9 @@ class AssignmentSymmetry:
         a = tuple(a)
         return self._map.get(a, a)
 
+    def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
+        return map(self.apply, assignments)
+
     def compose(self, other: "AssignmentSymmetry") -> "AssignmentSymmetry":
         if not isinstance(other, AssignmentSymmetry):
             raise InputError("cannot compose literal and assignment-level symmetries")
@@ -92,6 +96,7 @@ class SymmetryGroup:
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
     _closure: Optional[tuple[Symmetry, ...]] = field(default=None, repr=False, compare=False)
+    _tree: tuple[tuple[int, int], ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
@@ -112,20 +117,31 @@ class SymmetryGroup:
         """
         gens = self.generators
         if self._closure is None and not gens:
-            self._closure = ()
+            self._closure, self._tree = (), ()
         if self._closure is not None:
             return self._closure
         if isinstance(gens[0], LiteralSymmetry):
             space, lits = gens[0]._space, [g.lits for g in gens]
-            found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits),
-                                  cap=self.cap, what="closure")
+            products = lambda e: map(_gatherer(e), lits)
+            found = _orbit_search(space.identity, products, cap=self.cap, what="closure")
             self._closure = tuple(LiteralSymmetry(e, space) for e in found)
         else:
-            found = _orbit_search(AssignmentSymmetry.identity(),
-                                  lambda e: [g.compose(e) for g in gens],
+            products = lambda e: (g.compose(e) for g in gens)
+            found = _orbit_search(AssignmentSymmetry.identity(), products,
                                   cap=self.cap, what="closure")
             self._closure = tuple(found)
+        position = dict(zip(found, range(len(found))))
+        self._tree = tuple((position[p], next(k for k, b in enumerate(products(p)) if b == e))
+                           for e, p in islice(found.items(), 1, None))
         return self._closure
+
+    def closure_tree(self) -> tuple[tuple[int, int], ...]:
+        """The closure search's spanning tree: for each element after the
+        identity, (p, k) such that it is generators[k] ∘ closure()[p].  It is
+        breadth-first, so the children of each element follow one another,
+        in the order of their parents."""
+        self.closure()
+        return self._tree
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order."""
@@ -142,7 +158,8 @@ def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[d
     """Breadth-first search from `start`; neighbours(p) lists the points one
     step from p, one per generator, in generator order.
 
-    Returns the points reached, in discovery order, as the keys of a dict.
+    Returns the points reached, in discovery order, as the keys of a dict
+    whose values are the points they were first reached from (None for start).
     An image outside `inside` (when given) is an input error; more than
     `cap` points overflow the `what` being searched.
     """
@@ -157,7 +174,7 @@ def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[d
                         raise InputError(
                             "generator maps a solution outside the solution set "
                             f"({a} -> {b})")
-                    seen[b] = None
+                    seen[b] = a
                     if cap is not None and len(seen) > cap:
                         raise CapExceededError(f"{what} exceeds cap={cap}")
                     new.append(b)
@@ -167,9 +184,11 @@ def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[d
 
 @dataclass
 class OrbitPartition:
-    """Disjoint blocks covering the input set, in first-occurrence order."""
+    """Disjoint blocks covering the input set, in first-occurrence order;
+    `group` is the group whose orbits they are, when `orbits` made them."""
 
     blocks: tuple[tuple[Assignment, ...], ...]
+    group: Optional[SymmetryGroup] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -194,7 +213,7 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartit
             reached = _orbit_search(a, images, inside=index)
             placed.update(reached)
             blocks.append(tuple(sorted(reached, key=index.__getitem__)))
-    return OrbitPartition(tuple(blocks))
+    return OrbitPartition(tuple(blocks), group)
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:

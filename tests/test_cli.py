@@ -145,6 +145,16 @@ def test_gray_check_store_file_and_failure(capsys, tmp_path):
         assert out == expected
 
 
+@pytest.mark.parametrize("extra", [["--n", "5"], ["--non-strict"], ["--n", "2", "--non-strict"]],
+                         ids=["n", "non-strict", "n-and-non-strict"])
+def test_gray_check_options_conflicting_with_store_are_refused(capsys, tmp_path, extra):
+    store = tmp_path / "s.json"
+    store.write_text(json.dumps({"lhs": [[0, 1]] * 2, "rhs": [[0, 1]] * 2}))
+    code, out, err = invoke(capsys, ["gray-check", "--store", str(store), *extra])
+    assert code == 2 and out == ""
+    assert err == f"error: --store gives n and strictness; drop {extra[0]}\n"
+
+
 def test_gray_check_non_strict(capsys):
     code, out, _ = invoke(capsys, ["gray-check", "--n", "1", "--non-strict",
                                    "--format", "csv"])
@@ -225,34 +235,55 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def count_key_calls(monkeypatch) -> dict:
+    """Count `key` calls of every ordering: SimpleOrdering's, inherited by
+    revlex, gray and snakelex, and LexOrdering's own (its positions)."""
+    from symbreak.orderings import LexOrdering, SimpleOrdering
+
+    calls = {"key": 0}
+    for cls in (SimpleOrdering, LexOrdering):
+        def counted(self, a, key=cls.__dict__["key"]):
+            calls["key"] += 1
+            return key(self, a)
+
+        monkeypatch.setattr(cls, "key", counted)
+    return calls
+
+
 def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch):
+    # The per-assignment path this replaced evaluated each breaking set once
+    # per solution (9 x 16, 16 and 16 SymmetryBreakingSet.satisfied calls).
+    # The kernel evaluates no set per assignment: it calls `key` once per
+    # solution for each posted ordering and then judges by rank lookups.
+    # compare posts lex, revlex, gray and snakelex, and its doublelex row
+    # shares the lex rows' ordering: 4 x 16; check and break post lex: 16.
     import symbreak.breaker
     import symbreak.cli
-    from symbreak.breaker import SymmetryBreakingSet
+    from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
     from symbreak.symmetry import orbits
 
-    calls = {"orbits": 0, "satisfied": 0}
+    calls = count_key_calls(monkeypatch)
 
     def counted_orbits(*args):
         calls["orbits"] += 1
         return orbits(*args)
 
-    satisfied = SymmetryBreakingSet.satisfied
-
-    def counted_satisfied(self, a):
-        calls["satisfied"] += 1
-        return satisfied(self, a)
+    def counter(name, method):
+        def counted(self, a):
+            calls[name] += 1
+            return method(self, a)
+        return counted
 
     for module in (symbreak.cli, symbreak.breaker):
         monkeypatch.setattr(module, "orbits", counted_orbits)
-    monkeypatch.setattr(SymmetryBreakingSet, "satisfied", counted_satisfied)
+    for name, cls in (("set", SymmetryBreakingSet), ("leader", LeaderConstraint)):
+        monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
     _, problem, syms = files
-    # 16 solutions; compare judges 9 breaking sets
-    for command, evaluations in (("compare", 9 * 16), ("check", 16), ("break", 16)):
-        calls.update(orbits=0, satisfied=0)
+    for command, keys in (("compare", 4 * 16), ("check", 16), ("break", 16)):
+        calls.update(orbits=0, set=0, leader=0, key=0)
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
-        assert calls == {"orbits": 1, "satisfied": evaluations}, command
+        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": keys}, command
 
 
 def _run_cli_subprocess(argv):
@@ -310,10 +341,13 @@ def test_gray_import_leaves_the_other_layers_unloaded():
         assert repr(module) not in loaded
 
 
-@pytest.mark.parametrize("shape, checks", [((2, 3), 1567), ((3, 3), 14152)])
-def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, checks):
-    # the count pins closure order and short-circuit order; it was taken
-    # from the dict-based kernel that the literal permutations replaced
+@pytest.mark.parametrize("shape, keys", [((2, 3), 4 * 64), ((3, 3), 4 * 512)])
+def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, keys):
+    # The per-assignment path made 1567 and 14152 LeaderConstraint.satisfied
+    # calls here.  The kernel makes none: it ranks the 2^(r*c) solutions
+    # once per posted ordering (lex, revlex, gray, snakelex; doublelex
+    # shares lex), one key call each, and every image it compares stays in
+    # the solution set, so no key call follows.
     from symbreak.breaker import LeaderConstraint
 
     r, c = shape
@@ -322,18 +356,38 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, checks)
                                    "shape": [r, c]}))
     syms = tmp_path / "s.json"
     syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": r, "cols": c}]}))
-    calls = [0]
+    calls = count_key_calls(monkeypatch)
+    calls["leader"] = 0
     satisfied = LeaderConstraint.satisfied
 
     def counted(self, a):
-        calls[0] += 1
+        calls["leader"] += 1
         return satisfied(self, a)
 
     monkeypatch.setattr(LeaderConstraint, "satisfied", counted)
     code, _, _ = invoke(capsys, ["compare", "--problem", str(problem),
                                  "--symmetries", str(syms)])
     assert code == 0
-    assert calls[0] == checks
+    assert calls == {"key": keys, "leader": 0}
+
+
+def test_key_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, monkeypatch):
+    # x0 = 1 leaves 8 solutions, and the symmetry file holds only the
+    # identity, so doublelex's row and column swaps are no group element:
+    # each is applied to the solutions still alive, and an image outside
+    # the solution set costs one more key call.  The row swap sends the 4
+    # solutions with x2 = 0 outside (3 survive it), the column swap 2 of
+    # those 3: 8 + 4 + 2 key calls.
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(dict(PROBLEM_2x2, constraints=[
+        {"kind": "unary", "var": 0, "value": 1}])))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3]}]}))
+    calls = count_key_calls(monkeypatch)
+    code, out, _ = invoke(capsys, ["check", "--method", "doublelex", "--problem", str(problem),
+                                   "--symmetries", str(syms)])
+    assert (code, out.splitlines()[-1].split()) == (1, ["false", "true", "8", "1"])
+    assert calls["key"] == 8 + 4 + 2
 
 
 BINARY_2 = {"n": 2, "domains": [[0, 1]] * 2}

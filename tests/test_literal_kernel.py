@@ -1,20 +1,41 @@
-"""Differential test of the literal kernel against the per-assignment reference.
+"""Differential tests of the literal and solution-indexed kernels against
+per-assignment references.
 
 `RefSymmetry` and `ref_compare` are copies of the dict-based `apply`,
 `compose` and `compare` that the literal-permutation kernel replaced: one
-dict lookup per variable, one position per variable.  Closure order, orbit
-blocks and the survivors of every breaking set must agree exactly.
+dict lookup per variable, one position per variable.  `reference_kept` is
+the per-assignment path that the solution-indexed kernel of
+`orbit_verdict` and `compare_table` replaced: `SymmetryBreakingSet.satisfied`,
+that is `LeaderConstraint.satisfied`, once per solution.  Closure order,
+orbit blocks, the survivors of every breaking set and every compare row
+must agree exactly.
 """
 
 import itertools
+import json
 import math
 
 import pytest
 
-from symbreak.breaker import doublelex_constraints, leader_constraints, orbit_verdict
-from symbreak.model import all_assignments
-from symbreak.orderings import EQ, GT, LT, ORDERING_NAMES, make_ordering, snake_variable_order
-from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, orbits
+from symbreak.breaker import (
+    compare_table,
+    doublelex_constraints,
+    leader_constraints,
+    orbit_verdict,
+)
+from symbreak.cli import run
+from symbreak.model import all_assignments, binary_domains
+from symbreak.orderings import (
+    EQ,
+    GT,
+    LT,
+    ORDERING_NAMES,
+    applicable_orderings,
+    make_ordering,
+    rank_preserving_map,
+    snake_variable_order,
+)
+from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, orbits, row_col_group
 
 # leader-full rows need the closure; beyond this the reference is too slow
 MAX_REFERENCE_GROUP = 720
@@ -108,6 +129,27 @@ def ref_kept(blocks, elements, name, domains, shape):
                  for block in blocks)
 
 
+def reference_kept(partition, bset):
+    """Survivors per block by the per-assignment path: one `satisfied` per member."""
+    return tuple(tuple(a for a in block if bset.satisfied(a)) for block in partition.blocks)
+
+
+def reference_rows(solutions, group, domains, shape):
+    """compare_table's rows, each judged by `reference_kept`."""
+    sets = [(o.name, method, leader_constraints(group, o, mode))
+            for o in applicable_orderings(domains, shape)
+            for method, mode in (("leader-full", "full"), ("leader-generators", "generators"))]
+    if shape is not None:
+        sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
+    partition = orbits(solutions, group)
+    rows = []
+    for name, method, bset in sets:
+        counts = [len(kept) for kept in reference_kept(partition, bset)]
+        rows.append((name, method, len(bset), sum(counts), len(partition),
+                     all(c >= 1 for c in counts), all(c <= 1 for c in counts)))
+    return rows
+
+
 def row_col_specs(r, c, domains):
     """(var_perm, val_maps) of the adjacent row then column transpositions."""
     specs = []
@@ -187,6 +229,66 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     doublelex = orbit_verdict(partition, doublelex_constraints(shape, domains))
     row_col = [RefSymmetry(p, m) for p, m in row_col_specs(r, c, domains)]
     assert doublelex.kept == ref_kept(blocks, row_col, "lex", domains, shape)
+    if len(modes) == 2:
+        assert compare_table(solutions, group, domains, shape) == \
+            reference_rows(solutions, group, domains, shape)
+
+
+def set_case(name):
+    """(solutions, group, domains, shape) of a case for the indexed kernel."""
+    kind, _, cells = name.rpartition("-")
+    shape = tuple(map(int, cells.split("x")))
+    doms = binary_domains(shape[0] * shape[1])
+    space = list(all_assignments(doms))
+    if kind.startswith("conjugated-"):
+        # assignment-level generators: the walk gathers their lists alike
+        pi = rank_preserving_map(make_ordering(kind[len("conjugated-"):], doms, shape))
+        return space, conjugate(pi, row_col_group(shape)), doms, shape
+    if kind == "row-swaps-only":
+        # doublelex's column swaps are no element of this group
+        rows = row_col_specs(*shape, doms)[:shape[0] - 1]
+        gens = tuple(LiteralSymmetry.from_maps(p, m) for p, m in rows)
+        return space, SymmetryGroup(gens), doms, shape
+    # x0 = 1: doublelex sends solutions outside the solution set
+    gens = (LiteralSymmetry.identity(doms),) if kind == "x0-identity" else ()
+    return [a for a in space if a[0] == 1], SymmetryGroup(gens), doms, shape
+
+
+SET_CASES = ["conjugated-gray-2x2", "conjugated-snakelex-2x3", "conjugated-revlex-3x2",
+             "row-swaps-only-2x3", "row-swaps-only-3x2", "x0-identity-2x2",
+             "x0-no-generators-2x2", "x0-identity-2x3"]
+
+
+@pytest.mark.parametrize("name", SET_CASES)
+def test_indexed_kernel_matches_leader_constraint_oracle(name):
+    solutions, group, domains, shape = set_case(name)
+    partition = orbits(solutions, group)
+    sets = [leader_constraints(group, ordering, mode)
+            for ordering in applicable_orderings(domains, shape)
+            for mode in ("full", "generators")]
+    for bset in sets + [doublelex_constraints(shape, domains)]:
+        assert orbit_verdict(partition, bset).kept == reference_kept(partition, bset)
+    assert compare_table(solutions, group, domains, shape) == \
+        reference_rows(solutions, group, domains, shape)
+
+
+def test_doublelex_outside_the_solutions_on_the_command_line(capsys, tmp_path):
+    # the bytes of the per-assignment path; doublelex posts the adjacent
+    # swaps though the symmetry file holds only the identity
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2],
+                                   "constraints": [{"kind": "unary", "var": 0, "value": 1}]}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3]}]}))
+    files = ["--method", "doublelex", "--problem", str(problem), "--symmetries", str(syms)]
+    assert run(["check", *files]) == 1
+    assert capsys.readouterr().out == ("# seed=0\nsound  complete  orbits  survivors\n"
+                                       "false  true      8       1\n")
+    assert run(["break", *files]) == 0
+    orbit_rows = "".join(f"{i}      1     {int(i == 7)}\n" for i in range(8))
+    assert capsys.readouterr().out == (
+        "# seed=0 ordering=lex method=doublelex constraints=2 survivors=1\n"
+        "assignment\n1111\n\norbit  size  survivors\n" + orbit_rows)
 
 
 def test_compose_and_invert_match_reference():

@@ -138,6 +138,23 @@ def test_closure_is_a_group():
         assert frozenset(prod.items()) in actions
 
 
+@pytest.mark.parametrize("group", [
+    row_col_group((3, 3)),
+    conjugate(rank_preserving_map(GrayOrdering(binary_domains(4))), row_col_group((2, 2))),
+    SymmetryGroup(()),
+], ids=["literal", "assignment-level", "no-generators"])
+def test_closure_tree_spans_the_closure_breadth_first(group):
+    closure, tree = group.closure(), group.closure_tree()
+    assert len(tree) == max(len(closure) - 1, 0)
+    depth = [0]
+    for pos, (parent, k) in enumerate(tree, 1):
+        assert parent < pos and group.generators[k].compose(closure[parent]) == closure[pos]
+        depth.append(depth[parent] + 1)
+    assert depth == sorted(depth)
+    parents = [parent for parent, _ in tree]
+    assert parents == sorted(parents)  # each element's children one after another
+
+
 def test_closure_cap_overflow():
     with pytest.raises(CapExceededError):
         SymmetryGroup(row_col_generators((3, 3)), cap=10).closure()
