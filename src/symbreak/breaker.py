@@ -8,10 +8,10 @@ still sound but may keep extra members.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .literals import _gatherer
 from .model import Assignment, Domain, InputError, binary_domains
@@ -37,14 +37,10 @@ class LeaderConstraint:
 
 @dataclass(frozen=True)
 class SymmetryBreakingSet:
-    """Conjunction of leader constraints, or an extensional satisfying set.
-
-    `closure_of` is set on a leader-full set: the group whose elements it posts.
-    """
+    """Conjunction of leader constraints, or an extensional satisfying set."""
 
     constraints: tuple[LeaderConstraint, ...]
     allowed: Optional[frozenset] = None
-    closure_of: Optional[SymmetryGroup] = field(default=None, compare=False, repr=False)
 
     def satisfied(self, a: Sequence[int]) -> bool:
         if self.allowed is not None:
@@ -72,7 +68,7 @@ def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
     else:
         raise InputError(f"unknown mode '{mode}' (use 'full' or 'generators')")
     cons = tuple(LeaderConstraint(s, ordering) for s in elements if not s.is_identity())
-    return SymmetryBreakingSet(cons, closure_of=group if mode == "full" else None)
+    return SymmetryBreakingSet(cons)
 
 
 def filter_solutions(solutions: Sequence[Assignment],
@@ -115,80 +111,59 @@ def _judge(partition: OrbitPartition,
     A leader constraint (sigma, ordering) keeps index i iff rank[i] <=
     rank[img[i]]: `rank` orders the solutions by `ordering.key`, one call per
     solution, and img[i] indexes sigma's image of solution i.  Every posted
-    constraint is tested, on the indices still alive.  Each generator of the
-    partition's group gets one image list; a set posting the group's whole
-    closure is tested along its closure tree (`_walk`).  Any other sigma is
-    applied to the alive solutions, and an image outside them compared by `key`.
+    constraint is tested, on the indices still alive.  A generator's list is
+    built once.  A set posting the group's closure after the identity, under
+    one ordering, is tested along the closure tree: the generators first,
+    the rest by `_walk`.  Any other sigma is applied to the alive solutions,
+    and an image outside the solutions compared by `key`.
     """
     sols = [a for block in partition.blocks for a in block]
     idx = list(range(len(sols)))  # the rank, image and alive lists share these ints
-    group = partition.group
-    gens = group.generators if group is not None else ()
-    alive = [idx if b.allowed is None else [i for i in idx if sols[i] in b.allowed]
-             for b in bsets]
-    full = []  # (set number, ordering) of each set posting the whole closure
-    at_gen: dict = {}  # generator index -> [(set number, ordering)]
-    applied: dict = {}  # ordering -> [(set number, sigma)] for any other sigma
+    group = partition.group or SymmetryGroup(())
+    gens, tree = group.generators, group.tree  # set once closure() ran, as for a leader-full set
+    at_gen, walked, applied, alive = {}, [], {}, []  # at_gen: k -> [(set, ordering)]
     for n, bset in enumerate(bsets):
-        if group is not None and bset.closure_of is group:
-            if bset.constraints:  # leader_constraints posts one ordering
-                full.append((n, bset.constraints[0].ordering))
-            continue
-        for con in bset.constraints if bset.allowed is None else ():
+        alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
+        cons = bset.constraints if bset.allowed is None else ()
+        if len({c.ordering for c in cons}) == 1 and tree and [
+                c.sigma for c in cons] == list(group.closure()[1:]):
+            walked.append((n, cons[0].ordering))
+            # the tree's first level is the generators: tested with their lists
+            cons = [LeaderConstraint(gens[k], cons[0].ordering) for p, k in tree if not p]
+        for con in cons:
             if con.sigma in gens:
                 at_gen.setdefault(gens.index(con.sigma), []).append((n, con.ordering))
             else:
                 applied.setdefault(con.ordering, []).append((n, con.sigma))
-
-    ranked = dict.fromkeys([o for _, o in full] + [o for c in at_gen.values() for _, o in c])
     ranks, keys = {}, {}
-    for ordering in {**ranked, **applied}:  # one ordering's keys at a time
-        if ordering in applied:
-            keys[ordering] = ordering_keys = list(map(ordering.key, sols))
-        elif max(ordering.radices) <= 256:  # digits that fit a byte: they sort faster
-            ordering_keys = list(map(bytes, map(ordering.key, sols)))
-        else:
-            ordering_keys = list(map(ordering.key, sols))
-        if ordering in ranked:
-            ranks[ordering] = rank = idx[:]
-            for r, i in zip(idx, sorted(idx, key=ordering_keys.__getitem__)):
-                rank[i] = r
-        del ordering_keys
-
+    for ordering in dict.fromkeys(o for posted in at_gen.values() for _, o in posted) | applied:
+        keys[ordering] = list(map(ordering.key, sols))  # one ordering's keys at a time
+        ranks[ordering] = rank = idx[:]
+        for r, i in zip(idx, sorted(idx, key=keys[ordering].__getitem__)):
+            rank[i] = r
+        if ordering not in applied:
+            del keys[ordering]
     index = dict(zip(sols, idx))
-    tree = group.closure_tree() if full else ()
-    gen_lists = {k: list(map(index.__getitem__, gens[k].images(sols)))
-                 for k in at_gen.keys() | {k for _, k in tree}}
     for ordering, posted in applied.items():
-        ordering_keys = keys[ordering]
+        own = keys[ordering]
         for n, sigma in posted:
-            images = [sigma.apply(sols[i]) for i in alive[n]]
-            alive[n] = [i for i, b in zip(alive[n], images) if ordering_keys[i] <= (
-                ordering_keys[index[b]] if b in index else ordering.key(b))]
+            images = map(sigma.apply, map(sols.__getitem__, alive[n]))
+            alive[n] = [i for i, b in zip(alive[n], images)
+                        if own[i] <= (own[index[b]] if b in index else ordering.key(b))]
+    lists = {k: list(map(index.__getitem__, gens[k].images(sols)))
+             for k in at_gen.keys() | {k for _, k in tree if walked}}
     del index, keys
-    # the closure's first two levels by lookups, before the walk: they cut
-    # the alive lists the most
-    firsts = {pos: k for pos, (parent, k) in enumerate(tree, 1) if not parent}
-    shallow = {pos: (gen_lists[firsts[parent]] if parent else idx, gen_lists[k])
-               for pos, (parent, k) in enumerate(tree, 1) if not parent or parent in firsts}
-    checks = [(idx, gen_lists[k], posted) for k, posted in at_gen.items()]
-    for first, last, posted in checks + [(*steps, full) for steps in shallow.values()]:
+    for k, posted in at_gen.items():
         for n, ordering in posted:
-            rank = ranks[ordering]
-            alive[n] = [i for i in alive[n] if rank[i] <= rank[last[first[i]]]]
-    if len(tree) > len(shallow):
-        # the walk follows only the solutions still alive: t stands for live[t]
-        live = sorted(set().union(*(alive[n] for n, _ in full)))
+            rank, img = ranks[ordering], lists[k]
+            alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
+    if walked:  # the walk follows the solutions still alive: live[where[i]] = i
+        live = sorted(set().union(*(alive[n] for n, _ in walked)))
         where = dict(zip(live, idx))
-        for n, _ in full:
-            alive[n] = [where[i] for i in alive[n]]
-        live_ranks = {o: list(map(ranks[o].__getitem__, live)) for _, o in full}
-        for pos, img in _walk(tree, gen_lists.__getitem__, live):
-            for n, ordering in full if pos not in shallow else ():
-                own, rank = live_ranks[ordering], ranks[ordering]
-                alive[n] = [t for t in alive[n] if own[t] <= rank[img[t]]]
-        for n, _ in full:
-            alive[n] = [live[t] for t in alive[n]]
+        for pos, img in _walk(tree, lists, live):
+            for n, ordering in walked if tree[pos - 1][0] else ():  # past the first level
+                rank = ranks[ordering]
+                alive[n] = [i for i in alive[n] if rank[i] <= rank[img[where[i]]]]
     starts = list(accumulate(map(len, partition.blocks), initial=0))
     return [Verdict(tuple(tuple(map(sols.__getitem__, kept[bisect_left(kept, lo):
                                                            bisect_left(kept, hi)]))
@@ -196,26 +171,22 @@ def _judge(partition: OrbitPartition,
             for kept in alive]  # each sorted
 
 
-def _walk(tree: Sequence[tuple[int, int]], gen_list: Callable[[int], list[int]],
-          root: list[int]) -> Iterator[tuple[int, Sequence[int]]]:
+def _walk(tree: Sequence[tuple[int, int]], lists: dict,
+          root: list[int]) -> Iterator[tuple[int, list[int]]]:
     """(position, image list) of each closure element after the identity,
-    depth-first over the closure tree from the identity's list `root`.  A
-    list is one gather of the parent's list through the generator's; only
-    the lists on the current path are held."""
-    counts = [0] * (len(tree) + 1)
-    for parent, _ in tree:
-        counts[parent] += 1
-    ends = list(accumulate(counts, initial=1))  # p's children: ends[p] to ends[p + 1]
-    stack = [[root, 1, ends[1]]] if tree else []  # list, next child, end of children
-    while stack:
-        img, pos, end = top = stack[-1]
-        top[1] += 1
-        if top[1] == end:
-            stack.pop()  # the last child: the parent's list can go
-        own = _gatherer(img)(gen_list(tree[pos - 1][1]))
-        yield pos, own
-        if ends[pos] < ends[pos + 1]:
-            stack.append([own, ends[pos], ends[pos + 1]])
+    depth-first over the breadth-first closure tree from the identity's list
+    `root`.  A list is one gather of its parent's list through its
+    generator's; only the lists on the current path are held."""
+    parents = [parent for parent, _ in tree]  # sorted, so each one's children are adjacent
+    children = lambda p: iter(range(bisect_left(parents, p) + 1, bisect_right(parents, p) + 1))
+    path = [(root, children(0))]
+    while path:
+        pos = next(path[-1][1], None)
+        if pos is None:
+            path.pop()
+        else:
+            path.append((_gatherer(path[-1][0])(lists[tree[pos - 1][1]]), children(pos)))
+            yield pos, path[-1][0]
 
 
 def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -246,19 +217,17 @@ def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) 
 
 
 def doublelex_constraints(shape: Optional[tuple[int, int]],
-                          domains: Optional[Sequence[Domain]] = None,
-                          lex: Optional[LexOrdering] = None) -> SymmetryBreakingSet:
+                          domains: Optional[Sequence[Domain]] = None) -> SymmetryBreakingSet:
     """Adjacent rows and adjacent columns lex-ordered, for a matrix model.
 
-    Expressed as leader constraints under the row-major lex ordering (`lex`,
-    when the caller has one on these domains) with the corresponding
-    adjacent row/column transpositions.
+    Expressed as leader constraints under the row-major lex ordering with the
+    corresponding adjacent row/column transpositions.
     """
     if shape is None:
         raise InputError("doublelex needs a matrix shape")
     r, c = shape
     doms = tuple(domains) if domains is not None else binary_domains(r * c)
-    ordering = lex if lex is not None else LexOrdering(doms)
+    ordering = LexOrdering(doms)
     cons = tuple(LeaderConstraint(g, ordering) for g in row_col_generators(shape, doms))
     return SymmetryBreakingSet(cons)
 
@@ -280,8 +249,9 @@ def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
     sets = [(ordering.name, method, leader_constraints(group, ordering, mode))
             for ordering in orderings
             for method, mode in (("leader-full", "full"), ("leader-generators", "generators"))]
-    if shape is not None:  # under the lex rows' ordering, so it is ranked once
-        sets.append(("lex", "doublelex", doublelex_constraints(shape, domains, orderings[0])))
+    if shape is not None:  # doublelex under the lex rows' ordering, so lex is ranked once
+        sets.append(("lex", "doublelex", SymmetryBreakingSet(tuple(
+            LeaderConstraint(g, orderings[0]) for g in row_col_generators(shape, domains)))))
     # after the sets, so a closure over its cap is reported ahead of an orbit error
     partition = orbits(solutions, group)
     verdicts = _judge(partition, [bset for _, _, bset in sets])

@@ -91,12 +91,16 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 
 @dataclass
 class SymmetryGroup:
-    """Group given by generators; closure is computed on demand and cached."""
+    """Group given by generators; closure is computed on demand and cached.
+
+    Then `tree` is the closure search's spanning tree: for each element after
+    the identity, (p, k) such that it is generators[k] ∘ closure()[p].
+    """
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
     _closure: Optional[tuple[Symmetry, ...]] = field(default=None, repr=False, compare=False)
-    _tree: tuple[tuple[int, int], ...] = field(default=(), repr=False, compare=False)
+    tree: tuple[tuple[int, int], ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
@@ -117,31 +121,21 @@ class SymmetryGroup:
         """
         gens = self.generators
         if self._closure is None and not gens:
-            self._closure, self._tree = (), ()
+            self._closure = ()
         if self._closure is not None:
             return self._closure
         if isinstance(gens[0], LiteralSymmetry):
             space, lits = gens[0]._space, [g.lits for g in gens]
-            products = lambda e: map(_gatherer(e), lits)
-            found = _orbit_search(space.identity, products, cap=self.cap, what="closure")
+            found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits),
+                                  cap=self.cap, what="closure")
             self._closure = tuple(LiteralSymmetry(e, space) for e in found)
         else:
-            products = lambda e: (g.compose(e) for g in gens)
-            found = _orbit_search(AssignmentSymmetry.identity(), products,
+            found = _orbit_search(AssignmentSymmetry.identity(),
+                                  lambda e: [g.compose(e) for g in gens],
                                   cap=self.cap, what="closure")
             self._closure = tuple(found)
-        position = dict(zip(found, range(len(found))))
-        self._tree = tuple((position[p], next(k for k, b in enumerate(products(p)) if b == e))
-                           for e, p in islice(found.items(), 1, None))
+        self.tree = tuple(islice(found.values(), 1, None))
         return self._closure
-
-    def closure_tree(self) -> tuple[tuple[int, int], ...]:
-        """The closure search's spanning tree: for each element after the
-        identity, (p, k) such that it is generators[k] ∘ closure()[p].  It is
-        breadth-first, so the children of each element follow one another,
-        in the order of their parents."""
-        self.closure()
-        return self._tree
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order."""
@@ -159,25 +153,28 @@ def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[d
     step from p, one per generator, in generator order.
 
     Returns the points reached, in discovery order, as the keys of a dict
-    whose values are the points they were first reached from (None for start).
+    whose values are (p, k) when the point was first reached as neighbour k
+    of the p-th point (None for start).
     An image outside `inside` (when given) is an input error; more than
     `cap` points overflow the `what` being searched.
     """
     seen: dict = {start: None}
     frontier = [start]
+    p = 0
     while frontier:
         new = []
         for a in frontier:
-            for b in neighbours(a):
+            for k, b in enumerate(neighbours(a)):
                 if b not in seen:
                     if inside is not None and b not in inside:
                         raise InputError(
                             "generator maps a solution outside the solution set "
                             f"({a} -> {b})")
-                    seen[b] = a
+                    seen[b] = p, k
                     if cap is not None and len(seen) > cap:
                         raise CapExceededError(f"{what} exceeds cap={cap}")
                     new.append(b)
+            p += 1
         frontier = new
     return seen
 

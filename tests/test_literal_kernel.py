@@ -18,6 +18,8 @@ import math
 import pytest
 
 from symbreak.breaker import (
+    LeaderConstraint,
+    SymmetryBreakingSet,
     compare_table,
     doublelex_constraints,
     leader_constraints,
@@ -270,6 +272,25 @@ def test_indexed_kernel_matches_leader_constraint_oracle(name):
         assert orbit_verdict(partition, bset).kept == reference_kept(partition, bset)
     assert compare_table(solutions, group, domains, shape) == \
         reference_rows(solutions, group, domains, shape)
+
+
+@pytest.mark.parametrize("name", ["row-col-2x3", "conjugated-gray-2x2"])
+def test_sets_near_the_closure_match_leader_constraint_oracle(name):
+    # only a set posting exactly the closure after the identity, under one
+    # ordering, is walked; these differ from it and are judged per constraint
+    if name.startswith("row-col"):
+        domains, shape = binary_domains(6), (2, 3)
+        solutions, group = list(all_assignments(domains)), row_col_group(shape)
+    else:
+        solutions, group, domains, shape = set_case(name)
+    lex, revlex = applicable_orderings(domains, shape)[:2]
+    cons = leader_constraints(group, lex).constraints
+    mixed = cons[:-1] + (LeaderConstraint(cons[-1].sigma, revlex),)
+    uncached = orbits(solutions, SymmetryGroup(group.generators))
+    for partition in (orbits(solutions, group), uncached):
+        for near in (cons[:-1], cons[::-1], mixed, cons + cons[:1], cons):
+            bset = SymmetryBreakingSet(near)
+            assert orbit_verdict(partition, bset).kept == reference_kept(partition, bset)
 
 
 def test_doublelex_outside_the_solutions_on_the_command_line(capsys, tmp_path):

@@ -144,7 +144,7 @@ def test_closure_is_a_group():
     SymmetryGroup(()),
 ], ids=["literal", "assignment-level", "no-generators"])
 def test_closure_tree_spans_the_closure_breadth_first(group):
-    closure, tree = group.closure(), group.closure_tree()
+    closure, tree = group.closure(), group.tree
     assert len(tree) == max(len(closure) - 1, 0)
     depth = [0]
     for pos, (parent, k) in enumerate(tree, 1):
