@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .literals import _gatherer
@@ -110,23 +109,22 @@ def _judge(partition: OrbitPartition,
 
     A leader constraint (sigma, ordering) keeps index i iff rank[i] <=
     rank[img[i]]: `rank` orders the solutions by `ordering.key`, one call per
-    solution, and img[i] indexes sigma's image of solution i.  Every posted
-    constraint is tested, on the indices still alive.  A generator's list is
-    built once.  A set posting the group's closure after the identity, under
-    one ordering, is tested along the closure tree: the generators first,
-    the rest by `_walk`.  Any other sigma is applied to the alive solutions,
-    and an image outside the solutions compared by `key`.
+    solution, and img[i] indexes sigma's image of solution i; a generator's
+    img is the partition's list.  Every posted constraint is tested, on the
+    indices still alive.  A set posting the group's closure after the
+    identity, under one ordering, is tested along the closure tree: the
+    generators first, the rest by `_walk`.  Any other sigma is applied to
+    the alive solutions, and an image outside the solutions compared by `key`.
     """
-    sols = [a for block in partition.blocks for a in block]
-    idx = list(range(len(sols)))  # the rank, image and alive lists share these ints
-    group = partition.group or SymmetryGroup(())
-    gens, tree = group.generators, group.tree  # set once closure() ran, as for a leader-full set
+    sols, lists = partition.solutions, partition.images
+    idx = list(range(len(sols)))
+    gens, tree = partition.group.generators, partition.group.tree  # tree: once closure() ran
     at_gen, walked, applied, alive = {}, [], {}, []  # at_gen: k -> [(set, ordering)]
     for n, bset in enumerate(bsets):
         alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
         cons = bset.constraints if bset.allowed is None else ()
         if len({c.ordering for c in cons}) == 1 and tree and [
-                c.sigma for c in cons] == list(group.closure()[1:]):
+                c.sigma for c in cons] == list(partition.group.closure()[1:]):
             walked.append((n, cons[0].ordering))
             # the tree's first level is the generators: tested with their lists
             cons = [LeaderConstraint(gens[k], cons[0].ordering) for p, k in tree if not p]
@@ -135,24 +133,18 @@ def _judge(partition: OrbitPartition,
                 at_gen.setdefault(gens.index(con.sigma), []).append((n, con.ordering))
             else:
                 applied.setdefault(con.ordering, []).append((n, con.sigma))
-    ranks, keys = {}, {}
+    ranks = {}
     for ordering in dict.fromkeys(o for posted in at_gen.values() for _, o in posted) | applied:
-        keys[ordering] = list(map(ordering.key, sols))  # one ordering's keys at a time
+        keys = list(map(ordering.key, sols))  # one ordering's keys at a time
         ranks[ordering] = rank = idx[:]
-        for r, i in zip(idx, sorted(idx, key=keys[ordering].__getitem__)):
+        for r, i in zip(idx, sorted(idx, key=keys.__getitem__)):
             rank[i] = r
-        if ordering not in applied:
-            del keys[ordering]
-    index = dict(zip(sols, idx))
-    for ordering, posted in applied.items():
-        own = keys[ordering]
-        for n, sigma in posted:
+        keyed = dict(zip(sols, keys)) if ordering in applied else {}
+        for n, sigma in applied.get(ordering, ()):
             images = map(sigma.apply, map(sols.__getitem__, alive[n]))
             alive[n] = [i for i, b in zip(alive[n], images)
-                        if own[i] <= (own[index[b]] if b in index else ordering.key(b))]
-    lists = {k: list(map(index.__getitem__, gens[k].images(sols)))
-             for k in at_gen.keys() | {k for _, k in tree if walked}}
-    del index, keys
+                        if keys[i] <= (keyed[b] if b in keyed else ordering.key(b))]
+        del keys, keyed
     for k, posted in at_gen.items():
         for n, ordering in posted:
             rank, img = ranks[ordering], lists[k]
@@ -164,14 +156,10 @@ def _judge(partition: OrbitPartition,
             for n, ordering in walked if tree[pos - 1][0] else ():  # past the first level
                 rank = ranks[ordering]
                 alive[n] = [i for i in alive[n] if rank[i] <= rank[img[where[i]]]]
-    starts = list(accumulate(map(len, partition.blocks), initial=0))
-    return [Verdict(tuple(tuple(map(sols.__getitem__, kept[bisect_left(kept, lo):
-                                                           bisect_left(kept, hi)]))
-                          for lo, hi in zip(starts, starts[1:])))
-            for kept in alive]  # each sorted
+    return [Verdict(partition.grouped(kept)) for kept in alive]  # each sorted
 
 
-def _walk(tree: Sequence[tuple[int, int]], lists: dict,
+def _walk(tree: Sequence[tuple[int, int]], lists: Sequence[list[int]],
           root: list[int]) -> Iterator[tuple[int, list[int]]]:
     """(position, image list) of each closure element after the identity,
     depth-first over the breadth-first closure tree from the identity's list

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import contains, getitem, itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .model import Assignment, Domain, InputError, check_values
 
@@ -121,8 +121,10 @@ class LiteralSymmetry:
             return image
         return tuple(map(getitem, self._tables, image))
 
-    def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
-        """`apply` to each of many assignments already checked against the domains."""
+    def images(self, assignments: Sequence[Sequence[int]]) -> Iterator[Assignment]:
+        """`apply` to each of many assignments, checked in bulk first."""
+        if {*map(len, assignments)} - {self.n} or not all(map(self._space.in_domains, assignments)):
+            list(map(self.apply, assignments))  # raises at the first assignment `apply` refuses
         if self._tables is None:
             return map(self._gather, assignments)
         return (tuple(map(getitem, self._tables, self._gather(a))) for a in assignments)

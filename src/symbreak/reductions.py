@@ -34,7 +34,7 @@ from .model import (
     read_fields,
 )
 from .orderings import RevLexOrdering, SimpleOrdering
-from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
+from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup
 
 MAX_ONE_IN_THREE_VARS = 12
 MAX_GROUP_GADGET_VARS = 10
@@ -215,12 +215,10 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
     (factorially large) closure.  The unique survivor being all-zero and
     falsifying phi means UNSAT; anything else means SAT.
     """
-    partition = orbits(enumerate_solutions(gadget.problem), gadget.group)
-    survivors = [gadget.ordering.minimum(block) for block in partition.blocks]
-    if len(survivors) != 1:
-        raise InvariantViolationError(
-            f"group gadget left {len(survivors)} solutions, expected 1")
-    winner = survivors[0]
+    solutions = enumerate_solutions(gadget.problem)
+    if len(gadget.group.orbit_of(solutions[0])) != len(solutions):
+        raise InvariantViolationError("group gadget's solutions form more than one orbit")
+    winner = gadget.ordering.minimum(solutions)
     if winner == (0,) * gadget.phi.num_vars:
         return SAT if gadget.phi.satisfied_by(winner) else UNSAT
     return SAT

@@ -139,24 +139,19 @@ class SymmetryGroup:
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order."""
-        return tuple(_orbit_search(tuple(a), _images(self.generators), cap=self.cap))
+        return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in self.generators],
+                                   cap=self.cap))
 
 
-def _images(generators: Sequence[Symmetry]) -> Callable:
-    """The neighbours of an assignment: its image under each generator."""
-    return lambda a: [g.apply(a) for g in generators]
-
-
-def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[dict] = None,
+def _orbit_search(start, neighbours: Callable[..., Iterable],
                   cap: Optional[int] = None, what: str = "orbit") -> dict:
     """Breadth-first search from `start`; neighbours(p) lists the points one
     step from p, one per generator, in generator order.
 
     Returns the points reached, in discovery order, as the keys of a dict
     whose values are (p, k) when the point was first reached as neighbour k
-    of the p-th point (None for start).
-    An image outside `inside` (when given) is an input error; more than
-    `cap` points overflow the `what` being searched.
+    of the p-th point (None for start).  More than `cap` points overflow the
+    `what` being searched.
     """
     seen: dict = {start: None}
     frontier = [start]
@@ -166,10 +161,6 @@ def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[d
         for a in frontier:
             for k, b in enumerate(neighbours(a)):
                 if b not in seen:
-                    if inside is not None and b not in inside:
-                        raise InputError(
-                            "generator maps a solution outside the solution set "
-                            f"({a} -> {b})")
                     seen[b] = p, k
                     if cap is not None and len(seen) > cap:
                         raise CapExceededError(f"{what} exceeds cap={cap}")
@@ -181,36 +172,57 @@ def _orbit_search(start, neighbours: Callable[..., Iterable], inside: Optional[d
 
 @dataclass
 class OrbitPartition:
-    """Disjoint blocks covering the input set, in first-occurrence order;
-    `group` is the group whose orbits they are, when `orbits` made them."""
+    """The orbits of `group` on `solutions`, kept in input order: block_of[i]
+    is the index of the first member of solution i's orbit, and images[k][i]
+    the index of generator k's image of solution i."""
 
-    blocks: tuple[tuple[Assignment, ...], ...]
-    group: Optional[SymmetryGroup] = field(default=None, repr=False, compare=False)
+    solutions: tuple[Assignment, ...]
+    block_of: list[int] = field(repr=False)
+    images: tuple[list[int], ...] = field(repr=False)
+    group: SymmetryGroup = field(repr=False, compare=False)
+
+    @property
+    def blocks(self) -> tuple[tuple[Assignment, ...], ...]:
+        return self.grouped(range(len(self.solutions)))
+
+    def grouped(self, indices: Iterable[int]) -> tuple[tuple[Assignment, ...], ...]:
+        """The solutions at `indices`, increasing, listed block by block."""
+        blocks: dict[int, list[Assignment]] = {first: [] for first in self.block_of}
+        for i in indices:
+            blocks[self.block_of[i]].append(self.solutions[i])
+        return tuple(map(tuple, blocks.values()))
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(set(self.block_of))
 
 
 def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartition:
     """Partition of the solution set into orbits of the generated group.
 
-    Works from generators alone (no closure): one breadth-first search from
-    each solution not yet placed, whose images must all stay inside the
-    solution set.  Each block lists its members in input order.
+    Works from generators alone (no closure): each generator is applied to
+    every solution once, and each orbit is one breadth-first search over the
+    image indices from the first solution not yet placed.  An image outside
+    the solution set is an input error, raised when the search reaches it.
     """
-    sols = [tuple(a) for a in solutions]
+    sols = tuple(map(tuple, solutions))
     index = {a: i for i, a in enumerate(sols)}
     if len(index) != len(sols):
         raise InputError("solution list repeats an assignment")
-    images = _images(group.generators)
-    placed: set = set()
-    blocks = []
-    for a in sols:
-        if a not in placed:
-            reached = _orbit_search(a, images, inside=index)
-            placed.update(reached)
-            blocks.append(tuple(sorted(reached, key=index.__getitem__)))
-    return OrbitPartition(tuple(blocks), group)
+    lists = tuple(list(map(index.get, g.images(sols))) for g in group.generators)
+
+    def neighbours(i: int) -> list:
+        found = [img[i] for img in lists]
+        if None in found:
+            raise InputError("generator maps a solution outside the solution set "
+                             f"({sols[i]} -> {group.generators[found.index(None)].apply(sols[i])})")
+        return found
+
+    block_of = [-1] * len(sols)
+    for i, first in enumerate(block_of):
+        if first < 0:
+            for j in _orbit_search(i, neighbours):
+                block_of[j] = i
+    return OrbitPartition(sols, block_of, lists, group)
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:

@@ -256,13 +256,32 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     # The kernel evaluates no set per assignment: it calls `key` once per
     # solution for each posted ordering and then judges by rank lookups.
     # compare posts lex, revlex, gray and snakelex, and its doublelex row
-    # shares the lex rows' ordering: 4 x 16; check and break post lex: 16.
+    # shares the lex rows' ordering: 4 x 16; check and break post lex: 16;
+    # orbits posts none.  Each generator is applied to the 16 solutions
+    # once, by one `images` call in `orbits`; the kernel reads the
+    # partition's image lists, so nothing calls `apply`.
+    from collections import Counter
+
     import symbreak.breaker
     import symbreak.cli
     from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
-    from symbreak.symmetry import orbits
+    from symbreak.literals import LiteralSymmetry
+    from symbreak.symmetry import orbits, row_col_generators
 
     calls = count_key_calls(monkeypatch)
+    images_of = Counter()
+    images, apply = LiteralSymmetry.images, LiteralSymmetry.apply
+
+    def counted_images(self, assignments):
+        images_of[self] += 1
+        return images(self, assignments)
+
+    def counted_apply(self, a):
+        calls["apply"] += 1
+        return apply(self, a)
+
+    monkeypatch.setattr(LiteralSymmetry, "images", counted_images)
+    monkeypatch.setattr(LiteralSymmetry, "apply", counted_apply)
 
     def counted_orbits(*args):
         calls["orbits"] += 1
@@ -279,11 +298,13 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     for name, cls in (("set", SymmetryBreakingSet), ("leader", LeaderConstraint)):
         monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
     _, problem, syms = files
-    for command, keys in (("compare", 4 * 16), ("check", 16), ("break", 16)):
-        calls.update(orbits=0, set=0, leader=0, key=0)
+    for command, keys in (("compare", 4 * 16), ("check", 16), ("break", 16), ("orbits", 0)):
+        calls.update(orbits=0, set=0, leader=0, key=0, apply=0)
+        images_of.clear()
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
-        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": keys}, command
+        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": keys, "apply": 0}, command
+        assert images_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 
 def _run_cli_subprocess(argv):
@@ -388,6 +409,36 @@ def test_key_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, 
                                    "--symmetries", str(syms)])
     assert (code, out.splitlines()[-1].split()) == (1, ["false", "true", "8", "1"])
     assert calls["key"] == 8 + 4 + 2
+
+
+# x0 = 1, and each generator moves x0 to another cell while flipping the
+# value it brings back: g (swap x0, x1) sends the solutions with x1 = 1
+# outside the set, h (swap x0, x2) those with x2 = 1.  From (1, 0, 0, 0)
+# both images stay inside; the search reaches the error one step later, at
+# whichever image the first generator found, so the line follows the order.
+SWAP_FLIP = {"g": ([1, 0, 2, 3], 1), "h": ([2, 1, 0, 3], 2)}
+
+
+@pytest.mark.parametrize("command", ["orbits", "check", "compare", "break"])
+@pytest.mark.parametrize("order, line", [
+    ("gh", "((1, 1, 0, 0) -> (0, 1, 0, 0))"),
+    ("hg", "((1, 0, 1, 0) -> (0, 0, 1, 0))"),
+])
+def test_generator_leaving_the_solutions_is_an_input_error(capsys, tmp_path, command, order,
+                                                           line):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(dict(PROBLEM_2x2, constraints=[
+        {"kind": "unary", "var": 0, "value": 1}])))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [
+        {"kind": "literal", "var_perm": SWAP_FLIP[name][0],
+         "val_maps": [[[0, 1], [1, 0]] if i == SWAP_FLIP[name][1] else [[0, 0], [1, 1]]
+                      for i in range(4)]}
+        for name in order]}))
+    code, out, err = invoke(capsys, [command, "--problem", str(problem),
+                                     "--symmetries", str(syms)])
+    assert (code, out) == (2, "")
+    assert err == f"error: generator maps a solution outside the solution set {line}\n"
 
 
 BINARY_2 = {"n": 2, "domains": [[0, 1]] * 2}

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -53,6 +54,17 @@ def test_apply_arity_and_domain_errors():
         flip.apply((0,))
     with pytest.raises(InputError):
         flip.apply((2, 0))
+
+
+@pytest.mark.parametrize("sym", [LiteralSymmetry.variable((1, 0), binary_domains(2)),
+                                 LiteralSymmetry.value_swap(0, 0, 1, binary_domains(2))],
+                         ids=["swap", "flip"])
+@pytest.mark.parametrize("bad", [(0, 5), (5, 0), (0, 1, 1), (1,)])
+def test_images_refuse_what_apply_refuses(sym, bad):
+    with pytest.raises(InputError) as refused:
+        sym.apply(bad)
+    with pytest.raises(InputError, match=re.escape(str(refused.value))):
+        list(sym.images([(0, 1), bad, (1, 1)]))
 
 
 def test_literal_validation():
