@@ -1,14 +1,16 @@
 """Command-line front end: one binary, subcommand per task.
 
 Exit codes: 0 success, 1 infeasible problem / negative verdict, 2 usage or
-input error, 3 enumeration/closure cap overflow.  Results go to stdout,
-diagnostics to stderr.  Identical configuration and seed produce
-byte-identical output.
+input error (or stdout closed before the report was written), 3
+enumeration/closure cap overflow.  Results go to stdout, diagnostics to
+stderr.  Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -52,6 +54,39 @@ from .reductions import (
 from .symmetry import load_symmetry_group, orbits
 
 METHODS = ("leader-full", "leader-generators", "doublelex")
+
+# (name, help, prints a report, options, handler), in `--help` order
+_COMMANDS: list = []
+
+
+def _command(name: str, help_text: str, *options, report: bool = True):
+    """State a subcommand once: its name, help line, options and handler.
+    Only report commands take --seed and --format."""
+    def register(handler):
+        _COMMANDS.append((name, help_text, report, options, handler))
+        return handler
+    return register
+
+
+_PROBLEM = ("--problem", {"required": True})
+_SYMMETRIES = ("--symmetries", {"required": True})
+_CAP = ("--cap", {"type": int})
+_ORDERING = ("--ordering", {"choices": ORDERING_NAMES})
+_METHOD = ("--method", {"choices": METHODS})
+_SPACE = (_ORDERING, ("--problem", {"help": "problem file supplying domains and shape"}),
+          ("--n", {"type": int, "help": "binary space with this many variables"}),
+          ("--shape", {"help": "ROWSxCOLS covering the --n variables (snakelex reads it)"}))
+
+# An option that gives what others would give too refuses them, rather than
+# silently using one: (option, the value that triggers it or None for any,
+# the options it excludes, what it gives).  Every option here defaults to
+# None, so that "given" is observable; run fills in lex and leader-full after.
+_REDUNDANT = (
+    ("problem", None, ("n", "shape"), "--problem gives the domains and shape"),
+    ("store", None, ("n", "non_strict"), "--store gives n and strictness"),
+    ("survivors", None, ("ordering", "method"), "--survivors gives the survivors to check"),
+    ("method", "doublelex", ("ordering",), "--method doublelex gives the ordering (lex)"),
+)
 
 
 def _parse_shape(text: Optional[str]) -> Optional[tuple[int, int]]:
@@ -102,6 +137,7 @@ def _breaking_set(ns: argparse.Namespace, problem: Problem, group):
 # subcommands
 
 
+@_command("solve", "enumerate all solutions", _PROBLEM, _CAP)
 def _cmd_solve(ns: argparse.Namespace) -> int:
     problem = load_problem(ns.problem)
     sols = enumerate_solutions(problem, ns.cap)
@@ -111,6 +147,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     return 0 if sols else 1
 
 
+@_command("orbits", "orbit partition of the solutions", _PROBLEM, _SYMMETRIES, _CAP)
 def _cmd_orbits(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     sols = enumerate_solutions(problem, ns.cap)
@@ -122,6 +159,8 @@ def _cmd_orbits(ns: argparse.Namespace) -> int:
     return 0
 
 
+@_command("break", "generate breaking constraints and filter",
+          _PROBLEM, _SYMMETRIES, _ORDERING, _METHOD, _CAP)
 def _cmd_break(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     bset = _breaking_set(ns, problem, group)
@@ -145,32 +184,25 @@ def _cmd_break(ns: argparse.Namespace) -> int:
 def _read_survivors(path, domains) -> list:
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
+            texts = [line.strip() for line in fh.read().splitlines()]
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not text
         raise InputError(f"cannot read survivor file: {exc}") from exc
-    rows = []
-    in_body = False
-    for line in lines:
-        text = line.strip()
-        if not text:
-            if in_body:
-                break
-            continue
-        if text.startswith("#"):
-            continue
-        if text == "assignment":
-            in_body = True
-            continue
-        if text.startswith("orbit"):
-            break
-        if not in_body:
-            raise InputError("survivor file lacks an 'assignment' header")
-        rows.append(parse_assignment(text, domains))
-    if not in_body:
+    texts = [text for text in texts if not text.startswith("#")]
+    start = next((i for i, text in enumerate(texts) if text), len(texts))
+    if texts[start:start + 1] != ["assignment"]:
         raise InputError("survivor file lacks an 'assignment' header")
+    rows = []
+    # the body ends at a blank line or the orbit table; a repeated header is skipped
+    for text in texts[start + 1:]:
+        if not text or text.startswith("orbit"):
+            break
+        if text != "assignment":
+            rows.append(parse_assignment(text, domains))
     return rows
 
 
+@_command("check", "soundness/completeness verdicts", _PROBLEM, _SYMMETRIES, _ORDERING,
+          _METHOD, _CAP, ("--survivors", {"help": "survivor list CSV to check instead"}))
 def _cmd_check(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     sols = enumerate_solutions(problem, ns.cap)
@@ -189,9 +221,6 @@ def _cmd_check(ns: argparse.Namespace) -> int:
 
 def _ordering(ns: argparse.Namespace):
     if ns.problem is not None:
-        for option in ("n", "shape"):
-            if getattr(ns, option) is not None:
-                raise InputError(f"--problem gives the domains and shape; drop --{option}")
         problem = load_problem(ns.problem)
         return make_ordering(ns.ordering, problem.domains, problem.shape)
     shape = _parse_shape(ns.shape)
@@ -203,12 +232,16 @@ def _ordering(ns: argparse.Namespace):
     return ordering
 
 
+@_command("rank", "position of an assignment", *_SPACE,
+          ("assignment", {"help": "0/1 string or comma-separated values"}), report=False)
 def _cmd_rank(ns: argparse.Namespace) -> int:
     ordering = _ordering(ns)
     print(ordering.rank(parse_assignment(ns.assignment, ordering.domains)))
     return 0
 
 
+@_command("unrank", "assignment at a position", *_SPACE,
+          ("--k", {"type": int, "required": True}), report=False)
 def _cmd_unrank(ns: argparse.Namespace) -> int:
     ordering = _ordering(ns)
     print(format_assignment(ordering.unrank(ns.k), ordering.domains))
@@ -223,11 +256,12 @@ def _load_store(path):
     return n, strict, store_from_candidates(n, lhs, rhs, state)
 
 
+@_command("gray-check", "propagate the reflected-binary precedence decomposition",
+          ("--store", {"help": "candidate-store JSON file"}),
+          ("--n", {"type": int, "help": "full domains over this many bit positions"}),
+          ("--non-strict", {"action": "store_true", "default": None}))
 def _cmd_gray_check(ns: argparse.Namespace) -> int:
     if ns.store is not None:
-        for option, given in (("n", ns.n is not None), ("non-strict", ns.non_strict)):
-            if given:
-                raise InputError(f"--store gives n and strictness; drop --{option}")
         n, strict, store = _load_store(ns.store)
     elif ns.n is not None:
         n, strict = ns.n, not ns.non_strict
@@ -257,6 +291,8 @@ def _report_verdict(verdict: str, oracle: str) -> int:
     return 0 if verdict == SAT else 1
 
 
+@_command("demo-prop1", "hard-ordering demo", ("--instance", {"required": True}),
+          report=False)
 def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
     inst = load_one_in_three(ns.instance)
     gadget = ordering_gadget(inst)
@@ -269,6 +305,8 @@ def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
     return _report_verdict(verdict, oracle)
 
 
+@_command("demo-prop2", "hard-group demo", ("--instance", {"required": True}),
+          report=False)
 def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     phi = load_cnf(ns.instance)
     gadget = group_gadget(phi)
@@ -282,6 +320,8 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     return _report_verdict(verdict, oracle)
 
 
+@_command("compare", "survivor counts across orderings and methods",
+          _PROBLEM, _SYMMETRIES, _CAP)
 def _cmd_compare(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     sols = enumerate_solutions(problem, ns.cap)
@@ -291,91 +331,40 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "solve": _cmd_solve,
-    "orbits": _cmd_orbits,
-    "break": _cmd_break,
-    "check": _cmd_check,
-    "rank": _cmd_rank,
-    "unrank": _cmd_unrank,
-    "gray-check": _cmd_gray_check,
-    "demo-prop1": _cmd_demo_prop1,
-    "demo-prop2": _cmd_demo_prop2,
-    "compare": _cmd_compare,
-}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use and reused by every later `run`."""
     parser = argparse.ArgumentParser(
         prog="symbreak",
         description="Symmetry breaking for finite-domain problems under "
                     "pluggable assignment orderings.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="recorded in report headers")
-    common.add_argument("--format", choices=("table", "csv"), default="table")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", parents=[common], help="enumerate all solutions")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--cap", type=int)
-
-    p = sub.add_parser("orbits", parents=[common], help="orbit partition of the solutions")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--symmetries", required=True)
-    p.add_argument("--cap", type=int)
-
-    for name in ("break", "check"):
-        p = sub.add_parser(name, parents=[common],
-                           help="generate breaking constraints and filter" if name == "break"
-                           else "soundness/completeness verdicts")
-        p.add_argument("--problem", required=True)
-        p.add_argument("--symmetries", required=True)
-        p.add_argument("--ordering", choices=ORDERING_NAMES, default="lex")
-        p.add_argument("--method", choices=METHODS, default="leader-full")
-        p.add_argument("--cap", type=int)
-        if name == "check":
-            p.add_argument("--survivors", help="survivor list CSV to check instead")
-
-    for name in ("rank", "unrank"):
-        p = sub.add_parser(name, parents=[common],
-                           help="position of an assignment" if name == "rank"
-                           else "assignment at a position")
-        p.add_argument("--ordering", choices=ORDERING_NAMES, default="lex")
-        p.add_argument("--problem", help="problem file supplying domains and shape")
-        p.add_argument("--n", type=int, help="binary space with this many variables")
-        p.add_argument("--shape", help="ROWSxCOLS covering the --n variables (snakelex reads it)")
-        if name == "rank":
-            p.add_argument("assignment", help="0/1 string or comma-separated values")
-        else:
-            p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("gray-check", parents=[common],
-                       help="propagate the reflected-binary precedence decomposition")
-    p.add_argument("--store", help="candidate-store JSON file")
-    p.add_argument("--n", type=int, help="full domains over this many bit positions")
-    p.add_argument("--non-strict", action="store_true", dest="non_strict")
-
-    for name in ("demo-prop1", "demo-prop2"):
-        p = sub.add_parser(name, parents=[common],
-                           help="hard-ordering demo" if name == "demo-prop1"
-                           else "hard-group demo")
-        p.add_argument("--instance", required=True)
-
-    p = sub.add_parser("compare", parents=[common],
-                       help="survivor counts across orderings and methods")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--symmetries", required=True)
-    p.add_argument("--cap", type=int)
-
+    for name, help_text, report, options, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if report:
+            p.add_argument("--seed", type=int, default=0, help="recorded in report headers")
+            p.add_argument("--format", choices=("table", "csv"), default="table")
+        for option, kwargs in options:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
+        # both checks come before any file is read
         if getattr(ns, "cap", None) is not None and ns.cap < 1:
-            raise InputError("cap must be positive")  # before any file is read
-        return _DISPATCH[ns.command](ns)
+            raise InputError("cap must be positive")
+        for option, value, excluded, gives in _REDUNDANT:
+            given = getattr(ns, option, None)
+            dropped = [other for other in excluded if getattr(ns, other, None) is not None]
+            if given is not None and value in (None, given) and dropped:
+                raise InputError(f"{gives}; drop --{dropped[0].replace('_', '-')}")
+        for option, default in (("ordering", "lex"), ("method", "leader-full")):
+            if getattr(ns, option, default) is None:
+                setattr(ns, option, default)
+        return ns.handler(ns)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -388,7 +377,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); send what is left to
+        # devnull so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,245 @@
+"""A fixed corpus of `symbreak` invocations, run in process, one JSON line
+each, so that the command line of two source trees can be compared:
+
+    python3 tests/cli_corpus.py SRC OUT.jsonl
+    python3 tests/cli_corpus.py ../other/src OTHER.jsonl && diff OUT.jsonl OTHER.jsonl
+
+SRC is the `src/` directory whose `symbreak` runs.  The inputs are built
+from fixed seeds in a temporary directory, and help text is formatted for
+80 columns.  Each line holds the argv (the temporary directory written as
+`TMP`), the exit code (or `"raised"` and the exception, for an exception
+that escapes `run`), stdout and stderr.
+
+The corpus covers every subcommand with and without `--help`, both
+formats, every ordering and method on the binary row/column models of up to
+9 cells, `break` output read back by `check --survivors`, `rank` and
+`unrank` grids, `gray-check` stores, the `gadgets` benchmark instances of
+seeds 1-3, the two matrix benchmark ladders at seed 1, and the input errors
+and option conflicts of each command.  The file name keeps pytest from
+collecting it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import os
+import random
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMANDS = ["solve", "orbits", "break", "check", "rank", "unrank", "gray-check",
+            "demo-prop1", "demo-prop2", "compare"]
+ORDERINGS = ["lex", "revlex", "gray", "snakelex"]
+METHODS = ["leader-full", "leader-generators", "doublelex"]
+FORMATS = [[], ["--format", "csv"]]
+
+
+def _write(path: str, data) -> str:
+    """Bytes and text as they are, anything else as JSON."""
+    if not isinstance(data, (bytes, str)):
+        data = json.dumps(data)
+    with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+    return path
+
+
+class Corpus:
+    def __init__(self, run, tmp: str, out):
+        self.run, self.tmp, self.out = run, tmp, out
+        self.count = 0
+
+    def invoke(self, argv: list[str]) -> tuple:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = self.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # recorded, not raised: the corpus goes on
+            code = ["raised", repr(exc)]
+        record = {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
+                  "stderr": stderr.getvalue()}
+        self.out.write(json.dumps(record).replace(self.tmp, "TMP") + "\n")
+        self.count += 1
+        return code, stdout.getvalue()
+
+    def file(self, name: str, data) -> str:
+        return _write(os.path.join(self.tmp, name), data)
+
+
+def _shapes():
+    return [(r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
+
+
+def front_end(corpus: Corpus) -> None:
+    corpus.invoke([])
+    corpus.invoke(["--help"])
+    for command in COMMANDS:
+        corpus.invoke([command])
+        corpus.invoke([command, "--help"])
+    corpus.invoke(["break", "--method", "sideways"])
+    corpus.invoke(["solve", "--problem"])
+
+
+def matrix_models(corpus: Corpus) -> None:
+    rng = random.Random(1)
+    for r, c in _shapes():
+        n = r * c
+        syms = corpus.file(f"rc{r}x{c}.json",
+                           {"generators": [{"kind": "row_col", "rows": r, "cols": c}]})
+        k = rng.randint(0, c)
+        rows = [list(t) for t in itertools.product((0, 1), repeat=c) if sum(t) == k]
+        variants = {"free": [], f"rows{k}": [
+            {"kind": "table", "scope": list(range(i * c, i * c + c)), "tuples": rows}
+            for i in range(r)]}
+        for label, constraints in variants.items():
+            problem = corpus.file(f"p{r}x{c}{label}.json", {
+                "n": n, "domains": [[0, 1]] * n, "shape": [r, c], "constraints": constraints})
+            pair = ["--problem", problem, "--symmetries", syms]
+            for fmt in FORMATS:
+                corpus.invoke(["solve", "--problem", problem, *fmt])
+                corpus.invoke(["orbits", *pair, *fmt])
+                corpus.invoke(["compare", *pair, *fmt])
+                runs = [["--ordering", o, "--method", m]
+                        for o in ORDERINGS for m in METHODS[:2]]
+                runs += [["--method", "doublelex"], ["--ordering", "snakelex", "--method",
+                                                      "doublelex"]]
+                runs += [[], ["--ordering", "gray"], ["--method", "leader-generators"]]
+                for i, options in enumerate(runs):
+                    corpus.invoke(["check", *pair, *options, *fmt])
+                    # the same argv in every tree, whatever break printed
+                    _, text = corpus.invoke(["break", *pair, *options, *fmt, "--seed", "7"])
+                    surv = corpus.file(f"s{r}x{c}{label}{i}.txt", text)
+                    corpus.invoke(["check", *pair, "--survivors", surv, *fmt])
+                    if i == 0:
+                        corpus.invoke(["check", *pair, "--survivors", surv,
+                                       "--ordering", "gray"])
+                        corpus.invoke(["check", *pair, "--survivors", surv,
+                                       "--method", "leader-full"])
+        if (r, c) == (3, 3):
+            corpus.invoke(["compare", *pair, "--cap", "0"])
+            corpus.invoke(["orbits", *pair, "--cap", "5"])
+            tight = corpus.file("cap5.json", {"generators": [
+                {"kind": "row_col", "rows": r, "cols": c}], "cap": 5})
+            corpus.invoke(["break", "--problem", problem, "--symmetries", tight])
+
+
+def survivor_files(corpus: Corpus) -> None:
+    problem = corpus.file("p2x2.json", {"n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2]})
+    syms = corpus.file("rc2x2.json", {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]})
+    texts = {
+        "missing": None,
+        "not-text": b"assignment\n\xff\xfe\n",
+        "no-header": "0000\n",
+        "orbit-first": "orbit,size\n",
+        "empty": "",
+        "repeated-header": "# c\n\nassignment\n0000\nassignment\n# x\n0001\n\n0011\n",
+        "orbit-ends": "assignment\n0000\norbit  size\n0001\n",
+        "off-domain": "assignment\n0002\n",
+        "short": "assignment\n000\n",
+    }
+    for name, data in texts.items():
+        path = (os.path.join(corpus.tmp, "absent.txt") if data is None
+                else corpus.file(f"surv-{name}.txt", data))
+        corpus.invoke(["check", "--problem", problem, "--symmetries", syms,
+                       "--survivors", path])
+
+
+def rank_grids(corpus: Corpus) -> None:
+    for ordering in ORDERINGS:
+        for n in range(1, 5):
+            shapes = [[]] + [["--shape", f"{r}x{n // r}"] for r in range(1, n + 1) if n % r == 0]
+            for shape in shapes:
+                space = ["--ordering", ordering, "--n", str(n), *shape]
+                for bits in itertools.product("01", repeat=n):
+                    corpus.invoke(["rank", *space, "".join(bits)])
+                for k in range(-1, 2 ** n + 1):
+                    corpus.invoke(["unrank", *space, "--k", str(k)])
+        corpus.invoke(["rank", "--ordering", ordering, "--n", "2", "--shape", "5x5", "01"])
+        corpus.invoke(["unrank", "--ordering", ordering, "--n", "2", "--shape=-1x-2", "--k", "1"])
+    mixed = corpus.file("mixed.json", {"n": 4, "domains": [[0, 1, 2], [5, 7], [1, 3, 4], [0, 1]],
+                                       "shape": [2, 2]})
+    for ordering in ORDERINGS:
+        for k in range(-1, 37):
+            code, text = corpus.invoke(["unrank", "--ordering", ordering, "--problem", mixed,
+                                        "--k", str(k)])
+            if code == 0:
+                corpus.invoke(["rank", "--ordering", ordering, "--problem", mixed, text.strip()])
+    for extra in (["--n", "4"], ["--shape", "2x2"], ["--n", "4", "--shape", "2x2"]):
+        corpus.invoke(["rank", "--problem", mixed, *extra, "0,5,1,0"])
+        corpus.invoke(["unrank", "--problem", mixed, *extra, "--k", "1"])
+    corpus.invoke(["rank", "01"])
+    corpus.invoke(["rank", "--n", "2", "012"])
+    corpus.invoke(["rank", "--n", "2", "--shape", "x", "01"])
+    for option in (["--seed", "1"], ["--format", "csv"]):
+        corpus.invoke(["rank", "--n", "2", *option, "01"])
+        corpus.invoke(["unrank", "--n", "2", *option, "--k", "1"])
+
+
+def gray_stores(corpus: Corpus) -> None:
+    for n in range(1, 6):
+        for strict in ([], ["--non-strict"]):
+            for fmt in FORMATS:
+                corpus.invoke(["gray-check", "--n", str(n), *strict, *fmt, "--seed", "2"])
+    rng = random.Random(2)
+    for i in range(40):
+        n = rng.randint(1, 4)
+        store = {"strict": rng.random() < 0.5,
+                 "lhs": [rng.choice([[0], [1], [0, 1]]) for _ in range(n)],
+                 "rhs": [rng.choice([[0], [1], [0, 1]]) for _ in range(n)]}
+        if rng.random() < 0.5:
+            store["state"] = [rng.choice([[-1], [0], [1], [-1, 0, 1], [0, 1]])
+                              for _ in range(n + 1)]
+        path = corpus.file(f"store{i}.json", store)
+        corpus.invoke(["gray-check", "--store", path, *FORMATS[i % 2]])
+    for extra in (["--n", "2"], ["--non-strict"], ["--n", "2", "--non-strict"]):
+        corpus.invoke(["gray-check", "--store", path, *extra])
+    corpus.invoke(["gray-check"])
+    corpus.invoke(["gray-check", "--store", corpus.file("bad-store.json", [1, 2])])
+
+
+def benchmark_instances(corpus: Corpus) -> None:
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import workloads
+
+    for seed in (1, 2, 3):
+        workdir = os.path.join(corpus.tmp, f"gadgets{seed}")
+        os.mkdir(workdir)
+        for inst in workloads.Gadgets().generate(seed, workdir)["instances"]:
+            corpus.invoke(inst["argv"])
+            if seed == 1:
+                for option in (["--seed", "1"], ["--format", "csv"]):
+                    corpus.invoke([*inst["argv"], *option])
+    for name, workload in (("full", workloads.MatrixFull()), ("sparse", workloads.MatrixSparse())):
+        workdir = os.path.join(corpus.tmp, name)
+        os.mkdir(workdir)
+        for inst in workload.generate(1, workdir)["instances"]:
+            corpus.invoke(inst["argv"])
+    corpus.invoke(["demo-prop1", "--instance", os.path.join(corpus.tmp, "absent.json")])
+    corpus.invoke(["demo-prop2", "--instance", corpus.file("bad-cnf.json", {"n": 1})])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    src, out_path = argv
+    sys.path.insert(0, os.path.abspath(src))
+    os.environ["COLUMNS"] = "80"
+    from symbreak.cli import run
+
+    with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
+        corpus = Corpus(run, tmp, out)
+        for part in (front_end, matrix_models, survivor_files, rank_grids, gray_stores,
+                     benchmark_instances):
+            part(corpus)
+    print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

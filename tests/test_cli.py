@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -307,16 +308,20 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
         assert images_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 
-def _run_cli_subprocess(argv):
+def _cli_env() -> dict:
     import os
-    import subprocess
-    import sys
 
     import symbreak
 
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(symbreak.__file__)))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symbreak.__file__)))
+
+
+def _run_cli_subprocess(argv):
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=_cli_env())
 
 
 @pytest.mark.parametrize("kind", ["problem", "symmetries", "store", "1-in-3", "cnf"])
@@ -598,3 +603,132 @@ def test_rank_unrank_golden(capsys, tmp_path, ordering, problem, listing):
     for k in (-1, len(words)):
         assert invoke(capsys, ["unrank", "--ordering", ordering, *space, "--k", str(k)]) \
             == (2, "", f"error: rank {k} outside [0, {len(words)})\n")
+
+
+REPORT_OPTIONS = {"--help", "--seed", "--format"}
+PAIR_OPTIONS = {"--problem", "--symmetries", "--cap"}
+SPACE_OPTIONS = {"--help", "--ordering", "--problem", "--n", "--shape"}
+OPTIONS = {
+    "solve": REPORT_OPTIONS | {"--problem", "--cap"},
+    "orbits": REPORT_OPTIONS | PAIR_OPTIONS,
+    "break": REPORT_OPTIONS | PAIR_OPTIONS | {"--ordering", "--method"},
+    "check": REPORT_OPTIONS | PAIR_OPTIONS | {"--ordering", "--method", "--survivors"},
+    "rank": SPACE_OPTIONS,
+    "unrank": SPACE_OPTIONS | {"--k"},
+    "gray-check": REPORT_OPTIONS | {"--store", "--n", "--non-strict"},
+    "demo-prop1": {"--help", "--instance"},
+    "demo-prop2": {"--help", "--instance"},
+    "compare": REPORT_OPTIONS | PAIR_OPTIONS,
+}
+
+
+def test_help_lists_the_options_each_command_reads(capsys):
+    # only the six report commands print a header for --seed and a table for --format
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out)[1] == ",".join(OPTIONS)
+    for command, options in OPTIONS.items():
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == options, command
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--format", "csv"]], ids=["seed", "format"])
+@pytest.mark.parametrize("command", ["rank", "unrank", "demo-prop1", "demo-prop2"])
+def test_seed_and_format_are_refused_where_nothing_reads_them(capsys, tmp_path, command, option):
+    instance = tmp_path / "i.json"
+    instance.write_text(json.dumps({"n": 2, "clauses": [[1, 2, 3]]} if command == "demo-prop1"
+                                   else {"n": 2, "clauses": [[1, 2]]}))
+    argv = {"rank": ["rank", "--n", "2", "01"], "unrank": ["unrank", "--n", "2", "--k", "1"]}.get(
+        command, [command, "--instance", str(instance)])
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *option])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"symbreak: error: unrecognized arguments: {' '.join(option)}\n")
+
+
+@pytest.mark.parametrize("command, extra, line", [
+    ("check", ["--survivors", "s.txt", "--ordering", "gray"],
+     "--survivors gives the survivors to check; drop --ordering"),
+    ("check", ["--survivors", "s.txt", "--method", "leader-full"],
+     "--survivors gives the survivors to check; drop --method"),
+    ("break", ["--method", "doublelex", "--ordering", "lex"],
+     "--method doublelex gives the ordering (lex); drop --ordering"),
+    ("check", ["--ordering", "snakelex", "--method", "doublelex"],
+     "--method doublelex gives the ordering (lex); drop --ordering"),
+], ids=["survivors-ordering", "survivors-method", "break-doublelex", "check-doublelex"])
+def test_options_the_survivors_or_doublelex_give_are_refused(capsys, tmp_path, command, extra,
+                                                             line):
+    # refused before any file is read: none of the three files exists
+    missing = [str(tmp_path / name) if name.endswith(".txt") else name for name in extra]
+    code, out, err = invoke(capsys, [command, "--problem", str(tmp_path / "p.json"),
+                                     "--symmetries", str(tmp_path / "s.json"), *missing])
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_runs_in_one_process_give_what_each_gives_alone(capsys, files, tmp_path, monkeypatch):
+    # the parser is reused across runs, so a run must leave nothing behind in it
+    import subprocess
+    import sys
+
+    monkeypatch.setenv("COLUMNS", "80")
+    _, problem, syms = files
+    pair = ["--problem", problem, "--symmetries", syms]
+    survivors = tmp_path / "survivors.txt"
+    survivors.write_text(invoke(capsys, ["break", *pair])[1])
+    sequence = [["check", *pair, "--survivors", str(survivors)],
+                ["break", *pair, "--method", "sideways"],
+                ["break", *pair, "--method", "doublelex", "--ordering", "gray"],
+                ["break", *pair, "--method", "doublelex"]]
+    in_process = []
+    for argv in sequence:
+        try:
+            in_process.append(invoke(capsys, argv))
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            in_process.append((exc.code, captured.out, captured.err))
+    alone = [subprocess.run([sys.executable, "-m", "symbreak", *argv], capture_output=True,
+                            text=True, env=_cli_env()) for argv in sequence]
+    assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in alone]
+    assert in_process[0][:2] == (0, "# seed=0\nsound  complete  orbits  survivors\n"
+                                    "true   true      7       7\n")
+    assert in_process[2] == (2, "", "error: --method doublelex gives the ordering (lex); "
+                                    "drop --ordering\n")
+    assert in_process[3][1].startswith("# seed=0 ordering=lex method=doublelex ")
+
+
+def test_second_run_builds_no_parser(capsys, monkeypatch):
+    import argparse
+
+    argv = ["unrank", "--ordering", "gray", "--n", "2", "--k", "3"]
+    assert invoke(capsys, argv) == (0, "10\n", "")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert invoke(capsys, argv) == (0, "10\n", "")
+    assert built == []
+
+
+def test_closed_stdout_ends_quietly_with_exit_two(tmp_path):
+    # 65,536 rows, far beyond a 64 KB pipe buffer: the reader takes one
+    # line and closes the pipe, as `symbreak solve ... | head -1` does
+    import subprocess
+    import sys
+
+    problem = tmp_path / "p16.json"
+    problem.write_text(json.dumps({"n": 16, "domains": [[0, 1]] * 16}))
+    proc = subprocess.Popen([sys.executable, "-m", "symbreak", "solve", "--problem", str(problem)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, proc.wait(), err) == (b"# seed=0 solutions=65536\n", 2, b"")

@@ -1,10 +1,13 @@
 """Mutated input files never crash the command line: every run ends with
 exit 0-3, no exception escapes `run`, and exits 2 and 3 print an `error:`
-line.  The mutations are wrong types, missing and extra keys, out-of-range
-indices, and a top level that is an array or a scalar."""
+line.  The mutations of the JSON inputs are wrong types, missing and extra
+keys, out-of-range indices, and a top level that is an array or a scalar;
+those of a survivor file (`break` output) are dropped, duplicated and
+replaced lines and random bytes."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -92,14 +95,14 @@ def _with_files(docs, make_argv):
         paths = []
         for i, doc in enumerate(docs):
             paths.append(os.path.join(tmp, f"{i}.json"))
-            with open(paths[-1], "w") as fh:
-                json.dump(doc, fh)
+            with open(paths[-1], "wb") as fh:
+                fh.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         _run_checked(make_argv(*paths))
 
 
 PAIR_COMMANDS = [
     ["solve"], ["orbits"], ["compare"], ["check", "--method", "leader-generators"],
-    ["break", "--ordering", "gray"], ["break", "--ordering", "snakelex", "--method", "doublelex"],
+    ["break", "--ordering", "gray"], ["break", "--method", "doublelex"],
     ["check", "--ordering", "revlex", "--cap", "5"]]
 
 
@@ -138,3 +141,36 @@ def test_mutated_one_in_three_instance(data):
 @given(st.data())
 def test_mutated_cnf_instance(data):
     _with_files([_mutant(CNF, data)], lambda p: ["demo-prop2", "--instance", p])
+
+
+@functools.cache
+def _break_output() -> bytes:
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        paths = [os.path.join(tmp, name) for name in ("p.json", "s.json")]
+        for path, doc in zip(paths, (PROBLEM, SYMMETRIES)):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        assert run(["break", "--problem", paths[0], "--symmetries", paths[1]]) == 0
+    return out.getvalue().encode()
+
+
+@given(st.data())
+def test_mutated_survivor_file(data):
+    lines = _break_output().splitlines(keepends=True)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["drop", "duplicate", "replace", "bytes"]))
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        elif action == "replace":
+            lines[i] = data.draw(st.sampled_from(lines + [
+                b"\n", b"assignment\n", b"orbit\n", b"# x\n", b"0002\n", b"0,1,0,1\n"]))
+        else:
+            lines[i] = data.draw(st.binary(max_size=6))
+        if not lines:
+            lines = [b""]
+    _with_files([PROBLEM, SYMMETRIES, b"".join(lines)],
+                lambda p, s, f: ["check", "--problem", p, "--symmetries", s, "--survivors", f])
