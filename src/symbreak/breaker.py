@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .literals import _gatherer
@@ -36,10 +37,20 @@ class LeaderConstraint:
 
 @dataclass(frozen=True)
 class SymmetryBreakingSet:
-    """Conjunction of leader constraints, or an extensional satisfying set."""
+    """Conjunction of leader constraints, or an extensional satisfying set,
+    or the leader-full set of `full` = (group, ordering): one constraint per
+    element after the identity, built only when `constraints` is read."""
 
-    constraints: tuple[LeaderConstraint, ...]
+    posted: tuple[LeaderConstraint, ...] = ()
     allowed: Optional[frozenset] = None
+    full: Optional[tuple[SymmetryGroup, SimpleOrdering]] = None
+
+    @cached_property
+    def constraints(self) -> tuple[LeaderConstraint, ...]:
+        if self.full is None:
+            return self.posted
+        group, ordering = self.full
+        return tuple(LeaderConstraint(s, ordering) for s in group.closure()[1:])
 
     def satisfied(self, a: Sequence[int]) -> bool:
         if self.allowed is not None:
@@ -47,7 +58,7 @@ class SymmetryBreakingSet:
         return all(con.satisfied(a) for con in self.constraints)
 
     def __len__(self) -> int:
-        return len(self.constraints)
+        return len(self.posted) if self.full is None else self.full[0].order - 1
 
 
 def extensional_set(satisfying: Iterable[Assignment]) -> SymmetryBreakingSet:
@@ -58,16 +69,17 @@ def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
                        mode: str = "full") -> SymmetryBreakingSet:
     """One leader constraint per group element (full) or per generator.
 
-    Identity elements contribute nothing and are omitted.
+    Identity elements contribute nothing and are omitted.  The full set
+    refers to the group; the closure search runs here, under the group's
+    cap, but builds no element.
     """
     if mode == "full":
-        elements: Sequence[Symmetry] = group.closure()
-    elif mode == "generators":
-        elements = group.generators
-    else:
+        group.order  # the search, so that a cap overflow is raised here
+        return SymmetryBreakingSet(full=(group, ordering))
+    if mode != "generators":
         raise InputError(f"unknown mode '{mode}' (use 'full' or 'generators')")
-    cons = tuple(LeaderConstraint(s, ordering) for s in elements if not s.is_identity())
-    return SymmetryBreakingSet(cons)
+    return SymmetryBreakingSet(tuple(LeaderConstraint(s, ordering)
+                                     for s in group.generators if not s.is_identity()))
 
 
 def filter_solutions(solutions: Sequence[Assignment],
@@ -111,24 +123,27 @@ def _judge(partition: OrbitPartition,
     rank[img[i]]: `rank` orders the solutions by `ordering.key`, one call per
     solution, and img[i] indexes sigma's image of solution i; a generator's
     img is the partition's list.  Every posted constraint is tested, on the
-    indices still alive.  A set posting the group's closure after the
-    identity, under one ordering, is tested along the closure tree: the
-    generators first, the rest by `_walk`.  Any other sigma is applied to
-    the alive solutions, and an image outside the solutions compared by `key`.
+    indices still alive.  A leader-full set of a group with the partition's
+    generators is tested along that group's closure tree, and no element is
+    built: the generators first, the rest by `_walk`.  Any other sigma,
+    such as a closure element posted one by one, is applied to the alive
+    solutions, and an image outside the solutions compared by `key`.
     """
     sols, lists = partition.solutions, partition.images
     idx = list(range(len(sols)))
-    gens, tree = partition.group.generators, partition.group.tree  # tree: once closure() ran
+    gens, tree = partition.group.generators, ()
     at_gen, walked, applied, alive = {}, [], {}, []  # at_gen: k -> [(set, ordering)]
     for n, bset in enumerate(bsets):
         alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
-        cons = bset.constraints if bset.allowed is None else ()
-        if len({c.ordering for c in cons}) == 1 and tree and [
-                c.sigma for c in cons] == list(partition.group.closure()[1:]):
-            walked.append((n, cons[0].ordering))
+        if bset.full is not None and bset.full[0].generators == gens:
+            group, ordering = bset.full
+            tree = group.tree  # the same for every group with these generators
+            walked.append((n, ordering))
             # the tree's first level is the generators: tested with their lists
-            cons = [LeaderConstraint(gens[k], cons[0].ordering) for p, k in tree if not p]
-        for con in cons:
+            for k in [k for p, k in tree if not p]:
+                at_gen.setdefault(k, []).append((n, ordering))
+            continue
+        for con in bset.constraints if bset.allowed is None else ():
             if con.sigma in gens:
                 at_gen.setdefault(gens.index(con.sigma), []).append((n, con.ordering))
             else:

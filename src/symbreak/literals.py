@@ -35,9 +35,10 @@ class _LiteralSpace:
                            for off, dom in zip(self.offsets, domains))
         self.identity = tuple(range(len(self.var_of)))
         self.heads = _gatherer(self.offsets[:-1])  # first literal of each variable
+        index = self.index  # not self: the lambda would hold its owner in a cycle
         self.in_domains = (frozenset(domains[0]).issuperset
                            if len(set(domains)) == 1
-                           else lambda a: all(map(contains, self.index, a)))
+                           else lambda a: all(map(contains, index, a)))
 
 
 class LiteralSymmetry:

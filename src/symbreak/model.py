@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Assignment = tuple[int, ...]
 Domain = tuple[int, ...]
@@ -86,13 +87,25 @@ def check_values(domains: Sequence[Domain], pairs: Iterable[tuple[int, int]]) ->
 
 @dataclass(frozen=True)
 class TableConstraint:
-    """Extensional constraint: the scope's value tuple must appear in `allowed`."""
+    """Extensional constraint: the scope's value tuple must appear in `allowed`.
+    Tested by one gather and one set lookup; an itemgetter of one index gives
+    the bare value, so a one-variable table looks up its rows' values."""
 
     scope: tuple[int, ...]
     allowed: frozenset[tuple[int, ...]]
+    _gather: Callable = field(init=False, repr=False, compare=False)
+    _keys: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # an empty scope is refused by Problem; its getter keeps the meaning
+        gather = itemgetter(*self.scope) if self.scope else lambda values: ()
+        keys = (frozenset(row[0] for row in self.allowed if len(row) == 1)
+                if len(self.scope) == 1 else self.allowed)
+        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_keys", keys)
 
     def satisfied(self, values: Sequence[int]) -> bool:
-        return tuple(values[v] for v in self.scope) in self.allowed
+        return self._gather(values) in self._keys
 
 
 @dataclass(frozen=True)
@@ -236,7 +249,10 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Ass
                 extend(depth + 1)
             prefix.pop()
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # it refers to itself: left alone, the cycle holds the solutions
     return solutions
 
 

@@ -91,16 +91,20 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 
 @dataclass
 class SymmetryGroup:
-    """Group given by generators; closure is computed on demand and cached.
+    """Group given by generators.
 
-    Then `tree` is the closure search's spanning tree: for each element after
-    the identity, (p, k) such that it is generators[k] ∘ closure()[p].
+    Its closure search runs once, on first need, and keeps the elements as
+    literal tuples (as elements, for an assignment-level group), `order` =
+    |G| and `tree`: for each element after the identity, (p, k) such that
+    it is generators[k] ∘ element p.  `closure()` builds the elements from
+    the tuples on each call.  A group without generators has order 1 and an
+    empty closure: there is no space to build its identity on.
     """
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
-    _closure: Optional[tuple[Symmetry, ...]] = field(default=None, repr=False, compare=False)
-    tree: tuple[tuple[int, int], ...] = field(default=(), init=False, repr=False, compare=False)
+    _searched: Optional[tuple[tuple, tuple[tuple[int, int], ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
@@ -112,30 +116,41 @@ class SymmetryGroup:
         if len({g._space.domains for g in self.generators if isinstance(g, LiteralSymmetry)}) > 1:
             raise InputError("literal generators act on different domains")
 
-    def closure(self) -> tuple[Symmetry, ...]:
-        """Every group element: the orbit of the identity when the neighbours
-        of e are the products gen∘e, so breadth-first and identity first.
+    def _search(self) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+        """(elements, tree): the orbit of the identity when the neighbours of
+        e are the products gen∘e, so breadth-first and identity first.  A
+        literal group searches over literal tuples, where a product is one
+        gather."""
+        if self._searched is None:
+            gens = self.generators
+            if not gens:
+                found: dict = {}
+            elif isinstance(gens[0], LiteralSymmetry):
+                lits = [g.lits for g in gens]
+                found = _orbit_search(gens[0]._space.identity, lambda e: map(_gatherer(e), lits),
+                                      cap=self.cap, what="closure")
+            else:
+                found = _orbit_search(AssignmentSymmetry.identity(),
+                                      lambda e: [g.compose(e) for g in gens],
+                                      cap=self.cap, what="closure")
+            self._searched = tuple(found), tuple(islice(found.values(), 1, None))
+        return self._searched
 
-        A literal group searches over literal tuples, where a product is one
-        gather, and builds each element once at the end.
-        """
-        gens = self.generators
-        if self._closure is None and not gens:
-            self._closure = ()
-        if self._closure is not None:
-            return self._closure
-        if isinstance(gens[0], LiteralSymmetry):
-            space, lits = gens[0]._space, [g.lits for g in gens]
-            found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits),
-                                  cap=self.cap, what="closure")
-            self._closure = tuple(LiteralSymmetry(e, space) for e in found)
-        else:
-            found = _orbit_search(AssignmentSymmetry.identity(),
-                                  lambda e: [g.compose(e) for g in gens],
-                                  cap=self.cap, what="closure")
-            self._closure = tuple(found)
-        self.tree = tuple(islice(found.values(), 1, None))
-        return self._closure
+    @property
+    def order(self) -> int:
+        return max(len(self._search()[0]), 1)
+
+    @property
+    def tree(self) -> tuple[tuple[int, int], ...]:
+        return self._search()[1]
+
+    def closure(self) -> tuple[Symmetry, ...]:
+        """Every group element, in the search's order."""
+        found = self._search()[0]
+        if found and isinstance(self.generators[0], LiteralSymmetry):
+            space = self.generators[0]._space
+            return tuple(LiteralSymmetry(e, space) for e in found)
+        return found
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order."""

@@ -12,11 +12,12 @@ that escapes `run`), stdout and stderr.
 
 The corpus covers every subcommand with and without `--help`, both
 formats, every ordering and method on the binary row/column models of up to
-9 cells, `break` output read back by `check --survivors`, `rank` and
-`unrank` grids, `gray-check` stores, the `gadgets` benchmark instances of
-seeds 1-3, the two matrix benchmark ladders at seed 1, and the input errors
-and option conflicts of each command.  The file name keeps pytest from
-collecting it.
+9 cells, leader-full sets on groups whose generators repeat or include the
+identity with the closure cap at |G| and |G| - 1, `break` output read back
+by `check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
+`gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
+ladders at seed 1, and the input errors and option conflicts of each
+command.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -126,6 +128,37 @@ def matrix_models(corpus: Corpus) -> None:
             tight = corpus.file("cap5.json", {"generators": [
                 {"kind": "row_col", "rows": r, "cols": c}], "cap": 5})
             corpus.invoke(["break", "--problem", problem, "--symmetries", tight])
+
+
+def leader_full_groups(corpus: Corpus) -> None:
+    """Leader-full sets on groups whose generators repeat or include the
+    identity, with the closure cap at |G|, at |G| - 1 and at the default."""
+    for r, c in ((1, 2), (2, 2), (2, 3), (3, 3)):
+        n = r * c
+        free = corpus.file(f"lf{r}x{c}.json", {"n": n, "domains": [[0, 1]] * n,
+                                                "shape": [r, c]})
+        one = corpus.file(f"lf{r}x{c}x0.json", {"n": n, "domains": [[0, 1]] * n,
+                                                "shape": [r, c], "constraints": [
+                                                    {"kind": "unary", "var": 0, "value": 0}]})
+        identity = {"kind": "literal", "var_perm": list(range(n))}
+        flip = {"kind": "literal", "var_perm": list(range(n)), "val_maps": [[[0, 1], [1, 0]]] * n}
+        row_col = {"kind": "row_col", "rows": r, "cols": c}
+        order = math.factorial(r) * math.factorial(c)
+        groups = {"repeated": ([row_col, row_col], order),
+                  "identities": ([identity, row_col, identity], order),
+                  "flips": ([flip, identity, flip, row_col], 2 * order),
+                  "identity": ([identity], 1), "none": ([], 1)}
+        for label, (gens, size) in groups.items():
+            for cap in (size, size - 1, None):
+                syms = corpus.file(f"lf{r}x{c}{label}{cap}.json", {"generators": gens} if cap
+                                   is None else {"generators": gens, "cap": cap})
+                for problem in (free, one):
+                    pair = ["--problem", problem, "--symmetries", syms]
+                    corpus.invoke(["compare", *pair])
+                    for ordering in ("lex", "gray"):
+                        full = ["--ordering", ordering, "--method", "leader-full"]
+                        corpus.invoke(["check", *pair, *full])
+                        corpus.invoke(["break", *pair, *full])
 
 
 def survivor_files(corpus: Corpus) -> None:
@@ -234,8 +267,8 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
-        for part in (front_end, matrix_models, survivor_files, rank_grids, gray_stores,
-                     benchmark_instances):
+        for part in (front_end, matrix_models, leader_full_groups, survivor_files, rank_grids,
+                     gray_stores, benchmark_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
     return 0

@@ -1,3 +1,4 @@
+import math
 from functools import cmp_to_key
 
 import pytest
@@ -13,13 +14,21 @@ from symbreak.breaker import (
     min_in_class,
     per_orbit_survivors,
 )
-from symbreak.model import InputError, all_assignments, binary_domains
-from symbreak.orderings import GrayOrdering, LexOrdering, SnakeLexOrdering, rank_preserving_map
+from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
+from symbreak.orderings import (
+    GT,
+    GrayOrdering,
+    LexOrdering,
+    SnakeLexOrdering,
+    rank_preserving_map,
+)
 from symbreak.symmetry import (
+    DEFAULT_CLOSURE_CAP,
     LiteralSymmetry,
     SymmetryGroup,
     conjugate,
     orbits,
+    row_col_generators,
     row_col_group,
 )
 
@@ -169,3 +178,38 @@ def test_per_orbit_survivor_counts():
     part, counts = per_orbit_survivors(SPACE2x2, leader_constraints(group, LEX4), group)
     assert len(part) == 7
     assert counts == (1,) * 7
+
+
+@pytest.mark.parametrize("shape", [(r, c) for r in range(1, 10) for c in range(1, 10)
+                                   if r * c <= 9])
+def test_leader_full_posts_the_closure_after_the_identity(shape):
+    group = row_col_group(shape)
+    lex = LexOrdering(binary_domains(shape[0] * shape[1]))
+    if math.factorial(shape[0]) * math.factorial(shape[1]) > DEFAULT_CLOSURE_CAP:  # 1x9, 9x1
+        message = f"closure exceeds cap={DEFAULT_CLOSURE_CAP}"
+        with pytest.raises(CapExceededError, match=message):
+            leader_constraints(group, lex)
+        with pytest.raises(CapExceededError, match=message):
+            group.closure()
+        return
+    bset = leader_constraints(group, lex)
+    closure = group.closure()
+    assert len(bset) == max(len(closure) - 1, 0) == group.order - 1  # 1x1: no generators
+    assert [con.sigma for con in bset.constraints] == list(closure[1:])
+
+
+IDENT4 = LiteralSymmetry.identity(binary_domains(4))
+ROW4, COL4 = row_col_generators((2, 2))
+
+
+@pytest.mark.parametrize("gens, order", [
+    ((), 1), ((IDENT4,), 1), ((ROW4, ROW4), 2), ((IDENT4, ROW4, IDENT4, COL4, ROW4), 4)])
+def test_leader_full_length_without_generators_or_with_repeated_ones(gens, order):
+    # a group without generators has no space to build its identity on, so
+    # its closure is empty though its order is 1
+    group = SymmetryGroup(gens)
+    bset = leader_constraints(group, LEX4)
+    assert len(bset) == len(bset.constraints) == max(len(group.closure()) - 1, 0) == order - 1
+    assert group.order == order
+    assert filter_solutions(SPACE2x2, bset) == [a for a in SPACE2x2 if all(
+        LEX4.compare(a, s.apply(a)) != GT for s in group.closure())]

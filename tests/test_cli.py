@@ -230,6 +230,86 @@ def test_cap_overflow_exit_code(capsys, tmp_path):
         assert (code, out, err) == (3, "", "error: closure exceeds cap=5\n"), command
 
 
+@pytest.mark.parametrize("command", ["compare", "check", "break"])
+def test_closure_over_its_cap_exits_ahead_of_an_orbit_error(capsys, tmp_path, command):
+    # x0 = 1 and row/column swaps: the solutions are not closed under the
+    # group (an orbit error, exit 2), but the 4-element closure at cap 3
+    # overflows first; at cap 4 it fits and the orbit error follows
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(dict(PROBLEM_2x2, constraints=[
+        {"kind": "unary", "var": 0, "value": 1}])))
+    syms = tmp_path / "s.json"
+    for cap, code, err in ((3, 3, "error: closure exceeds cap=3\n"),
+                           (4, 2, "error: generator maps a solution outside the solution set")):
+        syms.write_text(json.dumps(dict(ROWCOL_2x2, cap=cap)))
+        got = invoke(capsys, [command, "--problem", str(problem), "--symmetries", str(syms)])
+        assert got[:2] == (code, "") and got[2].startswith(err), (command, cap)
+
+
+def test_leader_full_builds_no_group_element(capsys, tmp_path, monkeypatch):
+    # On 3x3 the group has 36 elements and 4 generators.  A leader-full set
+    # names its group and is judged along the closure tree, so the only
+    # LiteralSymmetry objects built are the 4 generators read from the file
+    # (and, for compare, doublelex's 4 row and column swaps), and the only
+    # LeaderConstraint objects those that compare's leader-generators rows
+    # (4 orderings x 4 generators) and doublelex row (4) post.  Building the
+    # closure's elements and one constraint per element would add 36 + 35.
+    from symbreak.breaker import LeaderConstraint
+    from symbreak.literals import LiteralSymmetry
+
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 9, "domains": [[0, 1]] * 9, "shape": [3, 3]}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": 3, "cols": 3}]}))
+    built = {}
+    for cls in (LiteralSymmetry, LeaderConstraint):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for command, expected in (("compare", (8, 20)), ("check", (4, 0)), ("break", (4, 0))):
+        built.update(LiteralSymmetry=0, LeaderConstraint=0)
+        method = [] if command == "compare" else ["--method", "leader-full"]
+        code, out, _ = invoke(capsys, [command, *method, "--problem", str(problem),
+                                       "--symmetries", str(syms)])
+        assert code in (0, 1) and out
+        assert (built["LiteralSymmetry"], built["LeaderConstraint"]) == expected, command
+
+
+def test_runs_leave_no_cyclic_garbage(capsys, tmp_path):
+    # Mixed domains give a literal space whose domain check is a lambda, and
+    # the enumeration is a nested recursive function: neither may hold its
+    # owner in a cycle, so that each run's objects, the solution lists
+    # among them, are freed by reference counting alone.
+    import gc
+
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 4, "domains": [[0, 1], [0, 1, 2], [0, 1], [0, 1, 2]],
+                                   "constraints": [
+                                       {"kind": "table", "scope": [v], "tuples": [[0], [2]]}
+                                       for v in (1, 3)]}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "literal", "var_perm": [2, 3, 0, 1]}]}))
+    one_in_three = tmp_path / "i.json"
+    one_in_three.write_text(json.dumps({"clauses": [[1, 2, 3]]}))
+    cnf = tmp_path / "c.json"
+    cnf.write_text(json.dumps({"n": 2, "clauses": [[1, 2]]}))
+    pair = ["--problem", str(problem), "--symmetries", str(syms)]
+    runs = [["solve", "--problem", str(problem)], ["orbits", *pair], ["break", *pair],
+            ["check", *pair], ["compare", *pair], ["demo-prop1", "--instance", str(one_in_three)],
+            ["demo-prop2", "--instance", str(cnf)]]
+    run(runs[0])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in runs:
+            assert run(argv) in (0, 1) and capsys.readouterr().out, argv
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["break", "--method", "sideways"])

@@ -251,13 +251,19 @@ def set_case(name):
         rows = row_col_specs(*shape, doms)[:shape[0] - 1]
         gens = tuple(LiteralSymmetry.from_maps(p, m) for p, m in rows)
         return space, SymmetryGroup(gens), doms, shape
+    if kind == "repeats-and-identities":
+        # only the first of equal generators reaches the closure tree's first level
+        row, *_, col = row_col_group(shape).generators
+        ident = LiteralSymmetry.identity(doms)
+        return space, SymmetryGroup((ident, col, row, col, ident, row)), doms, shape
     # x0 = 1: doublelex sends solutions outside the solution set
     gens = (LiteralSymmetry.identity(doms),) if kind == "x0-identity" else ()
     return [a for a in space if a[0] == 1], SymmetryGroup(gens), doms, shape
 
 
 SET_CASES = ["conjugated-gray-2x2", "conjugated-snakelex-2x3", "conjugated-revlex-3x2",
-             "row-swaps-only-2x3", "row-swaps-only-3x2", "x0-identity-2x2",
+             "row-swaps-only-2x3", "row-swaps-only-3x2", "repeats-and-identities-2x3",
+             "repeats-and-identities-3x2", "x0-identity-2x2",
              "x0-no-generators-2x2", "x0-identity-2x3"]
 
 
@@ -276,8 +282,9 @@ def test_indexed_kernel_matches_leader_constraint_oracle(name):
 
 @pytest.mark.parametrize("name", ["row-col-2x3", "conjugated-gray-2x2"])
 def test_sets_near_the_closure_match_leader_constraint_oracle(name):
-    # only a set posting exactly the closure after the identity, under one
-    # ordering, is walked; these differ from it and are judged per constraint
+    # only a leader-full set, which names its group, is walked; these list
+    # closure elements one by one, the last exactly the closure after the
+    # identity, and are judged per constraint
     if name.startswith("row-col"):
         domains, shape = binary_domains(6), (2, 3)
         solutions, group = list(all_assignments(domains)), row_col_group(shape)

@@ -59,6 +59,33 @@ def test_clause_semantics():
     assert not check_assignment(p, (0, 0))
 
 
+@pytest.mark.parametrize("scope, rows", [((2,), {(1,)}), ((0,), {(0,), (1,)}), ((1,), set()),
+                                         ((2, 0), {(1, 0), (0, 1)}), ((1, 2, 0), {(0, 0, 1)})])
+def test_table_checks_its_scope_in_any_order_and_of_one_variable(scope, rows):
+    table = TableConstraint(scope, frozenset(rows))
+    for a in itertools.product((0, 1), repeat=3):
+        expected = tuple(a[v] for v in scope) in rows
+        assert table.satisfied(a) == table.satisfied(list(a)) == expected, a
+    problem = binary_problem(3, [table])
+    assert enumerate_solutions(problem) == [
+        a for a in itertools.product((0, 1), repeat=3) if check_assignment(problem, a)]
+
+
+def test_enumerate_leaves_no_cycle_on_return_or_cap_overflow():
+    import gc
+
+    problem = binary_problem(3)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(CapExceededError):
+            enumerate_solutions(problem, cap=2)
+        assert gc.collect() == 0
+        assert enumerate_solutions(problem) and gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_full_space():
     p = binary_problem(2)
     assert enumerate_solutions(p) == [(0, 0), (0, 1), (1, 0), (1, 1)]
