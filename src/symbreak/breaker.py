@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .literals import _gatherer
 from .model import Assignment, Domain, InputError, binary_domains
-from .orderings import GT, LT, LexOrdering, SimpleOrdering, applicable_orderings
+from .orderings import GT, LexOrdering, SimpleOrdering, applicable_orderings
 from .symmetry import (
     OrbitPartition,
     Symmetry,
@@ -196,27 +196,6 @@ def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingS
                         group: SymmetryGroup) -> tuple[OrbitPartition, tuple[int, ...]]:
     partition = orbits(solutions, group)
     return partition, orbit_verdict(partition, bset).counts
-
-
-def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
-             group: SymmetryGroup) -> bool:
-    """At least one survivor in every orbit."""
-    return orbit_verdict(orbits(solutions, group), bset).sound
-
-
-def is_complete(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
-                group: SymmetryGroup) -> bool:
-    """At most one survivor in every orbit."""
-    return orbit_verdict(orbits(solutions, group), bset).complete
-
-
-def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) -> bool:
-    """Is `a` the smallest member of its orbit under the ordering?
-
-    Decided by enumerating the orbit; orbits larger than the group's cap
-    raise rather than answer.
-    """
-    return not any(ordering.compare(b, a) == LT for b in group.orbit_of(a))
 
 
 def doublelex_constraints(shape: Optional[tuple[int, int]],

@@ -116,20 +116,6 @@ def build_decomposition(n: int, strict: bool) -> GrayDecomposition:
     return GrayDecomposition(n, strict, tuple(props), tuple(map(tuple, watchers)))
 
 
-def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:
-    """Structural check: position blocks form a chain sharing one state each."""
-    scopes = [set(con.scope) for _, con in decomp.propagators if len(con.scope) > 1]
-    for i, si in enumerate(scopes):
-        for j in range(i + 1, len(scopes)):
-            overlap = si & scopes[j]
-            if j == i + 1:
-                if overlap != {decomp.state(i + 1)}:
-                    return False
-            elif overlap:
-                return False
-    return True
-
-
 def initial_store(decomp: GrayDecomposition) -> DomainStore:
     """Every bit free, every state variable at {-1, 0, 1}."""
     n = decomp.n

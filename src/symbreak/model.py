@@ -203,15 +203,7 @@ def binary_problem(n: int, constraints: Sequence[Constraint] = ()) -> Problem:
 
 
 # ---------------------------------------------------------------------------
-# checking and enumeration
-
-
-def check_assignment(problem: Problem, assignment: Sequence[int]) -> bool:
-    """True iff the assignment satisfies every constraint of the problem."""
-    if len(assignment) != problem.n:
-        raise InputError(f"assignment has arity {len(assignment)}, problem has {problem.n}")
-    check_values(problem.domains, enumerate(assignment))
-    return all(con.satisfied(assignment) for con in problem.constraints)
+# enumeration
 
 
 def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Assignment]:
@@ -219,7 +211,9 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Ass
 
     Without a cap, search spaces above MAX_ENUMERATION_SPACE are refused.
     With a cap, finding more than `cap` solutions raises rather than
-    truncating the result.
+    truncating the result.  The search is depth-first over an explicit
+    stack of per-depth domain iterators, so depth is not bounded by
+    Python's recursion limit.
     """
     if cap is None:
         if problem.space_size > MAX_ENUMERATION_SPACE:
@@ -230,29 +224,29 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Ass
         raise InputError("cap must be positive")
 
     # a constraint becomes checkable once the last variable of its scope is set
-    ready: list[list[Constraint]] = [[] for _ in range(problem.n + 1)]
+    ready: list[list[Constraint]] = [[] for _ in range(problem.n)]
     for con in problem.constraints:
-        ready[max(con.scope) + 1].append(con)
+        ready[max(con.scope)].append(con)
 
+    domains, last = problem.domains, problem.n - 1
     solutions: list[Assignment] = []
-    prefix: list[int] = []
-
-    def extend(depth: int) -> None:
-        if depth == problem.n:
-            solutions.append(tuple(prefix))
-            if cap is not None and len(solutions) > cap:
-                raise CapExceededError(f"more than cap={cap} solutions")
-            return
-        for v in problem.domains[depth]:
-            prefix.append(v)
-            if all(con.satisfied(prefix) for con in ready[depth + 1]):
-                extend(depth + 1)
-            prefix.pop()
-
-    try:
-        extend(0)
-    finally:
-        del extend  # it refers to itself: left alone, the cycle holds the solutions
+    values: list = [None] * problem.n  # values[:depth + 1] is the current prefix
+    levels = [iter(domains[0])]  # levels[depth] yields the values left to try there
+    while levels:
+        depth = len(levels) - 1
+        checks = ready[depth]
+        for values[depth] in levels[depth]:
+            if not checks or all(con.satisfied(values) for con in checks):
+                break
+        else:  # this depth is exhausted: back up one level
+            levels.pop()
+            continue
+        if depth < last:
+            levels.append(iter(domains[depth + 1]))
+            continue
+        solutions.append(tuple(values))
+        if cap is not None and len(solutions) > cap:
+            raise CapExceededError(f"more than cap={cap} solutions")
     return solutions
 
 

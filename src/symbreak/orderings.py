@@ -103,13 +103,6 @@ class SimpleOrdering:
         ka, kb = self.key(a), self.key(b)
         return LT if ka < kb else GT if ka > kb else EQ
 
-    def minimum(self, assignments) -> Assignment:
-        """Smallest of a nonempty collection under this ordering."""
-        items = list(assignments)
-        if not items:
-            raise InputError("minimum of an empty collection")
-        return min(items, key=self.key)
-
 
 class LexOrdering(SimpleOrdering):
     """Big-endian positional order: variable 0 is most significant."""
@@ -165,14 +158,6 @@ def snake_variable_order(shape: tuple[int, int]) -> tuple[int, ...]:
         rows = range(r) if j % 2 == 0 else range(r - 1, -1, -1)
         order.extend(i * c + j for i in rows)
     return tuple(order)
-
-
-def snake_vectorize(values: Sequence[int], shape: Optional[tuple[int, int]]) -> tuple[int, ...]:
-    """Serpentine read of a row-major matrix: col 0 top-down, col 1 bottom-up, ..."""
-    if shape is None:
-        raise InputError("snake vectorization needs a matrix shape")
-    check_shape(shape, len(values))
-    return tuple(values[v] for v in snake_variable_order(shape))
 
 
 class SnakeLexOrdering(SimpleOrdering):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Sequence
 
-from .breaker import LeaderConstraint
+from .breaker import leader_constraints, orbit_verdict
 from .model import (
     Assignment,
     Domain,
@@ -34,7 +34,7 @@ from .model import (
     read_fields,
 )
 from .orderings import RevLexOrdering, SimpleOrdering
-from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup
+from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
 
 MAX_ONE_IN_THREE_VARS = 12
 MAX_GROUP_GADGET_VARS = 10
@@ -130,11 +130,15 @@ def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
 def solve_ordering_gadget(gadget: OrderingGadget) -> tuple[str, Assignment]:
     """Solve the gadget with its leader constraint posted; read the flag bit.
 
-    Returns the verdict and the one assignment that survives; flag 0 means
-    the encoded instance is satisfiable.
+    The gadget has two solutions, one orbit of the flag swap; the orbit
+    kernel judges the swap's leader constraint on them.  Returns the verdict
+    and the one assignment that survives; flag 0 means the encoded instance
+    is satisfiable.
     """
-    leader = LeaderConstraint(gadget.flip, gadget.ordering)
-    survivors = [a for a in enumerate_solutions(gadget.problem) if leader.satisfied(a)]
+    group = SymmetryGroup((gadget.flip,))
+    partition = orbits(enumerate_solutions(gadget.problem, 2), group)
+    verdict = orbit_verdict(partition, leader_constraints(group, gadget.ordering, "generators"))
+    survivors = [a for kept in verdict.kept for a in kept]
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"ordering gadget left {len(survivors)} solutions, expected 1")
@@ -218,7 +222,7 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
     solutions = enumerate_solutions(gadget.problem)
     if len(gadget.group.orbit_of(solutions[0])) != len(solutions):
         raise InvariantViolationError("group gadget's solutions form more than one orbit")
-    winner = gadget.ordering.minimum(solutions)
+    winner = min(solutions, key=gadget.ordering.key)
     if winner == (0,) * gadget.phi.num_vars:
         return SAT if gadget.phi.satisfied_by(winner) else UNSAT
     return SAT

@@ -274,12 +274,6 @@ def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
     return True, tuple(tau)
 
 
-def map_constraint_set(pi: AssignmentPermutation,
-                       satisfying: Iterable[Assignment]) -> frozenset:
-    """Image of an extensionally given constraint set under pi."""
-    return frozenset(pi.forward(a) for a in satisfying)
-
-
 # ---------------------------------------------------------------------------
 # matrix-model generators and serialization
 

@@ -16,8 +16,9 @@ formats, every ordering and method on the binary row/column models of up to
 identity with the closure cap at |G| and |G| - 1, `break` output read back
 by `check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
-ladders at seed 1, and the input errors and option conflicts of each
-command.  The file name keeps pytest from collecting it.
+ladders at seed 1, problems of 1000 or more variables and `demo-prop1`
+instances above the uncapped enumeration limit, and the input errors and
+option conflicts of each command.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -256,6 +257,31 @@ def benchmark_instances(corpus: Corpus) -> None:
     corpus.invoke(["demo-prop2", "--instance", corpus.file("bad-cnf.json", {"n": 1})])
 
 
+def deep_instances(corpus: Corpus) -> None:
+    """Problems of 1000 or more variables under `--cap`, and `demo-prop1`
+    instances whose nominal gadget space is above 2^24."""
+    for n, free in ((1000, 0), (1000, 1), (1200, 0)):
+        problem = corpus.file(f"deep{n}-{free}.json", {
+            "n": n, "domains": [[0, 1]] * n, "constraints": [
+                {"kind": "unary", "var": v, "value": 0} for v in range(n - free)]})
+        # column swaps fix the all-zero solution; a free last variable is flipped
+        gens = ([{"kind": "literal", "var_perm": list(range(n)),
+                  "val_maps": [[[0, 0], [1, 1]]] * (n - 1) + [[[0, 1], [1, 0]]]}] if free
+                else [{"kind": "row_col", "rows": 1, "cols": n}])
+        syms = corpus.file(f"deep{n}-{free}-syms.json", {"generators": gens})
+        corpus.invoke(["solve", "--problem", problem, "--cap", "5"])
+        corpus.invoke(["orbits", "--problem", problem, "--symmetries", syms, "--cap", "5"])
+    rng = random.Random(4)
+    for i, clauses in enumerate([
+            [[1, 2, 3], [4, 5, 6], [1, 4, 7], [2, 5, 7]],
+            [[1, 1, 2], [1, 2, 2], [3, 4, 5], [6, 7, 8]],
+            [[1, 2, 12], [4, 5, 6], [7, 8, 9]],
+            [[3 * k + 1, 3 * k + 2, 3 * k + 3] for k in range(4)] * 100,
+            [[rng.randint(1, 12) for _ in range(3)] for _ in range(60)]]):
+        corpus.invoke(["demo-prop1", "--instance",
+                       corpus.file(f"wide{i}.json", {"clauses": clauses})])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -268,7 +294,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
         for part in (front_end, matrix_models, leader_full_groups, survivor_files, rank_grids,
-                     gray_stores, benchmark_instances):
+                     gray_stores, benchmark_instances, deep_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
     return 0

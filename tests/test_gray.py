@@ -11,12 +11,13 @@ from symbreak.gray import (
     build_decomposition,
     gac_oracle,
     initial_store,
-    is_berge_acyclic_chain,
     propagate,
     store_from_candidates,
 )
 from symbreak.model import InputError, binary_domains
 from symbreak.orderings import GrayOrdering
+
+from reference import is_berge_acyclic_chain
 
 _DECOMPS = {}
 

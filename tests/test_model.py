@@ -13,12 +13,13 @@ from symbreak.model import (
     TableConstraint,
     UnaryConstraint,
     binary_problem,
-    check_assignment,
     enumerate_solutions,
     format_assignment,
     parse_assignment,
     problem_from_dict,
 )
+
+from reference import check_assignment
 
 
 def one_hot_table(n):

@@ -12,13 +12,14 @@ from symbreak.symmetry import (
     LiteralSymmetry,
     SymmetryGroup,
     conjugate,
-    map_constraint_set,
     orbits,
     partitions_isomorphic,
     row_col_generators,
     row_col_group,
     symmetry_group_from_dict,
 )
+
+from reference import map_constraint_set
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
 
