@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from symbreak.breaker import doublelex_constraints, orbit_verdict
-from symbreak.model import all_assignments, binary_domains, format_assignment
+from symbreak.model import all_assignments, assignment_formatter, binary_domains
 from symbreak.symmetry import orbits, row_col_group
 
 
@@ -33,7 +33,7 @@ def main(argv=None):
             for block, kept in zip(partition.blocks, verdict.kept):
                 if len(kept) > 1:
                     found += 1
-                    members = " ".join(format_assignment(a, doms) for a in kept)
+                    members = " ".join(map(assignment_formatter(doms), kept))
                     print(f"{r}x{c}: orbit of size {len(block)} keeps "
                           f"{len(kept)} members: {members}")
     if not found:

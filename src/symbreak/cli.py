@@ -29,10 +29,10 @@ from .model import (
     InvariantViolationError,
     Problem,
     SymbreakError,
+    assignment_formatter,
     binary_domains,
     check_shape,
     enumerate_solutions,
-    format_assignment,
     load_json_object,
     load_problem,
     parse_assignment,
@@ -142,8 +142,8 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     problem = load_problem(ns.problem)
     sols = enumerate_solutions(problem, ns.cap)
     print(f"# seed={ns.seed} solutions={len(sols)}")
-    _print_rows(["assignment"],
-                [[format_assignment(a, problem.domains)] for a in sols], ns.format)
+    fmt = assignment_formatter(problem.domains)
+    _print_rows(["assignment"], [[fmt(a)] for a in sols], ns.format)
     return 0 if sols else 1
 
 
@@ -153,7 +153,8 @@ def _cmd_orbits(ns: argparse.Namespace) -> int:
     sols = enumerate_solutions(problem, ns.cap)
     partition = orbits(sols, group)
     print(f"# seed={ns.seed} orbits={len(partition)}")
-    rows = [[i, len(block), " ".join(format_assignment(a, problem.domains) for a in block)]
+    fmt = assignment_formatter(problem.domains)
+    rows = [[i, len(block), " ".join(map(fmt, block))]
             for i, block in enumerate(partition.blocks)]
     _print_rows(["orbit", "size", "members"], rows, ns.format)
     return 0
@@ -171,8 +172,8 @@ def _cmd_break(ns: argparse.Namespace) -> int:
     survivors = [a for a in sols if a in kept]
     print(f"# seed={ns.seed} ordering={ns.ordering} method={ns.method} "
           f"constraints={len(bset)} survivors={len(survivors)}")
-    _print_rows(["assignment"],
-                [[format_assignment(a, problem.domains)] for a in survivors], ns.format)
+    fmt = assignment_formatter(problem.domains)
+    _print_rows(["assignment"], [[fmt(a)] for a in survivors], ns.format)
     print()
     _print_rows(["orbit", "size", "survivors"],
                 [[i, len(block), count]
@@ -244,7 +245,7 @@ def _cmd_rank(ns: argparse.Namespace) -> int:
           ("--k", {"type": int, "required": True}), report=False)
 def _cmd_unrank(ns: argparse.Namespace) -> int:
     ordering = _ordering(ns)
-    print(format_assignment(ordering.unrank(ns.k), ordering.domains))
+    print(assignment_formatter(ordering.domains)(ordering.unrank(ns.k)))
     return 0
 
 
@@ -301,7 +302,7 @@ def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
     print(f"# clauses={list(list(c) for c in inst.clauses)}")
     print(f"problem: {gadget.problem.n} variables; prefix fixed to the clause "
           f"indices; flag bit free; symmetry swaps the flag bit's values")
-    print(f"survivor: {format_assignment(survivor, gadget.problem.domains)}")
+    print(f"survivor: {assignment_formatter(gadget.problem.domains)(survivor)}")
     return _report_verdict(verdict, oracle)
 
 
@@ -315,8 +316,8 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
     print(f"# n={phi.num_vars} clauses={list(list(c) for c in phi.clauses)}")
     print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
-    for a in gadget.solutions:
-        print(f"  {format_assignment(a, gadget.problem.domains)}")
+    for row in map(assignment_formatter(gadget.problem.domains), gadget.solutions):
+        print(f"  {row}")
     return _report_verdict(verdict, oracle)
 
 

@@ -223,10 +223,13 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Ass
     elif cap < 1:
         raise InputError("cap must be positive")
 
-    # a constraint becomes checkable once the last variable of its scope is set
+    # a constraint is checkable once its scope's last variable is set: one checker per depth
     ready: list[list[Constraint]] = [[] for _ in range(problem.n)]
     for con in problem.constraints:
         ready[max(con.scope)].append(con)
+    checkers = [None if not cons else cons[0].satisfied if len(cons) == 1
+                else lambda values, cons=cons: all(con.satisfied(values) for con in cons)
+                for cons in ready]
 
     domains, last = problem.domains, problem.n - 1
     solutions: list[Assignment] = []
@@ -234,9 +237,9 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Ass
     levels = [iter(domains[0])]  # levels[depth] yields the values left to try there
     while levels:
         depth = len(levels) - 1
-        checks = ready[depth]
+        check = checkers[depth]
         for values[depth] in levels[depth]:
-            if not checks or all(con.satisfied(values) for con in checks):
+            if check is None or check(values):
                 break
         else:  # this depth is exhausted: back up one level
             levels.pop()
@@ -367,15 +370,11 @@ def load_problem(path) -> Problem:
     return problem_from_dict(load_json_object(path, "problem file"))
 
 
-def is_binary(domains: Sequence[Domain]) -> bool:
-    return all(tuple(d) == (0, 1) for d in domains)
-
-
-def format_assignment(a: Sequence[int], domains: Sequence[Domain]) -> str:
-    """0/1 string for binary spaces (leftmost char = variable 0), else comma-joined."""
-    if is_binary(domains):
-        return "".join(str(v) for v in a)
-    return ",".join(str(v) for v in a)
+def assignment_formatter(domains: Sequence[Domain]) -> Callable[[Sequence[int]], str]:
+    """The row formatter of a space: a 0/1 string for binary spaces (leftmost
+    char = variable 0), else comma-joined values."""
+    sep = "" if all(tuple(d) == (0, 1) for d in domains) else ","
+    return lambda a: sep.join(map(str, a))
 
 
 def parse_assignment(text: str, domains: Sequence[Domain]) -> Assignment:

@@ -17,6 +17,7 @@ The two kinds never mix inside one group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -47,7 +48,6 @@ class AssignmentSymmetry:
         if set(moved) != set(moved.values()):
             raise InputError("listed pairs do not form a bijection on the listed set")
         self._map = moved
-        self._key = frozenset(moved.items())
 
     @classmethod
     def identity(cls) -> "AssignmentSymmetry":
@@ -75,6 +75,10 @@ class AssignmentSymmetry:
 
     def is_identity(self) -> bool:
         return not self._map
+
+    @cached_property
+    def _key(self) -> frozenset:  # built on first comparison or hash
+        return frozenset(self._map.items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AssignmentSymmetry) and self._key == other._key
@@ -153,15 +157,26 @@ class SymmetryGroup:
         return found
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
-        """Orbit of a single assignment under the generated group, in search order."""
-        return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in self.generators],
-                                   cap=self.cap))
+        """Orbit of a single assignment under the generated group, in search order.
+
+        An assignment-level generator fixes what it does not list, so the search
+        steps only along listed pairs: movers[b] holds b's images in generator
+        order.  A generator that skips b maps it to itself, already seen."""
+        gens = self.generators
+        if gens and isinstance(gens[0], LiteralSymmetry):
+            return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens],
+                                       cap=self.cap))
+        movers: dict = {}
+        for g in gens:
+            for b, image in g._map.items():
+                movers.setdefault(b, []).append(image)
+        return tuple(_orbit_search(tuple(a), lambda b: movers.get(b, ()), cap=self.cap))
 
 
 def _orbit_search(start, neighbours: Callable[..., Iterable],
                   cap: Optional[int] = None, what: str = "orbit") -> dict:
     """Breadth-first search from `start`; neighbours(p) lists the points one
-    step from p, one per generator, in generator order.
+    step from p, in generator order (one per generator in the closure search).
 
     Returns the points reached, in discovery order, as the keys of a dict
     whose values are (p, k) when the point was first reached as neighbour k

@@ -8,7 +8,9 @@ SRC is the `src/` directory whose `symbreak` runs.  The inputs are built
 from fixed seeds in a temporary directory, and help text is formatted for
 80 columns.  Each line holds the argv (the temporary directory written as
 `TMP`), the exit code (or `"raised"` and the exception, for an exception
-that escapes `run`), stdout and stderr.
+that escapes `run`), stdout and stderr.  The script exits 1 if any
+invocation raised or wrote a traceback to stderr, since every outcome of
+the command line is an exit code and an `error:` line at worst.
 
 The corpus covers every subcommand with and without `--help`, both
 formats, every ordering and method on the binary row/column models of up to
@@ -16,9 +18,10 @@ formats, every ordering and method on the binary row/column models of up to
 identity with the closure cap at |G| and |G| - 1, `break` output read back
 by `check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
-ladders at seed 1, problems of 1000 or more variables and `demo-prop1`
-instances above the uncapped enumeration limit, and the input errors and
-option conflicts of each command.  The file name keeps pytest from collecting it.
+ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
+instances above the uncapped enumeration limit, `demo-prop2` instances of
+10 variables, and the input errors and option conflicts of each command.
+The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _write(path: str, data) -> str:
 class Corpus:
     def __init__(self, run, tmp: str, out):
         self.run, self.tmp, self.out = run, tmp, out
-        self.count = 0
+        self.count = self.failures = 0
 
     def invoke(self, argv: list[str]) -> tuple:
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -68,6 +71,7 @@ class Corpus:
                   "stderr": stderr.getvalue()}
         self.out.write(json.dumps(record).replace(self.tmp, "TMP") + "\n")
         self.count += 1
+        self.failures += isinstance(code, list) or "Traceback" in record["stderr"]
         return code, stdout.getvalue()
 
     def file(self, name: str, data) -> str:
@@ -258,8 +262,9 @@ def benchmark_instances(corpus: Corpus) -> None:
 
 
 def deep_instances(corpus: Corpus) -> None:
-    """Problems of 1000 or more variables under `--cap`, and `demo-prop1`
-    instances whose nominal gadget space is above 2^24."""
+    """Problems of 1000 or more variables under `--cap`, `demo-prop1`
+    instances whose nominal gadget space is above 2^24, and `demo-prop2`
+    instances of 10 variables: no clauses (1024 members), one clause, UNSAT."""
     for n, free in ((1000, 0), (1000, 1), (1200, 0)):
         problem = corpus.file(f"deep{n}-{free}.json", {
             "n": n, "domains": [[0, 1]] * n, "constraints": [
@@ -280,11 +285,14 @@ def deep_instances(corpus: Corpus) -> None:
             [[rng.randint(1, 12) for _ in range(3)] for _ in range(60)]]):
         corpus.invoke(["demo-prop1", "--instance",
                        corpus.file(f"wide{i}.json", {"clauses": clauses})])
+    for i, clauses in enumerate([[], [[1, -5, 10]], [[3], [-3, 7], [-7]]]):
+        corpus.invoke(["demo-prop2", "--instance",
+                       corpus.file(f"wide-cnf{i}.json", {"n": 10, "clauses": clauses})])
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        print(__doc__.strip().splitlines()[3].strip(), file=sys.stderr)
         return 2
     src, out_path = argv
     sys.path.insert(0, os.path.abspath(src))
@@ -297,7 +305,9 @@ def main(argv: list[str]) -> int:
                      gray_stores, benchmark_instances, deep_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
-    return 0
+    if corpus.failures:
+        print(f"{corpus.failures} raised or printed a traceback", file=sys.stderr)
+    return 1 if corpus.failures else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
 from symbreak.gray import GrayDecomposition
 from symbreak.model import Assignment, InputError, Problem, check_shape, check_values
 from symbreak.orderings import LT, AssignmentPermutation, SimpleOrdering, snake_variable_order
-from symbreak.symmetry import SymmetryGroup, orbits
+from symbreak.symmetry import SymmetryGroup, _orbit_search, orbits
 
 
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -36,6 +36,13 @@ def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) 
     raise rather than answer.
     """
     return not any(ordering.compare(b, a) == LT for b in group.orbit_of(a))
+
+
+def dense_orbit_of(group: SymmetryGroup, a: Assignment) -> tuple[Assignment, ...]:
+    """The orbit of `a` by applying every generator at every point, in search
+    order; more than the group's cap of points raises CapExceededError."""
+    gens = group.generators
+    return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens], cap=group.cap))
 
 
 def check_assignment(problem: Problem, assignment: Sequence[int]) -> bool:

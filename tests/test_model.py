@@ -12,9 +12,9 @@ from symbreak.model import (
     Problem,
     TableConstraint,
     UnaryConstraint,
+    assignment_formatter,
     binary_problem,
     enumerate_solutions,
-    format_assignment,
     parse_assignment,
     problem_from_dict,
 )
@@ -111,6 +111,23 @@ def test_enumerate_cap_exceeded():
     assert len(enumerate_solutions(p, cap=16)) == 16
 
 
+@pytest.mark.parametrize("constraints", [
+    # two, then three, constraints ready at depth 2 (their scopes end at variable 2)
+    [TableConstraint((0, 2), frozenset({(0, 1), (1, 0), (2, 2)})), UnaryConstraint(2, 1)],
+    [ClauseConstraint((Literal(1, 0), Literal(2, 0, False))),
+     TableConstraint((2, 1), frozenset({(1, 0), (2, 1), (0, 0)})), UnaryConstraint(2, 1)],
+])
+def test_enumerate_several_constraints_ready_at_one_depth(constraints):
+    problem = Problem(4, ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1)), tuple(constraints))
+    assert [max(con.scope) for con in constraints] == [2] * len(constraints)
+    expected = [a for a in itertools.product(*problem.domains)
+                if all(con.satisfied(a) for con in constraints)]
+    assert expected and enumerate_solutions(problem) == expected
+    assert enumerate_solutions(problem, cap=len(expected)) == expected
+    with pytest.raises(CapExceededError, match=f"^more than cap={len(expected) - 1} solutions$"):
+        enumerate_solutions(problem, cap=len(expected) - 1)
+
+
 def test_enumerate_refuses_huge_space_without_cap():
     p = binary_problem(26, [UnaryConstraint(i, 0) for i in range(26)])
     with pytest.raises(CapExceededError):
@@ -192,10 +209,10 @@ def test_problem_dict_rejects_unknown_fields():
 
 def test_assignment_formatting_round_trip():
     doms = ((0, 1),) * 4
-    assert format_assignment((0, 1, 1, 0), doms) == "0110"
+    assert assignment_formatter(doms)((0, 1, 1, 0)) == "0110"
     assert parse_assignment("0110", doms) == (0, 1, 1, 0)
     mixed = ((0, 1, 2), (5, 7))
-    assert format_assignment((2, 5), mixed) == "2,5"
+    assert assignment_formatter(mixed)((2, 5)) == "2,5"
     assert parse_assignment("2,5", mixed) == (2, 5)
     with pytest.raises(InputError):
         parse_assignment("012", doms[:3])

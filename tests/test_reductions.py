@@ -20,7 +20,7 @@ from symbreak.reductions import (
     solve_group_gadget,
     solve_ordering_gadget,
 )
-from symbreak.symmetry import orbits
+from symbreak.symmetry import AssignmentSymmetry, orbits
 
 
 def verdict(flag: bool) -> str:
@@ -200,6 +200,23 @@ def test_group_gadget_random_cnfs():
             for _ in range(rng.randint(1, 4)))
         phi = Cnf(n, clauses)
         assert solve_group_gadget(group_gadget(phi)) == verdict(cnf_satisfiable(phi))
+
+
+def test_group_gadget_orbit_steps_only_along_listed_pairs(monkeypatch):
+    # the dense search applied all 1023 transpositions at each of the 1024
+    # members: 1024 * 1023 `apply` calls
+    gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": []}))
+    assert len(gadget.group.generators) == 1023
+    calls = [0]
+    apply = AssignmentSymmetry.apply
+
+    def counted(self, a):
+        calls[0] += 1
+        return apply(self, a)
+
+    monkeypatch.setattr(AssignmentSymmetry, "apply", counted)
+    assert gadget.group.orbit_of(gadget.solutions[0]) == gadget.solutions
+    assert calls[0] == 0
 
 
 def test_group_gadget_width_checks():

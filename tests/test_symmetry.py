@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
-from symbreak.orderings import GrayOrdering, rank_preserving_map
+from symbreak.orderings import ORDERING_NAMES, GrayOrdering, make_ordering, rank_preserving_map
+from symbreak.reductions import Cnf, group_gadget
 from symbreak.symmetry import (
     AssignmentSymmetry,
     LiteralSymmetry,
@@ -19,7 +21,7 @@ from symbreak.symmetry import (
     symmetry_group_from_dict,
 )
 
-from reference import map_constraint_set
+from reference import dense_orbit_of, map_constraint_set
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
 
@@ -123,6 +125,14 @@ def test_assignment_symmetry_bijection_check():
     assert sym.invert() == sym
 
 
+def test_assignment_symmetry_builds_its_key_on_first_comparison():
+    sym = AssignmentSymmetry.transposition((0, 0), (1, 1))
+    assert "_key" not in vars(sym)
+    assert sym == AssignmentSymmetry.transposition((1, 1), (0, 0))
+    assert "_key" in vars(sym)
+    assert hash(sym) == hash(sym.invert()) and sym != AssignmentSymmetry.identity()
+
+
 @given(st.permutations(list(range(4))))
 def test_assignment_symmetry_compose_invert(perm):
     space = list(all_assignments(binary_domains(2)))
@@ -171,6 +181,68 @@ def test_closure_tree_spans_the_closure_breadth_first(group):
 def test_closure_cap_overflow():
     with pytest.raises(CapExceededError):
         SymmetryGroup(row_col_generators((3, 3)), cap=10).closure()
+
+
+def assert_orbit_of_matches_dense(group, starts):
+    """orbit_of gives the dense search's tuple from every start, and with the
+    cap one below the orbit's size both searches overflow."""
+    for a in starts:
+        orbit = group.orbit_of(a)
+        assert orbit == dense_orbit_of(group, a), a
+        if len(orbit) > 1:
+            capped = SymmetryGroup(group.generators, cap=len(orbit) - 1)
+            for search in (capped.orbit_of, lambda b: dense_orbit_of(capped, b)):
+                with pytest.raises(CapExceededError, match=f"cap={len(orbit) - 1}$"):
+                    search(a)
+
+
+def cnf_with_models(n, models):
+    """A CNF over n variables whose models are exactly `models`: one clause
+    falsified by each other assignment."""
+    return Cnf(n, tuple(tuple(-(i + 1) if v else i + 1 for i, v in enumerate(a))
+                        for a in itertools.product((0, 1), repeat=n) if a not in models))
+
+
+def test_orbit_of_matches_the_dense_search_on_group_gadgets():
+    # every gadget up to 3 variables (one per set of models), then seeded
+    # random CNFs and the clause-free CNF up to 6, each from its first and
+    # last solution and from a point outside the solution set
+    cnfs = [cnf_with_models(n, set(models)) for n in (1, 2, 3)
+            for k in range(2 ** n + 1)
+            for models in itertools.combinations(itertools.product((0, 1), repeat=n), k)]
+    rng = random.Random(13)
+    for n in (4, 5, 6):
+        cnfs.append(Cnf(n, ()))
+        cnfs += [Cnf(n, tuple(tuple(rng.choice((-1, 1)) * rng.randint(1, n)
+                                    for _ in range(rng.randint(1, 3)))
+                              for _ in range(rng.randint(1, 4)))) for _ in range(10)]
+    for phi in cnfs:
+        gadget = group_gadget(phi)
+        space = list(itertools.product((0, 1), repeat=phi.num_vars))
+        outside = [a for a in space if a not in gadget.solutions][:1]
+        starts = (gadget.solutions if phi.num_vars <= 3
+                  else (gadget.solutions[0], gadget.solutions[-1]))
+        assert_orbit_of_matches_dense(gadget.group, [*starts, *outside])
+
+
+def test_orbit_of_matches_the_dense_search_on_random_assignment_groups():
+    # random bijections on random subsets of a 27-point space; a subset of
+    # fewer than two points, or a bijection fixing it, is the identity
+    space = list(all_assignments(((0, 1, 2),) * 3))
+    rng = random.Random(7)
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            subset = rng.sample(space, rng.randint(0, 8))
+            gens.append(AssignmentSymmetry(dict(zip(subset, rng.sample(subset, len(subset))))))
+        assert_orbit_of_matches_dense(SymmetryGroup(tuple(gens)), space)
+
+
+@pytest.mark.parametrize("name", ORDERING_NAMES)
+def test_orbit_of_matches_the_dense_search_on_conjugated_2x2_groups(name):
+    pi = rank_preserving_map(make_ordering(name, binary_domains(4), (2, 2)))
+    assert_orbit_of_matches_dense(conjugate(pi, row_col_group((2, 2))), SPACE2x2)
+    assert_orbit_of_matches_dense(row_col_group((2, 2)), SPACE2x2)
 
 
 def test_orbits_2x2_full_space():
