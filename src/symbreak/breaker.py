@@ -8,9 +8,9 @@ still sound but may keep extra members.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .literals import _gatherer
@@ -70,11 +70,11 @@ def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
     """One leader constraint per group element (full) or per generator.
 
     Identity elements contribute nothing and are omitted.  The full set
-    refers to the group; the closure search runs here, under the group's
-    cap, but builds no element.
+    refers to the group; its stabilizer chain is built here, under the
+    group's cap, but no element is.
     """
     if mode == "full":
-        group.order  # the search, so that a cap overflow is raised here
+        group.order  # the chain, so that a cap overflow is raised here
         return SymmetryBreakingSet(full=(group, ordering))
     if mode != "generators":
         raise InputError(f"unknown mode '{mode}' (use 'full' or 'generators')")
@@ -124,23 +124,20 @@ def _judge(partition: OrbitPartition,
     solution, and img[i] indexes sigma's image of solution i; a generator's
     img is the partition's list.  Every posted constraint is tested, on the
     indices still alive.  A leader-full set of a group with the partition's
-    generators is tested along that group's closure tree, and no element is
-    built: the generators first, the rest by `_walk`.  Any other sigma,
-    such as a closure element posted one by one, is applied to the alive
-    solutions, and an image outside the solutions compared by `key`.
-    """
+    generators is tested with their lists, then along the group's stabilizer
+    chain by `_chain_walk`, building no element.  Any other sigma is applied
+    to the alive solutions, an image outside them compared by `key`."""
     sols, lists = partition.solutions, partition.images
     idx = list(range(len(sols)))
-    gens, tree = partition.group.generators, ()
+    gens, chain = partition.group.generators, None
     at_gen, walked, applied, alive = {}, [], {}, []  # at_gen: k -> [(set, ordering)]
     for n, bset in enumerate(bsets):
         alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
         if bset.full is not None and bset.full[0].generators == gens:
             group, ordering = bset.full
-            tree = group.tree  # the same for every group with these generators
+            chain = group.chain  # the same for every group with these generators
             walked.append((n, ordering))
-            # the tree's first level is the generators: tested with their lists
-            for k in [k for p, k in tree if not p]:
+            for k in range(len(gens)):  # the generators, tested with their lists
                 at_gen.setdefault(k, []).append((n, ordering))
             continue
         for con in bset.constraints if bset.allowed is None else ():
@@ -167,29 +164,43 @@ def _judge(partition: OrbitPartition,
     if walked:  # the walk follows the solutions still alive: live[where[i]] = i
         live = sorted(set().union(*(alive[n] for n, _ in walked)))
         where = dict(zip(live, idx))
-        for pos, img in _walk(tree, lists, live):
-            for n, ordering in walked if tree[pos - 1][0] else ():  # past the first level
+        for img in _chain_walk(chain, lists, live):
+            for n, ordering in walked:
                 rank = ranks[ordering]
                 alive[n] = [i for i in alive[n] if rank[i] <= rank[img[where[i]]]]
     return [Verdict(partition.grouped(kept)) for kept in alive]  # each sorted
 
 
-def _walk(tree: Sequence[tuple[int, int]], lists: Sequence[list[int]],
-          root: list[int]) -> Iterator[tuple[int, list[int]]]:
-    """(position, image list) of each closure element after the identity,
-    depth-first over the breadth-first closure tree from the identity's list
-    `root`.  A list is one gather of its parent's list through its
-    generator's; only the lists on the current path are held."""
-    parents = [parent for parent, _ in tree]  # sorted, so each one's children are adjacent
-    children = lambda p: iter(range(bisect_left(parents, p) + 1, bisect_right(parents, p) + 1))
-    path = [(root, children(0))]
-    while path:
-        pos = next(path[-1][1], None)
-        if pos is None:
-            path.pop()
-        else:
-            path.append((_gatherer(path[-1][0])(lists[tree[pos - 1][1]]), children(pos)))
-            yield pos, path[-1][0]
+def _chain_walk(chain: tuple[list[tuple[int, ...]], list[dict]], lists: Sequence[list[int]],
+                root: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The image list over `root`'s solutions of each element but the identity
+    (see `_descend`), from the chain and the generators' `lists`: a residue's
+    list is its word's product, a representative's its tree edge's after its parent's."""
+    words, trees = chain
+    strong = list(lists)
+    factor = lambda f: (strong[f] if f >= 0
+                        else sorted(range(len(strong[~f])), key=strong[~f].__getitem__))
+    for word in words:
+        strong.append(reduce(lambda product, f: _gatherer(f)(product), map(factor, word)))
+    reps = []
+    for tree in trees:
+        level: dict = {}
+        for point, (parent, s) in islice(tree.items(), 1, None):
+            level[point] = _gatherer(level[parent])(strong[s]) if parent in level else strong[s]
+        reps.append(list(level.values()))
+    return _descend(reps, root, len(reps))
+
+
+def _descend(reps: list[list[Sequence[int]]], parent: Sequence[int],
+             top: int) -> Iterator[Sequence[int]]:
+    """Depth-first, rep∘parent for each rep of the levels below `top`, then its
+    descendants: every u_0∘u_1∘… once, by one gather, holding only the path."""
+    take = _gatherer(parent)
+    for l in range(top):
+        for rep in reps[l]:
+            child = take(rep)
+            yield child
+            yield from _descend(reps, child, l)
 
 
 def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,

@@ -126,6 +126,10 @@ class LiteralSymmetry:
         """`apply` to each of many assignments, checked in bulk first."""
         if {*map(len, assignments)} - {self.n} or not all(map(self._space.in_domains, assignments)):
             list(map(self.apply, assignments))  # raises at the first assignment `apply` refuses
+        return self._images(assignments)
+
+    def _images(self, assignments: Sequence[Sequence[int]]) -> Iterator[Assignment]:
+        """`images` unchecked."""
         if self._tables is None:
             return map(self._gather, assignments)
         return (tuple(map(getitem, self._tables, self._gather(a))) for a in assignments)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Sequence
 
 from .breaker import leader_constraints, orbit_verdict
@@ -68,10 +68,8 @@ class OneInThreeInstance:
 
 def one_in_three_satisfiable(inst: OneInThreeInstance) -> bool:
     """Brute force over all truth assignments."""
-    for bits in itertools.product((0, 1), repeat=inst.num_vars):
-        if all(bits[i - 1] + bits[j - 1] + bits[k - 1] == 1 for i, j, k in inst.clauses):
-            return True
-    return False
+    return any(all(bits[i - 1] + bits[j - 1] + bits[k - 1] == 1 for i, j, k in inst.clauses)
+               for bits in itertools.product((0, 1), repeat=inst.num_vars))
 
 
 class OneInThreeOrdering(SimpleOrdering):
@@ -112,17 +110,11 @@ class OrderingGadget:
 
 
 def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
-    m = len(inst.clauses)
-    n = 3 * m + 1
-    flag = n - 1
-    index_domain = tuple(range(1, inst.num_vars + 1))
-    domains = (index_domain,) * (3 * m) + ((0, 1),)
-    constraints = []
-    for p, (i, j, k) in enumerate(inst.clauses):
-        constraints.append(UnaryConstraint(3 * p, i))
-        constraints.append(UnaryConstraint(3 * p + 1, j))
-        constraints.append(UnaryConstraint(3 * p + 2, k))
-    problem = Problem(n, domains, tuple(constraints))
+    flag = 3 * len(inst.clauses)  # after the clause indices
+    domains = (tuple(range(1, inst.num_vars + 1)),) * flag + ((0, 1),)
+    problem = Problem(flag + 1, domains, tuple(UnaryConstraint(3 * p + q, v)
+                                               for p, clause in enumerate(inst.clauses)
+                                               for q, v in enumerate(clause)))
     flip = LiteralSymmetry.value_swap(flag, 0, 1, domains)
     return OrderingGadget(inst, problem, flip, OneInThreeOrdering(domains))
 
@@ -172,14 +164,18 @@ class Cnf:
 
 
 def cnf_models(phi: Cnf) -> list[Assignment]:
-    """All models over phi's variables, lex order."""
-    return [bits for bits in itertools.product((0, 1), repeat=phi.num_vars)
-            if phi.satisfied_by(bits)]
+    """All models over phi's variables, lex order.  Bits falsify a clause iff their
+    values at its variables (one `itemgetter`) equal its falsifier; x, -x has none."""
+    models = list(itertools.product((0, 1), repeat=phi.num_vars))
+    for clause in phi.clauses:
+        get = itemgetter(*(abs(lit) - 1 for lit in clause))
+        bad = tuple(int(lit < 0) for lit in clause) if len(clause) > 1 else int(clause[0] < 0)
+        models = [bits for bits in models if get(bits) != bad]
+    return models
 
 
 def cnf_satisfiable(phi: Cnf) -> bool:
-    return any(phi.satisfied_by(bits)
-               for bits in itertools.product((0, 1), repeat=phi.num_vars))
+    return bool(cnf_models(phi))
 
 
 @dataclass(frozen=True)
@@ -202,11 +198,8 @@ def group_gadget(phi: Cnf) -> GroupGadget:
     solutions = tuple(sorted(set(cnf_models(phi)) | {zero}))
     problem = binary_problem(width,
                              [TableConstraint(tuple(range(width)), frozenset(solutions))])
-    generators = tuple(AssignmentSymmetry.transposition(solutions[i], solutions[i + 1])
-                       for i in range(len(solutions) - 1))
-    group = SymmetryGroup(generators)
-    return GroupGadget(phi, problem, group,
-                       RevLexOrdering(binary_domains(width)), solutions)
+    group = SymmetryGroup(tuple(map(AssignmentSymmetry.transposition, solutions, solutions[1:])))
+    return GroupGadget(phi, problem, group, RevLexOrdering(binary_domains(width)), solutions)
 
 
 def solve_group_gadget(gadget: GroupGadget) -> str:

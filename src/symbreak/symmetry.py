@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import count
+from math import prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
@@ -64,6 +65,8 @@ class AssignmentSymmetry:
     def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
         return map(self.apply, assignments)
 
+    _images = images  # nothing to check: `orbits` calls either
+
     def compose(self, other: "AssignmentSymmetry") -> "AssignmentSymmetry":
         if not isinstance(other, AssignmentSymmetry):
             raise InputError("cannot compose literal and assignment-level symmetries")
@@ -95,20 +98,14 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 
 @dataclass
 class SymmetryGroup:
-    """Group given by generators.
-
-    Its closure search runs once, on first need, and keeps the elements as
-    literal tuples (as elements, for an assignment-level group), `order` =
-    |G| and `tree`: for each element after the identity, (p, k) such that
-    it is generators[k] ∘ element p.  `closure()` builds the elements from
-    the tuples on each call.  A group without generators has order 1 and an
-    empty closure: there is no space to build its identity on.
-    """
+    """Group given by generators.  `chain`, its stabilizer chain over the
+    literals (the listed assignments, for an assignment-level group), is
+    built once, under `cap`, and gives `order`; the closure search runs once,
+    for `closure()` only.  A group without generators has order 1 and an
+    empty closure: there is no space to build its identity on."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
-    _searched: Optional[tuple[tuple, tuple[tuple[int, int], ...]]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
@@ -120,41 +117,41 @@ class SymmetryGroup:
         if len({g._space.domains for g in self.generators if isinstance(g, LiteralSymmetry)}) > 1:
             raise InputError("literal generators act on different domains")
 
-    def _search(self) -> tuple[tuple, tuple[tuple[int, int], ...]]:
-        """(elements, tree): the orbit of the identity when the neighbours of
-        e are the products gen∘e, so breadth-first and identity first.  A
-        literal group searches over literal tuples, where a product is one
-        gather."""
-        if self._searched is None:
-            gens = self.generators
-            if not gens:
-                found: dict = {}
-            elif isinstance(gens[0], LiteralSymmetry):
-                lits = [g.lits for g in gens]
-                found = _orbit_search(gens[0]._space.identity, lambda e: map(_gatherer(e), lits),
-                                      cap=self.cap, what="closure")
-            else:
-                found = _orbit_search(AssignmentSymmetry.identity(),
-                                      lambda e: [g.compose(e) for g in gens],
-                                      cap=self.cap, what="closure")
-            self._searched = tuple(found), tuple(islice(found.values(), 1, None))
-        return self._searched
+    @cached_property
+    def chain(self) -> tuple[list[tuple[int, ...]], list[dict]]:
+        gens = self.generators
+        if gens and isinstance(gens[0], LiteralSymmetry):
+            chain = _stabilizer_chain([g.lits for g in gens])
+        else:
+            points = dict(zip(dict.fromkeys(a for g in gens for a in g._map), count()))
+            chain = _stabilizer_chain([tuple(map(points.get, g.images(points))) for g in gens])
+        if prod(map(len, chain[1])) > self.cap:
+            raise CapExceededError(f"closure exceeds cap={self.cap}")
+        return chain
 
     @property
     def order(self) -> int:
-        return max(len(self._search()[0]), 1)
+        return prod(map(len, self.chain[1]))
 
-    @property
-    def tree(self) -> tuple[tuple[int, int], ...]:
-        return self._search()[1]
+    @cached_property
+    def _search(self) -> list:
+        """The orbit of the identity when the neighbours of e are the products
+        gen∘e, so breadth-first and identity first.  A literal group searches
+        over literal tuples, where a product is one gather."""
+        gens = self.generators
+        if gens and isinstance(gens[0], LiteralSymmetry):
+            lits = [g.lits for g in gens]
+            start, step = gens[0]._space.identity, lambda e: map(_gatherer(e), lits)
+        else:
+            start, step = AssignmentSymmetry.identity(), lambda e: [g.compose(e) for g in gens]
+        return gens and _orbit_search(start, step, cap=self.cap, what="closure")
 
     def closure(self) -> tuple[Symmetry, ...]:
         """Every group element, in the search's order."""
-        found = self._search()[0]
-        if found and isinstance(self.generators[0], LiteralSymmetry):
-            space = self.generators[0]._space
-            return tuple(LiteralSymmetry(e, space) for e in found)
-        return found
+        gens, found = self.generators, self._search
+        if found and isinstance(gens[0], LiteralSymmetry):
+            return tuple(LiteralSymmetry(e, gens[0]._space) for e in found)
+        return tuple(found)
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order.
@@ -174,30 +171,83 @@ class SymmetryGroup:
 
 
 def _orbit_search(start, neighbours: Callable[..., Iterable],
-                  cap: Optional[int] = None, what: str = "orbit") -> dict:
+                  cap: Optional[int] = None, what: str = "orbit") -> list:
     """Breadth-first search from `start`; neighbours(p) lists the points one
-    step from p, in generator order (one per generator in the closure search).
+    step from p.  Returns the points reached, in discovery order; more than
+    `cap` of them overflow the `what` being searched."""
+    order, seen = [start], {start}
+    for a in order:
+        for b in neighbours(a):
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+                if cap is not None and len(order) > cap:
+                    raise CapExceededError(f"{what} exceeds cap={cap}")
+    return order
 
-    Returns the points reached, in discovery order, as the keys of a dict
-    whose values are (p, k) when the point was first reached as neighbour k
-    of the p-th point (None for start).  More than `cap` points overflow the
-    `what` being searched.
-    """
-    seen: dict = {start: None}
-    frontier = [start]
-    p = 0
-    while frontier:
-        new = []
-        for a in frontier:
-            for k, b in enumerate(neighbours(a)):
-                if b not in seen:
-                    seen[b] = p, k
-                    if cap is not None and len(seen) > cap:
-                        raise CapExceededError(f"{what} exceeds cap={cap}")
-                    new.append(b)
-            p += 1
-        frontier = new
-    return seen
+
+def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """Deterministic Schreier–Sims over permutations of range(n), as tuples:
+    (words, trees).  The strong generators are `gens`, then one residue per
+    word, its factors left to right as indices of earlier ones (~s: s⁻¹).
+    trees[l]: base point l's Schreier tree under the strong generators fixing
+    the earlier ones, breadth-first, point -> (parent, s) with point =
+    strong[s](parent), None at the base point.  |G| = Π |trees[l]|."""
+    ident = tuple(range(len(gens[0]))) if gens else ()
+    inverse = lambda p: tuple(sorted(ident, key=p.__getitem__))
+    moved = lambda p: next(x for x, y in enumerate(p) if x != y)
+    strong, inverses, words = list(gens), list(map(inverse, gens)), []
+    # the distinct generators but the identity; those fixing base[0] come back as residues
+    fixing = [[k for k, g in enumerate(gens) if g != ident and g not in gens[:k]]]
+    base = [moved(gens[k]) for k in fixing[0][:1]]
+
+    def transversal(l: int) -> dict:  # point -> (rep, its inverse, its word, tree edge)
+        reps, queue = {base[l]: (ident, ident, (), None)}, [base[l]]
+        for p in queue:
+            rep, inv, word, _ = reps[p]
+            for s in fixing[l]:
+                if strong[s][p] not in reps:
+                    queue.append(strong[s][p])
+                    reps[queue[-1]] = (_gatherer(rep)(strong[s]), _gatherer(inverses[s])(inv),
+                                       (s, *word), (p, s))
+        return reps
+
+    def residues(l: int) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
+        # (residue, word, level it stopped at) of each Schreier generator s∘u not sifting to 1
+        for u, _, word, _ in list(levels[l].values()):
+            for s in fixing[l]:
+                h, sifted = _gatherer(u)(strong[s]), []
+                for j in range(l, len(base)):
+                    if h[base[j]] not in levels[j]:
+                        break
+                    _, inv, rep_word, _ = levels[j][h[base[j]]]
+                    if rep_word:
+                        h = _gatherer(h)(inv)
+                        sifted.append(rep_word)
+                else:
+                    j = len(base)
+                    if h == ident:
+                        continue
+                yield h, (*(~f for w in reversed(sifted) for f in reversed(w)), s, *word), j
+
+    levels = [transversal(l) for l in range(len(base))]
+    l = len(base) - 1
+    while l >= 0:
+        for h, word, j in residues(l):
+            if j == len(base):
+                base.append(moved(h))
+                fixing.append([])
+            strong.append(h)
+            inverses.append(inverse(h))
+            words.append(word)
+            for m in range(l + 1, j + 1):
+                fixing[m].append(len(strong) - 1)
+            levels[l + 1:j + 1] = [transversal(m) for m in range(l + 1, j + 1)]
+            l = j
+            break
+        else:
+            l -= 1
+    return words, [{p: edge for p, (*_, edge) in reps.items()} for reps in levels]
 
 
 @dataclass
@@ -238,7 +288,9 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartit
     index = {a: i for i, a in enumerate(sols)}
     if len(index) != len(sols):
         raise InputError("solution list repeats an assignment")
-    lists = tuple(list(map(index.get, g.images(sols))) for g in group.generators)
+    # checked once: the generators of a group act on one space
+    lists = tuple(list(map(index.get, (g._images if k else g.images)(sols)))
+                  for k, g in enumerate(group.generators))
 
     def neighbours(i: int) -> list:
         found = [img[i] for img in lists]

@@ -15,7 +15,9 @@ the command line is an exit code and an `error:` line at worst.
 The corpus covers every subcommand with and without `--help`, both
 formats, every ordering and method on the binary row/column models of up to
 9 cells, leader-full sets on groups whose generators repeat or include the
-identity with the closure cap at |G| and |G| - 1, `break` output read back
+identity with the closure cap at |G| and |G| - 1, leader-full sets on
+groups whose stabilizer chain needs products of the generators (mixed
+domains and value swaps among them), `break` output read back
 by `check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
@@ -166,6 +168,51 @@ def leader_full_groups(corpus: Corpus) -> None:
                         corpus.invoke(["break", *pair, *full])
 
 
+def residue_groups(corpus: Corpus) -> None:
+    """Leader-full sets on groups whose stabilizer chain needs strong
+    generators that are products of the given ones: a row 5-cycle with a row
+    transposition on 5x2, value swaps mixed with variable permutations on
+    3x2, and mixed domains; the first with the closure cap at |G| and
+    |G| - 1 as well."""
+    def rows(perm, r, c):
+        return [perm[i] * c + j for i in range(r) for j in range(c)]
+
+    flip, keep = [[0, 1], [1, 0]], [[0, 0], [1, 1]]
+    groups = {
+        "5x2-cycle": ((5, 2), [[0, 1]] * 10, [
+            {"kind": "literal", "var_perm": rows([1, 2, 3, 4, 0], 5, 2)},
+            {"kind": "literal", "var_perm": rows([1, 0, 2, 3, 4], 5, 2)}], 120),
+        "3x2-values": ((3, 2), [[0, 1]] * 6, [
+            {"kind": "literal", "var_perm": rows([1, 2, 0], 3, 2),
+             "val_maps": [flip] + [keep] * 5},
+            {"kind": "literal", "var_perm": [1, 0, 3, 2, 5, 4]},
+            {"kind": "literal", "var_perm": list(range(6)), "val_maps": [keep] * 5 + [flip]}],
+            None),
+        "2x2-mixed": ((2, 2), [[0, 1, 2], [0, 1], [0, 1, 2], [0, 1]], [
+            {"kind": "literal", "var_perm": [2, 3, 0, 1],
+             "val_maps": [[[0, 1], [1, 2], [2, 0]], keep, [[0, 0], [1, 1], [2, 2]], keep]},
+            {"kind": "literal", "var_perm": [0, 1, 2, 3],
+             "val_maps": [[[0, 0], [1, 1], [2, 2]], flip, [[0, 0], [1, 1], [2, 2]], keep]},
+            {"kind": "literal", "var_perm": [0, 3, 2, 1]}], None),
+    }
+    for label, ((r, c), domains, gens, order) in groups.items():
+        base = {"n": r * c, "domains": domains, "shape": [r, c]}
+        problems = [corpus.file(f"res{label}.json", base), corpus.file(f"res{label}-1.json", {
+            **base, "constraints": [{"kind": "table", "scope": list(range(i * c, i * c + c)),
+                                     "tuples": [[int(k == j) for k in range(c)]
+                                                for j in range(c)]} for i in range(r)]})]
+        for cap in ((None, order, order - 1) if order else (None,)):
+            syms = corpus.file(f"res{label}{cap}.json", {"generators": gens} if cap is None
+                               else {"generators": gens, "cap": cap})
+            for problem in problems:
+                pair = ["--problem", problem, "--symmetries", syms]
+                corpus.invoke(["compare", *pair])
+                for ordering in ORDERINGS:
+                    full = ["--ordering", ordering, "--method", "leader-full"]
+                    corpus.invoke(["check", *pair, *full])
+                    corpus.invoke(["break", *pair, *full])
+
+
 def survivor_files(corpus: Corpus) -> None:
     problem = corpus.file("p2x2.json", {"n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2]})
     syms = corpus.file("rc2x2.json", {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]})
@@ -301,8 +348,9 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
-        for part in (front_end, matrix_models, leader_full_groups, survivor_files, rank_grids,
-                     gray_stores, benchmark_instances, deep_instances):
+        for part in (front_end, matrix_models, leader_full_groups, residue_groups,
+                     survivor_files, rank_grids, gray_stores, benchmark_instances,
+                     deep_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
     if corpus.failures:

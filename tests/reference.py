@@ -8,13 +8,15 @@ name keeps pytest from collecting it.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
 from symbreak.gray import GrayDecomposition
+from symbreak.literals import _gatherer
 from symbreak.model import Assignment, InputError, Problem, check_shape, check_values
 from symbreak.orderings import LT, AssignmentPermutation, SimpleOrdering, snake_variable_order
-from symbreak.symmetry import SymmetryGroup, _orbit_search, orbits
+from symbreak.symmetry import OrbitPartition, SymmetryGroup, _orbit_search, orbits
 
 
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -43,6 +45,48 @@ def dense_orbit_of(group: SymmetryGroup, a: Assignment) -> tuple[Assignment, ...
     order; more than the group's cap of points raises CapExceededError."""
     gens = group.generators
     return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens], cap=group.cap))
+
+
+def closure_tree(group: SymmetryGroup) -> tuple[tuple[int, int], ...]:
+    """For each closure element after the identity, the first (p, k) in
+    order with generators[k] ∘ closure[p] equal to it: the record of the
+    breadth-first closure search."""
+    closure = group.closure()
+    position = {s: i for i, s in enumerate(closure)}
+    tree: dict = {}
+    for p, s in enumerate(closure):
+        for k, g in enumerate(group.generators):
+            tree.setdefault(position[g.compose(s)], (p, k))
+    tree.pop(0, None)
+    return tuple(tree[pos] for pos in range(1, len(closure)))
+
+
+def walk(tree: Sequence[tuple[int, int]], lists: Sequence[list[int]],
+         root: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """(position, image list) of each closure element after the identity,
+    depth-first over the breadth-first closure tree from the identity's list
+    `root`.  A list is one gather of its parent's list through its
+    generator's; only the lists on the current path are held."""
+    parents = [parent for parent, _ in tree]  # sorted, so each one's children are adjacent
+    children = lambda p: iter(range(bisect_left(parents, p) + 1, bisect_right(parents, p) + 1))
+    path = [(root, children(0))]
+    while path:
+        pos = next(path[-1][1], None)
+        if pos is None:
+            path.pop()
+        else:
+            path.append((_gatherer(path[-1][0])(lists[tree[pos - 1][1]]), children(pos)))
+            yield pos, path[-1][0]
+
+
+def walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
+    """Survivors of the leader-full set of the partition's group, per block:
+    every closure element's image list by `walk`, compared by rank."""
+    keys = list(map(ordering.key, partition.solutions))
+    alive = list(range(len(keys)))
+    for _, img in walk(closure_tree(partition.group), partition.images, alive):
+        alive = [i for i in alive if keys[i] <= keys[img[i]]]
+    return partition.grouped(alive)
 
 
 def check_assignment(problem: Problem, assignment: Sequence[int]) -> bool:

@@ -1,0 +1,181 @@
+"""The stabilizer chain against the closure search.
+
+`SymmetryGroup.order` is read from the chain and must equal the size of the
+breadth-first closure; the leader-full verdicts walked along the chain must
+equal those walked along the closure's breadth-first tree (`walked_kept`),
+and the chain walk must reach every group element other than the identity
+exactly once.
+"""
+
+import itertools
+import math
+import random
+from collections import Counter
+from functools import reduce
+
+import pytest
+
+from symbreak.breaker import _chain_walk, leader_constraints, orbit_verdict
+from symbreak.literals import _gatherer
+from symbreak.model import CapExceededError, all_assignments, binary_domains
+from symbreak.orderings import (
+    ORDERING_NAMES,
+    applicable_orderings,
+    make_ordering,
+    rank_preserving_map,
+)
+from symbreak.reductions import Cnf, group_gadget
+from symbreak.symmetry import (
+    DEFAULT_CLOSURE_CAP,
+    LiteralSymmetry,
+    SymmetryGroup,
+    conjugate,
+    orbits,
+    row_col_generators,
+    row_col_group,
+)
+
+from reference import walked_kept
+
+MIXED = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
+
+
+def _with_values(shape, domains, shift):
+    """Row and column swaps plus every value moved `shift` places round its domain."""
+    values = LiteralSymmetry.from_maps(range(len(domains)), [
+        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains])
+    return SymmetryGroup(row_col_generators(shape, domains) + (values,))
+
+
+def _random_literal_group(rng):
+    """Up to four random generators on at most five variables of two or three
+    values each: a variable permutation within equal domains and a random
+    value bijection per variable, so most generators are no involution."""
+    domains = tuple(rng.choice(((0, 1), (0, 1, 2))) for _ in range(rng.randint(2, 5)))
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        perm = list(range(len(domains)))
+        for dom in set(domains):
+            cells = [i for i, d in enumerate(domains) if d == dom]
+            for i, j in zip(cells, rng.sample(cells, len(cells))):
+                perm[i] = j
+        maps = [dict(zip(domains[i], rng.sample(domains[i], len(domains[i]))))
+                for i in range(len(domains))]
+        gens.append(LiteralSymmetry.from_maps(perm, maps))
+    return SymmetryGroup(tuple(gens)), domains
+
+
+def _cases():
+    """(id, group, domains, shape) of every group the tests judge."""
+    cases = []
+    for r, c in ((r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9):
+        if math.factorial(r) * math.factorial(c) <= 720:
+            cases.append((f"rowcol-{r}x{c}", row_col_group((r, c)), binary_domains(r * c), (r, c)))
+    cases += [
+        ("binary-2x2-value-flip", _with_values((2, 2), binary_domains(4), 1),
+         binary_domains(4), (2, 2)),
+        ("ternary-2x2-value-cycle", _with_values((2, 2), ((0, 1, 2),) * 4, 1),
+         ((0, 1, 2),) * 4, (2, 2)),
+        ("odd-values-2x3-value-cycle", _with_values((2, 3), ((2, 5, 7),) * 6, 2),
+         ((2, 5, 7),) * 6, (2, 3)),
+        ("ternary-2x3", SymmetryGroup(row_col_generators((2, 3), ((0, 1, 2),) * 6)),
+         ((0, 1, 2),) * 6, (2, 3)),
+        ("mixed-2x2", SymmetryGroup((
+            LiteralSymmetry.from_maps([2, 3, 0, 1], [{0: 1, 1: 2, 2: 0}, {0: 0, 1: 1},
+                                                     {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}]),
+            LiteralSymmetry.value_swap(1, 0, 1, MIXED),
+            LiteralSymmetry.variable([0, 3, 2, 1], MIXED))), MIXED, (2, 2)),
+    ]
+    ident = LiteralSymmetry.identity(binary_domains(4))
+    row, col = row_col_generators((2, 2))
+    for label, gens in (("repeated", (row, row)), ("identities", (ident, row, ident, col, row)),
+                        ("identity", (ident,)), ("absent", ())):
+        cases.append((f"{label}-2x2", SymmetryGroup(gens), binary_domains(4), (2, 2)))
+    for shape in ((2, 2), (2, 3)):
+        doms = binary_domains(shape[0] * shape[1])
+        for name in ORDERING_NAMES:
+            pi = rank_preserving_map(make_ordering(name, doms, shape))
+            cases.append((f"conjugated-{name}-{shape[0]}x{shape[1]}",
+                          conjugate(pi, row_col_group(shape)), doms, shape))
+    gadget = group_gadget(Cnf(3, ((1, 2), (-1, 3))))  # 4 models and the zero vector
+    cases.append(("group-gadget", gadget.group, binary_domains(3), None))
+    rng = random.Random(11)
+    for k in range(30):
+        group, domains = _random_literal_group(rng)
+        cases.append((f"random-{k}", group, domains, None))
+    return cases
+
+
+CASES = _cases()
+IDS = [case[0] for case in CASES]
+
+
+@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
+def test_order_is_the_closure_size_and_the_cap_bounds_it(name, group, domains, shape):
+    order = group.order
+    assert order == max(len(group.closure()), 1)
+    assert SymmetryGroup(group.generators, cap=order).order == order
+    if order > 1:
+        capped = SymmetryGroup(group.generators, cap=order - 1)
+        lex = make_ordering("lex", domains)
+        for build in (lambda: capped.order, lambda: leader_constraints(capped, lex),
+                      capped.closure):
+            with pytest.raises(CapExceededError, match=f"^closure exceeds cap={order - 1}$"):
+                build()
+
+
+@pytest.mark.parametrize("r, c", [(1, 7), (7, 1), (1, 8), (8, 1), (1, 9), (9, 1), (3, 3)])
+def test_order_of_large_row_col_groups(r, c):
+    # the chain needs no closure: 9! = 362880 is past the default cap
+    order = math.factorial(r) * math.factorial(c)
+    assert SymmetryGroup(row_col_generators((r, c)), cap=order).order == order
+    if order > DEFAULT_CLOSURE_CAP:
+        with pytest.raises(CapExceededError, match=f"^closure exceeds cap={DEFAULT_CLOSURE_CAP}$"):
+            row_col_group((r, c)).order
+
+
+def _residues(group):
+    """The strong generators after the given ones, as literal tuples, from their words."""
+    words, _ = group.chain
+    strong = [g.lits for g in group.generators]
+    inverse = lambda p: tuple(sorted(range(len(p)), key=p.__getitem__))
+    factor = lambda f: strong[f] if f >= 0 else inverse(strong[~f])
+    for word in words:  # left to right: product(a, f) = a∘f
+        strong.append(reduce(lambda a, f: _gatherer(f)(a), map(factor, word)))
+    return strong[len(group.generators):]
+
+
+def test_some_strong_generators_are_no_generators():
+    # the residues whose lists the walk builds by products and inversions
+    literal = [group for name, group, _, _ in CASES
+               if name.startswith(("random", "mixed", "odd")) and group.generators]
+    new = [r for group in literal for r in _residues(group)
+           if r not in [g.lits for g in group.generators]]
+    assert len(new) >= 5
+    # sifting keeps only a residue that is no identity
+    assert all(r != tuple(range(len(r))) for r in new)
+
+
+@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
+def test_chain_walk_reaches_every_element_but_the_identity_once(name, group, domains, shape):
+    space = list(all_assignments(domains))
+    index = {a: i for i, a in enumerate(space)}
+    partition = orbits(space, group)
+    walked = Counter(_chain_walk(group.chain, partition.images, list(range(len(space)))))
+    closure = group.closure()
+    assert walked == Counter(tuple(index[s.apply(a)] for a in space) for s in closure[1:])
+    assert sum(walked.values()) == group.order - 1
+
+
+@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
+def test_chain_walk_verdicts_match_the_breadth_first_walk(name, group, domains, shape):
+    # on the whole space and on a seeded union of its orbits, for every ordering
+    space = list(all_assignments(domains))
+    blocks = orbits(space, group).blocks
+    rng = random.Random(len(name))
+    chosen = set(itertools.chain.from_iterable(rng.sample(blocks, (len(blocks) + 1) // 2)))
+    for solutions in (space, [a for a in space if a in chosen]):
+        partition = orbits(solutions, group)
+        for ordering in applicable_orderings(domains, shape):
+            kept = orbit_verdict(partition, leader_constraints(group, ordering)).kept
+            assert kept == walked_kept(partition, ordering), ordering.name

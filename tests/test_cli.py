@@ -283,7 +283,7 @@ def test_closure_over_its_cap_exits_ahead_of_an_orbit_error(capsys, tmp_path, co
 
 def test_leader_full_builds_no_group_element(capsys, tmp_path, monkeypatch):
     # On 3x3 the group has 36 elements and 4 generators.  A leader-full set
-    # names its group and is judged along the closure tree, so the only
+    # names its group and is judged along its stabilizer chain, so the only
     # LiteralSymmetry objects built are the 4 generators read from the file
     # (and, for compare, doublelex's 4 row and column swaps), and the only
     # LeaderConstraint objects those that compare's leader-generators rows
@@ -310,6 +310,40 @@ def test_leader_full_builds_no_group_element(capsys, tmp_path, monkeypatch):
                                        "--symmetries", str(syms)])
         assert code in (0, 1) and out
         assert (built["LiteralSymmetry"], built["LeaderConstraint"]) == expected, command
+
+
+def test_leader_full_runs_no_closure_search(capsys, tmp_path, monkeypatch):
+    # compare, check and break on a 4x5 model with one 1 per row: the four
+    # leader-full rows walk the stabilizer chain of the 2880-element group,
+    # so no breadth-first search starts from the identity of its 40 literals
+    import symbreak.symmetry
+
+    r, c = 4, 5
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": r * c, "domains": [[0, 1]] * (r * c), "shape": [r, c],
+                                   "constraints": [
+                                       {"kind": "table", "scope": list(range(i * c, i * c + c)),
+                                        "tuples": [[int(k == j) for k in range(c)]
+                                                   for j in range(c)]} for i in range(r)]}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": r, "cols": c}]}))
+    search, starts = symbreak.symmetry._orbit_search, []
+
+    def counted(start, *args, **kwargs):
+        starts.append(start)
+        return search(start, *args, **kwargs)
+
+    monkeypatch.setattr(symbreak.symmetry, "_orbit_search", counted)
+    for command in ("compare", "check", "break"):
+        starts.clear()
+        method = [] if command == "compare" else ["--method", "leader-full"]
+        code, out, _ = invoke(capsys, [command, *method, "--problem", str(problem),
+                                       "--symmetries", str(syms)])
+        assert code == 0 and out
+        assert starts and tuple(range(2 * r * c)) not in starts, command
+    rows = invoke(capsys, ["compare", "--problem", str(problem), "--symmetries", str(syms)])[1]
+    full = [row.split()[2:] for row in rows.splitlines() if "leader-full" in row]
+    assert full == [["2879", "5", "5", "true", "true"]] * 4
 
 
 def test_runs_leave_no_cyclic_garbage(capsys, tmp_path):
@@ -374,8 +408,9 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     # compare posts lex, revlex, gray and snakelex, and its doublelex row
     # shares the lex rows' ordering: 4 x 16; check and break post lex: 16;
     # orbits posts none.  Each generator is applied to the 16 solutions
-    # once, by one `images` call in `orbits`; the kernel reads the
-    # partition's image lists, so nothing calls `apply`.
+    # once, by one unchecked `_images` gather in `orbits`, and the solutions
+    # are checked once, by the first generator's `images`; the kernel reads
+    # the partition's image lists, so nothing calls `apply`.
     from collections import Counter
 
     import symbreak.breaker
@@ -386,17 +421,22 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
 
     calls = count_key_calls(monkeypatch)
     images_of = Counter()
-    images, apply = LiteralSymmetry.images, LiteralSymmetry.apply
+    images, gather, apply = LiteralSymmetry.images, LiteralSymmetry._images, LiteralSymmetry.apply
 
     def counted_images(self, assignments):
-        images_of[self] += 1
+        calls["images"] += 1
         return images(self, assignments)
+
+    def counted_gather(self, assignments):
+        images_of[self] += 1
+        return gather(self, assignments)
 
     def counted_apply(self, a):
         calls["apply"] += 1
         return apply(self, a)
 
     monkeypatch.setattr(LiteralSymmetry, "images", counted_images)
+    monkeypatch.setattr(LiteralSymmetry, "_images", counted_gather)
     monkeypatch.setattr(LiteralSymmetry, "apply", counted_apply)
 
     def counted_orbits(*args):
@@ -415,11 +455,12 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
         monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
     _, problem, syms = files
     for command, keys in (("compare", 4 * 16), ("check", 16), ("break", 16), ("orbits", 0)):
-        calls.update(orbits=0, set=0, leader=0, key=0, apply=0)
+        calls.update(orbits=0, set=0, leader=0, key=0, apply=0, images=0)
         images_of.clear()
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
-        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": keys, "apply": 0}, command
+        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": keys, "apply": 0,
+                         "images": 1}, command
         assert images_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 

@@ -244,3 +244,33 @@ def test_instance_dict_parsing():
     assert phi.num_vars == 2
     with pytest.raises(InputError):
         cnf_from_dict({"clauses": [[1]]})
+
+
+def test_compiled_cnf_check_matches_satisfied_by():
+    # seeded random CNFs with unit clauses, tautologies (x and -x) and
+    # repeated literals, plus the clause-free CNF: cnf_models keeps exactly
+    # the assignments satisfied_by accepts, in lex order
+    rng = random.Random(17)
+    cnfs = [Cnf(n, ()) for n in (1, 4)]
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        clauses = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.25:
+                clauses.append((rng.choice((-1, 1)) * rng.randint(1, n),))
+            elif kind < 0.4:
+                v = rng.randint(1, n)
+                clauses.append(tuple(rng.sample([v, -v, rng.choice((-1, 1)) * rng.randint(1, n)],
+                                                3)))
+            else:
+                clauses.append(tuple(rng.choice((-1, 1)) * rng.randint(1, n)
+                                     for _ in range(rng.randint(1, 4))))
+        cnfs.append(Cnf(n, tuple(clauses)))
+    for phi in cnfs:
+        models = [bits for bits in itertools.product((0, 1), repeat=phi.num_vars)
+                  if phi.satisfied_by(bits)]
+        assert cnf_models(phi) == models, phi
+        assert cnf_satisfiable(phi) == bool(models), phi
+    assert any(not cnf_models(phi) for phi in cnfs) and any(
+        len(clause) == 1 for phi in cnfs for clause in phi.clauses)

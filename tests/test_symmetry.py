@@ -21,7 +21,7 @@ from symbreak.symmetry import (
     symmetry_group_from_dict,
 )
 
-from reference import dense_orbit_of, map_constraint_set
+from reference import closure_tree, dense_orbit_of, map_constraint_set
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
 
@@ -167,7 +167,7 @@ def test_closure_is_a_group():
     SymmetryGroup(()),
 ], ids=["literal", "assignment-level", "no-generators"])
 def test_closure_tree_spans_the_closure_breadth_first(group):
-    closure, tree = group.closure(), group.tree
+    closure, tree = group.closure(), closure_tree(group)
     assert len(tree) == max(len(closure) - 1, 0)
     depth = [0]
     for pos, (parent, k) in enumerate(tree, 1):
@@ -282,6 +282,20 @@ def test_orbits_escaping_generator_is_an_error():
     group = row_col_group((2, 2))
     with pytest.raises(InputError):
         orbits([(0, 1, 0, 0)], group)  # row swap leaves the set
+
+
+@pytest.mark.parametrize("bad", [(0, 5, 0, 1), (3, 1, 0, 0), (0, 1, 0), (0, 1, 0, 1, 1)])
+def test_orbits_refuse_a_solution_with_the_error_apply_raises(bad):
+    # the solutions are checked once per partition, by the first generator;
+    # the others gather unchecked, and the message is the one apply gives
+    mixed = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
+    group = SymmetryGroup((LiteralSymmetry.variable((2, 1, 0, 3), mixed),
+                           LiteralSymmetry.value_swap(1, 0, 1, mixed)))
+    for gen in group.generators:
+        with pytest.raises(InputError) as refused:
+            gen.apply(bad)
+        with pytest.raises(InputError, match=f"^{re.escape(str(refused.value))}$"):
+            orbits([(0, 1, 0, 1), bad], group)
 
 
 def test_conjugate_by_identity_keeps_action():
