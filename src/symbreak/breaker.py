@@ -3,17 +3,17 @@
 A leader constraint keeps an assignment only if it precedes (or equals) its
 image under one symmetry; posting one per group element keeps exactly the
 ordering-minimum of every orbit.  Posting one per generator is cheaper and
-still sound but may keep extra members.
+still sound but may keep extra members.  A verdict on a partition into
+orbits needs no group element for the full set: its survivors are each
+block's minimum (see `_judge`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
-from .literals import _gatherer
 from .model import Assignment, Domain, InputError, binary_domains
 from .orderings import GT, LexOrdering, SimpleOrdering, applicable_orderings
 from .symmetry import (
@@ -70,8 +70,9 @@ def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
     """One leader constraint per group element (full) or per generator.
 
     Identity elements contribute nothing and are omitted.  The full set
-    refers to the group; its stabilizer chain is built here, under the
-    group's cap, but no element is.
+    refers to the group, and its length is |G| - 1: the group's stabilizer
+    chain is built here for that order, under the group's cap, so that an
+    overflow is raised ahead of any orbit error; no element is built.
     """
     if mode == "full":
         group.order  # the chain, so that a cap overflow is raised here
@@ -124,83 +125,48 @@ def _judge(partition: OrbitPartition,
     solution, and img[i] indexes sigma's image of solution i; a generator's
     img is the partition's list.  Every posted constraint is tested, on the
     indices still alive.  A leader-full set of a group with the partition's
-    generators is tested with their lists, then along the group's stabilizer
-    chain by `_chain_walk`, building no element.  Any other sigma is applied
-    to the alive solutions, an image outside them compared by `key`."""
+    generators keeps the least-ranked index of each block: `orbits` refused
+    any image outside the solutions, so the block of i is its orbit G·i, and
+    i passes every element's constraint iff nothing in G·i ranks below it.
+    Any other sigma is applied to the alive solutions, an image outside them
+    compared by `key`."""
     sols, lists = partition.solutions, partition.images
     idx = list(range(len(sols)))
-    gens, chain = partition.group.generators, None
-    at_gen, walked, applied, alive = {}, [], {}, []  # at_gen: k -> [(set, ordering)]
+    gens = partition.group.generators
+    at_gen, minima, applied, alive = {}, {}, {}, []  # at_gen: k -> [(set, ordering)]
     for n, bset in enumerate(bsets):
         alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
         if bset.full is not None and bset.full[0].generators == gens:
-            group, ordering = bset.full
-            chain = group.chain  # the same for every group with these generators
-            walked.append((n, ordering))
-            for k in range(len(gens)):  # the generators, tested with their lists
-                at_gen.setdefault(k, []).append((n, ordering))
+            minima.setdefault(bset.full[1], []).append(n)
             continue
         for con in bset.constraints if bset.allowed is None else ():
             if con.sigma in gens:
                 at_gen.setdefault(gens.index(con.sigma), []).append((n, con.ordering))
             else:
                 applied.setdefault(con.ordering, []).append((n, con.sigma))
-    ranks = {}
-    for ordering in dict.fromkeys(o for posted in at_gen.values() for _, o in posted) | applied:
+    ranks, tested = {}, dict.fromkeys(o for posted in at_gen.values() for _, o in posted)
+    for ordering in tested | minima | applied:
         keys = list(map(ordering.key, sols))  # one ordering's keys at a time
         ranks[ordering] = rank = idx[:]
-        for r, i in zip(idx, sorted(idx, key=keys.__getitem__)):
+        by_rank = sorted(idx, key=keys.__getitem__)
+        for r, i in zip(idx, by_rank):
             rank[i] = r
+        if ordering in minima:  # from the last rank down, so a block's least is written last
+            least = sorted(dict(zip(map(partition.block_of.__getitem__, reversed(by_rank)),
+                                    reversed(by_rank))).values())
+            for n in minima[ordering]:
+                alive[n] = least
         keyed = dict(zip(sols, keys)) if ordering in applied else {}
         for n, sigma in applied.get(ordering, ()):
             images = map(sigma.apply, map(sols.__getitem__, alive[n]))
             alive[n] = [i for i, b in zip(alive[n], images)
                         if keys[i] <= (keyed[b] if b in keyed else ordering.key(b))]
-        del keys, keyed
+        del keys, keyed, by_rank
     for k, posted in at_gen.items():
         for n, ordering in posted:
             rank, img = ranks[ordering], lists[k]
             alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
-    if walked:  # the walk follows the solutions still alive: live[where[i]] = i
-        live = sorted(set().union(*(alive[n] for n, _ in walked)))
-        where = dict(zip(live, idx))
-        for img in _chain_walk(chain, lists, live):
-            for n, ordering in walked:
-                rank = ranks[ordering]
-                alive[n] = [i for i in alive[n] if rank[i] <= rank[img[where[i]]]]
     return [Verdict(partition.grouped(kept)) for kept in alive]  # each sorted
-
-
-def _chain_walk(chain: tuple[list[tuple[int, ...]], list[dict]], lists: Sequence[list[int]],
-                root: Sequence[int]) -> Iterator[Sequence[int]]:
-    """The image list over `root`'s solutions of each element but the identity
-    (see `_descend`), from the chain and the generators' `lists`: a residue's
-    list is its word's product, a representative's its tree edge's after its parent's."""
-    words, trees = chain
-    strong = list(lists)
-    factor = lambda f: (strong[f] if f >= 0
-                        else sorted(range(len(strong[~f])), key=strong[~f].__getitem__))
-    for word in words:
-        strong.append(reduce(lambda product, f: _gatherer(f)(product), map(factor, word)))
-    reps = []
-    for tree in trees:
-        level: dict = {}
-        for point, (parent, s) in islice(tree.items(), 1, None):
-            level[point] = _gatherer(level[parent])(strong[s]) if parent in level else strong[s]
-        reps.append(list(level.values()))
-    return _descend(reps, root, len(reps))
-
-
-def _descend(reps: list[list[Sequence[int]]], parent: Sequence[int],
-             top: int) -> Iterator[Sequence[int]]:
-    """Depth-first, rep∘parent for each rep of the levels below `top`, then its
-    descendants: every u_0∘u_1∘… once, by one gather, holding only the path."""
-    take = _gatherer(parent)
-    for l in range(top):
-        for rep in reps[l]:
-            child = take(rep)
-            yield child
-            yield from _descend(reps, child, l)
 
 
 def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,

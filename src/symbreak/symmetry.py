@@ -100,9 +100,11 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 class SymmetryGroup:
     """Group given by generators.  `chain`, its stabilizer chain over the
     literals (the listed assignments, for an assignment-level group), is
-    built once, under `cap`, and gives `order`; the closure search runs once,
-    for `closure()` only.  A group without generators has order 1 and an
-    empty closure: there is no space to build its identity on."""
+    built once, under `cap`, and gives `order`, kept once read; no verdict
+    reads the chain, since a leader-full set is judged from the orbits.  The
+    closure search runs once, for `closure()` only.  A group without
+    generators has order 1 and an empty closure: there is no space to build
+    its identity on."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
@@ -129,7 +131,7 @@ class SymmetryGroup:
             raise CapExceededError(f"closure exceeds cap={self.cap}")
         return chain
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(map(len, self.chain[1]))
 
@@ -261,19 +263,24 @@ class OrbitPartition:
     images: tuple[list[int], ...] = field(repr=False)
     group: SymmetryGroup = field(repr=False, compare=False)
 
+    @cached_property
+    def firsts(self) -> tuple[int, ...]:
+        """The index of each block's first member, increasing."""
+        return tuple(dict.fromkeys(self.block_of))
+
     @property
     def blocks(self) -> tuple[tuple[Assignment, ...], ...]:
         return self.grouped(range(len(self.solutions)))
 
     def grouped(self, indices: Iterable[int]) -> tuple[tuple[Assignment, ...], ...]:
         """The solutions at `indices`, increasing, listed block by block."""
-        blocks: dict[int, list[Assignment]] = {first: [] for first in self.block_of}
+        blocks: dict[int, list[Assignment]] = {first: [] for first in self.firsts}
         for i in indices:
             blocks[self.block_of[i]].append(self.solutions[i])
         return tuple(map(tuple, blocks.values()))
 
     def __len__(self) -> int:
-        return len(set(self.block_of))
+        return len(self.firsts)
 
 
 def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartition:

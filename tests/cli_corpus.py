@@ -17,8 +17,9 @@ formats, every ordering and method on the binary row/column models of up to
 9 cells, leader-full sets on groups whose generators repeat or include the
 identity with the closure cap at |G| and |G| - 1, leader-full sets on
 groups whose stabilizer chain needs products of the generators (mixed
-domains and value swaps among them), `break` output read back
-by `check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
+domains and value swaps among them), leader-full sets of the 2x8
+row/column group (80,640 elements), `break` output read back by
+`check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
@@ -213,6 +214,30 @@ def residue_groups(corpus: Corpus) -> None:
                     corpus.invoke(["break", *pair, *full])
 
 
+def large_group(corpus: Corpus) -> None:
+    """Leader-full sets of the 2x8 row/column group (|G| = 80,640) on models
+    with one and with two 1s per row, with the closure cap at the default,
+    at |G| and at |G| - 1."""
+    r, c = 2, 8
+    order = math.factorial(r) * math.factorial(c)
+    base = {"n": r * c, "domains": [[0, 1]] * (r * c), "shape": [r, c]}
+    problems = [corpus.file(f"large{k}.json", {**base, "constraints": [
+        {"kind": "table", "scope": list(range(i * c, i * c + c)),
+         "tuples": [list(t) for t in itertools.product((0, 1), repeat=c) if sum(t) == k]}
+        for i in range(r)]}) for k in (1, 2)]
+    gens = [{"kind": "row_col", "rows": r, "cols": c}]
+    for cap in (None, order, order - 1):
+        syms = corpus.file(f"large{cap}.json", {"generators": gens} if cap is None
+                           else {"generators": gens, "cap": cap})
+        for problem in problems:
+            pair = ["--problem", problem, "--symmetries", syms]
+            corpus.invoke(["compare", *pair])
+            for ordering in ORDERINGS:
+                full = ["--ordering", ordering, "--method", "leader-full"]
+                corpus.invoke(["check", *pair, *full])
+                corpus.invoke(["break", *pair, *full])
+
+
 def survivor_files(corpus: Corpus) -> None:
     problem = corpus.file("p2x2.json", {"n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2]})
     syms = corpus.file("rc2x2.json", {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]})
@@ -349,7 +374,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
         for part in (front_end, matrix_models, leader_full_groups, residue_groups,
-                     survivor_files, rank_grids, gray_stores, benchmark_instances,
+                     large_group, survivor_files, rank_grids, gray_stores, benchmark_instances,
                      deep_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)

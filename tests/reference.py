@@ -9,6 +9,8 @@ name keeps pytest from collecting it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
@@ -85,6 +87,49 @@ def walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
     keys = list(map(ordering.key, partition.solutions))
     alive = list(range(len(keys)))
     for _, img in walk(closure_tree(partition.group), partition.images, alive):
+        alive = [i for i in alive if keys[i] <= keys[img[i]]]
+    return partition.grouped(alive)
+
+
+def _chain_walk(chain: tuple[list[tuple[int, ...]], list[dict]], lists: Sequence[list[int]],
+                root: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The image list over `root`'s solutions of each element but the identity
+    (see `_descend`), from the chain and the generators' `lists`: a residue's
+    list is its word's product, a representative's its tree edge's after its parent's."""
+    words, trees = chain
+    strong = list(lists)
+    factor = lambda f: (strong[f] if f >= 0
+                        else sorted(range(len(strong[~f])), key=strong[~f].__getitem__))
+    for word in words:
+        strong.append(reduce(lambda product, f: _gatherer(f)(product), map(factor, word)))
+    reps = []
+    for tree in trees:
+        level: dict = {}
+        for point, (parent, s) in islice(tree.items(), 1, None):
+            level[point] = _gatherer(level[parent])(strong[s]) if parent in level else strong[s]
+        reps.append(list(level.values()))
+    return _descend(reps, root, len(reps))
+
+
+def _descend(reps: list[list[Sequence[int]]], parent: Sequence[int],
+             top: int) -> Iterator[Sequence[int]]:
+    """Depth-first, rep∘parent for each rep of the levels below `top`, then its
+    descendants: every u_0∘u_1∘… once, by one gather, holding only the path."""
+    take = _gatherer(parent)
+    for l in range(top):
+        for rep in reps[l]:
+            child = take(rep)
+            yield child
+            yield from _descend(reps, child, l)
+
+
+def chain_walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
+    """Survivors of the leader-full set of the partition's group, per block:
+    every element's image list along the stabilizer chain by `_chain_walk`,
+    compared by key."""
+    keys = list(map(ordering.key, partition.solutions))
+    alive = list(range(len(keys)))
+    for img in _chain_walk(partition.group.chain, partition.images, alive):
         alive = [i for i in alive if keys[i] <= keys[img[i]]]
     return partition.grouped(alive)
 

@@ -1,10 +1,12 @@
-"""The stabilizer chain against the closure search.
+"""The stabilizer chain against the closure search, and leader-full
+verdicts against the walks.
 
 `SymmetryGroup.order` is read from the chain and must equal the size of the
-breadth-first closure; the leader-full verdicts walked along the chain must
-equal those walked along the closure's breadth-first tree (`walked_kept`),
-and the chain walk must reach every group element other than the identity
-exactly once.
+breadth-first closure.  The walk along the chain (`reference._chain_walk`)
+must reach every group element other than the identity exactly once.  The
+leader-full verdict, each block's least-ranked member, must equal the
+survivors of the chain walk, of the walk along the closure's breadth-first
+tree (`walked_kept`) and of every element's `LeaderConstraint.satisfied`.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from functools import reduce
 
 import pytest
 
-from symbreak.breaker import _chain_walk, leader_constraints, orbit_verdict
+from symbreak.breaker import compare_table, leader_constraints, orbit_verdict
 from symbreak.literals import _gatherer
 from symbreak.model import CapExceededError, all_assignments, binary_domains
 from symbreak.orderings import (
@@ -35,7 +37,7 @@ from symbreak.symmetry import (
     row_col_group,
 )
 
-from reference import walked_kept
+from reference import _chain_walk, chain_walked_kept, walked_kept
 
 MIXED = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
 
@@ -167,15 +169,55 @@ def test_chain_walk_reaches_every_element_but_the_identity_once(name, group, dom
     assert sum(walked.values()) == group.order - 1
 
 
-@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
-def test_chain_walk_verdicts_match_the_breadth_first_walk(name, group, domains, shape):
-    # on the whole space and on a seeded union of its orbits, for every ordering
+def _solution_sets(name, group, domains):
+    """The whole space and a seeded union of about half its orbits."""
     space = list(all_assignments(domains))
     blocks = orbits(space, group).blocks
     rng = random.Random(len(name))
     chosen = set(itertools.chain.from_iterable(rng.sample(blocks, (len(blocks) + 1) // 2)))
-    for solutions in (space, [a for a in space if a in chosen]):
+    return space, [a for a in space if a in chosen]
+
+
+@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
+def test_chain_walk_verdicts_match_the_breadth_first_walk(name, group, domains, shape):
+    # on the whole space and on a seeded union of its orbits, for every ordering
+    for solutions in _solution_sets(name, group, domains):
         partition = orbits(solutions, group)
         for ordering in applicable_orderings(domains, shape):
             kept = orbit_verdict(partition, leader_constraints(group, ordering)).kept
             assert kept == walked_kept(partition, ordering), ordering.name
+
+
+@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
+def test_block_minima_match_the_walks_and_every_constraint(name, group, domains, shape):
+    for solutions in _solution_sets(name, group, domains):
+        partition = orbits(solutions, group)
+        for ordering in applicable_orderings(domains, shape):
+            bset = leader_constraints(group, ordering)
+            kept = orbit_verdict(partition, bset).kept
+            assert kept == chain_walked_kept(partition, ordering), ordering.name
+            assert kept == walked_kept(partition, ordering), ordering.name
+            assert kept == partition.grouped(i for i, a in enumerate(partition.solutions)
+                                             if bset.satisfied(a)), ordering.name
+
+
+def test_leader_full_verdicts_read_no_chain(monkeypatch):
+    # once leader_constraints has built the chain, for |G| and the cap, a
+    # leader-full set is judged from the partition's blocks alone
+    shape, domains = (3, 3), binary_domains(9)
+    group, space = row_col_group(shape), list(all_assignments(domains))
+    bset = leader_constraints(group, make_ordering("lex", domains, shape))
+    chain, reads = SymmetryGroup.chain, []
+
+    def counted(self):
+        reads.append(self)
+        return chain.__get__(self, SymmetryGroup)
+
+    monkeypatch.setattr(SymmetryGroup, "chain", property(counted))
+    partition = orbits(space, group)
+    verdict = orbit_verdict(partition, bset)
+    rows = compare_table(space, group, domains, shape)
+    assert reads == []
+    assert verdict.counts == (1,) * len(partition) == (1,) * 36
+    full = [row for row in rows if row[1] == "leader-full"]
+    assert len(full) == 4 and all(row[2:5] == (35, 36, 36) for row in full)
