@@ -100,11 +100,12 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 class SymmetryGroup:
     """Group given by generators.  `chain`, its stabilizer chain over the
     literals (the listed assignments, for an assignment-level group), is
-    built once, under `cap`, and gives `order`, kept once read; no verdict
-    reads the chain, since a leader-full set is judged from the orbits.  The
-    closure search runs once, for `closure()` only.  A group without
-    generators has order 1 and an empty closure: there is no space to build
-    its identity on."""
+    built once, under `cap`, and is the only element machinery: `order` is
+    the product of its level sizes, kept once read, and `closure()` lists
+    the products of its representatives.  No verdict reads the chain, since
+    a leader-full set is judged from the orbits.  A group without generators
+    has order 1 and an empty closure: there is no space to build its
+    identity on."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
@@ -119,41 +120,41 @@ class SymmetryGroup:
         if len({g._space.domains for g in self.generators if isinstance(g, LiteralSymmetry)}) > 1:
             raise InputError("literal generators act on different domains")
 
-    @cached_property
-    def chain(self) -> tuple[list[tuple[int, ...]], list[dict]]:
+    def _points(self) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], Symmetry]]:
+        """The generators as permutations of range(n), and the element that
+        such a permutation stands for.  A literal group permutes its
+        literals; an assignment-level one the assignments its generators
+        list, numbered in the order they are first listed."""
         gens = self.generators
         if gens and isinstance(gens[0], LiteralSymmetry):
-            chain = _stabilizer_chain([g.lits for g in gens])
-        else:
-            points = dict(zip(dict.fromkeys(a for g in gens for a in g._map), count()))
-            chain = _stabilizer_chain([tuple(map(points.get, g.images(points))) for g in gens])
-        if prod(map(len, chain[1])) > self.cap:
+            space = gens[0]._space
+            return [g.lits for g in gens], lambda e: LiteralSymmetry(e, space)
+        listed = list(dict.fromkeys(a for g in gens for a in g._map))
+        index = dict(zip(listed, count()))
+        return ([tuple(map(index.get, g.images(listed))) for g in gens],
+                lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e)))))
+
+    @cached_property
+    def chain(self) -> list[list[tuple[int, ...]]]:
+        chain = _stabilizer_chain(self._points()[0])
+        if prod(map(len, chain)) > self.cap:
             raise CapExceededError(f"closure exceeds cap={self.cap}")
         return chain
 
     @cached_property
     def order(self) -> int:
-        return prod(map(len, self.chain[1]))
-
-    @cached_property
-    def _search(self) -> list:
-        """The orbit of the identity when the neighbours of e are the products
-        gen∘e, so breadth-first and identity first.  A literal group searches
-        over literal tuples, where a product is one gather."""
-        gens = self.generators
-        if gens and isinstance(gens[0], LiteralSymmetry):
-            lits = [g.lits for g in gens]
-            start, step = gens[0]._space.identity, lambda e: map(_gatherer(e), lits)
-        else:
-            start, step = AssignmentSymmetry.identity(), lambda e: [g.compose(e) for g in gens]
-        return gens and _orbit_search(start, step, cap=self.cap, what="closure")
+        return prod(map(len, self.chain))
 
     def closure(self) -> tuple[Symmetry, ...]:
-        """Every group element, in the search's order."""
-        gens, found = self.generators, self._search
-        if found and isinstance(gens[0], LiteralSymmetry):
-            return tuple(LiteralSymmetry(e, gens[0]._space) for e in found)
-        return tuple(found)
+        """Every group element once, identity first: the products
+        u_0∘u_1∘… of one representative per chain level, each one gather."""
+        perms, element = self._points()
+        if not perms:
+            return ()
+        products = [tuple(range(len(perms[0])))]
+        for level in self.chain:
+            products += [p for u in level[1:] for p in map(_gatherer(u), products)]
+        return tuple(map(element, products))
 
     def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
         """Orbit of a single assignment under the generated group, in search order.
@@ -172,11 +173,10 @@ class SymmetryGroup:
         return tuple(_orbit_search(tuple(a), lambda b: movers.get(b, ()), cap=self.cap))
 
 
-def _orbit_search(start, neighbours: Callable[..., Iterable],
-                  cap: Optional[int] = None, what: str = "orbit") -> list:
+def _orbit_search(start, neighbours: Callable[..., Iterable], cap: Optional[int] = None) -> list:
     """Breadth-first search from `start`; neighbours(p) lists the points one
     step from p.  Returns the points reached, in discovery order; more than
-    `cap` of them overflow the `what` being searched."""
+    `cap` of them overflow the orbit."""
     order, seen = [start], {start}
     for a in order:
         for b in neighbours(a):
@@ -184,72 +184,70 @@ def _orbit_search(start, neighbours: Callable[..., Iterable],
                 seen.add(b)
                 order.append(b)
                 if cap is not None and len(order) > cap:
-                    raise CapExceededError(f"{what} exceeds cap={cap}")
+                    raise CapExceededError(f"orbit exceeds cap={cap}")
     return order
 
 
-def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[dict]]:
-    """Deterministic Schreier–Sims over permutations of range(n), as tuples:
-    (words, trees).  The strong generators are `gens`, then one residue per
-    word, its factors left to right as indices of earlier ones (~s: s⁻¹).
-    trees[l]: base point l's Schreier tree under the strong generators fixing
-    the earlier ones, breadth-first, point -> (parent, s) with point =
-    strong[s](parent), None at the base point.  |G| = Π |trees[l]|."""
+def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Deterministic Schreier–Sims over permutations of range(n), as tuples,
+    where p∘q is _gatherer(q)(p).  Level l holds the coset representatives
+    of the stabilizer of base[:l + 1] in that of base[:l], identity first:
+    one per point of base[l]'s orbit under the strong generators fixing
+    base[:l], mapping base[l] there, found breadth-first.  Every element is
+    one product u_0∘u_1∘… of a representative per level, so |G| = Π |level|.
+    The strong generators are the distinct generators but the identity, then
+    the residues of Schreier generators that do not sift to the identity;
+    each is kept next to its inverse."""
     ident = tuple(range(len(gens[0]))) if gens else ()
     inverse = lambda p: tuple(sorted(ident, key=p.__getitem__))
     moved = lambda p: next(x for x, y in enumerate(p) if x != y)
-    strong, inverses, words = list(gens), list(map(inverse, gens)), []
-    # the distinct generators but the identity; those fixing base[0] come back as residues
-    fixing = [[k for k, g in enumerate(gens) if g != ident and g not in gens[:k]]]
-    base = [moved(gens[k]) for k in fixing[0][:1]]
+    # those fixing base[0] come back as residues
+    fixing = [[(g, inverse(g)) for k, g in enumerate(gens) if g != ident and g not in gens[:k]]]
+    base = [moved(s) for s, _ in fixing[0][:1]]
 
-    def transversal(l: int) -> dict:  # point -> (rep, its inverse, its word, tree edge)
-        reps, queue = {base[l]: (ident, ident, (), None)}, [base[l]]
+    def transversal(l: int) -> dict:  # point -> (rep, its inverse)
+        reps, queue = {base[l]: (ident, ident)}, [base[l]]
         for p in queue:
-            rep, inv, word, _ = reps[p]
-            for s in fixing[l]:
-                if strong[s][p] not in reps:
-                    queue.append(strong[s][p])
-                    reps[queue[-1]] = (_gatherer(rep)(strong[s]), _gatherer(inverses[s])(inv),
-                                       (s, *word), (p, s))
+            rep, inv = reps[p]
+            for s, s_inv in fixing[l]:
+                if s[p] not in reps:
+                    queue.append(s[p])
+                    reps[s[p]] = (_gatherer(rep)(s), _gatherer(s_inv)(inv))
         return reps
 
-    def residues(l: int) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
-        # (residue, word, level it stopped at) of each Schreier generator s∘u not sifting to 1
-        for u, _, word, _ in list(levels[l].values()):
-            for s in fixing[l]:
-                h, sifted = _gatherer(u)(strong[s]), []
+    def residues(l: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        # (residue, level it stopped at) of each Schreier generator s∘u not sifting to 1
+        for u, _ in levels[l].values():
+            for s, _ in fixing[l]:
+                h = _gatherer(u)(s)
                 for j in range(l, len(base)):
-                    if h[base[j]] not in levels[j]:
+                    p = h[base[j]]
+                    if p not in levels[j]:
                         break
-                    _, inv, rep_word, _ = levels[j][h[base[j]]]
-                    if rep_word:
-                        h = _gatherer(h)(inv)
-                        sifted.append(rep_word)
+                    if p != base[j]:  # else the representative is the identity
+                        h = _gatherer(h)(levels[j][p][1])
                 else:
                     j = len(base)
                     if h == ident:
                         continue
-                yield h, (*(~f for w in reversed(sifted) for f in reversed(w)), s, *word), j
+                yield h, j
 
     levels = [transversal(l) for l in range(len(base))]
     l = len(base) - 1
     while l >= 0:
-        for h, word, j in residues(l):
+        for h, j in residues(l):
             if j == len(base):
                 base.append(moved(h))
                 fixing.append([])
-            strong.append(h)
-            inverses.append(inverse(h))
-            words.append(word)
+            strong = (h, inverse(h))
             for m in range(l + 1, j + 1):
-                fixing[m].append(len(strong) - 1)
+                fixing[m].append(strong)
             levels[l + 1:j + 1] = [transversal(m) for m in range(l + 1, j + 1)]
             l = j
             break
         else:
             l -= 1
-    return words, [{p: edge for p, (*_, edge) in reps.items()} for reps in levels]
+    return [[rep for rep, _ in reps.values()] for reps in levels]
 
 
 @dataclass

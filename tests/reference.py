@@ -15,10 +15,16 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
 from symbreak.gray import GrayDecomposition
-from symbreak.literals import _gatherer
+from symbreak.literals import LiteralSymmetry, _gatherer
 from symbreak.model import Assignment, InputError, Problem, check_shape, check_values
 from symbreak.orderings import LT, AssignmentPermutation, SimpleOrdering, snake_variable_order
-from symbreak.symmetry import OrbitPartition, SymmetryGroup, _orbit_search, orbits
+from symbreak.symmetry import (
+    AssignmentSymmetry,
+    OrbitPartition,
+    SymmetryGroup,
+    _orbit_search,
+    orbits,
+)
 
 
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -49,11 +55,27 @@ def dense_orbit_of(group: SymmetryGroup, a: Assignment) -> tuple[Assignment, ...
     return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens], cap=group.cap))
 
 
+def breadth_first_closure(group: SymmetryGroup) -> tuple:
+    """Every group element, identity first, by breadth-first search from the
+    identity where the neighbours of e are the products gen∘e; more than the
+    group's cap of elements raises CapExceededError.  A literal group
+    searches over literal tuples, where a product is one gather."""
+    gens = group.generators
+    if not gens:
+        return ()
+    if isinstance(gens[0], LiteralSymmetry):
+        lits, space = [g.lits for g in gens], gens[0]._space
+        found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits), cap=group.cap)
+        return tuple(LiteralSymmetry(e, space) for e in found)
+    return tuple(_orbit_search(AssignmentSymmetry.identity(),
+                               lambda e: [g.compose(e) for g in gens], cap=group.cap))
+
+
 def closure_tree(group: SymmetryGroup) -> tuple[tuple[int, int], ...]:
-    """For each closure element after the identity, the first (p, k) in
-    order with generators[k] ∘ closure[p] equal to it: the record of the
-    breadth-first closure search."""
-    closure = group.closure()
+    """For each element of the breadth-first closure after the identity, the
+    first (p, k) in order with generators[k] ∘ closure[p] equal to it: the
+    record of the breadth-first closure search."""
+    closure = breadth_first_closure(group)
     position = {s: i for i, s in enumerate(closure)}
     tree: dict = {}
     for p, s in enumerate(closure):
@@ -91,10 +113,76 @@ def walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
     return partition.grouped(alive)
 
 
-def _chain_walk(chain: tuple[list[tuple[int, ...]], list[dict]], lists: Sequence[list[int]],
+def word_chain(group: SymmetryGroup) -> tuple[list[tuple], list[dict]]:
+    """Deterministic Schreier–Sims over the group's point permutations (see
+    `SymmetryGroup._points`), keeping how each representative was reached:
+    (words, trees).  The strong generators are the generators, then one
+    residue per word, its factors left to right as indices of earlier ones
+    (~s: s⁻¹).  trees[l]: base point l's Schreier tree under the strong
+    generators fixing the earlier ones, breadth-first, point -> (parent, s)
+    with point = strong[s](parent), None at the base point.  |G| = Π |trees[l]|."""
+    gens = group._points()[0]
+    ident = tuple(range(len(gens[0]))) if gens else ()
+    inverse = lambda p: tuple(sorted(ident, key=p.__getitem__))
+    moved = lambda p: next(x for x, y in enumerate(p) if x != y)
+    strong, inverses, words = list(gens), list(map(inverse, gens)), []
+    # the distinct generators but the identity; those fixing base[0] come back as residues
+    fixing = [[k for k, g in enumerate(gens) if g != ident and g not in gens[:k]]]
+    base = [moved(gens[k]) for k in fixing[0][:1]]
+
+    def transversal(l: int) -> dict:  # point -> (rep, its inverse, its word, tree edge)
+        reps, queue = {base[l]: (ident, ident, (), None)}, [base[l]]
+        for p in queue:
+            rep, inv, word, _ = reps[p]
+            for s in fixing[l]:
+                if strong[s][p] not in reps:
+                    queue.append(strong[s][p])
+                    reps[queue[-1]] = (_gatherer(rep)(strong[s]), _gatherer(inverses[s])(inv),
+                                       (s, *word), (p, s))
+        return reps
+
+    def residues(l: int) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
+        # (residue, word, level it stopped at) of each Schreier generator s∘u not sifting to 1
+        for u, _, word, _ in list(levels[l].values()):
+            for s in fixing[l]:
+                h, sifted = _gatherer(u)(strong[s]), []
+                for j in range(l, len(base)):
+                    if h[base[j]] not in levels[j]:
+                        break
+                    _, inv, rep_word, _ = levels[j][h[base[j]]]
+                    if rep_word:
+                        h = _gatherer(h)(inv)
+                        sifted.append(rep_word)
+                else:
+                    j = len(base)
+                    if h == ident:
+                        continue
+                yield h, (*(~f for w in reversed(sifted) for f in reversed(w)), s, *word), j
+
+    levels = [transversal(l) for l in range(len(base))]
+    l = len(base) - 1
+    while l >= 0:
+        for h, word, j in residues(l):
+            if j == len(base):
+                base.append(moved(h))
+                fixing.append([])
+            strong.append(h)
+            inverses.append(inverse(h))
+            words.append(word)
+            for m in range(l + 1, j + 1):
+                fixing[m].append(len(strong) - 1)
+            levels[l + 1:j + 1] = [transversal(m) for m in range(l + 1, j + 1)]
+            l = j
+            break
+        else:
+            l -= 1
+    return words, [{p: edge for p, (*_, edge) in reps.items()} for reps in levels]
+
+
+def _chain_walk(chain: tuple[list[tuple], list[dict]], lists: Sequence[list[int]],
                 root: Sequence[int]) -> Iterator[Sequence[int]]:
     """The image list over `root`'s solutions of each element but the identity
-    (see `_descend`), from the chain and the generators' `lists`: a residue's
+    (see `_descend`), from `word_chain` and the generators' `lists`: a residue's
     list is its word's product, a representative's its tree edge's after its parent's."""
     words, trees = chain
     strong = list(lists)
@@ -129,7 +217,7 @@ def chain_walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tu
     compared by key."""
     keys = list(map(ordering.key, partition.solutions))
     alive = list(range(len(keys)))
-    for img in _chain_walk(partition.group.chain, partition.images, alive):
+    for img in _chain_walk(word_chain(partition.group), partition.images, alive):
         alive = [i for i in alive if keys[i] <= keys[img[i]]]
     return partition.grouped(alive)
 

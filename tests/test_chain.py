@@ -2,11 +2,14 @@
 verdicts against the walks.
 
 `SymmetryGroup.order` is read from the chain and must equal the size of the
-breadth-first closure.  The walk along the chain (`reference._chain_walk`)
-must reach every group element other than the identity exactly once.  The
-leader-full verdict, each block's least-ranked member, must equal the
-survivors of the chain walk, of the walk along the closure's breadth-first
-tree (`walked_kept`) and of every element's `LeaderConstraint.satisfied`.
+breadth-first closure (`reference.breadth_first_closure`) and that of the
+word-keeping chain (`reference.word_chain`); `closure()`, the products of the
+chain's representatives, must list the breadth-first closure's elements.  The
+walk along the word-keeping chain (`reference._chain_walk`) must reach every
+group element other than the identity exactly once.  The leader-full verdict,
+each block's least-ranked member, must equal the survivors of the chain walk,
+of the walk along the closure's breadth-first tree (`walked_kept`) and of
+every element's `LeaderConstraint.satisfied`.
 """
 
 import itertools
@@ -37,7 +40,13 @@ from symbreak.symmetry import (
     row_col_group,
 )
 
-from reference import _chain_walk, chain_walked_kept, walked_kept
+from reference import (
+    _chain_walk,
+    breadth_first_closure,
+    chain_walked_kept,
+    walked_kept,
+    word_chain,
+)
 
 MIXED = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
 
@@ -116,6 +125,7 @@ IDS = [case[0] for case in CASES]
 def test_order_is_the_closure_size_and_the_cap_bounds_it(name, group, domains, shape):
     order = group.order
     assert order == max(len(group.closure()), 1)
+    assert order == math.prod(map(len, word_chain(group)[1]))
     assert SymmetryGroup(group.generators, cap=order).order == order
     if order > 1:
         capped = SymmetryGroup(group.generators, cap=order - 1)
@@ -138,7 +148,7 @@ def test_order_of_large_row_col_groups(r, c):
 
 def _residues(group):
     """The strong generators after the given ones, as literal tuples, from their words."""
-    words, _ = group.chain
+    words, _ = word_chain(group)
     strong = [g.lits for g in group.generators]
     inverse = lambda p: tuple(sorted(range(len(p)), key=p.__getitem__))
     factor = lambda f: strong[f] if f >= 0 else inverse(strong[~f])
@@ -163,10 +173,34 @@ def test_chain_walk_reaches_every_element_but_the_identity_once(name, group, dom
     space = list(all_assignments(domains))
     index = {a: i for i, a in enumerate(space)}
     partition = orbits(space, group)
-    walked = Counter(_chain_walk(group.chain, partition.images, list(range(len(space)))))
+    walked = Counter(_chain_walk(word_chain(group), partition.images, list(range(len(space)))))
     closure = group.closure()
     assert walked == Counter(tuple(index[s.apply(a)] for a in space) for s in closure[1:])
     assert sum(walked.values()) == group.order - 1
+
+
+@pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
+def test_closure_lists_the_breadth_first_closure_identity_first(name, group, domains, shape):
+    closure = group.closure()
+    assert Counter(closure) == Counter(breadth_first_closure(group))
+    if group.generators:
+        assert closure[0].is_identity()
+        assert len(closure) == max(group.order, 1)
+
+
+def test_closure_starts_no_orbit_search(monkeypatch):
+    # the elements are the products of the chain's representatives
+    import symbreak.symmetry
+
+    search, starts = symbreak.symmetry._orbit_search, []
+
+    def counted(start, *args, **kwargs):
+        starts.append(start)
+        return search(start, *args, **kwargs)
+
+    monkeypatch.setattr(symbreak.symmetry, "_orbit_search", counted)
+    closure = row_col_group((3, 3)).closure()
+    assert starts == [] and len(closure) == 36
 
 
 def _solution_sets(name, group, domains):

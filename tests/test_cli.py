@@ -283,12 +283,13 @@ def test_closure_over_its_cap_exits_ahead_of_an_orbit_error(capsys, tmp_path, co
 
 def test_leader_full_builds_no_group_element(capsys, tmp_path, monkeypatch):
     # On 3x3 the group has 36 elements and 4 generators.  A leader-full set
-    # names its group and is judged along its stabilizer chain, so the only
-    # LiteralSymmetry objects built are the 4 generators read from the file
-    # (and, for compare, doublelex's 4 row and column swaps), and the only
-    # LeaderConstraint objects those that compare's leader-generators rows
-    # (4 orderings x 4 generators) and doublelex row (4) post.  Building the
-    # closure's elements and one constraint per element would add 36 + 35.
+    # names its group and is judged by each orbit's least-ranked member, so
+    # the only LiteralSymmetry objects built are the 4 generators read from
+    # the file (and, for compare, doublelex's 4 row and column swaps), and
+    # the only LeaderConstraint objects those that compare's
+    # leader-generators rows (4 orderings x 4 generators) and doublelex row
+    # (4) post.  Building the closure's elements and one constraint per
+    # element would add 36 + 35.
     from symbreak.breaker import LeaderConstraint
     from symbreak.literals import LiteralSymmetry
 
@@ -314,8 +315,9 @@ def test_leader_full_builds_no_group_element(capsys, tmp_path, monkeypatch):
 
 def test_leader_full_runs_no_closure_search(capsys, tmp_path, monkeypatch):
     # compare, check and break on a 4x5 model with one 1 per row: the four
-    # leader-full rows walk the stabilizer chain of the 2880-element group,
-    # so no breadth-first search starts from the identity of its 40 literals
+    # leader-full rows take each orbit's least-ranked member, and the
+    # 2880-element group is only counted by its stabilizer chain, so no
+    # breadth-first search starts from the identity of its 40 literals
     import symbreak.symmetry
 
     r, c = 4, 5

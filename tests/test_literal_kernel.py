@@ -6,14 +6,15 @@ per-assignment references.
 dict lookup per variable, one position per variable.  `reference_kept` is
 the per-assignment path that the solution-indexed kernel of
 `orbit_verdict` and `compare_table` replaced: `SymmetryBreakingSet.satisfied`,
-that is `LeaderConstraint.satisfied`, once per solution.  Closure order,
-orbit blocks, the survivors of every breaking set and every compare row
-must agree exactly.
+that is `LeaderConstraint.satisfied`, once per solution.  The breadth-first
+closure's order, the closure's elements, orbit blocks, the survivors of
+every breaking set and every compare row must agree exactly.
 """
 
 import itertools
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -38,6 +39,8 @@ from symbreak.orderings import (
     snake_variable_order,
 )
 from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, orbits, row_col_group
+
+from reference import breadth_first_closure
 
 # leader-full rows need the closure; beyond this the reference is too slow
 MAX_REFERENCE_GROUP = 720
@@ -217,8 +220,10 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     if refs and math.factorial(r) * math.factorial(c) * (len(domains[0]) if values else 1) \
             <= MAX_REFERENCE_GROUP:
         closure = ref_closure(refs, domains)
-        assert [(s.var_perm, s.val_maps) for s in group.closure()] == \
-            [ref.key() for ref in closure]
+        breadth_first = [(s.var_perm, s.val_maps) for s in breadth_first_closure(group)]
+        assert breadth_first == [ref.key() for ref in closure]
+        assert Counter((s.var_perm, s.val_maps) for s in group.closure()) == \
+            Counter(breadth_first)
         modes.append(("full", closure))
     for ordering_name in ORDERING_NAMES:
         if ordering_name == "gray" and not binary:
