@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .model import Assignment, Domain, InputError, binary_domains
 from .orderings import GT, LexOrdering, SimpleOrdering, applicable_orderings
 from .symmetry import (
+    LiteralSymmetry,
     OrbitPartition,
     Symmetry,
     SymmetryGroup,
@@ -120,53 +121,45 @@ def _judge(partition: OrbitPartition,
            bsets: Sequence[SymmetryBreakingSet]) -> list[Verdict]:
     """Verdicts of breaking sets on one partition, over solution indices.
 
-    A leader constraint (sigma, ordering) keeps index i iff rank[i] <=
-    rank[img[i]]: `rank` orders the solutions by `ordering.key`, one call per
-    solution, and img[i] indexes sigma's image of solution i; a generator's
-    img is the partition's list.  Every posted constraint is tested, on the
-    indices still alive.  A leader-full set of a group with the partition's
-    generators keeps the least-ranked index of each block: `orbits` refused
-    any image outside the solutions, so the block of i is its orbit G·i, and
-    i passes every element's constraint iff nothing in G·i ranks below it.
-    Any other sigma is applied to the alive solutions, an image outside them
-    compared by `key`."""
+    Each posted ordering ranks the solutions once, by its `ranks` rule on
+    their lex codes (`partition.coded`).  A leader constraint (sigma,
+    ordering) keeps index i iff rank[i] <= the rank of sigma's image of
+    solution i.  For a generator that rank is a lookup, rank[img[i]], where
+    img is the partition's image list; any other sigma's image codes are
+    ranked by the same rule, so an image outside the solutions costs
+    nothing more.  Every posted constraint is tested, on the indices still
+    alive.  A leader-full set of a group with the partition's generators
+    keeps each block's least-ranked member: `orbits` refused any image
+    outside the solutions, so the block of i is its orbit G·i, and i passes
+    every element's constraint iff nothing in G·i ranks below it."""
     sols, lists = partition.solutions, partition.images
     idx = list(range(len(sols)))
     gens = partition.group.generators
-    at_gen, minima, applied, alive = {}, {}, {}, []  # at_gen: k -> [(set, ordering)]
+    posted, alive = {}, []  # posted: ordering -> [(set, sigma, or None for the block minima)]
     for n, bset in enumerate(bsets):
         alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
         if bset.full is not None and bset.full[0].generators == gens:
-            minima.setdefault(bset.full[1], []).append(n)
+            posted.setdefault(bset.full[1], []).append((n, None))
             continue
         for con in bset.constraints if bset.allowed is None else ():
-            if con.sigma in gens:
-                at_gen.setdefault(gens.index(con.sigma), []).append((n, con.ordering))
+            posted.setdefault(con.ordering, []).append((n, con.sigma))
+    for ordering, judged in posted.items():  # one ordering's ranks at a time
+        coding, codes = partition.coded(ordering.domains)
+        rank = ordering.ranks(codes, coding)
+        for n, sigma in judged:
+            if sigma is None:
+                alive[n] = [min(block, key=rank.__getitem__) for block in partition.members]
+            elif sigma in gens:
+                img = lists[gens.index(sigma)]
+                alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
             else:
-                applied.setdefault(con.ordering, []).append((n, con.sigma))
-    ranks, tested = {}, dict.fromkeys(o for posted in at_gen.values() for _, o in posted)
-    for ordering in tested | minima | applied:
-        keys = list(map(ordering.key, sols))  # one ordering's keys at a time
-        ranks[ordering] = rank = idx[:]
-        by_rank = sorted(idx, key=keys.__getitem__)
-        for r, i in zip(idx, by_rank):
-            rank[i] = r
-        if ordering in minima:  # from the last rank down, so a block's least is written last
-            least = sorted(dict(zip(map(partition.block_of.__getitem__, reversed(by_rank)),
-                                    reversed(by_rank))).values())
-            for n in minima[ordering]:
-                alive[n] = least
-        keyed = dict(zip(sols, keys)) if ordering in applied else {}
-        for n, sigma in applied.get(ordering, ()):
-            images = map(sigma.apply, map(sols.__getitem__, alive[n]))
-            alive[n] = [i for i, b in zip(alive[n], images)
-                        if keys[i] <= (keyed[b] if b in keyed else ordering.key(b))]
-        del keys, keyed, by_rank
-    for k, posted in at_gen.items():
-        for n, ordering in posted:
-            rank, img = ranks[ordering], lists[k]
-            alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
-    return [Verdict(partition.grouped(kept)) for kept in alive]  # each sorted
+                kept = alive[n]
+                images = (sigma.image_codes([codes[i] for i in kept], coding)
+                          if isinstance(sigma, LiteralSymmetry)
+                          else coding.codes([sigma.apply(sols[i]) for i in kept]))
+                alive[n] = [i for i, r in zip(kept, ordering.ranks(images, coding))
+                            if rank[i] <= r]
+    return [Verdict(partition.grouped(kept)) for kept in alive]
 
 
 def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -212,7 +205,7 @@ def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
         sets.append(("lex", "doublelex", SymmetryBreakingSet(tuple(
             LeaderConstraint(g, orderings[0]) for g in row_col_generators(shape, domains)))))
     # after the sets, so a closure over its cap is reported ahead of an orbit error
-    partition = orbits(solutions, group)
+    partition = orbits(solutions, group, domains)
     verdicts = _judge(partition, [bset for _, _, bset in sets])
     return [(name, method, len(bset), sum(verdict.counts), len(partition),
              verdict.sound, verdict.complete)

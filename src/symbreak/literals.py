@@ -3,9 +3,9 @@
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import contains, getitem, itemgetter
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, compress
+from operator import contains, getitem, itemgetter, ne
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import Assignment, Domain, InputError, check_values
 
@@ -20,6 +20,9 @@ def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     if len(indices) > 1:
         return itemgetter(*indices)
     return lambda s: tuple(s[i] for i in indices)
+
+
+_UNBUILT = object()
 
 
 class _LiteralSpace:
@@ -59,13 +62,20 @@ class LiteralSymmetry:
         self.var_perm = tuple(map(space.var_of.__getitem__, space.heads(lits)))
         inverse = sorted(range(len(self.var_perm)), key=self.var_perm.__getitem__)
         self._gather = _gatherer(inverse)
-        # a value-table pass only when some value map moves a value
-        moved = list(map(space.val_of.__getitem__, lits)) != space.val_of
-        self._tables = tuple(map(dict, self._gather(self.val_maps))) if moved else None
+        self._tables = _UNBUILT  # only `apply` reads them: see `_value_tables`
 
     @property
     def n(self) -> int:
         return len(self.var_perm)
+
+    def _value_tables(self) -> Optional[tuple[dict, ...]]:
+        """The value map landing on each variable, built on first use; None
+        when no value map moves a value, so `apply` is one gather."""
+        if self._tables is _UNBUILT:
+            space = self._space
+            moved = list(map(space.val_of.__getitem__, self.lits)) != space.val_of
+            self._tables = tuple(map(dict, self._gather(self.val_maps))) if moved else None
+        return self._tables
 
     @property
     def val_maps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -117,34 +127,29 @@ class LiteralSymmetry:
             raise InputError(f"assignment arity {len(a)} != {self.n}")
         if not self._space.in_domains(a):
             check_values(self._space.domains, enumerate(a))
-        image = self._gather(a)
-        if self._tables is None:
-            return image
-        return tuple(map(getitem, self._tables, image))
+        image, tables = self._gather(a), self._value_tables()
+        return image if tables is None else tuple(map(getitem, tables, image))
 
-    def images(self, assignments: Sequence[Sequence[int]]) -> Iterator[Assignment]:
-        """`apply` to each of many assignments, checked in bulk first."""
-        if {*map(len, assignments)} - {self.n} or not all(map(self._space.in_domains, assignments)):
-            list(map(self.apply, assignments))  # raises at the first assignment `apply` refuses
-        return self._images(assignments)
+    def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
+        return map(self.apply, assignments)
 
-    def _images(self, assignments: Sequence[Sequence[int]]) -> Iterator[Assignment]:
-        """`images` unchecked."""
-        if self._tables is None:
-            return map(self._gather, assignments)
-        return (tuple(map(getitem, self._tables, self._gather(a))) for a in assignments)
-
-    def compose(self, other: "LiteralSymmetry") -> "LiteralSymmetry":
-        """Symmetry acting as self after other: (self∘other)(a) = self(other(a))."""
-        if not isinstance(other, LiteralSymmetry):
-            raise InputError("cannot compose literal and assignment-level symmetries")
-        if other._space.domains != self._space.domains:
-            raise InputError("symmetries act on different domains")
-        return LiteralSymmetry(_gatherer(other.lits)(self.lits), self._space)
-
-    def invert(self) -> "LiteralSymmetry":
-        inverse = sorted(self._space.identity, key=self.lits.__getitem__)
-        return LiteralSymmetry(tuple(inverse), self._space)
+    def image_codes(self, codes: list[int], coding) -> list[int]:
+        """The lex codes under `coding` (a LexOrdering over these domains, in
+        any listed order) of the images of the assignments with these
+        codes.  Variable i at position p adds place[j]·pos_j(w) in place of
+        place[i]·p, where literal (i, domains[i][p]) maps to (j, w): a delta
+        per variable the symmetry moves, summed by `coding.digit_sums`."""
+        space, lits, places = self._space, self.lits, coding.places
+        if coding.domains != space.domains and tuple(map(tuple, map(sorted, coding.domains))) \
+                != space.domains:
+            raise InputError("symmetry and codes act on different domains")
+        deltas = {}
+        for i in set(map(space.var_of.__getitem__,
+                         compress(space.identity, map(ne, lits, space.identity)))):
+            images = map(lits.__getitem__, map(space.index[i].__getitem__, coding.domains[i]))
+            deltas[i] = [places[space.var_of[m]] * coding._pos[space.var_of[m]][space.val_of[m]]
+                         - places[i] * p for p, m in enumerate(images)]
+        return coding.digit_sums(codes, deltas)
 
     def is_identity(self) -> bool:
         return self.lits == self._space.identity

@@ -61,6 +61,8 @@ def check_domains(what: str, n: int, domains: Sequence[Domain]) -> None:
         raise InputError(f"{what} needs at least one variable")
     if len(domains) != n:
         raise InputError(f"expected {n} domains, got {len(domains)}")
+    if all(domains) and all(len(set(d)) == len(d) for d in set(map(tuple, domains))):
+        return  # each distinct domain checked once; the loop below names the variable
     for i, dom in enumerate(domains):
         if not dom:
             raise InputError(f"domain of variable {i} is empty")

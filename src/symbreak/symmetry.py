@@ -36,7 +36,7 @@ from .model import (
     read_fields,
 )
 from .literals import LiteralSymmetry, _check_permutation, _gatherer
-from .orderings import AssignmentPermutation
+from .orderings import AssignmentPermutation, LexOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -51,10 +51,6 @@ class AssignmentSymmetry:
         self._map = moved
 
     @classmethod
-    def identity(cls) -> "AssignmentSymmetry":
-        return cls({})
-
-    @classmethod
     def transposition(cls, a: Assignment, b: Assignment) -> "AssignmentSymmetry":
         return cls({a: b, b: a})
 
@@ -64,17 +60,6 @@ class AssignmentSymmetry:
 
     def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
         return map(self.apply, assignments)
-
-    _images = images  # nothing to check: `orbits` calls either
-
-    def compose(self, other: "AssignmentSymmetry") -> "AssignmentSymmetry":
-        if not isinstance(other, AssignmentSymmetry):
-            raise InputError("cannot compose literal and assignment-level symmetries")
-        keys = set(self._map) | set(other._map)
-        return AssignmentSymmetry({a: self.apply(other.apply(a)) for a in keys})
-
-    def invert(self) -> "AssignmentSymmetry":
-        return AssignmentSymmetry({b: a for a, b in self._map.items()})
 
     def is_identity(self) -> bool:
         return not self._map
@@ -254,17 +239,30 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, .
 class OrbitPartition:
     """The orbits of `group` on `solutions`, kept in input order: block_of[i]
     is the index of the first member of solution i's orbit, and images[k][i]
-    the index of generator k's image of solution i."""
+    the index of generator k's image of solution i.  codes[i] is solution
+    i's lex code under `coding`, a LexOrdering over the solutions' domains
+    as listed; both are None when `orbits` was given no domains and the
+    group no literal space to take them from."""
 
     solutions: tuple[Assignment, ...]
     block_of: list[int] = field(repr=False)
     images: tuple[list[int], ...] = field(repr=False)
     group: SymmetryGroup = field(repr=False, compare=False)
+    coding: Optional[LexOrdering] = field(default=None, repr=False, compare=False)
+    codes: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def firsts(self) -> tuple[int, ...]:
         """The index of each block's first member, increasing."""
         return tuple(dict.fromkeys(self.block_of))
+
+    @cached_property
+    def members(self) -> tuple[list[int], ...]:
+        """The indices of each block's members, increasing, block by block."""
+        members: dict[int, list[int]] = {first: [] for first in self.firsts}
+        for i, first in enumerate(self.block_of):
+            members[first].append(i)
+        return tuple(members.values())
 
     @property
     def blocks(self) -> tuple[tuple[Assignment, ...], ...]:
@@ -277,31 +275,60 @@ class OrbitPartition:
             blocks[self.block_of[i]].append(self.solutions[i])
         return tuple(map(tuple, blocks.values()))
 
+    def coded(self, domains: tuple[Domain, ...]) -> tuple[LexOrdering, list[int]]:
+        """A lex coding over `domains` and the solutions' codes under it: the
+        partition's own when its coding has these domains as listed."""
+        if self.coding is not None and self.coding.domains == domains:
+            return self.coding, self.codes
+        coding = LexOrdering(domains)
+        return coding, coding.codes(self.solutions)
+
     def __len__(self) -> int:
         return len(self.firsts)
 
 
-def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartition:
+def orbits(solutions: Sequence[Assignment], group: SymmetryGroup,
+           domains: Optional[Sequence[Domain]] = None) -> OrbitPartition:
     """Partition of the solution set into orbits of the generated group.
 
-    Works from generators alone (no closure): each generator is applied to
-    every solution once, and each orbit is one breadth-first search over the
-    image indices from the first solution not yet placed.  An image outside
-    the solution set is an input error, raised when the search reaches it.
+    Works from generators alone (no closure).  Each solution gets one lex
+    code over `domains` (by default a literal group's, in sorted order),
+    which checks it.  A literal generator's image codes are chunk-table
+    sums over the codes (`LiteralSymmetry.image_codes`), indexed by an int
+    dict, or by the code itself when the codes are exactly range(space
+    size); an assignment-level generator's images are tuples, indexed by a
+    tuple dict.  Each orbit is one breadth-first search over the image
+    indices from the first solution not yet placed.  An image outside the
+    solution set is an input error, raised when the search reaches it.
     """
     sols = tuple(map(tuple, solutions))
-    index = {a: i for i, a in enumerate(sols)}
-    if len(index) != len(sols):
+    gens = group.generators
+    literal = bool(gens) and isinstance(gens[0], LiteralSymmetry)
+    if domains is None and literal:
+        domains = gens[0]._space.domains
+    coding = codes = None
+    if domains is not None:
+        coding = LexOrdering(domains)
+        codes = coding.codes(sols)
+    if not literal:
+        index = dict(zip(sols, count()))
+    elif len(codes) != coding.space_size or codes != list(range(len(codes))):
+        index = dict(zip(codes, count()))
+    else:
+        index = None  # every code is its solution's index
+    if index is not None and len(index) != len(sols):
         raise InputError("solution list repeats an assignment")
-    # checked once: the generators of a group act on one space
-    lists = tuple(list(map(index.get, (g._images if k else g.images)(sols)))
-                  for k, g in enumerate(group.generators))
+    if literal:  # an image code's index is the int `codes` holds for it, or the dict's
+        look = codes.__getitem__ if index is None else index.get
+        lists = [list(map(look, g.image_codes(codes, coding))) for g in gens]
+    else:
+        lists = [list(map(index.get, g.images(sols))) for g in gens]
 
     def neighbours(i: int) -> list:
         found = [img[i] for img in lists]
         if None in found:
             raise InputError("generator maps a solution outside the solution set "
-                             f"({sols[i]} -> {group.generators[found.index(None)].apply(sols[i])})")
+                             f"({sols[i]} -> {gens[found.index(None)].apply(sols[i])})")
         return found
 
     block_of = [-1] * len(sols)
@@ -309,7 +336,7 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartit
         if first < 0:
             for j in _orbit_search(i, neighbours):
                 block_of[j] = i
-    return OrbitPartition(sols, block_of, lists, group)
+    return OrbitPartition(sols, block_of, tuple(lists), group, coding, codes)
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:

@@ -14,7 +14,8 @@ the command line is an exit code and an `error:` line at worst.
 
 The corpus covers every subcommand with and without `--help`, both
 formats, every ordering and method on the binary row/column models of up to
-9 cells, leader-full sets on groups whose generators repeat or include the
+9 cells and on 2x3 and 2x2 models whose domains are listed out of sorted
+order, leader-full sets on groups whose generators repeat or include the
 identity with the closure cap at |G| and |G| - 1, leader-full sets on
 groups whose stabilizer chain needs products of the generators (mixed
 domains and value swaps among them), leader-full sets of the 2x8
@@ -136,6 +137,34 @@ def matrix_models(corpus: Corpus) -> None:
             tight = corpus.file("cap5.json", {"generators": [
                 {"kind": "row_col", "rows": r, "cols": c}], "cap": 5})
             corpus.invoke(["break", "--problem", problem, "--symmetries", tight])
+
+
+def unsorted_domains(corpus: Corpus) -> None:
+    # domains listed out of sorted order: a position is the index in the
+    # domain as listed, so lex codes and the literals' order differ.  With
+    # x0 fixed, only the identity is a generator, so doublelex's swaps map
+    # solutions outside the solution set
+    cycle = [[[2, 0], [0, 1], [1, 2]]] * 4
+    models = [("unsorted2x3", 2, 3, [1, 0], []),
+              ("unsorted2x2", 2, 2, [2, 0, 1],
+               [{"kind": "literal", "var_perm": [0, 1, 2, 3], "val_maps": cycle}])]
+    for name, r, c, dom, extra in models:
+        identity = [{"kind": "literal", "var_perm": list(range(r * c))}]
+        for label, constraints, gens in (
+                ("free", [], [{"kind": "row_col", "rows": r, "cols": c}, *extra]),
+                ("x0", [{"kind": "unary", "var": 0, "value": dom[0]}], identity)):
+            problem = corpus.file(f"{name}{label}.json", {
+                "n": r * c, "domains": [dom] * (r * c), "shape": [r, c],
+                "constraints": constraints})
+            syms = corpus.file(f"{name}{label}syms.json", {"generators": gens})
+            pair = ["--problem", problem, "--symmetries", syms]
+            corpus.invoke(["orbits", *pair])
+            for fmt in FORMATS:
+                corpus.invoke(["compare", *pair, *fmt])
+            runs = [["--ordering", o, "--method", m] for o in ORDERINGS for m in METHODS[:2]]
+            for options in runs + [["--method", "doublelex"]]:
+                corpus.invoke(["check", *pair, *options])
+                corpus.invoke(["break", *pair, *options])
 
 
 def leader_full_groups(corpus: Corpus) -> None:
@@ -373,9 +402,9 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
-        for part in (front_end, matrix_models, leader_full_groups, residue_groups,
-                     large_group, survivor_files, rank_grids, gray_stores, benchmark_instances,
-                     deep_instances):
+        for part in (front_end, matrix_models, unsorted_domains, leader_full_groups,
+                     residue_groups, large_group, survivor_files, rank_grids, gray_stores,
+                     benchmark_instances, deep_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
     if corpus.failures:

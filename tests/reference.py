@@ -21,10 +21,30 @@ from symbreak.orderings import LT, AssignmentPermutation, SimpleOrdering, snake_
 from symbreak.symmetry import (
     AssignmentSymmetry,
     OrbitPartition,
+    Symmetry,
     SymmetryGroup,
     _orbit_search,
     orbits,
 )
+
+
+def compose(s: Symmetry, t: Symmetry) -> Symmetry:
+    """The symmetry acting as s after t: compose(s, t)(a) = s(t(a)).  Literal
+    symmetries compose by one gather of literal tuples."""
+    if type(s) is not type(t):
+        raise InputError("cannot compose literal and assignment-level symmetries")
+    if isinstance(s, AssignmentSymmetry):
+        return AssignmentSymmetry({a: s.apply(t.apply(a)) for a in set(s._map) | set(t._map)})
+    if t._space.domains != s._space.domains:
+        raise InputError("symmetries act on different domains")
+    return LiteralSymmetry(_gatherer(t.lits)(s.lits), s._space)
+
+
+def invert(s: Symmetry) -> Symmetry:
+    """The inverse symmetry."""
+    if isinstance(s, AssignmentSymmetry):
+        return AssignmentSymmetry({b: a for a, b in s._map.items()})
+    return LiteralSymmetry(tuple(sorted(s._space.identity, key=s.lits.__getitem__)), s._space)
 
 
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -67,8 +87,8 @@ def breadth_first_closure(group: SymmetryGroup) -> tuple:
         lits, space = [g.lits for g in gens], gens[0]._space
         found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits), cap=group.cap)
         return tuple(LiteralSymmetry(e, space) for e in found)
-    return tuple(_orbit_search(AssignmentSymmetry.identity(),
-                               lambda e: [g.compose(e) for g in gens], cap=group.cap))
+    return tuple(_orbit_search(AssignmentSymmetry({}),
+                               lambda e: [compose(g, e) for g in gens], cap=group.cap))
 
 
 def closure_tree(group: SymmetryGroup) -> tuple[tuple[int, int], ...]:
@@ -80,7 +100,7 @@ def closure_tree(group: SymmetryGroup) -> tuple[tuple[int, int], ...]:
     tree: dict = {}
     for p, s in enumerate(closure):
         for k, g in enumerate(group.generators):
-            tree.setdefault(position[g.compose(s)], (p, k))
+            tree.setdefault(position[compose(g, s)], (p, k))
     tree.pop(0, None)
     return tuple(tree[pos] for pos in range(1, len(closure)))
 

@@ -402,19 +402,41 @@ def count_key_calls(monkeypatch) -> dict:
     return calls
 
 
+def count_codes(monkeypatch, calls: dict):
+    """Count into `calls` the lex codes `LexOrdering.codes` returns
+    ("codes"); the returned Counter counts each literal symmetry's
+    `image_codes` calls."""
+    from collections import Counter
+
+    from symbreak.literals import LiteralSymmetry
+    from symbreak.orderings import LexOrdering
+
+    image_codes_of = Counter()
+    codes, image_codes = LexOrdering.codes, LiteralSymmetry.image_codes
+
+    def counted_codes(self, assignments):
+        found = codes(self, assignments)
+        calls["codes"] += len(found)
+        return found
+
+    def counted_image_codes(self, some, coding):
+        image_codes_of[self] += 1
+        return image_codes(self, some, coding)
+
+    monkeypatch.setattr(LexOrdering, "codes", counted_codes)
+    monkeypatch.setattr(LiteralSymmetry, "image_codes", counted_image_codes)
+    return image_codes_of
+
+
 def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch):
     # The per-assignment path this replaced evaluated each breaking set once
     # per solution (9 x 16, 16 and 16 SymmetryBreakingSet.satisfied calls).
-    # The kernel evaluates no set per assignment: it calls `key` once per
-    # solution for each posted ordering and then judges by rank lookups.
-    # compare posts lex, revlex, gray and snakelex, and its doublelex row
-    # shares the lex rows' ordering: 4 x 16; check and break post lex: 16;
-    # orbits posts none.  Each generator is applied to the 16 solutions
-    # once, by one unchecked `_images` gather in `orbits`, and the solutions
-    # are checked once, by the first generator's `images`; the kernel reads
-    # the partition's image lists, so nothing calls `apply`.
-    from collections import Counter
-
+    # The kernel evaluates no set per assignment.  `orbits` gives each of
+    # the 16 solutions one lex code, which also checks it, and each
+    # generator one image-code list; every posted ordering (compare's lex,
+    # revlex, gray and snakelex, whose doublelex row shares lex; lex for
+    # check and break) ranks those codes by its rule, and the verdicts are
+    # rank lookups.  So nothing calls `key`, `apply` or `images`.
     import symbreak.breaker
     import symbreak.cli
     from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
@@ -422,48 +444,34 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     from symbreak.symmetry import orbits, row_col_generators
 
     calls = count_key_calls(monkeypatch)
-    images_of = Counter()
-    images, gather, apply = LiteralSymmetry.images, LiteralSymmetry._images, LiteralSymmetry.apply
+    image_codes_of = count_codes(monkeypatch, calls)
 
-    def counted_images(self, assignments):
-        calls["images"] += 1
-        return images(self, assignments)
-
-    def counted_gather(self, assignments):
-        images_of[self] += 1
-        return gather(self, assignments)
-
-    def counted_apply(self, a):
-        calls["apply"] += 1
-        return apply(self, a)
-
-    monkeypatch.setattr(LiteralSymmetry, "images", counted_images)
-    monkeypatch.setattr(LiteralSymmetry, "_images", counted_gather)
-    monkeypatch.setattr(LiteralSymmetry, "apply", counted_apply)
+    def counter(name, method):
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
 
     def counted_orbits(*args):
         calls["orbits"] += 1
         return orbits(*args)
 
-    def counter(name, method):
-        def counted(self, a):
-            calls[name] += 1
-            return method(self, a)
-        return counted
-
     for module in (symbreak.cli, symbreak.breaker):
         monkeypatch.setattr(module, "orbits", counted_orbits)
-    for name, cls in (("set", SymmetryBreakingSet), ("leader", LeaderConstraint)):
-        monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
+    for name, cls, method in (("set", SymmetryBreakingSet, "satisfied"),
+                              ("leader", LeaderConstraint, "satisfied"),
+                              ("apply", LiteralSymmetry, "apply"),
+                              ("images", LiteralSymmetry, "images")):
+        monkeypatch.setattr(cls, method, counter(name, getattr(cls, method)))
     _, problem, syms = files
-    for command, keys in (("compare", 4 * 16), ("check", 16), ("break", 16), ("orbits", 0)):
-        calls.update(orbits=0, set=0, leader=0, key=0, apply=0, images=0)
-        images_of.clear()
+    for command in ("compare", "check", "break", "orbits"):
+        calls.update(orbits=0, set=0, leader=0, key=0, apply=0, images=0, codes=0)
+        image_codes_of.clear()
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
-        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": keys, "apply": 0,
-                         "images": 1}, command
-        assert images_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
+        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": 0, "apply": 0,
+                         "images": 0, "codes": 16}, command
+        assert image_codes_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 
 def _cli_env() -> dict:
@@ -531,11 +539,23 @@ def test_out_of_range_var_perm_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    proc = _run_cli_subprocess(
-        ["-c", "import sys, symbreak.cli; print('numpy' in sys.modules)"])
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # neither importing the command line nor running compare on an
+    # unconstrained 3x3 model loads numpy, whose import alone would cost
+    # more memory than the benchmark's peak-RSS bound allows
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"n": 9, "domains": [[0, 1]] * 9, "shape": [3, 3]}))
+    syms = tmp_path / "s.json"
+    syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": 3, "cols": 3}]}))
+    script = ("import contextlib, io, sys, symbreak.cli\n"
+              "print('numpy' in sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = symbreak.cli.run(['compare', '--problem', {str(problem)!r}, "
+              f"'--symmetries', {str(syms)!r}])\n"
+              "print(code, 'numpy' in sys.modules)")
+    proc = _run_cli_subprocess(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 def test_gray_import_leaves_the_other_layers_unloaded():
@@ -547,13 +567,14 @@ def test_gray_import_leaves_the_other_layers_unloaded():
         assert repr(module) not in loaded
 
 
-@pytest.mark.parametrize("shape, keys", [((2, 3), 4 * 64), ((3, 3), 4 * 512)])
-def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, keys):
+@pytest.mark.parametrize("shape, codes", [((2, 3), 64), ((3, 3), 512)])
+def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
     # The per-assignment path made 1567 and 14152 LeaderConstraint.satisfied
-    # calls here.  The kernel makes none: it ranks the 2^(r*c) solutions
-    # once per posted ordering (lex, revlex, gray, snakelex; doublelex
-    # shares lex), one key call each, and every image it compares stays in
-    # the solution set, so no key call follows.
+    # calls here, and the ranking that replaced it one key call per solution
+    # per posted ordering (4 x 64 and 4 x 512).  The kernel makes neither:
+    # each of the 2^(r*c) solutions gets one lex code, each of the r + c - 2
+    # generators one image-code list, and lex, revlex, gray and snakelex
+    # (doublelex shares lex) rank the codes by their rules.
     from symbreak.breaker import LeaderConstraint
 
     r, c = shape
@@ -563,7 +584,8 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, keys):
     syms = tmp_path / "s.json"
     syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": r, "cols": c}]}))
     calls = count_key_calls(monkeypatch)
-    calls["leader"] = 0
+    calls.update(leader=0, codes=0)
+    image_codes_of = count_codes(monkeypatch, calls)
     satisfied = LeaderConstraint.satisfied
 
     def counted(self, a):
@@ -574,26 +596,38 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, keys):
     code, _, _ = invoke(capsys, ["compare", "--problem", str(problem),
                                  "--symmetries", str(syms)])
     assert code == 0
-    assert calls == {"key": keys, "leader": 0}
+    assert calls == {"key": 0, "leader": 0, "codes": codes}
+    assert sorted(image_codes_of.values()) == [1] * (r + c - 2)
 
 
 def test_key_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, monkeypatch):
     # x0 = 1 leaves 8 solutions, and the symmetry file holds only the
     # identity, so doublelex's row and column swaps are no group element:
-    # each is applied to the solutions still alive, and an image outside
-    # the solution set costs one more key call.  The row swap sends the 4
-    # solutions with x2 = 0 outside (3 survive it), the column swap 2 of
-    # those 3: 8 + 4 + 2 key calls.
+    # each one's image codes are taken of the solutions still alive, and
+    # ranked by lex's rule whether the image is a solution or not, so no
+    # key call is made.  The row swap sends the 4 solutions with x2 = 0
+    # outside (3 survive it); the column swap then codes those 3.
+    from symbreak.literals import LiteralSymmetry
+
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps(dict(PROBLEM_2x2, constraints=[
         {"kind": "unary", "var": 0, "value": 1}])))
     syms = tmp_path / "s.json"
     syms.write_text(json.dumps({"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3]}]}))
     calls = count_key_calls(monkeypatch)
+    coded = []
+    image_codes = LiteralSymmetry.image_codes
+
+    def counted(self, codes, coding):
+        coded.append(len(codes))
+        return image_codes(self, codes, coding)
+
+    monkeypatch.setattr(LiteralSymmetry, "image_codes", counted)
     code, out, _ = invoke(capsys, ["check", "--method", "doublelex", "--problem", str(problem),
                                    "--symmetries", str(syms)])
     assert (code, out.splitlines()[-1].split()) == (1, ["false", "true", "8", "1"])
-    assert calls["key"] == 8 + 4 + 2
+    # the identity generator's list in `orbits`, then the row and column swaps
+    assert calls["key"] == 0 and coded == [8, 8, 3]
 
 
 # x0 = 1, and each generator moves x0 to another cell while flipping the

