@@ -144,8 +144,8 @@ def _judge(partition: OrbitPartition,
         for con in bset.constraints if bset.allowed is None else ():
             posted.setdefault(con.ordering, []).append((n, con.sigma))
     for ordering, judged in posted.items():  # one ordering's ranks at a time
-        coding, codes = partition.coded(ordering.domains)
-        rank = ordering.ranks(codes, coding)
+        codes = partition.coded(ordering)
+        rank = ordering.ranks(codes)
         for n, sigma in judged:
             if sigma is None:
                 alive[n] = [min(block, key=rank.__getitem__) for block in partition.members]
@@ -154,10 +154,10 @@ def _judge(partition: OrbitPartition,
                 alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
             else:
                 kept = alive[n]
-                images = (sigma.image_codes([codes[i] for i in kept], coding)
+                images = (sigma.image_codes([codes[i] for i in kept], ordering)
                           if isinstance(sigma, LiteralSymmetry)
-                          else coding.codes([sigma.apply(sols[i]) for i in kept]))
-                alive[n] = [i for i, r in zip(kept, ordering.ranks(images, coding))
+                          else ordering.codes([sigma.apply(sols[i]) for i in kept]))
+                alive[n] = [i for i, r in zip(kept, ordering.ranks(images))
                             if rank[i] <= r]
     return [Verdict(partition.grouped(kept)) for kept in alive]
 

@@ -7,7 +7,7 @@ from itertools import accumulate, compress
 from operator import contains, getitem, itemgetter, ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .model import Assignment, Domain, InputError, check_values
+from .model import Assignment, Domain, InputError, check_domains, check_values
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -117,10 +117,16 @@ class LiteralSymmetry:
 
     @classmethod
     def value_swap(cls, var: int, a: int, b: int, domains: Sequence[Domain]) -> "LiteralSymmetry":
-        """Identity on variables; swaps two values of one variable."""
-        maps = [{v: v for v in d} for d in domains]
-        maps[var][a], maps[var][b] = b, a
-        return cls.from_maps(range(len(domains)), maps)
+        """Identity on variables; swaps two values of one variable: the
+        identity literal permutation with the two literals exchanged."""
+        space = _LiteralSpace(tuple(tuple(sorted(d)) for d in domains))
+        check_domains("a value swap", len(domains), space.domains)
+        if not 0 <= var < len(domains):
+            raise InputError(f"variable {var} outside 0..{len(domains) - 1}")
+        check_values(space.domains, ((var, a), (var, b)))
+        lits, la, lb = list(space.identity), space.index[var][a], space.index[var][b]
+        lits[la], lits[lb] = lb, la
+        return cls(tuple(lits), space)
 
     def apply(self, a: Sequence[int]) -> Assignment:
         if len(a) != len(self.var_perm):
@@ -134,7 +140,7 @@ class LiteralSymmetry:
         return map(self.apply, assignments)
 
     def image_codes(self, codes: list[int], coding) -> list[int]:
-        """The lex codes under `coding` (a LexOrdering over these domains, in
+        """The lex codes under `coding` (any ordering over these domains, in
         any listed order) of the images of the assignments with these
         codes.  Variable i at position p adds place[j]·pos_j(w) in place of
         place[i]·p, where literal (i, domains[i][p]) maps to (j, w): a delta

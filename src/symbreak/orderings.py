@@ -1,19 +1,15 @@
-"""Total orderings on assignments: lex after a bijection of the digits.
-
-An assignment's positions are the positions of its values in their domains.
-Each ordering maps the positions bijectively onto digits and compares the
-digits lexicographically, so every ordering here is lex after a relabelling
-of the assignment space.  `rank` is a bijection onto range(space_size),
-`unrank` is its inverse, and `compare` agrees with rank comparison.  Ranks
-are 0-indexed.  `key` gives each assignment a stand-in that Python compares
-natively in the same order, built without a Python loop over the variables.
+"""Total orderings on assignments: lex after a bijection of the lex codes.
 
 An assignment's lex code is its lex rank, Σ pos·place in mixed radix with
-variable 0 most significant (`LexOrdering.codes`).  `ranks` is each
-ordering's rule from codes to its own ranks: the code itself for lex,
-space_size - 1 - code for revlex, the prefix XOR for gray, chunk tables
-(`LexOrdering.digit_sums`) for snakelex's variable permutation, and for
-any other digit map the rank of the decoded assignment.
+variable 0 most significant, where a position is the value's index in its
+domain as listed (`SimpleOrdering.codes`).  Each ordering is stated once,
+as a bijection of range(space_size): `ranks` maps lex codes to the
+ordering's ranks and `unranks` is its inverse, both on lists.  So every
+ordering is lex after a relabelling of the assignment space: the identity
+for lex, space_size - 1 - code for revlex, the prefix XOR for gray (k XOR
+(k >> 1) back), and for snakelex a variable permutation by chunk tables
+(`SimpleOrdering.digit_sums`).  `rank`, `unrank` and `compare` are written
+once, in SimpleOrdering, on top of that pair.  Ranks are 0-indexed.
 """
 
 from __future__ import annotations
@@ -21,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add, getitem, mul, sub, xor
+from operator import add, getitem, mul
 from typing import Optional, Sequence
 
-from .literals import _gatherer
 from .model import (
     Assignment,
     Domain,
@@ -36,7 +31,7 @@ from .model import (
 )
 
 LT, EQ, GT = -1, 0, 1
-CHUNK_CAP = 1 << 10  # digit combinations in one table of `LexOrdering.chunks`
+CHUNK_CAP = 1 << 10  # digit combinations in one table of `SimpleOrdering.chunks`
 
 
 def _places(radices: Sequence[int]) -> list[int]:
@@ -45,14 +40,14 @@ def _places(radices: Sequence[int]) -> list[int]:
 
 
 class SimpleOrdering:
-    """Lex over `digits(positions(a))`; the only statement of rank, unrank and compare.
+    """Lex after the bijection `ranks` of the lex codes; the only statement
+    of rank, unrank and compare.
 
-    `rank` reads the digits as a mixed-radix number over `radices`, digit 0
-    most significant (`places` holds each digit's place); `unrank` decodes
-    one and applies `undigits`, the inverse map.  A subclass supplies its
-    digit map, that inverse, and `unsupported`, its check of the domains
-    (and matrix shape) it is defined on, and may state `ranks`, its rule
-    from lex codes to ranks, as arithmetic.  The map here is the identity.
+    `rank` ranks an assignment's lex code, `unrank` decodes the lex code
+    `unranks` gives back, and `compare` compares ranks.  A subclass
+    supplies `ranks`, `unranks` (both list rules) and `unsupported`, its
+    check of the domains (and matrix shape) it is defined on.  Here both
+    rules are the identity: lex.
     """
 
     name = "?"
@@ -79,79 +74,51 @@ class SimpleOrdering:
         own = tuple(range(len(self.domains[0])))
         self._own_positions = frozenset(own).issuperset if distinct == {own} else None
 
-    def positions(self, a: Sequence[int]) -> tuple[int, ...]:
-        if len(a) != self.n:
-            raise InputError(f"assignment arity {len(a)} != {self.n}")
-        if self._own_positions is not None and self._own_positions(a):
-            return tuple(a)
-        try:
-            return tuple(map(getitem, self._pos, a))
-        except KeyError:
-            check_values(self.domains, enumerate(a))  # raises, naming the value missed
-            raise
+    def ranks(self, codes: list[int]) -> list[int]:
+        """The rank of each assignment whose lex code is in `codes`."""
+        return codes
 
-    @staticmethod
-    def digits(p: tuple[int, ...]) -> tuple[int, ...]:
-        return p
-
-    undigits = digits
-
-    def key(self, a: Sequence[int]) -> tuple[int, ...]:
-        """Natively comparable stand-in: key(a) < key(b) iff a precedes b."""
-        return self.digits(self.positions(a))
+    def unranks(self, ranks: list[int]) -> list[int]:
+        """The lex code of the assignment at each of `ranks`: `ranks` inverted."""
+        return ranks
 
     def rank(self, a: Sequence[int]) -> int:
-        return sum(map(mul, self.key(a), self.places))
+        return self.ranks(self.codes([a]))[0]
 
     def unrank(self, k: int) -> Assignment:
-        return tuple(map(getitem, self.domains, self.undigits(self.digits_of(k))))
-
-    def digits_of(self, k: int) -> tuple[int, ...]:
-        """The digits of rank k in mixed radix over `radices`, digit 0 first;
-        under lex they are the positions of the assignment with code k."""
         if not 0 <= k < self.space_size:
             raise InputError(f"rank {k} outside [0, {self.space_size})")
-        digits = []
-        for radix in reversed(self.radices):
-            k, digit = divmod(k, radix)
-            digits.append(digit)
-        return tuple(reversed(digits))
+        return self._decode(self.unranks([k])[0])
 
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return LT if ka < kb else GT if ka > kb else EQ
-
-    def ranks(self, codes: list[int], coding: "LexOrdering") -> list[int]:
-        """The rank of each assignment whose lex code under `coding`, a
-        LexOrdering over these domains, is in `codes`.  This rule decodes
-        each code to its positions and ranks their digits; an ordering
-        whose digit map is arithmetic on the code states it directly."""
-        return [sum(map(mul, self.digits(coding.digits_of(c)), self.places)) for c in codes]
-
-
-class LexOrdering(SimpleOrdering):
-    """Big-endian positional order: variable 0 is most significant.  Its
-    rank is the lex code every other ordering's `ranks` reads."""
-
-    name = "lex"
-    key = SimpleOrdering.positions  # the digits are the positions: no map call
+        ra, rb = self.ranks(self.codes([a, b]))
+        return LT if ra < rb else GT if ra > rb else EQ
 
     def codes(self, assignments: Sequence[Sequence[int]]) -> list[int]:
-        """The lex code of each assignment, its rank: Σ pos·place, checked as
-        `positions` checks (in bulk first)."""
-        places, pos = self.places, self._pos
-        if {*map(len, assignments)} - {self.n}:
-            list(map(self.positions, assignments))  # raises at the first arity refused
-        if self._own_positions is not None and all(map(self._own_positions, assignments)):
-            return [sum(map(mul, a, places)) for a in assignments]
-        try:
-            return [sum(map(mul, map(getitem, pos, a), places)) for a in assignments]
-        except KeyError:
-            list(map(self.positions, assignments))  # raises, naming the value missed
-            raise
+        """The lex code of each assignment, Σ pos·place, checked in bulk: the
+        first assignment of another arity or with a value outside its
+        variable's domain is refused by name."""
+        places = self.places
+        if not {*map(len, assignments)} - {self.n}:
+            if self._own_positions is not None and all(map(self._own_positions, assignments)):
+                return [sum(map(mul, a, places)) for a in assignments]
+            try:
+                return [sum(map(mul, map(getitem, self._pos, a), places)) for a in assignments]
+            except KeyError:
+                pass
+        for a in assignments:  # one is refused: name the first
+            if len(a) != self.n:
+                raise InputError(f"assignment arity {len(a)} != {self.n}")
+            check_values(self.domains, enumerate(a))
+        raise AssertionError("every assignment passed its check")
 
-    def ranks(self, codes: list[int], coding: "LexOrdering") -> list[int]:
-        return codes
+    def _decode(self, code: int) -> Assignment:
+        """The assignment whose lex code is `code`."""
+        values = []
+        for dom, radix in zip(reversed(self.domains), reversed(self.radices)):
+            code, p = divmod(code, radix)
+            values.append(dom[p])
+        return tuple(reversed(values))
 
     def digit_sums(self, codes: list[int], deltas: dict[int, list[int]]) -> list[int]:
         """c + Σ_i deltas[i][digit i of c] for each code c, over the variables
@@ -191,23 +158,23 @@ class LexOrdering(SimpleOrdering):
         return chunks
 
 
+class LexOrdering(SimpleOrdering):
+    """Big-endian positional order: variable 0 is most significant, and an
+    assignment's rank is its lex code."""
+
+    name = "lex"
+
+
 class RevLexOrdering(SimpleOrdering):
-    """Lex with every comparison reversed: each digit p becomes len(d) - 1 - p."""
+    """Lex with every comparison reversed: rank space_size - 1 - code."""
 
     name = "revlex"
 
-    def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
-        super().__init__(domains, shape)
-        self._top = tuple(radix - 1 for radix in self.radices)
-
-    def digits(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(sub, self._top, p))
-
-    undigits = digits
-
-    def ranks(self, codes: list[int], coding: "LexOrdering") -> list[int]:
+    def ranks(self, codes: list[int]) -> list[int]:
         top = self.space_size - 1
         return [top - c for c in codes]
+
+    unranks = ranks
 
 
 class GrayOrdering(SimpleOrdering):
@@ -225,21 +192,16 @@ class GrayOrdering(SimpleOrdering):
         two_valued = all(len(d) == 2 for d in domains)
         return None if two_valued else "gray ordering needs two-valued domains"
 
-    @staticmethod
-    def digits(p: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(accumulate(p, xor))
-
-    @staticmethod
-    def undigits(d: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(xor, d, (0,) + d[:-1]))
-
-    def ranks(self, codes: list[int], coding: "LexOrdering") -> list[int]:
+    def ranks(self, codes: list[int]) -> list[int]:
         """The prefix XOR of each code's bits, by shift-xor steps 1, 2, 4, …"""
         shift = 1
         while shift < self.n:
             codes = [c ^ (c >> shift) for c in codes]
             shift *= 2
         return codes
+
+    def unranks(self, ranks: list[int]) -> list[int]:
+        return [k ^ (k >> 1) for k in ranks]
 
 
 def snake_variable_order(shape: tuple[int, int]) -> tuple[int, ...]:
@@ -253,8 +215,9 @@ def snake_variable_order(shape: tuple[int, int]) -> tuple[int, ...]:
 
 
 class SnakeLexOrdering(SimpleOrdering):
-    """Lex comparison of the serpentine vectorization of a matrix: the
-    digits are the positions gathered in snake order."""
+    """Lex comparison of the serpentine vectorization of a matrix: its rank
+    is the lex code over the domains in snake order, a variable permutation
+    of the lex code, moved digit by digit through chunk tables."""
 
     name = "snakelex"
 
@@ -272,16 +235,19 @@ class SnakeLexOrdering(SimpleOrdering):
         super().__init__(domains, shape)
         self.shape = tuple(shape)
         self.order = snake_variable_order(self.shape)
-        self.digits = _gatherer(self.order)
-        self.undigits = _gatherer(sorted(range(self.n), key=self.order.__getitem__))
-        self.radices = self.digits(self.radices)
-        self.places = _places(self.radices)
+        self._snake = SimpleOrdering(map(self.domains.__getitem__, self.order))
+        # variable order[k] moves from its lex place to place k of the snake
+        moves = [(k, i, place - self.places[i])
+                 for k, (i, place) in enumerate(zip(self.order, self._snake.places))
+                 if place != self.places[i]]
+        self._to_snake = {i: [m * p for p in range(self.radices[i])] for _, i, m in moves}
+        self._from_snake = {k: [-m * p for p in range(self.radices[i])] for k, i, m in moves}
 
-    def ranks(self, codes: list[int], coding: "LexOrdering") -> list[int]:
-        """Variable order[k] moves from its lex place to place k of the snake."""
-        return coding.digit_sums(codes, {
-            i: [(self.places[k] - coding.places[i]) * p for p in range(coding.radices[i])]
-            for k, i in enumerate(self.order) if self.places[k] != coding.places[i]})
+    def ranks(self, codes: list[int]) -> list[int]:
+        return self.digit_sums(codes, self._to_snake)
+
+    def unranks(self, ranks: list[int]) -> list[int]:
+        return self._snake.digit_sums(ranks, self._from_snake)
 
 
 ORDERINGS = {o.name: o for o in (LexOrdering, RevLexOrdering, GrayOrdering, SnakeLexOrdering)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Sequence
 
 from .breaker import leader_constraints, orbit_verdict
@@ -73,30 +73,33 @@ def one_in_three_satisfiable(inst: OneInThreeInstance) -> bool:
 
 
 class OneInThreeOrdering(SimpleOrdering):
-    """Orders gadget assignments: lex after flipping the flag digit whenever
-    the prefix spells out an instance that is not 1-in-3 satisfiable, so a
+    """Orders gadget assignments: lex after flipping the flag whenever the
+    prefix spells out an instance that is not 1-in-3 satisfiable, so a
     satisfiable prefix puts flag 0 first and an unsatisfiable one flag 1.
 
-    The map keeps the prefix, so it is its own inverse, but computing it
-    embeds an NP-hard decision, answered by brute force at this scale once
-    per prefix.
+    The flag is the last variable and binary, so it is bit 0 of the lex
+    code and the prefix's code is code >> 1.  The rule keeps the prefix, so
+    it is its own inverse, but computing it embeds an NP-hard decision,
+    answered by brute force at this scale once per prefix.
     """
 
     name = "one-in-three"
 
     def __init__(self, domains: Sequence[Domain]):
         super().__init__(domains)
-        self._satisfiable: dict[tuple[int, ...], bool] = {}
+        self._satisfiable: dict[int, bool] = {}  # by the prefix's code
 
-    def digits(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        prefix = p[:-1]
+    def ranks(self, codes: list[int]) -> list[int]:
+        return [c if self._prefix_satisfiable(c >> 1) else c ^ 1 for c in codes]
+
+    unranks = ranks
+
+    def _prefix_satisfiable(self, prefix: int) -> bool:
         if prefix not in self._satisfiable:
-            values = tuple(map(getitem, self.domains, prefix))
+            values = self._decode(prefix << 1)[:-1]
             self._satisfiable[prefix] = one_in_three_satisfiable(OneInThreeInstance(
                 tuple(values[i:i + 3] for i in range(0, len(values), 3))))
-        return p if self._satisfiable[prefix] else prefix + (1 - p[-1],)
-
-    undigits = digits
+        return self._satisfiable[prefix]
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,8 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
     solutions = enumerate_solutions(gadget.problem)
     if len(gadget.group.orbit_of(solutions[0])) != len(solutions):
         raise InvariantViolationError("group gadget's solutions form more than one orbit")
-    winner = min(solutions, key=gadget.ordering.key)
+    ranks = gadget.ordering.ranks(gadget.ordering.codes(solutions))
+    winner = solutions[ranks.index(min(ranks))]
     if winner == (0,) * gadget.phi.num_vars:
         return SAT if gadget.phi.satisfied_by(winner) else UNSAT
     return SAT

@@ -36,7 +36,7 @@ from .model import (
     read_fields,
 )
 from .literals import LiteralSymmetry, _check_permutation, _gatherer
-from .orderings import AssignmentPermutation, LexOrdering
+from .orderings import AssignmentPermutation, LexOrdering, SimpleOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -275,13 +275,12 @@ class OrbitPartition:
             blocks[self.block_of[i]].append(self.solutions[i])
         return tuple(map(tuple, blocks.values()))
 
-    def coded(self, domains: tuple[Domain, ...]) -> tuple[LexOrdering, list[int]]:
-        """A lex coding over `domains` and the solutions' codes under it: the
-        partition's own when its coding has these domains as listed."""
-        if self.coding is not None and self.coding.domains == domains:
-            return self.coding, self.codes
-        coding = LexOrdering(domains)
-        return coding, coding.codes(self.solutions)
+    def coded(self, ordering: SimpleOrdering) -> list[int]:
+        """The solutions' lex codes over the ordering's domains: the
+        partition's own when its coding has those domains as listed."""
+        if self.coding is not None and self.coding.domains == ordering.domains:
+            return self.codes
+        return ordering.codes(self.solutions)
 
     def __len__(self) -> int:
         return len(self.firsts)

@@ -20,7 +20,8 @@ identity with the closure cap at |G| and |G| - 1, leader-full sets on
 groups whose stabilizer chain needs products of the generators (mixed
 domains and value swaps among them), leader-full sets of the 2x8
 row/column group (80,640 elements), `break` output read back by
-`check --survivors`, `rank` and `unrank` grids, `gray-check` stores, the
+`check --survivors`, `rank` and `unrank` grids (binary, mixed-radix,
+3x1 and unsorted domains), `gray-check` stores, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
@@ -300,14 +301,25 @@ def rank_grids(corpus: Corpus) -> None:
                     corpus.invoke(["unrank", *space, "--k", str(k)])
         corpus.invoke(["rank", "--ordering", ordering, "--n", "2", "--shape", "5x5", "01"])
         corpus.invoke(["unrank", "--ordering", ordering, "--n", "2", "--shape=-1x-2", "--k", "1"])
-    mixed = corpus.file("mixed.json", {"n": 4, "domains": [[0, 1, 2], [5, 7], [1, 3, 4], [0, 1]],
-                                       "shape": [2, 2]})
-    for ordering in ORDERINGS:
-        for k in range(-1, 37):
-            code, text = corpus.invoke(["unrank", "--ordering", ordering, "--problem", mixed,
-                                        "--k", str(k)])
-            if code == 0:
-                corpus.invoke(["rank", "--ordering", ordering, "--problem", mixed, text.strip()])
+    # every k of each space and one beyond, each assignment ranked back:
+    # mixed radices (snakelex's on uneven radices too), a 3x1 shape, and
+    # domains listed out of sorted order
+    for name, domains, shape in (
+            ("mixed", [[0, 1, 2], [5, 7], [1, 3, 4], [0, 1]], [2, 2]),
+            ("mixed2x3", [[0, 1, 2], [5, 7], [1, 3, 4, 9], [0, 1], [4, 2], [3]], [2, 3]),
+            ("mixed3x1", [[0, 1, 2], [5, 7], [1, 3, 4]], [3, 1]),
+            ("unsorted2x2", [[1, 0], [7, 2], [2, 0], [1, 0]], [2, 2]),
+            ("unsorted2x2ternary", [[1, 0], [2, 0, 1], [7, 2], [1, 0]], [2, 2])):
+        path = corpus.file(f"{name}.json", {"n": len(domains), "domains": domains,
+                                            "shape": shape})
+        for ordering in ORDERINGS:
+            for k in range(-1, math.prod(map(len, domains)) + 1):
+                code, text = corpus.invoke(["unrank", "--ordering", ordering, "--problem", path,
+                                            "--k", str(k)])
+                if code == 0:
+                    corpus.invoke(["rank", "--ordering", ordering, "--problem", path,
+                                   text.strip()])
+    mixed = os.path.join(corpus.tmp, "mixed.json")
     for extra in (["--n", "4"], ["--shape", "2x2"], ["--n", "4", "--shape", "2x2"]):
         corpus.invoke(["rank", "--problem", mixed, *extra, "0,5,1,0"])
         corpus.invoke(["unrank", "--problem", mixed, *extra, "--k", "1"])

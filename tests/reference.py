@@ -10,14 +10,24 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
+from operator import getitem, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
 from symbreak.gray import GrayDecomposition
 from symbreak.literals import LiteralSymmetry, _gatherer
 from symbreak.model import Assignment, InputError, Problem, check_shape, check_values
-from symbreak.orderings import LT, AssignmentPermutation, SimpleOrdering, snake_variable_order
+from symbreak.orderings import (
+    LT,
+    AssignmentPermutation,
+    GrayOrdering,
+    RevLexOrdering,
+    SimpleOrdering,
+    SnakeLexOrdering,
+    snake_variable_order,
+)
+from symbreak.reductions import OneInThreeInstance, OneInThreeOrdering, one_in_three_satisfiable
 from symbreak.symmetry import (
     AssignmentSymmetry,
     OrbitPartition,
@@ -125,8 +135,8 @@ def walk(tree: Sequence[tuple[int, int]], lists: Sequence[list[int]],
 
 def walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
     """Survivors of the leader-full set of the partition's group, per block:
-    every closure element's image list by `walk`, compared by rank."""
-    keys = list(map(ordering.key, partition.solutions))
+    every closure element's image list by `walk`, compared by `digit_rank`."""
+    keys = [digit_rank(ordering, a) for a in partition.solutions]
     alive = list(range(len(keys)))
     for _, img in walk(closure_tree(partition.group), partition.images, alive):
         alive = [i for i in alive if keys[i] <= keys[img[i]]]
@@ -234,12 +244,60 @@ def _descend(reps: list[list[Sequence[int]]], parent: Sequence[int],
 def chain_walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
     """Survivors of the leader-full set of the partition's group, per block:
     every element's image list along the stabilizer chain by `_chain_walk`,
-    compared by key."""
-    keys = list(map(ordering.key, partition.solutions))
+    compared by `digit_rank`."""
+    keys = [digit_rank(ordering, a) for a in partition.solutions]
     alive = list(range(len(keys)))
     for img in _chain_walk(word_chain(partition.group), partition.images, alive):
         alive = [i for i in alive if keys[i] <= keys[img[i]]]
     return partition.grouped(alive)
+
+
+def digit_map(ordering: SimpleOrdering) -> tuple:
+    """(digits, undigits, radices): the ordering stated as lex over digits,
+    digits(p) for an assignment's positions p, undigits the inverse map, and
+    radices those of the digits.  Each ordering here is such a map; the
+    library states the same bijections on lex codes (`ranks`, `unranks`)."""
+    radices = tuple(map(len, ordering.domains))
+    if isinstance(ordering, RevLexOrdering):
+        flip = lambda p: tuple(r - 1 - x for r, x in zip(radices, p))
+        return flip, flip, radices
+    if isinstance(ordering, GrayOrdering):
+        return (lambda p: tuple(accumulate(p, xor)),
+                lambda d: tuple(map(xor, d, (0,) + d[:-1])), radices)
+    if isinstance(ordering, SnakeLexOrdering):
+        order = ordering.order
+        back = sorted(range(len(order)), key=order.__getitem__)
+        gather = lambda indices: lambda s: tuple(s[i] for i in indices)
+        return gather(order), gather(back), gather(order)(radices)
+    if isinstance(ordering, OneInThreeOrdering):
+        def flag(p):  # flipped when the prefix is not 1-in-3 satisfiable
+            values = tuple(map(getitem, ordering.domains, p[:-1]))
+            satisfiable = one_in_three_satisfiable(OneInThreeInstance(
+                tuple(values[i:i + 3] for i in range(0, len(values), 3))))
+            return p if satisfiable else p[:-1] + (1 - p[-1],)
+        return flag, flag, radices
+    return tuple, tuple, radices
+
+
+def digit_rank(ordering: SimpleOrdering, a: Sequence[int]) -> int:
+    """The ordering's rank of `a`: its digits read in mixed radix, digit 0
+    most significant."""
+    digits, _, radices = digit_map(ordering)
+    rank = 0
+    for digit, radix in zip(digits(tuple(d.index(v) for d, v in zip(ordering.domains, a))),
+                            radices):
+        rank = rank * radix + digit
+    return rank
+
+
+def digit_unrank(ordering: SimpleOrdering, k: int) -> Assignment:
+    """The assignment of rank k under the ordering: `digit_rank` inverted."""
+    _, undigits, radices = digit_map(ordering)
+    digits = []
+    for radix in reversed(radices):
+        k, digit = divmod(k, radix)
+        digits.append(digit)
+    return tuple(map(getitem, ordering.domains, undigits(tuple(reversed(digits)))))
 
 
 def check_assignment(problem: Problem, assignment: Sequence[int]) -> bool:

@@ -387,32 +387,33 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def count_key_calls(monkeypatch) -> dict:
-    """Count `key` calls of every ordering: SimpleOrdering's, inherited by
-    revlex, gray and snakelex, and LexOrdering's own (its positions)."""
-    from symbreak.orderings import LexOrdering, SimpleOrdering
+def count_rank_calls(monkeypatch) -> dict:
+    """Count the per-assignment `rank` and `compare` calls of every
+    ordering ("rank"): SimpleOrdering writes both, and no ordering
+    overrides them."""
+    from symbreak.orderings import SimpleOrdering
 
-    calls = {"key": 0}
-    for cls in (SimpleOrdering, LexOrdering):
-        def counted(self, a, key=cls.__dict__["key"]):
-            calls["key"] += 1
-            return key(self, a)
+    calls = {"rank": 0}
+    for name in ("rank", "compare"):
+        def counted(self, *args, method=getattr(SimpleOrdering, name)):
+            calls["rank"] += 1
+            return method(self, *args)
 
-        monkeypatch.setattr(cls, "key", counted)
+        monkeypatch.setattr(SimpleOrdering, name, counted)
     return calls
 
 
 def count_codes(monkeypatch, calls: dict):
-    """Count into `calls` the lex codes `LexOrdering.codes` returns
+    """Count into `calls` the lex codes `SimpleOrdering.codes` returns
     ("codes"); the returned Counter counts each literal symmetry's
     `image_codes` calls."""
     from collections import Counter
 
     from symbreak.literals import LiteralSymmetry
-    from symbreak.orderings import LexOrdering
+    from symbreak.orderings import SimpleOrdering
 
     image_codes_of = Counter()
-    codes, image_codes = LexOrdering.codes, LiteralSymmetry.image_codes
+    codes, image_codes = SimpleOrdering.codes, LiteralSymmetry.image_codes
 
     def counted_codes(self, assignments):
         found = codes(self, assignments)
@@ -423,7 +424,7 @@ def count_codes(monkeypatch, calls: dict):
         image_codes_of[self] += 1
         return image_codes(self, some, coding)
 
-    monkeypatch.setattr(LexOrdering, "codes", counted_codes)
+    monkeypatch.setattr(SimpleOrdering, "codes", counted_codes)
     monkeypatch.setattr(LiteralSymmetry, "image_codes", counted_image_codes)
     return image_codes_of
 
@@ -436,14 +437,14 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     # generator one image-code list; every posted ordering (compare's lex,
     # revlex, gray and snakelex, whose doublelex row shares lex; lex for
     # check and break) ranks those codes by its rule, and the verdicts are
-    # rank lookups.  So nothing calls `key`, `apply` or `images`.
+    # rank lookups.  So nothing calls `rank`, `compare`, `apply` or `images`.
     import symbreak.breaker
     import symbreak.cli
     from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
     from symbreak.literals import LiteralSymmetry
     from symbreak.symmetry import orbits, row_col_generators
 
-    calls = count_key_calls(monkeypatch)
+    calls = count_rank_calls(monkeypatch)
     image_codes_of = count_codes(monkeypatch, calls)
 
     def counter(name, method):
@@ -465,11 +466,11 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
         monkeypatch.setattr(cls, method, counter(name, getattr(cls, method)))
     _, problem, syms = files
     for command in ("compare", "check", "break", "orbits"):
-        calls.update(orbits=0, set=0, leader=0, key=0, apply=0, images=0, codes=0)
+        calls.update(orbits=0, set=0, leader=0, rank=0, apply=0, images=0, codes=0)
         image_codes_of.clear()
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
-        assert calls == {"orbits": 1, "set": 0, "leader": 0, "key": 0, "apply": 0,
+        assert calls == {"orbits": 1, "set": 0, "leader": 0, "rank": 0, "apply": 0,
                          "images": 0, "codes": 16}, command
         assert image_codes_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
@@ -571,7 +572,8 @@ def test_gray_import_leaves_the_other_layers_unloaded():
 def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
     # The per-assignment path made 1567 and 14152 LeaderConstraint.satisfied
     # calls here, and the ranking that replaced it one key call per solution
-    # per posted ordering (4 x 64 and 4 x 512).  The kernel makes neither:
+    # per posted ordering (4 x 64 and 4 x 512).  The kernel makes no
+    # per-assignment call, `satisfied`, `rank` or `compare`:
     # each of the 2^(r*c) solutions gets one lex code, each of the r + c - 2
     # generators one image-code list, and lex, revlex, gray and snakelex
     # (doublelex shares lex) rank the codes by their rules.
@@ -583,7 +585,7 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
                                    "shape": [r, c]}))
     syms = tmp_path / "s.json"
     syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": r, "cols": c}]}))
-    calls = count_key_calls(monkeypatch)
+    calls = count_rank_calls(monkeypatch)
     calls.update(leader=0, codes=0)
     image_codes_of = count_codes(monkeypatch, calls)
     satisfied = LeaderConstraint.satisfied
@@ -596,16 +598,16 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
     code, _, _ = invoke(capsys, ["compare", "--problem", str(problem),
                                  "--symmetries", str(syms)])
     assert code == 0
-    assert calls == {"key": 0, "leader": 0, "codes": codes}
+    assert calls == {"rank": 0, "leader": 0, "codes": codes}
     assert sorted(image_codes_of.values()) == [1] * (r + c - 2)
 
 
-def test_key_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, monkeypatch):
+def test_rank_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, monkeypatch):
     # x0 = 1 leaves 8 solutions, and the symmetry file holds only the
     # identity, so doublelex's row and column swaps are no group element:
     # each one's image codes are taken of the solutions still alive, and
     # ranked by lex's rule whether the image is a solution or not, so no
-    # key call is made.  The row swap sends the 4 solutions with x2 = 0
+    # per-assignment `rank` or `compare` call is made.  The row swap sends the 4 solutions with x2 = 0
     # outside (3 survive it); the column swap then codes those 3.
     from symbreak.literals import LiteralSymmetry
 
@@ -614,7 +616,7 @@ def test_key_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, 
         {"kind": "unary", "var": 0, "value": 1}])))
     syms = tmp_path / "s.json"
     syms.write_text(json.dumps({"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3]}]}))
-    calls = count_key_calls(monkeypatch)
+    calls = count_rank_calls(monkeypatch)
     coded = []
     image_codes = LiteralSymmetry.image_codes
 
@@ -627,7 +629,7 @@ def test_key_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path, 
                                    "--symmetries", str(syms)])
     assert (code, out.splitlines()[-1].split()) == (1, ["false", "true", "8", "1"])
     # the identity generator's list in `orbits`, then the row and column swaps
-    assert calls["key"] == 0 and coded == [8, 8, 3]
+    assert calls["rank"] == 0 and coded == [8, 8, 3]
 
 
 # x0 = 1, and each generator moves x0 to another cell while flipping the

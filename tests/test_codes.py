@@ -1,11 +1,13 @@
-"""Differential tests of lex codes against the per-assignment path.
+"""Differential tests of lex codes and the orderings' rules on them.
 
 A solution's lex code is its LexOrdering rank.  Checked on every binary
 shape of up to 9 cells, ternary, mixed and unsorted domains, value maps and
 the 1-in-3 gadget's ordering: decoding inverts encoding, a literal
-symmetry's image codes are the codes of its `apply`, and every ordering's
-`ranks` rule gives its `rank`.  Subsets of the space exercise the chunk
-tables at every size from one variable per chunk to one chunk.
+symmetry's image codes are the codes of its `apply`, every ordering's
+`ranks` rule gives the rank of its digit map (`reference.digit_rank`), and
+on the whole space `unranks` inverts `ranks` and `unrank` agrees with the
+digit map's.  Subsets of the space exercise the chunk tables at every size
+from one variable per chunk to one chunk.
 """
 
 import pytest
@@ -16,6 +18,8 @@ from symbreak.orderings import CHUNK_CAP, LexOrdering, applicable_orderings
 from symbreak.reductions import OneInThreeInstance, ordering_gadget
 from symbreak.symmetry import SymmetryGroup, orbits, row_col_generators
 
+from reference import digit_rank, digit_unrank
+
 
 def value_cycle(domains, shift=1):
     """Every variable's value moved `shift` places round its listed domain."""
@@ -24,6 +28,7 @@ def value_cycle(domains, shift=1):
 
 
 MIXED = ((0, 1, 2), (5, 7), (1, 3, 4), (0, 1))
+MIXED_2x3 = ((0, 1, 2), (5, 7), (1, 3, 4, 9), (0, 1), (4, 2), (3,))
 # variables 0 and 2 trade places through value bijections, as do 1 and 3
 MIXED_SWAP = LiteralSymmetry.from_maps((2, 3, 0, 1), [{0: 1, 1: 3, 2: 4}, {5: 0, 7: 1},
                                                       {1: 2, 3: 0, 4: 1}, {0: 7, 1: 5}])
@@ -41,6 +46,8 @@ CASES += [
      row_col_generators((2, 2), ((2, 0, 1),) * 4) + (value_cycle(((2, 0, 1),) * 4),)),
     ("odd-values-2x2-value-flip", ((7, 2),) * 4, (2, 2),
      row_col_generators((2, 2), ((7, 2),) * 4) + (value_cycle(((7, 2),) * 4),)),
+    ("mixed-2x3", MIXED_2x3, (2, 3), (value_cycle(MIXED_2x3),)),
+    ("mixed-3x1", MIXED[:3], (3, 1), (value_cycle(MIXED[:3]),)),
 ]
 
 
@@ -51,6 +58,20 @@ def subsets(space):
                       if k < len(space)]
 
 
+def check_bijection(ordering, space):
+    """On the whole space, listed in lex order: `unranks` inverts `ranks`,
+    and `rank`, `unrank` and `compare` agree with the digit map's ranks."""
+    codes = list(range(len(space)))
+    ranks = ordering.ranks(codes)
+    assert sorted(ranks) == codes and ordering.unranks(ranks) == codes, ordering.name
+    assert [ordering.rank(a) for a in space] == ranks, ordering.name
+    assert [ordering.unrank(k) for k in codes] == [digit_unrank(ordering, k) for k in codes], \
+        ordering.name
+    for a, b in zip(space, space[1:] + space[:1]):
+        ra, rb = digit_rank(ordering, a), digit_rank(ordering, b)
+        assert ordering.compare(a, b) == (ra > rb) - (ra < rb), ordering.name
+
+
 @pytest.mark.parametrize("name, domains, shape, gens", CASES, ids=[c[0] for c in CASES])
 def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, shape, gens):
     lex = LexOrdering(domains)
@@ -59,23 +80,25 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
     assert codes == list(range(lex.space_size))  # listed order is lex order
     assert [lex.unrank(c) for c in codes] == space
     orderings = applicable_orderings(domains, shape)
+    for ordering in orderings:
+        check_bijection(ordering, space)
     for part in subsets(space):
         part_codes = lex.codes(part)
-        assert part_codes == [lex.rank(a) for a in part]
         for g in gens:
             assert g.image_codes(part_codes, lex) == lex.codes([g.apply(a) for a in part])
         for ordering in orderings:
-            assert ordering.ranks(part_codes, lex) == [ordering.rank(a) for a in part], \
+            assert ordering.ranks(part_codes) == [digit_rank(ordering, a) for a in part], \
                 ordering.name
 
 
-def test_gadget_ordering_ranks_by_decoding():
+def test_gadget_ordering_ranks_by_its_prefix_rule():
     gadget = ordering_gadget(OneInThreeInstance(((1, 2, 3), (1, 2, 3))))
     domains = gadget.problem.domains
     lex, space = LexOrdering(domains), list(all_assignments(domains))
+    check_bijection(gadget.ordering, space)
     for part in subsets(space):
         codes = lex.codes(part)
-        assert gadget.ordering.ranks(codes, lex) == list(map(gadget.ordering.rank, part))
+        assert gadget.ordering.ranks(codes) == [digit_rank(gadget.ordering, a) for a in part]
         assert gadget.flip.image_codes(codes, lex) == lex.codes([gadget.flip.apply(a) for a in part])
 
 

@@ -52,6 +52,38 @@ def test_value_swap_on_last_variable():
     assert flip.apply((0, 1, 1, 1)) == (0, 1, 1, 0)
 
 
+VALUE_SWAP_DOMAINS = ((0, 1, 2), (5, 7), (4, 1, 3), (0, 1), (9,))
+
+
+@pytest.mark.parametrize("var, a, b", [(0, 0, 2), (0, 1, 1), (1, 7, 5), (2, 4, 1),
+                                       (2, 3, 4), (3, 0, 1), (4, 9, 9)])
+def test_value_swap_equals_its_value_maps(var, a, b):
+    # the swap exchanges two literals of the identity; from_maps lays out
+    # the identity value maps with the two values traded
+    maps = [{v: v for v in d} for d in VALUE_SWAP_DOMAINS]
+    maps[var][a], maps[var][b] = b, a
+    swap = LiteralSymmetry.value_swap(var, a, b, VALUE_SWAP_DOMAINS)
+    assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps)
+    assert swap.val_maps == LiteralSymmetry.from_maps(range(len(maps)), maps).val_maps
+    assert swap.is_identity() == (a == b)
+    for x in all_assignments(VALUE_SWAP_DOMAINS):
+        image = list(x)
+        image[var] = {a: b, b: a}.get(x[var], x[var])
+        assert swap.apply(x) == tuple(image)
+
+
+@pytest.mark.parametrize("var, a, b, message", [
+    (0, 0, 5, "value 5 outside domain of variable 0"),
+    (1, 6, 7, "value 6 outside domain of variable 1"),
+    (4, 9, 1, "value 1 outside domain of variable 4"),
+    (5, 0, 1, "variable 5 outside 0..4"),
+    (-1, 0, 1, "variable -1 outside 0..4"),
+])
+def test_value_swap_refuses_bad_variables_and_values(var, a, b, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        LiteralSymmetry.value_swap(var, a, b, VALUE_SWAP_DOMAINS)
+
+
 def test_row_swap_on_2x2():
     row_swap = row_col_generators((2, 2))[0]
     # [[0,1],[1,1]] -> [[1,1],[0,1]]
