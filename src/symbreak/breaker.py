@@ -17,7 +17,6 @@ from typing import Iterable, Optional, Sequence
 from .model import Assignment, Domain, InputError, binary_domains
 from .orderings import GT, LexOrdering, SimpleOrdering, applicable_orderings
 from .symmetry import (
-    LiteralSymmetry,
     OrbitPartition,
     Symmetry,
     SymmetryGroup,
@@ -124,11 +123,10 @@ def _judge(partition: OrbitPartition,
     Each posted ordering ranks the solutions once, by its `ranks` rule on
     their lex codes (`partition.coded`).  A leader constraint (sigma,
     ordering) keeps index i iff rank[i] <= the rank of sigma's image of
-    solution i.  For a generator that rank is a lookup, rank[img[i]], where
-    img is the partition's image list; any other sigma's image codes are
-    ranked by the same rule, so an image outside the solutions costs
-    nothing more.  Every posted constraint is tested, on the indices still
-    alive.  A leader-full set of a group with the partition's generators
+    solution i: for a generator a lookup, rank[img[i]] with img the
+    partition's image list, and for any other sigma its `image_codes`
+    ranked by the same rule.  Every posted constraint is tested, on the
+    indices still alive.  A leader-full set of a group with the partition's generators
     keeps each block's least-ranked member: `orbits` refused any image
     outside the solutions, so the block of i is its orbit G·i, and i passes
     every element's constraint iff nothing in G·i ranks below it."""
@@ -154,11 +152,8 @@ def _judge(partition: OrbitPartition,
                 alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
             else:
                 kept = alive[n]
-                images = (sigma.image_codes([codes[i] for i in kept], ordering)
-                          if isinstance(sigma, LiteralSymmetry)
-                          else ordering.codes([sigma.apply(sols[i]) for i in kept]))
-                alive[n] = [i for i, r in zip(kept, ordering.ranks(images))
-                            if rank[i] <= r]
+                images = sigma.image_codes([codes[i] for i in kept], ordering)
+                alive[n] = [i for i, r in zip(kept, ordering.ranks(images)) if rank[i] <= r]
     return [Verdict(partition.grouped(kept)) for kept in alive]
 
 
@@ -201,9 +196,8 @@ def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
     sets = [(ordering.name, method, leader_constraints(group, ordering, mode))
             for ordering in orderings
             for method, mode in (("leader-full", "full"), ("leader-generators", "generators"))]
-    if shape is not None:  # doublelex under the lex rows' ordering, so lex is ranked once
-        sets.append(("lex", "doublelex", SymmetryBreakingSet(tuple(
-            LeaderConstraint(g, orderings[0]) for g in row_col_generators(shape, domains)))))
+    if shape is not None:
+        sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
     # after the sets, so a closure over its cap is reported ahead of an orbit error
     partition = orbits(solutions, group, domains)
     verdicts = _judge(partition, [bset for _, _, bset in sets])

@@ -2,14 +2,14 @@
 
 An assignment's lex code is its lex rank, Σ pos·place in mixed radix with
 variable 0 most significant, where a position is the value's index in its
-domain as listed (`SimpleOrdering.codes`).  Each ordering is stated once,
-as a bijection of range(space_size): `ranks` maps lex codes to the
-ordering's ranks and `unranks` is its inverse, both on lists.  So every
-ordering is lex after a relabelling of the assignment space: the identity
-for lex, space_size - 1 - code for revlex, the prefix XOR for gray (k XOR
-(k >> 1) back), and for snakelex a variable permutation by chunk tables
-(`SimpleOrdering.digit_sums`).  `rank`, `unrank` and `compare` are written
-once, in SimpleOrdering, on top of that pair.  Ranks are 0-indexed.
+domain as listed (`SimpleOrdering.codes`; `decode` inverts it).  Each
+ordering is stated once, as a bijection of range(space_size): `ranks` maps
+lex codes to the ordering's ranks and `unranks` is its inverse, both on
+lists: the identity for lex, space_size - 1 - code for revlex, the prefix
+XOR for gray (k XOR (k >> 1) back), and for snakelex a variable
+permutation by chunk tables (`SimpleOrdering.digit_sums`).  `rank`,
+`unrank`, `compare` and π between two orderings (`AssignmentPermutation`)
+are written once, on top of that pair.  Ranks are 0-indexed.
 """
 
 from __future__ import annotations
@@ -41,13 +41,9 @@ def _places(radices: Sequence[int]) -> list[int]:
 
 class SimpleOrdering:
     """Lex after the bijection `ranks` of the lex codes; the only statement
-    of rank, unrank and compare.
-
-    `rank` ranks an assignment's lex code, `unrank` decodes the lex code
-    `unranks` gives back, and `compare` compares ranks.  A subclass
-    supplies `ranks`, `unranks` (both list rules) and `unsupported`, its
-    check of the domains (and matrix shape) it is defined on.  Here both
-    rules are the identity: lex.
+    of rank, unrank and compare.  A subclass supplies `ranks`, `unranks`
+    (both list rules) and `unsupported`, its check of the domains (and
+    matrix shape) it is defined on.  Here both rules are the identity: lex.
     """
 
     name = "?"
@@ -88,7 +84,7 @@ class SimpleOrdering:
     def unrank(self, k: int) -> Assignment:
         if not 0 <= k < self.space_size:
             raise InputError(f"rank {k} outside [0, {self.space_size})")
-        return self._decode(self.unranks([k])[0])
+        return self.decode(self.unranks([k]))[0]
 
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
         ra, rb = self.ranks(self.codes([a, b]))
@@ -112,13 +108,11 @@ class SimpleOrdering:
             check_values(self.domains, enumerate(a))
         raise AssertionError("every assignment passed its check")
 
-    def _decode(self, code: int) -> Assignment:
-        """The assignment whose lex code is `code`."""
-        values = []
-        for dom, radix in zip(reversed(self.domains), reversed(self.radices)):
-            code, p = divmod(code, radix)
-            values.append(dom[p])
-        return tuple(reversed(values))
+    def decode(self, codes: list[int]) -> list[Assignment]:
+        """The assignment whose lex code is each of `codes`: `codes` inverted,
+        one pass over the codes per variable."""
+        return list(zip(*([dom[c // place % radix] for c in codes] for dom, place, radix
+                          in zip(self.domains, self.places, self.radices))))
 
     def digit_sums(self, codes: list[int], deltas: dict[int, list[int]]) -> list[int]:
         """c + Σ_i deltas[i][digit i of c] for each code c, over the variables
@@ -271,7 +265,7 @@ def applicable_orderings(domains: Sequence[Domain],
 @dataclass(frozen=True)
 class AssignmentPermutation:
     """Bijection on the assignment space: read a position in `source`, realize
-    it in `target` (forward = target.unrank of source.rank)."""
+    it in `target`; on lex codes, target.unranks ∘ source.ranks, in bulk."""
 
     source: SimpleOrdering
     target: SimpleOrdering
@@ -284,11 +278,17 @@ class AssignmentPermutation:
     def domains(self) -> tuple[Domain, ...]:
         return self.source.domains
 
+    def forward_codes(self, codes: list[int]) -> list[int]:
+        return self.target.unranks(self.source.ranks(codes))
+
+    def inverse_codes(self, codes: list[int]) -> list[int]:
+        return self.source.unranks(self.target.ranks(codes))
+
     def forward(self, a: Sequence[int]) -> Assignment:
-        return self.target.unrank(self.source.rank(a))
+        return self.source.decode(self.forward_codes(self.source.codes([a])))[0]
 
     def inverse(self, a: Sequence[int]) -> Assignment:
-        return self.source.unrank(self.target.rank(a))
+        return self.source.decode(self.inverse_codes(self.source.codes([a])))[0]
 
 
 def rank_preserving_map(ordering: SimpleOrdering) -> AssignmentPermutation:

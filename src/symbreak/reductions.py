@@ -33,7 +33,7 @@ from .model import (
     load_json_object,
     read_fields,
 )
-from .orderings import RevLexOrdering, SimpleOrdering
+from .orderings import LexOrdering, RevLexOrdering, SimpleOrdering
 from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
 
 MAX_ONE_IN_THREE_VARS = 12
@@ -96,7 +96,7 @@ class OneInThreeOrdering(SimpleOrdering):
 
     def _prefix_satisfiable(self, prefix: int) -> bool:
         if prefix not in self._satisfiable:
-            values = self._decode(prefix << 1)[:-1]
+            values = self.decode([prefix << 1])[0][:-1]
             self._satisfiable[prefix] = one_in_three_satisfiable(OneInThreeInstance(
                 tuple(values[i:i + 3] for i in range(0, len(values), 3))))
         return self._satisfiable[prefix]
@@ -201,8 +201,11 @@ def group_gadget(phi: Cnf) -> GroupGadget:
     solutions = tuple(sorted(set(cnf_models(phi)) | {zero}))
     problem = binary_problem(width,
                              [TableConstraint(tuple(range(width)), frozenset(solutions))])
-    group = SymmetryGroup(tuple(map(AssignmentSymmetry.transposition, solutions, solutions[1:])))
-    return GroupGadget(phi, problem, group, RevLexOrdering(binary_domains(width)), solutions)
+    coding = LexOrdering(binary_domains(width))
+    codes = coding.codes(solutions)
+    group = SymmetryGroup(tuple(AssignmentSymmetry({a: b, b: a}, coding)
+                                for a, b in zip(codes, codes[1:])))
+    return GroupGadget(phi, problem, group, RevLexOrdering(coding.domains), solutions)
 
 
 def solve_group_gadget(gadget: GroupGadget) -> str:

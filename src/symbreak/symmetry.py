@@ -1,17 +1,16 @@
 """Symmetries acting on assignments, generated groups, orbits, conjugation.
 
-Two representations:
+Two representations, never mixed inside one group:
 
 * `LiteralSymmetry` (module `literals`) — a variable permutation composed
-  with per-variable value bijections.  Structured this way, every complete
-  assignment maps to a complete assignment; arbitrary bijections on
-  variable-value pairs that could produce non-assignments are excluded by
-  construction.
+  with per-variable value bijections, so every complete assignment maps to
+  a complete assignment by construction.
 * `AssignmentSymmetry` — an explicit bijection on finitely many listed
-  assignments, identity outside the listed set.  This is the carrier for
-  conjugated symmetries and for groups defined directly on solution sets.
+  assignments, identity elsewhere: the carrier for conjugated symmetries
+  and for groups defined directly on solution sets.
 
-The two kinds never mix inside one group.
+Both act on lex codes (`image_codes`), so orbits, verdicts and conjugation
+work on integers.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .model import (
     Domain,
     CapExceededError,
     InputError,
-    all_assignments,
     binary_domains,
     check_shape,
     load_json_object,
@@ -42,24 +40,30 @@ DEFAULT_CLOSURE_CAP = 100_000
 
 
 class AssignmentSymmetry:
-    """Explicit bijection on a finite set of assignments, identity elsewhere."""
+    """Explicit bijection on a finite set of assignments, identity elsewhere:
+    `_map` takes each moved one's lex code under `coding` to its image's."""
 
-    def __init__(self, mapping: dict):
-        moved = {tuple(a): tuple(b) for a, b in mapping.items() if tuple(a) != tuple(b)}
-        if set(moved) != set(moved.values()):
+    def __init__(self, moves: dict[int, int], coding: LexOrdering):
+        moved = {a: b for a, b in moves.items() if a != b}
+        if moved.keys() != set(moved.values()):
             raise InputError("listed pairs do not form a bijection on the listed set")
-        self._map = moved
+        self._map, self.coding = moved, coding
 
     @classmethod
-    def transposition(cls, a: Assignment, b: Assignment) -> "AssignmentSymmetry":
-        return cls({a: b, b: a})
+    def from_pairs(cls, mapping: dict, domains: Sequence[Domain]) -> "AssignmentSymmetry":
+        coding = LexOrdering(domains)
+        return cls(dict(zip(coding.codes(list(mapping)), coding.codes(list(mapping.values())))),
+                   coding)
 
     def apply(self, a: Sequence[int]) -> Assignment:
-        a = tuple(a)
-        return self._map.get(a, a)
+        return self.coding.decode(self.image_codes(self.coding.codes([a]), self.coding))[0]
 
-    def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
-        return map(self.apply, assignments)
+    def image_codes(self, codes: list[int], coding: SimpleOrdering) -> list[int]:
+        """The lex codes under `coding`, over these domains as listed, of the
+        images of the assignments with these codes."""
+        if coding.domains != self.coding.domains:
+            raise InputError("symmetry and codes act on different domains")
+        return list(map(self._map.get, codes, codes))
 
     def is_identity(self) -> bool:
         return not self._map
@@ -69,7 +73,8 @@ class AssignmentSymmetry:
         return frozenset(self._map.items())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, AssignmentSymmetry) and self._key == other._key
+        return (isinstance(other, AssignmentSymmetry) and self._key == other._key
+                and self.coding.domains == other.coding.domains)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -83,14 +88,13 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 
 @dataclass
 class SymmetryGroup:
-    """Group given by generators.  `chain`, its stabilizer chain over the
-    literals (the listed assignments, for an assignment-level group), is
-    built once, under `cap`, and is the only element machinery: `order` is
-    the product of its level sizes, kept once read, and `closure()` lists
-    the products of its representatives.  No verdict reads the chain, since
-    a leader-full set is judged from the orbits.  A group without generators
-    has order 1 and an empty closure: there is no space to build its
-    identity on."""
+    """Group given by generators, which act on `domains` (a literal group's
+    sorted; None without generators).  `chain`, its stabilizer chain over
+    the literals (the listed codes, for an assignment-level group), is built
+    once, under `cap`, and is the only element machinery: `order` is the
+    product of its level sizes, and `closure()` lists the products of its
+    representatives.  No verdict reads the chain.  A group without
+    generators has order 1 and an empty closure."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
@@ -99,25 +103,28 @@ class SymmetryGroup:
         self.generators = tuple(self.generators)
         if self.cap < 1:
             raise InputError("closure cap must be positive")
-        kinds = {type(g) for g in self.generators}
-        if len(kinds) > 1:
+        if len({type(g) for g in self.generators}) > 1:
             raise InputError("a group cannot mix literal and assignment-level symmetries")
-        if len({g._space.domains for g in self.generators if isinstance(g, LiteralSymmetry)}) > 1:
-            raise InputError("literal generators act on different domains")
+        carriers = {g._space if isinstance(g, LiteralSymmetry) else g.coding
+                    for g in self.generators}  # shared, so each domains tuple is hashed once
+        domains = {carrier.domains for carrier in carriers}
+        if len(domains) > 1:
+            raise InputError("generators act on different domains")
+        self.domains = next(iter(domains), None)
 
     def _points(self) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], Symmetry]]:
         """The generators as permutations of range(n), and the element that
         such a permutation stands for.  A literal group permutes its
-        literals; an assignment-level one the assignments its generators
+        literals; an assignment-level one the lex codes its generators
         list, numbered in the order they are first listed."""
         gens = self.generators
         if gens and isinstance(gens[0], LiteralSymmetry):
             space = gens[0]._space
             return [g.lits for g in gens], lambda e: LiteralSymmetry(e, space)
-        listed = list(dict.fromkeys(a for g in gens for a in g._map))
-        index = dict(zip(listed, count()))
-        return ([tuple(map(index.get, g.images(listed))) for g in gens],
-                lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e)))))
+        listed = list(dict.fromkeys(c for g in gens for c in g._map))
+        index, coding = dict(zip(listed, count())), gens[0].coding if gens else None
+        return ([tuple(map(index.get, g.image_codes(listed, coding))) for g in gens],
+                lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e))), coding))
 
     @cached_property
     def chain(self) -> list[list[tuple[int, ...]]]:
@@ -145,17 +152,20 @@ class SymmetryGroup:
         """Orbit of a single assignment under the generated group, in search order.
 
         An assignment-level generator fixes what it does not list, so the search
-        steps only along listed pairs: movers[b] holds b's images in generator
-        order.  A generator that skips b maps it to itself, already seen."""
+        steps only along listed pairs, on lex codes: movers[b] holds b's images
+        in generator order.  A generator that skips b maps it to itself,
+        already seen."""
         gens = self.generators
-        if gens and isinstance(gens[0], LiteralSymmetry):
+        if not gens or isinstance(gens[0], LiteralSymmetry):
             return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens],
                                        cap=self.cap))
         movers: dict = {}
         for g in gens:
             for b, image in g._map.items():
                 movers.setdefault(b, []).append(image)
-        return tuple(_orbit_search(tuple(a), lambda b: movers.get(b, ()), cap=self.cap))
+        coding = gens[0].coding
+        return tuple(coding.decode(_orbit_search(coding.codes([a])[0],
+                                                 lambda b: movers.get(b, ()), cap=self.cap)))
 
 
 def _orbit_search(start, neighbours: Callable[..., Iterable], cap: Optional[int] = None) -> list:
@@ -240,9 +250,8 @@ class OrbitPartition:
     """The orbits of `group` on `solutions`, kept in input order: block_of[i]
     is the index of the first member of solution i's orbit, and images[k][i]
     the index of generator k's image of solution i.  codes[i] is solution
-    i's lex code under `coding`, a LexOrdering over the solutions' domains
-    as listed; both are None when `orbits` was given no domains and the
-    group no literal space to take them from."""
+    i's lex code under `coding`, a LexOrdering over the domains given to
+    `orbits`, else the generators'; both are None without either."""
 
     solutions: tuple[Assignment, ...]
     block_of: list[int] = field(repr=False)
@@ -291,37 +300,26 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup,
     """Partition of the solution set into orbits of the generated group.
 
     Works from generators alone (no closure).  Each solution gets one lex
-    code over `domains` (by default a literal group's, in sorted order),
-    which checks it.  A literal generator's image codes are chunk-table
-    sums over the codes (`LiteralSymmetry.image_codes`), indexed by an int
-    dict, or by the code itself when the codes are exactly range(space
-    size); an assignment-level generator's images are tuples, indexed by a
-    tuple dict.  Each orbit is one breadth-first search over the image
-    indices from the first solution not yet placed.  An image outside the
-    solution set is an input error, raised when the search reaches it.
+    code over `domains` (by default the generators'), which checks it.
+    Each generator's `image_codes` are indexed by an int dict, or by the
+    code itself when the codes are exactly range(space size).  Each orbit
+    is one breadth-first search over the image indices from the first
+    solution not yet placed.  An image outside the solution set is an input
+    error, raised when the search reaches it.
     """
     sols = tuple(map(tuple, solutions))
     gens = group.generators
-    literal = bool(gens) and isinstance(gens[0], LiteralSymmetry)
-    if domains is None and literal:
-        domains = gens[0]._space.domains
-    coding = codes = None
-    if domains is not None:
-        coding = LexOrdering(domains)
-        codes = coding.codes(sols)
-    if not literal:
-        index = dict(zip(sols, count()))
-    elif len(codes) != coding.space_size or codes != list(range(len(codes))):
-        index = dict(zip(codes, count()))
+    domains = group.domains if domains is None else domains
+    coding = None if domains is None else LexOrdering(domains)
+    codes = None if coding is None else coding.codes(sols)  # None: no generators, no domains
+    if codes is not None and len(codes) == coding.space_size and codes == list(range(len(codes))):
+        look = codes.__getitem__  # every code is its solution's index
     else:
-        index = None  # every code is its solution's index
-    if index is not None and len(index) != len(sols):
-        raise InputError("solution list repeats an assignment")
-    if literal:  # an image code's index is the int `codes` holds for it, or the dict's
-        look = codes.__getitem__ if index is None else index.get
-        lists = [list(map(look, g.image_codes(codes, coding))) for g in gens]
-    else:
-        lists = [list(map(index.get, g.images(sols))) for g in gens]
+        index = dict(zip(sols if codes is None else codes, count()))
+        if len(index) != len(sols):
+            raise InputError("solution list repeats an assignment")
+        look = index.get
+    lists = [list(map(look, g.image_codes(codes, coding))) for g in gens]
 
     def neighbours(i: int) -> list:
         found = [img[i] for img in lists]
@@ -339,17 +337,21 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup,
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
-    """Group with generators pi∘g∘pi⁻¹, tabulated over the full space.
+    """Group with generators pi∘g∘pi⁻¹, refusing a pi over other domains.
 
-    The conjugated generators have no literal structure in general, so they
-    are materialized as assignment-level bijections (desk scale only).
+    These have no literal structure in general, so each is tabulated over
+    every lex code (desk scale only): pi⁻¹ of the codes, the generator's
+    image codes of those, and pi of the images, each in bulk.
     """
-    space = list(all_assignments(pi.domains))
-    gens = []
-    for gen in group.generators:
-        mapping = {b: pi.forward(gen.apply(pi.inverse(b))) for b in space}
-        gens.append(AssignmentSymmetry(mapping))
-    return SymmetryGroup(tuple(gens), cap=group.cap)
+    doms = group.domains
+    if doms is not None and [sorted(d) for d in doms] != [sorted(d) for d in pi.domains]:
+        raise InputError(f"permutation acts on domains {pi.domains}, group on {doms}")
+    coding = LexOrdering(pi.domains)
+    preimages = pi.inverse_codes(list(range(coding.space_size)))
+    return SymmetryGroup(tuple(
+        AssignmentSymmetry(dict(enumerate(pi.forward_codes(g.image_codes(preimages, coding)))),
+                           coding)
+        for g in group.generators), cap=group.cap)
 
 
 def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
@@ -357,19 +359,19 @@ def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
     """Does pi map every block of p1 exactly onto a block of p2?
 
     Returns (True, tau) with the witness block bijection, or (False, None).
-    Disjoint blocks have disjoint images under pi, so tau is one-to-one.
+    On lex codes: with as many blocks and solutions on both sides, it is so
+    iff pi maps every solution of p1 to one of p2 and each block of p1 into
+    one block of p2.
     """
-    if len(p1) != len(p2):
+    if len(p1) != len(p2) or len(p1.solutions) != len(p2.solutions):
         return False, None
-    lookup = {frozenset(block): i for i, block in enumerate(p2.blocks)}
-    tau = []
-    for block in p1.blocks:
-        image = frozenset(pi.forward(a) for a in block)
-        target = lookup.get(image)
-        if target is None:
-            return False, None
-        tau.append(target)
-    return True, tuple(tau)
+    block = dict(zip(p2.coded(pi.source), p2.block_of))
+    pairs = dict.fromkeys(zip(p1.block_of, map(block.get, pi.forward_codes(p1.coded(pi.source)))))
+    position = {first: k for k, first in enumerate(p2.firsts)}
+    tau = tuple(position.get(target) for _, target in pairs)
+    if len(pairs) != len(p1) or None in tau:
+        return False, None
+    return True, tau
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
 from symbreak.gray import GrayDecomposition
 from symbreak.literals import LiteralSymmetry, _gatherer
-from symbreak.model import Assignment, InputError, Problem, check_shape, check_values
+from symbreak.model import (
+    Assignment,
+    InputError,
+    Problem,
+    all_assignments,
+    check_shape,
+    check_values,
+)
 from symbreak.orderings import (
     LT,
     AssignmentPermutation,
@@ -40,11 +47,14 @@ from symbreak.symmetry import (
 
 def compose(s: Symmetry, t: Symmetry) -> Symmetry:
     """The symmetry acting as s after t: compose(s, t)(a) = s(t(a)).  Literal
-    symmetries compose by one gather of literal tuples."""
+    symmetries compose by one gather of literal tuples, assignment-level
+    ones on the lex codes either lists."""
     if type(s) is not type(t):
         raise InputError("cannot compose literal and assignment-level symmetries")
     if isinstance(s, AssignmentSymmetry):
-        return AssignmentSymmetry({a: s.apply(t.apply(a)) for a in set(s._map) | set(t._map)})
+        listed = list(s._map.keys() | t._map.keys())
+        images = s.image_codes(t.image_codes(listed, t.coding), s.coding)
+        return AssignmentSymmetry(dict(zip(listed, images)), s.coding)
     if t._space.domains != s._space.domains:
         raise InputError("symmetries act on different domains")
     return LiteralSymmetry(_gatherer(t.lits)(s.lits), s._space)
@@ -53,7 +63,7 @@ def compose(s: Symmetry, t: Symmetry) -> Symmetry:
 def invert(s: Symmetry) -> Symmetry:
     """The inverse symmetry."""
     if isinstance(s, AssignmentSymmetry):
-        return AssignmentSymmetry({b: a for a, b in s._map.items()})
+        return AssignmentSymmetry({b: a for a, b in s._map.items()}, s.coding)
     return LiteralSymmetry(tuple(sorted(s._space.identity, key=s.lits.__getitem__)), s._space)
 
 
@@ -97,7 +107,7 @@ def breadth_first_closure(group: SymmetryGroup) -> tuple:
         lits, space = [g.lits for g in gens], gens[0]._space
         found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits), cap=group.cap)
         return tuple(LiteralSymmetry(e, space) for e in found)
-    return tuple(_orbit_search(AssignmentSymmetry({}),
+    return tuple(_orbit_search(AssignmentSymmetry({}, gens[0].coding),
                                lambda e: [compose(g, e) for g in gens], cap=group.cap))
 
 
@@ -328,6 +338,32 @@ def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:
             elif overlap:
                 return False
     return True
+
+
+def tabulated_conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
+    """The group with generators pi∘g∘pi⁻¹, tabulated assignment by
+    assignment over the full space, with pi read off `digit_rank` and
+    `digit_unrank` and each generator applied to one assignment at a time."""
+    space = list(all_assignments(pi.domains))
+    forward = {a: digit_unrank(pi.target, digit_rank(pi.source, a)) for a in space}
+    back = {b: a for a, b in forward.items()}
+    return SymmetryGroup(tuple(
+        AssignmentSymmetry.from_pairs({b: forward[g.apply(back[b])] for b in space}, pi.domains)
+        for g in group.generators), cap=group.cap)
+
+
+def count_rank_calls(monkeypatch) -> dict:
+    """Count the per-assignment `rank`, `unrank` and `compare` calls of every
+    ordering ("rank"): SimpleOrdering writes all three, and no ordering
+    overrides them."""
+    calls = {"rank": 0}
+    for name in ("rank", "unrank", "compare"):
+        def counted(self, *args, method=getattr(SimpleOrdering, name)):
+            calls["rank"] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(SimpleOrdering, name, counted)
+    return calls
 
 
 def map_constraint_set(pi: AssignmentPermutation,

@@ -9,6 +9,7 @@ from symbreak.breaker import (
     extensional_set,
     filter_solutions,
     leader_constraints,
+    orbit_verdict,
     per_orbit_survivors,
 )
 from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
@@ -17,6 +18,7 @@ from symbreak.orderings import (
     GrayOrdering,
     LexOrdering,
     SnakeLexOrdering,
+    applicable_orderings,
     rank_preserving_map,
 )
 from symbreak.symmetry import (
@@ -25,6 +27,7 @@ from symbreak.symmetry import (
     SymmetryGroup,
     conjugate,
     orbits,
+    partitions_isomorphic,
     row_col_generators,
     row_col_group,
 )
@@ -162,6 +165,34 @@ def test_conjugated_minima_are_images_of_lex_minima():
         lex_minima = {a for a in SPACE2x2 if min_in_class(a, group, LEX4)}
         conj_minima = {a for a in SPACE2x2 if min_in_class(a, conj, ordering)}
         assert conj_minima == {pi.forward(a) for a in lex_minima}
+
+
+@pytest.mark.parametrize("shape", [(r, c) for r in range(1, 10) for c in range(1, 10)
+                                   if r * c <= 9], ids="{0[0]}x{0[1]}".format)
+def test_conjugation_carries_lex_leaders_to_ordering_leaders(shape):
+    # the paper's reduction, through the orbit kernel: for every ordering O
+    # but lex, with pi the rank-preserving map, the orbits of pi G pi⁻¹ are
+    # pi's images of G's, and its O-leader survivors (full and generators)
+    # are the images of G's lex-leader survivors, block by block through
+    # tau; the cap admits the 9! elements of the 1x9 and 9x1 groups
+    doms = binary_domains(shape[0] * shape[1])
+    space = list(all_assignments(doms))
+    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6)
+    lex, *others = applicable_orderings(doms, shape)
+    assert [o.name for o in others] == ["revlex", "gray", "snakelex"]
+    original = orbits(space, group, doms)
+    lex_kept = {mode: orbit_verdict(original, leader_constraints(group, lex, mode)).kept
+                for mode in ("full", "generators")}
+    for ordering in others:
+        pi = rank_preserving_map(ordering)
+        conj = conjugate(pi, group)
+        conjugated = orbits(space, conj, doms)
+        ok, tau = partitions_isomorphic(original, conjugated, pi)
+        assert ok and sorted(tau) == list(range(len(original))), ordering.name
+        for mode, kept in lex_kept.items():
+            verdict = orbit_verdict(conjugated, leader_constraints(conj, ordering, mode))
+            assert [set(verdict.kept[k]) for k in tau] == \
+                [{pi.forward(a) for a in block} for block in kept], (ordering.name, mode)
 
 
 def test_leader_constraint_nonstrict_keeps_fixed_points():

@@ -5,6 +5,8 @@ import pytest
 
 from symbreak.cli import run
 
+from reference import count_rank_calls
+
 PROBLEM_2x2 = {"n": 4, "domains": [[0, 1]] * 4, "constraints": [], "shape": [2, 2]}
 ROWCOL_2x2 = {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]}
 
@@ -385,22 +387,6 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["break", "--method", "sideways"])
     assert exc.value.code == 2
-
-
-def count_rank_calls(monkeypatch) -> dict:
-    """Count the per-assignment `rank` and `compare` calls of every
-    ordering ("rank"): SimpleOrdering writes both, and no ordering
-    overrides them."""
-    from symbreak.orderings import SimpleOrdering
-
-    calls = {"rank": 0}
-    for name in ("rank", "compare"):
-        def counted(self, *args, method=getattr(SimpleOrdering, name)):
-            calls["rank"] += 1
-            return method(self, *args)
-
-        monkeypatch.setattr(SimpleOrdering, name, counted)
-    return calls
 
 
 def count_codes(monkeypatch, calls: dict):

@@ -2,8 +2,9 @@
 
 A solution's lex code is its LexOrdering rank.  Checked on every binary
 shape of up to 9 cells, ternary, mixed and unsorted domains, value maps and
-the 1-in-3 gadget's ordering: decoding inverts encoding, a literal
-symmetry's image codes are the codes of its `apply`, every ordering's
+the 1-in-3 gadget's ordering: decoding (one at a time and in bulk)
+inverts encoding, a literal or assignment-level symmetry's image codes are
+the codes of its `apply`, every ordering's
 `ranks` rule gives the rank of its digit map (`reference.digit_rank`), and
 on the whole space `unranks` inverts `ranks` and `unrank` agrees with the
 digit map's.  Subsets of the space exercise the chunk tables at every size
@@ -16,7 +17,7 @@ from symbreak.literals import LiteralSymmetry
 from symbreak.model import InputError, all_assignments, binary_domains
 from symbreak.orderings import CHUNK_CAP, LexOrdering, applicable_orderings
 from symbreak.reductions import OneInThreeInstance, ordering_gadget
-from symbreak.symmetry import SymmetryGroup, orbits, row_col_generators
+from symbreak.symmetry import AssignmentSymmetry, SymmetryGroup, orbits, row_col_generators
 
 from reference import digit_rank, digit_unrank
 
@@ -78,14 +79,18 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
     space = list(all_assignments(domains))
     codes = lex.codes(space)
     assert codes == list(range(lex.space_size))  # listed order is lex order
-    assert [lex.unrank(c) for c in codes] == space
+    assert [lex.unrank(c) for c in codes] == space == lex.decode(codes)
     orderings = applicable_orderings(domains, shape)
     for ordering in orderings:
         check_bijection(ordering, space)
     for part in subsets(space):
         part_codes = lex.codes(part)
+        assert lex.decode(part_codes) == part
         for g in gens:
             assert g.image_codes(part_codes, lex) == lex.codes([g.apply(a) for a in part])
+        reversal = AssignmentSymmetry.from_pairs(dict(zip(part, part[::-1])), domains)
+        assert reversal.image_codes(part_codes, lex) == part_codes[::-1] == \
+            lex.codes([reversal.apply(a) for a in part])
         for ordering in orderings:
             assert ordering.ranks(part_codes) == [digit_rank(ordering, a) for a in part], \
                 ordering.name
@@ -143,3 +148,13 @@ def test_image_codes_refuse_codes_over_other_domains():
     swap = row_col_generators((1, 2))[0]
     with pytest.raises(InputError, match="different domains"):
         swap.image_codes([0], LexOrdering(((0, 1, 2),) * 2))
+
+
+@pytest.mark.parametrize("domains", [((0, 1, 2),) * 2, ((1, 0), (0, 1)), binary_domains(3)],
+                         ids=["ternary", "relisted", "three-variable"])
+def test_assignment_image_codes_refuse_codes_over_other_domains(domains):
+    # unlike a literal symmetry, which codes its sorted domains in any
+    # listed order, an assignment-level one takes codes of its own as listed
+    swap = AssignmentSymmetry.from_pairs({(0, 1): (1, 0), (1, 0): (0, 1)}, binary_domains(2))
+    with pytest.raises(InputError, match="different domains"):
+        swap.image_codes([0], LexOrdering(domains))

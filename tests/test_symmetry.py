@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
-from symbreak.orderings import ORDERING_NAMES, GrayOrdering, make_ordering, rank_preserving_map
+from symbreak.orderings import (
+    ORDERING_NAMES,
+    GrayOrdering,
+    LexOrdering,
+    RevLexOrdering,
+    make_ordering,
+    rank_preserving_map,
+)
 from symbreak.reductions import Cnf, group_gadget
 from symbreak.symmetry import (
     AssignmentSymmetry,
@@ -25,12 +32,18 @@ from reference import (
     breadth_first_closure,
     closure_tree,
     compose,
+    count_rank_calls,
     dense_orbit_of,
     invert,
     map_constraint_set,
+    tabulated_conjugate,
 )
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
+
+
+def transposition(a, b):
+    return AssignmentSymmetry.from_pairs({a: b, b: a}, binary_domains(len(a)))
 
 
 def burnside_orbit_count(group, space):
@@ -148,7 +161,7 @@ def test_col_after_row_is_half_turn():
 
 def test_compose_mixed_representations_fails():
     lit = LiteralSymmetry.identity(binary_domains(2))
-    asg = AssignmentSymmetry.transposition((0, 0), (1, 1))
+    asg = transposition((0, 0), (1, 1))
     with pytest.raises(InputError):
         compose(lit, asg)
     with pytest.raises(InputError):
@@ -157,25 +170,43 @@ def test_compose_mixed_representations_fails():
 
 def test_assignment_symmetry_bijection_check():
     with pytest.raises(InputError):
-        AssignmentSymmetry({(0, 0): (1, 1)})  # nothing maps back onto (0, 0)
-    sym = AssignmentSymmetry.transposition((0, 0), (1, 1))
+        AssignmentSymmetry.from_pairs({(0, 0): (1, 1)}, binary_domains(2))  # nothing maps back
+    sym = transposition((0, 0), (1, 1))
     assert sym.apply((0, 0)) == (1, 1)
     assert sym.apply((0, 1)) == (0, 1)  # identity off the listed set
     assert invert(sym) == sym
 
 
+def test_assignment_symmetry_holds_lex_codes():
+    # unsorted domains: codes follow the listed order, and apply decodes
+    doms = ((2, 0, 1), (7, 5))
+    space = list(all_assignments(doms))
+    sym = AssignmentSymmetry.from_pairs(dict(zip(space, space[1:] + space[:1])), doms)
+    assert sym._map == {k: (k + 1) % 6 for k in range(6)}
+    assert sym.coding.domains == doms and sym.apply((1, 5)) == (2, 7)
+    assert sym.image_codes([0, 5], RevLexOrdering(doms)) == [1, 0]
+    with pytest.raises(InputError, match="value 3 outside domain of variable 0"):
+        sym.apply((3, 7))
+    same_map = AssignmentSymmetry(sym._map, LexOrdering(((2, 0, 1), (5, 7))))
+    assert sym != same_map  # the same codes over other listed domains
+    with pytest.raises(InputError, match="generators act on different domains"):
+        SymmetryGroup((sym, same_map))
+
+
 def test_assignment_symmetry_builds_its_key_on_first_comparison():
-    sym = AssignmentSymmetry.transposition((0, 0), (1, 1))
+    sym = transposition((0, 0), (1, 1))
     assert "_key" not in vars(sym)
-    assert sym == AssignmentSymmetry.transposition((1, 1), (0, 0))
+    assert sym == transposition((1, 1), (0, 0))
     assert "_key" in vars(sym)
-    assert hash(sym) == hash(invert(sym)) and sym != AssignmentSymmetry({})
+    assert hash(sym) == hash(invert(sym))
+    assert sym != AssignmentSymmetry.from_pairs({}, binary_domains(2))
 
 
 @given(st.permutations(list(range(4))))
 def test_assignment_symmetry_compose_invert(perm):
     space = list(all_assignments(binary_domains(2)))
-    sym = AssignmentSymmetry({space[i]: space[perm[i]] for i in range(4)})
+    sym = AssignmentSymmetry.from_pairs({space[i]: space[perm[i]] for i in range(4)},
+                                        binary_domains(2))
     inv = invert(sym)
     for a in space:
         assert inv.apply(sym.apply(a)) == a
@@ -273,7 +304,8 @@ def test_orbit_of_matches_the_dense_search_on_random_assignment_groups():
         gens = []
         for _ in range(rng.randint(1, 5)):
             subset = rng.sample(space, rng.randint(0, 8))
-            gens.append(AssignmentSymmetry(dict(zip(subset, rng.sample(subset, len(subset))))))
+            gens.append(AssignmentSymmetry.from_pairs(
+                dict(zip(subset, rng.sample(subset, len(subset)))), ((0, 1, 2),) * 3))
         assert_orbit_of_matches_dense(SymmetryGroup(tuple(gens)), space)
 
 
@@ -354,6 +386,82 @@ def test_conjugate_matches_definition_pointwise():
     for gen, cgen in zip(group.generators, conj.generators):
         for b in SPACE2x2:
             assert cgen.apply(pi.forward(b)) == pi.forward(gen.apply(b))
+
+
+SHAPES_UP_TO_9 = [(r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_9 + [(3, 4)], ids="{0[0]}x{0[1]}".format)
+def test_conjugate_equals_the_tabulated_oracle(shape):
+    # generator by generator, as maps of lex codes, under every ordering;
+    # the cap admits the 9! elements of the 1x9 and 9x1 groups
+    doms = binary_domains(shape[0] * shape[1])
+    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6)
+    for name in ORDERING_NAMES:
+        pi = rank_preserving_map(make_ordering(name, doms, shape))
+        conj, oracle = conjugate(pi, group), tabulated_conjugate(pi, group)
+        assert len(conj.generators) == len(group.generators) and conj.cap == group.cap
+        for g, h in zip(conj.generators, oracle.generators):
+            assert g._map == h._map and g.coding.domains == h.coding.domains == doms, name
+        assert conj.order == group.order, name
+
+
+@pytest.mark.parametrize("name", ORDERING_NAMES)
+def test_conjugation_ranks_no_single_assignment(monkeypatch, name):
+    doms = binary_domains(9)
+    space, group = list(all_assignments(doms)), row_col_group((3, 3))
+    pi = rank_preserving_map(make_ordering(name, doms, (3, 3)))
+    original = orbits(space, group)
+    calls = count_rank_calls(monkeypatch)
+    conj = conjugate(pi, group)
+    ok, tau = partitions_isomorphic(original, orbits(space, conj), pi)
+    assert ok and sorted(tau) == list(range(36))
+    assert calls["rank"] == 0
+
+
+@pytest.mark.parametrize("pi", [rank_preserving_map(RevLexOrdering(((0, 1, 2),) * 4)),
+                                rank_preserving_map(GrayOrdering(binary_domains(3)))],
+                         ids=["ternary", "three-variable"])
+def test_conjugate_refuses_a_permutation_over_other_domains(pi):
+    message = f"permutation acts on domains {pi.domains}, group on {binary_domains(4)}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        conjugate(pi, row_col_group((2, 2)))
+
+
+def blocks_group(blocks, domains):
+    """A group whose orbits are `blocks`: one generator cycling each."""
+    return SymmetryGroup((AssignmentSymmetry.from_pairs(
+        {a: b for block in blocks for a, b in zip(block, block[1:] + block[:1])}, domains),))
+
+
+def test_partitions_isomorphic_on_partitions_of_equal_counts():
+    # as many blocks and solutions each time: the conjugated orbits, then
+    # those with one member of a 4-block moved into a singleton
+    doms = binary_domains(4)
+    blocks = [list(b) for b in orbits(SPACE2x2, row_col_group((2, 2))).blocks]
+    pi = rank_preserving_map(GrayOrdering(doms))
+    conj_blocks = [[pi.forward(a) for a in b] for b in blocks]
+    part = orbits(SPACE2x2, blocks_group(blocks, doms))
+    same = orbits(SPACE2x2, blocks_group(conj_blocks, doms))
+    ok, tau = partitions_isomorphic(part, same, pi)
+    assert ok and [same.blocks[k] for k in tau] == [tuple(sorted(b, key=SPACE2x2.index))
+                                                    for b in conj_blocks]
+    big, single = next(b for b in conj_blocks if len(b) == 4), \
+        next(b for b in conj_blocks if len(b) == 1)
+    moved = [b for b in conj_blocks if b not in (big, single)] + [big[1:], single + big[:1]]
+    assert len(moved) == len(blocks)
+    assert partitions_isomorphic(part, orbits(SPACE2x2, blocks_group(moved, doms)), pi) == \
+        (False, None)
+    # singletons: of the space but one point, and of the space but the
+    # image of another, so that one image is no solution of the second
+    rest = SPACE2x2[1:]
+    singletons = lambda points: orbits(points, SymmetryGroup(()))
+    assert partitions_isomorphic(singletons(rest), singletons([pi.forward(a) for a in rest]),
+                                 pi)[0]
+    missing = pi.forward(SPACE2x2[1])
+    assert partitions_isomorphic(singletons(rest),
+                                 singletons([a for a in SPACE2x2 if a != missing]), pi) == \
+        (False, None)
 
 
 def test_conjugated_closure_keeps_its_breadth_first_order():
