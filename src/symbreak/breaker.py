@@ -199,7 +199,7 @@ def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
     if shape is not None:
         sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
     # after the sets, so a closure over its cap is reported ahead of an orbit error
-    partition = orbits(solutions, group, domains)
+    partition = orbits(solutions, group)
     verdicts = _judge(partition, [bset for _, _, bset in sets])
     return [(name, method, len(bset), sum(verdict.counts), len(partition),
              verdict.sound, verdict.complete)

@@ -151,7 +151,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
 def _cmd_orbits(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     sols = enumerate_solutions(problem, ns.cap)
-    partition = orbits(sols, group, problem.domains)
+    partition = orbits(sols, group)
     print(f"# seed={ns.seed} orbits={len(partition)}")
     fmt = assignment_formatter(problem.domains)
     rows = [[i, len(block), " ".join(map(fmt, block))]
@@ -166,7 +166,7 @@ def _cmd_break(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     bset = _breaking_set(ns, problem, group)
     sols = enumerate_solutions(problem, ns.cap)
-    partition = orbits(sols, group, problem.domains)
+    partition = orbits(sols, group)
     verdict = orbit_verdict(partition, bset)
     kept = {a for block in verdict.kept for a in block}
     survivors = [a for a in sols if a in kept]
@@ -211,7 +211,7 @@ def _cmd_check(ns: argparse.Namespace) -> int:
         bset = extensional_set(_read_survivors(ns.survivors, problem.domains))
     else:
         bset = _breaking_set(ns, problem, group)
-    partition = orbits(sols, group, problem.domains)
+    partition = orbits(sols, group)
     verdict = orbit_verdict(partition, bset)
     print(f"# seed={ns.seed}")
     _print_rows(["sound", "complete", "orbits", "survivors"],

@@ -1,13 +1,15 @@
 """Literal symmetries compiled to the permutation they induce on the literals
-(i, v): a product is one gather of literal tuples, `apply` one gather."""
+(i, v) of their lex coding: a product is one gather of literal tuples,
+`apply` one gather."""
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import compress
 from operator import contains, getitem, itemgetter, ne
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .model import Assignment, Domain, InputError, check_domains, check_values
+from .model import Assignment, Domain, InputError, check_values
+from .orderings import LexOrdering, SimpleOrdering
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -25,68 +27,52 @@ def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 _UNBUILT = object()
 
 
-class _LiteralSpace:
-    """Literal (i, v) of these domains has index offsets[i] + the position of v
-    in variable i's sorted domain; all elements of a literal group share one."""
-
-    def __init__(self, domains: tuple[Domain, ...]):
-        self.domains = domains
-        self.offsets = list(accumulate(map(len, domains), initial=0))
-        self.var_of = [i for i, dom in enumerate(domains) for _ in dom]
-        self.val_of = [v for dom in domains for v in dom]
-        self.index = tuple(dict(zip(dom, range(off, off + len(dom))))
-                           for off, dom in zip(self.offsets, domains))
-        self.identity = tuple(range(len(self.var_of)))
-        self.heads = _gatherer(self.offsets[:-1])  # first literal of each variable
-        index = self.index  # not self: the lambda would hold its owner in a cycle
-        self.in_domains = (frozenset(domains[0]).issuperset
-                           if len(set(domains)) == 1
-                           else lambda a: all(map(contains, index, a)))
-
-
 class LiteralSymmetry:
     """result[var_perm[i]] = val_maps[i][a[i]].
 
     `val_maps` holds, per source variable, the sorted (value, image) pairs of
     a bijection from that variable's domain onto the image variable's
     domain.  The symmetry is kept as `lits`, the permutation it induces on
-    the literals of its `_LiteralSpace`: lits[l] is the index of l's image.
-    `from_maps` and the constructors after it check their input.
+    the literals of `coding`, a LexOrdering of its domains as listed:
+    literal (i, v) is coding.offsets[i] plus v's position in domain i, and
+    lits[l] is the index of l's image.  `from_maps` and the constructors
+    after it check their input.
     """
 
-    __slots__ = ("lits", "var_perm", "_space", "_gather", "_tables")
+    __slots__ = ("lits", "var_perm", "coding", "_gather", "_tables")
 
-    def __init__(self, lits: tuple[int, ...], space: _LiteralSpace):
+    def __init__(self, lits: tuple[int, ...], coding: LexOrdering):
         """From a literal permutation that maps variables onto variables, unchecked."""
-        self.lits, self._space = lits, space
-        self.var_perm = tuple(map(space.var_of.__getitem__, space.heads(lits)))
+        self.lits, self.coding = lits, coding
+        self.var_perm = tuple(map(coding.var_of.__getitem__,
+                                  map(lits.__getitem__, coding.offsets[:-1])))
         inverse = sorted(range(len(self.var_perm)), key=self.var_perm.__getitem__)
         self._gather = _gatherer(inverse)
         self._tables = _UNBUILT  # only `apply` reads them: see `_value_tables`
-
-    @property
-    def n(self) -> int:
-        return len(self.var_perm)
 
     def _value_tables(self) -> Optional[tuple[dict, ...]]:
         """The value map landing on each variable, built on first use; None
         when no value map moves a value, so `apply` is one gather."""
         if self._tables is _UNBUILT:
-            space = self._space
-            moved = list(map(space.val_of.__getitem__, self.lits)) != space.val_of
+            val_of = self.coding.val_of
+            moved = list(map(val_of.__getitem__, self.lits)) != val_of
             self._tables = tuple(map(dict, self._gather(self.val_maps))) if moved else None
         return self._tables
 
     @property
     def val_maps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        space = self._space
-        images = list(map(space.val_of.__getitem__, self.lits))
-        return tuple(tuple(zip(dom, images[start:end])) for dom, start, end
-                     in zip(space.domains, space.offsets, space.offsets[1:]))
+        coding = self.coding
+        images, offsets = list(map(coding.val_of.__getitem__, self.lits)), coding.offsets
+        return tuple(tuple(sorted(zip(dom, images[start:end]))) for dom, start, end
+                     in zip(coding.domains, offsets, offsets[1:]))
 
     @classmethod
-    def from_maps(cls, var_perm: Sequence[int], maps: Sequence[dict]) -> "LiteralSymmetry":
-        _check_permutation(var_perm, len(var_perm))
+    def from_maps(cls, var_perm: Sequence[int], maps: Sequence[dict],
+                  domains: Sequence[Domain]) -> "LiteralSymmetry":
+        """(i, v) to (var_perm[i], maps[i][v]), each map a bijection from
+        domain i onto domain var_perm[i]."""
+        coding = LexOrdering(domains)
+        _check_permutation(var_perm, coding.n)
         if len(maps) != len(var_perm):
             raise InputError("need one value map per variable")
         for i, (j, m) in enumerate(zip(var_perm, maps)):
@@ -96,15 +82,14 @@ class LiteralSymmetry:
             if images != maps[j].keys():
                 raise InputError(f"value map of variable {i} is not onto "
                                  f"the domain of variable {j}")
-        space = _LiteralSpace(tuple(tuple(sorted(m)) for m in maps))
-        lits: list[int] = []  # variable by variable, values in sorted order
-        for dom, j, m in zip(space.domains, var_perm, maps):
-            lits += map(space.index[j].__getitem__, map(m.__getitem__, dom))
-        return cls(tuple(lits), space)
-
-    @classmethod
-    def identity(cls, domains: Sequence[Domain]) -> "LiteralSymmetry":
-        return cls.from_maps(range(len(domains)), [{v: v for v in d} for d in domains])
+        offsets, pos = coding.offsets, coding._pos
+        # each map lands on its target's keys, so keys equal to the domains settle it
+        for i, (m, dom) in enumerate(zip(maps, coding.domains)):
+            if m.keys() != pos[i].keys():
+                raise InputError(f"value map of variable {i} does not cover its domain {dom}")
+        return cls(tuple(offsets[j] + pos[j][m[v]]
+                         for dom, j, m in zip(coding.domains, var_perm, maps) for v in dom),
+                   coding)
 
     @classmethod
     def variable(cls, perm: Sequence[int], domains: Sequence[Domain]) -> "LiteralSymmetry":
@@ -113,56 +98,52 @@ class LiteralSymmetry:
         for i, j in enumerate(perm):
             if set(domains[i]) != set(domains[j]):
                 raise InputError(f"variables {i} and {j} have different domains")
-        return cls.from_maps(perm, [{v: v for v in d} for d in domains])
+        return cls.from_maps(perm, [{v: v for v in d} for d in domains], domains)
 
     @classmethod
     def value_swap(cls, var: int, a: int, b: int, domains: Sequence[Domain]) -> "LiteralSymmetry":
         """Identity on variables; swaps two values of one variable: the
         identity literal permutation with the two literals exchanged."""
-        space = _LiteralSpace(tuple(tuple(sorted(d)) for d in domains))
-        check_domains("a value swap", len(domains), space.domains)
-        if not 0 <= var < len(domains):
-            raise InputError(f"variable {var} outside 0..{len(domains) - 1}")
-        check_values(space.domains, ((var, a), (var, b)))
-        lits, la, lb = list(space.identity), space.index[var][a], space.index[var][b]
+        coding = LexOrdering(domains)
+        if not 0 <= var < coding.n:
+            raise InputError(f"variable {var} outside 0..{coding.n - 1}")
+        check_values(coding.domains, ((var, a), (var, b)))
+        lits = list(range(coding.offsets[-1]))
+        la, lb = (coding.offsets[var] + coding._pos[var][v] for v in (a, b))
         lits[la], lits[lb] = lb, la
-        return cls(tuple(lits), space)
+        return cls(tuple(lits), coding)
 
     def apply(self, a: Sequence[int]) -> Assignment:
         if len(a) != len(self.var_perm):
-            raise InputError(f"assignment arity {len(a)} != {self.n}")
-        if not self._space.in_domains(a):
-            check_values(self._space.domains, enumerate(a))
+            raise InputError(f"assignment arity {len(a)} != {len(self.var_perm)}")
+        if not all(map(contains, self.coding._pos, a)):
+            check_values(self.coding.domains, enumerate(a))
         image, tables = self._gather(a), self._value_tables()
         return image if tables is None else tuple(map(getitem, tables, image))
 
-    def images(self, assignments: Iterable[Sequence[int]]) -> Iterator[Assignment]:
-        return map(self.apply, assignments)
-
-    def image_codes(self, codes: list[int], coding) -> list[int]:
-        """The lex codes under `coding` (any ordering over these domains, in
-        any listed order) of the images of the assignments with these
-        codes.  Variable i at position p adds place[j]·pos_j(w) in place of
-        place[i]·p, where literal (i, domains[i][p]) maps to (j, w): a delta
-        per variable the symmetry moves, summed by `coding.digit_sums`."""
-        space, lits, places = self._space, self.lits, coding.places
-        if coding.domains != space.domains and tuple(map(tuple, map(sorted, coding.domains))) \
-                != space.domains:
+    def image_codes(self, codes: list[int], coding: SimpleOrdering) -> list[int]:
+        """The lex codes under `coding` (any ordering over these domains as
+        listed) of the images of the assignments with these codes.  Variable
+        i at position p adds place[j]·q in place of place[i]·p, where literal
+        offsets[i] + p maps to offsets[j] + q: a delta per variable the
+        symmetry moves, summed by `coding.digit_sums`."""
+        own = self.coding
+        if coding.domains != own.domains:
             raise InputError("symmetry and codes act on different domains")
+        lits, offsets, var_of, places = self.lits, own.offsets, own.var_of, own.places
+        literals = range(len(lits))
         deltas = {}
-        for i in set(map(space.var_of.__getitem__,
-                         compress(space.identity, map(ne, lits, space.identity)))):
-            images = map(lits.__getitem__, map(space.index[i].__getitem__, coding.domains[i]))
-            deltas[i] = [places[space.var_of[m]] * coding._pos[space.var_of[m]][space.val_of[m]]
-                         - places[i] * p for p, m in enumerate(images)]
+        for i in set(map(var_of.__getitem__, compress(literals, map(ne, lits, literals)))):
+            deltas[i] = [places[var_of[m]] * (m - offsets[var_of[m]]) - places[i] * p
+                         for p, m in enumerate(lits[offsets[i]:offsets[i + 1]])]
         return coding.digit_sums(codes, deltas)
 
     def is_identity(self) -> bool:
-        return self.lits == self._space.identity
+        return self.lits == tuple(range(len(self.lits)))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, LiteralSymmetry) and self.lits == other.lits
-                and self._space.domains == other._space.domains)
+                and self.coding.domains == other.coding.domains)
 
     def __hash__(self) -> int:
         return hash(self.lits)

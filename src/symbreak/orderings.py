@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import add, getitem, mul
 from typing import Optional, Sequence
@@ -69,6 +70,19 @@ class SimpleOrdering:
         # over one domain 0..k-1, an assignment is its own position vector
         own = tuple(range(len(self.domains[0])))
         self._own_positions = frozenset(own).issuperset if distinct == {own} else None
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        """Literal (i, v) is offsets[i] + v's position in domain i; the last is their count."""
+        return list(accumulate(self.radices, initial=0))
+
+    @cached_property
+    def var_of(self) -> list[int]:  # the variable of each literal
+        return [i for i, radix in enumerate(self.radices) for _ in range(radix)]
+
+    @cached_property
+    def val_of(self) -> list[int]:  # the value of each literal
+        return [v for dom in self.domains for v in dom]
 
     def ranks(self, codes: list[int]) -> list[int]:
         """The rank of each assignment whose lex code is in `codes`."""

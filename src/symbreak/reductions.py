@@ -131,7 +131,7 @@ def solve_ordering_gadget(gadget: OrderingGadget) -> tuple[str, Assignment]:
     is satisfiable.
     """
     group = SymmetryGroup((gadget.flip,))
-    partition = orbits(enumerate_solutions(gadget.problem, 2), group, gadget.problem.domains)
+    partition = orbits(enumerate_solutions(gadget.problem, 2), group)
     verdict = orbit_verdict(partition, leader_constraints(group, gadget.ordering, "generators"))
     survivors = [a for kept in verdict.kept for a in kept]
     if len(survivors) != 1:

@@ -9,8 +9,9 @@ Two representations, never mixed inside one group:
   assignments, identity elsewhere: the carrier for conjugated symmetries
   and for groups defined directly on solution sets.
 
-Both act on lex codes (`image_codes`), so orbits, verdicts and conjugation
-work on integers.
+Both act on the lex codes of their `coding`, a LexOrdering of their
+domains as listed (`image_codes`), and a group's generators share one
+coding, so orbits, verdicts and conjugation work on integers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .model import (
     read_field,
     read_fields,
 )
-from .literals import LiteralSymmetry, _check_permutation, _gatherer
+from .literals import LiteralSymmetry, _gatherer
 from .orderings import AssignmentPermutation, LexOrdering, SimpleOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
@@ -88,13 +89,14 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 
 @dataclass
 class SymmetryGroup:
-    """Group given by generators, which act on `domains` (a literal group's
-    sorted; None without generators).  `chain`, its stabilizer chain over
-    the literals (the listed codes, for an assignment-level group), is built
-    once, under `cap`, and is the only element machinery: `order` is the
-    product of its level sizes, and `closure()` lists the products of its
-    representatives.  No verdict reads the chain.  A group without
-    generators has order 1 and an empty closure."""
+    """Group given by generators, which share one `coding`, a LexOrdering
+    of their domains as listed (None without generators).  `chain`, its
+    stabilizer chain over the coding's literals (the listed codes, for an
+    assignment-level group), is built once, under `cap`, and is the only
+    element machinery: `order` is the product of its level sizes, and
+    `closure()` lists the products of its representatives.  No verdict
+    reads the chain.  A group without generators has order 1 and an empty
+    closure."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
@@ -105,24 +107,21 @@ class SymmetryGroup:
             raise InputError("closure cap must be positive")
         if len({type(g) for g in self.generators}) > 1:
             raise InputError("a group cannot mix literal and assignment-level symmetries")
-        carriers = {g._space if isinstance(g, LiteralSymmetry) else g.coding
-                    for g in self.generators}  # shared, so each domains tuple is hashed once
-        domains = {carrier.domains for carrier in carriers}
-        if len(domains) > 1:
+        codings = {g.coding for g in self.generators}  # often shared: each hashed once
+        if len({coding.domains for coding in codings}) > 1:
             raise InputError("generators act on different domains")
-        self.domains = next(iter(domains), None)
+        self.coding = self.generators[0].coding if self.generators else None
 
     def _points(self) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], Symmetry]]:
         """The generators as permutations of range(n), and the element that
         such a permutation stands for.  A literal group permutes its
         literals; an assignment-level one the lex codes its generators
         list, numbered in the order they are first listed."""
-        gens = self.generators
+        gens, coding = self.generators, self.coding
         if gens and isinstance(gens[0], LiteralSymmetry):
-            space = gens[0]._space
-            return [g.lits for g in gens], lambda e: LiteralSymmetry(e, space)
+            return [g.lits for g in gens], lambda e: LiteralSymmetry(e, coding)
         listed = list(dict.fromkeys(c for g in gens for c in g._map))
-        index, coding = dict(zip(listed, count())), gens[0].coding if gens else None
+        index = dict(zip(listed, count()))
         return ([tuple(map(index.get, g.image_codes(listed, coding))) for g in gens],
                 lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e))), coding))
 
@@ -163,7 +162,7 @@ class SymmetryGroup:
         for g in gens:
             for b, image in g._map.items():
                 movers.setdefault(b, []).append(image)
-        coding = gens[0].coding
+        coding = self.coding
         return tuple(coding.decode(_orbit_search(coding.codes([a])[0],
                                                  lambda b: movers.get(b, ()), cap=self.cap)))
 
@@ -250,14 +249,12 @@ class OrbitPartition:
     """The orbits of `group` on `solutions`, kept in input order: block_of[i]
     is the index of the first member of solution i's orbit, and images[k][i]
     the index of generator k's image of solution i.  codes[i] is solution
-    i's lex code under `coding`, a LexOrdering over the domains given to
-    `orbits`, else the generators'; both are None without either."""
+    i's lex code under the group's coding; None without generators."""
 
     solutions: tuple[Assignment, ...]
     block_of: list[int] = field(repr=False)
     images: tuple[list[int], ...] = field(repr=False)
     group: SymmetryGroup = field(repr=False, compare=False)
-    coding: Optional[LexOrdering] = field(default=None, repr=False, compare=False)
     codes: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -286,8 +283,8 @@ class OrbitPartition:
 
     def coded(self, ordering: SimpleOrdering) -> list[int]:
         """The solutions' lex codes over the ordering's domains: the
-        partition's own when its coding has those domains as listed."""
-        if self.coding is not None and self.coding.domains == ordering.domains:
+        partition's own when the group's coding has those domains as listed."""
+        if self.codes is not None and self.group.coding.domains == ordering.domains:
             return self.codes
         return ordering.codes(self.solutions)
 
@@ -295,23 +292,20 @@ class OrbitPartition:
         return len(self.firsts)
 
 
-def orbits(solutions: Sequence[Assignment], group: SymmetryGroup,
-           domains: Optional[Sequence[Domain]] = None) -> OrbitPartition:
+def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartition:
     """Partition of the solution set into orbits of the generated group.
 
     Works from generators alone (no closure).  Each solution gets one lex
-    code over `domains` (by default the generators'), which checks it.
-    Each generator's `image_codes` are indexed by an int dict, or by the
-    code itself when the codes are exactly range(space size).  Each orbit
-    is one breadth-first search over the image indices from the first
-    solution not yet placed.  An image outside the solution set is an input
-    error, raised when the search reaches it.
+    code over the group's coding, which checks it.  Each generator's
+    `image_codes` are indexed by an int dict, or by the code itself when
+    the codes are exactly range(space size).  Each orbit is one
+    breadth-first search over the image indices from the first solution not
+    yet placed.  An image outside the solution set is an input error,
+    raised when the search reaches it.
     """
     sols = tuple(map(tuple, solutions))
-    gens = group.generators
-    domains = group.domains if domains is None else domains
-    coding = None if domains is None else LexOrdering(domains)
-    codes = None if coding is None else coding.codes(sols)  # None: no generators, no domains
+    gens, coding = group.generators, group.coding
+    codes = None if coding is None else coding.codes(sols)  # None: no generators
     if codes is not None and len(codes) == coding.space_size and codes == list(range(len(codes))):
         look = codes.__getitem__  # every code is its solution's index
     else:
@@ -333,20 +327,19 @@ def orbits(solutions: Sequence[Assignment], group: SymmetryGroup,
         if first < 0:
             for j in _orbit_search(i, neighbours):
                 block_of[j] = i
-    return OrbitPartition(sols, block_of, tuple(lists), group, coding, codes)
+    return OrbitPartition(sols, block_of, tuple(lists), group, codes)
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
-    """Group with generators pi∘g∘pi⁻¹, refusing a pi over other domains.
+    """Group with generators pi∘g∘pi⁻¹, refusing a pi over other listed domains.
 
     These have no literal structure in general, so each is tabulated over
     every lex code (desk scale only): pi⁻¹ of the codes, the generator's
     image codes of those, and pi of the images, each in bulk.
     """
-    doms = group.domains
-    if doms is not None and [sorted(d) for d in doms] != [sorted(d) for d in pi.domains]:
-        raise InputError(f"permutation acts on domains {pi.domains}, group on {doms}")
-    coding = LexOrdering(pi.domains)
+    coding = group.coding or LexOrdering(pi.domains)
+    if coding.domains != pi.domains:
+        raise InputError(f"permutation acts on domains {pi.domains}, group on {coding.domains}")
     preimages = pi.inverse_codes(list(range(coding.space_size)))
     return SymmetryGroup(tuple(
         AssignmentSymmetry(dict(enumerate(pi.forward_codes(g.image_codes(preimages, coding)))),
@@ -407,13 +400,7 @@ def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry
         return LiteralSymmetry.variable(perm, domains)
     if any(len(pair) != 2 for pairs in maps for pair in pairs):
         raise InputError("val_maps entries must be [value, image] pairs")
-    _check_permutation(perm, len(domains))
-    sym = LiteralSymmetry.from_maps(perm, [dict(pairs) for pairs in maps])
-    # each map lands on its target's keys, so keys equal to the domains settle it
-    for i, (keys, dom) in enumerate(zip(sym._space.domains, domains)):
-        if set(keys) != set(dom):
-            raise InputError(f"value map of variable {i} does not cover its domain {dom}")
-    return sym
+    return LiteralSymmetry.from_maps(perm, [dict(pairs) for pairs in maps], domains)
 
 
 def symmetry_group_from_dict(data: dict, domains: Sequence[Domain]) -> SymmetryGroup:

@@ -15,7 +15,10 @@ the command line is an exit code and an `error:` line at worst.
 The corpus covers every subcommand with and without `--help`, both
 formats, every ordering and method on the binary row/column models of up to
 9 cells and on 2x3 and 2x2 models whose domains are listed out of sorted
-order, leader-full sets on groups whose generators repeat or include the
+order, value maps whose pairs come out of the domains' order on unsorted
+ternary and mixed domains, symmetry files with a bad `var_perm`, a partial
+value map or one that is not onto (alone and together, so the order of
+those checks is pinned), leader-full sets on groups whose generators repeat or include the
 identity with the closure cap at |G| and |G| - 1, leader-full sets on
 groups whose stabilizer chain needs products of the generators (mixed
 domains and value swaps among them), leader-full sets of the 2x8
@@ -166,6 +169,48 @@ def unsorted_domains(corpus: Corpus) -> None:
             for options in runs + [["--method", "doublelex"]]:
                 corpus.invoke(["check", *pair, *options])
                 corpus.invoke(["break", *pair, *options])
+
+
+def value_maps(corpus: Corpus) -> None:
+    """Literal generators over unsorted ternary and mixed domains whose
+    `val_maps` pairs come in neither the listed nor the sorted order, then
+    symmetry files that fail its checks, each through orbits, compare, check
+    and break."""
+    ternary, mixed = [[2, 0, 1]] * 4, [[2, 0, 1], [1, 0], [2, 0, 1], [1, 0]]
+    cycle, keep3 = [[1, 2], [2, 0], [0, 1]], [[1, 1], [2, 2], [0, 0]]
+    flip, keep2 = [[0, 1], [1, 0]], [[0, 0], [1, 1]]
+    literal = lambda perm, maps: {"kind": "literal", "var_perm": perm, "val_maps": maps}
+    files = {
+        "vm-ternary": (ternary, [{"kind": "row_col", "rows": 2, "cols": 2},
+                                 literal([0, 1, 2, 3], [cycle] * 4),
+                                 literal([1, 0, 3, 2], [[[0, 0], [2, 1], [1, 2]]] * 4)]),
+        "vm-mixed": (mixed, [literal([2, 3, 0, 1], [cycle, keep2, keep3, flip]),
+                             literal([0, 1, 2, 3], [keep3, flip, [[2, 2], [0, 0], [1, 1]],
+                                                    keep2])]),
+        "vm-bad-perm": (mixed, [literal([0, 0, 1, 2], [[[2, 2], [0, 0]], flip, keep3, flip])]),
+        "vm-short-perm": (mixed, [literal([0, 1, 2], [keep3, flip, keep3])]),
+        "vm-partial": (mixed, [literal([0, 1, 2, 3], [keep3, flip, [[2, 2], [0, 0]], flip])]),
+        "vm-partial-then-not-bijection": (
+            mixed, [literal([0, 1, 2, 3], [[[2, 2], [0, 0]], flip, keep3, [[1, 0], [0, 0]]])]),
+        "vm-partial-target": (
+            mixed, [literal([2, 3, 0, 1], [cycle, keep2, [[2, 2], [0, 0]], flip])]),
+        "vm-not-onto": (mixed, [literal([0, 1, 2, 3], [keep3, [[1, 5], [0, 1]], keep3, flip])]),
+        "vm-not-onto-then-partial": (
+            mixed, [literal([0, 1, 2, 3], [[[2, 2], [0, 0]], [[1, 5], [0, 1]], keep3, flip])]),
+        "vm-short-maps": (mixed, [literal([0, 1, 2, 3], [keep3, flip, keep3])]),
+    }
+    for name, (domains, gens) in files.items():
+        # no shape off the ternary model: doublelex's column swaps need equal domains
+        shape = {"shape": [2, 2]} if domains is ternary else {}
+        problem = corpus.file(f"{name}.json", {"n": 4, "domains": domains, **shape})
+        syms = corpus.file(f"{name}-syms.json", {"generators": gens})
+        pair = ["--problem", problem, "--symmetries", syms]
+        corpus.invoke(["orbits", *pair])
+        corpus.invoke(["compare", *pair])
+        for ordering in ORDERINGS:
+            for method in METHODS[:2]:
+                corpus.invoke(["check", *pair, "--ordering", ordering, "--method", method])
+                corpus.invoke(["break", *pair, "--ordering", ordering, "--method", method])
 
 
 def leader_full_groups(corpus: Corpus) -> None:
@@ -414,7 +459,7 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
-        for part in (front_end, matrix_models, unsorted_domains, leader_full_groups,
+        for part in (front_end, matrix_models, unsorted_domains, value_maps, leader_full_groups,
                      residue_groups, large_group, survivor_files, rank_grids, gray_stores,
                      benchmark_instances, deep_instances):
             part(corpus)

@@ -55,16 +55,16 @@ def compose(s: Symmetry, t: Symmetry) -> Symmetry:
         listed = list(s._map.keys() | t._map.keys())
         images = s.image_codes(t.image_codes(listed, t.coding), s.coding)
         return AssignmentSymmetry(dict(zip(listed, images)), s.coding)
-    if t._space.domains != s._space.domains:
+    if t.coding.domains != s.coding.domains:
         raise InputError("symmetries act on different domains")
-    return LiteralSymmetry(_gatherer(t.lits)(s.lits), s._space)
+    return LiteralSymmetry(_gatherer(t.lits)(s.lits), s.coding)
 
 
 def invert(s: Symmetry) -> Symmetry:
     """The inverse symmetry."""
     if isinstance(s, AssignmentSymmetry):
         return AssignmentSymmetry({b: a for a, b in s._map.items()}, s.coding)
-    return LiteralSymmetry(tuple(sorted(s._space.identity, key=s.lits.__getitem__)), s._space)
+    return LiteralSymmetry(tuple(sorted(range(len(s.lits)), key=s.lits.__getitem__)), s.coding)
 
 
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
@@ -104,9 +104,10 @@ def breadth_first_closure(group: SymmetryGroup) -> tuple:
     if not gens:
         return ()
     if isinstance(gens[0], LiteralSymmetry):
-        lits, space = [g.lits for g in gens], gens[0]._space
-        found = _orbit_search(space.identity, lambda e: map(_gatherer(e), lits), cap=group.cap)
-        return tuple(LiteralSymmetry(e, space) for e in found)
+        lits, coding = [g.lits for g in gens], group.coding
+        found = _orbit_search(tuple(range(len(lits[0]))), lambda e: map(_gatherer(e), lits),
+                              cap=group.cap)
+        return tuple(LiteralSymmetry(e, coding) for e in found)
     return tuple(_orbit_search(AssignmentSymmetry({}, gens[0].coding),
                                lambda e: [compose(g, e) for g in gens], cap=group.cap))
 

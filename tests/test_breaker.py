@@ -47,7 +47,7 @@ def orbit_minima(solutions, group, ordering):
 
 
 def test_leader_constraints_trivial_group():
-    trivial = SymmetryGroup((LiteralSymmetry.identity(binary_domains(4)),))
+    trivial = SymmetryGroup((LiteralSymmetry.variable(range(4), binary_domains(4)),))
     bset = leader_constraints(trivial, LEX4, mode="full")
     assert len(bset) == 0
     assert filter_solutions(SPACE2x2, bset) == SPACE2x2
@@ -180,13 +180,13 @@ def test_conjugation_carries_lex_leaders_to_ordering_leaders(shape):
     group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6)
     lex, *others = applicable_orderings(doms, shape)
     assert [o.name for o in others] == ["revlex", "gray", "snakelex"]
-    original = orbits(space, group, doms)
+    original = orbits(space, group)
     lex_kept = {mode: orbit_verdict(original, leader_constraints(group, lex, mode)).kept
                 for mode in ("full", "generators")}
     for ordering in others:
         pi = rank_preserving_map(ordering)
         conj = conjugate(pi, group)
-        conjugated = orbits(space, conj, doms)
+        conjugated = orbits(space, conj)
         ok, tau = partitions_isomorphic(original, conjugated, pi)
         assert ok and sorted(tau) == list(range(len(original))), ordering.name
         for mode, kept in lex_kept.items():
@@ -228,7 +228,7 @@ def test_leader_full_posts_the_closure_after_the_identity(shape):
     assert [con.sigma for con in bset.constraints] == list(closure[1:])
 
 
-IDENT4 = LiteralSymmetry.identity(binary_domains(4))
+IDENT4 = LiteralSymmetry.variable(range(4), binary_domains(4))
 ROW4, COL4 = row_col_generators((2, 2))
 
 

@@ -54,7 +54,7 @@ MIXED = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
 def _with_values(shape, domains, shift):
     """Row and column swaps plus every value moved `shift` places round its domain."""
     values = LiteralSymmetry.from_maps(range(len(domains)), [
-        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains])
+        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains], domains)
     return SymmetryGroup(row_col_generators(shape, domains) + (values,))
 
 
@@ -72,7 +72,7 @@ def _random_literal_group(rng):
                 perm[i] = j
         maps = [dict(zip(domains[i], rng.sample(domains[i], len(domains[i]))))
                 for i in range(len(domains))]
-        gens.append(LiteralSymmetry.from_maps(perm, maps))
+        gens.append(LiteralSymmetry.from_maps(perm, maps, domains))
     return SymmetryGroup(tuple(gens)), domains
 
 
@@ -93,11 +93,11 @@ def _cases():
          ((0, 1, 2),) * 6, (2, 3)),
         ("mixed-2x2", SymmetryGroup((
             LiteralSymmetry.from_maps([2, 3, 0, 1], [{0: 1, 1: 2, 2: 0}, {0: 0, 1: 1},
-                                                     {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}]),
+                                                     {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}], MIXED),
             LiteralSymmetry.value_swap(1, 0, 1, MIXED),
             LiteralSymmetry.variable([0, 3, 2, 1], MIXED))), MIXED, (2, 2)),
     ]
-    ident = LiteralSymmetry.identity(binary_domains(4))
+    ident = LiteralSymmetry.variable(range(4), binary_domains(4))
     row, col = row_col_generators((2, 2))
     for label, gens in (("repeated", (row, row)), ("identities", (ident, row, ident, col, row)),
                         ("identity", (ident,)), ("absent", ())):

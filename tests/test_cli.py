@@ -423,7 +423,7 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     # generator one image-code list; every posted ordering (compare's lex,
     # revlex, gray and snakelex, whose doublelex row shares lex; lex for
     # check and break) ranks those codes by its rule, and the verdicts are
-    # rank lookups.  So nothing calls `rank`, `compare`, `apply` or `images`.
+    # rank lookups.  So nothing calls `rank`, `compare` or `apply`.
     import symbreak.breaker
     import symbreak.cli
     from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
@@ -447,17 +447,16 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
         monkeypatch.setattr(module, "orbits", counted_orbits)
     for name, cls, method in (("set", SymmetryBreakingSet, "satisfied"),
                               ("leader", LeaderConstraint, "satisfied"),
-                              ("apply", LiteralSymmetry, "apply"),
-                              ("images", LiteralSymmetry, "images")):
+                              ("apply", LiteralSymmetry, "apply")):
         monkeypatch.setattr(cls, method, counter(name, getattr(cls, method)))
     _, problem, syms = files
     for command in ("compare", "check", "break", "orbits"):
-        calls.update(orbits=0, set=0, leader=0, rank=0, apply=0, images=0, codes=0)
+        calls.update(orbits=0, set=0, leader=0, rank=0, apply=0, codes=0)
         image_codes_of.clear()
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
         assert calls == {"orbits": 1, "set": 0, "leader": 0, "rank": 0, "apply": 0,
-                         "images": 0, "codes": 16}, command
+                         "codes": 16}, command
         assert image_codes_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 

@@ -4,20 +4,42 @@ A solution's lex code is its LexOrdering rank.  Checked on every binary
 shape of up to 9 cells, ternary, mixed and unsorted domains, value maps and
 the 1-in-3 gadget's ordering: decoding (one at a time and in bulk)
 inverts encoding, a literal or assignment-level symmetry's image codes are
-the codes of its `apply`, every ordering's
+the codes of its `apply` (and only codes over its domains as listed are
+taken), a group's coding is its problem's listing, every ordering's
 `ranks` rule gives the rank of its digit map (`reference.digit_rank`), and
 on the whole space `unranks` inverts `ranks` and `unrank` agrees with the
 digit map's.  Subsets of the space exercise the chunk tables at every size
 from one variable per chunk to one chunk.
 """
 
+import re
+
 import pytest
 
 from symbreak.literals import LiteralSymmetry
-from symbreak.model import InputError, all_assignments, binary_domains
-from symbreak.orderings import CHUNK_CAP, LexOrdering, applicable_orderings
+from symbreak.model import (
+    InputError,
+    all_assignments,
+    binary_domains,
+    enumerate_solutions,
+    problem_from_dict,
+)
+from symbreak.orderings import (
+    CHUNK_CAP,
+    LexOrdering,
+    RevLexOrdering,
+    applicable_orderings,
+    rank_preserving_map,
+)
 from symbreak.reductions import OneInThreeInstance, ordering_gadget
-from symbreak.symmetry import AssignmentSymmetry, SymmetryGroup, orbits, row_col_generators
+from symbreak.symmetry import (
+    AssignmentSymmetry,
+    SymmetryGroup,
+    conjugate,
+    orbits,
+    row_col_generators,
+    symmetry_group_from_dict,
+)
 
 from reference import digit_rank, digit_unrank
 
@@ -25,14 +47,14 @@ from reference import digit_rank, digit_unrank
 def value_cycle(domains, shift=1):
     """Every variable's value moved `shift` places round its listed domain."""
     return LiteralSymmetry.from_maps(range(len(domains)), [
-        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains])
+        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains], domains)
 
 
 MIXED = ((0, 1, 2), (5, 7), (1, 3, 4), (0, 1))
 MIXED_2x3 = ((0, 1, 2), (5, 7), (1, 3, 4, 9), (0, 1), (4, 2), (3,))
 # variables 0 and 2 trade places through value bijections, as do 1 and 3
 MIXED_SWAP = LiteralSymmetry.from_maps((2, 3, 0, 1), [{0: 1, 1: 3, 2: 4}, {5: 0, 7: 1},
-                                                      {1: 2, 3: 0, 4: 1}, {0: 7, 1: 5}])
+                                                      {1: 2, 3: 0, 4: 1}, {0: 7, 1: 5}], MIXED)
 
 CASES = [(f"binary-{r}x{c}", binary_domains(r * c), (r, c), row_col_generators((r, c)))
          for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
@@ -124,15 +146,15 @@ def test_every_chunk_keeps_under_the_cap(count):
 
 
 def test_orbits_index_by_code_only_when_the_codes_are_the_space():
-    # listed [1, 0], the full space in listed order has codes 0..63; in
-    # sorted order the same list is the space reversed, so it takes the dict
+    # listed [1, 0], the full space in listed order has codes 0..63, each its
+    # solution's index; the same space reversed takes the dict
     domains = ((1, 0),) * 6
     space = list(all_assignments(domains))
     group = SymmetryGroup(row_col_generators((2, 3), domains))
-    listed, by_sorted = orbits(space, group, domains), orbits(space, group)
-    assert listed.codes == list(range(64)) and by_sorted.codes == list(range(63, -1, -1))
-    assert len(listed) == len(by_sorted) == 13
-    assert listed.blocks == by_sorted.blocks
+    listed, reversed_ = orbits(space, group), orbits(space[::-1], group)
+    assert listed.codes == list(range(64)) and reversed_.codes == list(range(63, -1, -1))
+    assert len(listed) == len(reversed_) == 13
+    assert set(map(frozenset, listed.blocks)) == set(map(frozenset, reversed_.blocks))
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -144,17 +166,55 @@ def test_codes_refuse_what_positions_refuse(bad, message):
         LexOrdering(binary_domains(2)).codes(bad)
 
 
+OTHER_LISTINGS = [((0, 1, 2),) * 2, ((1, 0), (0, 1)), binary_domains(3)]
+REFUSAL = "^symmetry and codes act on different domains$"
+
+
 def test_image_codes_refuse_codes_over_other_domains():
+    # a literal symmetry takes only codes over its domains as listed: the
+    # same values listed in another order are other codes
     swap = row_col_generators((1, 2))[0]
-    with pytest.raises(InputError, match="different domains"):
-        swap.image_codes([0], LexOrdering(((0, 1, 2),) * 2))
+    for domains in OTHER_LISTINGS:
+        with pytest.raises(InputError, match=REFUSAL):
+            swap.image_codes([0], LexOrdering(domains))
 
 
-@pytest.mark.parametrize("domains", [((0, 1, 2),) * 2, ((1, 0), (0, 1)), binary_domains(3)],
-                         ids=["ternary", "relisted", "three-variable"])
+@pytest.mark.parametrize("domains", OTHER_LISTINGS, ids=["ternary", "relisted", "three-variable"])
 def test_assignment_image_codes_refuse_codes_over_other_domains(domains):
-    # unlike a literal symmetry, which codes its sorted domains in any
-    # listed order, an assignment-level one takes codes of its own as listed
+    # by the same rule and message as a literal symmetry
     swap = AssignmentSymmetry.from_pairs({(0, 1): (1, 0), (1, 0): (0, 1)}, binary_domains(2))
-    with pytest.raises(InputError, match="different domains"):
+    with pytest.raises(InputError, match=REFUSAL):
         swap.image_codes([0], LexOrdering(domains))
+
+
+# listed out of sorted order, ternary and mixed: the row swap of a 2x2
+# model, and value maps whose pairs come in neither listed nor sorted order
+UNSORTED_PROBLEM = {"n": 4, "domains": [[2, 0, 1], [1, 0], [2, 0, 1], [1, 0]], "shape": [2, 2]}
+UNSORTED_SYMMETRIES = {"generators": [
+    {"kind": "literal", "var_perm": [2, 3, 0, 1]},
+    {"kind": "literal", "var_perm": [0, 1, 2, 3],
+     "val_maps": [[[1, 2], [0, 1], [2, 0]], [[0, 1], [1, 0]], [[0, 0], [2, 2], [1, 1]],
+                  [[1, 1], [0, 0]]]}]}
+
+
+def test_a_loaded_literal_group_codes_over_the_problem_listing():
+    problem = problem_from_dict(UNSORTED_PROBLEM)
+    group = symmetry_group_from_dict(UNSORTED_SYMMETRIES, problem.domains)
+    assert group.coding.domains == problem.domains == ((2, 0, 1), (1, 0), (2, 0, 1), (1, 0))
+    sols = enumerate_solutions(problem)
+    partition = orbits(sols, group)
+    assert partition.codes == LexOrdering(problem.domains).codes(sols)
+    assert group.generators[1].val_maps == (((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 0)),
+                                            ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1)))
+
+
+def test_conjugate_refuses_a_permutation_over_another_listing_of_the_same_values():
+    problem = problem_from_dict(UNSORTED_PROBLEM)
+    group = symmetry_group_from_dict(UNSORTED_SYMMETRIES, problem.domains)
+    relisted = tuple(map(tuple, map(sorted, problem.domains)))
+    pi = rank_preserving_map(RevLexOrdering(relisted))
+    message = f"permutation acts on domains {relisted}, group on {problem.domains}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        conjugate(pi, group)
+    same = conjugate(rank_preserving_map(RevLexOrdering(problem.domains)), group)
+    assert same.coding.domains == problem.domains and same.order == group.order

@@ -210,12 +210,12 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     specs = row_col_specs(r, c, domains)
     if values:
         specs.append(value_spec(domains, 1))
-    group = SymmetryGroup(tuple(LiteralSymmetry.from_maps(p, m) for p, m in specs))
+    group = SymmetryGroup(tuple(LiteralSymmetry.from_maps(p, m, domains) for p, m in specs))
     refs = [RefSymmetry(p, m) for p, m in specs]
     solutions = one_per_row(r, c, domains) if sparse else list(all_assignments(domains))
 
     blocks = ref_blocks(solutions, refs)
-    partition = orbits(solutions, group, domains)
+    partition = orbits(solutions, group)
     assert partition.blocks == blocks
 
     binary = all(len(d) == 2 for d in domains)
@@ -257,15 +257,15 @@ def set_case(name):
     if kind == "row-swaps-only":
         # doublelex's column swaps are no element of this group
         rows = row_col_specs(*shape, doms)[:shape[0] - 1]
-        gens = tuple(LiteralSymmetry.from_maps(p, m) for p, m in rows)
+        gens = tuple(LiteralSymmetry.from_maps(p, m, doms) for p, m in rows)
         return space, SymmetryGroup(gens), doms, shape
     if kind == "repeats-and-identities":
         # only the first of equal generators reaches the closure tree's first level
         row, *_, col = row_col_group(shape).generators
-        ident = LiteralSymmetry.identity(doms)
+        ident = LiteralSymmetry.variable(range(len(doms)), doms)
         return space, SymmetryGroup((ident, col, row, col, ident, row)), doms, shape
     # x0 = 1: doublelex sends solutions outside the solution set
-    gens = (LiteralSymmetry.identity(doms),) if kind == "x0-identity" else ()
+    gens = (LiteralSymmetry.variable(range(len(doms)), doms),) if kind == "x0-identity" else ()
     return [a for a in space if a[0] == 1], SymmetryGroup(gens), doms, shape
 
 
@@ -330,7 +330,7 @@ def test_doublelex_outside_the_solutions_on_the_command_line(capsys, tmp_path):
 def test_compose_and_invert_match_reference():
     domains = ((0, 1, 2),) * 4
     specs = row_col_specs(2, 2, domains) + [value_spec(domains, 1), value_spec(domains, 2)]
-    pairs = [(LiteralSymmetry.from_maps(p, m), RefSymmetry(p, m)) for p, m in specs]
+    pairs = [(LiteralSymmetry.from_maps(p, m, domains), RefSymmetry(p, m)) for p, m in specs]
     for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
         prod = compose(s, t)
         assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()

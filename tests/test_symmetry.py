@@ -53,7 +53,7 @@ def burnside_orbit_count(group, space):
 
 
 def test_identity_apply():
-    ident = LiteralSymmetry.identity(binary_domains(3))
+    ident = LiteralSymmetry.variable(range(3), binary_domains(3))
     assert ident.apply((0, 1, 1)) == (0, 1, 1)
     assert ident.is_identity()
 
@@ -76,8 +76,9 @@ def test_value_swap_equals_its_value_maps(var, a, b):
     maps = [{v: v for v in d} for d in VALUE_SWAP_DOMAINS]
     maps[var][a], maps[var][b] = b, a
     swap = LiteralSymmetry.value_swap(var, a, b, VALUE_SWAP_DOMAINS)
-    assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps)
-    assert swap.val_maps == LiteralSymmetry.from_maps(range(len(maps)), maps).val_maps
+    assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps, VALUE_SWAP_DOMAINS)
+    assert swap.val_maps == \
+        LiteralSymmetry.from_maps(range(len(maps)), maps, VALUE_SWAP_DOMAINS).val_maps
     assert swap.is_identity() == (a == b)
     for x in all_assignments(VALUE_SWAP_DOMAINS):
         image = list(x)
@@ -119,20 +120,21 @@ def test_images_refuse_what_apply_refuses(sym, bad):
     with pytest.raises(InputError) as refused:
         sym.apply(bad)
     with pytest.raises(InputError, match=re.escape(str(refused.value))):
-        list(sym.images([(0, 1), bad, (1, 1)]))
+        list(map(sym.apply, [(0, 1), bad, (1, 1)]))
 
 
 def test_literal_validation():
-    with pytest.raises(InputError):
-        LiteralSymmetry.from_maps((0, 0), [{0: 0, 1: 1}] * 2)  # not a permutation
-    with pytest.raises(InputError):
-        LiteralSymmetry.from_maps((0,), [{0: 0, 1: 0}])  # value map not bijective
+    with pytest.raises(InputError):  # not a permutation
+        LiteralSymmetry.from_maps((0, 0), [{0: 0, 1: 1}] * 2, binary_domains(2))
+    with pytest.raises(InputError):  # value map not bijective
+        LiteralSymmetry.from_maps((0,), [{0: 0, 1: 0}], binary_domains(1))
 
 
 def test_literal_value_map_must_land_on_its_target_domain():
     # variable 1 maps onto variable 0, whose values are 0 and 1, not 0 and 2
-    with pytest.raises(InputError):
-        LiteralSymmetry.from_maps((1, 0), [{0: 0, 1: 1}, {0: 0, 1: 2}])
+    with pytest.raises(InputError, match="^value map of variable 1 is not onto the domain of "
+                                         "variable 0$"):
+        LiteralSymmetry.from_maps((1, 0), [{0: 0, 1: 1}, {0: 0, 1: 2}], binary_domains(2))
 
 
 def test_compose_and_invert_are_inverse_actions():
@@ -160,7 +162,7 @@ def test_col_after_row_is_half_turn():
 
 
 def test_compose_mixed_representations_fails():
-    lit = LiteralSymmetry.identity(binary_domains(2))
+    lit = LiteralSymmetry.variable(range(2), binary_domains(2))
     asg = transposition((0, 0), (1, 1))
     with pytest.raises(InputError):
         compose(lit, asg)
@@ -253,12 +255,18 @@ def test_closure_cap_overflow():
         SymmetryGroup(row_col_generators((3, 3)), cap=10).closure()
 
 
-def assert_orbit_of_matches_dense(group, starts):
+def assert_orbit_of_matches_dense(group, starts, space=None):
     """orbit_of gives the dense search's tuple from every start, and with the
-    cap one below the orbit's size both searches overflow."""
+    cap one below the orbit's size both searches overflow.  On a literal
+    group both apply every generator at every point, so given the whole
+    space, each orbit is also, as a set, the block of `orbits` (which works
+    on image codes) holding its start."""
+    block = {} if space is None else {a: set(b) for b in orbits(space, group).blocks for a in b}
     for a in starts:
         orbit = group.orbit_of(a)
         assert orbit == dense_orbit_of(group, a), a
+        if space is not None:
+            assert set(orbit) == block[a], a
         if len(orbit) > 1:
             capped = SymmetryGroup(group.generators, cap=len(orbit) - 1)
             for search in (capped.orbit_of, lambda b: dense_orbit_of(capped, b)):
@@ -312,8 +320,24 @@ def test_orbit_of_matches_the_dense_search_on_random_assignment_groups():
 @pytest.mark.parametrize("name", ORDERING_NAMES)
 def test_orbit_of_matches_the_dense_search_on_conjugated_2x2_groups(name):
     pi = rank_preserving_map(make_ordering(name, binary_domains(4), (2, 2)))
-    assert_orbit_of_matches_dense(conjugate(pi, row_col_group((2, 2))), SPACE2x2)
-    assert_orbit_of_matches_dense(row_col_group((2, 2)), SPACE2x2)
+    assert_orbit_of_matches_dense(conjugate(pi, row_col_group((2, 2))), SPACE2x2, SPACE2x2)
+    assert_orbit_of_matches_dense(row_col_group((2, 2)), SPACE2x2, SPACE2x2)
+
+
+VALUE_MAP_DOMAINS = ((2, 0, 1), (1, 0), (2, 0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("group, domains", [
+    (row_col_group((2, 2)), binary_domains(4)),
+    (row_col_group((3, 3)), binary_domains(9)),
+    (SymmetryGroup((LiteralSymmetry.variable((2, 3, 0, 1), VALUE_MAP_DOMAINS),
+                    LiteralSymmetry.from_maps((0, 1, 2, 3), [{2: 0, 0: 1, 1: 2}, {1: 0, 0: 1},
+                                                             {2: 2, 0: 0, 1: 1}, {1: 1, 0: 0}],
+                                              VALUE_MAP_DOMAINS))), VALUE_MAP_DOMAINS),
+], ids=["rowcol-2x2", "rowcol-3x3", "value-maps-2x2"])
+def test_orbit_of_is_its_block_of_the_orbit_partition_on_literal_groups(group, domains):
+    space = list(all_assignments(domains))
+    assert_orbit_of_matches_dense(group, space, space)
 
 
 def test_orbits_2x2_full_space():
@@ -325,7 +349,7 @@ def test_orbits_2x2_full_space():
 
 
 def test_orbits_identity_only_group():
-    group = SymmetryGroup((LiteralSymmetry.identity(binary_domains(4)),))
+    group = SymmetryGroup((LiteralSymmetry.variable(range(4), binary_domains(4)),))
     part = orbits(SPACE2x2, group)
     assert len(part) == 16
     assert all(len(block) == 1 for block in part.blocks)
@@ -500,7 +524,7 @@ def test_partitions_isomorphic_size_mismatch():
     group = row_col_group((2, 2))
     part = orbits(SPACE2x2, group)
     singletons = orbits(SPACE2x2, SymmetryGroup(
-        (LiteralSymmetry.identity(binary_domains(4)),)))
+        (LiteralSymmetry.variable(range(4), binary_domains(4)),)))
     from symbreak.orderings import LexOrdering
     pi = rank_preserving_map(LexOrdering(binary_domains(4)))
     ok, tau = partitions_isomorphic(part, singletons, pi)
