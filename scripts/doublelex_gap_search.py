@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from symbreak.breaker import doublelex_constraints, orbit_verdict
-from symbreak.model import all_assignments, assignment_formatter, binary_domains
+from symbreak.model import assignment_formatter, binary_domains
 from symbreak.symmetry import orbits, row_col_group
 
 
@@ -26,14 +26,13 @@ def main(argv=None):
             if r * c > args.max_cells:
                 continue
             doms = binary_domains(r * c)
-            space = list(all_assignments(doms))
             group = row_col_group((r, c))
-            partition = orbits(space, group)
+            partition = orbits(range(2 ** (r * c)), group)
             verdict = orbit_verdict(partition, doublelex_constraints((r, c)))
             for block, kept in zip(partition.blocks, verdict.kept):
                 if len(kept) > 1:
                     found += 1
-                    members = " ".join(map(assignment_formatter(doms), kept))
+                    members = " ".join(map(assignment_formatter(doms), group.coding.decode(kept)))
                     print(f"{r}x{c}: orbit of size {len(block)} keeps "
                           f"{len(kept)} members: {members}")
     if not found:

@@ -91,12 +91,13 @@ def filter_solutions(solutions: Sequence[Assignment],
 
 @dataclass(frozen=True)
 class Verdict:
-    """Survivors of one breaking set in each block of one orbit partition.
+    """Survivors of one breaking set in each block of one orbit partition,
+    as lex codes.
 
     Sound means every orbit keeps a member, complete that none keeps two.
     """
 
-    kept: tuple[tuple[Assignment, ...], ...]  # per block, in block order
+    kept: tuple[tuple[int, ...], ...]  # per block, in block order
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -120,8 +121,8 @@ def _judge(partition: OrbitPartition,
            bsets: Sequence[SymmetryBreakingSet]) -> list[Verdict]:
     """Verdicts of breaking sets on one partition, over solution indices.
 
-    Each posted ordering ranks the solutions once, by its `ranks` rule on
-    their lex codes (`partition.coded`).  A leader constraint (sigma,
+    Each posted ordering, over the coding's domains as listed, ranks the
+    solutions once, by its `ranks` rule on their lex codes.  A leader constraint (sigma,
     ordering) keeps index i iff rank[i] <= the rank of sigma's image of
     solution i: for a generator a lookup, rank[img[i]] with img the
     partition's image list, and for any other sigma its `image_codes`
@@ -130,19 +131,21 @@ def _judge(partition: OrbitPartition,
     keeps each block's least-ranked member: `orbits` refused any image
     outside the solutions, so the block of i is its orbit G·i, and i passes
     every element's constraint iff nothing in G·i ranks below it."""
-    sols, lists = partition.solutions, partition.images
-    idx = list(range(len(sols)))
-    gens = partition.group.generators
+    codes, lists = partition.codes, partition.images
+    gens, coding = partition.group.generators, partition.group.coding
+    idx = list(range(len(codes)))
     posted, alive = {}, []  # posted: ordering -> [(set, sigma, or None for the block minima)]
     for n, bset in enumerate(bsets):
-        alive.append(idx if bset.allowed is None else [i for i in idx if sols[i] in bset.allowed])
+        allowed = None if bset.allowed is None else set(coding.codes(list(bset.allowed)))
+        alive.append(idx if allowed is None else [i for i in idx if codes[i] in allowed])
         if bset.full is not None and bset.full[0].generators == gens:
             posted.setdefault(bset.full[1], []).append((n, None))
             continue
-        for con in bset.constraints if bset.allowed is None else ():
+        for con in bset.constraints if allowed is None else ():
             posted.setdefault(con.ordering, []).append((n, con.sigma))
     for ordering, judged in posted.items():  # one ordering's ranks at a time
-        codes = partition.coded(ordering)
+        if ordering.domains != coding.domains:
+            raise InputError("ordering and partition act on different domains")
         rank = ordering.ranks(codes)
         for n, sigma in judged:
             if sigma is None:
@@ -157,9 +160,9 @@ def _judge(partition: OrbitPartition,
     return [Verdict(partition.grouped(kept)) for kept in alive]
 
 
-def per_orbit_survivors(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
+def per_orbit_survivors(codes: Sequence[int], bset: SymmetryBreakingSet,
                         group: SymmetryGroup) -> tuple[OrbitPartition, tuple[int, ...]]:
-    partition = orbits(solutions, group)
+    partition = orbits(codes, group)
     return partition, orbit_verdict(partition, bset).counts
 
 
@@ -173,19 +176,19 @@ def doublelex_constraints(shape: Optional[tuple[int, int]],
     if shape is None:
         raise InputError("doublelex needs a matrix shape")
     r, c = shape
-    doms = tuple(domains) if domains is not None else binary_domains(r * c)
-    ordering = LexOrdering(doms)
-    cons = tuple(LeaderConstraint(g, ordering) for g in row_col_generators(shape, doms))
-    return SymmetryBreakingSet(cons)
+    ordering = LexOrdering(domains if domains is not None else binary_domains(r * c))
+    return SymmetryBreakingSet(tuple(LeaderConstraint(g, ordering)
+                                     for g in row_col_generators(shape, ordering)))
 
 
 COMPARE_HEADERS = ("ordering", "method", "constraints", "survivors", "orbits",
                    "sound", "complete")
 
 
-def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
+def compare_table(codes: Sequence[int], group: SymmetryGroup,
                   domains: Sequence[Domain], shape: Optional[tuple[int, int]]) -> list[tuple]:
-    """One COMPARE_HEADERS row per breaking set, all judged on one partition.
+    """One COMPARE_HEADERS row per breaking set, all judged on one partition
+    of the solutions with these lex codes.
 
     Every ordering defined on the domains is posted both leader-full and
     leader-generators, then doublelex when there is a shape.  The ordering
@@ -199,7 +202,7 @@ def compare_table(solutions: Sequence[Assignment], group: SymmetryGroup,
     if shape is not None:
         sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
     # after the sets, so a closure over its cap is reported ahead of an orbit error
-    partition = orbits(solutions, group)
+    partition = orbits(codes, group)
     verdicts = _judge(partition, [bset for _, _, bset in sets])
     return [(name, method, len(bset), sum(verdict.counts), len(partition),
              verdict.sound, verdict.complete)

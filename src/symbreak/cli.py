@@ -38,7 +38,7 @@ from .model import (
     parse_assignment,
     read_fields,
 )
-from .orderings import ORDERING_NAMES, make_ordering
+from .orderings import ORDERING_NAMES, LexOrdering, make_ordering
 from .reductions import (
     SAT,
     UNSAT,
@@ -137,24 +137,27 @@ def _breaking_set(ns: argparse.Namespace, problem: Problem, group):
 # subcommands
 
 
+def _printed(codes: Sequence[int], coding: LexOrdering) -> list[str]:
+    """The printed row of the assignment with each of these lex codes."""
+    return list(map(assignment_formatter(coding.domains), coding.decode(codes)))
+
+
 @_command("solve", "enumerate all solutions", _PROBLEM, _CAP)
 def _cmd_solve(ns: argparse.Namespace) -> int:
     problem = load_problem(ns.problem)
     sols = enumerate_solutions(problem, ns.cap)
     print(f"# seed={ns.seed} solutions={len(sols)}")
-    fmt = assignment_formatter(problem.domains)
-    _print_rows(["assignment"], [[fmt(a)] for a in sols], ns.format)
+    _print_rows(["assignment"], [[row] for row in _printed(sols, LexOrdering(problem.domains))],
+                ns.format)
     return 0 if sols else 1
 
 
 @_command("orbits", "orbit partition of the solutions", _PROBLEM, _SYMMETRIES, _CAP)
 def _cmd_orbits(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
-    sols = enumerate_solutions(problem, ns.cap)
-    partition = orbits(sols, group)
+    partition = orbits(enumerate_solutions(problem, ns.cap), group)
     print(f"# seed={ns.seed} orbits={len(partition)}")
-    fmt = assignment_formatter(problem.domains)
-    rows = [[i, len(block), " ".join(map(fmt, block))]
+    rows = [[i, len(block), " ".join(_printed(block, group.coding))]
             for i, block in enumerate(partition.blocks)]
     _print_rows(["orbit", "size", "members"], rows, ns.format)
     return 0
@@ -172,8 +175,8 @@ def _cmd_break(ns: argparse.Namespace) -> int:
     survivors = [a for a in sols if a in kept]
     print(f"# seed={ns.seed} ordering={ns.ordering} method={ns.method} "
           f"constraints={len(bset)} survivors={len(survivors)}")
-    fmt = assignment_formatter(problem.domains)
-    _print_rows(["assignment"], [[fmt(a)] for a in survivors], ns.format)
+    _print_rows(["assignment"], [[row] for row in _printed(survivors, group.coding)],
+                ns.format)
     print()
     _print_rows(["orbit", "size", "survivors"],
                 [[i, len(block), count]
@@ -316,7 +319,7 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
     print(f"# n={phi.num_vars} clauses={list(list(c) for c in phi.clauses)}")
     print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
-    for row in map(assignment_formatter(gadget.problem.domains), gadget.solutions):
+    for row in _printed(gadget.solutions, gadget.group.coding):
         print(f"  {row}")
     return _report_verdict(verdict, oracle)
 

@@ -8,7 +8,7 @@ from itertools import compress
 from operator import contains, getitem, itemgetter, ne
 from typing import Callable, Optional, Sequence
 
-from .model import Assignment, Domain, InputError, check_values
+from .model import Assignment, InputError, check_values
 from .orderings import LexOrdering, SimpleOrdering
 
 
@@ -68,10 +68,9 @@ class LiteralSymmetry:
 
     @classmethod
     def from_maps(cls, var_perm: Sequence[int], maps: Sequence[dict],
-                  domains: Sequence[Domain]) -> "LiteralSymmetry":
+                  coding: LexOrdering) -> "LiteralSymmetry":
         """(i, v) to (var_perm[i], maps[i][v]), each map a bijection from
-        domain i onto domain var_perm[i]."""
-        coding = LexOrdering(domains)
+        domain i onto domain var_perm[i], over the literals of `coding`."""
         _check_permutation(var_perm, coding.n)
         if len(maps) != len(var_perm):
             raise InputError("need one value map per variable")
@@ -92,19 +91,23 @@ class LiteralSymmetry:
                    coding)
 
     @classmethod
-    def variable(cls, perm: Sequence[int], domains: Sequence[Domain]) -> "LiteralSymmetry":
-        """Pure variable permutation (identity value maps)."""
-        _check_permutation(perm, len(domains))
-        for i, j in enumerate(perm):
-            if set(domains[i]) != set(domains[j]):
+    def variable(cls, perm: Sequence[int], coding: LexOrdering) -> "LiteralSymmetry":
+        """Pure variable permutation (identity value maps): the identity literal
+        permutation but for each moved variable i, sent to perm[i] value by value."""
+        _check_permutation(perm, coding.n)
+        offsets, pos = coding.offsets, coding._pos
+        lits = list(range(offsets[-1]))
+        for i in compress(range(coding.n), map(ne, perm, range(coding.n))):
+            j = perm[i]
+            if pos[i].keys() != pos[j].keys():
                 raise InputError(f"variables {i} and {j} have different domains")
-        return cls.from_maps(perm, [{v: v for v in d} for d in domains], domains)
+            lits[offsets[i]:offsets[i + 1]] = [offsets[j] + pos[j][v] for v in coding.domains[i]]
+        return cls(tuple(lits), coding)
 
     @classmethod
-    def value_swap(cls, var: int, a: int, b: int, domains: Sequence[Domain]) -> "LiteralSymmetry":
+    def value_swap(cls, var: int, a: int, b: int, coding: LexOrdering) -> "LiteralSymmetry":
         """Identity on variables; swaps two values of one variable: the
         identity literal permutation with the two literals exchanged."""
-        coding = LexOrdering(domains)
         if not 0 <= var < coding.n:
             raise InputError(f"variable {var} outside 0..{coding.n - 1}")
         check_values(coding.domains, ((var, a), (var, b)))

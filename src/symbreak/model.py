@@ -2,18 +2,18 @@
 
 Variables are indexed 0..n-1 and carry ordered finite domains; values are
 compared by their position in the domain throughout the package.  An
-assignment is a plain tuple of values, one per variable.  Matrix models
-flatten row-major: cell (i, j) lives at index i*cols + j.
+assignment is a tuple of values, one per variable; in memory a solution is
+its lex code (see `orderings`).  Matrix models flatten row-major: cell
+(i, j) lives at index i*cols + j.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Assignment = tuple[int, ...]
 Domain = tuple[int, ...]
@@ -44,11 +44,6 @@ class InvariantViolationError(SymbreakError):
 
 def binary_domains(n: int) -> tuple[Domain, ...]:
     return ((0, 1),) * n
-
-
-def all_assignments(domains: Sequence[Domain]) -> Iterator[Assignment]:
-    """Full assignment space, lexicographic by domain position."""
-    return itertools.product(*domains)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +203,15 @@ def binary_problem(n: int, constraints: Sequence[Constraint] = ()) -> Problem:
 # enumeration
 
 
-def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Assignment]:
-    """All solutions, in lexicographic order of their value vectors.
+def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int]:
+    """The lex codes of all solutions under `LexOrdering(problem.domains)`, increasing.
 
     Without a cap, search spaces above MAX_ENUMERATION_SPACE are refused.
     With a cap, finding more than `cap` solutions raises rather than
     truncating the result.  The search is depth-first over an explicit
-    stack of per-depth domain iterators, so depth is not bounded by
-    Python's recursion limit.
+    stack of per-depth (position, value) iterators, so depth is not bounded
+    by Python's recursion limit; constraints read the values, and each
+    prefix's code is carried down the stack.
     """
     if cap is None:
         if problem.space_size > MAX_ENUMERATION_SPACE:
@@ -234,25 +230,27 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[Ass
                 for cons in ready]
 
     domains, last = problem.domains, problem.n - 1
-    solutions: list[Assignment] = []
+    codes: list[int] = []
     values: list = [None] * problem.n  # values[:depth + 1] is the current prefix
-    levels = [iter(domains[0])]  # levels[depth] yields the values left to try there
+    prefix = [0] * (problem.n + 1)  # prefix[depth + 1] is the code of values[:depth + 1]
+    levels = [enumerate(domains[0])]  # levels[depth] yields what is left to try there
     while levels:
         depth = len(levels) - 1
         check = checkers[depth]
-        for values[depth] in levels[depth]:
+        for pos, values[depth] in levels[depth]:
             if check is None or check(values):
                 break
         else:  # this depth is exhausted: back up one level
             levels.pop()
             continue
+        prefix[depth + 1] = prefix[depth] * len(domains[depth]) + pos
         if depth < last:
-            levels.append(iter(domains[depth + 1]))
+            levels.append(enumerate(domains[depth + 1]))
             continue
-        solutions.append(tuple(values))
-        if cap is not None and len(solutions) > cap:
+        codes.append(prefix[depth + 1])
+        if cap is not None and len(codes) > cap:
             raise CapExceededError(f"more than cap={cap} solutions")
-    return solutions
+    return codes
 
 
 # ---------------------------------------------------------------------------

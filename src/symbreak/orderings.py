@@ -298,12 +298,6 @@ class AssignmentPermutation:
     def inverse_codes(self, codes: list[int]) -> list[int]:
         return self.source.unranks(self.target.ranks(codes))
 
-    def forward(self, a: Sequence[int]) -> Assignment:
-        return self.source.decode(self.forward_codes(self.source.codes([a])))[0]
-
-    def inverse(self, a: Sequence[int]) -> Assignment:
-        return self.source.decode(self.inverse_codes(self.source.codes([a])))[0]
-
 
 def rank_preserving_map(ordering: SimpleOrdering) -> AssignmentPermutation:
     """Permutation sending the assignment at lex position k to the assignment

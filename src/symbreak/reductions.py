@@ -118,7 +118,7 @@ def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
     problem = Problem(flag + 1, domains, tuple(UnaryConstraint(3 * p + q, v)
                                                for p, clause in enumerate(inst.clauses)
                                                for q, v in enumerate(clause)))
-    flip = LiteralSymmetry.value_swap(flag, 0, 1, domains)
+    flip = LiteralSymmetry.value_swap(flag, 0, 1, LexOrdering(domains))
     return OrderingGadget(inst, problem, flip, OneInThreeOrdering(domains))
 
 
@@ -133,7 +133,7 @@ def solve_ordering_gadget(gadget: OrderingGadget) -> tuple[str, Assignment]:
     group = SymmetryGroup((gadget.flip,))
     partition = orbits(enumerate_solutions(gadget.problem, 2), group)
     verdict = orbit_verdict(partition, leader_constraints(group, gadget.ordering, "generators"))
-    survivors = [a for kept in verdict.kept for a in kept]
+    survivors = group.coding.decode([c for kept in verdict.kept for c in kept])
     if len(survivors) != 1:
         raise InvariantViolationError(
             f"ordering gadget left {len(survivors)} solutions, expected 1")
@@ -183,29 +183,27 @@ def cnf_satisfiable(phi: Cnf) -> bool:
 
 @dataclass(frozen=True)
 class GroupGadget:
-    """Solutions = models(phi) plus the all-zero vector, glued into one orbit
-    by a chain of solution transpositions; ordering = reverse lex."""
+    """Solutions = models(phi) plus the all-zero vector, as increasing lex codes,
+    glued into one orbit by a chain of solution transpositions; ordering = reverse lex."""
 
     phi: Cnf
     problem: Problem
     group: SymmetryGroup
     ordering: RevLexOrdering
-    solutions: tuple[Assignment, ...]
+    solutions: tuple[int, ...]
 
 
 def group_gadget(phi: Cnf) -> GroupGadget:
     width = phi.num_vars
     if width > MAX_GROUP_GADGET_VARS:
         raise InputError(f"gadget width above {MAX_GROUP_GADGET_VARS}")
-    zero = (0,) * width
-    solutions = tuple(sorted(set(cnf_models(phi)) | {zero}))
-    problem = binary_problem(width,
-                             [TableConstraint(tuple(range(width)), frozenset(solutions))])
+    models = set(cnf_models(phi)) | {(0,) * width}
+    problem = binary_problem(width, [TableConstraint(tuple(range(width)), frozenset(models))])
     coding = LexOrdering(binary_domains(width))
-    codes = coding.codes(solutions)
+    codes = tuple(sorted(coding.codes(list(models))))
     group = SymmetryGroup(tuple(AssignmentSymmetry({a: b, b: a}, coding)
-                                for a, b in zip(codes, codes[1:])))
-    return GroupGadget(phi, problem, group, RevLexOrdering(coding.domains), solutions)
+                                for a, b in zip(codes, codes[1:])), coding=coding)
+    return GroupGadget(phi, problem, group, RevLexOrdering(coding.domains), codes)
 
 
 def solve_group_gadget(gadget: GroupGadget) -> str:
@@ -218,13 +216,12 @@ def solve_group_gadget(gadget: GroupGadget) -> str:
     (factorially large) closure.  The unique survivor being all-zero and
     falsifying phi means UNSAT; anything else means SAT.
     """
-    solutions = enumerate_solutions(gadget.problem)
-    if len(gadget.group.orbit_of(solutions[0])) != len(solutions):
+    codes = enumerate_solutions(gadget.problem)
+    if len(gadget.group.orbit_of(codes[0])) != len(codes):
         raise InvariantViolationError("group gadget's solutions form more than one orbit")
-    ranks = gadget.ordering.ranks(gadget.ordering.codes(solutions))
-    winner = solutions[ranks.index(min(ranks))]
-    if winner == (0,) * gadget.phi.num_vars:
-        return SAT if gadget.phi.satisfied_by(winner) else UNSAT
+    ranks = gadget.ordering.ranks(codes)
+    if codes[ranks.index(min(ranks))] == 0:  # the all-zero assignment
+        return SAT if gadget.phi.satisfied_by((0,) * gadget.phi.num_vars) else UNSAT
     return SAT
 
 

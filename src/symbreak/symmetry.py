@@ -10,8 +10,9 @@ Two representations, never mixed inside one group:
   and for groups defined directly on solution sets.
 
 Both act on the lex codes of their `coding`, a LexOrdering of their
-domains as listed (`image_codes`), and a group's generators share one
-coding, so orbits, verdicts and conjugation work on integers.
+domains as listed (`image_codes`).  A group's generators share its one
+coding, and a solution is its lex code under it, so orbits, verdicts and
+conjugation work on integers.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ class AssignmentSymmetry:
             raise InputError("listed pairs do not form a bijection on the listed set")
         self._map, self.coding = moved, coding
 
-    @classmethod
-    def from_pairs(cls, mapping: dict, domains: Sequence[Domain]) -> "AssignmentSymmetry":
-        coding = LexOrdering(domains)
-        return cls(dict(zip(coding.codes(list(mapping)), coding.codes(list(mapping.values())))),
-                   coding)
-
     def apply(self, a: Sequence[int]) -> Assignment:
         return self.coding.decode(self.image_codes(self.coding.codes([a]), self.coding))[0]
 
@@ -89,17 +84,19 @@ Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
 
 @dataclass
 class SymmetryGroup:
-    """Group given by generators, which share one `coding`, a LexOrdering
-    of their domains as listed (None without generators).  `chain`, its
-    stabilizer chain over the coding's literals (the listed codes, for an
-    assignment-level group), is built once, under `cap`, and is the only
-    element machinery: `order` is the product of its level sizes, and
-    `closure()` lists the products of its representatives.  No verdict
-    reads the chain.  A group without generators has order 1 and an empty
-    closure."""
+    """Group given by generators over one `coding`, a LexOrdering of their
+    domains as listed (given, or else the generators'; a group without
+    generators needs it).  `chain`, its stabilizer chain over the coding's
+    literals (the listed codes, for an assignment-level group), is built
+    once, under `cap`, and is the only element machinery: `order` is the
+    product of its level sizes (or that of the group it is `conjugate_of`),
+    and `closure()` lists the products of its representatives.  No verdict
+    reads the chain.  Without generators, order 1 and an empty closure."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
+    coding: Optional[LexOrdering] = field(default=None, repr=False, compare=False)
+    conjugate_of: Optional["SymmetryGroup"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
@@ -107,10 +104,12 @@ class SymmetryGroup:
             raise InputError("closure cap must be positive")
         if len({type(g) for g in self.generators}) > 1:
             raise InputError("a group cannot mix literal and assignment-level symmetries")
-        codings = {g.coding for g in self.generators}  # often shared: each hashed once
+        codings = {g.coding for g in self.generators} | ({self.coding} - {None})  # each hashed once
+        if not codings:
+            raise InputError("a group without generators needs a coding")
         if len({coding.domains for coding in codings}) > 1:
             raise InputError("generators act on different domains")
-        self.coding = self.generators[0].coding if self.generators else None
+        self.coding = self.coding or self.generators[0].coding
 
     def _points(self) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], Symmetry]]:
         """The generators as permutations of range(n), and the element that
@@ -134,6 +133,8 @@ class SymmetryGroup:
 
     @cached_property
     def order(self) -> int:
+        if self.conjugate_of is not None:  # conjugation preserves order
+            return self.conjugate_of.order
         return prod(map(len, self.chain))
 
     def closure(self) -> tuple[Symmetry, ...]:
@@ -147,24 +148,24 @@ class SymmetryGroup:
             products += [p for u in level[1:] for p in map(_gatherer(u), products)]
         return tuple(map(element, products))
 
-    def orbit_of(self, a: Assignment) -> tuple[Assignment, ...]:
-        """Orbit of a single assignment under the generated group, in search order.
+    def orbit_of(self, code: int) -> tuple[int, ...]:
+        """The lex codes of the orbit of the assignment with this code, in
+        search order.
 
         An assignment-level generator fixes what it does not list, so the search
-        steps only along listed pairs, on lex codes: movers[b] holds b's images
-        in generator order.  A generator that skips b maps it to itself,
-        already seen."""
-        gens = self.generators
-        if not gens or isinstance(gens[0], LiteralSymmetry):
-            return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens],
-                                       cap=self.cap))
+        steps only along listed pairs: movers[b] holds b's images in generator
+        order.  A generator that skips b maps it to itself, already seen."""
+        gens, coding = self.generators, self.coding
+        if not 0 <= code < coding.space_size:
+            raise InputError(f"code {code} outside [0, {coding.space_size})")
+        if gens and isinstance(gens[0], LiteralSymmetry):
+            return tuple(_orbit_search(code, lambda b: [g.image_codes([b], coding)[0]
+                                                        for g in gens], cap=self.cap))
         movers: dict = {}
         for g in gens:
             for b, image in g._map.items():
                 movers.setdefault(b, []).append(image)
-        coding = self.coding
-        return tuple(coding.decode(_orbit_search(coding.codes([a])[0],
-                                                 lambda b: movers.get(b, ()), cap=self.cap)))
+        return tuple(_orbit_search(code, lambda b: movers.get(b, ()), cap=self.cap))
 
 
 def _orbit_search(start, neighbours: Callable[..., Iterable], cap: Optional[int] = None) -> list:
@@ -246,16 +247,15 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, .
 
 @dataclass
 class OrbitPartition:
-    """The orbits of `group` on `solutions`, kept in input order: block_of[i]
-    is the index of the first member of solution i's orbit, and images[k][i]
-    the index of generator k's image of solution i.  codes[i] is solution
-    i's lex code under the group's coding; None without generators."""
+    """The orbits of `group` on the solutions whose lex codes under the
+    group's coding are `codes`, kept in input order: block_of[i] is the
+    index of the first member of solution i's orbit, and images[k][i] the
+    index of generator k's image of solution i."""
 
-    solutions: tuple[Assignment, ...]
+    codes: list[int]
     block_of: list[int] = field(repr=False)
     images: tuple[list[int], ...] = field(repr=False)
     group: SymmetryGroup = field(repr=False, compare=False)
-    codes: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def firsts(self) -> tuple[int, ...]:
@@ -271,80 +271,76 @@ class OrbitPartition:
         return tuple(members.values())
 
     @property
-    def blocks(self) -> tuple[tuple[Assignment, ...], ...]:
-        return self.grouped(range(len(self.solutions)))
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return self.grouped(range(len(self.codes)))
 
-    def grouped(self, indices: Iterable[int]) -> tuple[tuple[Assignment, ...], ...]:
-        """The solutions at `indices`, increasing, listed block by block."""
-        blocks: dict[int, list[Assignment]] = {first: [] for first in self.firsts}
+    def grouped(self, indices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """The codes at `indices`, increasing, listed block by block."""
+        blocks: dict[int, list[int]] = {first: [] for first in self.firsts}
         for i in indices:
-            blocks[self.block_of[i]].append(self.solutions[i])
+            blocks[self.block_of[i]].append(self.codes[i])
         return tuple(map(tuple, blocks.values()))
-
-    def coded(self, ordering: SimpleOrdering) -> list[int]:
-        """The solutions' lex codes over the ordering's domains: the
-        partition's own when the group's coding has those domains as listed."""
-        if self.codes is not None and self.group.coding.domains == ordering.domains:
-            return self.codes
-        return ordering.codes(self.solutions)
 
     def __len__(self) -> int:
         return len(self.firsts)
 
 
-def orbits(solutions: Sequence[Assignment], group: SymmetryGroup) -> OrbitPartition:
-    """Partition of the solution set into orbits of the generated group.
+def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
+    """Partition of the solutions with these lex codes under the group's
+    coding into orbits of the generated group.
 
-    Works from generators alone (no closure).  Each solution gets one lex
-    code over the group's coding, which checks it.  Each generator's
+    Works from generators alone (no closure).  Each generator's
     `image_codes` are indexed by an int dict, or by the code itself when
     the codes are exactly range(space size).  Each orbit is one
     breadth-first search over the image indices from the first solution not
     yet placed.  An image outside the solution set is an input error,
-    raised when the search reaches it.
+    raised when the search reaches it, naming both assignments.
     """
-    sols = tuple(map(tuple, solutions))
+    codes = list(codes)
     gens, coding = group.generators, group.coding
-    codes = None if coding is None else coding.codes(sols)  # None: no generators
-    if codes is not None and len(codes) == coding.space_size and codes == list(range(len(codes))):
+    if len(codes) == coding.space_size and codes == list(range(len(codes))):
         look = codes.__getitem__  # every code is its solution's index
     else:
-        index = dict(zip(sols if codes is None else codes, count()))
-        if len(index) != len(sols):
+        index = dict(zip(codes, count()))
+        if len(index) != len(codes):
             raise InputError("solution list repeats an assignment")
+        if index and not (0 <= min(index) and max(index) < coding.space_size):
+            raise InputError(f"solution code outside [0, {coding.space_size})")
         look = index.get
     lists = [list(map(look, g.image_codes(codes, coding))) for g in gens]
 
     def neighbours(i: int) -> list:
         found = [img[i] for img in lists]
         if None in found:
-            raise InputError("generator maps a solution outside the solution set "
-                             f"({sols[i]} -> {gens[found.index(None)].apply(sols[i])})")
+            a, image = coding.decode([codes[i], *gens[found.index(None)].image_codes(
+                [codes[i]], coding)])
+            raise InputError(f"generator maps a solution outside the solution set ({a} -> {image})")
         return found
 
-    block_of = [-1] * len(sols)
+    block_of = [-1] * len(codes)
     for i, first in enumerate(block_of):
         if first < 0:
             for j in _orbit_search(i, neighbours):
                 block_of[j] = i
-    return OrbitPartition(sols, block_of, tuple(lists), group, codes)
+    return OrbitPartition(codes, block_of, tuple(lists), group)
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
-    """Group with generators pi∘g∘pi⁻¹, refusing a pi over other listed domains.
+    """Group with generators pi∘g∘pi⁻¹, refusing a pi over other listed
+    domains; its order is the group's, which conjugation preserves.
 
     These have no literal structure in general, so each is tabulated over
     every lex code (desk scale only): pi⁻¹ of the codes, the generator's
     image codes of those, and pi of the images, each in bulk.
     """
-    coding = group.coding or LexOrdering(pi.domains)
+    coding = group.coding
     if coding.domains != pi.domains:
         raise InputError(f"permutation acts on domains {pi.domains}, group on {coding.domains}")
     preimages = pi.inverse_codes(list(range(coding.space_size)))
     return SymmetryGroup(tuple(
         AssignmentSymmetry(dict(enumerate(pi.forward_codes(g.image_codes(preimages, coding)))),
                            coding)
-        for g in group.generators), cap=group.cap)
+        for g in group.generators), group.cap, coding, conjugate_of=group)
 
 
 def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
@@ -356,10 +352,12 @@ def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
     iff pi maps every solution of p1 to one of p2 and each block of p1 into
     one block of p2.
     """
-    if len(p1) != len(p2) or len(p1.solutions) != len(p2.solutions):
+    if {p1.group.coding.domains, p2.group.coding.domains} != {pi.domains}:
+        raise InputError(f"permutation acts on domains {pi.domains}, partitions on others")
+    if len(p1) != len(p2) or len(p1.codes) != len(p2.codes):
         return False, None
-    block = dict(zip(p2.coded(pi.source), p2.block_of))
-    pairs = dict.fromkeys(zip(p1.block_of, map(block.get, pi.forward_codes(p1.coded(pi.source)))))
+    block = dict(zip(p2.codes, p2.block_of))
+    pairs = dict.fromkeys(zip(p1.block_of, map(block.get, pi.forward_codes(p1.codes))))
     position = {first: k for k, first in enumerate(p2.firsts)}
     tau = tuple(position.get(target) for _, target in pairs)
     if len(pairs) != len(p1) or None in tau:
@@ -372,12 +370,13 @@ def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
 
 
 def row_col_generators(shape: tuple[int, int],
-                       domains: Optional[Sequence[Domain]] = None) -> tuple[LiteralSymmetry, ...]:
+                       coding: Optional[LexOrdering] = None) -> tuple[LiteralSymmetry, ...]:
     """Adjacent row transpositions, then adjacent column ones, of an r x c matrix
-    model; each swaps every cell x of a row (column) with cell x + step."""
+    model over `coding` (binary by default); each swaps every cell x of a row
+    (column) with cell x + step."""
     r, c = shape
-    doms = tuple(domains) if domains is not None else binary_domains(r * c)
-    check_shape(shape, len(doms))
+    check_shape(shape, r * c if coding is None else coding.n)
+    coding = coding or LexOrdering(binary_domains(r * c))
     swaps = ([(range(k * c, (k + 1) * c), c) for k in range(r - 1)]
              + [(range(k, r * c, c), 1) for k in range(c - 1)])
     gens = []
@@ -385,42 +384,46 @@ def row_col_generators(shape: tuple[int, int],
         perm = list(range(r * c))
         for x in cells:
             perm[x], perm[x + step] = x + step, x
-        gens.append(LiteralSymmetry.variable(perm, doms))
+        gens.append(LiteralSymmetry.variable(perm, coding))
     return tuple(gens)
 
 
 def row_col_group(shape: tuple[int, int]) -> SymmetryGroup:
-    return SymmetryGroup(row_col_generators(shape))
+    check_shape(shape, shape[0] * shape[1])
+    coding = LexOrdering(binary_domains(shape[0] * shape[1]))
+    return SymmetryGroup(row_col_generators(shape, coding), coding=coding)
 
 
-def _literal_from_dict(data: dict, domains: Sequence[Domain]) -> LiteralSymmetry:
+def _literal_from_dict(data: dict, coding: LexOrdering) -> LiteralSymmetry:
     _, perm, maps = read_fields(data, "literal symmetry", ("kind",), ("var_perm", [int]),
                                 ("val_maps", [[[int]]], ABSENT))
     if maps is ABSENT:
-        return LiteralSymmetry.variable(perm, domains)
+        return LiteralSymmetry.variable(perm, coding)
     if any(len(pair) != 2 for pairs in maps for pair in pairs):
         raise InputError("val_maps entries must be [value, image] pairs")
-    return LiteralSymmetry.from_maps(perm, [dict(pairs) for pairs in maps], domains)
+    return LiteralSymmetry.from_maps(perm, [dict(pairs) for pairs in maps], coding)
 
 
 def symmetry_group_from_dict(data: dict, domains: Sequence[Domain]) -> SymmetryGroup:
+    """The group of a symmetry file over these domains, on one coding of them."""
     entries, cap = read_fields(data, "symmetry file", ("generators", [dict]),
                                ("cap", int, DEFAULT_CLOSURE_CAP))
+    coding = LexOrdering(domains)
     gens: list[LiteralSymmetry] = []
     for k, entry in enumerate(entries):
         kind = read_field(entry, "generator", "kind")
         try:
             if kind == "literal":
-                gens.append(_literal_from_dict(entry, domains))
+                gens.append(_literal_from_dict(entry, coding))
             elif kind == "row_col":
                 _, rows, cols = read_fields(entry, "row_col generator", ("kind",),
                                             ("rows", int), ("cols", int))
-                gens.extend(row_col_generators((rows, cols), domains))
+                gens.extend(row_col_generators((rows, cols), coding))
             else:
                 raise InputError(f"unknown generator kind '{kind}'")
         except InputError as exc:
             raise InputError(f"generator {k}: {exc}") from exc
-    return SymmetryGroup(tuple(gens), cap=cap)
+    return SymmetryGroup(tuple(gens), cap=cap, coding=coding)
 
 
 def load_symmetry_group(path, domains: Sequence[Domain]) -> SymmetryGroup:

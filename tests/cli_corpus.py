@@ -23,7 +23,9 @@ identity with the closure cap at |G| and |G| - 1, leader-full sets on
 groups whose stabilizer chain needs products of the generators (mixed
 domains and value swaps among them), leader-full sets of the 2x8
 row/column group (80,640 elements), `break` output read back by
-`check --survivors`, `rank` and `unrank` grids (binary, mixed-radix,
+`check --survivors` (binary, and unsorted ternary), symmetry files without
+generators on mixed and unsorted domains, generators that leave the
+solution set of a ternary and of a mixed model, `rank` and `unrank` grids (binary, mixed-radix,
 3x1 and unsorted domains), `gray-check` stores, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
@@ -334,6 +336,66 @@ def survivor_files(corpus: Corpus) -> None:
                        "--survivors", path])
 
 
+def codes_end_to_end(corpus: Corpus) -> None:
+    """A symmetry file without generators under orbits, break, check and
+    compare, on mixed and on unsorted domains, free and with a constraint;
+    `break` output on unsorted ternary domains read back by
+    `check --survivors`; and generators that map a solution of a non-binary
+    model outside the solution set, so that the error line's tuples are
+    pinned."""
+    none = corpus.file("gens-none.json", {"generators": []})
+    # no shape off the unsorted models: snakelex and doublelex refuse mixed domains
+    models = {"mixed": ([[0, 1, 2], [5, 7], [1, 3, 4], [0, 1]], 5, {}),
+              "unsorted": ([[2, 0, 1]] * 4, 1, {"shape": [2, 2]}),
+              "unsorted-binary": ([[1, 0]] * 4, 0, {"shape": [2, 2]})}
+    for name, (domains, value, shape) in models.items():
+        for label, constraints in (("free", []), ("x1", [{"kind": "unary", "var": 1,
+                                                          "value": value}])):
+            problem = corpus.file(f"none-{name}-{label}.json", {
+                "n": 4, "domains": domains, **shape, "constraints": constraints})
+            pair = ["--problem", problem, "--symmetries", none]
+            corpus.invoke(["orbits", *pair])
+            for fmt in FORMATS:
+                corpus.invoke(["compare", *pair, *fmt])
+            for options in ([], ["--ordering", "revlex", "--method", "leader-generators"],
+                            ["--ordering", "snakelex"], ["--method", "doublelex"]):
+                corpus.invoke(["check", *pair, *options])
+                corpus.invoke(["break", *pair, *options])
+    # the free model with value cycles too; one 2 in the table model's cells,
+    # which every cell permutation keeps
+    ternary, row_col = [[2, 0, 1]] * 4, {"kind": "row_col", "rows": 2, "cols": 2}
+    cycle = {"kind": "literal", "var_perm": [0, 1, 2, 3],
+             "val_maps": [[[2, 0], [0, 1], [1, 2]]] * 4}
+    one_two = [list(t) for t in itertools.product((2, 0, 1), repeat=4) if t.count(2) == 1]
+    for label, constraints, gens in (
+            ("free", [], [row_col, cycle]),
+            ("table", [{"kind": "table", "scope": [0, 1, 2, 3], "tuples": one_two}], [row_col])):
+        problem = corpus.file(f"surv-ternary-{label}.json", {
+            "n": 4, "domains": ternary, "shape": [2, 2], "constraints": constraints})
+        syms = corpus.file(f"surv-ternary-{label}-syms.json", {"generators": gens})
+        for i, options in enumerate(([], ["--ordering", "snakelex"],
+                                     ["--method", "leader-generators"],
+                                     ["--method", "doublelex"])):
+            for pair in (["--problem", problem, "--symmetries", syms],
+                         ["--problem", problem, "--symmetries", none]):
+                _, text = corpus.invoke(["break", *pair, *options])
+                surv = corpus.file(f"surv-ternary-{label}{i}.txt", text)
+                corpus.invoke(["check", *pair, "--survivors", surv])
+    # x0 = 2 on ternary domains: the swap sends (2, v) to (v, 2); on mixed
+    # domains a value map sends x1 = 5 to 7
+    escapes = {"ternary": ([[2, 0, 1]] * 2, {"kind": "unary", "var": 0, "value": 2},
+                           {"kind": "literal", "var_perm": [1, 0]}),
+               "mixed": ([[0, 1, 2], [5, 7]], {"kind": "unary", "var": 1, "value": 5},
+                         {"kind": "literal", "var_perm": [0, 1],
+                          "val_maps": [[[0, 0], [1, 1], [2, 2]], [[5, 7], [7, 5]]]})}
+    for name, (domains, constraint, gen) in escapes.items():
+        problem = corpus.file(f"escape-{name}.json", {"n": 2, "domains": domains,
+                                                      "constraints": [constraint]})
+        syms = corpus.file(f"escape-{name}-syms.json", {"generators": [gen]})
+        for command in ("orbits", "compare", "check", "break"):
+            corpus.invoke([command, "--problem", problem, "--symmetries", syms])
+
+
 def rank_grids(corpus: Corpus) -> None:
     for ordering in ORDERINGS:
         for n in range(1, 5):
@@ -460,7 +522,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w") as out:
         corpus = Corpus(run, tmp, out)
         for part in (front_end, matrix_models, unsorted_domains, value_maps, leader_full_groups,
-                     residue_groups, large_group, survivor_files, rank_grids, gray_stores,
+                     residue_groups, large_group, survivor_files, codes_end_to_end, rank_grids,
+                     gray_stores,
                      benchmark_instances, deep_instances):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from operator import getitem, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
-from symbreak.breaker import SymmetryBreakingSet, orbit_verdict
+from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
 from symbreak.gray import GrayDecomposition
 from symbreak.literals import LiteralSymmetry, _gatherer
 from symbreak.model import (
+    MAX_ENUMERATION_SPACE,
     Assignment,
+    CapExceededError,
+    Domain,
     InputError,
     Problem,
-    all_assignments,
     check_shape,
     check_values,
 )
@@ -29,6 +31,7 @@ from symbreak.orderings import (
     LT,
     AssignmentPermutation,
     GrayOrdering,
+    LexOrdering,
     RevLexOrdering,
     SimpleOrdering,
     SnakeLexOrdering,
@@ -43,6 +46,28 @@ from symbreak.symmetry import (
     _orbit_search,
     orbits,
 )
+
+
+def all_assignments(domains: Sequence[Domain]) -> Iterator[Assignment]:
+    """Full assignment space, lexicographic by domain position."""
+    return product(*domains)
+
+
+def symmetry_from_pairs(mapping: dict, domains: Sequence[Domain]) -> AssignmentSymmetry:
+    """The assignment-level symmetry taking each key of `mapping` to its value."""
+    coding = LexOrdering(domains)
+    return AssignmentSymmetry(dict(zip(coding.codes(list(mapping)),
+                                       coding.codes(list(mapping.values())))), coding)
+
+
+def forward(pi: AssignmentPermutation, a: Sequence[int]) -> Assignment:
+    """pi of one assignment: encode, map and decode."""
+    return pi.source.decode(pi.forward_codes(pi.source.codes([a])))[0]
+
+
+def inverse(pi: AssignmentPermutation, a: Sequence[int]) -> Assignment:
+    """pi⁻¹ of one assignment: encode, map and decode."""
+    return pi.source.decode(pi.inverse_codes(pi.source.codes([a])))[0]
 
 
 def compose(s: Symmetry, t: Symmetry) -> Symmetry:
@@ -67,16 +92,68 @@ def invert(s: Symmetry) -> Symmetry:
     return LiteralSymmetry(tuple(sorted(range(len(s.lits)), key=s.lits.__getitem__)), s.coding)
 
 
+def tuple_solutions(problem: Problem, cap: Optional[int] = None) -> list[Assignment]:
+    """All solutions as value tuples, in lexicographic order of their domain
+    positions: the depth-first search `enumerate_solutions` makes, with the
+    same refusals, building each solution's tuple rather than its code."""
+    if cap is None:
+        if problem.space_size > MAX_ENUMERATION_SPACE:
+            raise CapExceededError(
+                f"search space {problem.space_size} exceeds "
+                f"{MAX_ENUMERATION_SPACE}; pass an explicit cap")
+    elif cap < 1:
+        raise InputError("cap must be positive")
+    solutions: list[Assignment] = []
+    values: list = [None] * problem.n
+    levels = [iter(problem.domains[0])]
+    while levels:
+        depth = len(levels) - 1
+        for values[depth] in levels[depth]:
+            if all(con.satisfied(values) for con in problem.constraints
+                   if max(con.scope) == depth):
+                break
+        else:
+            levels.pop()
+            continue
+        if depth < problem.n - 1:
+            levels.append(iter(problem.domains[depth + 1]))
+            continue
+        solutions.append(tuple(values))
+        if cap is not None and len(solutions) > cap:
+            raise CapExceededError(f"more than cap={cap} solutions")
+    return solutions
+
+
+def lex_codes(problem: Problem, assignments: Iterable[Sequence[int]]) -> list[int]:
+    """The lex code of each assignment over the problem's domains as listed."""
+    return LexOrdering(problem.domains).codes(list(assignments))
+
+
+def tuple_orbits(solutions: Iterable[Sequence[int]], group: SymmetryGroup) -> OrbitPartition:
+    """`orbits` of the solutions given as value tuples."""
+    return orbits(group.coding.codes(list(solutions)), group)
+
+
+def blocks_of(partition: OrbitPartition) -> tuple[tuple[Assignment, ...], ...]:
+    """The partition's blocks, each member decoded to its value tuple."""
+    return tuple(map(tuple, map(partition.group.coding.decode, partition.blocks)))
+
+
+def kept_of(verdict: Verdict, partition: OrbitPartition) -> tuple[tuple[Assignment, ...], ...]:
+    """The verdict's survivors in each block, each decoded to its value tuple."""
+    return tuple(map(tuple, map(partition.group.coding.decode, verdict.kept)))
+
+
 def is_sound(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
              group: SymmetryGroup) -> bool:
     """At least one survivor in every orbit."""
-    return orbit_verdict(orbits(solutions, group), bset).sound
+    return orbit_verdict(tuple_orbits(solutions, group), bset).sound
 
 
 def is_complete(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
                 group: SymmetryGroup) -> bool:
     """At most one survivor in every orbit."""
-    return orbit_verdict(orbits(solutions, group), bset).complete
+    return orbit_verdict(tuple_orbits(solutions, group), bset).complete
 
 
 def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) -> bool:
@@ -85,7 +162,8 @@ def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) 
     Decided by enumerating the orbit; orbits larger than the group's cap
     raise rather than answer.
     """
-    return not any(ordering.compare(b, a) == LT for b in group.orbit_of(a))
+    orbit = group.coding.decode(list(group.orbit_of(group.coding.codes([a])[0])))
+    return not any(ordering.compare(b, a) == LT for b in orbit)
 
 
 def dense_orbit_of(group: SymmetryGroup, a: Assignment) -> tuple[Assignment, ...]:
@@ -147,7 +225,7 @@ def walk(tree: Sequence[tuple[int, int]], lists: Sequence[list[int]],
 def walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
     """Survivors of the leader-full set of the partition's group, per block:
     every closure element's image list by `walk`, compared by `digit_rank`."""
-    keys = [digit_rank(ordering, a) for a in partition.solutions]
+    keys = [digit_rank(ordering, a) for a in partition.group.coding.decode(partition.codes)]
     alive = list(range(len(keys)))
     for _, img in walk(closure_tree(partition.group), partition.images, alive):
         alive = [i for i in alive if keys[i] <= keys[img[i]]]
@@ -256,7 +334,7 @@ def chain_walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tu
     """Survivors of the leader-full set of the partition's group, per block:
     every element's image list along the stabilizer chain by `_chain_walk`,
     compared by `digit_rank`."""
-    keys = [digit_rank(ordering, a) for a in partition.solutions]
+    keys = [digit_rank(ordering, a) for a in partition.group.coding.decode(partition.codes)]
     alive = list(range(len(keys)))
     for img in _chain_walk(word_chain(partition.group), partition.images, alive):
         alive = [i for i in alive if keys[i] <= keys[img[i]]]
@@ -349,8 +427,8 @@ def tabulated_conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> Symm
     forward = {a: digit_unrank(pi.target, digit_rank(pi.source, a)) for a in space}
     back = {b: a for a, b in forward.items()}
     return SymmetryGroup(tuple(
-        AssignmentSymmetry.from_pairs({b: forward[g.apply(back[b])] for b in space}, pi.domains)
-        for g in group.generators), cap=group.cap)
+        symmetry_from_pairs({b: forward[g.apply(back[b])] for b in space}, pi.domains)
+        for g in group.generators), cap=group.cap, coding=LexOrdering(pi.domains))
 
 
 def count_rank_calls(monkeypatch) -> dict:
@@ -370,4 +448,4 @@ def count_rank_calls(monkeypatch) -> dict:
 def map_constraint_set(pi: AssignmentPermutation,
                        satisfying: Iterable[Assignment]) -> frozenset:
     """Image of an extensionally given constraint set under pi."""
-    return frozenset(pi.forward(a) for a in satisfying)
+    return frozenset(forward(pi, a) for a in satisfying)

@@ -12,7 +12,7 @@ from symbreak.breaker import (
     orbit_verdict,
     per_orbit_survivors,
 )
-from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
+from symbreak.model import CapExceededError, InputError, binary_domains
 from symbreak.orderings import (
     GT,
     GrayOrdering,
@@ -26,13 +26,21 @@ from symbreak.symmetry import (
     LiteralSymmetry,
     SymmetryGroup,
     conjugate,
-    orbits,
     partitions_isomorphic,
     row_col_generators,
     row_col_group,
 )
 
-from reference import is_complete, is_sound, min_in_class
+from reference import (
+    all_assignments,
+    blocks_of,
+    forward,
+    is_complete,
+    is_sound,
+    kept_of,
+    min_in_class,
+    tuple_orbits,
+)
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
 LEX4 = LexOrdering(binary_domains(4))
@@ -41,13 +49,13 @@ GRAY4 = GrayOrdering(binary_domains(4))
 
 def orbit_minima(solutions, group, ordering):
     """Independent oracle: smallest member of each orbit by pairwise compare."""
-    part = orbits(solutions, group)
+    part = tuple_orbits(solutions, group)
     key = cmp_to_key(ordering.compare)
-    return {min(block, key=key) for block in part.blocks}
+    return {min(block, key=key) for block in blocks_of(part)}
 
 
 def test_leader_constraints_trivial_group():
-    trivial = SymmetryGroup((LiteralSymmetry.variable(range(4), binary_domains(4)),))
+    trivial = SymmetryGroup((LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4))),))
     bset = leader_constraints(trivial, LEX4, mode="full")
     assert len(bset) == 0
     assert filter_solutions(SPACE2x2, bset) == SPACE2x2
@@ -87,7 +95,7 @@ def test_leader_constraints_bad_mode():
 def test_filter_preserves_order_and_empty_set_is_identity():
     bset = extensional_set(SPACE2x2[:3])
     assert filter_solutions(SPACE2x2, bset) == SPACE2x2[:3]
-    empty = leader_constraints(SymmetryGroup(()), LEX4)
+    empty = leader_constraints(SymmetryGroup((), coding=LEX4), LEX4)
     assert filter_solutions(SPACE2x2, empty) == SPACE2x2
 
 
@@ -97,7 +105,7 @@ def test_soundness_and_completeness_verdicts():
     assert is_sound(SPACE2x2, full, group)
     assert is_complete(SPACE2x2, full, group)
 
-    nothing = leader_constraints(SymmetryGroup(()), LEX4)
+    nothing = leader_constraints(SymmetryGroup((), coding=LEX4), LEX4)
     assert is_sound(SPACE2x2, nothing, group)
     assert not is_complete(SPACE2x2, nothing, group)
 
@@ -149,8 +157,8 @@ def test_doublelex_incomplete_at_2x3():
     group = row_col_group((2, 3))
     dl = doublelex_constraints((2, 3))
     a, b = (0, 0, 1, 1, 1, 0), (0, 1, 1, 1, 0, 0)
-    part = orbits(space, group)
-    assert any(a in block and b in block for block in part.blocks)
+    part = tuple_orbits(space, group)
+    assert any(a in block and b in block for block in blocks_of(part))
     assert dl.satisfied(a) and dl.satisfied(b)
     assert not is_complete(space, dl, group)
 
@@ -164,7 +172,7 @@ def test_conjugated_minima_are_images_of_lex_minima():
         conj = conjugate(pi, group)
         lex_minima = {a for a in SPACE2x2 if min_in_class(a, group, LEX4)}
         conj_minima = {a for a in SPACE2x2 if min_in_class(a, conj, ordering)}
-        assert conj_minima == {pi.forward(a) for a in lex_minima}
+        assert conj_minima == {forward(pi, a) for a in lex_minima}
 
 
 @pytest.mark.parametrize("shape", [(r, c) for r in range(1, 10) for c in range(1, 10)
@@ -177,22 +185,23 @@ def test_conjugation_carries_lex_leaders_to_ordering_leaders(shape):
     # tau; the cap admits the 9! elements of the 1x9 and 9x1 groups
     doms = binary_domains(shape[0] * shape[1])
     space = list(all_assignments(doms))
-    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6)
+    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6, coding=LexOrdering(doms))
     lex, *others = applicable_orderings(doms, shape)
     assert [o.name for o in others] == ["revlex", "gray", "snakelex"]
-    original = orbits(space, group)
-    lex_kept = {mode: orbit_verdict(original, leader_constraints(group, lex, mode)).kept
+    original = tuple_orbits(space, group)
+    lex_kept = {mode: kept_of(orbit_verdict(original, leader_constraints(group, lex, mode)),
+                              original)
                 for mode in ("full", "generators")}
     for ordering in others:
         pi = rank_preserving_map(ordering)
         conj = conjugate(pi, group)
-        conjugated = orbits(space, conj)
+        conjugated = tuple_orbits(space, conj)
         ok, tau = partitions_isomorphic(original, conjugated, pi)
         assert ok and sorted(tau) == list(range(len(original))), ordering.name
         for mode, kept in lex_kept.items():
             verdict = orbit_verdict(conjugated, leader_constraints(conj, ordering, mode))
-            assert [set(verdict.kept[k]) for k in tau] == \
-                [{pi.forward(a) for a in block} for block in kept], (ordering.name, mode)
+            assert [set(kept_of(verdict, conjugated)[k]) for k in tau] == \
+                [{forward(pi, a) for a in block} for block in kept], (ordering.name, mode)
 
 
 def test_leader_constraint_nonstrict_keeps_fixed_points():
@@ -205,7 +214,8 @@ def test_leader_constraint_nonstrict_keeps_fixed_points():
 
 def test_per_orbit_survivor_counts():
     group = row_col_group((2, 2))
-    part, counts = per_orbit_survivors(SPACE2x2, leader_constraints(group, LEX4), group)
+    part, counts = per_orbit_survivors(LEX4.codes(SPACE2x2), leader_constraints(group, LEX4),
+                                       group)
     assert len(part) == 7
     assert counts == (1,) * 7
 
@@ -228,7 +238,7 @@ def test_leader_full_posts_the_closure_after_the_identity(shape):
     assert [con.sigma for con in bset.constraints] == list(closure[1:])
 
 
-IDENT4 = LiteralSymmetry.variable(range(4), binary_domains(4))
+IDENT4 = LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4)))
 ROW4, COL4 = row_col_generators((2, 2))
 
 
@@ -237,7 +247,7 @@ ROW4, COL4 = row_col_generators((2, 2))
 def test_leader_full_length_without_generators_or_with_repeated_ones(gens, order):
     # a group without generators has no space to build its identity on, so
     # its closure is empty though its order is 1
-    group = SymmetryGroup(gens)
+    group = SymmetryGroup(gens, coding=LEX4)
     bset = leader_constraints(group, LEX4)
     assert len(bset) == len(bset.constraints) == max(len(group.closure()) - 1, 0) == order - 1
     assert group.order == order

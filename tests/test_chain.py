@@ -22,9 +22,10 @@ import pytest
 
 from symbreak.breaker import compare_table, leader_constraints, orbit_verdict
 from symbreak.literals import _gatherer
-from symbreak.model import CapExceededError, all_assignments, binary_domains
+from symbreak.model import CapExceededError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
+    LexOrdering,
     applicable_orderings,
     make_ordering,
     rank_preserving_map,
@@ -35,15 +36,17 @@ from symbreak.symmetry import (
     LiteralSymmetry,
     SymmetryGroup,
     conjugate,
-    orbits,
     row_col_generators,
     row_col_group,
 )
 
 from reference import (
+    all_assignments,
     _chain_walk,
+    blocks_of,
     breadth_first_closure,
     chain_walked_kept,
+    tuple_orbits,
     walked_kept,
     word_chain,
 )
@@ -54,8 +57,9 @@ MIXED = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
 def _with_values(shape, domains, shift):
     """Row and column swaps plus every value moved `shift` places round its domain."""
     values = LiteralSymmetry.from_maps(range(len(domains)), [
-        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains], domains)
-    return SymmetryGroup(row_col_generators(shape, domains) + (values,))
+        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains],
+        LexOrdering(domains))
+    return SymmetryGroup(row_col_generators(shape, LexOrdering(domains)) + (values,))
 
 
 def _random_literal_group(rng):
@@ -72,7 +76,7 @@ def _random_literal_group(rng):
                 perm[i] = j
         maps = [dict(zip(domains[i], rng.sample(domains[i], len(domains[i]))))
                 for i in range(len(domains))]
-        gens.append(LiteralSymmetry.from_maps(perm, maps, domains))
+        gens.append(LiteralSymmetry.from_maps(perm, maps, LexOrdering(domains)))
     return SymmetryGroup(tuple(gens)), domains
 
 
@@ -89,19 +93,21 @@ def _cases():
          ((0, 1, 2),) * 4, (2, 2)),
         ("odd-values-2x3-value-cycle", _with_values((2, 3), ((2, 5, 7),) * 6, 2),
          ((2, 5, 7),) * 6, (2, 3)),
-        ("ternary-2x3", SymmetryGroup(row_col_generators((2, 3), ((0, 1, 2),) * 6)),
+        ("ternary-2x3", SymmetryGroup(row_col_generators((2, 3), LexOrdering(((0, 1, 2),) * 6))),
          ((0, 1, 2),) * 6, (2, 3)),
         ("mixed-2x2", SymmetryGroup((
             LiteralSymmetry.from_maps([2, 3, 0, 1], [{0: 1, 1: 2, 2: 0}, {0: 0, 1: 1},
-                                                     {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}], MIXED),
-            LiteralSymmetry.value_swap(1, 0, 1, MIXED),
-            LiteralSymmetry.variable([0, 3, 2, 1], MIXED))), MIXED, (2, 2)),
+                                                     {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}],
+                                      LexOrdering(MIXED)),
+            LiteralSymmetry.value_swap(1, 0, 1, LexOrdering(MIXED)),
+            LiteralSymmetry.variable([0, 3, 2, 1], LexOrdering(MIXED)))), MIXED, (2, 2)),
     ]
-    ident = LiteralSymmetry.variable(range(4), binary_domains(4))
+    ident = LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4)))
     row, col = row_col_generators((2, 2))
     for label, gens in (("repeated", (row, row)), ("identities", (ident, row, ident, col, row)),
                         ("identity", (ident,)), ("absent", ())):
-        cases.append((f"{label}-2x2", SymmetryGroup(gens), binary_domains(4), (2, 2)))
+        cases.append((f"{label}-2x2", SymmetryGroup(gens, coding=LexOrdering(binary_domains(4))),
+                      binary_domains(4), (2, 2)))
     for shape in ((2, 2), (2, 3)):
         doms = binary_domains(shape[0] * shape[1])
         for name in ORDERING_NAMES:
@@ -126,7 +132,7 @@ def test_order_is_the_closure_size_and_the_cap_bounds_it(name, group, domains, s
     order = group.order
     assert order == max(len(group.closure()), 1)
     assert order == math.prod(map(len, word_chain(group)[1]))
-    assert SymmetryGroup(group.generators, cap=order).order == order
+    assert SymmetryGroup(group.generators, cap=order, coding=group.coding).order == order
     if order > 1:
         capped = SymmetryGroup(group.generators, cap=order - 1)
         lex = make_ordering("lex", domains)
@@ -172,7 +178,7 @@ def test_some_strong_generators_are_no_generators():
 def test_chain_walk_reaches_every_element_but_the_identity_once(name, group, domains, shape):
     space = list(all_assignments(domains))
     index = {a: i for i, a in enumerate(space)}
-    partition = orbits(space, group)
+    partition = tuple_orbits(space, group)
     walked = Counter(_chain_walk(word_chain(group), partition.images, list(range(len(space)))))
     closure = group.closure()
     assert walked == Counter(tuple(index[s.apply(a)] for a in space) for s in closure[1:])
@@ -206,7 +212,7 @@ def test_closure_starts_no_orbit_search(monkeypatch):
 def _solution_sets(name, group, domains):
     """The whole space and a seeded union of about half its orbits."""
     space = list(all_assignments(domains))
-    blocks = orbits(space, group).blocks
+    blocks = blocks_of(tuple_orbits(space, group))
     rng = random.Random(len(name))
     chosen = set(itertools.chain.from_iterable(rng.sample(blocks, (len(blocks) + 1) // 2)))
     return space, [a for a in space if a in chosen]
@@ -216,7 +222,7 @@ def _solution_sets(name, group, domains):
 def test_chain_walk_verdicts_match_the_breadth_first_walk(name, group, domains, shape):
     # on the whole space and on a seeded union of its orbits, for every ordering
     for solutions in _solution_sets(name, group, domains):
-        partition = orbits(solutions, group)
+        partition = tuple_orbits(solutions, group)
         for ordering in applicable_orderings(domains, shape):
             kept = orbit_verdict(partition, leader_constraints(group, ordering)).kept
             assert kept == walked_kept(partition, ordering), ordering.name
@@ -225,13 +231,14 @@ def test_chain_walk_verdicts_match_the_breadth_first_walk(name, group, domains, 
 @pytest.mark.parametrize("name, group, domains, shape", CASES, ids=IDS)
 def test_block_minima_match_the_walks_and_every_constraint(name, group, domains, shape):
     for solutions in _solution_sets(name, group, domains):
-        partition = orbits(solutions, group)
+        partition = tuple_orbits(solutions, group)
         for ordering in applicable_orderings(domains, shape):
             bset = leader_constraints(group, ordering)
             kept = orbit_verdict(partition, bset).kept
             assert kept == chain_walked_kept(partition, ordering), ordering.name
             assert kept == walked_kept(partition, ordering), ordering.name
-            assert kept == partition.grouped(i for i, a in enumerate(partition.solutions)
+            decoded = group.coding.decode(partition.codes)
+            assert kept == partition.grouped(i for i, a in enumerate(decoded)
                                              if bset.satisfied(a)), ordering.name
 
 
@@ -248,9 +255,9 @@ def test_leader_full_verdicts_read_no_chain(monkeypatch):
         return chain.__get__(self, SymmetryGroup)
 
     monkeypatch.setattr(SymmetryGroup, "chain", property(counted))
-    partition = orbits(space, group)
+    partition = tuple_orbits(space, group)
     verdict = orbit_verdict(partition, bset)
-    rows = compare_table(space, group, domains, shape)
+    rows = compare_table(partition.codes, group, domains, shape)
     assert reads == []
     assert verdict.counts == (1,) * len(partition) == (1,) * 36
     full = [row for row in rows if row[1] == "leader-full"]

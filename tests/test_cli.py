@@ -418,12 +418,13 @@ def count_codes(monkeypatch, calls: dict):
 def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch):
     # The per-assignment path this replaced evaluated each breaking set once
     # per solution (9 x 16, 16 and 16 SymmetryBreakingSet.satisfied calls).
-    # The kernel evaluates no set per assignment.  `orbits` gives each of
-    # the 16 solutions one lex code, which also checks it, and each
-    # generator one image-code list; every posted ordering (compare's lex,
-    # revlex, gray and snakelex, whose doublelex row shares lex; lex for
-    # check and break) ranks those codes by its rule, and the verdicts are
-    # rank lookups.  So nothing calls `rank`, `compare` or `apply`.
+    # The kernel evaluates no set per assignment.  The enumeration gives
+    # `orbits` the 16 solutions' lex codes, so nothing encodes an
+    # assignment, and `orbits` gives each generator one image-code list;
+    # every posted ordering (compare's lex, revlex, gray and snakelex, whose
+    # doublelex row shares lex; lex for check and break) ranks those codes
+    # by its rule, and the verdicts are rank lookups.  So nothing calls
+    # `rank`, `compare` or `apply`.
     import symbreak.breaker
     import symbreak.cli
     from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
@@ -456,7 +457,7 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
         assert calls == {"orbits": 1, "set": 0, "leader": 0, "rank": 0, "apply": 0,
-                         "codes": 16}, command
+                         "codes": 0}, command
         assert image_codes_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 
@@ -559,9 +560,10 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
     # calls here, and the ranking that replaced it one key call per solution
     # per posted ordering (4 x 64 and 4 x 512).  The kernel makes no
     # per-assignment call, `satisfied`, `rank` or `compare`:
-    # each of the 2^(r*c) solutions gets one lex code, each of the r + c - 2
-    # generators one image-code list, and lex, revlex, gray and snakelex
-    # (doublelex shares lex) rank the codes by their rules.
+    # the enumeration gives each of the 2^(r*c) solutions its lex code, so
+    # nothing encodes an assignment, each of the r + c - 2 generators gets
+    # one image-code list, and lex, revlex, gray and snakelex (doublelex
+    # shares lex) rank the codes by their rules.
     from symbreak.breaker import LeaderConstraint
 
     r, c = shape
@@ -580,10 +582,10 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
         return satisfied(self, a)
 
     monkeypatch.setattr(LeaderConstraint, "satisfied", counted)
-    code, _, _ = invoke(capsys, ["compare", "--problem", str(problem),
-                                 "--symmetries", str(syms)])
-    assert code == 0
-    assert calls == {"rank": 0, "leader": 0, "codes": codes}
+    code, out, _ = invoke(capsys, ["compare", "--problem", str(problem),
+                                   "--symmetries", str(syms)])
+    assert code == 0 and out.splitlines()[0] == f"# seed=0 solutions={codes}"
+    assert calls == {"rank": 0, "leader": 0, "codes": 0}
     assert sorted(image_codes_of.values()) == [1] * (r + c - 2)
 
 

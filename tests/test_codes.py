@@ -19,7 +19,6 @@ import pytest
 from symbreak.literals import LiteralSymmetry
 from symbreak.model import (
     InputError,
-    all_assignments,
     binary_domains,
     enumerate_solutions,
     problem_from_dict,
@@ -33,7 +32,6 @@ from symbreak.orderings import (
 )
 from symbreak.reductions import OneInThreeInstance, ordering_gadget
 from symbreak.symmetry import (
-    AssignmentSymmetry,
     SymmetryGroup,
     conjugate,
     orbits,
@@ -41,34 +39,45 @@ from symbreak.symmetry import (
     symmetry_group_from_dict,
 )
 
-from reference import digit_rank, digit_unrank
+from reference import (
+    all_assignments,
+    digit_rank,
+    digit_unrank,
+    symmetry_from_pairs,
+    tuple_orbits,
+    tuple_solutions,
+)
 
 
 def value_cycle(domains, shift=1):
     """Every variable's value moved `shift` places round its listed domain."""
     return LiteralSymmetry.from_maps(range(len(domains)), [
-        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains], domains)
+        {v: d[(p + shift) % len(d)] for p, v in enumerate(d)} for d in domains],
+        LexOrdering(domains))
 
 
 MIXED = ((0, 1, 2), (5, 7), (1, 3, 4), (0, 1))
 MIXED_2x3 = ((0, 1, 2), (5, 7), (1, 3, 4, 9), (0, 1), (4, 2), (3,))
 # variables 0 and 2 trade places through value bijections, as do 1 and 3
 MIXED_SWAP = LiteralSymmetry.from_maps((2, 3, 0, 1), [{0: 1, 1: 3, 2: 4}, {5: 0, 7: 1},
-                                                      {1: 2, 3: 0, 4: 1}, {0: 7, 1: 5}], MIXED)
+                                                      {1: 2, 3: 0, 4: 1}, {0: 7, 1: 5}],
+                                       LexOrdering(MIXED))
 
 CASES = [(f"binary-{r}x{c}", binary_domains(r * c), (r, c), row_col_generators((r, c)))
          for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
 CASES += [
     ("ternary-2x2", ((0, 1, 2),) * 4, (2, 2),
-     row_col_generators((2, 2), ((0, 1, 2),) * 4) + (value_cycle(((0, 1, 2),) * 4),)),
+     row_col_generators((2, 2), LexOrdering(((0, 1, 2),) * 4)) + (value_cycle(((0, 1, 2),) * 4),)),
     ("ternary-2x3", ((0, 1, 2),) * 6, (2, 3),
-     row_col_generators((2, 3), ((0, 1, 2),) * 6) + (value_cycle(((0, 1, 2),) * 6, 2),)),
+     row_col_generators((2, 3), LexOrdering(((0, 1, 2),) * 6))
+     + (value_cycle(((0, 1, 2),) * 6, 2),)),
     ("mixed", MIXED, (2, 2), (MIXED_SWAP, value_cycle(MIXED))),
-    ("binary-2x3-unsorted", ((1, 0),) * 6, (2, 3), row_col_generators((2, 3), ((1, 0),) * 6)),
+    ("binary-2x3-unsorted", ((1, 0),) * 6, (2, 3),
+     row_col_generators((2, 3), LexOrdering(((1, 0),) * 6))),
     ("ternary-2x2-unsorted-value-cycle", ((2, 0, 1),) * 4, (2, 2),
-     row_col_generators((2, 2), ((2, 0, 1),) * 4) + (value_cycle(((2, 0, 1),) * 4),)),
+     row_col_generators((2, 2), LexOrdering(((2, 0, 1),) * 4)) + (value_cycle(((2, 0, 1),) * 4),)),
     ("odd-values-2x2-value-flip", ((7, 2),) * 4, (2, 2),
-     row_col_generators((2, 2), ((7, 2),) * 4) + (value_cycle(((7, 2),) * 4),)),
+     row_col_generators((2, 2), LexOrdering(((7, 2),) * 4)) + (value_cycle(((7, 2),) * 4),)),
     ("mixed-2x3", MIXED_2x3, (2, 3), (value_cycle(MIXED_2x3),)),
     ("mixed-3x1", MIXED[:3], (3, 1), (value_cycle(MIXED[:3]),)),
 ]
@@ -110,7 +119,7 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
         assert lex.decode(part_codes) == part
         for g in gens:
             assert g.image_codes(part_codes, lex) == lex.codes([g.apply(a) for a in part])
-        reversal = AssignmentSymmetry.from_pairs(dict(zip(part, part[::-1])), domains)
+        reversal = symmetry_from_pairs(dict(zip(part, part[::-1])), domains)
         assert reversal.image_codes(part_codes, lex) == part_codes[::-1] == \
             lex.codes([reversal.apply(a) for a in part])
         for ordering in orderings:
@@ -150,8 +159,8 @@ def test_orbits_index_by_code_only_when_the_codes_are_the_space():
     # solution's index; the same space reversed takes the dict
     domains = ((1, 0),) * 6
     space = list(all_assignments(domains))
-    group = SymmetryGroup(row_col_generators((2, 3), domains))
-    listed, reversed_ = orbits(space, group), orbits(space[::-1], group)
+    group = SymmetryGroup(row_col_generators((2, 3), LexOrdering(domains)))
+    listed, reversed_ = tuple_orbits(space, group), tuple_orbits(space[::-1], group)
     assert listed.codes == list(range(64)) and reversed_.codes == list(range(63, -1, -1))
     assert len(listed) == len(reversed_) == 13
     assert set(map(frozenset, listed.blocks)) == set(map(frozenset, reversed_.blocks))
@@ -182,7 +191,7 @@ def test_image_codes_refuse_codes_over_other_domains():
 @pytest.mark.parametrize("domains", OTHER_LISTINGS, ids=["ternary", "relisted", "three-variable"])
 def test_assignment_image_codes_refuse_codes_over_other_domains(domains):
     # by the same rule and message as a literal symmetry
-    swap = AssignmentSymmetry.from_pairs({(0, 1): (1, 0), (1, 0): (0, 1)}, binary_domains(2))
+    swap = symmetry_from_pairs({(0, 1): (1, 0), (1, 0): (0, 1)}, binary_domains(2))
     with pytest.raises(InputError, match=REFUSAL):
         swap.image_codes([0], LexOrdering(domains))
 
@@ -201,8 +210,8 @@ def test_a_loaded_literal_group_codes_over_the_problem_listing():
     problem = problem_from_dict(UNSORTED_PROBLEM)
     group = symmetry_group_from_dict(UNSORTED_SYMMETRIES, problem.domains)
     assert group.coding.domains == problem.domains == ((2, 0, 1), (1, 0), (2, 0, 1), (1, 0))
-    sols = enumerate_solutions(problem)
-    partition = orbits(sols, group)
+    sols = tuple_solutions(problem)
+    partition = orbits(enumerate_solutions(problem), group)
     assert partition.codes == LexOrdering(problem.domains).codes(sols)
     assert group.generators[1].val_maps == (((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 0)),
                                             ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1)))

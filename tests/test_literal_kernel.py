@@ -27,20 +27,29 @@ from symbreak.breaker import (
     orbit_verdict,
 )
 from symbreak.cli import run
-from symbreak.model import all_assignments, binary_domains
+from symbreak.model import binary_domains
 from symbreak.orderings import (
     EQ,
     GT,
     LT,
     ORDERING_NAMES,
+    LexOrdering,
     applicable_orderings,
     make_ordering,
     rank_preserving_map,
     snake_variable_order,
 )
-from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, orbits, row_col_group
+from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, row_col_group
 
-from reference import breadth_first_closure, compose, invert
+from reference import (
+    all_assignments,
+    blocks_of,
+    breadth_first_closure,
+    compose,
+    invert,
+    kept_of,
+    tuple_orbits,
+)
 
 # leader-full rows need the closure; beyond this the reference is too slow
 MAX_REFERENCE_GROUP = 720
@@ -136,7 +145,7 @@ def ref_kept(blocks, elements, name, domains, shape):
 
 def reference_kept(partition, bset):
     """Survivors per block by the per-assignment path: one `satisfied` per member."""
-    return tuple(tuple(a for a in block if bset.satisfied(a)) for block in partition.blocks)
+    return tuple(tuple(a for a in block if bset.satisfied(a)) for block in blocks_of(partition))
 
 
 def reference_rows(solutions, group, domains, shape):
@@ -146,7 +155,7 @@ def reference_rows(solutions, group, domains, shape):
             for method, mode in (("leader-full", "full"), ("leader-generators", "generators"))]
     if shape is not None:
         sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
-    partition = orbits(solutions, group)
+    partition = tuple_orbits(solutions, group)
     rows = []
     for name, method, bset in sets:
         counts = [len(kept) for kept in reference_kept(partition, bset)]
@@ -210,13 +219,15 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     specs = row_col_specs(r, c, domains)
     if values:
         specs.append(value_spec(domains, 1))
-    group = SymmetryGroup(tuple(LiteralSymmetry.from_maps(p, m, domains) for p, m in specs))
+    coding = LexOrdering(domains)
+    group = SymmetryGroup(tuple(LiteralSymmetry.from_maps(p, m, coding) for p, m in specs),
+                          coding=coding)
     refs = [RefSymmetry(p, m) for p, m in specs]
     solutions = one_per_row(r, c, domains) if sparse else list(all_assignments(domains))
 
     blocks = ref_blocks(solutions, refs)
-    partition = orbits(solutions, group)
-    assert partition.blocks == blocks
+    partition = tuple_orbits(solutions, group)
+    assert blocks_of(partition) == blocks
 
     binary = all(len(d) == 2 for d in domains)
     modes = [("generators", refs)]
@@ -234,13 +245,14 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
         ordering = make_ordering(ordering_name, domains, shape)
         for mode, elements in modes:
             verdict = orbit_verdict(partition, leader_constraints(group, ordering, mode))
-            assert verdict.kept == ref_kept(blocks, elements, ordering_name, domains, shape), \
+            assert kept_of(verdict, partition) == \
+                ref_kept(blocks, elements, ordering_name, domains, shape), \
                 (ordering_name, mode)
     doublelex = orbit_verdict(partition, doublelex_constraints(shape, domains))
     row_col = [RefSymmetry(p, m) for p, m in row_col_specs(r, c, domains)]
-    assert doublelex.kept == ref_kept(blocks, row_col, "lex", domains, shape)
+    assert kept_of(doublelex, partition) == ref_kept(blocks, row_col, "lex", domains, shape)
     if len(modes) == 2:
-        assert compare_table(solutions, group, domains, shape) == \
+        assert compare_table(partition.codes, group, domains, shape) == \
             reference_rows(solutions, group, domains, shape)
 
 
@@ -257,16 +269,17 @@ def set_case(name):
     if kind == "row-swaps-only":
         # doublelex's column swaps are no element of this group
         rows = row_col_specs(*shape, doms)[:shape[0] - 1]
-        gens = tuple(LiteralSymmetry.from_maps(p, m, doms) for p, m in rows)
+        gens = tuple(LiteralSymmetry.from_maps(p, m, LexOrdering(doms)) for p, m in rows)
         return space, SymmetryGroup(gens), doms, shape
     if kind == "repeats-and-identities":
         # only the first of equal generators reaches the closure tree's first level
         row, *_, col = row_col_group(shape).generators
-        ident = LiteralSymmetry.variable(range(len(doms)), doms)
+        ident = LiteralSymmetry.variable(range(len(doms)), LexOrdering(doms))
         return space, SymmetryGroup((ident, col, row, col, ident, row)), doms, shape
     # x0 = 1: doublelex sends solutions outside the solution set
-    gens = (LiteralSymmetry.variable(range(len(doms)), doms),) if kind == "x0-identity" else ()
-    return [a for a in space if a[0] == 1], SymmetryGroup(gens), doms, shape
+    coding = LexOrdering(doms)
+    gens = (LiteralSymmetry.variable(range(len(doms)), coding),) if kind == "x0-identity" else ()
+    return [a for a in space if a[0] == 1], SymmetryGroup(gens, coding=coding), doms, shape
 
 
 SET_CASES = ["conjugated-gray-2x2", "conjugated-snakelex-2x3", "conjugated-revlex-3x2",
@@ -278,13 +291,13 @@ SET_CASES = ["conjugated-gray-2x2", "conjugated-snakelex-2x3", "conjugated-revle
 @pytest.mark.parametrize("name", SET_CASES)
 def test_indexed_kernel_matches_leader_constraint_oracle(name):
     solutions, group, domains, shape = set_case(name)
-    partition = orbits(solutions, group)
+    partition = tuple_orbits(solutions, group)
     sets = [leader_constraints(group, ordering, mode)
             for ordering in applicable_orderings(domains, shape)
             for mode in ("full", "generators")]
     for bset in sets + [doublelex_constraints(shape, domains)]:
-        assert orbit_verdict(partition, bset).kept == reference_kept(partition, bset)
-    assert compare_table(solutions, group, domains, shape) == \
+        assert kept_of(orbit_verdict(partition, bset), partition) == reference_kept(partition, bset)
+    assert compare_table(partition.codes, group, domains, shape) == \
         reference_rows(solutions, group, domains, shape)
 
 
@@ -301,11 +314,12 @@ def test_sets_near_the_closure_match_leader_constraint_oracle(name):
     lex, revlex = applicable_orderings(domains, shape)[:2]
     cons = leader_constraints(group, lex).constraints
     mixed = cons[:-1] + (LeaderConstraint(cons[-1].sigma, revlex),)
-    uncached = orbits(solutions, SymmetryGroup(group.generators))
-    for partition in (orbits(solutions, group), uncached):
+    uncached = tuple_orbits(solutions, SymmetryGroup(group.generators))
+    for partition in (tuple_orbits(solutions, group), uncached):
         for near in (cons[:-1], cons[::-1], mixed, cons + cons[:1], cons):
             bset = SymmetryBreakingSet(near)
-            assert orbit_verdict(partition, bset).kept == reference_kept(partition, bset)
+            assert kept_of(orbit_verdict(partition, bset), partition) == \
+                reference_kept(partition, bset)
 
 
 def test_doublelex_outside_the_solutions_on_the_command_line(capsys, tmp_path):
@@ -330,7 +344,8 @@ def test_doublelex_outside_the_solutions_on_the_command_line(capsys, tmp_path):
 def test_compose_and_invert_match_reference():
     domains = ((0, 1, 2),) * 4
     specs = row_col_specs(2, 2, domains) + [value_spec(domains, 1), value_spec(domains, 2)]
-    pairs = [(LiteralSymmetry.from_maps(p, m, domains), RefSymmetry(p, m)) for p, m in specs]
+    coding = LexOrdering(domains)
+    pairs = [(LiteralSymmetry.from_maps(p, m, coding), RefSymmetry(p, m)) for p, m in specs]
     for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
         prod = compose(s, t)
         assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()

@@ -19,7 +19,7 @@ from symbreak.model import (
     problem_from_dict,
 )
 
-from reference import check_assignment
+from reference import check_assignment, lex_codes, tuple_solutions
 
 
 def one_hot_table(n):
@@ -68,8 +68,8 @@ def test_table_checks_its_scope_in_any_order_and_of_one_variable(scope, rows):
         expected = tuple(a[v] for v in scope) in rows
         assert table.satisfied(a) == table.satisfied(list(a)) == expected, a
     problem = binary_problem(3, [table])
-    assert enumerate_solutions(problem) == [
-        a for a in itertools.product((0, 1), repeat=3) if check_assignment(problem, a)]
+    assert enumerate_solutions(problem) == lex_codes(problem, [
+        a for a in itertools.product((0, 1), repeat=3) if check_assignment(problem, a)])
 
 
 def test_enumerate_leaves_no_cycle_on_return_or_cap_overflow():
@@ -89,7 +89,7 @@ def test_enumerate_leaves_no_cycle_on_return_or_cap_overflow():
 
 def test_enumerate_full_space():
     p = binary_problem(2)
-    assert enumerate_solutions(p) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert enumerate_solutions(p) == lex_codes(p, [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 def test_enumerate_sum_one_matrix():
@@ -101,7 +101,7 @@ def test_enumerate_is_sorted_and_deterministic():
     p = Problem(3, ((0, 1, 2), (0, 1), (5, 7)))
     first = enumerate_solutions(p)
     assert first == enumerate_solutions(p)
-    assert first == list(itertools.product((0, 1, 2), (0, 1), (5, 7)))
+    assert first == lex_codes(p, list(itertools.product((0, 1, 2), (0, 1), (5, 7))))
 
 
 def test_enumerate_cap_exceeded():
@@ -120,8 +120,8 @@ def test_enumerate_cap_exceeded():
 def test_enumerate_several_constraints_ready_at_one_depth(constraints):
     problem = Problem(4, ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1)), tuple(constraints))
     assert [max(con.scope) for con in constraints] == [2] * len(constraints)
-    expected = [a for a in itertools.product(*problem.domains)
-                if all(con.satisfied(a) for con in constraints)]
+    expected = lex_codes(problem, [a for a in itertools.product(*problem.domains)
+                                   if all(con.satisfied(a) for con in constraints)])
     assert expected and enumerate_solutions(problem) == expected
     assert enumerate_solutions(problem, cap=len(expected)) == expected
     with pytest.raises(CapExceededError, match=f"^more than cap={len(expected) - 1} solutions$"):
@@ -132,7 +132,7 @@ def test_enumerate_refuses_huge_space_without_cap():
     p = binary_problem(26, [UnaryConstraint(i, 0) for i in range(26)])
     with pytest.raises(CapExceededError):
         enumerate_solutions(p)
-    assert enumerate_solutions(p, cap=1) == [(0,) * 26]
+    assert enumerate_solutions(p, cap=1) == lex_codes(p, [(0,) * 26])
 
 
 @st.composite
@@ -163,7 +163,8 @@ def small_problems(draw):
 def test_enumerate_matches_check(problem):
     expected = [a for a in itertools.product(*problem.domains)
                 if check_assignment(problem, a)]
-    assert enumerate_solutions(problem) == expected
+    assert tuple_solutions(problem) == expected
+    assert enumerate_solutions(problem) == lex_codes(problem, expected)
 
 
 def test_problem_validation():
@@ -216,3 +217,83 @@ def test_assignment_formatting_round_trip():
     assert parse_assignment("2,5", mixed) == (2, 5)
     with pytest.raises(InputError):
         parse_assignment("012", doms[:3])
+
+
+def _reference_problems():
+    """Every kind of problem the tests enumerate with tables, clauses, unary
+    constraints, or unsorted or mixed domains, by name."""
+    mixed = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
+    per_row = [TableConstraint(tuple(range(i * 3, i * 3 + 3)),
+                               frozenset(tuple(int(k == j) for k in range(3)) for j in range(3)))
+               for i in range(2)]
+    from symbreak.reductions import Cnf, OneInThreeInstance, group_gadget, ordering_gadget
+
+    problems = {
+        "unary": binary_problem(3, [UnaryConstraint(0, 1)]),
+        "clause": binary_problem(2, [ClauseConstraint((Literal(0, 1), Literal(1, 0, False)))]),
+        "one-hot-2x2": Problem(4, ((0, 1),) * 4, (one_hot_table(4),), (2, 2)),
+        "one-per-row-2x3": Problem(6, ((0, 1),) * 6, tuple(per_row), (2, 3)),
+        "mixed-free": Problem(3, ((0, 1, 2), (0, 1), (5, 7))),
+        "mixed-table-unary": Problem(4, mixed, (
+            TableConstraint((0, 2), frozenset({(0, 1), (1, 0), (2, 2)})), UnaryConstraint(2, 1))),
+        "mixed-clause-table-unary": Problem(4, mixed, (
+            ClauseConstraint((Literal(1, 0), Literal(2, 0, False))),
+            TableConstraint((2, 1), frozenset({(1, 0), (2, 1), (0, 0)})), UnaryConstraint(2, 1))),
+        "mixed-one-variable-tables": Problem(4, ((0, 1), (0, 1, 2), (0, 1), (0, 1, 2)), tuple(
+            TableConstraint((v,), frozenset({(0,), (2,)})) for v in (1, 3))),
+        "unsorted-mixed-free": problem_from_dict(
+            {"n": 4, "domains": [[2, 0, 1], [1, 0], [2, 0, 1], [1, 0]], "shape": [2, 2]}),
+        "unsorted-binary-x0": problem_from_dict({
+            "n": 6, "domains": [[1, 0]] * 6, "shape": [2, 3],
+            "constraints": [{"kind": "unary", "var": 0, "value": 1}]}),
+        "unsorted-ternary-table": problem_from_dict({
+            "n": 3, "domains": [[2, 0, 1]] * 3, "constraints": [
+                {"kind": "table", "scope": [2, 0], "tuples": [[0, 2], [1, 1], [2, 0]]},
+                {"kind": "clause", "literals": [{"var": 1, "value": 2, "positive": False}]}]}),
+        "table-and-clause-2x2": problem_from_dict({
+            "n": 4, "domains": [[0, 1]] * 4, "constraints": [
+                {"kind": "table", "scope": [0, 1, 2, 3],
+                 "tuples": [[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]]},
+                {"kind": "clause", "literals": [{"var": v, "value": 0, "positive": False}
+                                                for v in range(4)]}]}),
+        "ordering-gadget": ordering_gadget(OneInThreeInstance(((1, 2, 3), (2, 3, 4)))).problem,
+        "group-gadget": group_gadget(Cnf(3, ((1, -2), (2, 3)))).problem,
+    }
+    return problems
+
+
+REFERENCE_PROBLEMS = _reference_problems()
+
+
+@pytest.mark.parametrize("name", REFERENCE_PROBLEMS)
+def test_enumeration_codes_are_the_lex_codes_of_the_reference_solutions(name):
+    problem = REFERENCE_PROBLEMS[name]
+    solutions = tuple_solutions(problem)
+    assert solutions and enumerate_solutions(problem) == lex_codes(problem, solutions)
+    assert solutions == [a for a in itertools.product(*problem.domains)
+                         if check_assignment(problem, a)]
+
+
+@pytest.mark.parametrize("name", REFERENCE_PROBLEMS)
+def test_enumeration_caps_count_and_word_as_the_reference_does(name):
+    problem = REFERENCE_PROBLEMS[name]
+    count = len(tuple_solutions(problem))
+    for cap in range(1, count):
+        for enumerate_ in (enumerate_solutions, tuple_solutions):
+            with pytest.raises(CapExceededError, match=f"^more than cap={cap} solutions$"):
+                enumerate_(problem, cap)
+    assert len(enumerate_solutions(problem, count)) == count
+    for enumerate_ in (enumerate_solutions, tuple_solutions):
+        with pytest.raises(InputError, match="^cap must be positive$"):
+            enumerate_(problem, 0)
+
+
+def test_enumeration_refuses_the_space_the_reference_refuses():
+    # 2^25 candidates are refused without a cap; 2^24 are enumerated
+    big = binary_problem(25, [UnaryConstraint(i, 0) for i in range(25)])
+    message = "^search space 33554432 exceeds 16777216; pass an explicit cap$"
+    for enumerate_ in (enumerate_solutions, tuple_solutions):
+        with pytest.raises(CapExceededError, match=message):
+            enumerate_(big)
+    edge = binary_problem(24, [UnaryConstraint(i, 1) for i in range(24)])
+    assert enumerate_solutions(edge) == lex_codes(edge, tuple_solutions(edge)) == [2 ** 24 - 1]

@@ -19,7 +19,7 @@ from symbreak.orderings import (
     rank_preserving_map,
 )
 
-from reference import snake_vectorize
+from reference import forward, inverse, snake_vectorize
 
 # the 4-bit reflected-binary listing, frozen
 GRAY4 = ["0000", "0001", "0011", "0010", "0110", "0111", "0101", "0100",
@@ -188,13 +188,13 @@ def test_rank_preserving_map_identity_for_lex():
     lex = LexOrdering(binary_domains(4))
     pi = rank_preserving_map(lex)
     for a in itertools.product((0, 1), repeat=4):
-        assert pi.forward(a) == a
-        assert pi.inverse(a) == a
+        assert forward(pi, a) == a
+        assert inverse(pi, a) == a
 
 
 def test_rank_preserving_map_gray_example():
     pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
-    assert pi.forward(bits("0010")) == bits("0011")
+    assert forward(pi, bits("0010")) == bits("0011")
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
@@ -204,10 +204,10 @@ def test_rank_preserving_map_is_bijection(n):
         space = list(itertools.product((0, 1), repeat=n))
         images = set()
         for a in space:
-            fwd = pi.forward(a)
+            fwd = forward(pi, a)
             images.add(fwd)
-            assert pi.inverse(fwd) == a
-            assert pi.forward(pi.inverse(a)) == a
+            assert inverse(pi, fwd) == a
+            assert forward(pi, inverse(pi, a)) == a
         assert len(images) == len(space)
 
 

@@ -22,9 +22,16 @@ from symbreak.reductions import (
 )
 from symbreak.symmetry import AssignmentSymmetry, orbits
 
+from reference import lex_codes, tuple_solutions
+
 
 def verdict(flag: bool) -> str:
     return SAT if flag else UNSAT
+
+
+def members(gadget) -> tuple:
+    """The group gadget's solutions, each decoded to its value tuple."""
+    return tuple(gadget.group.coding.decode(list(gadget.solutions)))
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +42,7 @@ def test_gadget_construction_single_clause():
     g = ordering_gadget(OneInThreeInstance(((1, 2, 3),)))
     assert g.problem.n == 4
     sols = enumerate_solutions(g.problem)
-    assert sols == [(1, 2, 3, 0), (1, 2, 3, 1)]  # prefix pinned, flag free
+    assert sols == lex_codes(g.problem, [(1, 2, 3, 0), (1, 2, 3, 1)])  # prefix pinned, flag free
     assert g.flip.apply((1, 2, 3, 0)) == (1, 2, 3, 1)
     assert g.flip.apply((1, 2, 3, 1)) == (1, 2, 3, 0)
 
@@ -123,7 +130,7 @@ def test_ordering_gadget_has_unique_survivor():
     g = ordering_gadget(OneInThreeInstance(((1, 2, 3),)))
     from symbreak.breaker import LeaderConstraint
     leader = LeaderConstraint(g.flip, g.ordering)
-    kept = [a for a in enumerate_solutions(g.problem) if leader.satisfied(a)]
+    kept = [a for a in tuple_solutions(g.problem) if leader.satisfied(a)]
     assert len(kept) == 1
 
 
@@ -142,14 +149,14 @@ def test_instance_validation():
 
 def test_group_gadget_unsat_formula():
     g = group_gadget(Cnf(2, ((1,), (-1,))))
-    assert g.solutions == ((0, 0),)
+    assert members(g) == ((0, 0),)
     assert g.group.generators == ()
     assert solve_group_gadget(g) == UNSAT
 
 
 def test_group_gadget_positive_unit():
     g = group_gadget(Cnf(2, ((1,),)))
-    assert g.solutions == ((0, 0), (1, 0), (1, 1))
+    assert members(g) == ((0, 0), (1, 0), (1, 1))
     assert len(orbits(list(g.solutions), g.group)) == 1
     assert solve_group_gadget(g) == SAT
 
@@ -157,16 +164,15 @@ def test_group_gadget_positive_unit():
 def test_group_gadget_zero_only_model():
     # phi = not x1 and not x2: all-zero is phi's only model
     g = group_gadget(Cnf(2, ((-1,), (-2,))))
-    assert g.solutions == ((0, 0),)
+    assert members(g) == ((0, 0),)
     assert solve_group_gadget(g) == SAT
 
 
 def test_group_gadget_survivor_is_lex_max():
     phi = Cnf(2, ((1, 2),))
     g = group_gadget(phi)
-    survivors = [a for a in g.solutions
-                 if all(g.ordering.compare(a, b) != GT for b in g.solutions)]
-    assert survivors == [max(g.solutions)]  # revlex minimum = lex maximum
+    survivors = [a for a in members(g) if all(g.ordering.compare(a, b) != GT for b in members(g))]
+    assert survivors == [max(members(g))]  # revlex minimum = lex maximum
     assert solve_group_gadget(g) == SAT
 
 
@@ -217,6 +223,23 @@ def test_group_gadget_orbit_steps_only_along_listed_pairs(monkeypatch):
     monkeypatch.setattr(AssignmentSymmetry, "apply", counted)
     assert gadget.group.orbit_of(gadget.solutions[0]) == gadget.solutions
     assert calls[0] == 0
+
+
+def test_group_gadget_is_solved_on_codes(monkeypatch):
+    # the enumeration's codes are ranked and searched as they are: solving
+    # encodes and decodes no assignment
+    from symbreak.orderings import SimpleOrdering
+
+    gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": [[1, -5, 10]]}))
+    calls = []
+    for name in ("codes", "decode"):
+        def counted(self, items, method=getattr(SimpleOrdering, name), name=name):
+            calls.append(name)
+            return method(self, items)
+
+        monkeypatch.setattr(SimpleOrdering, name, counted)
+    assert solve_group_gadget(gadget) == SAT and calls == []
+    assert len(gadget.solutions) == len(set(cnf_models(gadget.phi)) | {(0,) * 10}) == 896
 
 
 def test_group_gadget_width_checks():

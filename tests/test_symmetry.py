@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symbreak.model import CapExceededError, InputError, all_assignments, binary_domains
+from symbreak.breaker import extensional_set, leader_constraints, orbit_verdict
+from symbreak.model import CapExceededError, InputError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
     GrayOrdering,
     LexOrdering,
     RevLexOrdering,
+    applicable_orderings,
     make_ordering,
     rank_preserving_map,
 )
@@ -29,21 +32,26 @@ from symbreak.symmetry import (
 )
 
 from reference import (
+    all_assignments,
+    blocks_of,
     breadth_first_closure,
     closure_tree,
     compose,
     count_rank_calls,
     dense_orbit_of,
+    forward,
     invert,
     map_constraint_set,
+    symmetry_from_pairs,
     tabulated_conjugate,
+    tuple_orbits,
 )
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
 
 
 def transposition(a, b):
-    return AssignmentSymmetry.from_pairs({a: b, b: a}, binary_domains(len(a)))
+    return symmetry_from_pairs({a: b, b: a}, binary_domains(len(a)))
 
 
 def burnside_orbit_count(group, space):
@@ -53,14 +61,14 @@ def burnside_orbit_count(group, space):
 
 
 def test_identity_apply():
-    ident = LiteralSymmetry.variable(range(3), binary_domains(3))
+    ident = LiteralSymmetry.variable(range(3), LexOrdering(binary_domains(3)))
     assert ident.apply((0, 1, 1)) == (0, 1, 1)
     assert ident.is_identity()
 
 
 def test_value_swap_on_last_variable():
     doms = binary_domains(4)
-    flip = LiteralSymmetry.value_swap(3, 0, 1, doms)
+    flip = LiteralSymmetry.value_swap(3, 0, 1, LexOrdering(doms))
     assert flip.apply((0, 1, 1, 0)) == (0, 1, 1, 1)
     assert flip.apply((0, 1, 1, 1)) == (0, 1, 1, 0)
 
@@ -75,10 +83,11 @@ def test_value_swap_equals_its_value_maps(var, a, b):
     # the identity value maps with the two values traded
     maps = [{v: v for v in d} for d in VALUE_SWAP_DOMAINS]
     maps[var][a], maps[var][b] = b, a
-    swap = LiteralSymmetry.value_swap(var, a, b, VALUE_SWAP_DOMAINS)
-    assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps, VALUE_SWAP_DOMAINS)
+    swap = LiteralSymmetry.value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
+    assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps,
+                                             LexOrdering(VALUE_SWAP_DOMAINS))
     assert swap.val_maps == \
-        LiteralSymmetry.from_maps(range(len(maps)), maps, VALUE_SWAP_DOMAINS).val_maps
+        LiteralSymmetry.from_maps(range(len(maps)), maps, LexOrdering(VALUE_SWAP_DOMAINS)).val_maps
     assert swap.is_identity() == (a == b)
     for x in all_assignments(VALUE_SWAP_DOMAINS):
         image = list(x)
@@ -95,7 +104,7 @@ def test_value_swap_equals_its_value_maps(var, a, b):
 ])
 def test_value_swap_refuses_bad_variables_and_values(var, a, b, message):
     with pytest.raises(InputError, match=re.escape(message)):
-        LiteralSymmetry.value_swap(var, a, b, VALUE_SWAP_DOMAINS)
+        LiteralSymmetry.value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
 
 
 def test_row_swap_on_2x2():
@@ -105,16 +114,16 @@ def test_row_swap_on_2x2():
 
 
 def test_apply_arity_and_domain_errors():
-    flip = LiteralSymmetry.value_swap(0, 0, 1, binary_domains(2))
+    flip = LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
     with pytest.raises(InputError):
         flip.apply((0,))
     with pytest.raises(InputError):
         flip.apply((2, 0))
 
 
-@pytest.mark.parametrize("sym", [LiteralSymmetry.variable((1, 0), binary_domains(2)),
-                                 LiteralSymmetry.value_swap(0, 0, 1, binary_domains(2))],
-                         ids=["swap", "flip"])
+@pytest.mark.parametrize("sym", [
+    LiteralSymmetry.variable((1, 0), LexOrdering(binary_domains(2))),
+    LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))], ids=["swap", "flip"])
 @pytest.mark.parametrize("bad", [(0, 5), (5, 0), (0, 1, 1), (1,)])
 def test_images_refuse_what_apply_refuses(sym, bad):
     with pytest.raises(InputError) as refused:
@@ -125,22 +134,23 @@ def test_images_refuse_what_apply_refuses(sym, bad):
 
 def test_literal_validation():
     with pytest.raises(InputError):  # not a permutation
-        LiteralSymmetry.from_maps((0, 0), [{0: 0, 1: 1}] * 2, binary_domains(2))
+        LiteralSymmetry.from_maps((0, 0), [{0: 0, 1: 1}] * 2, LexOrdering(binary_domains(2)))
     with pytest.raises(InputError):  # value map not bijective
-        LiteralSymmetry.from_maps((0,), [{0: 0, 1: 0}], binary_domains(1))
+        LiteralSymmetry.from_maps((0,), [{0: 0, 1: 0}], LexOrdering(binary_domains(1)))
 
 
 def test_literal_value_map_must_land_on_its_target_domain():
     # variable 1 maps onto variable 0, whose values are 0 and 1, not 0 and 2
     with pytest.raises(InputError, match="^value map of variable 1 is not onto the domain of "
                                          "variable 0$"):
-        LiteralSymmetry.from_maps((1, 0), [{0: 0, 1: 1}, {0: 0, 1: 2}], binary_domains(2))
+        LiteralSymmetry.from_maps((1, 0), [{0: 0, 1: 1}, {0: 0, 1: 2}],
+                                  LexOrdering(binary_domains(2)))
 
 
 def test_compose_and_invert_are_inverse_actions():
     doms = binary_domains(4)
     row_swap, col_swap = row_col_generators((2, 2))
-    for sym in (row_swap, col_swap, LiteralSymmetry.value_swap(2, 0, 1, doms)):
+    for sym in (row_swap, col_swap, LiteralSymmetry.value_swap(2, 0, 1, LexOrdering(doms))):
         back = compose(sym, invert(sym))
         for a in SPACE2x2:
             assert back.apply(a) == a
@@ -162,7 +172,7 @@ def test_col_after_row_is_half_turn():
 
 
 def test_compose_mixed_representations_fails():
-    lit = LiteralSymmetry.variable(range(2), binary_domains(2))
+    lit = LiteralSymmetry.variable(range(2), LexOrdering(binary_domains(2)))
     asg = transposition((0, 0), (1, 1))
     with pytest.raises(InputError):
         compose(lit, asg)
@@ -172,7 +182,7 @@ def test_compose_mixed_representations_fails():
 
 def test_assignment_symmetry_bijection_check():
     with pytest.raises(InputError):
-        AssignmentSymmetry.from_pairs({(0, 0): (1, 1)}, binary_domains(2))  # nothing maps back
+        symmetry_from_pairs({(0, 0): (1, 1)}, binary_domains(2))  # nothing maps back
     sym = transposition((0, 0), (1, 1))
     assert sym.apply((0, 0)) == (1, 1)
     assert sym.apply((0, 1)) == (0, 1)  # identity off the listed set
@@ -183,7 +193,7 @@ def test_assignment_symmetry_holds_lex_codes():
     # unsorted domains: codes follow the listed order, and apply decodes
     doms = ((2, 0, 1), (7, 5))
     space = list(all_assignments(doms))
-    sym = AssignmentSymmetry.from_pairs(dict(zip(space, space[1:] + space[:1])), doms)
+    sym = symmetry_from_pairs(dict(zip(space, space[1:] + space[:1])), doms)
     assert sym._map == {k: (k + 1) % 6 for k in range(6)}
     assert sym.coding.domains == doms and sym.apply((1, 5)) == (2, 7)
     assert sym.image_codes([0, 5], RevLexOrdering(doms)) == [1, 0]
@@ -201,13 +211,13 @@ def test_assignment_symmetry_builds_its_key_on_first_comparison():
     assert sym == transposition((1, 1), (0, 0))
     assert "_key" in vars(sym)
     assert hash(sym) == hash(invert(sym))
-    assert sym != AssignmentSymmetry.from_pairs({}, binary_domains(2))
+    assert sym != symmetry_from_pairs({}, binary_domains(2))
 
 
 @given(st.permutations(list(range(4))))
 def test_assignment_symmetry_compose_invert(perm):
     space = list(all_assignments(binary_domains(2)))
-    sym = AssignmentSymmetry.from_pairs({space[i]: space[perm[i]] for i in range(4)},
+    sym = symmetry_from_pairs({space[i]: space[perm[i]] for i in range(4)},
                                         binary_domains(2))
     inv = invert(sym)
     for a in space:
@@ -216,7 +226,7 @@ def test_assignment_symmetry_compose_invert(perm):
 
 
 def test_closure_sizes():
-    flip = LiteralSymmetry.value_swap(0, 0, 1, binary_domains(2))
+    flip = LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
     assert len(SymmetryGroup((flip,)).closure()) == 2
     assert len(row_col_group((2, 2)).closure()) == 4
     assert len(row_col_group((3, 3)).closure()) == 36  # 3! * 3!
@@ -236,7 +246,7 @@ def test_closure_is_a_group():
 @pytest.mark.parametrize("group", [
     row_col_group((3, 3)),
     conjugate(rank_preserving_map(GrayOrdering(binary_domains(4))), row_col_group((2, 2))),
-    SymmetryGroup(()),
+    SymmetryGroup((), coding=LexOrdering(binary_domains(4))),
 ], ids=["literal", "assignment-level", "no-generators"])
 def test_closure_tree_spans_the_closure_breadth_first(group):
     closure, tree = breadth_first_closure(group), closure_tree(group)
@@ -261,17 +271,21 @@ def assert_orbit_of_matches_dense(group, starts, space=None):
     group both apply every generator at every point, so given the whole
     space, each orbit is also, as a set, the block of `orbits` (which works
     on image codes) holding its start."""
-    block = {} if space is None else {a: set(b) for b in orbits(space, group).blocks for a in b}
+    coding = group.coding
+    block = ({} if space is None
+             else {a: set(b) for b in blocks_of(tuple_orbits(space, group)) for a in b})
     for a in starts:
-        orbit = group.orbit_of(a)
+        code = coding.codes([a])[0]
+        orbit = tuple(coding.decode(list(group.orbit_of(code))))
         assert orbit == dense_orbit_of(group, a), a
         if space is not None:
             assert set(orbit) == block[a], a
         if len(orbit) > 1:
             capped = SymmetryGroup(group.generators, cap=len(orbit) - 1)
-            for search in (capped.orbit_of, lambda b: dense_orbit_of(capped, b)):
+            for search, start in ((capped.orbit_of, code),
+                                  (lambda b: dense_orbit_of(capped, b), a)):
                 with pytest.raises(CapExceededError, match=f"cap={len(orbit) - 1}$"):
-                    search(a)
+                    search(start)
 
 
 def cnf_with_models(n, models):
@@ -296,10 +310,10 @@ def test_orbit_of_matches_the_dense_search_on_group_gadgets():
                               for _ in range(rng.randint(1, 4)))) for _ in range(10)]
     for phi in cnfs:
         gadget = group_gadget(phi)
+        solutions = gadget.group.coding.decode(list(gadget.solutions))
         space = list(itertools.product((0, 1), repeat=phi.num_vars))
-        outside = [a for a in space if a not in gadget.solutions][:1]
-        starts = (gadget.solutions if phi.num_vars <= 3
-                  else (gadget.solutions[0], gadget.solutions[-1]))
+        outside = [a for a in space if a not in solutions][:1]
+        starts = solutions if phi.num_vars <= 3 else (solutions[0], solutions[-1])
         assert_orbit_of_matches_dense(gadget.group, [*starts, *outside])
 
 
@@ -312,7 +326,7 @@ def test_orbit_of_matches_the_dense_search_on_random_assignment_groups():
         gens = []
         for _ in range(rng.randint(1, 5)):
             subset = rng.sample(space, rng.randint(0, 8))
-            gens.append(AssignmentSymmetry.from_pairs(
+            gens.append(symmetry_from_pairs(
                 dict(zip(subset, rng.sample(subset, len(subset)))), ((0, 1, 2),) * 3))
         assert_orbit_of_matches_dense(SymmetryGroup(tuple(gens)), space)
 
@@ -330,10 +344,10 @@ VALUE_MAP_DOMAINS = ((2, 0, 1), (1, 0), (2, 0, 1), (1, 0))
 @pytest.mark.parametrize("group, domains", [
     (row_col_group((2, 2)), binary_domains(4)),
     (row_col_group((3, 3)), binary_domains(9)),
-    (SymmetryGroup((LiteralSymmetry.variable((2, 3, 0, 1), VALUE_MAP_DOMAINS),
+    (SymmetryGroup((LiteralSymmetry.variable((2, 3, 0, 1), LexOrdering(VALUE_MAP_DOMAINS)),
                     LiteralSymmetry.from_maps((0, 1, 2, 3), [{2: 0, 0: 1, 1: 2}, {1: 0, 0: 1},
                                                              {2: 2, 0: 0, 1: 1}, {1: 1, 0: 0}],
-                                              VALUE_MAP_DOMAINS))), VALUE_MAP_DOMAINS),
+                                              LexOrdering(VALUE_MAP_DOMAINS)))), VALUE_MAP_DOMAINS),
 ], ids=["rowcol-2x2", "rowcol-3x3", "value-maps-2x2"])
 def test_orbit_of_is_its_block_of_the_orbit_partition_on_literal_groups(group, domains):
     space = list(all_assignments(domains))
@@ -342,15 +356,15 @@ def test_orbit_of_is_its_block_of_the_orbit_partition_on_literal_groups(group, d
 
 def test_orbits_2x2_full_space():
     group = row_col_group((2, 2))
-    part = orbits(SPACE2x2, group)
+    part = tuple_orbits(SPACE2x2, group)
     assert len(part) == 7
     assert len(part) == burnside_orbit_count(group, SPACE2x2)
     assert sorted(map(len, part.blocks), reverse=True) == [4, 4, 2, 2, 2, 1, 1]
 
 
 def test_orbits_identity_only_group():
-    group = SymmetryGroup((LiteralSymmetry.variable(range(4), binary_domains(4)),))
-    part = orbits(SPACE2x2, group)
+    group = SymmetryGroup((LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4))),))
+    part = tuple_orbits(SPACE2x2, group)
     assert len(part) == 16
     assert all(len(block) == 1 for block in part.blocks)
 
@@ -358,16 +372,16 @@ def test_orbits_identity_only_group():
 def test_orbits_3x3_full_space():
     space = list(all_assignments(binary_domains(9)))
     group = row_col_group((3, 3))
-    part = orbits(space, group)
+    part = tuple_orbits(space, group)
     assert len(part) == burnside_orbit_count(group, space) == 36
 
 
 def test_orbits_partition_properties():
     group = row_col_group((2, 3))
     space = list(all_assignments(binary_domains(6)))
-    part = orbits(space, group)
-    assert sorted(a for block in part.blocks for a in block) == sorted(space)
-    for block in part.blocks:
+    part = tuple_orbits(space, group)
+    assert sorted(a for block in blocks_of(part) for a in block) == sorted(space)
+    for block in blocks_of(part):
         members = set(block)
         for gen in group.generators:
             assert {gen.apply(a) for a in members} == members
@@ -376,7 +390,7 @@ def test_orbits_partition_properties():
 def test_orbits_escaping_generator_is_an_error():
     group = row_col_group((2, 2))
     with pytest.raises(InputError):
-        orbits([(0, 1, 0, 0)], group)  # row swap leaves the set
+        tuple_orbits([(0, 1, 0, 0)], group)  # row swap leaves the set
 
 
 @pytest.mark.parametrize("bad", [(0, 5, 0, 1), (3, 1, 0, 0), (0, 1, 0), (0, 1, 0, 1, 1)])
@@ -384,17 +398,16 @@ def test_orbits_refuse_a_solution_with_the_error_apply_raises(bad):
     # the solutions are checked once per partition, by the first generator;
     # the others gather unchecked, and the message is the one apply gives
     mixed = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
-    group = SymmetryGroup((LiteralSymmetry.variable((2, 1, 0, 3), mixed),
-                           LiteralSymmetry.value_swap(1, 0, 1, mixed)))
+    group = SymmetryGroup((LiteralSymmetry.variable((2, 1, 0, 3), LexOrdering(mixed)),
+                           LiteralSymmetry.value_swap(1, 0, 1, LexOrdering(mixed))))
     for gen in group.generators:
         with pytest.raises(InputError) as refused:
             gen.apply(bad)
         with pytest.raises(InputError, match=f"^{re.escape(str(refused.value))}$"):
-            orbits([(0, 1, 0, 1), bad], group)
+            tuple_orbits([(0, 1, 0, 1), bad], group)
 
 
 def test_conjugate_by_identity_keeps_action():
-    from symbreak.orderings import LexOrdering
     pi = rank_preserving_map(LexOrdering(binary_domains(4)))
     group = row_col_group((2, 2))
     conj = conjugate(pi, group)
@@ -409,7 +422,7 @@ def test_conjugate_matches_definition_pointwise():
     conj = conjugate(pi, group)
     for gen, cgen in zip(group.generators, conj.generators):
         for b in SPACE2x2:
-            assert cgen.apply(pi.forward(b)) == pi.forward(gen.apply(b))
+            assert cgen.apply(forward(pi, b)) == forward(pi, gen.apply(b))
 
 
 SHAPES_UP_TO_9 = [(r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
@@ -420,7 +433,7 @@ def test_conjugate_equals_the_tabulated_oracle(shape):
     # generator by generator, as maps of lex codes, under every ordering;
     # the cap admits the 9! elements of the 1x9 and 9x1 groups
     doms = binary_domains(shape[0] * shape[1])
-    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6)
+    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6, coding=LexOrdering(doms))
     for name in ORDERING_NAMES:
         pi = rank_preserving_map(make_ordering(name, doms, shape))
         conj, oracle = conjugate(pi, group), tabulated_conjugate(pi, group)
@@ -435,10 +448,10 @@ def test_conjugation_ranks_no_single_assignment(monkeypatch, name):
     doms = binary_domains(9)
     space, group = list(all_assignments(doms)), row_col_group((3, 3))
     pi = rank_preserving_map(make_ordering(name, doms, (3, 3)))
-    original = orbits(space, group)
+    original = tuple_orbits(space, group)
     calls = count_rank_calls(monkeypatch)
     conj = conjugate(pi, group)
-    ok, tau = partitions_isomorphic(original, orbits(space, conj), pi)
+    ok, tau = partitions_isomorphic(original, tuple_orbits(space, conj), pi)
     assert ok and sorted(tau) == list(range(36))
     assert calls["rank"] == 0
 
@@ -454,7 +467,7 @@ def test_conjugate_refuses_a_permutation_over_other_domains(pi):
 
 def blocks_group(blocks, domains):
     """A group whose orbits are `blocks`: one generator cycling each."""
-    return SymmetryGroup((AssignmentSymmetry.from_pairs(
+    return SymmetryGroup((symmetry_from_pairs(
         {a: b for block in blocks for a, b in zip(block, block[1:] + block[:1])}, domains),))
 
 
@@ -462,27 +475,27 @@ def test_partitions_isomorphic_on_partitions_of_equal_counts():
     # as many blocks and solutions each time: the conjugated orbits, then
     # those with one member of a 4-block moved into a singleton
     doms = binary_domains(4)
-    blocks = [list(b) for b in orbits(SPACE2x2, row_col_group((2, 2))).blocks]
+    blocks = [list(b) for b in blocks_of(tuple_orbits(SPACE2x2, row_col_group((2, 2))))]
     pi = rank_preserving_map(GrayOrdering(doms))
-    conj_blocks = [[pi.forward(a) for a in b] for b in blocks]
-    part = orbits(SPACE2x2, blocks_group(blocks, doms))
-    same = orbits(SPACE2x2, blocks_group(conj_blocks, doms))
+    conj_blocks = [[forward(pi, a) for a in b] for b in blocks]
+    part = tuple_orbits(SPACE2x2, blocks_group(blocks, doms))
+    same = tuple_orbits(SPACE2x2, blocks_group(conj_blocks, doms))
     ok, tau = partitions_isomorphic(part, same, pi)
-    assert ok and [same.blocks[k] for k in tau] == [tuple(sorted(b, key=SPACE2x2.index))
-                                                    for b in conj_blocks]
+    assert ok and [blocks_of(same)[k] for k in tau] == [tuple(sorted(b, key=SPACE2x2.index))
+                                                        for b in conj_blocks]
     big, single = next(b for b in conj_blocks if len(b) == 4), \
         next(b for b in conj_blocks if len(b) == 1)
     moved = [b for b in conj_blocks if b not in (big, single)] + [big[1:], single + big[:1]]
     assert len(moved) == len(blocks)
-    assert partitions_isomorphic(part, orbits(SPACE2x2, blocks_group(moved, doms)), pi) == \
+    assert partitions_isomorphic(part, tuple_orbits(SPACE2x2, blocks_group(moved, doms)), pi) == \
         (False, None)
     # singletons: of the space but one point, and of the space but the
     # image of another, so that one image is no solution of the second
     rest = SPACE2x2[1:]
-    singletons = lambda points: orbits(points, SymmetryGroup(()))
-    assert partitions_isomorphic(singletons(rest), singletons([pi.forward(a) for a in rest]),
+    singletons = lambda points: tuple_orbits(points, SymmetryGroup((), coding=LexOrdering(doms)))
+    assert partitions_isomorphic(singletons(rest), singletons([forward(pi, a) for a in rest]),
                                  pi)[0]
-    missing = pi.forward(SPACE2x2[1])
+    missing = forward(pi, SPACE2x2[1])
     assert partitions_isomorphic(singletons(rest),
                                  singletons([a for a in SPACE2x2 if a != missing]), pi) == \
         (False, None)
@@ -503,8 +516,8 @@ def test_conjugated_closure_keeps_its_breadth_first_order():
 def test_conjugate_preserves_orbit_size_multiset():
     pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
     group = row_col_group((2, 2))
-    p1 = orbits(SPACE2x2, group)
-    p2 = orbits(SPACE2x2, conjugate(pi, group))
+    p1 = tuple_orbits(SPACE2x2, group)
+    p2 = tuple_orbits(SPACE2x2, conjugate(pi, group))
     assert sorted(map(len, p1.blocks)) == sorted(map(len, p2.blocks))
     ok, tau = partitions_isomorphic(p1, p2, pi)
     assert ok
@@ -513,8 +526,7 @@ def test_conjugate_preserves_orbit_size_multiset():
 
 def test_partitions_isomorphic_identity_case():
     group = row_col_group((2, 2))
-    part = orbits(SPACE2x2, group)
-    from symbreak.orderings import LexOrdering
+    part = tuple_orbits(SPACE2x2, group)
     pi = rank_preserving_map(LexOrdering(binary_domains(4)))
     ok, tau = partitions_isomorphic(part, part, pi)
     assert ok and tau == tuple(range(len(part)))
@@ -522,17 +534,15 @@ def test_partitions_isomorphic_identity_case():
 
 def test_partitions_isomorphic_size_mismatch():
     group = row_col_group((2, 2))
-    part = orbits(SPACE2x2, group)
-    singletons = orbits(SPACE2x2, SymmetryGroup(
-        (LiteralSymmetry.variable(range(4), binary_domains(4)),)))
-    from symbreak.orderings import LexOrdering
+    part = tuple_orbits(SPACE2x2, group)
+    singletons = tuple_orbits(SPACE2x2, SymmetryGroup(
+        (LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4))),)))
     pi = rank_preserving_map(LexOrdering(binary_domains(4)))
     ok, tau = partitions_isomorphic(part, singletons, pi)
     assert not ok and tau is None
 
 
 def test_map_constraint_set():
-    from symbreak.orderings import LexOrdering
     ident = rank_preserving_map(LexOrdering(binary_domains(4)))
     sample = {(0, 0, 0, 0), (0, 1, 1, 0)}
     assert map_constraint_set(ident, sample) == frozenset(sample)
@@ -553,3 +563,65 @@ def test_group_file_parsing():
         symmetry_group_from_dict({"generators": [{"kind": "mystery"}]}, doms)
     with pytest.raises(InputError):
         symmetry_group_from_dict({"generators": [], "extra": 1}, doms)
+
+
+@pytest.mark.parametrize("shape", SHAPES_UP_TO_9, ids="{0[0]}x{0[1]}".format)
+def test_conjugate_carries_the_order_a_chain_from_scratch_finds(shape):
+    # conjugation preserves order, so the conjugate reads G's and builds no
+    # chain over the listed codes; one built from scratch agrees, and a cap
+    # below |G| overflows either way
+    r, c = shape
+    doms = binary_domains(r * c)
+    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6, coding=LexOrdering(doms))
+    for name in ORDERING_NAMES:
+        conj = conjugate(rank_preserving_map(make_ordering(name, doms, shape)), group)
+        scratch = SymmetryGroup(conj.generators, conj.cap, conj.coding)
+        assert conj.order == scratch.order == math.factorial(r) * math.factorial(c), name
+        assert "chain" not in vars(conj), name
+    if group.order > 1:
+        capped = SymmetryGroup(group.generators, cap=group.order - 1)
+        conj = conjugate(rank_preserving_map(GrayOrdering(doms)), capped)
+        with pytest.raises(CapExceededError, match=f"^closure exceeds cap={group.order - 1}$"):
+            conj.order
+
+
+def test_every_generator_of_a_loaded_group_shares_the_group_coding():
+    domains = ((2, 0, 1),) * 4
+    cycle, keep = [[2, 0], [0, 1], [1, 2]], [[2, 2], [0, 0], [1, 1]]
+    group = symmetry_group_from_dict({"generators": [
+        {"kind": "row_col", "rows": 2, "cols": 2},
+        {"kind": "literal", "var_perm": [2, 3, 0, 1]},
+        {"kind": "literal", "var_perm": [0, 1, 2, 3], "val_maps": [cycle, keep, cycle, keep]},
+        {"kind": "row_col", "rows": 2, "cols": 2}]}, domains)
+    assert len(group.generators) == 6 and group.coding.domains == domains
+    assert all(g.coding is group.coding for g in group.generators)
+    empty = symmetry_group_from_dict({"generators": []}, domains)
+    assert empty.coding.domains == domains and empty.order == 1 and empty.closure() == ()
+
+
+def test_a_group_needs_a_coding_and_generators_over_its_domains():
+    with pytest.raises(InputError, match="^a group without generators needs a coding$"):
+        SymmetryGroup(())
+    with pytest.raises(InputError, match="^generators act on different domains$"):
+        SymmetryGroup(row_col_generators((1, 2)), coding=LexOrdering(((1, 0),) * 2))
+
+
+@pytest.mark.parametrize("domains", [binary_domains(3), ((2, 0, 1), (1, 0), (0, 1, 2))],
+                         ids=["binary", "unsorted-mixed"])
+def test_a_group_without_generators_gives_singleton_orbits(domains):
+    # through `orbits`, every verdict of `_judge` (leader sets keep every
+    # solution, an extensional set its own) and `partitions_isomorphic`
+    group = SymmetryGroup((), coding=LexOrdering(domains))
+    codes = list(range(0, group.coding.space_size, 2))
+    partition = orbits(codes, group)
+    assert partition.blocks == tuple((c,) for c in codes) and partition.images == ()
+    sets = [leader_constraints(group, ordering, mode)
+            for ordering in applicable_orderings(domains) for mode in ("full", "generators")]
+    chosen = group.coding.decode(codes[1::3])
+    verdicts = [orbit_verdict(partition, bset) for bset in sets + [extensional_set(chosen)]]
+    assert all(verdict.kept == partition.blocks for verdict in verdicts[:-1])
+    assert verdicts[-1].kept == tuple((c,) if c in codes[1::3] else () for c in codes)
+    pi = rank_preserving_map(RevLexOrdering(domains))
+    image = orbits(pi.forward_codes(codes), group)
+    assert partitions_isomorphic(partition, image, pi) == (True, tuple(range(len(codes))))
+    assert partitions_isomorphic(partition, orbits(codes[1:] + [1], group), pi) == (False, None)
