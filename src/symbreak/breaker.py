@@ -99,7 +99,7 @@ class Verdict:
 
     kept: tuple[tuple[int, ...], ...]  # per block, in block order
 
-    @property
+    @cached_property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(k) for k in self.kept)
 

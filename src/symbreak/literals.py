@@ -39,7 +39,7 @@ class LiteralSymmetry:
     after it check their input.
     """
 
-    __slots__ = ("lits", "var_perm", "coding", "_gather", "_tables")
+    __slots__ = ("lits", "var_perm", "coding", "_gather", "_tables", "_deltas")
 
     def __init__(self, lits: tuple[int, ...], coding: LexOrdering):
         """From a literal permutation that maps variables onto variables, unchecked."""
@@ -48,7 +48,7 @@ class LiteralSymmetry:
                                   map(lits.__getitem__, coding.offsets[:-1])))
         inverse = sorted(range(len(self.var_perm)), key=self.var_perm.__getitem__)
         self._gather = _gatherer(inverse)
-        self._tables = _UNBUILT  # only `apply` reads them: see `_value_tables`
+        self._tables = self._deltas = _UNBUILT  # `apply` reads the one, `image_codes` the other
 
     def _value_tables(self) -> Optional[tuple[dict, ...]]:
         """The value map landing on each variable, built on first use; None
@@ -129,17 +129,18 @@ class LiteralSymmetry:
         listed) of the images of the assignments with these codes.  Variable
         i at position p adds place[j]·q in place of place[i]·p, where literal
         offsets[i] + p maps to offsets[j] + q: a delta per variable the
-        symmetry moves, summed by `coding.digit_sums`."""
+        symmetry moves (`_deltas`, built once), summed by `coding.digit_sums`."""
         own = self.coding
         if coding.domains != own.domains:
             raise InputError("symmetry and codes act on different domains")
-        lits, offsets, var_of, places = self.lits, own.offsets, own.var_of, own.places
-        literals = range(len(lits))
-        deltas = {}
-        for i in set(map(var_of.__getitem__, compress(literals, map(ne, lits, literals)))):
-            deltas[i] = [places[var_of[m]] * (m - offsets[var_of[m]]) - places[i] * p
-                         for p, m in enumerate(lits[offsets[i]:offsets[i + 1]])]
-        return coding.digit_sums(codes, deltas)
+        if self._deltas is _UNBUILT:  # one scan for the moved literals, on first use
+            lits, offsets, var_of, places = self.lits, own.offsets, own.var_of, own.places
+            literals = range(len(lits))
+            self._deltas = {
+                i: [places[var_of[m]] * (m - offsets[var_of[m]]) - places[i] * p
+                    for p, m in enumerate(lits[offsets[i]:offsets[i + 1]])]
+                for i in set(map(var_of.__getitem__, compress(literals, map(ne, lits, literals))))}
+        return coding.digit_sums(codes, self._deltas)
 
     def is_identity(self) -> bool:
         return self.lits == tuple(range(len(self.lits)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -211,7 +212,10 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
     truncating the result.  The search is depth-first over an explicit
     stack of per-depth (position, value) iterators, so depth is not bounded
     by Python's recursion limit; constraints read the values, and each
-    prefix's code is carried down the stack.
+    prefix's code is carried down the stack.  It stops at the last variable
+    a constraint reads (variable 0 at least): each prefix found there
+    stands for the `tail` consecutive codes of its free completions,
+    expanded once at the end.
     """
     if cap is None:
         if problem.space_size > MAX_ENUMERATION_SPACE:
@@ -222,17 +226,19 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
         raise InputError("cap must be positive")
 
     # a constraint is checkable once its scope's last variable is set: one checker per depth
-    ready: list[list[Constraint]] = [[] for _ in range(problem.n)]
+    free = 1 + max((max(con.scope) for con in problem.constraints), default=0)
+    ready: list[list[Constraint]] = [[] for _ in range(free)]
     for con in problem.constraints:
         ready[max(con.scope)].append(con)
     checkers = [None if not cons else cons[0].satisfied if len(cons) == 1
                 else lambda values, cons=cons: all(con.satisfied(values) for con in cons)
                 for cons in ready]
 
-    domains, last = problem.domains, problem.n - 1
-    codes: list[int] = []
-    values: list = [None] * problem.n  # values[:depth + 1] is the current prefix
-    prefix = [0] * (problem.n + 1)  # prefix[depth + 1] is the code of values[:depth + 1]
+    domains, last = problem.domains, free - 1
+    tail = math.prod(map(len, domains[free:]))  # the free completions of each prefix
+    codes: list[int] = []  # the codes of the prefixes found
+    values: list = [None] * free  # values[:depth + 1] is the current prefix
+    prefix = [0] * (free + 1)  # prefix[depth + 1] is the code of values[:depth + 1]
     levels = [enumerate(domains[0])]  # levels[depth] yields what is left to try there
     while levels:
         depth = len(levels) - 1
@@ -248,9 +254,11 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
             levels.append(enumerate(domains[depth + 1]))
             continue
         codes.append(prefix[depth + 1])
-        if cap is not None and len(codes) > cap:
+        if cap is not None and len(codes) * tail > cap:
             raise CapExceededError(f"more than cap={cap} solutions")
-    return codes
+    if tail == 1:
+        return codes
+    return list(chain.from_iterable(range(c * tail, c * tail + tail) for c in codes))
 
 
 # ---------------------------------------------------------------------------

@@ -293,8 +293,10 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
     `image_codes` are indexed by an int dict, or by the code itself when
     the codes are exactly range(space size).  Each orbit is one
     breadth-first search over the image indices from the first solution not
-    yet placed.  An image outside the solution set is an input error,
-    raised when the search reaches it, naming both assignments.
+    yet placed, run inline with `block_of` as its visited mark.  An image
+    outside the solution set is an input error, raised when the search
+    reaches it (the first in search and generator order), naming both
+    assignments.
     """
     codes = list(codes)
     gens, coding = group.generators, group.coding
@@ -308,20 +310,22 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
             raise InputError(f"solution code outside [0, {coding.space_size})")
         look = index.get
     lists = [list(map(look, g.image_codes(codes, coding))) for g in gens]
-
-    def neighbours(i: int) -> list:
-        found = [img[i] for img in lists]
-        if None in found:
-            a, image = coding.decode([codes[i], *gens[found.index(None)].image_codes(
-                [codes[i]], coding)])
-            raise InputError(f"generator maps a solution outside the solution set ({a} -> {image})")
-        return found
-
-    block_of = [-1] * len(codes)
+    steps = list(zip(gens, lists))
+    block_of = [-1] * len(codes)  # also the visited mark of the searches
     for i, first in enumerate(block_of):
-        if first < 0:
-            for j in _orbit_search(i, neighbours):
-                block_of[j] = i
+        if first >= 0:
+            continue
+        block_of[i], orbit = i, [i]
+        for j in orbit:
+            for g, img in steps:
+                k = img[j]
+                if k is None:
+                    a, image = coding.decode([codes[j], *g.image_codes([codes[j]], coding)])
+                    raise InputError("generator maps a solution outside the solution set "
+                                     f"({a} -> {image})")
+                if block_of[k] < 0:
+                    block_of[k] = i
+                    orbit.append(k)
     return OrbitPartition(codes, block_of, tuple(lists), group)
 
 

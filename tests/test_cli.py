@@ -344,7 +344,10 @@ def test_leader_full_runs_no_closure_search(capsys, tmp_path, monkeypatch):
         code, out, _ = invoke(capsys, [command, *method, "--problem", str(problem),
                                        "--symmetries", str(syms)])
         assert code == 0 and out
-        assert starts and tuple(range(2 * r * c)) not in starts, command
+        assert tuple(range(2 * r * c)) not in starts, command
+    starts.clear()  # the patch is live: an orbit search registers its start
+    symbreak.symmetry.row_col_group((2, 2)).orbit_of(0)
+    assert starts == [0]
     rows = invoke(capsys, ["compare", "--problem", str(problem), "--symmetries", str(syms)])[1]
     full = [row.split()[2:] for row in rows.splitlines() if "leader-full" in row]
     assert full == [["2879", "5", "5", "true", "true"]] * 4

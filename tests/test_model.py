@@ -13,6 +13,7 @@ from symbreak.model import (
     TableConstraint,
     UnaryConstraint,
     assignment_formatter,
+    binary_domains,
     binary_problem,
     enumerate_solutions,
     parse_assignment,
@@ -256,6 +257,16 @@ def _reference_problems():
                  "tuples": [[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]]},
                 {"kind": "clause", "literals": [{"var": v, "value": 0, "positive": False}
                                                 for v in range(4)]}]}),
+        # constraints that end before the last variable leave a free tail
+        "free-binary-5": binary_problem(5),
+        "binary-x0-table": binary_problem(4, [TableConstraint((0,), frozenset({(1,)}))]),
+        "mixed-x0-clause": Problem(4, mixed, (ClauseConstraint((Literal(0, 1, False),)),)),
+        "mixed-early-table": Problem(5, ((0, 1), *mixed), (
+            TableConstraint((2, 0), frozenset({(0, 1), (1, 0), (1, 1)})),)),
+        "unsorted-early-table-unary": problem_from_dict({
+            "n": 4, "domains": [[1, 0], [2, 0, 1], [1, 0], [2, 0, 1]], "constraints": [
+                {"kind": "table", "scope": [1, 0], "tuples": [[2, 1], [0, 0], [1, 1]]},
+                {"kind": "unary", "var": 1, "value": 0}]}),
         "ordering-gadget": ordering_gadget(OneInThreeInstance(((1, 2, 3), (2, 3, 4)))).problem,
         "group-gadget": group_gadget(Cnf(3, ((1, -2), (2, 3)))).problem,
     }
@@ -286,6 +297,22 @@ def test_enumeration_caps_count_and_word_as_the_reference_does(name):
     for enumerate_ in (enumerate_solutions, tuple_solutions):
         with pytest.raises(InputError, match="^cap must be positive$"):
             enumerate_(problem, 0)
+
+
+@pytest.mark.parametrize("domains", [binary_domains(6), ((0, 1, 2), (1, 0), (5, 7)), ((2,),)])
+def test_unconstrained_enumeration_is_the_whole_code_range(domains):
+    problem = Problem(len(domains), domains)
+    assert enumerate_solutions(problem) == list(range(problem.space_size))
+
+
+@pytest.mark.parametrize("constraints", [[], [UnaryConstraint(0, 1)]])
+def test_capped_enumeration_raises_before_expanding_a_free_tail(constraints, monkeypatch):
+    # 2^63 free completions per prefix: counted, never listed
+    import symbreak.model
+
+    monkeypatch.setattr(symbreak.model, "chain", None)
+    with pytest.raises(CapExceededError, match="^more than cap=5 solutions$"):
+        enumerate_solutions(binary_problem(64, constraints), cap=5)
 
 
 def test_enumeration_refuses_the_space_the_reference_refuses():

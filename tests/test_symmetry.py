@@ -393,6 +393,24 @@ def test_orbits_escaping_generator_is_an_error():
         tuple_orbits([(0, 1, 0, 0)], group)  # row swap leaves the set
 
 
+def test_orbits_name_the_first_escape_in_search_order():
+    # flip x2, then flip x0, on the solutions 000, 100, 001 listed in that
+    # order: the search from 000 reaches 001 (flip x2) before 100, and flip
+    # x0 takes 001 out first; 100 leaves too, but by flip x2 and later in
+    # the search, though earlier in the input and generator order
+    coding = LexOrdering(binary_domains(3))
+    group = SymmetryGroup((LiteralSymmetry.value_swap(2, 0, 1, coding),
+                           LiteralSymmetry.value_swap(0, 0, 1, coding)))
+    solutions = [(0, 0, 0), (1, 0, 0), (0, 0, 1)]
+    message = re.escape("generator maps a solution outside the solution set "
+                        "((0, 0, 1) -> (1, 0, 1))")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        orbits(coding.codes(solutions), group)
+    for gen, escaping in zip(group.generators, [(1, 0, 0), (0, 0, 1)]):
+        with pytest.raises(InputError, match=re.escape(f"({escaping} -> ")):
+            orbits(coding.codes([escaping]), SymmetryGroup((gen,)))
+
+
 @pytest.mark.parametrize("bad", [(0, 5, 0, 1), (3, 1, 0, 0), (0, 1, 0), (0, 1, 0, 1, 1)])
 def test_orbits_refuse_a_solution_with_the_error_apply_raises(bad):
     # the solutions are checked once per partition, by the first generator;
