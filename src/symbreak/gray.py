@@ -162,7 +162,7 @@ def propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationOutco
     FIFO queue of woken propagators; a propagator wakes when a variable of
     its scope loses a value.  Deterministic: same input, same trace.  Because
     the block hypergraph is a chain, the fixpoint equals domain consistency
-    on the conjunction of all constraints.
+    on the conjunction of all constraints; an empty candidate set fails the store.
     """
     if len(store.candidates) != decomp.num_vars:
         raise InputError(f"store covers {len(store.candidates)} variables, "
@@ -195,7 +195,7 @@ def propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationOutco
                 if other != pid and not queued[other]:
                     queue.append(other)
                     queued[other] = True
-    return PropagationOutcome(False, work, trace)
+    return PropagationOutcome(not all(work.candidates), work, trace)
 
 
 def gac_oracle(n: int, store: DomainStore, strict: bool) -> PropagationOutcome:

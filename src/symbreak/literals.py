@@ -1,12 +1,12 @@
 """Literal symmetries compiled to the permutation they induce on the literals
-(i, v) of their lex coding: a product is one gather of literal tuples,
-`apply` one gather."""
+(i, v) of their lex coding: a product is one gather of literal tuples, and
+`apply` maps an assignment's literals through it."""
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import contains, getitem, itemgetter, ne
-from typing import Callable, Optional, Sequence
+from operator import add, getitem, ne
+from typing import Sequence
 
 from .model import Assignment, InputError, check_values
 from .orderings import LexOrdering, SimpleOrdering
@@ -17,47 +17,30 @@ def _check_permutation(perm: Sequence[int], n: int) -> None:
         raise InputError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
 
 
-def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """Callable taking s to tuple(s[i] for i in indices), one C call when it can."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda s: tuple(s[i] for i in indices)
-
-
-_UNBUILT = object()
-
-
 class LiteralSymmetry:
     """result[var_perm[i]] = val_maps[i][a[i]].
 
-    `val_maps` holds, per source variable, the sorted (value, image) pairs of
-    a bijection from that variable's domain onto the image variable's
-    domain.  The symmetry is kept as `lits`, the permutation it induces on
-    the literals of `coding`, a LexOrdering of its domains as listed:
-    literal (i, v) is coding.offsets[i] plus v's position in domain i, and
-    lits[l] is the index of l's image.  `from_maps` and the constructors
-    after it check their input.
+    The symmetry is `lits`, the permutation it induces on the literals of
+    `coding`, a LexOrdering of its domains as listed: literal (i, v) is
+    coding.offsets[i] plus v's position in domain i, and lits[l] is the
+    index of l's image.  `var_perm` and `val_maps` (per source variable,
+    the sorted (value, image) pairs of a bijection from its domain onto the
+    image variable's) are read off `lits`.  `from_maps` and the
+    constructors after it check their input.
     """
 
-    __slots__ = ("lits", "var_perm", "coding", "_gather", "_tables", "_deltas")
+    __slots__ = ("lits", "coding", "_deltas")
 
     def __init__(self, lits: tuple[int, ...], coding: LexOrdering):
         """From a literal permutation that maps variables onto variables, unchecked."""
         self.lits, self.coding = lits, coding
-        self.var_perm = tuple(map(coding.var_of.__getitem__,
-                                  map(lits.__getitem__, coding.offsets[:-1])))
-        inverse = sorted(range(len(self.var_perm)), key=self.var_perm.__getitem__)
-        self._gather = _gatherer(inverse)
-        self._tables = self._deltas = _UNBUILT  # `apply` reads the one, `image_codes` the other
+        self._deltas = None  # `image_codes` builds it on first use
 
-    def _value_tables(self) -> Optional[tuple[dict, ...]]:
-        """The value map landing on each variable, built on first use; None
-        when no value map moves a value, so `apply` is one gather."""
-        if self._tables is _UNBUILT:
-            val_of = self.coding.val_of
-            moved = list(map(val_of.__getitem__, self.lits)) != val_of
-            self._tables = tuple(map(dict, self._gather(self.val_maps))) if moved else None
-        return self._tables
+    @property
+    def var_perm(self) -> tuple[int, ...]:
+        coding = self.coding
+        return tuple(map(coding.var_of.__getitem__,
+                         map(self.lits.__getitem__, coding.offsets[:-1])))
 
     @property
     def val_maps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -117,12 +100,19 @@ class LiteralSymmetry:
         return cls(tuple(lits), coding)
 
     def apply(self, a: Sequence[int]) -> Assignment:
-        if len(a) != len(self.var_perm):
-            raise InputError(f"assignment arity {len(a)} != {len(self.var_perm)}")
-        if not all(map(contains, self.coding._pos, a)):
-            check_values(self.coding.domains, enumerate(a))
-        image, tables = self._gather(a), self._value_tables()
-        return image if tables is None else tuple(map(getitem, tables, image))
+        """Each value's literal, mapped through `lits` to m, sets var_of[m] to val_of[m]."""
+        coding = self.coding
+        if len(a) != coding.n:
+            raise InputError(f"assignment arity {len(a)} != {coding.n}")
+        image, var_of, val_of = [None] * coding.n, coding.var_of, coding.val_of
+        try:
+            for m in map(self.lits.__getitem__,
+                         map(add, coding.offsets, map(getitem, coding._pos, a))):
+                image[var_of[m]] = val_of[m]
+        except KeyError:
+            check_values(coding.domains, enumerate(a))
+            raise
+        return tuple(image)
 
     def image_codes(self, codes: list[int], coding: SimpleOrdering) -> list[int]:
         """The lex codes under `coding` (any ordering over these domains as
@@ -133,7 +123,7 @@ class LiteralSymmetry:
         own = self.coding
         if coding.domains != own.domains:
             raise InputError("symmetry and codes act on different domains")
-        if self._deltas is _UNBUILT:  # one scan for the moved literals, on first use
+        if self._deltas is None:  # one scan for the moved literals, on first use
             lits, offsets, var_of, places = self.lits, own.offsets, own.var_of, own.places
             literals = range(len(lits))
             self._deltas = {

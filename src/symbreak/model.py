@@ -91,7 +91,7 @@ class TableConstraint:
 
     scope: tuple[int, ...]
     allowed: frozenset[tuple[int, ...]]
-    _gather: Callable = field(init=False, repr=False, compare=False)
+    _values_of: Callable = field(init=False, repr=False, compare=False)
     _keys: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -99,11 +99,11 @@ class TableConstraint:
         gather = itemgetter(*self.scope) if self.scope else lambda values: ()
         keys = (frozenset(row[0] for row in self.allowed if len(row) == 1)
                 if len(self.scope) == 1 else self.allowed)
-        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_values_of", gather)
         object.__setattr__(self, "_keys", keys)
 
     def satisfied(self, values: Sequence[int]) -> bool:
-        return self._gather(values) in self._keys
+        return self._values_of(values) in self._keys
 
 
 @dataclass(frozen=True)

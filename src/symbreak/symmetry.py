@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
@@ -35,10 +36,17 @@ from .model import (
     read_field,
     read_fields,
 )
-from .literals import LiteralSymmetry, _gatherer
+from .literals import LiteralSymmetry
 from .orderings import AssignmentPermutation, LexOrdering, SimpleOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
+
+
+def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Callable taking s to tuple(s[i] for i in indices), one C call when it can."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[i] for i in indices)
 
 
 class AssignmentSymmetry:

@@ -30,8 +30,20 @@ solution set of a ternary and of a mixed model, `rank` and `unrank` grids (binar
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
-10 variables, and the input errors and option conflicts of each command.
-The file name keeps pytest from collecting it.
+10 variables, `clause` constraints on binary, ternary and mixed domains
+through solve, orbits, compare, check and break, and the input errors and
+option conflicts of each command: cap overflows (`more than cap=N
+solutions`, a search space above the uncapped limit), a field of the wrong
+shape, an unknown field and text that is not JSON in each kind of input
+file, every check of a problem, a symmetry file, a 1-in-3 or CNF instance
+and a candidate store, and assignments that `rank` and `check
+--survivors` refuse.  The file name keeps pytest from collecting it.
+
+The `raise` lines that the corpus never reaches are listed by the standard
+library's line counter (`>>>>>>` marks a line never run):
+
+    python3 -m trace --count --missing --coverdir DIR tests/cli_corpus.py src OUT.jsonl
+    grep -n '>>>>>>.*raise' DIR/symbreak.*.cover
 """
 
 from __future__ import annotations
@@ -510,6 +522,176 @@ def deep_instances(corpus: Corpus) -> None:
                        corpus.file(f"wide-cnf{i}.json", {"n": 10, "clauses": clauses})])
 
 
+def clause_problems(corpus: Corpus) -> None:
+    """Problems with `clause` constraints, positive and negative literals on
+    binary, unsorted ternary and mixed domains, each kept by its generators,
+    through solve, orbits, compare, check and break."""
+    def clause(*literals):
+        return {"kind": "clause", "literals": [{"var": v, "value": x, "positive": sign}
+                                               for v, x, sign in literals]}
+
+    models = {
+        # a 1 in each row
+        "binary2x3": ([[0, 1]] * 6, {"shape": [2, 3]},
+                      [{"kind": "row_col", "rows": 2, "cols": 3}],
+                      [clause((0, 1, True), (1, 1, True), (2, 1, True)),
+                       clause((3, 1, True), (4, 1, True), (5, 1, True))]),
+        # no column is 0 in both rows
+        "ternary2x2": ([[2, 0, 1]] * 4, {"shape": [2, 2]},
+                       [{"kind": "row_col", "rows": 2, "cols": 2}],
+                       [clause((0, 0, False), (2, 0, False)),
+                        clause((1, 0, False), (3, 0, False))]),
+        # the pairs (x0, x1) and (x2, x3), swapped by the generator
+        "mixed": ([[0, 1, 2], [5, 7], [0, 1, 2], [5, 7]], {},
+                  [{"kind": "literal", "var_perm": [2, 3, 0, 1]}],
+                  [clause((0, 2, True), (1, 7, False)), clause((2, 2, True), (3, 7, False))]),
+    }
+    for name, (domains, shape, gens, constraints) in models.items():
+        problem = corpus.file(f"clause-{name}.json", {
+            "n": len(domains), "domains": domains, **shape, "constraints": constraints})
+        syms = corpus.file(f"clause-{name}-syms.json", {"generators": gens})
+        pair = ["--problem", problem, "--symmetries", syms]
+        for fmt in FORMATS:
+            corpus.invoke(["solve", "--problem", problem, *fmt])
+            corpus.invoke(["orbits", *pair, *fmt])
+            corpus.invoke(["compare", *pair, *fmt])
+        runs = [["--ordering", o, "--method", m] for o in ORDERINGS for m in METHODS[:2]]
+        for options in runs + [["--method", "doublelex"]]:
+            corpus.invoke(["check", *pair, *options])
+            corpus.invoke(["break", *pair, *options])
+
+
+def input_errors(corpus: Corpus) -> None:
+    """The input checks that no other part reaches: cap overflows; in each
+    kind of input file a field of the wrong shape, an unknown field and
+    text that is not JSON; problems, symmetry files, 1-in-3 and CNF
+    instances and candidate stores that fail a check; `gray-check --n 0`;
+    and assignments that `rank` and `check --survivors` refuse."""
+    free = corpus.file("err-free.json", {"n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2]})
+    rc = corpus.file("err-rc.json", {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]})
+    # 2^25 assignments: above the uncapped enumeration limit
+    wide = corpus.file("err-wide.json", {"n": 25, "domains": [[0, 1]] * 25})
+    none = corpus.file("err-none.json", {"generators": []})
+    for command in ("solve", "orbits", "break", "check", "compare"):
+        for problem, syms in ((free, rc), (wide, none)):
+            pair = ["--problem", problem] + (["--symmetries", syms] if command != "solve" else [])
+            corpus.invoke([command, *pair])
+            corpus.invoke([command, *pair, "--cap", "1"])
+            corpus.invoke([command, *pair, "--cap", "15"])
+
+    binary = {"n": 2, "domains": [[0, 1]] * 2}
+    constraint = lambda con: {**binary, "constraints": [con]}
+    literal = lambda **entry: constraint({"kind": "clause", "literals": [entry]})
+    problems = {
+        "n-type": {"n": "2", "domains": [[0, 1]] * 2},
+        "domains-type": {"n": 2, "domains": [0, 1]},
+        "constraints-type": {**binary, "constraints": {"kind": "unary"}},
+        "shape-type": {**binary, "shape": "1x2"},
+        "field": {**binary, "size": 2},
+        "table-field": constraint({"kind": "table", "scope": [0], "tuples": [[0]], "weight": 1}),
+        "table-type": constraint({"kind": "table", "scope": [[0]], "tuples": [[0]]}),
+        "clause-field": constraint({"kind": "clause", "literals": [], "weight": 1}),
+        "clause-type": constraint({"kind": "clause", "literals": [[0, 1]]}),
+        "literal-field": literal(var=0, value=1, sign=1),
+        "literal-type": literal(var=0, value=1, positive=1),
+        "unary-field": constraint({"kind": "unary", "var": 0, "value": 1, "weight": 1}),
+        "unary-type": constraint({"kind": "unary", "var": 0, "value": "1"}),
+        "kind": constraint({"kind": "alldiff", "scope": [0, 1]}),
+        "empty-scope": constraint({"kind": "table", "scope": [], "tuples": []}),
+        "empty-clause": constraint({"kind": "clause", "literals": []}),
+        "repeated-scope": constraint({"kind": "table", "scope": [0, 0], "tuples": [[0, 0]]}),
+        "unknown-var": constraint({"kind": "unary", "var": 2, "value": 0}),
+        "negative-var": literal(var=-1, value=0),
+        "row-arity": constraint({"kind": "table", "scope": [0, 1], "tuples": [[0, 1], [0]]}),
+        "table-value": constraint({"kind": "table", "scope": [1, 0], "tuples": [[0, 2]]}),
+        "clause-value": literal(var=1, value=3, positive=False),
+        "unary-value": constraint({"kind": "unary", "var": 0, "value": -1}),
+        "shape-pair": {**binary, "shape": [2]},
+        "empty-domain": {"n": 2, "domains": [[0, 1], []]},
+        "repeated-domain": {"n": 2, "domains": [[0, 1], [1, 0, 1]]},
+        "domain-count": {"n": 3, "domains": [[0, 1]] * 2},
+        "no-variables": {"n": 0, "domains": []},
+        "not-json": '{"n": 2, "domains": [[0, 1]',
+        "not-text": b'{"n": \xff}',
+    }
+    for name, data in problems.items():
+        corpus.invoke(["solve", "--problem", corpus.file(f"err-{name}.json", data)])
+
+    symmetries = {
+        "generators-type": {"generators": {"kind": "row_col", "rows": 2, "cols": 2}},
+        "cap-type": {"generators": [], "cap": "5"},
+        "field": {"generators": [], "seed": 1},
+        "literal-field": {"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3],
+                                          "weight": 1}]},
+        "row-col-field": {"generators": [{"kind": "row_col", "rows": 2, "cols": 2,
+                                          "shape": [2, 2]}]},
+        "row-col-type": {"generators": [{"kind": "row_col", "rows": "2", "cols": 2}]},
+        "val-maps-type": {"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3],
+                                          "val_maps": [[0, 1]] * 4}]},
+        "val-maps-pairs": {"generators": [{"kind": "literal", "var_perm": [0, 1, 2, 3],
+                                           "val_maps": [[[0, 1, 1], [1, 0]]] * 4}]},
+        "val-maps-single": {"generators": [{"kind": "row_col", "rows": 2, "cols": 2},
+                                           {"kind": "literal", "var_perm": [0, 1, 2, 3],
+                                            "val_maps": [[[0], [1]]] * 4}]},
+        "kind": {"generators": [{"kind": "row_col", "rows": 2, "cols": 2},
+                                {"kind": "rotation"}]},
+        "not-json": '{"generators": [}',
+    }
+    for name, data in symmetries.items():
+        syms = corpus.file(f"err-syms-{name}.json", data)
+        corpus.invoke(["orbits", "--problem", free, "--symmetries", syms])
+
+    stores = {
+        "lhs-type": {"lhs": [0, 1], "rhs": [[0]]},
+        "strict-type": {"lhs": [[0]], "rhs": [[1]], "strict": "yes"},
+        "field": {"lhs": [[0]], "rhs": [[1]], "n": 1},
+        "short-rhs": {"lhs": [[0], [0, 1]], "rhs": [[1]]},
+        "long-rhs": {"lhs": [[0]], "rhs": [[1], [0]]},
+        "short-state": {"lhs": [[0]], "rhs": [[1]], "state": [[1]]},
+        "long-state": {"lhs": [[0]], "rhs": [[1]], "state": [[1], [0], [0]]},
+        "lhs-range": {"lhs": [[0], [2, 1]], "rhs": [[0, 1], [1]]},
+        "rhs-range": {"lhs": [[0]], "rhs": [[-1]]},
+        "state-range": {"lhs": [[0]], "rhs": [[1]], "state": [[1], [0, 2]]},
+        "no-positions": {"lhs": [], "rhs": []},
+        "not-json": "lhs: [[0]]",
+    }
+    for name, data in stores.items():
+        corpus.invoke(["gray-check", "--store", corpus.file(f"err-store-{name}.json", data)])
+    for n in ("0", "-1"):
+        corpus.invoke(["gray-check", "--n", n])
+
+    instances = {
+        "one-in-three": ("demo-prop1", {
+            "type": {"clauses": [1, 2, 3]},
+            "field": {"clauses": [[1, 2, 3]], "n": 3},
+            "no-clauses": {"clauses": []},
+            "short-clause": {"clauses": [[1, 2, 3], [1, 2]]},
+            "zero-index": {"clauses": [[0, 1, 2]]},
+            "thirteen": {"clauses": [[1, 2, 3], [11, 12, 13]]},
+            "not-json": '{"clauses": [[1, 2, 3]]}}'}),
+        "cnf": ("demo-prop2", {
+            "type": {"n": 2, "clauses": [1, -2]},
+            "n-type": {"n": True, "clauses": []},
+            "field": {"n": 2, "clauses": [], "m": 0},
+            "no-variables": {"n": 0, "clauses": []},
+            "empty-clause": {"n": 2, "clauses": [[1], []]},
+            "zero-literal": {"n": 2, "clauses": [[1, 0]]},
+            "literal-range": {"n": 2, "clauses": [[-3]]},
+            "width": {"n": 11, "clauses": [[1, -11]]},
+            "not-json": "",
+        }),
+    }
+    for name, (command, files) in instances.items():
+        for label, data in files.items():
+            corpus.invoke([command, "--instance", corpus.file(f"err-{name}-{label}.json", data)])
+
+    for text in ("1,x", "1,", "0,2", "1,0,1", "2"):
+        corpus.invoke(["rank", "--n", "2", text])
+    for name, text in (("off-domain", "assignment\n0,0,0,2\n"), ("bad", "assignment\n0,x\n")):
+        corpus.invoke(["check", "--problem", free, "--symmetries", rc, "--survivors",
+                       corpus.file(f"err-surv-{name}.txt", text)])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[3].strip(), file=sys.stderr)
@@ -523,8 +705,8 @@ def main(argv: list[str]) -> int:
         corpus = Corpus(run, tmp, out)
         for part in (front_end, matrix_models, unsorted_domains, value_maps, leader_full_groups,
                      residue_groups, large_group, survivor_files, codes_end_to_end, rank_grids,
-                     gray_stores,
-                     benchmark_instances, deep_instances):
+                     gray_stores, benchmark_instances, deep_instances, clause_problems,
+                     input_errors):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
     if corpus.failures:

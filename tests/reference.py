@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
 from symbreak.gray import GrayDecomposition
-from symbreak.literals import LiteralSymmetry, _gatherer
+from symbreak.literals import LiteralSymmetry
 from symbreak.model import (
     MAX_ENUMERATION_SPACE,
     Assignment,
@@ -43,6 +43,7 @@ from symbreak.symmetry import (
     OrbitPartition,
     Symmetry,
     SymmetryGroup,
+    _gatherer,
     _orbit_search,
     orbits,
 )

@@ -21,7 +21,6 @@ from functools import reduce
 import pytest
 
 from symbreak.breaker import compare_table, leader_constraints, orbit_verdict
-from symbreak.literals import _gatherer
 from symbreak.model import CapExceededError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
@@ -35,6 +34,7 @@ from symbreak.symmetry import (
     DEFAULT_CLOSURE_CAP,
     LiteralSymmetry,
     SymmetryGroup,
+    _gatherer,
     conjugate,
     row_col_generators,
     row_col_group,

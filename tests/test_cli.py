@@ -130,7 +130,8 @@ def test_gray_check_full_domains(capsys):
 
 def test_gray_check_store_file_and_failure(capsys, tmp_path):
     # events= counts the removals made before the wipeout, so it pins the
-    # propagator's FIFO order; the second store wipes out at block 3 of 5
+    # propagator's FIFO order; the second store wipes out at block 3 of 5;
+    # the third has no candidates at all, so it fails with no removal
     free, signs = [0, 1], [-1, 0, 1]
     cases = [
         ({"strict": True, "lhs": [[1], [0]], "rhs": [free, free]},
@@ -139,6 +140,7 @@ def test_gray_check_store_file_and_failure(capsys, tmp_path):
           "rhs": [free, free, [0], free, free],
           "state": [signs, signs, [1], signs, signs, signs]},
          "# seed=0 n=5 strict=true events=6\nFAIL\n"),
+        ({"lhs": [[]], "rhs": [[]], "state": [[], []]}, "# seed=0 n=1 strict=true events=0\nFAIL\n"),
     ]
     store = tmp_path / "store.json"
     for data, expected in cases:

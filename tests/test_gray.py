@@ -190,6 +190,30 @@ def test_propagator_matches_oracle_with_narrowed_states():
             assert got.store.candidates == want.store.candidates
 
 
+def test_propagator_matches_oracle_on_every_n1_store_and_empty_sets():
+    """Every subset of every candidate set at n=1, the empty one included;
+    at n=2 the store whose every set is empty: nothing is removed there, yet
+    it fails."""
+    def subsets(values):
+        return [set(c) for k in range(len(values) + 1)
+                for c in itertools.combinations(sorted(values), k)]
+
+    for strict in (True, False):
+        d = decomp(1, strict)
+        for doms in itertools.product(*map(subsets, initial_store(d).candidates)):
+            store = initial_store(d)
+            store.candidates[:] = doms
+            got, want = propagate(d, store), gac_oracle(1, store, strict)
+            assert got.failed == want.failed, doms
+            if not got.failed:
+                assert got.store.candidates == want.store.candidates, doms
+        empty = initial_store(decomp(2, strict))
+        empty.candidates[:] = [set() for _ in empty.candidates]
+        got = propagate(decomp(2, strict), empty)
+        assert got.failed and gac_oracle(2, empty, strict).failed
+        assert got.trace.removals == 0
+
+
 @given(st.integers(1, 6), st.booleans(), st.data())
 def test_propagator_matches_oracle_random(n, strict, data):
     d = decomp(n, strict)

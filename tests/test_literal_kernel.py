@@ -223,6 +223,9 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     group = SymmetryGroup(tuple(LiteralSymmetry.from_maps(p, m, coding) for p, m in specs),
                           coding=coding)
     refs = [RefSymmetry(p, m) for p, m in specs]
+    for gen, ref in zip(group.generators, refs):
+        assert [gen.apply(a) for a in all_assignments(domains)] == \
+            [ref.apply(a) for a in all_assignments(domains)]
     solutions = one_per_row(r, c, domains) if sparse else list(all_assignments(domains))
 
     blocks = ref_blocks(solutions, refs)
@@ -342,13 +345,21 @@ def test_doublelex_outside_the_solutions_on_the_command_line(capsys, tmp_path):
 
 
 def test_compose_and_invert_match_reference():
-    domains = ((0, 1, 2),) * 4
-    specs = row_col_specs(2, 2, domains) + [value_spec(domains, 1), value_spec(domains, 2)]
-    coding = LexOrdering(domains)
-    pairs = [(LiteralSymmetry.from_maps(p, m, coding), RefSymmetry(p, m)) for p, m in specs]
-    for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
-        prod = compose(s, t)
-        assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()
-        assert compose(prod, invert(prod)).is_identity()
-        for a in all_assignments(domains):
-            assert prod.apply(a) == rs.apply(rt.apply(a))
+    # mixed: the row swap is the only row/column transposition that keeps domains
+    mixed = ((1, 0), (7, 2, 5), (1, 0), (7, 2, 5))
+    cross = ([2, 3, 0, 1], [{1: 0, 0: 1}, {7: 2, 2: 5, 5: 7}, {1: 1, 0: 0}, {7: 5, 2: 7, 5: 2}])
+    for domains, specs in [(((0, 1, 2),) * 4, row_col_specs(2, 2, ((0, 1, 2),) * 4)),
+                           (((2, 0, 1),) * 4, row_col_specs(2, 2, ((2, 0, 1),) * 4)),
+                           (mixed, row_col_specs(2, 2, mixed)[:1] + [cross])]:
+        specs = specs + [value_spec(domains, 1), value_spec(domains, 2)]
+        coding = LexOrdering(domains)
+        pairs = [(LiteralSymmetry.from_maps(p, m, coding), RefSymmetry(p, m)) for p, m in specs]
+        for s, rs in pairs:
+            assert [s.apply(a) for a in all_assignments(domains)] == \
+                [rs.apply(a) for a in all_assignments(domains)]
+        for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
+            prod = compose(s, t)
+            assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()
+            assert compose(prod, invert(prod)).is_identity()
+            for a in all_assignments(domains):
+                assert prod.apply(a) == rs.apply(rt.apply(a))
