@@ -27,11 +27,14 @@ and enforcing domain consistency block by block to a fixpoint yields domain
 consistency on the whole conjunction.  The engine therefore wakes one
 propagator per position block (plus the boundary constraints), and the
 network is stored only as those propagators.  The five lines live once, as
-the table `_LINES` that every position's block is built from.
+the table `_LINES` that every position's block is built from.  The engine
+runs on bit masks of the candidate sets, and every store it builds or
+returns holds the eight shared frozensets `_SETS`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -98,6 +101,18 @@ _LINES = (
 _BLOCK = frozenset(t for t in itertools.product(BITS, BITS, SIGNS, SIGNS)
                    if all(tuple(t[k] for k in slots) in rows for slots, rows in _LINES))
 
+# A candidate set as a mask: value v is bit v + 1, one scheme for bits and
+# signs.  Every store holds the eight sets `_SETS` shared; `_MASK` inverts it.
+_SETS = tuple(frozenset(v for v in SIGNS if m >> (v + 1) & 1) for m in range(8))
+_MASK = {s: m for m, s in enumerate(_SETS)}
+
+
+@functools.cache  # at most 8^4 scopes of _BLOCK and 8 of each boundary row
+def _supported(allowed: frozenset, masks: tuple) -> tuple:
+    """Per slot, the mask of the values that some row of `allowed` within `masks` uses."""
+    rows = [t for t in allowed if all(m >> (v + 1) & 1 for m, v in zip(masks, t))]
+    return tuple(sum({1 << (t[j] + 1) for t in rows}) for j in range(len(masks)))
+
 
 def build_decomposition(n: int, strict: bool) -> GrayDecomposition:
     if n < 1:
@@ -118,9 +133,7 @@ def build_decomposition(n: int, strict: bool) -> GrayDecomposition:
 
 def initial_store(decomp: GrayDecomposition) -> DomainStore:
     """Every bit free, every state variable at {-1, 0, 1}."""
-    n = decomp.n
-    return DomainStore([set(BITS) for _ in range(2 * n)]
-                       + [set(SIGNS) for _ in range(n + 1)])
+    return store_from_candidates(decomp.n, [BITS] * decomp.n, [BITS] * decomp.n)
 
 
 def store_from_candidates(n: int, lhs: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]],
@@ -131,13 +144,13 @@ def store_from_candidates(n: int, lhs: Sequence[Sequence[int]], rhs: Sequence[Se
         state = (SIGNS,) * (n + 1)
     elif len(state) != n + 1:
         raise InputError(f"expected {n + 1} state candidate lists")
-    cands: list[set[int]] = []
+    cands = []
     for name, lists, ok in (("lhs", lhs, BITS), ("rhs", rhs, BITS), ("state", state, SIGNS)):
         for i, values in enumerate(lists):
-            vals = set(values)
+            vals = frozenset(values)
             if not vals <= set(ok):
                 raise InputError(f"{name}{i + 1} candidates {sorted(vals)} outside {ok}")
-            cands.append(vals)
+            cands.append(_SETS[_MASK[vals]])
     return DomainStore(cands)
 
 
@@ -157,45 +170,43 @@ class PropagationOutcome:
 
 
 def propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationOutcome:
-    """Fixpoint of per-block domain consistency over a copy of the store.
+    """Fixpoint of per-block domain consistency, on bit masks of the store's sets.
 
     FIFO queue of woken propagators; a propagator wakes when a variable of
-    its scope loses a value.  Deterministic: same input, same trace.  Because
-    the block hypergraph is a chain, the fixpoint equals domain consistency
-    on the conjunction of all constraints; an empty candidate set fails the store.
+    its scope loses a value, and `_supported` gives the masks it keeps.
+    Deterministic: same input, same trace.  Because the block hypergraph is
+    a chain, the fixpoint equals domain consistency on the conjunction of all
+    constraints; an empty candidate set fails the store.  Candidates lie in
+    {-1, 0, 1}, as `store_from_candidates` checks.  The outcome's sets are
+    the shared `_SETS`, and the input store is left as it was.
     """
     if len(store.candidates) != decomp.num_vars:
         raise InputError(f"store covers {len(store.candidates)} variables, "
                          f"decomposition has {decomp.num_vars}")
-    work = store.copy()
-    trace = PropagationTrace()
+    masks = [_MASK[frozenset(c)] for c in store.candidates]
     props, watchers = decomp.propagators, decomp.watchers
+    removals, wakes = 0, [0] * len(props)
     queue = deque(range(len(props)))
     queued = [True] * len(props)
     while queue:
         pid = queue.popleft()
         queued[pid] = False
-        label, con = props[pid]
-        trace.wakes[label] = trace.wakes.get(label, 0) + 1
-        doms = [work.candidates[v] for v in con.scope]
-        valid = [t for t in con.allowed
-                 if all(t[j] in doms[j] for j in range(len(con.scope)))]
-        changed = []
-        for j, var in enumerate(con.scope):
-            supported = {t[j] for t in valid}
-            extra = doms[j] - supported
-            if extra:
-                for v in sorted(extra):
-                    trace.removals += 1
-                    if work.remove(var, v):
-                        return PropagationOutcome(True, work, trace)
-                changed.append(var)
-        for var in changed:
-            for other in watchers[var]:
-                if other != pid and not queued[other]:
-                    queue.append(other)
-                    queued[other] = True
-    return PropagationOutcome(not all(work.candidates), work, trace)
+        wakes[pid] += 1
+        con = props[pid][1]
+        kept = _supported(con.allowed, tuple([masks[v] for v in con.scope]))
+        for var, new in zip(con.scope, kept):
+            if new != masks[var]:
+                removals += (masks[var] ^ new).bit_count()
+                masks[var] = new
+                if not new:  # wipeout: later slots stay as they were
+                    queue.clear()
+                    break
+                for other in watchers[var]:
+                    if other != pid and not queued[other]:
+                        queue.append(other)
+                        queued[other] = True
+    trace = PropagationTrace(removals, {props[pid][0]: k for pid, k in enumerate(wakes) if k})
+    return PropagationOutcome(not all(masks), DomainStore([_SETS[m] for m in masks]), trace)
 
 
 def gac_oracle(n: int, store: DomainStore, strict: bool) -> PropagationOutcome:

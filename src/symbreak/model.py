@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence, Union
 
 Assignment = tuple[int, ...]
 Domain = tuple[int, ...]
@@ -267,17 +267,13 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
 
 @dataclass
 class DomainStore:
-    """Mutable per-variable candidate sets; the one mutable type in the package."""
+    """Per-variable candidate sets.  The Gray stores hold shared frozensets;
+    `copy` gives mutable sets, for code that narrows a store in place."""
 
-    candidates: list[set[int]]
+    candidates: list[AbstractSet[int]]
 
     def copy(self) -> "DomainStore":
         return DomainStore([set(s) for s in self.candidates])
-
-    def remove(self, var: int, value: int) -> bool:
-        """Drop one candidate; True if the variable's set emptied."""
-        self.candidates[var].discard(value)
-        return not self.candidates[var]
 
 
 # ---------------------------------------------------------------------------

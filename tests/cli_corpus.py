@@ -26,7 +26,8 @@ row/column group (80,640 elements), `break` output read back by
 `check --survivors` (binary, and unsorted ternary), symmetry files without
 generators on mixed and unsorted domains, generators that leave the
 solution set of a ternary and of a mixed model, `rank` and `unrank` grids (binary, mixed-radix,
-3x1 and unsorted domains), `gray-check` stores, the
+3x1 and unsorted domains), `gray-check` stores of up to 5 bit positions
+and stores of the benchmark's widths (8 to 128) and kinds, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
@@ -53,6 +54,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -470,6 +472,31 @@ def gray_stores(corpus: Corpus) -> None:
         corpus.invoke(["gray-check", "--store", path, *extra])
     corpus.invoke(["gray-check"])
     corpus.invoke(["gray-check", "--store", corpus.file("bad-store.json", [1, 2])])
+    # the benchmark's widths and store kinds: every bit free, random bits, a
+    # pinned pair in Gray order and reversed, and two pinned states; a Gray
+    # code's rank is the binary number of its prefix parities
+    rng = random.Random(3)
+    for n in (8, 16, 32, 64, 128):
+        for strict in (True, False):
+            free = [[0, 1]] * n
+
+            def some_bits(pinned):
+                return [[rng.randint(0, 1)] if rng.random() < pinned else [0, 1]
+                        for _ in range(n)]
+
+            pair = [[(w >> (n - 1 - i)) & 1 for i in range(n)] for w in map(rng.getrandbits, (n, n))]
+            lo, hi = ([[b] for b in v] for v in
+                      sorted(pair, key=lambda v: list(itertools.accumulate(v, operator.xor))))
+            state = [[-1, 0, 1]] * (n + 1)
+            for pos in rng.sample(range(1, n + 1), 2):
+                state[pos] = [rng.choice([-1, 0, 1])]
+            kinds = {"full": (free, free, None), "bits": (some_bits(0.3), some_bits(0.3), None),
+                     "pair-in": (lo, hi, None), "pair-out": (hi, lo, None),
+                     "state": (some_bits(0.2), free, state)}
+            for kind, (lhs, rhs, states) in kinds.items():
+                store = {"strict": strict, "lhs": lhs, "rhs": rhs, "state": states}
+                corpus.invoke(["gray-check", "--store",
+                               corpus.file(f"wide-{kind}-{n}-{strict}.json", store)])
 
 
 def benchmark_instances(corpus: Corpus) -> None:

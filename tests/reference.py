@@ -9,19 +9,21 @@ name keeps pytest from collecting it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
 from functools import reduce
 from itertools import accumulate, islice, product
 from operator import getitem, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
-from symbreak.gray import GrayDecomposition
+from symbreak.gray import GrayDecomposition, PropagationOutcome, PropagationTrace
 from symbreak.literals import LiteralSymmetry
 from symbreak.model import (
     MAX_ENUMERATION_SPACE,
     Assignment,
     CapExceededError,
     Domain,
+    DomainStore,
     InputError,
     Problem,
     check_shape,
@@ -418,6 +420,41 @@ def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:
             elif overlap:
                 return False
     return True
+
+
+def set_propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationOutcome:
+    """`gray.propagate` on Python sets: the same FIFO queue of woken
+    propagators, each keeping the values that some allowed row within the
+    current sets uses, one removal event per dropped value."""
+    work = store.copy()
+    trace = PropagationTrace()
+    props, watchers = decomp.propagators, decomp.watchers
+    queue = deque(range(len(props)))
+    queued = [True] * len(props)
+    while queue:
+        pid = queue.popleft()
+        queued[pid] = False
+        label, con = props[pid]
+        trace.wakes[label] = trace.wakes.get(label, 0) + 1
+        doms = [work.candidates[v] for v in con.scope]
+        valid = [t for t in con.allowed
+                 if all(t[j] in doms[j] for j in range(len(con.scope)))]
+        changed = []
+        for j, var in enumerate(con.scope):
+            extra = doms[j] - {t[j] for t in valid}
+            if extra:
+                for v in sorted(extra):
+                    trace.removals += 1
+                    work.candidates[var].discard(v)
+                    if not work.candidates[var]:
+                        return PropagationOutcome(True, work, trace)
+                changed.append(var)
+        for var in changed:
+            for other in watchers[var]:
+                if other != pid and not queued[other]:
+                    queue.append(other)
+                    queued[other] = True
+    return PropagationOutcome(not all(work.candidates), work, trace)
 
 
 def tabulated_conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:

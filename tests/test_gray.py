@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import os
 import random
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from symbreak.gray import (
     _LINES,
+    _SETS,
+    BITS,
     SIGNS,
     build_decomposition,
     gac_oracle,
@@ -14,10 +18,12 @@ from symbreak.gray import (
     propagate,
     store_from_candidates,
 )
-from symbreak.model import InputError, binary_domains
+from symbreak.model import DomainStore, InputError, binary_domains
 from symbreak.orderings import GrayOrdering
 
-from reference import is_berge_acyclic_chain
+from reference import is_berge_acyclic_chain, set_propagate
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 _DECOMPS = {}
 
@@ -273,3 +279,73 @@ def test_store_builder_validation():
 def test_oracle_size_guard():
     with pytest.raises(InputError):
         gac_oracle(11, initial_store(build_decomposition(11, True)), True)
+
+
+def subsets(values):
+    return [set(c) for k in range(len(values) + 1) for c in itertools.combinations(values, k)]
+
+
+def assert_matches_set_engine(d, store):
+    """The mask engine against the set engine of tests/reference.py: the same
+    verdict, removal count, wakes in order and candidates, failed stores too;
+    and every set the engine hands back is one of the eight shared ones."""
+    got, want = propagate(d, store), set_propagate(d, store)
+    assert (got.failed, got.trace.removals, list(got.trace.wakes.items())) == \
+        (want.failed, want.trace.removals, list(want.trace.wakes.items()))
+    assert got.store.candidates == want.store.candidates
+    assert all(any(c is s for s in _SETS) for c in got.store.candidates)
+    return got
+
+
+def test_mask_engine_matches_set_engine_on_every_n1_store():
+    for strict in (True, False):
+        d = decomp(1, strict)
+        for doms in itertools.product(*map(subsets, (BITS, BITS, SIGNS, SIGNS))):
+            assert_matches_set_engine(d, DomainStore(list(doms)))
+
+
+def test_mask_engine_matches_set_engine_on_random_stores():
+    rng = random.Random(26)
+    bit_sets, sign_sets = subsets(BITS), subsets(SIGNS)
+    for _ in range(5000):
+        n = rng.randint(1, 8)
+        d = decomp(n, rng.random() < 0.5)
+        store = initial_store(d)
+        for i in rng.sample(range(d.num_vars), rng.randint(0, d.num_vars)):
+            # the empty set, listed first, is left out nine times in ten, so
+            # that most stores propagate past their first wakes
+            choices = bit_sets if i < 2 * n else sign_sets
+            store.candidates[i] = set(rng.choice(choices[rng.random() < 0.9:]))
+        assert_matches_set_engine(d, store)
+
+
+def test_mask_engine_matches_set_engine_on_the_benchmark_stores(monkeypatch, tmp_path):
+    """Every store of the benchmark's gray-propagate cycle at seeds 1-3, as
+    bench/workloads.py, loaded by path, builds them."""
+    monkeypatch.syspath_prepend(BENCH)  # workloads imports its sibling `oracles`
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  os.path.join(BENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    gray = workloads.GrayPropagate()
+    items = [item for seed in (1, 2, 3) for item in gray.prepare(gray.generate(seed, str(tmp_path)))]
+    assert len(items) == 750
+    verdicts = set()
+    for d, store in items:
+        got = assert_matches_set_engine(d, store)
+        verdicts.add(got.failed)
+        # fresh mutable sets in, the same run out, and neither store changes
+        fresh = DomainStore([set(c) for c in store.candidates])
+        again = propagate(d, fresh)
+        assert (again.failed, again.trace, again.store) == (got.failed, got.trace, got.store)
+        assert fresh.candidates == store.candidates
+    assert verdicts == {False, True}
+
+
+def test_store_builders_hand_out_the_shared_sets():
+    for n in (1, 3):
+        for store in (initial_store(decomp(n, True)),
+                      store_from_candidates(n, [[0], [1], []][:n], [[0, 1]] * n,
+                                            [[-1, 1]] + [[]] * n)):
+            assert all(any(c is s for s in _SETS) for c in store.candidates)
+    assert len({id(s) for s in _SETS}) == len(set(_SETS)) == 8
