@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .model import Assignment, Domain, InputError, binary_domains
-from .orderings import GT, LexOrdering, SimpleOrdering, applicable_orderings
+from .orderings import LexOrdering, SimpleOrdering, applicable_orderings
 from .symmetry import (
     OrbitPartition,
     Symmetry,
@@ -32,7 +32,11 @@ class LeaderConstraint:
     ordering: SimpleOrdering
 
     def satisfied(self, a: Sequence[int]) -> bool:
-        return self.ordering.compare(a, self.sigma.apply(a)) != GT
+        if self.ordering.domains != self.sigma.coding.domains:
+            raise InputError("ordering and symmetry act on different domains")
+        code = self.sigma.coding.codes([a])
+        rank, image = self.ordering.ranks(code + self.sigma.image_codes(code))
+        return rank <= image
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,8 @@ def _judge(partition: OrbitPartition,
     solutions once, by its `ranks` rule on their lex codes.  A leader constraint (sigma,
     ordering) keeps index i iff rank[i] <= the rank of sigma's image of
     solution i: for a generator a lookup, rank[img[i]] with img the
-    partition's image list, and for any other sigma its `image_codes`
-    ranked by the same rule.  Every posted constraint is tested, on the
+    partition's image list, and for any other sigma over the coding's
+    domains its `image_codes` ranked by the same rule.  Every posted constraint is tested, on the
     indices still alive.  A leader-full set of a group with the partition's generators
     keeps each block's least-ranked member: `orbits` refused any image
     outside the solutions, so the block of i is its orbit G·i, and i passes
@@ -153,9 +157,11 @@ def _judge(partition: OrbitPartition,
             elif sigma in gens:
                 img = lists[gens.index(sigma)]
                 alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
+            elif sigma.coding.domains != coding.domains:
+                raise InputError("symmetry and codes act on different domains")
             else:
                 kept = alive[n]
-                images = sigma.image_codes([codes[i] for i in kept], ordering)
+                images = sigma.image_codes([codes[i] for i in kept])
                 alive[n] = [i for i, r in zip(kept, ordering.ranks(images)) if rank[i] <= r]
     return [Verdict(partition.grouped(kept)) for kept in alive]
 

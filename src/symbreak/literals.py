@@ -1,15 +1,15 @@
 """Literal symmetries compiled to the permutation they induce on the literals
 (i, v) of their lex coding: a product is one gather of literal tuples, and
-`apply` maps an assignment's literals through it."""
+`image_codes` moves each lex code's digits through it."""
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, getitem, ne
+from operator import ne
 from typing import Sequence
 
-from .model import Assignment, InputError, check_values
-from .orderings import LexOrdering, SimpleOrdering
+from .model import InputError, check_values
+from .orderings import LexOrdering
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
@@ -99,30 +99,12 @@ class LiteralSymmetry:
         lits[la], lits[lb] = lb, la
         return cls(tuple(lits), coding)
 
-    def apply(self, a: Sequence[int]) -> Assignment:
-        """Each value's literal, mapped through `lits` to m, sets var_of[m] to val_of[m]."""
-        coding = self.coding
-        if len(a) != coding.n:
-            raise InputError(f"assignment arity {len(a)} != {coding.n}")
-        image, var_of, val_of = [None] * coding.n, coding.var_of, coding.val_of
-        try:
-            for m in map(self.lits.__getitem__,
-                         map(add, coding.offsets, map(getitem, coding._pos, a))):
-                image[var_of[m]] = val_of[m]
-        except KeyError:
-            check_values(coding.domains, enumerate(a))
-            raise
-        return tuple(image)
-
-    def image_codes(self, codes: list[int], coding: SimpleOrdering) -> list[int]:
-        """The lex codes under `coding` (any ordering over these domains as
-        listed) of the images of the assignments with these codes.  Variable
-        i at position p adds place[j]·q in place of place[i]·p, where literal
-        offsets[i] + p maps to offsets[j] + q: a delta per variable the
-        symmetry moves (`_deltas`, built once), summed by `coding.digit_sums`."""
+    def image_codes(self, codes: list[int]) -> list[int]:
+        """The lex codes of the images of the assignments with these codes.
+        Variable i at position p adds place[j]·q in place of place[i]·p, where
+        literal offsets[i] + p maps to offsets[j] + q: a delta per variable
+        the symmetry moves (`_deltas`, built once), summed by `digit_sums`."""
         own = self.coding
-        if coding.domains != own.domains:
-            raise InputError("symmetry and codes act on different domains")
         if self._deltas is None:  # one scan for the moved literals, on first use
             lits, offsets, var_of, places = self.lits, own.offsets, own.var_of, own.places
             literals = range(len(lits))
@@ -130,7 +112,7 @@ class LiteralSymmetry:
                 i: [places[var_of[m]] * (m - offsets[var_of[m]]) - places[i] * p
                     for p, m in enumerate(lits[offsets[i]:offsets[i + 1]])]
                 for i in set(map(var_of.__getitem__, compress(literals, map(ne, lits, literals))))}
-        return coding.digit_sums(codes, self._deltas)
+        return own.digit_sums(codes, self._deltas)
 
     def is_identity(self) -> bool:
         return self.lits == tuple(range(len(self.lits)))

@@ -209,7 +209,8 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
 
     Without a cap, search spaces above MAX_ENUMERATION_SPACE are refused.
     With a cap, finding more than `cap` solutions raises rather than
-    truncating the result.  The search is depth-first over an explicit
+    truncating the result, so a cap below 1 raises on any problem with a
+    solution.  The search is depth-first over an explicit
     stack of per-depth (position, value) iterators, so depth is not bounded
     by Python's recursion limit; constraints read the values, and each
     prefix's code is carried down the stack.  It stops at the last variable
@@ -222,8 +223,6 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
             raise CapExceededError(
                 f"search space {problem.space_size} exceeds "
                 f"{MAX_ENUMERATION_SPACE}; pass an explicit cap")
-    elif cap < 1:
-        raise InputError("cap must be positive")
 
     # a constraint is checkable once its scope's last variable is set: one checker per depth
     free = 1 + max((max(con.scope) for con in problem.constraints), default=0)

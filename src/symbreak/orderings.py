@@ -8,8 +8,8 @@ lex codes to the ordering's ranks and `unranks` is its inverse, both on
 lists: the identity for lex, space_size - 1 - code for revlex, the prefix
 XOR for gray (k XOR (k >> 1) back), and for snakelex a variable
 permutation by chunk tables (`SimpleOrdering.digit_sums`).  `rank`,
-`unrank`, `compare` and π between two orderings (`AssignmentPermutation`)
-are written once, on top of that pair.  Ranks are 0-indexed.
+`unrank` and π between two orderings (`AssignmentPermutation`) are written
+once, on top of that pair.  Ranks are 0-indexed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .model import (
     check_values,
 )
 
-LT, EQ, GT = -1, 0, 1
 CHUNK_CAP = 1 << 10  # digit combinations in one table of `SimpleOrdering.chunks`
 
 
@@ -42,7 +41,7 @@ def _places(radices: Sequence[int]) -> list[int]:
 
 class SimpleOrdering:
     """Lex after the bijection `ranks` of the lex codes; the only statement
-    of rank, unrank and compare.  A subclass supplies `ranks`, `unranks`
+    of rank and unrank.  A subclass supplies `ranks`, `unranks`
     (both list rules) and `unsupported`, its check of the domains (and
     matrix shape) it is defined on.  Here both rules are the identity: lex.
     """
@@ -99,10 +98,6 @@ class SimpleOrdering:
         if not 0 <= k < self.space_size:
             raise InputError(f"rank {k} outside [0, {self.space_size})")
         return self.decode(self.unranks([k]))[0]
-
-    def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        ra, rb = self.ranks(self.codes([a, b]))
-        return LT if ra < rb else GT if ra > rb else EQ
 
     def codes(self, assignments: Sequence[Sequence[int]]) -> list[int]:
         """The lex code of each assignment, Σ pos·place, checked in bulk: the

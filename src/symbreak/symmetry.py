@@ -1,18 +1,18 @@
-"""Symmetries acting on assignments, generated groups, orbits, conjugation.
+"""Symmetries acting on lex codes, generated groups, orbits, conjugation.
 
-Two representations, never mixed inside one group:
+Three representations, never mixed inside one group:
 
 * `LiteralSymmetry` (module `literals`) — a variable permutation composed
   with per-variable value bijections, so every complete assignment maps to
   a complete assignment by construction.
 * `AssignmentSymmetry` — an explicit bijection on finitely many listed
-  assignments, identity elsewhere: the carrier for conjugated symmetries
-  and for groups defined directly on solution sets.
+  assignments, identity elsewhere: the group gadget's transpositions.
+* `ConjugateSymmetry` — pi∘g∘pi⁻¹, held as the pair (g, pi).
 
-Both act on the lex codes of their `coding`, a LexOrdering of their
-domains as listed (`image_codes`).  A group's generators share its one
-coding, and a solution is its lex code under it, so orbits, verdicts and
-conjugation work on integers.
+Each acts on the lex codes of its `coding`, a LexOrdering of its domains
+as listed (`image_codes`).  A group's generators share its one coding, and
+a solution is its lex code under it, so orbits, verdicts and conjugation
+work on integers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
     ABSENT,
-    Assignment,
     Domain,
     CapExceededError,
     InputError,
@@ -37,7 +36,7 @@ from .model import (
     read_fields,
 )
 from .literals import LiteralSymmetry
-from .orderings import AssignmentPermutation, LexOrdering, SimpleOrdering
+from .orderings import AssignmentPermutation, LexOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -59,14 +58,8 @@ class AssignmentSymmetry:
             raise InputError("listed pairs do not form a bijection on the listed set")
         self._map, self.coding = moved, coding
 
-    def apply(self, a: Sequence[int]) -> Assignment:
-        return self.coding.decode(self.image_codes(self.coding.codes([a]), self.coding))[0]
-
-    def image_codes(self, codes: list[int], coding: SimpleOrdering) -> list[int]:
-        """The lex codes under `coding`, over these domains as listed, of the
-        images of the assignments with these codes."""
-        if coding.domains != self.coding.domains:
-            raise InputError("symmetry and codes act on different domains")
+    def image_codes(self, codes: list[int]) -> list[int]:
+        """The lex codes of the images of the assignments with these codes."""
         return list(map(self._map.get, codes, codes))
 
     def is_identity(self) -> bool:
@@ -87,7 +80,26 @@ class AssignmentSymmetry:
         return f"AssignmentSymmetry({len(self._map)} moved)"
 
 
-Symmetry = Union[LiteralSymmetry, AssignmentSymmetry]
+@dataclass(frozen=True)
+class ConjugateSymmetry:
+    """pi∘g∘pi⁻¹ as (g, pi): image codes by pi⁻¹, g and pi, each in bulk, so
+    nothing is tabulated over the space; equal by one pi iff the gs are."""
+
+    g: Union[LiteralSymmetry, AssignmentSymmetry, "ConjugateSymmetry"]
+    pi: AssignmentPermutation
+
+    @property
+    def coding(self) -> LexOrdering:
+        return self.g.coding
+
+    def image_codes(self, codes: list[int]) -> list[int]:
+        return self.pi.forward_codes(self.g.image_codes(self.pi.inverse_codes(codes)))
+
+    def is_identity(self) -> bool:
+        return self.g.is_identity()
+
+
+Symmetry = Union[LiteralSymmetry, AssignmentSymmetry, ConjugateSymmetry]
 
 
 @dataclass
@@ -95,23 +107,23 @@ class SymmetryGroup:
     """Group given by generators over one `coding`, a LexOrdering of their
     domains as listed (given, or else the generators'; a group without
     generators needs it).  `chain`, its stabilizer chain over the coding's
-    literals (the listed codes, for an assignment-level group), is built
-    once, under `cap`, and is the only element machinery: `order` is the
-    product of its level sizes (or that of the group it is `conjugate_of`),
-    and `closure()` lists the products of its representatives.  No verdict
+    literals (the listed codes, for an assignment-level group; G's points,
+    for conjugates of G), is built once, under `cap`, and is the only
+    element machinery: `order` is the product of its level sizes, and
+    `closure()` lists the products of its representatives.  No verdict
     reads the chain.  Without generators, order 1 and an empty closure."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
     coding: Optional[LexOrdering] = field(default=None, repr=False, compare=False)
-    conjugate_of: Optional["SymmetryGroup"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.generators = tuple(self.generators)
         if self.cap < 1:
             raise InputError("closure cap must be positive")
-        if len({type(g) for g in self.generators}) > 1:
-            raise InputError("a group cannot mix literal and assignment-level symmetries")
+        if len({(type(g), getattr(g, "pi", None)) for g in self.generators}) > 1:
+            raise InputError("a group cannot mix kinds of symmetry or conjugates by different "
+                             "permutations")
         codings = {g.coding for g in self.generators} | ({self.coding} - {None})  # each hashed once
         if not codings:
             raise InputError("a group without generators needs a coding")
@@ -123,13 +135,17 @@ class SymmetryGroup:
         """The generators as permutations of range(n), and the element that
         such a permutation stands for.  A literal group permutes its
         literals; an assignment-level one the lex codes its generators
-        list, numbered in the order they are first listed."""
+        list, numbered in the order they are first listed; conjugates of G
+        G's points, whose elements they conjugate."""
         gens, coding = self.generators, self.coding
+        if gens and isinstance(gens[0], ConjugateSymmetry):
+            perms, element = SymmetryGroup(tuple(g.g for g in gens), self.cap, coding)._points()
+            return perms, lambda e: ConjugateSymmetry(element(e), gens[0].pi)
         if gens and isinstance(gens[0], LiteralSymmetry):
             return [g.lits for g in gens], lambda e: LiteralSymmetry(e, coding)
         listed = list(dict.fromkeys(c for g in gens for c in g._map))
         index = dict(zip(listed, count()))
-        return ([tuple(map(index.get, g.image_codes(listed, coding))) for g in gens],
+        return ([tuple(map(index.get, g.image_codes(listed))) for g in gens],
                 lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e))), coding))
 
     @cached_property
@@ -141,8 +157,6 @@ class SymmetryGroup:
 
     @cached_property
     def order(self) -> int:
-        if self.conjugate_of is not None:  # conjugation preserves order
-            return self.conjugate_of.order
         return prod(map(len, self.chain))
 
     def closure(self) -> tuple[Symmetry, ...]:
@@ -166,14 +180,14 @@ class SymmetryGroup:
         gens, coding = self.generators, self.coding
         if not 0 <= code < coding.space_size:
             raise InputError(f"code {code} outside [0, {coding.space_size})")
-        if gens and isinstance(gens[0], LiteralSymmetry):
-            return tuple(_orbit_search(code, lambda b: [g.image_codes([b], coding)[0]
-                                                        for g in gens], cap=self.cap))
-        movers: dict = {}
-        for g in gens:
-            for b, image in g._map.items():
-                movers.setdefault(b, []).append(image)
-        return tuple(_orbit_search(code, lambda b: movers.get(b, ()), cap=self.cap))
+        step = lambda b: [g.image_codes([b])[0] for g in gens]
+        if gens and isinstance(gens[0], AssignmentSymmetry):
+            movers: dict = {}
+            for g in gens:
+                for b, image in g._map.items():
+                    movers.setdefault(b, []).append(image)
+            step = lambda b: movers.get(b, ())
+        return tuple(_orbit_search(code, step, cap=self.cap))
 
 
 def _orbit_search(start, neighbours: Callable[..., Iterable], cap: Optional[int] = None) -> list:
@@ -317,7 +331,7 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
         if index and not (0 <= min(index) and max(index) < coding.space_size):
             raise InputError(f"solution code outside [0, {coding.space_size})")
         look = index.get
-    lists = [list(map(look, g.image_codes(codes, coding))) for g in gens]
+    lists = [list(map(look, g.image_codes(codes))) for g in gens]
     steps = list(zip(gens, lists))
     block_of = [-1] * len(codes)  # also the visited mark of the searches
     for i, first in enumerate(block_of):
@@ -328,7 +342,7 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
             for g, img in steps:
                 k = img[j]
                 if k is None:
-                    a, image = coding.decode([codes[j], *g.image_codes([codes[j]], coding)])
+                    a, image = coding.decode([codes[j], *g.image_codes([codes[j]])])
                     raise InputError("generator maps a solution outside the solution set "
                                      f"({a} -> {image})")
                 if block_of[k] < 0:
@@ -338,21 +352,13 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
 
 
 def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
-    """Group with generators pi∘g∘pi⁻¹, refusing a pi over other listed
-    domains; its order is the group's, which conjugation preserves.
-
-    These have no literal structure in general, so each is tabulated over
-    every lex code (desk scale only): pi⁻¹ of the codes, the generator's
-    image codes of those, and pi of the images, each in bulk.
-    """
+    """Group with generators pi∘g∘pi⁻¹, each held as (g, pi), refusing a pi
+    over other listed domains; its chain and elements are G's, conjugated."""
     coding = group.coding
     if coding.domains != pi.domains:
         raise InputError(f"permutation acts on domains {pi.domains}, group on {coding.domains}")
-    preimages = pi.inverse_codes(list(range(coding.space_size)))
-    return SymmetryGroup(tuple(
-        AssignmentSymmetry(dict(enumerate(pi.forward_codes(g.image_codes(preimages, coding)))),
-                           coding)
-        for g in group.generators), group.cap, coding, conjugate_of=group)
+    return SymmetryGroup(tuple(ConjugateSymmetry(g, pi) for g in group.generators),
+                         group.cap, coding)
 
 
 def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,

@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import reduce
 from itertools import accumulate, islice, product
-from operator import getitem, xor
+from operator import add, getitem, xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
@@ -30,7 +30,6 @@ from symbreak.model import (
     check_values,
 )
 from symbreak.orderings import (
-    LT,
     AssignmentPermutation,
     GrayOrdering,
     LexOrdering,
@@ -42,6 +41,7 @@ from symbreak.orderings import (
 from symbreak.reductions import OneInThreeInstance, OneInThreeOrdering, one_in_three_satisfiable
 from symbreak.symmetry import (
     AssignmentSymmetry,
+    ConjugateSymmetry,
     OrbitPartition,
     Symmetry,
     SymmetryGroup,
@@ -49,6 +49,50 @@ from symbreak.symmetry import (
     _orbit_search,
     orbits,
 )
+
+
+LT, EQ, GT = -1, 0, 1
+
+
+def compare(ordering: SimpleOrdering, a: Sequence[int], b: Sequence[int]) -> int:
+    """LT, EQ or GT as a ranks before, with or after b under the ordering."""
+    ra, rb = ordering.ranks(ordering.codes([a, b]))
+    return LT if ra < rb else GT if ra > rb else EQ
+
+
+def apply(s: Symmetry, a: Sequence[int]) -> Assignment:
+    """s of one assignment, without `image_codes`.  A literal symmetry maps
+    each value's literal through `lits` to m and sets var_of[m] to val_of[m];
+    an assignment-level one looks its lex code up; a conjugate pi∘g∘pi⁻¹
+    reads pi off `digit_rank` and `digit_unrank`."""
+    if isinstance(s, ConjugateSymmetry):
+        source, target = s.pi.source, s.pi.target
+        back = digit_unrank(source, digit_rank(target, a))
+        return digit_unrank(target, digit_rank(source, apply(s.g, back)))
+    coding = s.coding
+    if isinstance(s, AssignmentSymmetry):
+        code = coding.codes([a])[0]
+        return coding.decode([s._map.get(code, code)])[0]
+    if len(a) != coding.n:
+        raise InputError(f"assignment arity {len(a)} != {coding.n}")
+    image, var_of, val_of = [None] * coding.n, coding.var_of, coding.val_of
+    try:
+        for m in map(s.lits.__getitem__,
+                     map(add, coding.offsets, map(getitem, coding._pos, a))):
+            image[var_of[m]] = val_of[m]
+    except KeyError:
+        check_values(coding.domains, enumerate(a))
+        raise
+    return tuple(image)
+
+
+def identity_like(s: Symmetry) -> Symmetry:
+    """The identity in the representation of s."""
+    if isinstance(s, ConjugateSymmetry):
+        return ConjugateSymmetry(identity_like(s.g), s.pi)
+    if isinstance(s, AssignmentSymmetry):
+        return AssignmentSymmetry({}, s.coding)
+    return LiteralSymmetry(tuple(range(len(s.lits))), s.coding)
 
 
 def all_assignments(domains: Sequence[Domain]) -> Iterator[Assignment]:
@@ -76,13 +120,18 @@ def inverse(pi: AssignmentPermutation, a: Sequence[int]) -> Assignment:
 def compose(s: Symmetry, t: Symmetry) -> Symmetry:
     """The symmetry acting as s after t: compose(s, t)(a) = s(t(a)).  Literal
     symmetries compose by one gather of literal tuples, assignment-level
-    ones on the lex codes either lists."""
+    ones on the lex codes either lists, and conjugates by one pi as the
+    conjugate of their gs' product."""
     if type(s) is not type(t):
         raise InputError("cannot compose literal and assignment-level symmetries")
+    if isinstance(s, ConjugateSymmetry):
+        if s.pi != t.pi:
+            raise InputError("cannot compose conjugates by different permutations")
+        return ConjugateSymmetry(compose(s.g, t.g), s.pi)
     if isinstance(s, AssignmentSymmetry):
         listed = list(s._map.keys() | t._map.keys())
-        images = s.image_codes(t.image_codes(listed, t.coding), s.coding)
-        return AssignmentSymmetry(dict(zip(listed, images)), s.coding)
+        return AssignmentSymmetry(dict(zip(listed, s.image_codes(t.image_codes(listed)))),
+                                  s.coding)
     if t.coding.domains != s.coding.domains:
         raise InputError("symmetries act on different domains")
     return LiteralSymmetry(_gatherer(t.lits)(s.lits), s.coding)
@@ -90,6 +139,8 @@ def compose(s: Symmetry, t: Symmetry) -> Symmetry:
 
 def invert(s: Symmetry) -> Symmetry:
     """The inverse symmetry."""
+    if isinstance(s, ConjugateSymmetry):
+        return ConjugateSymmetry(invert(s.g), s.pi)
     if isinstance(s, AssignmentSymmetry):
         return AssignmentSymmetry({b: a for a, b in s._map.items()}, s.coding)
     return LiteralSymmetry(tuple(sorted(range(len(s.lits)), key=s.lits.__getitem__)), s.coding)
@@ -104,8 +155,6 @@ def tuple_solutions(problem: Problem, cap: Optional[int] = None) -> list[Assignm
             raise CapExceededError(
                 f"search space {problem.space_size} exceeds "
                 f"{MAX_ENUMERATION_SPACE}; pass an explicit cap")
-    elif cap < 1:
-        raise InputError("cap must be positive")
     solutions: list[Assignment] = []
     values: list = [None] * problem.n
     levels = [iter(problem.domains[0])]
@@ -166,14 +215,14 @@ def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) 
     raise rather than answer.
     """
     orbit = group.coding.decode(list(group.orbit_of(group.coding.codes([a])[0])))
-    return not any(ordering.compare(b, a) == LT for b in orbit)
+    return not any(compare(ordering, b, a) == LT for b in orbit)
 
 
 def dense_orbit_of(group: SymmetryGroup, a: Assignment) -> tuple[Assignment, ...]:
     """The orbit of `a` by applying every generator at every point, in search
     order; more than the group's cap of points raises CapExceededError."""
     gens = group.generators
-    return tuple(_orbit_search(tuple(a), lambda b: [g.apply(b) for g in gens], cap=group.cap))
+    return tuple(_orbit_search(tuple(a), lambda b: [apply(g, b) for g in gens], cap=group.cap))
 
 
 def breadth_first_closure(group: SymmetryGroup) -> tuple:
@@ -189,7 +238,7 @@ def breadth_first_closure(group: SymmetryGroup) -> tuple:
         found = _orbit_search(tuple(range(len(lits[0]))), lambda e: map(_gatherer(e), lits),
                               cap=group.cap)
         return tuple(LiteralSymmetry(e, coding) for e in found)
-    return tuple(_orbit_search(AssignmentSymmetry({}, gens[0].coding),
+    return tuple(_orbit_search(identity_like(gens[0]),
                                lambda e: [compose(g, e) for g in gens], cap=group.cap))
 
 
@@ -465,16 +514,15 @@ def tabulated_conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> Symm
     forward = {a: digit_unrank(pi.target, digit_rank(pi.source, a)) for a in space}
     back = {b: a for a, b in forward.items()}
     return SymmetryGroup(tuple(
-        symmetry_from_pairs({b: forward[g.apply(back[b])] for b in space}, pi.domains)
+        symmetry_from_pairs({b: forward[apply(g, back[b])] for b in space}, pi.domains)
         for g in group.generators), cap=group.cap, coding=LexOrdering(pi.domains))
 
 
 def count_rank_calls(monkeypatch) -> dict:
-    """Count the per-assignment `rank`, `unrank` and `compare` calls of every
-    ordering ("rank"): SimpleOrdering writes all three, and no ordering
-    overrides them."""
+    """Count the per-assignment `rank` and `unrank` calls of every ordering
+    ("rank"): SimpleOrdering writes both, and no ordering overrides them."""
     calls = {"rank": 0}
-    for name in ("rank", "unrank", "compare"):
+    for name in ("rank", "unrank"):
         def counted(self, *args, method=getattr(SimpleOrdering, name)):
             calls["rank"] += 1
             return method(self, *args)

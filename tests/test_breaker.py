@@ -1,5 +1,7 @@
+import importlib.util
 import math
-from functools import cmp_to_key
+import os
+from functools import cmp_to_key, partial
 
 import pytest
 
@@ -12,9 +14,15 @@ from symbreak.breaker import (
     orbit_verdict,
     per_orbit_survivors,
 )
-from symbreak.model import CapExceededError, InputError, binary_domains
+from symbreak.model import (
+    CapExceededError,
+    InputError,
+    Problem,
+    TableConstraint,
+    binary_domains,
+    enumerate_solutions,
+)
 from symbreak.orderings import (
-    GT,
     GrayOrdering,
     LexOrdering,
     SnakeLexOrdering,
@@ -26,14 +34,18 @@ from symbreak.symmetry import (
     LiteralSymmetry,
     SymmetryGroup,
     conjugate,
+    orbits,
     partitions_isomorphic,
     row_col_generators,
     row_col_group,
 )
 
 from reference import (
+    GT,
     all_assignments,
+    apply,
     blocks_of,
+    compare,
     forward,
     is_complete,
     is_sound,
@@ -50,7 +62,7 @@ GRAY4 = GrayOrdering(binary_domains(4))
 def orbit_minima(solutions, group, ordering):
     """Independent oracle: smallest member of each orbit by pairwise compare."""
     part = tuple_orbits(solutions, group)
-    key = cmp_to_key(ordering.compare)
+    key = cmp_to_key(partial(compare, ordering))
     return {min(block, key=key) for block in blocks_of(part)}
 
 
@@ -204,6 +216,62 @@ def test_conjugation_carries_lex_leaders_to_ordering_leaders(shape):
                 [{forward(pi, a) for a in block} for block in kept], (ordering.name, mode)
 
 
+TERNARY_2x2 = LexOrdering(((0, 1, 2),) * 4)
+
+
+@pytest.mark.parametrize("group, shape", [
+    (row_col_group((2, 3)), (2, 3)),
+    (SymmetryGroup((*row_col_generators((2, 2), TERNARY_2x2), LiteralSymmetry.from_maps(
+        range(4), [{0: 1, 1: 2, 2: 0}] * 4, TERNARY_2x2))), (2, 2)),
+    (conjugate(rank_preserving_map(GrayOrdering(binary_domains(4))), row_col_group((2, 2))),
+     (2, 2)),
+], ids=["row-col-2x3", "ternary-value-maps-2x2", "conjugated-gray-2x2"])
+def test_leader_constraint_is_the_per_assignment_comparison(group, shape):
+    # on codes, as the reference `compare` of a with its `apply` image, for
+    # every closure element under every ordering on every assignment
+    space = list(all_assignments(group.coding.domains))
+    for ordering in applicable_orderings(group.coding.domains, shape):
+        for s in group.closure():
+            con = LeaderConstraint(s, ordering)
+            assert [con.satisfied(a) for a in space] == \
+                [compare(ordering, a, apply(s, a)) != GT for a in space], (ordering.name, s)
+
+
+def test_leader_constraint_refuses_an_ordering_over_another_listing():
+    # the same values listed in another order rank other codes
+    con = LeaderConstraint(row_col_generators((1, 2))[0], LexOrdering(((1, 0), (1, 0))))
+    with pytest.raises(InputError, match="^ordering and symmetry act on different domains$"):
+        con.satisfied((0, 1))
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_conjugation_carries_orbits_past_the_enumeration_cap(r):
+    # the paper's reduction on r x r binary models with one non-zero cell per
+    # row: r^r solutions in a space of 2^(r*r), past the uncapped enumeration
+    # limit, under every ordering; the conjugates take the solutions' codes
+    # alone, and the orbit count is bench/oracles.py's, by Burnside's lemma
+    spec = importlib.util.spec_from_file_location("bench_oracles",
+                                                  os.path.join(BENCH, "oracles.py"))
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    doms = binary_domains(r * r)
+    one = frozenset(tuple(int(j == k) for j in range(r)) for k in range(r))
+    problem = Problem(r * r, doms, tuple(TableConstraint(tuple(range(i * r, i * r + r)), one)
+                                         for i in range(r)))
+    sols = enumerate_solutions(problem, cap=r ** r)
+    group = row_col_group((r, r))
+    original = orbits(sols, group)
+    assert len(sols) == r ** r and len(original) == oracles.matrix_orbit_count(r, r, 2, 1)
+    for ordering in applicable_orderings(doms, (r, r)):
+        pi = rank_preserving_map(ordering)
+        conjugated = orbits(pi.forward_codes(sols), conjugate(pi, group))
+        ok, tau = partitions_isomorphic(original, conjugated, pi)
+        assert ok and sorted(tau) == list(range(len(original))), ordering.name
+
+
 def test_leader_constraint_nonstrict_keeps_fixed_points():
     row_swap = row_col_group((2, 2)).generators[0]
     con = LeaderConstraint(row_swap, LEX4)
@@ -252,4 +320,4 @@ def test_leader_full_length_without_generators_or_with_repeated_ones(gens, order
     assert len(bset) == len(bset.constraints) == max(len(group.closure()) - 1, 0) == order - 1
     assert group.order == order
     assert filter_solutions(SPACE2x2, bset) == [a for a in SPACE2x2 if all(
-        LEX4.compare(a, s.apply(a)) != GT for s in group.closure())]
+        compare(LEX4, a, apply(s, a)) != GT for s in group.closure())]

@@ -42,6 +42,7 @@ from symbreak.symmetry import (
 
 from reference import (
     all_assignments,
+    apply,
     _chain_walk,
     blocks_of,
     breadth_first_closure,
@@ -181,7 +182,7 @@ def test_chain_walk_reaches_every_element_but_the_identity_once(name, group, dom
     partition = tuple_orbits(space, group)
     walked = Counter(_chain_walk(word_chain(group), partition.images, list(range(len(space)))))
     closure = group.closure()
-    assert walked == Counter(tuple(index[s.apply(a)] for a in space) for s in closure[1:])
+    assert walked == Counter(tuple(index[apply(s, a)] for a in space) for s in closure[1:])
     assert sum(walked.values()) == group.order - 1
 
 

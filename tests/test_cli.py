@@ -411,9 +411,9 @@ def count_codes(monkeypatch, calls: dict):
         calls["codes"] += len(found)
         return found
 
-    def counted_image_codes(self, some, coding):
+    def counted_image_codes(self, some):
         image_codes_of[self] += 1
-        return image_codes(self, some, coding)
+        return image_codes(self, some)
 
     monkeypatch.setattr(SimpleOrdering, "codes", counted_codes)
     monkeypatch.setattr(LiteralSymmetry, "image_codes", counted_image_codes)
@@ -429,11 +429,10 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
     # every posted ordering (compare's lex, revlex, gray and snakelex, whose
     # doublelex row shares lex; lex for check and break) ranks those codes
     # by its rule, and the verdicts are rank lookups.  So nothing calls
-    # `rank`, `compare` or `apply`.
+    # `rank` or `unrank`.
     import symbreak.breaker
     import symbreak.cli
     from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
-    from symbreak.literals import LiteralSymmetry
     from symbreak.symmetry import orbits, row_col_generators
 
     calls = count_rank_calls(monkeypatch)
@@ -451,18 +450,15 @@ def test_orbits_once_and_one_evaluation_per_solution(capsys, files, monkeypatch)
 
     for module in (symbreak.cli, symbreak.breaker):
         monkeypatch.setattr(module, "orbits", counted_orbits)
-    for name, cls, method in (("set", SymmetryBreakingSet, "satisfied"),
-                              ("leader", LeaderConstraint, "satisfied"),
-                              ("apply", LiteralSymmetry, "apply")):
-        monkeypatch.setattr(cls, method, counter(name, getattr(cls, method)))
+    for name, cls in (("set", SymmetryBreakingSet), ("leader", LeaderConstraint)):
+        monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
     _, problem, syms = files
     for command in ("compare", "check", "break", "orbits"):
-        calls.update(orbits=0, set=0, leader=0, rank=0, apply=0, codes=0)
+        calls.update(orbits=0, set=0, leader=0, rank=0, codes=0)
         image_codes_of.clear()
         code, _, _ = invoke(capsys, [command, "--problem", problem, "--symmetries", syms])
         assert code == 0
-        assert calls == {"orbits": 1, "set": 0, "leader": 0, "rank": 0, "apply": 0,
-                         "codes": 0}, command
+        assert calls == {"orbits": 1, "set": 0, "leader": 0, "rank": 0, "codes": 0}, command
         assert image_codes_of == dict.fromkeys(row_col_generators((2, 2)), 1), command
 
 
@@ -564,7 +560,7 @@ def test_leader_checks_per_compare(capsys, tmp_path, monkeypatch, shape, codes):
     # The per-assignment path made 1567 and 14152 LeaderConstraint.satisfied
     # calls here, and the ranking that replaced it one key call per solution
     # per posted ordering (4 x 64 and 4 x 512).  The kernel makes no
-    # per-assignment call, `satisfied`, `rank` or `compare`:
+    # per-assignment call, `satisfied`, `rank` or `unrank`:
     # the enumeration gives each of the 2^(r*c) solutions its lex code, so
     # nothing encodes an assignment, each of the r + c - 2 generators gets
     # one image-code list, and lex, revlex, gray and snakelex (doublelex
@@ -599,7 +595,7 @@ def test_rank_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path,
     # identity, so doublelex's row and column swaps are no group element:
     # each one's image codes are taken of the solutions still alive, and
     # ranked by lex's rule whether the image is a solution or not, so no
-    # per-assignment `rank` or `compare` call is made.  The row swap sends the 4 solutions with x2 = 0
+    # per-assignment `rank` or `unrank` call is made.  The row swap sends the 4 solutions with x2 = 0
     # outside (3 survive it); the column swap then codes those 3.
     from symbreak.literals import LiteralSymmetry
 
@@ -612,9 +608,9 @@ def test_rank_calls_for_doublelex_images_outside_the_solutions(capsys, tmp_path,
     coded = []
     image_codes = LiteralSymmetry.image_codes
 
-    def counted(self, codes, coding):
+    def counted(self, codes):
         coded.append(len(codes))
-        return image_codes(self, codes, coding)
+        return image_codes(self, codes)
 
     monkeypatch.setattr(LiteralSymmetry, "image_codes", counted)
     code, out, _ = invoke(capsys, ["check", "--method", "doublelex", "--problem", str(problem),

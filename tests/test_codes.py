@@ -4,8 +4,8 @@ A solution's lex code is its LexOrdering rank.  Checked on every binary
 shape of up to 9 cells, ternary, mixed and unsorted domains, value maps and
 the 1-in-3 gadget's ordering: decoding (one at a time and in bulk)
 inverts encoding, a literal or assignment-level symmetry's image codes are
-the codes of its `apply` (and only codes over its domains as listed are
-taken), a group's coding is its problem's listing, every ordering's
+the codes of its reference `apply` (and a verdict refuses a symmetry over
+other domains), a group's coding is its problem's listing, every ordering's
 `ranks` rule gives the rank of its digit map (`reference.digit_rank`), and
 on the whole space `unranks` inverts `ranks` and `unrank` agrees with the
 digit map's.  Subsets of the space exercise the chunk tables at every size
@@ -16,6 +16,7 @@ import re
 
 import pytest
 
+from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet, orbit_verdict
 from symbreak.literals import LiteralSymmetry
 from symbreak.model import (
     InputError,
@@ -41,6 +42,8 @@ from symbreak.symmetry import (
 
 from reference import (
     all_assignments,
+    apply,
+    compare,
     digit_rank,
     digit_unrank,
     symmetry_from_pairs,
@@ -92,7 +95,7 @@ def subsets(space):
 
 def check_bijection(ordering, space):
     """On the whole space, listed in lex order: `unranks` inverts `ranks`,
-    and `rank`, `unrank` and `compare` agree with the digit map's ranks."""
+    and `rank`, `unrank` and the reference `compare` agree with the digit map's ranks."""
     codes = list(range(len(space)))
     ranks = ordering.ranks(codes)
     assert sorted(ranks) == codes and ordering.unranks(ranks) == codes, ordering.name
@@ -101,7 +104,7 @@ def check_bijection(ordering, space):
         ordering.name
     for a, b in zip(space, space[1:] + space[:1]):
         ra, rb = digit_rank(ordering, a), digit_rank(ordering, b)
-        assert ordering.compare(a, b) == (ra > rb) - (ra < rb), ordering.name
+        assert compare(ordering, a, b) == (ra > rb) - (ra < rb), ordering.name
 
 
 @pytest.mark.parametrize("name, domains, shape, gens", CASES, ids=[c[0] for c in CASES])
@@ -118,10 +121,10 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
         part_codes = lex.codes(part)
         assert lex.decode(part_codes) == part
         for g in gens:
-            assert g.image_codes(part_codes, lex) == lex.codes([g.apply(a) for a in part])
+            assert g.image_codes(part_codes) == lex.codes([apply(g, a) for a in part])
         reversal = symmetry_from_pairs(dict(zip(part, part[::-1])), domains)
-        assert reversal.image_codes(part_codes, lex) == part_codes[::-1] == \
-            lex.codes([reversal.apply(a) for a in part])
+        assert reversal.image_codes(part_codes) == part_codes[::-1] == \
+            lex.codes([apply(reversal, a) for a in part])
         for ordering in orderings:
             assert ordering.ranks(part_codes) == [digit_rank(ordering, a) for a in part], \
                 ordering.name
@@ -135,7 +138,7 @@ def test_gadget_ordering_ranks_by_its_prefix_rule():
     for part in subsets(space):
         codes = lex.codes(part)
         assert gadget.ordering.ranks(codes) == [digit_rank(gadget.ordering, a) for a in part]
-        assert gadget.flip.image_codes(codes, lex) == lex.codes([gadget.flip.apply(a) for a in part])
+        assert gadget.flip.image_codes(codes) == lex.codes([apply(gadget.flip, a) for a in part])
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 1000, 4096])
@@ -151,7 +154,7 @@ def test_every_chunk_keeps_under_the_cap(count):
     cap = max(2, min(CHUNK_CAP, count))
     assert all(size == len(table) <= cap for _, size, table in chunks)
     assert sum(size.bit_length() - 1 for _, size, _ in chunks) == 12
-    assert flip_all.image_codes(codes, lex) == [4095 - c for c in codes]
+    assert flip_all.image_codes(codes) == [4095 - c for c in codes]
 
 
 def test_orbits_index_by_code_only_when_the_codes_are_the_space():
@@ -179,21 +182,29 @@ OTHER_LISTINGS = [((0, 1, 2),) * 2, ((1, 0), (0, 1)), binary_domains(3)]
 REFUSAL = "^symmetry and codes act on different domains$"
 
 
+def refuse_on_other_domains(swap, domains):
+    """A verdict on a partition over `domains` refuses swap's leader constraint."""
+    coding = LexOrdering(domains)
+    partition = orbits(list(range(coding.space_size)), SymmetryGroup((), coding=coding))
+    with pytest.raises(InputError, match=REFUSAL):
+        orbit_verdict(partition, SymmetryBreakingSet((LeaderConstraint(swap, coding),)))
+
+
 def test_image_codes_refuse_codes_over_other_domains():
-    # a literal symmetry takes only codes over its domains as listed: the
-    # same values listed in another order are other codes
+    # a posted literal symmetry takes only codes over its domains as listed:
+    # the same values listed in another order are other codes
     swap = row_col_generators((1, 2))[0]
     for domains in OTHER_LISTINGS:
-        with pytest.raises(InputError, match=REFUSAL):
-            swap.image_codes([0], LexOrdering(domains))
+        refuse_on_other_domains(swap, domains)
 
 
 @pytest.mark.parametrize("domains", OTHER_LISTINGS, ids=["ternary", "relisted", "three-variable"])
 def test_assignment_image_codes_refuse_codes_over_other_domains(domains):
-    # by the same rule and message as a literal symmetry
+    # by the same rule and message as a literal symmetry, and so a conjugate
     swap = symmetry_from_pairs({(0, 1): (1, 0), (1, 0): (0, 1)}, binary_domains(2))
-    with pytest.raises(InputError, match=REFUSAL):
-        swap.image_codes([0], LexOrdering(domains))
+    refuse_on_other_domains(swap, domains)
+    pi = rank_preserving_map(RevLexOrdering(binary_domains(2)))
+    refuse_on_other_domains(conjugate(pi, SymmetryGroup((swap,))).generators[0], domains)
 
 
 # listed out of sorted order, ternary and mixed: the row swap of a 2x2

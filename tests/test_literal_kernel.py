@@ -29,9 +29,6 @@ from symbreak.breaker import (
 from symbreak.cli import run
 from symbreak.model import binary_domains
 from symbreak.orderings import (
-    EQ,
-    GT,
-    LT,
     ORDERING_NAMES,
     LexOrdering,
     applicable_orderings,
@@ -42,7 +39,11 @@ from symbreak.orderings import (
 from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, row_col_group
 
 from reference import (
+    EQ,
+    GT,
+    LT,
     all_assignments,
+    apply,
     blocks_of,
     breadth_first_closure,
     compose,
@@ -224,7 +225,7 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
                           coding=coding)
     refs = [RefSymmetry(p, m) for p, m in specs]
     for gen, ref in zip(group.generators, refs):
-        assert [gen.apply(a) for a in all_assignments(domains)] == \
+        assert [apply(gen, a) for a in all_assignments(domains)] == \
             [ref.apply(a) for a in all_assignments(domains)]
     solutions = one_per_row(r, c, domains) if sparse else list(all_assignments(domains))
 
@@ -355,11 +356,11 @@ def test_compose_and_invert_match_reference():
         coding = LexOrdering(domains)
         pairs = [(LiteralSymmetry.from_maps(p, m, coding), RefSymmetry(p, m)) for p, m in specs]
         for s, rs in pairs:
-            assert [s.apply(a) for a in all_assignments(domains)] == \
+            assert [apply(s, a) for a in all_assignments(domains)] == \
                 [rs.apply(a) for a in all_assignments(domains)]
         for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
             prod = compose(s, t)
             assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()
             assert compose(prod, invert(prod)).is_identity()
             for a in all_assignments(domains):
-                assert prod.apply(a) == rs.apply(rt.apply(a))
+                assert apply(prod, a) == rs.apply(rt.apply(a))

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from symbreak.model import InputError, enumerate_solutions
-from symbreak.orderings import EQ, GT, LT
 from symbreak.reductions import (
     SAT,
     UNSAT,
@@ -22,7 +21,7 @@ from symbreak.reductions import (
 )
 from symbreak.symmetry import AssignmentSymmetry, orbits
 
-from reference import lex_codes, tuple_solutions
+from reference import EQ, GT, LT, apply, compare, lex_codes, tuple_solutions
 
 
 def verdict(flag: bool) -> str:
@@ -43,22 +42,22 @@ def test_gadget_construction_single_clause():
     assert g.problem.n == 4
     sols = enumerate_solutions(g.problem)
     assert sols == lex_codes(g.problem, [(1, 2, 3, 0), (1, 2, 3, 1)])  # prefix pinned, flag free
-    assert g.flip.apply((1, 2, 3, 0)) == (1, 2, 3, 1)
-    assert g.flip.apply((1, 2, 3, 1)) == (1, 2, 3, 0)
+    assert apply(g.flip, (1, 2, 3, 0)) == (1, 2, 3, 1)
+    assert apply(g.flip, (1, 2, 3, 1)) == (1, 2, 3, 0)
 
 
 def test_gadget_ordering_cases():
     g = ordering_gadget(OneInThreeInstance(((1, 2, 3),)))
     o = g.ordering
     sat_lo, sat_hi = (1, 2, 3, 0), (1, 2, 3, 1)
-    assert o.compare(sat_lo, sat_hi) == LT  # satisfiable: flag 0 first
-    assert o.compare(sat_hi, sat_lo) == GT
-    assert o.compare(sat_lo, sat_lo) == EQ
+    assert compare(o, sat_lo, sat_hi) == LT  # satisfiable: flag 0 first
+    assert compare(o, sat_hi, sat_lo) == GT
+    assert compare(o, sat_lo, sat_lo) == EQ
     # unsatisfiable prefix reverses the flag preference
     uns_lo, uns_hi = (1, 1, 1, 1), (1, 1, 1, 0)
-    assert o.compare(uns_lo, uns_hi) == LT
+    assert compare(o, uns_lo, uns_hi) == LT
     # prefixes dominate the flag
-    assert o.compare((1, 1, 1, 1), (1, 2, 3, 0)) == LT
+    assert compare(o, (1, 1, 1, 1), (1, 2, 3, 0)) == LT
 
 
 def _tie_break_compare(a, b):
@@ -80,8 +79,8 @@ def test_gadget_ordering_rank_unrank_round_trip(clauses):
     assert [o.rank(a) for a in listing] == list(range(o.space_size))
     assert sorted(listing) == list(itertools.product(*o.domains))
     for a, b in itertools.product(listing[::5], listing[::3]):
-        assert o.compare(a, b) == _tie_break_compare(a, b)
-        assert o.compare(a, b) == (LT if o.rank(a) < o.rank(b) else
+        assert compare(o, a, b) == _tie_break_compare(a, b)
+        assert compare(o, a, b) == (LT if o.rank(a) < o.rank(b) else
                                    GT if o.rank(a) > o.rank(b) else EQ)
 
 
@@ -171,7 +170,8 @@ def test_group_gadget_zero_only_model():
 def test_group_gadget_survivor_is_lex_max():
     phi = Cnf(2, ((1, 2),))
     g = group_gadget(phi)
-    survivors = [a for a in members(g) if all(g.ordering.compare(a, b) != GT for b in members(g))]
+    survivors = [a for a in members(g)
+                 if all(compare(g.ordering, a, b) != GT for b in members(g))]
     assert survivors == [max(members(g))]  # revlex minimum = lex maximum
     assert solve_group_gadget(g) == SAT
 
@@ -210,17 +210,17 @@ def test_group_gadget_random_cnfs():
 
 def test_group_gadget_orbit_steps_only_along_listed_pairs(monkeypatch):
     # the dense search applied all 1023 transpositions at each of the 1024
-    # members: 1024 * 1023 `apply` calls
+    # members: 1024 * 1023 `image_codes` calls
     gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": []}))
     assert len(gadget.group.generators) == 1023
     calls = [0]
-    apply = AssignmentSymmetry.apply
+    image_codes = AssignmentSymmetry.image_codes
 
-    def counted(self, a):
+    def counted(self, codes):
         calls[0] += 1
-        return apply(self, a)
+        return image_codes(self, codes)
 
-    monkeypatch.setattr(AssignmentSymmetry, "apply", counted)
+    monkeypatch.setattr(AssignmentSymmetry, "image_codes", counted)
     assert gadget.group.orbit_of(gadget.solutions[0]) == gadget.solutions
     assert calls[0] == 0
 

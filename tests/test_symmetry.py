@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symbreak.breaker import extensional_set, leader_constraints, orbit_verdict
+from symbreak.breaker import LeaderConstraint, extensional_set, leader_constraints, orbit_verdict
 from symbreak.model import CapExceededError, InputError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
@@ -33,6 +33,7 @@ from symbreak.symmetry import (
 
 from reference import (
     all_assignments,
+    apply,
     blocks_of,
     breadth_first_closure,
     closure_tree,
@@ -56,21 +57,21 @@ def transposition(a, b):
 
 def burnside_orbit_count(group, space):
     closure = group.closure()
-    fixed = sum(sum(1 for a in space if s.apply(a) == a) for s in closure)
+    fixed = sum(sum(1 for a in space if apply(s, a) == a) for s in closure)
     return fixed // len(closure)
 
 
 def test_identity_apply():
     ident = LiteralSymmetry.variable(range(3), LexOrdering(binary_domains(3)))
-    assert ident.apply((0, 1, 1)) == (0, 1, 1)
+    assert apply(ident, (0, 1, 1)) == (0, 1, 1)
     assert ident.is_identity()
 
 
 def test_value_swap_on_last_variable():
     doms = binary_domains(4)
     flip = LiteralSymmetry.value_swap(3, 0, 1, LexOrdering(doms))
-    assert flip.apply((0, 1, 1, 0)) == (0, 1, 1, 1)
-    assert flip.apply((0, 1, 1, 1)) == (0, 1, 1, 0)
+    assert apply(flip, (0, 1, 1, 0)) == (0, 1, 1, 1)
+    assert apply(flip, (0, 1, 1, 1)) == (0, 1, 1, 0)
 
 
 VALUE_SWAP_DOMAINS = ((0, 1, 2), (5, 7), (4, 1, 3), (0, 1), (9,))
@@ -92,7 +93,7 @@ def test_value_swap_equals_its_value_maps(var, a, b):
     for x in all_assignments(VALUE_SWAP_DOMAINS):
         image = list(x)
         image[var] = {a: b, b: a}.get(x[var], x[var])
-        assert swap.apply(x) == tuple(image)
+        assert apply(swap, x) == tuple(image)
 
 
 @pytest.mark.parametrize("var, a, b, message", [
@@ -110,15 +111,15 @@ def test_value_swap_refuses_bad_variables_and_values(var, a, b, message):
 def test_row_swap_on_2x2():
     row_swap = row_col_generators((2, 2))[0]
     # [[0,1],[1,1]] -> [[1,1],[0,1]]
-    assert row_swap.apply((0, 1, 1, 1)) == (1, 1, 0, 1)
+    assert apply(row_swap, (0, 1, 1, 1)) == (1, 1, 0, 1)
 
 
 def test_apply_arity_and_domain_errors():
     flip = LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
     with pytest.raises(InputError):
-        flip.apply((0,))
+        apply(flip, (0,))
     with pytest.raises(InputError):
-        flip.apply((2, 0))
+        apply(flip, (2, 0))
 
 
 @pytest.mark.parametrize("sym", [
@@ -127,9 +128,9 @@ def test_apply_arity_and_domain_errors():
 @pytest.mark.parametrize("bad", [(0, 5), (5, 0), (0, 1, 1), (1,)])
 def test_images_refuse_what_apply_refuses(sym, bad):
     with pytest.raises(InputError) as refused:
-        sym.apply(bad)
+        apply(sym, bad)
     with pytest.raises(InputError, match=re.escape(str(refused.value))):
-        list(map(sym.apply, [(0, 1), bad, (1, 1)]))
+        list(map(LeaderConstraint(sym, sym.coding).satisfied, [(0, 1), bad, (1, 1)]))
 
 
 def test_literal_validation():
@@ -153,8 +154,8 @@ def test_compose_and_invert_are_inverse_actions():
     for sym in (row_swap, col_swap, LiteralSymmetry.value_swap(2, 0, 1, LexOrdering(doms))):
         back = compose(sym, invert(sym))
         for a in SPACE2x2:
-            assert back.apply(a) == a
-            assert invert(sym).apply(sym.apply(a)) == a
+            assert apply(back, a) == a
+            assert apply(invert(sym), apply(sym, a)) == a
 
 
 def test_row_swap_is_involution():
@@ -168,7 +169,7 @@ def test_col_after_row_is_half_turn():
     for a in SPACE2x2:
         r, c = (2, 2)
         rotated = tuple(a[(r - 1 - i) * c + (c - 1 - j)] for i in range(r) for j in range(c))
-        assert turn.apply(a) == rotated
+        assert apply(turn, a) == rotated
 
 
 def test_compose_mixed_representations_fails():
@@ -184,8 +185,8 @@ def test_assignment_symmetry_bijection_check():
     with pytest.raises(InputError):
         symmetry_from_pairs({(0, 0): (1, 1)}, binary_domains(2))  # nothing maps back
     sym = transposition((0, 0), (1, 1))
-    assert sym.apply((0, 0)) == (1, 1)
-    assert sym.apply((0, 1)) == (0, 1)  # identity off the listed set
+    assert apply(sym, (0, 0)) == (1, 1)
+    assert apply(sym, (0, 1)) == (0, 1)  # identity off the listed set
     assert invert(sym) == sym
 
 
@@ -195,10 +196,10 @@ def test_assignment_symmetry_holds_lex_codes():
     space = list(all_assignments(doms))
     sym = symmetry_from_pairs(dict(zip(space, space[1:] + space[:1])), doms)
     assert sym._map == {k: (k + 1) % 6 for k in range(6)}
-    assert sym.coding.domains == doms and sym.apply((1, 5)) == (2, 7)
-    assert sym.image_codes([0, 5], RevLexOrdering(doms)) == [1, 0]
+    assert sym.coding.domains == doms and apply(sym, (1, 5)) == (2, 7)
+    assert sym.image_codes([0, 5]) == [1, 0]
     with pytest.raises(InputError, match="value 3 outside domain of variable 0"):
-        sym.apply((3, 7))
+        apply(sym, (3, 7))
     same_map = AssignmentSymmetry(sym._map, LexOrdering(((2, 0, 1), (5, 7))))
     assert sym != same_map  # the same codes over other listed domains
     with pytest.raises(InputError, match="generators act on different domains"):
@@ -221,8 +222,8 @@ def test_assignment_symmetry_compose_invert(perm):
                                         binary_domains(2))
     inv = invert(sym)
     for a in space:
-        assert inv.apply(sym.apply(a)) == a
-        assert compose(sym, inv).apply(a) == a
+        assert apply(inv, apply(sym, a)) == a
+        assert apply(compose(sym, inv), a) == a
 
 
 def test_closure_sizes():
@@ -236,18 +237,22 @@ def test_closure_is_a_group():
     group = row_col_group((2, 2))
     closure = group.closure()
     assert any(s.is_identity() for s in closure)
-    table = {s: {a: s.apply(a) for a in SPACE2x2} for s in closure}
+    table = {s: {a: apply(s, a) for a in SPACE2x2} for s in closure}
     actions = {frozenset(t.items()) for t in table.values()}
     for s1, s2 in itertools.product(closure, repeat=2):
         prod = {a: table[s1][table[s2][a]] for a in SPACE2x2}
         assert frozenset(prod.items()) in actions
 
 
+GRAY_2x2 = rank_preserving_map(GrayOrdering(binary_domains(4)))
+
+
 @pytest.mark.parametrize("group", [
     row_col_group((3, 3)),
-    conjugate(rank_preserving_map(GrayOrdering(binary_domains(4))), row_col_group((2, 2))),
+    tabulated_conjugate(GRAY_2x2, row_col_group((2, 2))),
+    conjugate(GRAY_2x2, row_col_group((2, 2))),
     SymmetryGroup((), coding=LexOrdering(binary_domains(4))),
-], ids=["literal", "assignment-level", "no-generators"])
+], ids=["literal", "assignment-level", "conjugated", "no-generators"])
 def test_closure_tree_spans_the_closure_breadth_first(group):
     closure, tree = breadth_first_closure(group), closure_tree(group)
     assert len(tree) == max(len(closure) - 1, 0)
@@ -384,7 +389,7 @@ def test_orbits_partition_properties():
     for block in blocks_of(part):
         members = set(block)
         for gen in group.generators:
-            assert {gen.apply(a) for a in members} == members
+            assert {apply(gen, a) for a in members} == members
 
 
 def test_orbits_escaping_generator_is_an_error():
@@ -420,7 +425,7 @@ def test_orbits_refuse_a_solution_with_the_error_apply_raises(bad):
                            LiteralSymmetry.value_swap(1, 0, 1, LexOrdering(mixed))))
     for gen in group.generators:
         with pytest.raises(InputError) as refused:
-            gen.apply(bad)
+            apply(gen, bad)
         with pytest.raises(InputError, match=f"^{re.escape(str(refused.value))}$"):
             tuple_orbits([(0, 1, 0, 1), bad], group)
 
@@ -431,7 +436,7 @@ def test_conjugate_by_identity_keeps_action():
     conj = conjugate(pi, group)
     for gen, cgen in zip(group.generators, conj.generators):
         for a in SPACE2x2:
-            assert cgen.apply(a) == gen.apply(a)
+            assert apply(cgen, a) == apply(gen, a)
 
 
 def test_conjugate_matches_definition_pointwise():
@@ -440,25 +445,45 @@ def test_conjugate_matches_definition_pointwise():
     conj = conjugate(pi, group)
     for gen, cgen in zip(group.generators, conj.generators):
         for b in SPACE2x2:
-            assert cgen.apply(forward(pi, b)) == forward(pi, gen.apply(b))
+            assert apply(cgen, forward(pi, b)) == forward(pi, apply(gen, b))
 
 
 SHAPES_UP_TO_9 = [(r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
 
 
-@pytest.mark.parametrize("shape", SHAPES_UP_TO_9 + [(3, 4)], ids="{0[0]}x{0[1]}".format)
-def test_conjugate_equals_the_tabulated_oracle(shape):
-    # generator by generator, as maps of lex codes, under every ordering;
-    # the cap admits the 9! elements of the 1x9 and 9x1 groups
-    doms = binary_domains(shape[0] * shape[1])
-    group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6, coding=LexOrdering(doms))
-    for name in ORDERING_NAMES:
-        pi = rank_preserving_map(make_ordering(name, doms, shape))
+def value_cycle_group(domains, perms):
+    """Variable permutations of 2x2 cells and every value moved one place
+    round its listed domain."""
+    coding = LexOrdering(domains)
+    cycle = [{v: d[(p + 1) % len(d)] for p, v in enumerate(d)} for d in domains]
+    return SymmetryGroup((*(LiteralSymmetry.variable(p, coding) for p in perms),
+                          LiteralSymmetry.from_maps(range(4), cycle, coding)))
+
+
+ORACLE_CASES = [(shape, SymmetryGroup(row_col_generators(shape), cap=10 ** 6,
+                                      coding=LexOrdering(binary_domains(shape[0] * shape[1]))))
+                for shape in SHAPES_UP_TO_9 + [(3, 4)]] + [
+    ((2, 2), value_cycle_group(((0, 1, 2),) * 4, [(2, 3, 0, 1), (1, 0, 3, 2)])),
+    ((2, 2), value_cycle_group(((2, 0, 1),) * 4, [(2, 3, 0, 1), (1, 0, 3, 2)])),
+    ((2, 2), value_cycle_group(VALUE_MAP_DOMAINS, [(2, 3, 0, 1)]))]
+
+
+@pytest.mark.parametrize("shape, group", ORACLE_CASES, ids=[
+    *("{0[0]}x{0[1]}".format(shape) for shape, _ in ORACLE_CASES[:-3]),
+    "ternary-value-cycle", "unsorted-value-cycle", "mixed-value-cycle"])
+def test_conjugate_equals_the_tabulated_oracle(shape, group):
+    # generator by generator, as image codes of every lex code, under every
+    # ordering defined there; the cap admits the 9! elements of the 1x9 and
+    # 9x1 groups
+    doms, space = group.coding.domains, list(range(group.coding.space_size))
+    for ordering in applicable_orderings(doms, shape):
+        pi = rank_preserving_map(ordering)
         conj, oracle = conjugate(pi, group), tabulated_conjugate(pi, group)
         assert len(conj.generators) == len(group.generators) and conj.cap == group.cap
         for g, h in zip(conj.generators, oracle.generators):
-            assert g._map == h._map and g.coding.domains == h.coding.domains == doms, name
-        assert conj.order == group.order, name
+            assert g.image_codes(space) == h.image_codes(space), ordering.name
+            assert g.coding.domains == h.coding.domains == doms, ordering.name
+        assert conj.order == group.order, ordering.name
 
 
 @pytest.mark.parametrize("name", ORDERING_NAMES)
@@ -524,7 +549,7 @@ def test_conjugated_closure_keeps_its_breadth_first_order():
     # the closure listed them before it became the search from the identity
     pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
     closure = breadth_first_closure(conjugate(pi, row_col_group((2, 2))))
-    assert [[SPACE2x2.index(s.apply(a)) for a in SPACE2x2] for s in closure] == [
+    assert [[SPACE2x2.index(apply(s, a)) for a in SPACE2x2] for s in closure] == [
         [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
         [0, 6, 10, 12, 11, 13, 1, 7, 8, 14, 2, 4, 3, 5, 9, 15],
         [0, 3, 2, 1, 14, 13, 12, 15, 8, 11, 10, 9, 6, 5, 4, 7],
@@ -576,7 +601,7 @@ def test_group_file_parsing():
     assert len(group.generators) == 2 and group.cap == 50
     explicit = symmetry_group_from_dict(
         {"generators": [{"kind": "literal", "var_perm": [1, 0, 2, 3]}]}, doms)
-    assert explicit.generators[0].apply((0, 1, 0, 0)) == (1, 0, 0, 0)
+    assert apply(explicit.generators[0], (0, 1, 0, 0)) == (1, 0, 0, 0)
     with pytest.raises(InputError):
         symmetry_group_from_dict({"generators": [{"kind": "mystery"}]}, doms)
     with pytest.raises(InputError):
@@ -585,9 +610,9 @@ def test_group_file_parsing():
 
 @pytest.mark.parametrize("shape", SHAPES_UP_TO_9, ids="{0[0]}x{0[1]}".format)
 def test_conjugate_carries_the_order_a_chain_from_scratch_finds(shape):
-    # conjugation preserves order, so the conjugate reads G's and builds no
-    # chain over the listed codes; one built from scratch agrees, and a cap
-    # below |G| overflows either way
+    # conjugation preserves order, so the conjugate's chain is G's; a group
+    # rebuilt from its generators agrees, and a cap below |G| overflows
+    # either way
     r, c = shape
     doms = binary_domains(r * c)
     group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6, coding=LexOrdering(doms))
@@ -595,7 +620,6 @@ def test_conjugate_carries_the_order_a_chain_from_scratch_finds(shape):
         conj = conjugate(rank_preserving_map(make_ordering(name, doms, shape)), group)
         scratch = SymmetryGroup(conj.generators, conj.cap, conj.coding)
         assert conj.order == scratch.order == math.factorial(r) * math.factorial(c), name
-        assert "chain" not in vars(conj), name
     if group.order > 1:
         capped = SymmetryGroup(group.generators, cap=group.order - 1)
         conj = conjugate(rank_preserving_map(GrayOrdering(doms)), capped)
@@ -622,6 +646,15 @@ def test_a_group_needs_a_coding_and_generators_over_its_domains():
         SymmetryGroup(())
     with pytest.raises(InputError, match="^generators act on different domains$"):
         SymmetryGroup(row_col_generators((1, 2)), coding=LexOrdering(((1, 0),) * 2))
+    # one kind of symmetry, and a group of conjugates takes G's points, so
+    # it needs one pi
+    gray, revlex = (conjugate(rank_preserving_map(make_ordering(name, binary_domains(4))),
+                              row_col_group((2, 2))).generators for name in ("gray", "revlex"))
+    swap = transposition((0, 0, 0, 1), (0, 0, 1, 0))
+    for mixed in ((row_col_generators((2, 2))[0], swap), (swap, gray[0]), gray[:1] + revlex[1:]):
+        with pytest.raises(InputError, match="^a group cannot mix kinds of symmetry or "
+                                             "conjugates by different permutations$"):
+            SymmetryGroup(mixed)
 
 
 @pytest.mark.parametrize("domains", [binary_domains(3), ((2, 0, 1), (1, 0), (0, 1, 2))],
