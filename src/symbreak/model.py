@@ -132,22 +132,12 @@ class ClauseConstraint:
         return any(lit.holds(values) for lit in self.literals)
 
 
-@dataclass(frozen=True)
-class UnaryConstraint:
-    """Fixes one variable to one value."""
-
-    var: int
-    value: int
-
-    @property
-    def scope(self) -> tuple[int, ...]:
-        return (self.var,)
-
-    def satisfied(self, values: Sequence[int]) -> bool:
-        return values[self.var] == self.value
+def unary(var: int, value: int) -> TableConstraint:
+    """Fixes one variable to one value: a one-row table."""
+    return TableConstraint((var,), frozenset({(value,)}))
 
 
-Constraint = Union[TableConstraint, ClauseConstraint, UnaryConstraint]
+Constraint = Union[TableConstraint, ClauseConstraint]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +176,6 @@ class Problem:
                 check_values(self.domains, zip(scope, row))
         elif isinstance(con, ClauseConstraint):
             check_values(self.domains, ((lit.var, lit.value) for lit in con.literals))
-        elif isinstance(con, UnaryConstraint):
-            check_values(self.domains, [(con.var, con.value)])
         else:
             raise InputError(f"unknown constraint type {type(con).__name__}")
 
@@ -340,7 +328,7 @@ def constraint_from_dict(data: dict) -> Constraint:
     if kind == "unary":
         _, var, value = read_fields(data, "unary constraint", ("kind",), ("var", int),
                                     ("value", int))
-        return UnaryConstraint(var, value)
+        return unary(var, value)
     raise InputError(f"unknown constraint kind '{kind}'")
 
 

@@ -7,15 +7,15 @@ ordering is stated once, as a bijection of range(space_size): `ranks` maps
 lex codes to the ordering's ranks and `unranks` is its inverse, both on
 lists: the identity for lex, space_size - 1 - code for revlex, the prefix
 XOR for gray (k XOR (k >> 1) back), and for snakelex a variable
-permutation by chunk tables (`SimpleOrdering.digit_sums`).  `rank`,
-`unrank` and π between two orderings (`AssignmentPermutation`) are written
-once, on top of that pair.  Ranks are 0-indexed.
+permutation by chunk tables (`SimpleOrdering.digit_sums`).  `rank` and
+`unrank` are written once, on top of that pair.  O.unranks is π, the
+rank-preserving bijection from lex to O, and O.ranks is π⁻¹.  Ranks are
+0-indexed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import add, getitem, mul
@@ -69,6 +69,13 @@ class SimpleOrdering:
         # over one domain 0..k-1, an assignment is its own position vector
         own = tuple(range(len(self.domains[0])))
         self._own_positions = frozenset(own).issuperset if distinct == {own} else None
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(self) is type(other) and self.domains == other.domains
+                                 and getattr(self, "shape", None) == getattr(other, "shape", None))
+
+    def __hash__(self) -> int:  # O(1) in the variables: codings of 1000 are hashed on load
+        return hash((type(self), self.space_size))
 
     @cached_property
     def offsets(self) -> list[int]:
@@ -269,32 +276,3 @@ def applicable_orderings(domains: Sequence[Domain],
     """Every named ordering defined on the domains and shape, in ORDERING_NAMES order."""
     return [make_ordering(name, domains, shape) for name, cls in ORDERINGS.items()
             if cls.unsupported(domains, shape) is None]
-
-
-@dataclass(frozen=True)
-class AssignmentPermutation:
-    """Bijection on the assignment space: read a position in `source`, realize
-    it in `target`; on lex codes, target.unranks ∘ source.ranks, in bulk."""
-
-    source: SimpleOrdering
-    target: SimpleOrdering
-
-    def __post_init__(self) -> None:
-        if self.source.domains != self.target.domains:
-            raise InputError("source and target orderings cover different spaces")
-
-    @property
-    def domains(self) -> tuple[Domain, ...]:
-        return self.source.domains
-
-    def forward_codes(self, codes: list[int]) -> list[int]:
-        return self.target.unranks(self.source.ranks(codes))
-
-    def inverse_codes(self, codes: list[int]) -> list[int]:
-        return self.source.unranks(self.target.ranks(codes))
-
-
-def rank_preserving_map(ordering: SimpleOrdering) -> AssignmentPermutation:
-    """Permutation sending the assignment at lex position k to the assignment
-    at position k of `ordering`, for every k."""
-    return AssignmentPermutation(LexOrdering(ordering.domains), ordering)

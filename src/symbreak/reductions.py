@@ -26,12 +26,12 @@ from .model import (
     InvariantViolationError,
     Problem,
     TableConstraint,
-    UnaryConstraint,
     binary_domains,
     binary_problem,
     enumerate_solutions,
     load_json_object,
     read_fields,
+    unary,
 )
 from .orderings import LexOrdering, RevLexOrdering, SimpleOrdering
 from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
@@ -115,7 +115,7 @@ class OrderingGadget:
 def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
     flag = 3 * len(inst.clauses)  # after the clause indices
     domains = (tuple(range(1, inst.num_vars + 1)),) * flag + ((0, 1),)
-    problem = Problem(flag + 1, domains, tuple(UnaryConstraint(3 * p + q, v)
+    problem = Problem(flag + 1, domains, tuple(unary(3 * p + q, v)
                                                for p, clause in enumerate(inst.clauses)
                                                for q, v in enumerate(clause)))
     flip = LiteralSymmetry.value_swap(flag, 0, 1, LexOrdering(domains))

@@ -7,7 +7,7 @@ Three representations, never mixed inside one group:
   a complete assignment by construction.
 * `AssignmentSymmetry` — an explicit bijection on finitely many listed
   assignments, identity elsewhere: the group gadget's transpositions.
-* `ConjugateSymmetry` — pi∘g∘pi⁻¹, held as the pair (g, pi).
+* `ConjugateSymmetry` — π∘g∘π⁻¹, held as the pair (g, O), π = O.unranks.
 
 Each acts on the lex codes of its `coding`, a LexOrdering of its domains
 as listed (`image_codes`).  A group's generators share its one coding, and
@@ -36,7 +36,7 @@ from .model import (
     read_fields,
 )
 from .literals import LiteralSymmetry
-from .orderings import AssignmentPermutation, LexOrdering
+from .orderings import LexOrdering, SimpleOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -82,18 +82,18 @@ class AssignmentSymmetry:
 
 @dataclass(frozen=True)
 class ConjugateSymmetry:
-    """pi∘g∘pi⁻¹ as (g, pi): image codes by pi⁻¹, g and pi, each in bulk, so
-    nothing is tabulated over the space; equal by one pi iff the gs are."""
+    """π∘g∘π⁻¹ as (g, O), π = O.unranks: image codes by π⁻¹, g and π, each in
+    bulk, so nothing is tabulated; equal by equal orderings iff the gs are."""
 
     g: Union[LiteralSymmetry, AssignmentSymmetry, "ConjugateSymmetry"]
-    pi: AssignmentPermutation
+    ordering: SimpleOrdering
 
     @property
     def coding(self) -> LexOrdering:
         return self.g.coding
 
     def image_codes(self, codes: list[int]) -> list[int]:
-        return self.pi.forward_codes(self.g.image_codes(self.pi.inverse_codes(codes)))
+        return self.ordering.unranks(self.g.image_codes(self.ordering.ranks(codes)))
 
     def is_identity(self) -> bool:
         return self.g.is_identity()
@@ -121,7 +121,7 @@ class SymmetryGroup:
         self.generators = tuple(self.generators)
         if self.cap < 1:
             raise InputError("closure cap must be positive")
-        if len({(type(g), getattr(g, "pi", None)) for g in self.generators}) > 1:
+        if len({(type(g), getattr(g, "ordering", None)) for g in self.generators}) > 1:
             raise InputError("a group cannot mix kinds of symmetry or conjugates by different "
                              "permutations")
         codings = {g.coding for g in self.generators} | ({self.coding} - {None})  # each hashed once
@@ -140,7 +140,7 @@ class SymmetryGroup:
         gens, coding = self.generators, self.coding
         if gens and isinstance(gens[0], ConjugateSymmetry):
             perms, element = SymmetryGroup(tuple(g.g for g in gens), self.cap, coding)._points()
-            return perms, lambda e: ConjugateSymmetry(element(e), gens[0].pi)
+            return perms, lambda e: ConjugateSymmetry(element(e), gens[0].ordering)
         if gens and isinstance(gens[0], LiteralSymmetry):
             return [g.lits for g in gens], lambda e: LiteralSymmetry(e, coding)
         listed = list(dict.fromkeys(c for g in gens for c in g._map))
@@ -351,31 +351,32 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
     return OrbitPartition(codes, block_of, tuple(lists), group)
 
 
-def conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
-    """Group with generators pi∘g∘pi⁻¹, each held as (g, pi), refusing a pi
-    over other listed domains; its chain and elements are G's, conjugated."""
+def conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> SymmetryGroup:
+    """Group with generators π∘g∘π⁻¹, π the ordering, each held as (g, π),
+    refusing a π over other listed domains; its chain and elements are G's, conjugated."""
     coding = group.coding
-    if coding.domains != pi.domains:
-        raise InputError(f"permutation acts on domains {pi.domains}, group on {coding.domains}")
-    return SymmetryGroup(tuple(ConjugateSymmetry(g, pi) for g in group.generators),
+    if coding.domains != ordering.domains:
+        raise InputError(f"permutation acts on domains {ordering.domains}, "
+                         f"group on {coding.domains}")
+    return SymmetryGroup(tuple(ConjugateSymmetry(g, ordering) for g in group.generators),
                          group.cap, coding)
 
 
 def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
-                          pi: AssignmentPermutation) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Does pi map every block of p1 exactly onto a block of p2?
+                          ordering: SimpleOrdering) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Does π = `ordering.unranks` map every block of p1 exactly onto a block of p2?
 
     Returns (True, tau) with the witness block bijection, or (False, None).
     On lex codes: with as many blocks and solutions on both sides, it is so
-    iff pi maps every solution of p1 to one of p2 and each block of p1 into
+    iff π maps every solution of p1 to one of p2 and each block of p1 into
     one block of p2.
     """
-    if {p1.group.coding.domains, p2.group.coding.domains} != {pi.domains}:
-        raise InputError(f"permutation acts on domains {pi.domains}, partitions on others")
+    if {p1.group.coding.domains, p2.group.coding.domains} != {ordering.domains}:
+        raise InputError(f"permutation acts on domains {ordering.domains}, partitions on others")
     if len(p1) != len(p2) or len(p1.codes) != len(p2.codes):
         return False, None
     block = dict(zip(p2.codes, p2.block_of))
-    pairs = dict.fromkeys(zip(p1.block_of, map(block.get, pi.forward_codes(p1.codes))))
+    pairs = dict.fromkeys(zip(p1.block_of, map(block.get, ordering.unranks(p1.codes))))
     position = {first: k for k, first in enumerate(p2.firsts)}
     tau = tuple(position.get(target) for _, target in pairs)
     if len(pairs) != len(p1) or None in tau:

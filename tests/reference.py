@@ -30,7 +30,6 @@ from symbreak.model import (
     check_values,
 )
 from symbreak.orderings import (
-    AssignmentPermutation,
     GrayOrdering,
     LexOrdering,
     RevLexOrdering,
@@ -63,10 +62,12 @@ def compare(ordering: SimpleOrdering, a: Sequence[int], b: Sequence[int]) -> int
 def apply(s: Symmetry, a: Sequence[int]) -> Assignment:
     """s of one assignment, without `image_codes`.  A literal symmetry maps
     each value's literal through `lits` to m and sets var_of[m] to val_of[m];
-    an assignment-level one looks its lex code up; a conjugate pi∘g∘pi⁻¹
-    reads pi off `digit_rank` and `digit_unrank`."""
+    an assignment-level one looks its lex code up; a conjugate π∘g∘π⁻¹ by
+    the ordering O reads π off `digit_rank` and `digit_unrank` of O and of
+    lex."""
     if isinstance(s, ConjugateSymmetry):
-        source, target = s.pi.source, s.pi.target
+        target = s.ordering
+        source = LexOrdering(target.domains)
         back = digit_unrank(source, digit_rank(target, a))
         return digit_unrank(target, digit_rank(source, apply(s.g, back)))
     coding = s.coding
@@ -89,7 +90,7 @@ def apply(s: Symmetry, a: Sequence[int]) -> Assignment:
 def identity_like(s: Symmetry) -> Symmetry:
     """The identity in the representation of s."""
     if isinstance(s, ConjugateSymmetry):
-        return ConjugateSymmetry(identity_like(s.g), s.pi)
+        return ConjugateSymmetry(identity_like(s.g), s.ordering)
     if isinstance(s, AssignmentSymmetry):
         return AssignmentSymmetry({}, s.coding)
     return LiteralSymmetry(tuple(range(len(s.lits))), s.coding)
@@ -107,27 +108,28 @@ def symmetry_from_pairs(mapping: dict, domains: Sequence[Domain]) -> AssignmentS
                                        coding.codes(list(mapping.values())))), coding)
 
 
-def forward(pi: AssignmentPermutation, a: Sequence[int]) -> Assignment:
-    """pi of one assignment: encode, map and decode."""
-    return pi.source.decode(pi.forward_codes(pi.source.codes([a])))[0]
+def forward(ordering: SimpleOrdering, a: Sequence[int]) -> Assignment:
+    """π of one assignment, π the rank-preserving bijection from lex to the
+    ordering: encode, `unranks` and decode."""
+    return ordering.decode(ordering.unranks(ordering.codes([a])))[0]
 
 
-def inverse(pi: AssignmentPermutation, a: Sequence[int]) -> Assignment:
-    """pi⁻¹ of one assignment: encode, map and decode."""
-    return pi.source.decode(pi.inverse_codes(pi.source.codes([a])))[0]
+def inverse(ordering: SimpleOrdering, a: Sequence[int]) -> Assignment:
+    """π⁻¹ of one assignment: encode, `ranks` and decode."""
+    return ordering.decode(ordering.ranks(ordering.codes([a])))[0]
 
 
 def compose(s: Symmetry, t: Symmetry) -> Symmetry:
     """The symmetry acting as s after t: compose(s, t)(a) = s(t(a)).  Literal
     symmetries compose by one gather of literal tuples, assignment-level
-    ones on the lex codes either lists, and conjugates by one pi as the
-    conjugate of their gs' product."""
+    ones on the lex codes either lists, and conjugates by one ordering as
+    the conjugate of their gs' product."""
     if type(s) is not type(t):
         raise InputError("cannot compose literal and assignment-level symmetries")
     if isinstance(s, ConjugateSymmetry):
-        if s.pi != t.pi:
+        if s.ordering != t.ordering:
             raise InputError("cannot compose conjugates by different permutations")
-        return ConjugateSymmetry(compose(s.g, t.g), s.pi)
+        return ConjugateSymmetry(compose(s.g, t.g), s.ordering)
     if isinstance(s, AssignmentSymmetry):
         listed = list(s._map.keys() | t._map.keys())
         return AssignmentSymmetry(dict(zip(listed, s.image_codes(t.image_codes(listed)))),
@@ -140,7 +142,7 @@ def compose(s: Symmetry, t: Symmetry) -> Symmetry:
 def invert(s: Symmetry) -> Symmetry:
     """The inverse symmetry."""
     if isinstance(s, ConjugateSymmetry):
-        return ConjugateSymmetry(invert(s.g), s.pi)
+        return ConjugateSymmetry(invert(s.g), s.ordering)
     if isinstance(s, AssignmentSymmetry):
         return AssignmentSymmetry({b: a for a, b in s._map.items()}, s.coding)
     return LiteralSymmetry(tuple(sorted(range(len(s.lits)), key=s.lits.__getitem__)), s.coding)
@@ -506,16 +508,18 @@ def set_propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationO
     return PropagationOutcome(not all(work.candidates), work, trace)
 
 
-def tabulated_conjugate(pi: AssignmentPermutation, group: SymmetryGroup) -> SymmetryGroup:
-    """The group with generators pi∘g∘pi⁻¹, tabulated assignment by
-    assignment over the full space, with pi read off `digit_rank` and
-    `digit_unrank` and each generator applied to one assignment at a time."""
-    space = list(all_assignments(pi.domains))
-    forward = {a: digit_unrank(pi.target, digit_rank(pi.source, a)) for a in space}
+def tabulated_conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> SymmetryGroup:
+    """The group with generators π∘g∘π⁻¹, π the rank-preserving bijection
+    from lex to `ordering`, tabulated assignment by assignment over the
+    full space, with π read off `digit_rank` and `digit_unrank` and each
+    generator applied to one assignment at a time."""
+    lex, domains = LexOrdering(ordering.domains), ordering.domains
+    space = list(all_assignments(domains))
+    forward = {a: digit_unrank(ordering, digit_rank(lex, a)) for a in space}
     back = {b: a for a, b in forward.items()}
     return SymmetryGroup(tuple(
-        symmetry_from_pairs({b: forward[apply(g, back[b])] for b in space}, pi.domains)
-        for g in group.generators), cap=group.cap, coding=LexOrdering(pi.domains))
+        symmetry_from_pairs({b: forward[apply(g, back[b])] for b in space}, domains)
+        for g in group.generators), cap=group.cap, coding=lex)
 
 
 def count_rank_calls(monkeypatch) -> dict:
@@ -531,7 +535,8 @@ def count_rank_calls(monkeypatch) -> dict:
     return calls
 
 
-def map_constraint_set(pi: AssignmentPermutation,
+def map_constraint_set(ordering: SimpleOrdering,
                        satisfying: Iterable[Assignment]) -> frozenset:
-    """Image of an extensionally given constraint set under pi."""
-    return frozenset(forward(pi, a) for a in satisfying)
+    """Image of an extensionally given constraint set under π, the
+    rank-preserving bijection from lex to the ordering."""
+    return frozenset(forward(ordering, a) for a in satisfying)

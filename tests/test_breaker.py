@@ -27,7 +27,6 @@ from symbreak.orderings import (
     LexOrdering,
     SnakeLexOrdering,
     applicable_orderings,
-    rank_preserving_map,
 )
 from symbreak.symmetry import (
     DEFAULT_CLOSURE_CAP,
@@ -180,19 +179,18 @@ def test_conjugated_minima_are_images_of_lex_minima():
     # rank-preserving permutation to lex-minimum members of the original group
     group = row_col_group((2, 2))
     for ordering in (GRAY4, SnakeLexOrdering(binary_domains(4), (2, 2))):
-        pi = rank_preserving_map(ordering)
-        conj = conjugate(pi, group)
+        conj = conjugate(ordering, group)
         lex_minima = {a for a in SPACE2x2 if min_in_class(a, group, LEX4)}
         conj_minima = {a for a in SPACE2x2 if min_in_class(a, conj, ordering)}
-        assert conj_minima == {forward(pi, a) for a in lex_minima}
+        assert conj_minima == {forward(ordering, a) for a in lex_minima}
 
 
 @pytest.mark.parametrize("shape", [(r, c) for r in range(1, 10) for c in range(1, 10)
                                    if r * c <= 9], ids="{0[0]}x{0[1]}".format)
 def test_conjugation_carries_lex_leaders_to_ordering_leaders(shape):
     # the paper's reduction, through the orbit kernel: for every ordering O
-    # but lex, with pi the rank-preserving map, the orbits of pi G pi⁻¹ are
-    # pi's images of G's, and its O-leader survivors (full and generators)
+    # but lex, with π = O.unranks the rank-preserving map, the orbits of
+    # π G π⁻¹ are π's images of G's, and its O-leader survivors (full and generators)
     # are the images of G's lex-leader survivors, block by block through
     # tau; the cap admits the 9! elements of the 1x9 and 9x1 groups
     doms = binary_domains(shape[0] * shape[1])
@@ -205,15 +203,14 @@ def test_conjugation_carries_lex_leaders_to_ordering_leaders(shape):
                               original)
                 for mode in ("full", "generators")}
     for ordering in others:
-        pi = rank_preserving_map(ordering)
-        conj = conjugate(pi, group)
+        conj = conjugate(ordering, group)
         conjugated = tuple_orbits(space, conj)
-        ok, tau = partitions_isomorphic(original, conjugated, pi)
+        ok, tau = partitions_isomorphic(original, conjugated, ordering)
         assert ok and sorted(tau) == list(range(len(original))), ordering.name
         for mode, kept in lex_kept.items():
             verdict = orbit_verdict(conjugated, leader_constraints(conj, ordering, mode))
             assert [set(kept_of(verdict, conjugated)[k]) for k in tau] == \
-                [{forward(pi, a) for a in block} for block in kept], (ordering.name, mode)
+                [{forward(ordering, a) for a in block} for block in kept], (ordering.name, mode)
 
 
 TERNARY_2x2 = LexOrdering(((0, 1, 2),) * 4)
@@ -223,8 +220,7 @@ TERNARY_2x2 = LexOrdering(((0, 1, 2),) * 4)
     (row_col_group((2, 3)), (2, 3)),
     (SymmetryGroup((*row_col_generators((2, 2), TERNARY_2x2), LiteralSymmetry.from_maps(
         range(4), [{0: 1, 1: 2, 2: 0}] * 4, TERNARY_2x2))), (2, 2)),
-    (conjugate(rank_preserving_map(GrayOrdering(binary_domains(4))), row_col_group((2, 2))),
-     (2, 2)),
+    (conjugate(GrayOrdering(binary_domains(4)), row_col_group((2, 2))), (2, 2)),
 ], ids=["row-col-2x3", "ternary-value-maps-2x2", "conjugated-gray-2x2"])
 def test_leader_constraint_is_the_per_assignment_comparison(group, shape):
     # on codes, as the reference `compare` of a with its `apply` image, for
@@ -266,9 +262,8 @@ def test_conjugation_carries_orbits_past_the_enumeration_cap(r):
     original = orbits(sols, group)
     assert len(sols) == r ** r and len(original) == oracles.matrix_orbit_count(r, r, 2, 1)
     for ordering in applicable_orderings(doms, (r, r)):
-        pi = rank_preserving_map(ordering)
-        conjugated = orbits(pi.forward_codes(sols), conjugate(pi, group))
-        ok, tau = partitions_isomorphic(original, conjugated, pi)
+        conjugated = orbits(ordering.unranks(sols), conjugate(ordering, group))
+        ok, tau = partitions_isomorphic(original, conjugated, ordering)
         assert ok and sorted(tau) == list(range(len(original))), ordering.name
 
 

@@ -27,7 +27,6 @@ from symbreak.orderings import (
     LexOrdering,
     applicable_orderings,
     make_ordering,
-    rank_preserving_map,
 )
 from symbreak.reductions import Cnf, group_gadget
 from symbreak.symmetry import (
@@ -112,9 +111,9 @@ def _cases():
     for shape in ((2, 2), (2, 3)):
         doms = binary_domains(shape[0] * shape[1])
         for name in ORDERING_NAMES:
-            pi = rank_preserving_map(make_ordering(name, doms, shape))
+            ordering = make_ordering(name, doms, shape)
             cases.append((f"conjugated-{name}-{shape[0]}x{shape[1]}",
-                          conjugate(pi, row_col_group(shape)), doms, shape))
+                          conjugate(ordering, row_col_group(shape)), doms, shape))
     gadget = group_gadget(Cnf(3, ((1, 2), (-1, 3))))  # 4 models and the zero vector
     cases.append(("group-gadget", gadget.group, binary_domains(3), None))
     rng = random.Random(11)

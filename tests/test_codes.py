@@ -29,7 +29,6 @@ from symbreak.orderings import (
     LexOrdering,
     RevLexOrdering,
     applicable_orderings,
-    rank_preserving_map,
 )
 from symbreak.reductions import OneInThreeInstance, ordering_gadget
 from symbreak.symmetry import (
@@ -203,8 +202,8 @@ def test_assignment_image_codes_refuse_codes_over_other_domains(domains):
     # by the same rule and message as a literal symmetry, and so a conjugate
     swap = symmetry_from_pairs({(0, 1): (1, 0), (1, 0): (0, 1)}, binary_domains(2))
     refuse_on_other_domains(swap, domains)
-    pi = rank_preserving_map(RevLexOrdering(binary_domains(2)))
-    refuse_on_other_domains(conjugate(pi, SymmetryGroup((swap,))).generators[0], domains)
+    revlex = RevLexOrdering(binary_domains(2))
+    refuse_on_other_domains(conjugate(revlex, SymmetryGroup((swap,))).generators[0], domains)
 
 
 # listed out of sorted order, ternary and mixed: the row swap of a 2x2
@@ -232,9 +231,8 @@ def test_conjugate_refuses_a_permutation_over_another_listing_of_the_same_values
     problem = problem_from_dict(UNSORTED_PROBLEM)
     group = symmetry_group_from_dict(UNSORTED_SYMMETRIES, problem.domains)
     relisted = tuple(map(tuple, map(sorted, problem.domains)))
-    pi = rank_preserving_map(RevLexOrdering(relisted))
     message = f"permutation acts on domains {relisted}, group on {problem.domains}"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        conjugate(pi, group)
-    same = conjugate(rank_preserving_map(RevLexOrdering(problem.domains)), group)
+        conjugate(RevLexOrdering(relisted), group)
+    same = conjugate(RevLexOrdering(problem.domains), group)
     assert same.coding.domains == problem.domains and same.order == group.order

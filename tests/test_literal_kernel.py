@@ -33,7 +33,6 @@ from symbreak.orderings import (
     LexOrdering,
     applicable_orderings,
     make_ordering,
-    rank_preserving_map,
     snake_variable_order,
 )
 from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, row_col_group
@@ -268,8 +267,8 @@ def set_case(name):
     space = list(all_assignments(doms))
     if kind.startswith("conjugated-"):
         # assignment-level generators: the walk gathers their lists alike
-        pi = rank_preserving_map(make_ordering(kind[len("conjugated-"):], doms, shape))
-        return space, conjugate(pi, row_col_group(shape)), doms, shape
+        ordering = make_ordering(kind[len("conjugated-"):], doms, shape)
+        return space, conjugate(ordering, row_col_group(shape)), doms, shape
     if kind == "row-swaps-only":
         # doublelex's column swaps are no element of this group
         rows = row_col_specs(*shape, doms)[:shape[0] - 1]

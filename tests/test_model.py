@@ -11,13 +11,13 @@ from symbreak.model import (
     Literal,
     Problem,
     TableConstraint,
-    UnaryConstraint,
     assignment_formatter,
     binary_domains,
     binary_problem,
     enumerate_solutions,
     parse_assignment,
     problem_from_dict,
+    unary,
 )
 
 from reference import check_assignment, lex_codes, tuple_solutions
@@ -35,7 +35,7 @@ def test_check_no_constraints_is_vacuous():
 
 
 def test_check_unary_violation():
-    p = binary_problem(3, [UnaryConstraint(0, 1)])
+    p = binary_problem(3, [unary(0, 1)])
     assert not check_assignment(p, (0, 0, 0))
     assert check_assignment(p, (1, 0, 0))
 
@@ -114,9 +114,9 @@ def test_enumerate_cap_exceeded():
 
 @pytest.mark.parametrize("constraints", [
     # two, then three, constraints ready at depth 2 (their scopes end at variable 2)
-    [TableConstraint((0, 2), frozenset({(0, 1), (1, 0), (2, 2)})), UnaryConstraint(2, 1)],
+    [TableConstraint((0, 2), frozenset({(0, 1), (1, 0), (2, 2)})), unary(2, 1)],
     [ClauseConstraint((Literal(1, 0), Literal(2, 0, False))),
-     TableConstraint((2, 1), frozenset({(1, 0), (2, 1), (0, 0)})), UnaryConstraint(2, 1)],
+     TableConstraint((2, 1), frozenset({(1, 0), (2, 1), (0, 0)})), unary(2, 1)],
 ])
 def test_enumerate_several_constraints_ready_at_one_depth(constraints):
     problem = Problem(4, ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1)), tuple(constraints))
@@ -130,7 +130,7 @@ def test_enumerate_several_constraints_ready_at_one_depth(constraints):
 
 
 def test_enumerate_refuses_huge_space_without_cap():
-    p = binary_problem(26, [UnaryConstraint(i, 0) for i in range(26)])
+    p = binary_problem(26, [unary(i, 0) for i in range(26)])
     with pytest.raises(CapExceededError):
         enumerate_solutions(p)
     assert enumerate_solutions(p, cap=1) == lex_codes(p, [(0,) * 26])
@@ -145,7 +145,7 @@ def small_problems(draw):
         kind = draw(st.sampled_from(("table", "clause", "unary")))
         var = draw(st.integers(0, n - 1))
         if kind == "unary":
-            constraints.append(UnaryConstraint(var, draw(st.sampled_from(domains[var]))))
+            constraints.append(unary(var, draw(st.sampled_from(domains[var]))))
         elif kind == "clause":
             lits = tuple(Literal(v, draw(st.sampled_from(domains[v])), draw(st.booleans()))
                          for v in draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -176,9 +176,9 @@ def test_problem_validation():
     with pytest.raises(InputError):
         Problem(3, ((0, 1),) * 3, shape=(2, 2))  # shape does not cover n
     with pytest.raises(InputError):
-        binary_problem(2, [UnaryConstraint(5, 0)])  # unknown variable
+        binary_problem(2, [unary(5, 0)])  # unknown variable
     with pytest.raises(InputError):
-        binary_problem(2, [UnaryConstraint(0, 9)])  # value outside domain
+        binary_problem(2, [unary(0, 9)])  # value outside domain
     with pytest.raises(InputError):
         binary_problem(2, [TableConstraint((0, 1), frozenset({(0,)}))])  # arity
 
@@ -186,7 +186,7 @@ def test_problem_validation():
 def test_problem_dict_round_trip():
     p = Problem(4, ((0, 1),) * 4, (one_hot_table(4),
                                    ClauseConstraint((Literal(0, 1), Literal(2, 0, False))),
-                                   UnaryConstraint(3, 0)), (2, 2))
+                                   unary(3, 0)), (2, 2))
     assert problem_from_dict({
         "n": 4, "domains": [[0, 1]] * 4, "shape": [2, 2],
         "constraints": [
@@ -230,16 +230,16 @@ def _reference_problems():
     from symbreak.reductions import Cnf, OneInThreeInstance, group_gadget, ordering_gadget
 
     problems = {
-        "unary": binary_problem(3, [UnaryConstraint(0, 1)]),
+        "unary": binary_problem(3, [unary(0, 1)]),
         "clause": binary_problem(2, [ClauseConstraint((Literal(0, 1), Literal(1, 0, False)))]),
         "one-hot-2x2": Problem(4, ((0, 1),) * 4, (one_hot_table(4),), (2, 2)),
         "one-per-row-2x3": Problem(6, ((0, 1),) * 6, tuple(per_row), (2, 3)),
         "mixed-free": Problem(3, ((0, 1, 2), (0, 1), (5, 7))),
         "mixed-table-unary": Problem(4, mixed, (
-            TableConstraint((0, 2), frozenset({(0, 1), (1, 0), (2, 2)})), UnaryConstraint(2, 1))),
+            TableConstraint((0, 2), frozenset({(0, 1), (1, 0), (2, 2)})), unary(2, 1))),
         "mixed-clause-table-unary": Problem(4, mixed, (
             ClauseConstraint((Literal(1, 0), Literal(2, 0, False))),
-            TableConstraint((2, 1), frozenset({(1, 0), (2, 1), (0, 0)})), UnaryConstraint(2, 1))),
+            TableConstraint((2, 1), frozenset({(1, 0), (2, 1), (0, 0)})), unary(2, 1))),
         "mixed-one-variable-tables": Problem(4, ((0, 1), (0, 1, 2), (0, 1), (0, 1, 2)), tuple(
             TableConstraint((v,), frozenset({(0,), (2,)})) for v in (1, 3))),
         "unsorted-mixed-free": problem_from_dict(
@@ -305,7 +305,7 @@ def test_unconstrained_enumeration_is_the_whole_code_range(domains):
     assert enumerate_solutions(problem) == list(range(problem.space_size))
 
 
-@pytest.mark.parametrize("constraints", [[], [UnaryConstraint(0, 1)]])
+@pytest.mark.parametrize("constraints", [[], [unary(0, 1)]])
 def test_capped_enumeration_raises_before_expanding_a_free_tail(constraints, monkeypatch):
     # 2^63 free completions per prefix: counted, never listed
     import symbreak.model
@@ -317,10 +317,10 @@ def test_capped_enumeration_raises_before_expanding_a_free_tail(constraints, mon
 
 def test_enumeration_refuses_the_space_the_reference_refuses():
     # 2^25 candidates are refused without a cap; 2^24 are enumerated
-    big = binary_problem(25, [UnaryConstraint(i, 0) for i in range(25)])
+    big = binary_problem(25, [unary(i, 0) for i in range(25)])
     message = "^search space 33554432 exceeds 16777216; pass an explicit cap$"
     for enumerate_ in (enumerate_solutions, tuple_solutions):
         with pytest.raises(CapExceededError, match=message):
             enumerate_(big)
-    edge = binary_problem(24, [UnaryConstraint(i, 1) for i in range(24)])
+    edge = binary_problem(24, [unary(i, 1) for i in range(24)])
     assert enumerate_solutions(edge) == lex_codes(edge, tuple_solutions(edge)) == [2 ** 24 - 1]

@@ -6,15 +6,16 @@ from hypothesis import strategies as st
 
 from symbreak.model import InputError, UnsupportedOrderingError, binary_domains
 from symbreak.orderings import (
-    AssignmentPermutation,
     GrayOrdering,
     LexOrdering,
     RevLexOrdering,
+    SimpleOrdering,
     SnakeLexOrdering,
     applicable_orderings,
     make_ordering,
-    rank_preserving_map,
 )
+
+from symbreak.reductions import OneInThreeOrdering
 
 from reference import EQ, GT, LT, compare, forward, inverse, snake_vectorize
 
@@ -181,24 +182,23 @@ def test_gray_reflection_small():
         assert upper == lower[::-1]
 
 
+# an ordering O is the rank-preserving bijection π from lex to O: the
+# assignment at lex rank k goes to the one at O-rank k
 def test_rank_preserving_map_identity_for_lex():
     lex = LexOrdering(binary_domains(4))
-    pi = rank_preserving_map(lex)
     for a in itertools.product((0, 1), repeat=4):
-        assert forward(pi, a) == a
-        assert inverse(pi, a) == a
+        assert forward(lex, a) == a
+        assert inverse(lex, a) == a
 
 
 def test_rank_preserving_map_gray_example():
-    pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
-    assert forward(pi, bits("0010")) == bits("0011")
+    assert forward(GrayOrdering(binary_domains(4)), bits("0010")) == bits("0011")
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
 def test_rank_preserving_map_is_bijection(n):
-    for target in all_orderings(n, None):
-        pi = rank_preserving_map(target)
-        space = list(itertools.product((0, 1), repeat=n))
+    space = list(itertools.product((0, 1), repeat=n))
+    for pi in all_orderings(n, None):
         images = set()
         for a in space:
             fwd = forward(pi, a)
@@ -208,10 +208,34 @@ def test_rank_preserving_map_is_bijection(n):
         assert len(images) == len(space)
 
 
-def test_permutation_requires_matching_spaces():
-    with pytest.raises(InputError):
-        AssignmentPermutation(LexOrdering(binary_domains(3)),
-                              GrayOrdering(binary_domains(4)))
+def test_orderings_of_one_kind_domains_and_shape_are_equal():
+    doms = binary_domains(6)
+    for make in (lambda: LexOrdering(doms), lambda: RevLexOrdering(doms),
+                 lambda: GrayOrdering(doms), lambda: SnakeLexOrdering(doms, (2, 3)),
+                 lambda: SimpleOrdering(doms)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("a, b", [
+    (LexOrdering(((1, 0),) * 4), LexOrdering(((0, 1),) * 4)),  # domains relisted
+    (SnakeLexOrdering(binary_domains(6), (2, 3)), SnakeLexOrdering(binary_domains(6), (3, 2))),
+    (LexOrdering(binary_domains(4)), SimpleOrdering(binary_domains(4))),
+    (RevLexOrdering(binary_domains(4)), LexOrdering(binary_domains(4))),
+    (GrayOrdering(binary_domains(3)), GrayOrdering(binary_domains(4))),
+], ids=["relisted", "snake-shape", "lex-simple", "revlex-lex", "gray-size"])
+def test_orderings_differing_in_kind_domains_or_shape_are_unequal(a, b):
+    assert a != b and b != a
+
+
+def test_one_in_three_orderings_over_one_space_are_equal():
+    # the rule reads only the prefix, so the instance the gadget came from
+    # is not part of the ordering
+    doms = (tuple(range(1, 4)),) * 3 + ((0, 1),)
+    first, second = OneInThreeOrdering(doms), OneInThreeOrdering(doms)
+    first.ranks(list(range(first.space_size)))  # one fills its prefix table first
+    assert first == second and hash(first) == hash(second)
 
 
 @pytest.mark.parametrize("domains, shape, names", [

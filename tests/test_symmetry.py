@@ -16,11 +16,11 @@ from symbreak.orderings import (
     RevLexOrdering,
     applicable_orderings,
     make_ordering,
-    rank_preserving_map,
 )
 from symbreak.reductions import Cnf, group_gadget
 from symbreak.symmetry import (
     AssignmentSymmetry,
+    ConjugateSymmetry,
     LiteralSymmetry,
     SymmetryGroup,
     conjugate,
@@ -244,7 +244,7 @@ def test_closure_is_a_group():
         assert frozenset(prod.items()) in actions
 
 
-GRAY_2x2 = rank_preserving_map(GrayOrdering(binary_domains(4)))
+GRAY_2x2 = GrayOrdering(binary_domains(4))
 
 
 @pytest.mark.parametrize("group", [
@@ -338,8 +338,8 @@ def test_orbit_of_matches_the_dense_search_on_random_assignment_groups():
 
 @pytest.mark.parametrize("name", ORDERING_NAMES)
 def test_orbit_of_matches_the_dense_search_on_conjugated_2x2_groups(name):
-    pi = rank_preserving_map(make_ordering(name, binary_domains(4), (2, 2)))
-    assert_orbit_of_matches_dense(conjugate(pi, row_col_group((2, 2))), SPACE2x2, SPACE2x2)
+    ordering = make_ordering(name, binary_domains(4), (2, 2))
+    assert_orbit_of_matches_dense(conjugate(ordering, row_col_group((2, 2))), SPACE2x2, SPACE2x2)
     assert_orbit_of_matches_dense(row_col_group((2, 2)), SPACE2x2, SPACE2x2)
 
 
@@ -431,21 +431,21 @@ def test_orbits_refuse_a_solution_with_the_error_apply_raises(bad):
 
 
 def test_conjugate_by_identity_keeps_action():
-    pi = rank_preserving_map(LexOrdering(binary_domains(4)))
+    lex = LexOrdering(binary_domains(4))
     group = row_col_group((2, 2))
-    conj = conjugate(pi, group)
+    conj = conjugate(lex, group)
     for gen, cgen in zip(group.generators, conj.generators):
         for a in SPACE2x2:
             assert apply(cgen, a) == apply(gen, a)
 
 
 def test_conjugate_matches_definition_pointwise():
-    pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
+    gray = GrayOrdering(binary_domains(4))
     group = row_col_group((2, 2))
-    conj = conjugate(pi, group)
+    conj = conjugate(gray, group)
     for gen, cgen in zip(group.generators, conj.generators):
         for b in SPACE2x2:
-            assert apply(cgen, forward(pi, b)) == forward(pi, apply(gen, b))
+            assert apply(cgen, forward(gray, b)) == forward(gray, apply(gen, b))
 
 
 SHAPES_UP_TO_9 = [(r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9]
@@ -477,8 +477,7 @@ def test_conjugate_equals_the_tabulated_oracle(shape, group):
     # 9x1 groups
     doms, space = group.coding.domains, list(range(group.coding.space_size))
     for ordering in applicable_orderings(doms, shape):
-        pi = rank_preserving_map(ordering)
-        conj, oracle = conjugate(pi, group), tabulated_conjugate(pi, group)
+        conj, oracle = conjugate(ordering, group), tabulated_conjugate(ordering, group)
         assert len(conj.generators) == len(group.generators) and conj.cap == group.cap
         for g, h in zip(conj.generators, oracle.generators):
             assert g.image_codes(space) == h.image_codes(space), ordering.name
@@ -490,22 +489,22 @@ def test_conjugate_equals_the_tabulated_oracle(shape, group):
 def test_conjugation_ranks_no_single_assignment(monkeypatch, name):
     doms = binary_domains(9)
     space, group = list(all_assignments(doms)), row_col_group((3, 3))
-    pi = rank_preserving_map(make_ordering(name, doms, (3, 3)))
+    ordering = make_ordering(name, doms, (3, 3))
     original = tuple_orbits(space, group)
     calls = count_rank_calls(monkeypatch)
-    conj = conjugate(pi, group)
-    ok, tau = partitions_isomorphic(original, tuple_orbits(space, conj), pi)
+    conj = conjugate(ordering, group)
+    ok, tau = partitions_isomorphic(original, tuple_orbits(space, conj), ordering)
     assert ok and sorted(tau) == list(range(36))
     assert calls["rank"] == 0
 
 
-@pytest.mark.parametrize("pi", [rank_preserving_map(RevLexOrdering(((0, 1, 2),) * 4)),
-                                rank_preserving_map(GrayOrdering(binary_domains(3)))],
+@pytest.mark.parametrize("ordering", [RevLexOrdering(((0, 1, 2),) * 4),
+                                      GrayOrdering(binary_domains(3))],
                          ids=["ternary", "three-variable"])
-def test_conjugate_refuses_a_permutation_over_other_domains(pi):
-    message = f"permutation acts on domains {pi.domains}, group on {binary_domains(4)}"
+def test_conjugate_refuses_a_permutation_over_other_domains(ordering):
+    message = f"permutation acts on domains {ordering.domains}, group on {binary_domains(4)}"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-        conjugate(pi, row_col_group((2, 2)))
+        conjugate(ordering, row_col_group((2, 2)))
 
 
 def blocks_group(blocks, domains):
@@ -519,36 +518,36 @@ def test_partitions_isomorphic_on_partitions_of_equal_counts():
     # those with one member of a 4-block moved into a singleton
     doms = binary_domains(4)
     blocks = [list(b) for b in blocks_of(tuple_orbits(SPACE2x2, row_col_group((2, 2))))]
-    pi = rank_preserving_map(GrayOrdering(doms))
-    conj_blocks = [[forward(pi, a) for a in b] for b in blocks]
+    gray = GrayOrdering(doms)
+    conj_blocks = [[forward(gray, a) for a in b] for b in blocks]
     part = tuple_orbits(SPACE2x2, blocks_group(blocks, doms))
     same = tuple_orbits(SPACE2x2, blocks_group(conj_blocks, doms))
-    ok, tau = partitions_isomorphic(part, same, pi)
+    ok, tau = partitions_isomorphic(part, same, gray)
     assert ok and [blocks_of(same)[k] for k in tau] == [tuple(sorted(b, key=SPACE2x2.index))
                                                         for b in conj_blocks]
     big, single = next(b for b in conj_blocks if len(b) == 4), \
         next(b for b in conj_blocks if len(b) == 1)
     moved = [b for b in conj_blocks if b not in (big, single)] + [big[1:], single + big[:1]]
     assert len(moved) == len(blocks)
-    assert partitions_isomorphic(part, tuple_orbits(SPACE2x2, blocks_group(moved, doms)), pi) == \
+    assert partitions_isomorphic(part, tuple_orbits(SPACE2x2, blocks_group(moved, doms)), gray) == \
         (False, None)
     # singletons: of the space but one point, and of the space but the
     # image of another, so that one image is no solution of the second
     rest = SPACE2x2[1:]
     singletons = lambda points: tuple_orbits(points, SymmetryGroup((), coding=LexOrdering(doms)))
-    assert partitions_isomorphic(singletons(rest), singletons([forward(pi, a) for a in rest]),
-                                 pi)[0]
-    missing = forward(pi, SPACE2x2[1])
+    assert partitions_isomorphic(singletons(rest), singletons([forward(gray, a) for a in rest]),
+                                 gray)[0]
+    missing = forward(gray, SPACE2x2[1])
     assert partitions_isomorphic(singletons(rest),
-                                 singletons([a for a in SPACE2x2 if a != missing]), pi) == \
+                                 singletons([a for a in SPACE2x2 if a != missing]), gray) == \
         (False, None)
 
 
 def test_conjugated_closure_keeps_its_breadth_first_order():
     # each element as the lex ranks of its images of the space, in the order
     # the closure listed them before it became the search from the identity
-    pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
-    closure = breadth_first_closure(conjugate(pi, row_col_group((2, 2))))
+    gray = GrayOrdering(binary_domains(4))
+    closure = breadth_first_closure(conjugate(gray, row_col_group((2, 2))))
     assert [[SPACE2x2.index(apply(s, a)) for a in SPACE2x2] for s in closure] == [
         [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
         [0, 6, 10, 12, 11, 13, 1, 7, 8, 14, 2, 4, 3, 5, 9, 15],
@@ -557,12 +556,12 @@ def test_conjugated_closure_keeps_its_breadth_first_order():
 
 
 def test_conjugate_preserves_orbit_size_multiset():
-    pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
+    gray = GrayOrdering(binary_domains(4))
     group = row_col_group((2, 2))
     p1 = tuple_orbits(SPACE2x2, group)
-    p2 = tuple_orbits(SPACE2x2, conjugate(pi, group))
+    p2 = tuple_orbits(SPACE2x2, conjugate(gray, group))
     assert sorted(map(len, p1.blocks)) == sorted(map(len, p2.blocks))
-    ok, tau = partitions_isomorphic(p1, p2, pi)
+    ok, tau = partitions_isomorphic(p1, p2, gray)
     assert ok
     assert sorted(tau) == list(range(len(p1)))
 
@@ -570,8 +569,8 @@ def test_conjugate_preserves_orbit_size_multiset():
 def test_partitions_isomorphic_identity_case():
     group = row_col_group((2, 2))
     part = tuple_orbits(SPACE2x2, group)
-    pi = rank_preserving_map(LexOrdering(binary_domains(4)))
-    ok, tau = partitions_isomorphic(part, part, pi)
+    lex = LexOrdering(binary_domains(4))
+    ok, tau = partitions_isomorphic(part, part, lex)
     assert ok and tau == tuple(range(len(part)))
 
 
@@ -580,17 +579,17 @@ def test_partitions_isomorphic_size_mismatch():
     part = tuple_orbits(SPACE2x2, group)
     singletons = tuple_orbits(SPACE2x2, SymmetryGroup(
         (LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4))),)))
-    pi = rank_preserving_map(LexOrdering(binary_domains(4)))
-    ok, tau = partitions_isomorphic(part, singletons, pi)
+    lex = LexOrdering(binary_domains(4))
+    ok, tau = partitions_isomorphic(part, singletons, lex)
     assert not ok and tau is None
 
 
 def test_map_constraint_set():
-    ident = rank_preserving_map(LexOrdering(binary_domains(4)))
+    ident = LexOrdering(binary_domains(4))
     sample = {(0, 0, 0, 0), (0, 1, 1, 0)}
     assert map_constraint_set(ident, sample) == frozenset(sample)
-    pi = rank_preserving_map(GrayOrdering(binary_domains(4)))
-    image = map_constraint_set(pi, sample)
+    gray = GrayOrdering(binary_domains(4))
+    image = map_constraint_set(gray, sample)
     assert len(image) == len(sample)
 
 
@@ -617,12 +616,12 @@ def test_conjugate_carries_the_order_a_chain_from_scratch_finds(shape):
     doms = binary_domains(r * c)
     group = SymmetryGroup(row_col_generators(shape), cap=10 ** 6, coding=LexOrdering(doms))
     for name in ORDERING_NAMES:
-        conj = conjugate(rank_preserving_map(make_ordering(name, doms, shape)), group)
+        conj = conjugate(make_ordering(name, doms, shape), group)
         scratch = SymmetryGroup(conj.generators, conj.cap, conj.coding)
         assert conj.order == scratch.order == math.factorial(r) * math.factorial(c), name
     if group.order > 1:
         capped = SymmetryGroup(group.generators, cap=group.order - 1)
-        conj = conjugate(rank_preserving_map(GrayOrdering(doms)), capped)
+        conj = conjugate(GrayOrdering(doms), capped)
         with pytest.raises(CapExceededError, match=f"^closure exceeds cap={group.order - 1}$"):
             conj.order
 
@@ -647,14 +646,34 @@ def test_a_group_needs_a_coding_and_generators_over_its_domains():
     with pytest.raises(InputError, match="^generators act on different domains$"):
         SymmetryGroup(row_col_generators((1, 2)), coding=LexOrdering(((1, 0),) * 2))
     # one kind of symmetry, and a group of conjugates takes G's points, so
-    # it needs one pi
-    gray, revlex = (conjugate(rank_preserving_map(make_ordering(name, binary_domains(4))),
+    # it needs one ordering
+    gray, revlex = (conjugate(make_ordering(name, binary_domains(4)),
                               row_col_group((2, 2))).generators for name in ("gray", "revlex"))
     swap = transposition((0, 0, 0, 1), (0, 0, 1, 0))
     for mixed in ((row_col_generators((2, 2))[0], swap), (swap, gray[0]), gray[:1] + revlex[1:]):
         with pytest.raises(InputError, match="^a group cannot mix kinds of symmetry or "
                                              "conjugates by different permutations$"):
             SymmetryGroup(mixed)
+
+
+def test_conjugates_by_separately_built_equal_orderings_share_a_group(monkeypatch):
+    # orderings compare by value, so two GrayOrderings of one space give
+    # equal conjugates: one group, and `_judge`'s generator lookup for a
+    # leader set built from the other conjugate group
+    doms, group = binary_domains(4), row_col_group((2, 2))
+    first, second = (conjugate(GrayOrdering(doms), group) for _ in range(2))
+    assert first.generators == second.generators
+    assert SymmetryGroup((first.generators[0], second.generators[1])).order == 4
+    partition = orbits(list(range(16)), second)
+    expected = orbit_verdict(partition, leader_constraints(second, GrayOrdering(doms),
+                                                           "generators"))
+    calls = []
+    image_codes = ConjugateSymmetry.image_codes
+    monkeypatch.setattr(ConjugateSymmetry, "image_codes",
+                        lambda self, codes: calls.append(codes) or image_codes(self, codes))
+    verdict = orbit_verdict(partition, leader_constraints(first, GrayOrdering(doms),
+                                                          "generators"))
+    assert verdict == expected and calls == []
 
 
 @pytest.mark.parametrize("domains", [binary_domains(3), ((2, 0, 1), (1, 0), (0, 1, 2))],
@@ -672,7 +691,8 @@ def test_a_group_without_generators_gives_singleton_orbits(domains):
     verdicts = [orbit_verdict(partition, bset) for bset in sets + [extensional_set(chosen)]]
     assert all(verdict.kept == partition.blocks for verdict in verdicts[:-1])
     assert verdicts[-1].kept == tuple((c,) if c in codes[1::3] else () for c in codes)
-    pi = rank_preserving_map(RevLexOrdering(domains))
-    image = orbits(pi.forward_codes(codes), group)
-    assert partitions_isomorphic(partition, image, pi) == (True, tuple(range(len(codes))))
-    assert partitions_isomorphic(partition, orbits(codes[1:] + [1], group), pi) == (False, None)
+    revlex = RevLexOrdering(domains)
+    image = orbits(revlex.unranks(codes), group)
+    assert partitions_isomorphic(partition, image, revlex) == (True, tuple(range(len(codes))))
+    assert partitions_isomorphic(partition, orbits(codes[1:] + [1], group), revlex) == \
+        (False, None)
