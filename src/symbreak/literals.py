@@ -107,7 +107,7 @@ class LiteralSymmetry:
         own = self.coding
         if self._deltas is None:  # one scan for the moved literals, on first use
             lits, offsets, var_of, places = self.lits, own.offsets, own.var_of, own.places
-            literals = range(len(lits))
+            literals = tuple(range(len(lits)))  # read twice: stored ints, not one built per step
             self._deltas = {
                 i: [places[var_of[m]] * (m - offsets[var_of[m]]) - places[i] * p
                     for p, m in enumerate(lits[offsets[i]:offsets[i + 1]])]

@@ -7,8 +7,8 @@ independent brute-force deciders in the test suite:
   decides 1-in-3 satisfiability, because its ordering is lex after a
   bijection that embeds that question;
 * the *group gadget*: a polynomial comparator (reverse lex) whose leader
-  constraints decide CNF satisfiability, because the group glues all
-  solutions into one orbit.
+  constraints decide CNF satisfiability, because the group, generated by a
+  cycle and a transposition of the solutions, glues them into one orbit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .breaker import leader_constraints, orbit_verdict
+from .breaker import SymmetryBreakingSet, leader_constraints, orbit_verdict
 from .model import (
     Assignment,
     Domain,
@@ -183,8 +183,10 @@ def cnf_satisfiable(phi: Cnf) -> bool:
 
 @dataclass(frozen=True)
 class GroupGadget:
-    """Solutions = models(phi) plus the all-zero vector, as increasing lex codes,
-    glued into one orbit by a chain of solution transpositions; ordering = reverse lex."""
+    """Solutions = models(phi) plus the all-zero vector, as increasing lex codes
+    c_0 < c_1 < …; group = Sym(solutions), identity elsewhere, generated by the
+    cycle c_k -> c_{k+1} (c_{N-1} -> c_0) and, above two members, the swap of
+    c_0 and c_1; ordering = reverse lex."""
 
     phi: Cnf
     problem: Problem
@@ -201,26 +203,27 @@ def group_gadget(phi: Cnf) -> GroupGadget:
     problem = binary_problem(width, [TableConstraint(tuple(range(width)), frozenset(models))])
     coding = LexOrdering(binary_domains(width))
     codes = tuple(sorted(coding.codes(list(models))))
-    group = SymmetryGroup(tuple(AssignmentSymmetry({a: b, b: a}, coding)
-                                for a, b in zip(codes, codes[1:])), coding=coding)
-    return GroupGadget(phi, problem, group, RevLexOrdering(coding.domains), codes)
+    cycle, swap = dict(zip(codes, codes[1:] + codes[:1])), dict(zip(codes[:2], codes[1::-1]))
+    # one member: no generator; two: the cycle is the swap
+    gens = [AssignmentSymmetry(moves, coding) for moves in (cycle, swap)[:len(codes) - 1]]
+    return GroupGadget(phi, problem, SymmetryGroup(tuple(gens), coding=coding),
+                       RevLexOrdering(coding.domains), codes)
 
 
 def solve_group_gadget(gadget: GroupGadget) -> str:
-    """Filter the gadget's solutions by the group's leader constraints.
+    """Judge the group's leader-full set on the gadget's solutions.
 
-    The closure of the transposition chain is the full symmetric group on
-    the solution set, so a solution satisfies every closure element's leader
-    constraint iff it is the ordering-minimum of its orbit; the survivors are
-    therefore the per-orbit minima, computed without materializing the
-    (factorially large) closure.  The unique survivor being all-zero and
-    falsifying phi means UNSAT; anything else means SAT.
+    The group glues the solutions into one orbit, which `orbits` checks, so
+    the one survivor is the orbit's revlex-least member, the block minimum
+    of `orbit_verdict`; no group element is built.  That survivor being
+    all-zero and falsifying phi means UNSAT; anything else means SAT.
     """
-    codes = enumerate_solutions(gadget.problem)
-    if len(gadget.group.orbit_of(codes[0])) != len(codes):
+    group = gadget.group
+    partition = orbits(enumerate_solutions(gadget.problem), group)
+    if len(partition) != 1:
         raise InvariantViolationError("group gadget's solutions form more than one orbit")
-    ranks = gadget.ordering.ranks(codes)
-    if codes[ranks.index(min(ranks))] == 0:  # the all-zero assignment
+    verdict = orbit_verdict(partition, SymmetryBreakingSet(full=(group, gadget.ordering)))
+    if verdict.kept == ((0,),):  # the all-zero assignment
         return SAT if gadget.phi.satisfied_by((0,) * gadget.phi.num_vars) else UNSAT
     return SAT
 

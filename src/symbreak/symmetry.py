@@ -6,7 +6,7 @@ Three representations, never mixed inside one group:
   with per-variable value bijections, so every complete assignment maps to
   a complete assignment by construction.
 * `AssignmentSymmetry` — an explicit bijection on finitely many listed
-  assignments, identity elsewhere: the group gadget's transpositions.
+  assignments, identity elsewhere: the group gadget's cycle and swap.
 * `ConjugateSymmetry` — π∘g∘π⁻¹, held as the pair (g, O), π = O.unranks.
 
 Each acts on the lex codes of its `coding`, a LexOrdering of its domains
@@ -111,7 +111,8 @@ class SymmetryGroup:
     for conjugates of G), is built once, under `cap`, and is the only
     element machinery: `order` is the product of its level sizes, and
     `closure()` lists the products of its representatives.  No verdict
-    reads the chain.  Without generators, order 1 and an empty closure."""
+    reads the chain, and the group searches no orbit: `orbits` does, from
+    the generators.  Without generators, order 1 and an empty closure."""
 
     generators: tuple[Symmetry, ...]
     cap: int = DEFAULT_CLOSURE_CAP
@@ -169,40 +170,6 @@ class SymmetryGroup:
         for level in self.chain:
             products += [p for u in level[1:] for p in map(_gatherer(u), products)]
         return tuple(map(element, products))
-
-    def orbit_of(self, code: int) -> tuple[int, ...]:
-        """The lex codes of the orbit of the assignment with this code, in
-        search order.
-
-        An assignment-level generator fixes what it does not list, so the search
-        steps only along listed pairs: movers[b] holds b's images in generator
-        order.  A generator that skips b maps it to itself, already seen."""
-        gens, coding = self.generators, self.coding
-        if not 0 <= code < coding.space_size:
-            raise InputError(f"code {code} outside [0, {coding.space_size})")
-        step = lambda b: [g.image_codes([b])[0] for g in gens]
-        if gens and isinstance(gens[0], AssignmentSymmetry):
-            movers: dict = {}
-            for g in gens:
-                for b, image in g._map.items():
-                    movers.setdefault(b, []).append(image)
-            step = lambda b: movers.get(b, ())
-        return tuple(_orbit_search(code, step, cap=self.cap))
-
-
-def _orbit_search(start, neighbours: Callable[..., Iterable], cap: Optional[int] = None) -> list:
-    """Breadth-first search from `start`; neighbours(p) lists the points one
-    step from p.  Returns the points reached, in discovery order; more than
-    `cap` of them overflow the orbit."""
-    order, seen = [start], {start}
-    for a in order:
-        for b in neighbours(a):
-            if b not in seen:
-                seen.add(b)
-                order.append(b)
-                if cap is not None and len(order) > cap:
-                    raise CapExceededError(f"orbit exceeds cap={cap}")
-    return order
 
 
 def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:

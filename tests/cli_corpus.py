@@ -31,7 +31,7 @@ and stores of the benchmark's widths (8 to 128) and kinds, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
-10 variables, `clause` constraints on binary, ternary and mixed domains
+10 variables and gadgets of 1, 2 and 3 members, `clause` constraints on binary, ternary and mixed domains
 through solve, orbits, compare, check and break, and the input errors and
 option conflicts of each command: cap overflows (`more than cap=N
 solutions`, a search space above the uncapped limit), a field of the wrong
@@ -523,7 +523,9 @@ def benchmark_instances(corpus: Corpus) -> None:
 def deep_instances(corpus: Corpus) -> None:
     """Problems of 1000 or more variables under `--cap`, `demo-prop1`
     instances whose nominal gadget space is above 2^24, and `demo-prop2`
-    instances of 10 variables: no clauses (1024 members), one clause, UNSAT."""
+    instances of 10 variables: no clauses (1024 members), one clause, UNSAT;
+    then the smallest gadgets, of 1, 2 and 3 members (no generator, a cycle
+    that is a swap, a cycle and a swap)."""
     for n, free in ((1000, 0), (1000, 1), (1200, 0)):
         problem = corpus.file(f"deep{n}-{free}.json", {
             "n": n, "domains": [[0, 1]] * n, "constraints": [
@@ -547,6 +549,9 @@ def deep_instances(corpus: Corpus) -> None:
     for i, clauses in enumerate([[], [[1, -5, 10]], [[3], [-3, 7], [-7]]]):
         corpus.invoke(["demo-prop2", "--instance",
                        corpus.file(f"wide-cnf{i}.json", {"n": 10, "clauses": clauses})])
+    for members, cnf in enumerate([{"n": 1, "clauses": [[1], [-1]]}, {"n": 1, "clauses": []},
+                                   {"n": 2, "clauses": [[1]]}], 1):
+        corpus.invoke(["demo-prop2", "--instance", corpus.file(f"small-cnf{members}.json", cnf)])
 
 
 def clause_problems(corpus: Corpus) -> None:

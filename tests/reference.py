@@ -13,7 +13,7 @@ from collections import deque
 from functools import reduce
 from itertools import accumulate, islice, product
 from operator import add, getitem, xor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
 from symbreak.gray import GrayDecomposition, PropagationOutcome, PropagationTrace
@@ -45,7 +45,6 @@ from symbreak.symmetry import (
     Symmetry,
     SymmetryGroup,
     _gatherer,
-    _orbit_search,
     orbits,
 )
 
@@ -210,13 +209,48 @@ def is_complete(solutions: Sequence[Assignment], bset: SymmetryBreakingSet,
     return orbit_verdict(tuple_orbits(solutions, group), bset).complete
 
 
+def orbit_search(start, neighbours: Callable[..., Iterable], cap: Optional[int] = None) -> list:
+    """Breadth-first search from `start`; neighbours(p) lists the points one
+    step from p.  Returns the points reached, in discovery order; more than
+    `cap` of them overflow the orbit."""
+    order, seen = [start], {start}
+    for a in order:
+        for b in neighbours(a):
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+                if cap is not None and len(order) > cap:
+                    raise CapExceededError(f"orbit exceeds cap={cap}")
+    return order
+
+
+def orbit_of(group: SymmetryGroup, code: int) -> tuple[int, ...]:
+    """The lex codes of the orbit of the assignment with this code, in
+    search order, under the group's cap.
+
+    An assignment-level generator fixes what it does not list, so the search
+    steps only along listed pairs: movers[b] holds b's images in generator
+    order.  A generator that skips b maps it to itself, already seen."""
+    gens, coding = group.generators, group.coding
+    if not 0 <= code < coding.space_size:
+        raise InputError(f"code {code} outside [0, {coding.space_size})")
+    step = lambda b: [g.image_codes([b])[0] for g in gens]
+    if gens and isinstance(gens[0], AssignmentSymmetry):
+        movers: dict = {}
+        for g in gens:
+            for b, image in g._map.items():
+                movers.setdefault(b, []).append(image)
+        step = lambda b: movers.get(b, ())
+    return tuple(orbit_search(code, step, cap=group.cap))
+
+
 def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) -> bool:
     """Is `a` the smallest member of its orbit under the ordering?
 
     Decided by enumerating the orbit; orbits larger than the group's cap
     raise rather than answer.
     """
-    orbit = group.coding.decode(list(group.orbit_of(group.coding.codes([a])[0])))
+    orbit = group.coding.decode(list(orbit_of(group, group.coding.codes([a])[0])))
     return not any(compare(ordering, b, a) == LT for b in orbit)
 
 
@@ -224,7 +258,7 @@ def dense_orbit_of(group: SymmetryGroup, a: Assignment) -> tuple[Assignment, ...
     """The orbit of `a` by applying every generator at every point, in search
     order; more than the group's cap of points raises CapExceededError."""
     gens = group.generators
-    return tuple(_orbit_search(tuple(a), lambda b: [apply(g, b) for g in gens], cap=group.cap))
+    return tuple(orbit_search(tuple(a), lambda b: [apply(g, b) for g in gens], cap=group.cap))
 
 
 def breadth_first_closure(group: SymmetryGroup) -> tuple:
@@ -237,10 +271,10 @@ def breadth_first_closure(group: SymmetryGroup) -> tuple:
         return ()
     if isinstance(gens[0], LiteralSymmetry):
         lits, coding = [g.lits for g in gens], group.coding
-        found = _orbit_search(tuple(range(len(lits[0]))), lambda e: map(_gatherer(e), lits),
+        found = orbit_search(tuple(range(len(lits[0]))), lambda e: map(_gatherer(e), lits),
                               cap=group.cap)
         return tuple(LiteralSymmetry(e, coding) for e in found)
-    return tuple(_orbit_search(identity_like(gens[0]),
+    return tuple(orbit_search(identity_like(gens[0]),
                                lambda e: [compose(g, e) for g in gens], cap=group.cap))
 
 

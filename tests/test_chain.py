@@ -195,18 +195,27 @@ def test_closure_lists_the_breadth_first_closure_identity_first(name, group, dom
 
 
 def test_closure_starts_no_orbit_search(monkeypatch):
-    # the elements are the products of the chain's representatives
+    # the elements are the products of the chain's representatives, one
+    # gather each: 35 for the 36 elements, where a breadth-first search from
+    # the identity would form generator∘element for each of 36 elements and
+    # 4 generators
     import symbreak.symmetry
 
-    search, starts = symbreak.symmetry._orbit_search, []
+    group = row_col_group((3, 3))
+    group.chain  # built before the count
+    gather, gathers = symbreak.symmetry._gatherer, []
 
-    def counted(start, *args, **kwargs):
-        starts.append(start)
-        return search(start, *args, **kwargs)
+    def counted(indices):
+        g = gather(indices)
 
-    monkeypatch.setattr(symbreak.symmetry, "_orbit_search", counted)
-    closure = row_col_group((3, 3)).closure()
-    assert starts == [] and len(closure) == 36
+        def step(s):
+            gathers.append(s)
+            return g(s)
+        return step
+
+    monkeypatch.setattr(symbreak.symmetry, "_gatherer", counted)
+    closure = group.closure()
+    assert len(closure) == 36 and len(gathers) == 35
 
 
 def _solution_sets(name, group, domains):

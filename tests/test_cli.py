@@ -320,9 +320,9 @@ def test_leader_full_builds_no_group_element(capsys, tmp_path, monkeypatch):
 def test_leader_full_runs_no_closure_search(capsys, tmp_path, monkeypatch):
     # compare, check and break on a 4x5 model with one 1 per row: the four
     # leader-full rows take each orbit's least-ranked member, and the
-    # 2880-element group is only counted by its stabilizer chain, so no
-    # breadth-first search starts from the identity of its 40 literals
-    import symbreak.symmetry
+    # 2880-element group is only counted by its stabilizer chain, so none of
+    # its elements is built
+    from symbreak.symmetry import SymmetryGroup, row_col_group
 
     r, c = 4, 5
     problem = tmp_path / "p.json"
@@ -333,23 +333,18 @@ def test_leader_full_runs_no_closure_search(capsys, tmp_path, monkeypatch):
                                                    for j in range(c)]} for i in range(r)]}))
     syms = tmp_path / "s.json"
     syms.write_text(json.dumps({"generators": [{"kind": "row_col", "rows": r, "cols": c}]}))
-    search, starts = symbreak.symmetry._orbit_search, []
 
-    def counted(start, *args, **kwargs):
-        starts.append(start)
-        return search(start, *args, **kwargs)
+    def closure(self):
+        raise AssertionError("the group's elements were built")
 
-    monkeypatch.setattr(symbreak.symmetry, "_orbit_search", counted)
+    monkeypatch.setattr(SymmetryGroup, "closure", closure)
     for command in ("compare", "check", "break"):
-        starts.clear()
         method = [] if command == "compare" else ["--method", "leader-full"]
         code, out, _ = invoke(capsys, [command, *method, "--problem", str(problem),
                                        "--symmetries", str(syms)])
-        assert code == 0 and out
-        assert tuple(range(2 * r * c)) not in starts, command
-    starts.clear()  # the patch is live: an orbit search registers its start
-    symbreak.symmetry.row_col_group((2, 2)).orbit_of(0)
-    assert starts == [0]
+        assert code == 0 and out, command
+    with pytest.raises(AssertionError, match="elements were built"):  # the patch is live
+        row_col_group((2, 2)).closure()
     rows = invoke(capsys, ["compare", "--problem", str(problem), "--symmetries", str(syms)])[1]
     full = [row.split()[2:] for row in rows.splitlines() if "leader-full" in row]
     assert full == [["2879", "5", "5", "true", "true"]] * 4

@@ -208,21 +208,30 @@ def test_group_gadget_random_cnfs():
         assert solve_group_gadget(group_gadget(phi)) == verdict(cnf_satisfiable(phi))
 
 
-def test_group_gadget_orbit_steps_only_along_listed_pairs(monkeypatch):
-    # the dense search applied all 1023 transpositions at each of the 1024
-    # members: 1024 * 1023 `image_codes` calls
+def test_group_gadget_solves_from_two_generators_without_the_chain(monkeypatch):
+    # Sym(1024 members) from the 1024-cycle and one swap: `orbits` images the
+    # solutions once per generator, and the leader-full verdict takes the
+    # block minimum without counting the 1024!-element group
+    from symbreak.symmetry import SymmetryGroup
+
     gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": []}))
-    assert len(gadget.group.generators) == 1023
-    calls = [0]
+    assert len(gadget.solutions) == 1024 and len(gadget.group.generators) <= 2
+    calls = []
     image_codes = AssignmentSymmetry.image_codes
 
     def counted(self, codes):
-        calls[0] += 1
+        calls.append(self)
         return image_codes(self, codes)
 
+    def chain(self):
+        raise AssertionError("the stabilizer chain was read")
+
     monkeypatch.setattr(AssignmentSymmetry, "image_codes", counted)
-    assert gadget.group.orbit_of(gadget.solutions[0]) == gadget.solutions
-    assert calls[0] == 0
+    monkeypatch.setattr(SymmetryGroup, "chain", property(chain))
+    assert solve_group_gadget(gadget) == SAT
+    assert len(calls) == len(set(calls)) and set(calls) <= set(gadget.group.generators)
+    with pytest.raises(AssertionError, match="chain was read"):  # the patch is live
+        gadget.group.order
 
 
 def test_group_gadget_is_solved_on_codes(monkeypatch):

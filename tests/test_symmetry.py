@@ -43,6 +43,7 @@ from reference import (
     forward,
     invert,
     map_constraint_set,
+    orbit_of,
     symmetry_from_pairs,
     tabulated_conjugate,
     tuple_orbits,
@@ -271,7 +272,8 @@ def test_closure_cap_overflow():
 
 
 def assert_orbit_of_matches_dense(group, starts, space=None):
-    """orbit_of gives the dense search's tuple from every start, and with the
+    """The reference `orbit_of`, which steps an assignment-level group only
+    along its listed pairs, gives the dense search's tuple from every start, and with the
     cap one below the orbit's size both searches overflow.  On a literal
     group both apply every generator at every point, so given the whole
     space, each orbit is also, as a set, the block of `orbits` (which works
@@ -281,13 +283,13 @@ def assert_orbit_of_matches_dense(group, starts, space=None):
              else {a: set(b) for b in blocks_of(tuple_orbits(space, group)) for a in b})
     for a in starts:
         code = coding.codes([a])[0]
-        orbit = tuple(coding.decode(list(group.orbit_of(code))))
+        orbit = tuple(coding.decode(list(orbit_of(group, code))))
         assert orbit == dense_orbit_of(group, a), a
         if space is not None:
             assert set(orbit) == block[a], a
         if len(orbit) > 1:
             capped = SymmetryGroup(group.generators, cap=len(orbit) - 1)
-            for search, start in ((capped.orbit_of, code),
+            for search, start in ((lambda c: orbit_of(capped, c), code),
                                   (lambda b: dense_orbit_of(capped, b), a)):
                 with pytest.raises(CapExceededError, match=f"cap={len(orbit) - 1}$"):
                     search(start)
@@ -300,10 +302,9 @@ def cnf_with_models(n, models):
                         for a in itertools.product((0, 1), repeat=n) if a not in models))
 
 
-def test_orbit_of_matches_the_dense_search_on_group_gadgets():
-    # every gadget up to 3 variables (one per set of models), then seeded
-    # random CNFs and the clause-free CNF up to 6, each from its first and
-    # last solution and from a point outside the solution set
+def gadget_cnfs():
+    """Every CNF up to 3 variables (one per set of models), then seeded random
+    CNFs and the clause-free CNF up to 6."""
     cnfs = [cnf_with_models(n, set(models)) for n in (1, 2, 3)
             for k in range(2 ** n + 1)
             for models in itertools.combinations(itertools.product((0, 1), repeat=n), k)]
@@ -313,13 +314,34 @@ def test_orbit_of_matches_the_dense_search_on_group_gadgets():
         cnfs += [Cnf(n, tuple(tuple(rng.choice((-1, 1)) * rng.randint(1, n)
                                     for _ in range(rng.randint(1, 3)))
                               for _ in range(rng.randint(1, 4)))) for _ in range(10)]
-    for phi in cnfs:
+    return cnfs
+
+
+def test_orbit_of_matches_the_dense_search_on_group_gadgets():
+    # each gadget from its first and last solution (every solution up to 3
+    # variables) and from a point outside the solution set
+    for phi in gadget_cnfs():
         gadget = group_gadget(phi)
         solutions = gadget.group.coding.decode(list(gadget.solutions))
         space = list(itertools.product((0, 1), repeat=phi.num_vars))
         outside = [a for a in space if a not in solutions][:1]
         starts = solutions if phi.num_vars <= 3 else (solutions[0], solutions[-1])
         assert_orbit_of_matches_dense(gadget.group, [*starts, *outside])
+
+
+def test_group_gadget_group_is_the_symmetric_group_on_its_solutions():
+    # the cycle and the swap generate Sym(solutions): N! elements, each the
+    # same as a set as the breadth-first closure's
+    checked = set()
+    for phi in gadget_cnfs():
+        gadget = group_gadget(phi)
+        n = len(gadget.solutions)
+        if n <= 6:
+            group = gadget.group
+            assert group.order == math.factorial(n), phi
+            assert set(group.closure()) == set(breadth_first_closure(group)), phi
+            checked.add(n)
+    assert checked == {1, 2, 3, 4, 5, 6}
 
 
 def test_orbit_of_matches_the_dense_search_on_random_assignment_groups():
