@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, pairwise
+from operator import getitem, itemgetter
 from typing import AbstractSet, Callable, Iterable, Optional, Sequence, Union
 
 Assignment = tuple[int, ...]
@@ -198,13 +198,13 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
     Without a cap, search spaces above MAX_ENUMERATION_SPACE are refused.
     With a cap, finding more than `cap` solutions raises rather than
     truncating the result, so a cap below 1 raises on any problem with a
-    solution.  The search is depth-first over an explicit
-    stack of per-depth (position, value) iterators, so depth is not bounded
-    by Python's recursion limit; constraints read the values, and each
-    prefix's code is carried down the stack.  It stops at the last variable
-    a constraint reads (variable 0 at least): each prefix found there
-    stands for the `tail` consecutive codes of its free completions,
-    expanded once at the end.
+    solution.  The search is depth-first over an explicit stack of per-level
+    iterators, so depth is not bounded by Python's recursion limit.  A level
+    is one variable over its domain, or a run of variables that ends at the
+    last variable of a sparse table whose scope covers it, over the table's
+    rows that match the values read before the run.  It stops at the last
+    variable a constraint reads (variable 0 at least): each prefix found
+    there stands for the `tail` consecutive codes of its free completions.
     """
     if cap is None:
         if problem.space_size > MAX_ENUMERATION_SPACE:
@@ -212,35 +212,60 @@ def enumerate_solutions(problem: Problem, cap: Optional[int] = None) -> list[int
                 f"search space {problem.space_size} exceeds "
                 f"{MAX_ENUMERATION_SPACE}; pass an explicit cap")
 
-    # a constraint is checkable once its scope's last variable is set: one checker per depth
+    # a constraint is checkable once its scope's last variable is set
+    domains = problem.domains
     free = 1 + max((max(con.scope) for con in problem.constraints), default=0)
     ready: list[list[Constraint]] = [[] for _ in range(free)]
     for con in problem.constraints:
         ready[max(con.scope)].append(con)
-    checkers = [None if not cons else cons[0].satisfied if len(cons) == 1
-                else lambda values, cons=cons: all(con.satisfied(values) for con in cons)
-                for cons in ready]
+    # per level: where its values go, their code's width, its candidates and
+    # the constraints it checks; each driven run, from the right, is folded
+    ats, widths, sources = list(range(free)), [*map(len, domains[:free])], [*domains[:free]]
+    for lo, hi in reversed([*pairwise([0, *compress(range(1, free + 1), ready)])]):
+        driver = min((con for con in ready[hi - 1] if isinstance(con, TableConstraint)
+                      and sum(v >= lo for v in con.scope) == hi - lo  # covers the run
+                      and 2 * len(con.allowed) <= math.prod(len(domains[v]) for v in con.scope)),
+                     key=lambda con: len(con.allowed), default=None) if hi - lo > 1 else None
+        if driver is None:
+            continue
+        # its rows, read by variable like values: (increment, values[lo:hi]) per key, sorted
+        scope, rows = driver.scope, {}
+        before = [v for v in scope if v < lo]
+        read = itemgetter(*before) if before else lambda values: ()
+        run = itemgetter(*range(lo, hi))  # a tuple: a driven run has two variables at least
+        weights = [{value: pos * math.prod(widths[v + 1:hi])
+                    for pos, value in enumerate(domains[v])} for v in range(lo, hi)]
+        for inc, key, vals in sorted((sum(map(getitem, weights, run(row))), read(row), run(row))
+                                     for row in (dict(zip(scope, row)) for row in driver.allowed)):
+            rows.setdefault(key, []).append((inc, vals))
+        ats[lo:hi], widths[lo:hi] = [slice(lo, hi)], [math.prod(widths[lo:hi])]
+        sources[lo:hi] = [lambda values, get=rows.get, read=read: get(read(values), ())]
+        ready[lo:hi] = [[con for con in ready[hi - 1] if con is not driver]]
+    checks = [None if not cons else cons[0].satisfied if len(cons) == 1
+              else lambda values, cons=cons: all(con.satisfied(values) for con in cons)
+              for cons in ready]
 
-    domains, last = problem.domains, free - 1
+    last = len(ats) - 1
     tail = math.prod(map(len, domains[free:]))  # the free completions of each prefix
     codes: list[int] = []  # the codes of the prefixes found
-    values: list = [None] * free  # values[:depth + 1] is the current prefix
-    prefix = [0] * (free + 1)  # prefix[depth + 1] is the code of values[:depth + 1]
-    levels = [enumerate(domains[0])]  # levels[depth] yields what is left to try there
-    while levels:
-        depth = len(levels) - 1
-        check = checkers[depth]
-        for pos, values[depth] in levels[depth]:
+    values: list = [None] * free  # the current prefix, up to the current level
+    prefix = [0] * (last + 2)  # prefix[k + 1] is the code of the prefix to level k
+    levels = [iter(sources[0](values)) if callable(sources[0]) else enumerate(sources[0])]
+    while levels:  # levels[k] yields what is left to try at level k
+        k = len(levels) - 1
+        at, check = ats[k], checks[k]
+        for inc, values[at] in levels[k]:
             if check is None or check(values):
                 break
-        else:  # this depth is exhausted: back up one level
+        else:  # this level is exhausted: back up one
             levels.pop()
             continue
-        prefix[depth + 1] = prefix[depth] * len(domains[depth]) + pos
-        if depth < last:
-            levels.append(enumerate(domains[depth + 1]))
+        prefix[k + 1] = prefix[k] * widths[k] + inc
+        if k < last:
+            source = sources[k + 1]
+            levels.append(iter(source(values)) if callable(source) else enumerate(source))
             continue
-        codes.append(prefix[depth + 1])
+        codes.append(prefix[k + 1])
         if cap is not None and len(codes) * tail > cap:
             raise CapExceededError(f"more than cap={cap} solutions")
     if tail == 1:

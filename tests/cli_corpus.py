@@ -32,7 +32,11 @@ and stores of the benchmark's widths (8 to 128) and kinds, the
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
 10 variables and gadgets of 1, 2 and 3 members, `clause` constraints on binary, ternary and mixed domains
-through solve, orbits, compare, check and break, and the input errors and
+through solve, orbits, compare, check and break, 2x3 problems whose
+enumeration takes a run of variables from a sparse table's rows (a scope
+listed out of order that reaches back across runs, a one-per-row ternary
+model on unsorted domains, a dense and a sparse table ready at one depth,
+caps that overflow inside such a run), and the input errors and
 option conflicts of each command: cap overflows (`more than cap=N
 solutions`, a search space above the uncapped limit), a field of the wrong
 shape, an unknown field and text that is not JSON in each kind of input
@@ -593,6 +597,52 @@ def clause_problems(corpus: Corpus) -> None:
             corpus.invoke(["break", *pair, *options])
 
 
+def joined_runs(corpus: Corpus) -> None:
+    """2x3 problems whose enumeration takes a run of variables as one level
+    from a sparse table's rows: a table whose scope is listed out of order
+    and reaches back across runs, a one-per-row ternary model on unsorted
+    domains, and a dense and a sparse table ready at one depth, through
+    solve, orbits and compare, then with caps that overflow inside a run."""
+    def table(scope, rows):
+        return {"kind": "table", "scope": scope, "tuples": [list(row) for row in rows]}
+
+    one_nonzero = [t for t in itertools.product([2, 0, 1], repeat=3)
+                   if sum(1 for v in t if v) == 1]
+    one_hot = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    identity = [{"kind": "literal", "var_perm": list(range(6))}]
+    models = {
+        # x0 != x3 ends a run of four unjoined variables; the table on
+        # [4, 1, 5, 3] joins x4 and x5 and reads x1 and x3 from before them
+        "reach-back": ([[0, 1]] * 6, identity, [
+            table([3, 0], [(0, 1), (1, 0)]),
+            table([4, 1, 5, 3], [(0, 0, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0),
+                                 (0, 1, 0, 0), (1, 1, 0, 1)])]),
+        "ternary-one-per-row": ([[2, 0, 1]] * 6, [{"kind": "row_col", "rows": 2, "cols": 3}],
+                                [table([0, 1, 2], one_nonzero), table([3, 4, 5], one_nonzero)]),
+        # both tables on row 1 cover it; x5 and x2 not both 1 (12 rows of
+        # 16) and a clause are checked on the rows of the one-hot table
+        "dense-and-sparse": ([[0, 1]] * 6, [{"kind": "literal", "var_perm": [3, 4, 5, 0, 1, 2]}],
+                             [table([0, 1, 2], one_hot), table([3, 4, 5], one_hot),
+                              table([5, 2, 4, 3], [t for t in itertools.product((0, 1), repeat=4)
+                                                   if t[:2] != (1, 1)]),
+                              {"kind": "clause", "literals": [{"var": v, "value": 0}
+                                                              for v in (0, 3, 2, 5)]}]),
+    }
+    for name, (domains, gens, constraints) in models.items():
+        problem = corpus.file(f"joined-{name}.json", {
+            "n": 6, "domains": domains, "shape": [2, 3], "constraints": constraints})
+        syms = corpus.file(f"joined-{name}-syms.json", {"generators": gens})
+        pair = ["--problem", problem, "--symmetries", syms]
+        for fmt in FORMATS:
+            corpus.invoke(["solve", "--problem", problem, *fmt])
+            corpus.invoke(["orbits", *pair, *fmt])
+            corpus.invoke(["compare", *pair, *fmt])
+        for cap in ("1", "4"):
+            corpus.invoke(["solve", "--problem", problem, "--cap", cap])
+            corpus.invoke(["orbits", *pair, "--cap", cap])
+            corpus.invoke(["compare", *pair, "--cap", cap])
+
+
 def input_errors(corpus: Corpus) -> None:
     """The input checks that no other part reaches: cap overflows; in each
     kind of input file a field of the wrong shape, an unknown field and
@@ -738,7 +788,7 @@ def main(argv: list[str]) -> int:
         for part in (front_end, matrix_models, unsorted_domains, value_maps, leader_full_groups,
                      residue_groups, large_group, survivor_files, codes_end_to_end, rank_grids,
                      gray_stores, benchmark_instances, deep_instances, clause_problems,
-                     input_errors):
+                     joined_runs, input_errors):
             part(corpus)
     print(f"{corpus.count} invocations written to {out_path}", file=sys.stderr)
     if corpus.failures:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -76,16 +77,17 @@ def test_table_checks_its_scope_in_any_order_and_of_one_variable(scope, rows):
 def test_enumerate_leaves_no_cycle_on_return_or_cap_overflow():
     import gc
 
-    problem = binary_problem(3)
-    gc.collect()
-    gc.disable()
-    try:
-        with pytest.raises(CapExceededError):
-            enumerate_solutions(problem, cap=2)
-        assert gc.collect() == 0
-        assert enumerate_solutions(problem) and gc.collect() == 0
-    finally:
-        gc.enable()
+    # unconstrained, and with a run taken from a one-hot table's rows
+    for problem in (binary_problem(3), binary_problem(3, [one_hot_table(3)])):
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(CapExceededError):
+                enumerate_solutions(problem, cap=2)
+            assert gc.collect() == 0
+            assert enumerate_solutions(problem) and gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_enumerate_full_space():
@@ -324,3 +326,97 @@ def test_enumeration_refuses_the_space_the_reference_refuses():
             enumerate_(big)
     edge = binary_problem(24, [unary(i, 1) for i in range(24)])
     assert enumerate_solutions(edge) == lex_codes(edge, tuple_solutions(edge)) == [2 ** 24 - 1]
+
+
+def _random_problem(rng: random.Random, kind: str) -> Problem:
+    """A problem of up to 9 variables over `kind` domains, cut into runs at
+    random ends.  Each run ends with a table (sparse, dense or empty) whose
+    scope covers the run and may reach back before it, listed in shuffled
+    order, and with up to 2 more constraints ready at the same depth:
+    tables that cover the run or not, clauses and unary constraints."""
+    n = rng.randint(1, 9 if kind == "binary" else 6)
+    if kind == "mixed":
+        domains = [tuple(rng.sample((0, 1, 2, 5, 7), rng.randint(1, 3))) for _ in range(n)]
+    else:
+        values = (0, 1) if kind == "binary" else (0, 1, 2)
+        domains = [tuple(rng.sample(values, len(values)) if kind == "unsorted" else values)
+                   for _ in range(n)]
+
+    def table(scope, dense):
+        rng.shuffle(scope)
+        space = list(itertools.product(*(domains[v] for v in scope)))
+        half = len(space) // 2
+        size = (rng.randint(half + 1, len(space)) if dense
+                else 0 if rng.random() < 0.02 else rng.randint((half + 1) // 2, half))
+        return TableConstraint(tuple(scope), frozenset(rng.sample(space, size)))
+
+    constraints = []
+    ends = sorted(rng.sample(range(n), rng.randint(1, min(n, 3))))
+    for lo, end in zip([0] + [e + 1 for e in ends], ends):
+        run, before = list(range(lo, end + 1)), rng.sample(range(lo), min(lo, rng.randint(0, 2)))
+        constraints.append(table(run + before, dense=rng.random() < 0.3))
+        for _ in range(rng.randint(0, 2)):
+            extra = rng.choice(("table", "clause", "unary"))
+            others = rng.sample(range(lo), min(lo, rng.randint(0, 2)))
+            if extra == "table":
+                constraints.append(table(rng.choice([[end], run]) + others,
+                                         dense=rng.random() < 0.7))
+            elif extra == "clause":
+                constraints.append(ClauseConstraint(tuple(
+                    Literal(v, rng.choice(domains[v]), rng.random() < 0.5) for v in [end, *others])))
+            else:
+                constraints.append(unary(end, rng.choice(domains[end])))
+    rng.shuffle(constraints)
+    return Problem(n, tuple(domains), tuple(constraints))
+
+
+@pytest.mark.parametrize("kind", ["binary", "ternary", "unsorted", "mixed"])
+def test_enumeration_matches_the_reference_on_random_problems(kind):
+    # 100 seeded problems per kind of domain, at least 40 of them solvable;
+    # every cap up to the solution count raises alike in both enumerators
+    solvable = 0
+    for seed in range(100):
+        problem = _random_problem(random.Random(f"{kind}{seed}"), kind)
+        solutions = tuple_solutions(problem)
+        expected = lex_codes(problem, solutions)
+        assert enumerate_solutions(problem) == expected, (seed, problem)
+        for cap in range(len(solutions)):
+            for enumerate_ in (enumerate_solutions, tuple_solutions):
+                with pytest.raises(CapExceededError, match=f"^more than cap={cap} solutions$"):
+                    enumerate_(problem, cap)
+        assert enumerate_solutions(problem, len(solutions)) == expected
+        solvable += bool(solutions)
+    assert solvable >= 40
+
+
+def _count_table_checks(monkeypatch) -> list:
+    calls: list = []
+    satisfied = TableConstraint.satisfied
+    monkeypatch.setattr(TableConstraint, "satisfied",
+                        lambda self, values: calls.append(self) or satisfied(self, values))
+    return calls
+
+
+def test_one_per_row_tables_are_not_checked_on_every_completion(monkeypatch):
+    # the 4x5 model with one 1 per row: its 625 solutions come from the
+    # tables' rows; testing each table once its row is set takes 4,992 tests
+    rows = frozenset(tuple(int(j == k) for j in range(5)) for k in range(5))
+    problem = Problem(20, binary_domains(20), tuple(
+        TableConstraint(tuple(range(5 * i, 5 * i + 5)), rows) for i in range(4)), (4, 5))
+    calls = _count_table_checks(monkeypatch)
+    assert len(enumerate_solutions(problem)) == 625
+    assert len(calls) <= 625
+
+
+@pytest.mark.parametrize("clauses", [(), ((1, -5, 10),), ((3,), (-3, 7), (-7,))])
+def test_group_gadget_tables_are_checked_no_more_than_once_per_assignment(clauses, monkeypatch):
+    # one table over all the variables: dense tables are checked once per
+    # assignment of the space, as before; the sparse one of an unsatisfiable
+    # CNF (its one row is all-zero) is not checked at all
+    from symbreak.reductions import Cnf, group_gadget
+
+    problem = group_gadget(Cnf(10, clauses)).problem
+    calls = _count_table_checks(monkeypatch)
+    solutions = enumerate_solutions(problem)
+    assert len(calls) <= problem.space_size
+    assert (len(calls) == 0) == (len(solutions) == 1)
