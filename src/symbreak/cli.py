@@ -314,12 +314,11 @@ def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
 def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     phi = load_cnf(ns.instance)
     gadget = group_gadget(phi)
-    # solve_group_gadget raises unless the gadget's solutions form one orbit
     verdict = solve_group_gadget(gadget)
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
     print(f"# n={phi.num_vars} clauses={list(list(c) for c in phi.clauses)}")
     print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
-    for row in _printed(gadget.solutions, gadget.group.coding):
+    for row in _printed(gadget.solutions, gadget.coding):
         print(f"  {row}")
     return _report_verdict(verdict, oracle)
 

@@ -184,10 +184,6 @@ class Problem:
         return math.prod(len(d) for d in self.domains)
 
 
-def binary_problem(n: int, constraints: Sequence[Constraint] = ()) -> Problem:
-    return Problem(n, binary_domains(n), tuple(constraints))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

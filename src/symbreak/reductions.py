@@ -7,34 +7,34 @@ independent brute-force deciders in the test suite:
   decides 1-in-3 satisfiability, because its ordering is lex after a
   bijection that embeds that question;
 * the *group gadget*: a polynomial comparator (reverse lex) whose leader
-  constraints decide CNF satisfiability, because the group, generated by a
-  cycle and a transposition of the solutions, glues them into one orbit.
+  constraints decide CNF satisfiability, because the group, Sym(S) on S =
+  the models plus the all-zero vector, is transitive on S.  Its leader-full
+  set keeps exactly the revlex-least member of S, so the gadget is solved
+  on the lex codes of S alone; the test suite builds the group from a cycle
+  and a swap and checks that claim against the orbit kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
-from .breaker import SymmetryBreakingSet, leader_constraints, orbit_verdict
+from .breaker import leader_constraints, orbit_verdict
 from .model import (
     Assignment,
     Domain,
     InputError,
     InvariantViolationError,
     Problem,
-    TableConstraint,
     binary_domains,
-    binary_problem,
     enumerate_solutions,
     load_json_object,
     read_fields,
     unary,
 )
 from .orderings import LexOrdering, RevLexOrdering, SimpleOrdering
-from .symmetry import AssignmentSymmetry, LiteralSymmetry, SymmetryGroup, orbits
+from .symmetry import LiteralSymmetry, SymmetryGroup, orbits
 
 MAX_ONE_IN_THREE_VARS = 12
 MAX_GROUP_GADGET_VARS = 10
@@ -161,36 +161,41 @@ class Cnf:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise InputError(f"bad literal {lit}")
 
-    def satisfied_by(self, bits: Sequence[int]) -> bool:
-        return all(any((lit > 0) == bool(bits[abs(lit) - 1]) for lit in clause)
-                   for clause in self.clauses)
 
-
-def cnf_models(phi: Cnf) -> list[Assignment]:
-    """All models over phi's variables, lex order.  Bits falsify a clause iff their
-    values at its variables (one `itemgetter`) equal its falsifier; x, -x has none."""
-    models = list(itertools.product((0, 1), repeat=phi.num_vars))
+def cnf_model_codes(phi: Cnf, codes: Optional[Iterable[int]] = None) -> list[int]:
+    """The lex codes among `codes` (by default every code over phi's
+    variables, increasing) of phi's models, in their order.  Variable i is
+    bit w-1-i of a code, so a code falsifies a clause iff it sets none of
+    the clause's positive variables and all of its negative ones: c & (pos |
+    neg) == neg.  A clause holding x and -x is never falsified."""
+    width = phi.num_vars
+    models = range(1 << width) if codes is None else codes
     for clause in phi.clauses:
-        get = itemgetter(*(abs(lit) - 1 for lit in clause))
-        bad = tuple(int(lit < 0) for lit in clause) if len(clause) > 1 else int(clause[0] < 0)
-        models = [bits for bits in models if get(bits) != bad]
-    return models
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << (width - lit)
+            else:
+                neg |= 1 << (width + lit)
+        if not pos & neg:
+            models = [c for c in models if c & (pos | neg) != neg]
+    return list(models)
 
 
 def cnf_satisfiable(phi: Cnf) -> bool:
-    return bool(cnf_models(phi))
+    return bool(cnf_model_codes(phi))
 
 
 @dataclass(frozen=True)
 class GroupGadget:
-    """Solutions = models(phi) plus the all-zero vector, as increasing lex codes
-    c_0 < c_1 < …; group = Sym(solutions), identity elsewhere, generated by the
-    cycle c_k -> c_{k+1} (c_{N-1} -> c_0) and, above two members, the swap of
-    c_0 and c_1; ordering = reverse lex."""
+    """The gadget's solutions: phi's models plus the all-zero vector, as
+    increasing lex codes under `coding`; ordering = reverse lex.  Its group,
+    Sym(solutions), identity elsewhere, is transitive on the solutions, so
+    they are one orbit and its leader-full set keeps exactly their
+    revlex-least member: neither the group nor a problem is built."""
 
     phi: Cnf
-    problem: Problem
-    group: SymmetryGroup
+    coding: LexOrdering
     ordering: RevLexOrdering
     solutions: tuple[int, ...]
 
@@ -199,33 +204,18 @@ def group_gadget(phi: Cnf) -> GroupGadget:
     width = phi.num_vars
     if width > MAX_GROUP_GADGET_VARS:
         raise InputError(f"gadget width above {MAX_GROUP_GADGET_VARS}")
-    models = set(cnf_models(phi)) | {(0,) * width}
-    problem = binary_problem(width, [TableConstraint(tuple(range(width)), frozenset(models))])
+    models = cnf_model_codes(phi)
     coding = LexOrdering(binary_domains(width))
-    codes = tuple(sorted(coding.codes(list(models))))
-    cycle, swap = dict(zip(codes, codes[1:] + codes[:1])), dict(zip(codes[:2], codes[1::-1]))
-    # one member: no generator; two: the cycle is the swap
-    gens = [AssignmentSymmetry(moves, coding) for moves in (cycle, swap)[:len(codes) - 1]]
-    return GroupGadget(phi, problem, SymmetryGroup(tuple(gens), coding=coding),
-                       RevLexOrdering(coding.domains), codes)
+    return GroupGadget(phi, coding, RevLexOrdering(coding.domains),
+                       tuple(models if models[:1] == [0] else [0, *models]))
 
 
 def solve_group_gadget(gadget: GroupGadget) -> str:
-    """Judge the group's leader-full set on the gadget's solutions.
-
-    The group glues the solutions into one orbit, which `orbits` checks, so
-    the one survivor is the orbit's revlex-least member, the block minimum
-    of `orbit_verdict`; no group element is built.  That survivor being
-    all-zero and falsifying phi means UNSAT; anything else means SAT.
-    """
-    group = gadget.group
-    partition = orbits(enumerate_solutions(gadget.problem), group)
-    if len(partition) != 1:
-        raise InvariantViolationError("group gadget's solutions form more than one orbit")
-    verdict = orbit_verdict(partition, SymmetryBreakingSet(full=(group, gadget.ordering)))
-    if verdict.kept == ((0,),):  # the all-zero assignment
-        return SAT if gadget.phi.satisfied_by((0,) * gadget.phi.num_vars) else UNSAT
-    return SAT
+    """The survivor of the group's leader-full set, the solutions'
+    revlex-least member, by one `ranks` call and a min.  That survivor being
+    all-zero and falsifying phi means UNSAT; anything else means SAT."""
+    survivor = min(zip(gadget.ordering.ranks(list(gadget.solutions)), gadget.solutions))[1]
+    return SAT if survivor or cnf_model_codes(gadget.phi, [0]) else UNSAT
 
 
 # ---------------------------------------------------------------------------

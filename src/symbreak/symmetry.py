@@ -1,12 +1,10 @@
 """Symmetries acting on lex codes, generated groups, orbits, conjugation.
 
-Three representations, never mixed inside one group:
+Two representations, never mixed inside one group:
 
 * `LiteralSymmetry` (module `literals`) — a variable permutation composed
   with per-variable value bijections, so every complete assignment maps to
   a complete assignment by construction.
-* `AssignmentSymmetry` — an explicit bijection on finitely many listed
-  assignments, identity elsewhere: the group gadget's cycle and swap.
 * `ConjugateSymmetry` — π∘g∘π⁻¹, held as the pair (g, O), π = O.unranks.
 
 Each acts on the lex codes of its `coding`, a LexOrdering of its domains
@@ -48,44 +46,12 @@ def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda s: tuple(s[i] for i in indices)
 
 
-class AssignmentSymmetry:
-    """Explicit bijection on a finite set of assignments, identity elsewhere:
-    `_map` takes each moved one's lex code under `coding` to its image's."""
-
-    def __init__(self, moves: dict[int, int], coding: LexOrdering):
-        moved = {a: b for a, b in moves.items() if a != b}
-        if moved.keys() != set(moved.values()):
-            raise InputError("listed pairs do not form a bijection on the listed set")
-        self._map, self.coding = moved, coding
-
-    def image_codes(self, codes: list[int]) -> list[int]:
-        """The lex codes of the images of the assignments with these codes."""
-        return list(map(self._map.get, codes, codes))
-
-    def is_identity(self) -> bool:
-        return not self._map
-
-    @cached_property
-    def _key(self) -> frozenset:  # built on first comparison or hash
-        return frozenset(self._map.items())
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, AssignmentSymmetry) and self._key == other._key
-                and self.coding.domains == other.coding.domains)
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"AssignmentSymmetry({len(self._map)} moved)"
-
-
 @dataclass(frozen=True)
 class ConjugateSymmetry:
     """π∘g∘π⁻¹ as (g, O), π = O.unranks: image codes by π⁻¹, g and π, each in
     bulk, so nothing is tabulated; equal by equal orderings iff the gs are."""
 
-    g: Union[LiteralSymmetry, AssignmentSymmetry, "ConjugateSymmetry"]
+    g: Union[LiteralSymmetry, "ConjugateSymmetry"]
     ordering: SimpleOrdering
 
     @property
@@ -99,7 +65,7 @@ class ConjugateSymmetry:
         return self.g.is_identity()
 
 
-Symmetry = Union[LiteralSymmetry, AssignmentSymmetry, ConjugateSymmetry]
+Symmetry = Union[LiteralSymmetry, ConjugateSymmetry]
 
 
 @dataclass
@@ -107,10 +73,9 @@ class SymmetryGroup:
     """Group given by generators over one `coding`, a LexOrdering of their
     domains as listed (given, or else the generators'; a group without
     generators needs it).  `chain`, its stabilizer chain over the coding's
-    literals (the listed codes, for an assignment-level group; G's points,
-    for conjugates of G), is built once, under `cap`, and is the only
-    element machinery: `order` is the product of its level sizes, and
-    `closure()` lists the products of its representatives.  No verdict
+    literals (G's, for conjugates of G), is built once, under `cap`, and is
+    the only element machinery: `order` is the product of its level sizes,
+    and `closure()` lists the products of its representatives.  No verdict
     reads the chain, and the group searches no orbit: `orbits` does, from
     the generators.  Without generators, order 1 and an empty closure."""
 
@@ -135,26 +100,16 @@ class SymmetryGroup:
     def _points(self) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...]], Symmetry]]:
         """The generators as permutations of range(n), and the element that
         such a permutation stands for.  A literal group permutes its
-        literals; an assignment-level one the lex codes its generators
-        list, numbered in the order they are first listed; conjugates of G
-        G's points, whose elements they conjugate."""
+        literals; conjugates of G permute G's, whose elements they conjugate."""
         gens, coding = self.generators, self.coding
         if gens and isinstance(gens[0], ConjugateSymmetry):
             perms, element = SymmetryGroup(tuple(g.g for g in gens), self.cap, coding)._points()
             return perms, lambda e: ConjugateSymmetry(element(e), gens[0].ordering)
-        if gens and isinstance(gens[0], LiteralSymmetry):
-            return [g.lits for g in gens], lambda e: LiteralSymmetry(e, coding)
-        listed = list(dict.fromkeys(c for g in gens for c in g._map))
-        index = dict(zip(listed, count()))
-        return ([tuple(map(index.get, g.image_codes(listed))) for g in gens],
-                lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e))), coding))
+        return [g.lits for g in gens], lambda e: LiteralSymmetry(e, coding)
 
     @cached_property
     def chain(self) -> list[list[tuple[int, ...]]]:
-        chain = _stabilizer_chain(self._points()[0])
-        if prod(map(len, chain)) > self.cap:
-            raise CapExceededError(f"closure exceeds cap={self.cap}")
-        return chain
+        return _stabilizer_chain(self._points()[0], self.cap)
 
     @cached_property
     def order(self) -> int:
@@ -172,7 +127,7 @@ class SymmetryGroup:
         return tuple(map(element, products))
 
 
-def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+def _stabilizer_chain(gens: Sequence[tuple[int, ...]], cap: int) -> list[list[tuple[int, ...]]]:
     """Deterministic Schreier–Sims over permutations of range(n), as tuples,
     where p∘q is _gatherer(q)(p).  Level l holds the coset representatives
     of the stabilizer of base[:l + 1] in that of base[:l], identity first:
@@ -181,7 +136,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, .
     one product u_0∘u_1∘… of a representative per level, so |G| = Π |level|.
     The strong generators are the distinct generators but the identity, then
     the residues of Schreier generators that do not sift to the identity;
-    each is kept next to its inverse."""
+    each is kept next to its inverse.  A level only grows as strong
+    generators are added, so once Π |level| passes `cap`, so would |G|:
+    the chain is refused there, before it is finished."""
     ident = tuple(range(len(gens[0]))) if gens else ()
     inverse = lambda p: tuple(sorted(ident, key=p.__getitem__))
     moved = lambda p: next(x for x, y in enumerate(p) if x != y)
@@ -219,6 +176,8 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]]) -> list[list[tuple[int, .
     levels = [transversal(l) for l in range(len(base))]
     l = len(base) - 1
     while l >= 0:
+        if prod(map(len, levels)) > cap:
+            raise CapExceededError(f"closure exceeds cap={cap}")
         for h, j in residues(l):
             if j == len(base):
                 base.append(moved(h))

@@ -31,8 +31,10 @@ and stores of the benchmark's widths (8 to 128) and kinds, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
 ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
-10 variables and gadgets of 1, 2 and 3 members, `clause` constraints on binary, ternary and mixed domains
-through solve, orbits, compare, check and break, 2x3 problems whose
+10 variables, gadgets of 1, 2 and 3 members and CNFs with a tautological
+clause, a repeated literal or only unit clauses, `clause` constraints on
+binary, ternary and mixed domains through solve, orbits, compare, check
+and break, 2x3 problems whose
 enumeration takes a run of variables from a sparse table's rows (a scope
 listed out of order that reaches back across runs, a one-per-row ternary
 model on unsorted domains, a dense and a sparse table ready at one depth,
@@ -528,8 +530,10 @@ def deep_instances(corpus: Corpus) -> None:
     """Problems of 1000 or more variables under `--cap`, `demo-prop1`
     instances whose nominal gadget space is above 2^24, and `demo-prop2`
     instances of 10 variables: no clauses (1024 members), one clause, UNSAT;
-    then the smallest gadgets, of 1, 2 and 3 members (no generator, a cycle
-    that is a swap, a cycle and a swap)."""
+    then the smallest gadgets, of 1, 2 and 3 members, and the edge cases of
+    the bit-mask model filter: a tautological clause, a repeated literal,
+    all-negative unit clauses of 10 variables (zero the only model: 1
+    member, SAT) and one positive unit of 10 (513 members)."""
     for n, free in ((1000, 0), (1000, 1), (1200, 0)):
         problem = corpus.file(f"deep{n}-{free}.json", {
             "n": n, "domains": [[0, 1]] * n, "constraints": [
@@ -556,6 +560,10 @@ def deep_instances(corpus: Corpus) -> None:
     for members, cnf in enumerate([{"n": 1, "clauses": [[1], [-1]]}, {"n": 1, "clauses": []},
                                    {"n": 2, "clauses": [[1]]}], 1):
         corpus.invoke(["demo-prop2", "--instance", corpus.file(f"small-cnf{members}.json", cnf)])
+    for i, cnf in enumerate([{"n": 2, "clauses": [[1, -1]]}, {"n": 3, "clauses": [[2, 2, -3]]},
+                             {"n": 10, "clauses": [[-v] for v in range(1, 11)]},
+                             {"n": 10, "clauses": [[4]]}]):
+        corpus.invoke(["demo-prop2", "--instance", corpus.file(f"edge-cnf{i}.json", cnf)])
 
 
 def clause_problems(corpus: Corpus) -> None:

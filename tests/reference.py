@@ -2,17 +2,19 @@
 
 The CLI answers these questions through the orbit kernel (`orbits` and
 `breaker.orbit_verdict`) or never asks them; here each is stated directly,
-so the tests can check the kernel and the library against them.  The file
-name keeps pytest from collecting it.
+so the tests can check the kernel and the library against them.  So are
+the objects only the tests build: assignment-level symmetries and their
+groups, the group gadget's group and table, and CNF models as value
+tuples.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from functools import reduce
-from itertools import accumulate, islice, product
-from operator import add, getitem, xor
+from functools import cached_property, reduce
+from itertools import accumulate, count, islice, product
+from operator import add, getitem, itemgetter, xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
@@ -22,10 +24,13 @@ from symbreak.model import (
     MAX_ENUMERATION_SPACE,
     Assignment,
     CapExceededError,
+    Constraint,
     Domain,
     DomainStore,
     InputError,
     Problem,
+    TableConstraint,
+    binary_domains,
     check_shape,
     check_values,
 )
@@ -37,9 +42,14 @@ from symbreak.orderings import (
     SnakeLexOrdering,
     snake_variable_order,
 )
-from symbreak.reductions import OneInThreeInstance, OneInThreeOrdering, one_in_three_satisfiable
+from symbreak.reductions import (
+    Cnf,
+    GroupGadget,
+    OneInThreeInstance,
+    OneInThreeOrdering,
+    one_in_three_satisfiable,
+)
 from symbreak.symmetry import (
-    AssignmentSymmetry,
     ConjugateSymmetry,
     OrbitPartition,
     Symmetry,
@@ -50,6 +60,91 @@ from symbreak.symmetry import (
 
 
 LT, EQ, GT = -1, 0, 1
+
+
+class AssignmentSymmetry:
+    """Explicit bijection on a finite set of assignments, identity elsewhere:
+    `_map` takes each moved one's lex code under `coding` to its image's."""
+
+    def __init__(self, moves: dict[int, int], coding: LexOrdering):
+        moved = {a: b for a, b in moves.items() if a != b}
+        if moved.keys() != set(moved.values()):
+            raise InputError("listed pairs do not form a bijection on the listed set")
+        self._map, self.coding = moved, coding
+
+    def image_codes(self, codes: list[int]) -> list[int]:
+        """The lex codes of the images of the assignments with these codes."""
+        return list(map(self._map.get, codes, codes))
+
+    def is_identity(self) -> bool:
+        return not self._map
+
+    @cached_property
+    def _key(self) -> frozenset:  # built on first comparison or hash
+        return frozenset(self._map.items())
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, AssignmentSymmetry) and self._key == other._key
+                and self.coding.domains == other.coding.domains)
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"AssignmentSymmetry({len(self._map)} moved)"
+
+
+class AssignmentGroup(SymmetryGroup):
+    """A group of assignment-level symmetries, whose stabilizer chain runs
+    over the lex codes its generators list, numbered in the order they are
+    first listed.  A `SymmetryGroup` of them partitions orbits all the same."""
+
+    def _points(self):
+        gens, coding = self.generators, self.coding
+        listed = list(dict.fromkeys(c for g in gens for c in g._map))
+        index = dict(zip(listed, count()))
+        return ([tuple(map(index.get, g.image_codes(listed))) for g in gens],
+                lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e))), coding))
+
+
+def gadget_group(gadget: GroupGadget) -> AssignmentGroup:
+    """Sym(solutions) of the group gadget, identity elsewhere, generated by
+    the cycle c_k -> c_{k+1} (c_{N-1} -> c_0) of its increasing codes and,
+    above two members, the swap of c_0 and c_1."""
+    codes = gadget.solutions
+    cycle, swap = dict(zip(codes, codes[1:] + codes[:1])), dict(zip(codes[:2], codes[1::-1]))
+    # one member: no generator; two: the cycle is the swap
+    gens = [AssignmentSymmetry(moves, gadget.coding) for moves in (cycle, swap)[:len(codes) - 1]]
+    return AssignmentGroup(tuple(gens), coding=gadget.coding)
+
+
+def binary_problem(n: int, constraints: Sequence[Constraint] = ()) -> Problem:
+    return Problem(n, binary_domains(n), tuple(constraints))
+
+
+def gadget_problem(gadget: GroupGadget) -> Problem:
+    """The group gadget's solutions as the problem of one dense table over
+    all its variables."""
+    width = gadget.phi.num_vars
+    return binary_problem(width, [TableConstraint(
+        tuple(range(width)), frozenset(gadget.coding.decode(list(gadget.solutions))))])
+
+
+def satisfied_by(phi: Cnf, bits: Sequence[int]) -> bool:
+    """Do these truth values (one per variable) satisfy every clause of phi?"""
+    return all(any((lit > 0) == bool(bits[abs(lit) - 1]) for lit in clause)
+               for clause in phi.clauses)
+
+
+def cnf_models(phi: Cnf) -> list[Assignment]:
+    """All models over phi's variables, lex order.  Bits falsify a clause iff their
+    values at its variables (one `itemgetter`) equal its falsifier; x, -x has none."""
+    models = list(product((0, 1), repeat=phi.num_vars))
+    for clause in phi.clauses:
+        get = itemgetter(*(abs(lit) - 1 for lit in clause))
+        bad = tuple(int(lit < 0) for lit in clause) if len(clause) > 1 else int(clause[0] < 0)
+        models = [bits for bits in models if get(bits) != bad]
+    return models
 
 
 def compare(ordering: SimpleOrdering, a: Sequence[int], b: Sequence[int]) -> int:
@@ -551,7 +646,7 @@ def tabulated_conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> Symme
     space = list(all_assignments(domains))
     forward = {a: digit_unrank(ordering, digit_rank(lex, a)) for a in space}
     back = {b: a for a, b in forward.items()}
-    return SymmetryGroup(tuple(
+    return AssignmentGroup(tuple(
         symmetry_from_pairs({b: forward[apply(g, back[b])] for b in space}, domains)
         for g in group.generators), cap=group.cap, coding=lex)
 

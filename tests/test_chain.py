@@ -46,6 +46,7 @@ from reference import (
     blocks_of,
     breadth_first_closure,
     chain_walked_kept,
+    gadget_group,
     tuple_orbits,
     walked_kept,
     word_chain,
@@ -115,7 +116,7 @@ def _cases():
             cases.append((f"conjugated-{name}-{shape[0]}x{shape[1]}",
                           conjugate(ordering, row_col_group(shape)), doms, shape))
     gadget = group_gadget(Cnf(3, ((1, 2), (-1, 3))))  # 4 models and the zero vector
-    cases.append(("group-gadget", gadget.group, binary_domains(3), None))
+    cases.append(("group-gadget", gadget_group(gadget), binary_domains(3), None))
     rng = random.Random(11)
     for k in range(30):
         group, domains = _random_literal_group(rng)
@@ -132,9 +133,9 @@ def test_order_is_the_closure_size_and_the_cap_bounds_it(name, group, domains, s
     order = group.order
     assert order == max(len(group.closure()), 1)
     assert order == math.prod(map(len, word_chain(group)[1]))
-    assert SymmetryGroup(group.generators, cap=order, coding=group.coding).order == order
+    assert type(group)(group.generators, cap=order, coding=group.coding).order == order
     if order > 1:
-        capped = SymmetryGroup(group.generators, cap=order - 1)
+        capped = type(group)(group.generators, cap=order - 1)
         lex = make_ordering("lex", domains)
         for build in (lambda: capped.order, lambda: leader_constraints(capped, lex),
                       capped.closure):
@@ -150,6 +151,27 @@ def test_order_of_large_row_col_groups(r, c):
     if order > DEFAULT_CLOSURE_CAP:
         with pytest.raises(CapExceededError, match=f"^closure exceeds cap={DEFAULT_CLOSURE_CAP}$"):
             row_col_group((r, c)).order
+
+
+def test_the_chain_refuses_its_cap_while_it_is_built(monkeypatch):
+    # Sym(1024 codes), the group gadget's group of the clause-free CNF of 10
+    # variables, has 1024! elements; its level sizes, read before each
+    # Schreier-Sims step, pass the default cap by the second level, and the
+    # chain is refused there
+    from symbreak import symmetry
+
+    sizes = []
+
+    def recorded(levels):
+        sizes.append(list(levels))
+        return math.prod(sizes[-1])
+
+    monkeypatch.setattr(symmetry, "prod", recorded)
+    group = gadget_group(group_gadget(Cnf(10, ())))
+    with pytest.raises(CapExceededError, match=f"^closure exceeds cap={DEFAULT_CLOSURE_CAP}$"):
+        group.order
+    assert len(sizes[-1]) <= 2 and math.prod(sizes[-1]) > DEFAULT_CLOSURE_CAP
+    assert sizes[0] == [1024]
 
 
 def _residues(group):

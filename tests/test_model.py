@@ -14,14 +14,19 @@ from symbreak.model import (
     TableConstraint,
     assignment_formatter,
     binary_domains,
-    binary_problem,
     enumerate_solutions,
     parse_assignment,
     problem_from_dict,
     unary,
 )
 
-from reference import check_assignment, lex_codes, tuple_solutions
+from reference import (
+    binary_problem,
+    check_assignment,
+    gadget_problem,
+    lex_codes,
+    tuple_solutions,
+)
 
 
 def one_hot_table(n):
@@ -270,7 +275,7 @@ def _reference_problems():
                 {"kind": "table", "scope": [1, 0], "tuples": [[2, 1], [0, 0], [1, 1]]},
                 {"kind": "unary", "var": 1, "value": 0}]}),
         "ordering-gadget": ordering_gadget(OneInThreeInstance(((1, 2, 3), (2, 3, 4)))).problem,
-        "group-gadget": group_gadget(Cnf(3, ((1, -2), (2, 3)))).problem,
+        "group-gadget": gadget_problem(group_gadget(Cnf(3, ((1, -2), (2, 3))))),
     }
     return problems
 
@@ -415,7 +420,7 @@ def test_group_gadget_tables_are_checked_no_more_than_once_per_assignment(clause
     # CNF (its one row is all-zero) is not checked at all
     from symbreak.reductions import Cnf, group_gadget
 
-    problem = group_gadget(Cnf(10, clauses)).problem
+    problem = gadget_problem(group_gadget(Cnf(10, clauses)))
     calls = _count_table_checks(monkeypatch)
     solutions = enumerate_solutions(problem)
     assert len(calls) <= problem.space_size

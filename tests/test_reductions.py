@@ -10,7 +10,7 @@ from symbreak.reductions import (
     Cnf,
     OneInThreeInstance,
     cnf_from_dict,
-    cnf_models,
+    cnf_model_codes,
     cnf_satisfiable,
     group_gadget,
     one_in_three_from_dict,
@@ -19,9 +19,20 @@ from symbreak.reductions import (
     solve_group_gadget,
     solve_ordering_gadget,
 )
-from symbreak.symmetry import AssignmentSymmetry, orbits
+from symbreak.symmetry import orbits
 
-from reference import EQ, GT, LT, apply, compare, lex_codes, tuple_solutions
+from reference import (
+    EQ,
+    GT,
+    LT,
+    apply,
+    cnf_models,
+    compare,
+    gadget_group,
+    lex_codes,
+    satisfied_by,
+    tuple_solutions,
+)
 
 
 def verdict(flag: bool) -> str:
@@ -30,7 +41,7 @@ def verdict(flag: bool) -> str:
 
 def members(gadget) -> tuple:
     """The group gadget's solutions, each decoded to its value tuple."""
-    return tuple(gadget.group.coding.decode(list(gadget.solutions)))
+    return tuple(gadget.coding.decode(list(gadget.solutions)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +160,14 @@ def test_instance_validation():
 def test_group_gadget_unsat_formula():
     g = group_gadget(Cnf(2, ((1,), (-1,))))
     assert members(g) == ((0, 0),)
-    assert g.group.generators == ()
+    assert gadget_group(g).generators == ()
     assert solve_group_gadget(g) == UNSAT
 
 
 def test_group_gadget_positive_unit():
     g = group_gadget(Cnf(2, ((1,),)))
     assert members(g) == ((0, 0), (1, 0), (1, 1))
-    assert len(orbits(list(g.solutions), g.group)) == 1
+    assert len(orbits(list(g.solutions), gadget_group(g))) == 1
     assert solve_group_gadget(g) == SAT
 
 
@@ -208,35 +219,32 @@ def test_group_gadget_random_cnfs():
         assert solve_group_gadget(group_gadget(phi)) == verdict(cnf_satisfiable(phi))
 
 
-def test_group_gadget_solves_from_two_generators_without_the_chain(monkeypatch):
-    # Sym(1024 members) from the 1024-cycle and one swap: `orbits` images the
-    # solutions once per generator, and the leader-full verdict takes the
-    # block minimum without counting the 1024!-element group
-    from symbreak.symmetry import SymmetryGroup
+def test_group_gadget_builds_no_problem_group_or_partition(monkeypatch, tmp_path, capsys):
+    # Sym(1024 members): `demo-prop2` on the clause-free CNF of 10 variables
+    # builds, solves and prints its gadget without a Problem, a
+    # SymmetryGroup or an OrbitPartition
+    from symbreak.cli import run
+    from symbreak.model import Problem
+    from symbreak.symmetry import OrbitPartition, SymmetryGroup
 
-    gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": []}))
-    assert len(gadget.solutions) == 1024 and len(gadget.group.generators) <= 2
-    calls = []
-    image_codes = AssignmentSymmetry.image_codes
+    def refused(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
 
-    def counted(self, codes):
-        calls.append(self)
-        return image_codes(self, codes)
-
-    def chain(self):
-        raise AssertionError("the stabilizer chain was read")
-
-    monkeypatch.setattr(AssignmentSymmetry, "image_codes", counted)
-    monkeypatch.setattr(SymmetryGroup, "chain", property(chain))
-    assert solve_group_gadget(gadget) == SAT
-    assert len(calls) == len(set(calls)) and set(calls) <= set(gadget.group.generators)
-    with pytest.raises(AssertionError, match="chain was read"):  # the patch is live
-        gadget.group.order
+    for cls in (Problem, SymmetryGroup, OrbitPartition):
+        monkeypatch.setattr(cls, "__init__", refused)
+    path = tmp_path / "cnf.json"
+    path.write_text('{"n": 10, "clauses": []}')
+    assert run(["demo-prop2", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "solutions of the gadget (1024 members, 1 orbit):" in out
+    assert out.endswith("verdict: SAT\noracle: SAT\nagreement: true\n")
+    with pytest.raises(AssertionError, match="Group built"):  # the patch is live
+        gadget_group(group_gadget(Cnf(2, ())))
 
 
 def test_group_gadget_is_solved_on_codes(monkeypatch):
-    # the enumeration's codes are ranked and searched as they are: solving
-    # encodes and decodes no assignment
+    # the gadget's codes are ranked as they are: solving encodes and decodes
+    # no assignment
     from symbreak.orderings import SimpleOrdering
 
     gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": [[1, -5, 10]]}))
@@ -258,8 +266,9 @@ def test_group_gadget_width_checks():
 
 def test_cnf_helpers():
     phi = Cnf(2, ((1, -2),))
-    assert phi.satisfied_by((1, 1)) and not phi.satisfied_by((0, 1))
+    assert satisfied_by(phi, (1, 1)) and not satisfied_by(phi, (0, 1))
     assert cnf_models(phi) == [(0, 0), (1, 0), (1, 1)]
+    assert cnf_model_codes(phi) == [0, 2, 3] and cnf_model_codes(phi, [3, 1, 0]) == [3, 0]
     assert cnf_satisfiable(phi)
     with pytest.raises(InputError):
         Cnf(2, ((3,),))
@@ -301,8 +310,63 @@ def test_compiled_cnf_check_matches_satisfied_by():
         cnfs.append(Cnf(n, tuple(clauses)))
     for phi in cnfs:
         models = [bits for bits in itertools.product((0, 1), repeat=phi.num_vars)
-                  if phi.satisfied_by(bits)]
+                  if satisfied_by(phi, bits)]
         assert cnf_models(phi) == models, phi
         assert cnf_satisfiable(phi) == bool(models), phi
     assert any(not cnf_models(phi) for phi in cnfs) and any(
         len(clause) == 1 for phi in cnfs for clause in phi.clauses)
+
+
+def random_cnfs(rng: random.Random, count: int) -> list[Cnf]:
+    """`count` CNFs over 1 to 10 variables, in turn: clause-free ones, and
+    mixes of unit clauses, tautologies (x or -x), clauses repeating a
+    literal and plain ones, every fifth made unsatisfiable by x and -x."""
+    cnfs = []
+    lit = lambda n: rng.choice((-1, 1)) * rng.randint(1, n)
+    for k in range(count):
+        n = k % 10 + 1
+        if k % 7 == 0:
+            cnfs.append(Cnf(n, ()))
+            continue
+        clauses = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.25:
+                clauses.append((lit(n),))
+            elif kind < 0.4:
+                v = rng.randint(1, n)
+                clauses.append(tuple(rng.sample([v, -v, lit(n)], 3)))
+            elif kind < 0.55:
+                x = lit(n)
+                clauses.append(tuple(rng.sample([x, x, lit(n)], 3)))
+            else:
+                clauses.append(tuple(lit(n) for _ in range(rng.randint(1, 4))))
+        if k % 5 == 0:
+            v = rng.randint(1, n)
+            clauses += [(v,), (-v,)]
+        cnfs.append(Cnf(n, tuple(clauses)))
+    return cnfs
+
+
+def test_model_codes_are_the_lex_codes_of_the_reference_models():
+    # the bit-mask filter against the tuple-level reference, on 300 seeded
+    # CNFs; a given list of codes is filtered in its own order
+    from symbreak.model import binary_domains
+    from symbreak.orderings import LexOrdering
+
+    rng = random.Random(31)
+    cnfs = random_cnfs(rng, 300)
+    for phi in cnfs:
+        coding = LexOrdering(binary_domains(phi.num_vars))
+        models = cnf_models(phi)
+        assert cnf_model_codes(phi) == coding.codes(models), phi
+        assert cnf_satisfiable(phi) == bool(models), phi
+        some = rng.sample(range(coding.space_size), min(coding.space_size, 5))
+        assert cnf_model_codes(phi, some) == [c for c in some
+                                              if satisfied_by(phi, coding.decode([c])[0])], phi
+    clauses = [clause for phi in cnfs for clause in phi.clauses]
+    assert {phi.num_vars for phi in cnfs} == set(range(1, 11))
+    assert any(not phi.clauses for phi in cnfs) and any(not cnf_models(phi) for phi in cnfs)
+    assert any(len(clause) == 1 for clause in clauses)
+    assert any(-lit in clause for clause in clauses for lit in clause)
+    assert any(len(set(clause)) < len(clause) for clause in clauses)

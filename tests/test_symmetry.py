@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symbreak.breaker import LeaderConstraint, extensional_set, leader_constraints, orbit_verdict
+from symbreak.breaker import (
+    LeaderConstraint,
+    SymmetryBreakingSet,
+    extensional_set,
+    leader_constraints,
+    orbit_verdict,
+)
 from symbreak.model import CapExceededError, InputError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
@@ -17,9 +23,8 @@ from symbreak.orderings import (
     applicable_orderings,
     make_ordering,
 )
-from symbreak.reductions import Cnf, group_gadget
+from symbreak.reductions import Cnf, group_gadget, solve_group_gadget
 from symbreak.symmetry import (
-    AssignmentSymmetry,
     ConjugateSymmetry,
     LiteralSymmetry,
     SymmetryGroup,
@@ -32,15 +37,19 @@ from symbreak.symmetry import (
 )
 
 from reference import (
+    AssignmentSymmetry,
     all_assignments,
     apply,
     blocks_of,
     breadth_first_closure,
     closure_tree,
+    cnf_models,
     compose,
     count_rank_calls,
     dense_orbit_of,
+    digit_rank,
     forward,
+    gadget_group,
     invert,
     map_constraint_set,
     orbit_of,
@@ -322,11 +331,11 @@ def test_orbit_of_matches_the_dense_search_on_group_gadgets():
     # variables) and from a point outside the solution set
     for phi in gadget_cnfs():
         gadget = group_gadget(phi)
-        solutions = gadget.group.coding.decode(list(gadget.solutions))
+        solutions = gadget.coding.decode(list(gadget.solutions))
         space = list(itertools.product((0, 1), repeat=phi.num_vars))
         outside = [a for a in space if a not in solutions][:1]
         starts = solutions if phi.num_vars <= 3 else (solutions[0], solutions[-1])
-        assert_orbit_of_matches_dense(gadget.group, [*starts, *outside])
+        assert_orbit_of_matches_dense(gadget_group(gadget), [*starts, *outside])
 
 
 def test_group_gadget_group_is_the_symmetric_group_on_its_solutions():
@@ -337,10 +346,35 @@ def test_group_gadget_group_is_the_symmetric_group_on_its_solutions():
         gadget = group_gadget(phi)
         n = len(gadget.solutions)
         if n <= 6:
-            group = gadget.group
+            group = gadget_group(gadget)
             assert group.order == math.factorial(n), phi
             assert set(group.closure()) == set(breadth_first_closure(group)), phi
             checked.add(n)
+    assert checked == {1, 2, 3, 4, 5, 6}
+
+
+def test_group_gadget_leader_full_set_keeps_the_revlex_least_solution():
+    # the claim `solve_group_gadget` rests on, checked on the group it never
+    # builds: Sym(solutions), from the cycle and the swap, glues the
+    # solutions into one orbit, and its leader-full set keeps only their
+    # revlex-least member; up to 6 members the group has N! elements
+    checked = set()
+    for phi in gadget_cnfs():
+        gadget = group_gadget(phi)
+        group, solutions = gadget_group(gadget), list(gadget.solutions)
+        partition = orbits(solutions, group)
+        verdict = orbit_verdict(partition, SymmetryBreakingSet(full=(group, gadget.ordering)))
+        least = min(solutions, key=lambda c: digit_rank(gadget.ordering,
+                                                         gadget.coding.decode([c])[0]))
+        assert len(partition) == 1 and verdict.kept == ((least,),), phi
+        sat = bool(cnf_models(phi))
+        assert solve_group_gadget(gadget) == ("SAT" if sat else "UNSAT"), phi
+        assert (least == 0) == (solutions == [0]), phi
+        if len(solutions) <= 6:
+            # without generators the closure lists no element, not the identity
+            assert max(len(breadth_first_closure(group)), 1) == \
+                math.factorial(len(solutions)), phi
+            checked.add(len(solutions))
     assert checked == {1, 2, 3, 4, 5, 6}
 
 
