@@ -26,7 +26,6 @@ from .gray import build_decomposition, initial_store, propagate, store_from_cand
 from .model import (
     CapExceededError,
     InputError,
-    InvariantViolationError,
     Problem,
     SymbreakError,
     assignment_formatter,
@@ -38,7 +37,7 @@ from .model import (
     parse_assignment,
     read_fields,
 )
-from .orderings import ORDERING_NAMES, LexOrdering, make_ordering
+from .orderings import ORDERING_NAMES, LexOrdering, SimpleOrdering, make_ordering
 from .reductions import (
     SAT,
     UNSAT,
@@ -137,7 +136,7 @@ def _breaking_set(ns: argparse.Namespace, problem: Problem, group):
 # subcommands
 
 
-def _printed(codes: Sequence[int], coding: LexOrdering) -> list[str]:
+def _printed(codes: Sequence[int], coding: SimpleOrdering) -> list[str]:
     """The printed row of the assignment with each of these lex codes."""
     return list(map(assignment_formatter(coding.domains), coding.decode(codes)))
 
@@ -303,9 +302,9 @@ def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
     verdict, survivor = solve_ordering_gadget(gadget)
     oracle = SAT if one_in_three_satisfiable(inst) else UNSAT
     print(f"# clauses={list(list(c) for c in inst.clauses)}")
-    print(f"problem: {gadget.problem.n} variables; prefix fixed to the clause "
+    print(f"problem: {gadget.ordering.n} variables; prefix fixed to the clause "
           f"indices; flag bit free; symmetry swaps the flag bit's values")
-    print(f"survivor: {assignment_formatter(gadget.problem.domains)(survivor)}")
+    print(f"survivor: {assignment_formatter(gadget.ordering.domains)(survivor)}")
     return _report_verdict(verdict, oracle)
 
 
@@ -318,7 +317,7 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
     print(f"# n={phi.num_vars} clauses={list(list(c) for c in phi.clauses)}")
     print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
-    for row in _printed(gadget.solutions, gadget.coding):
+    for row in _printed(gadget.solutions, gadget.ordering):
         print(f"  {row}")
     return _report_verdict(verdict, oracle)
 
@@ -371,9 +370,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvariantViolationError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
     except SymbreakError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,10 +39,6 @@ class UnsupportedOrderingError(InputError):
     """The requested ordering is not defined over the given domains."""
 
 
-class InvariantViolationError(SymbreakError):
-    """An internal guarantee failed; indicates a bug rather than bad input."""
-
-
 def binary_domains(n: int) -> tuple[Domain, ...]:
     return ((0, 1),) * n
 

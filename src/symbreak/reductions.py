@@ -1,45 +1,56 @@
 """Desk-scale gadgets showing how leader constraints can hide hard decisions.
 
-Two constructions, both solved exhaustively here and cross-checked against
-independent brute-force deciders in the test suite:
+A gadget is an ordering and the increasing lex codes of its solutions.  Its
+group is transitive on the solutions, so they are one orbit, and the
+group's leader set keeps exactly their ordering-least member: each gadget
+is solved by one `ranks` call and a min, and neither its group nor a
+problem is built.  The test suite builds both and checks that claim
+against the orbit kernel and independent brute-force deciders.
 
-* the *ordering gadget*: a single value-swap symmetry whose leader constraint
-  decides 1-in-3 satisfiability, because its ordering is lex after a
-  bijection that embeds that question;
-* the *group gadget*: a polynomial comparator (reverse lex) whose leader
-  constraints decide CNF satisfiability, because the group, Sym(S) on S =
-  the models plus the all-zero vector, is transitive on S.  Its leader-full
-  set keeps exactly the revlex-least member of S, so the gadget is solved
-  on the lex codes of S alone; the test suite builds the group from a cycle
-  and a swap and checks that claim against the orbit kernel.
+* the *ordering gadget*: the clause indices of a 1-in-3 instance, then a
+  flag bit, with the flag's value swap as its group.  Its ordering is lex
+  after a bijection that embeds 1-in-3 satisfiability, so the survivor's
+  flag decides it;
+* the *group gadget*: phi's models plus the all-zero vector, with Sym(S)
+  on that set S as its group and reverse lex as its ordering, so a
+  polynomial comparator's leader constraints decide CNF satisfiability.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-from .breaker import leader_constraints, orbit_verdict
 from .model import (
     Assignment,
     Domain,
     InputError,
-    InvariantViolationError,
-    Problem,
     binary_domains,
-    enumerate_solutions,
     load_json_object,
     read_fields,
-    unary,
 )
-from .orderings import LexOrdering, RevLexOrdering, SimpleOrdering
-from .symmetry import LiteralSymmetry, SymmetryGroup, orbits
+from .orderings import RevLexOrdering, SimpleOrdering
 
 MAX_ONE_IN_THREE_VARS = 12
 MAX_GROUP_GADGET_VARS = 10
 
 SAT, UNSAT = "SAT", "UNSAT"
+
+
+@dataclass(frozen=True)
+class Gadget:
+    """An instance, the gadget's ordering, and the increasing lex codes of
+    the gadget's solutions, on which its group is transitive."""
+
+    instance: Union[OneInThreeInstance, Cnf]
+    ordering: SimpleOrdering
+    solutions: tuple[int, ...]
+
+
+def least_solution(gadget: Gadget) -> int:
+    """The solution the group's leader set keeps, the ordering-least."""
+    return min(zip(gadget.ordering.ranks(list(gadget.solutions)), gadget.solutions))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -102,42 +113,20 @@ class OneInThreeOrdering(SimpleOrdering):
         return self._satisfiable[prefix]
 
 
-@dataclass(frozen=True)
-class OrderingGadget:
-    """3m index variables fixed by unary constraints, plus one free flag bit."""
-
-    instance: OneInThreeInstance
-    problem: Problem
-    flip: LiteralSymmetry  # swaps 0/1 on the flag bit
-    ordering: OneInThreeOrdering
-
-
-def ordering_gadget(inst: OneInThreeInstance) -> OrderingGadget:
+def ordering_gadget(inst: OneInThreeInstance) -> Gadget:
+    """Each clause index pinned, then the free flag bit: two solutions,
+    flag 0 and flag 1 after the same prefix."""
     flag = 3 * len(inst.clauses)  # after the clause indices
-    domains = (tuple(range(1, inst.num_vars + 1)),) * flag + ((0, 1),)
-    problem = Problem(flag + 1, domains, tuple(unary(3 * p + q, v)
-                                               for p, clause in enumerate(inst.clauses)
-                                               for q, v in enumerate(clause)))
-    flip = LiteralSymmetry.value_swap(flag, 0, 1, LexOrdering(domains))
-    return OrderingGadget(inst, problem, flip, OneInThreeOrdering(domains))
+    ordering = OneInThreeOrdering((tuple(range(1, inst.num_vars + 1)),) * flag + ((0, 1),))
+    (code,) = ordering.codes([(*itertools.chain.from_iterable(inst.clauses), 0)])
+    return Gadget(inst, ordering, (code, code + 1))
 
 
-def solve_ordering_gadget(gadget: OrderingGadget) -> tuple[str, Assignment]:
-    """Solve the gadget with its leader constraint posted; read the flag bit.
-
-    The gadget has two solutions, one orbit of the flag swap; the orbit
-    kernel judges the swap's leader constraint on them.  Returns the verdict
-    and the one assignment that survives; flag 0 means the encoded instance
-    is satisfiable.
-    """
-    group = SymmetryGroup((gadget.flip,))
-    partition = orbits(enumerate_solutions(gadget.problem, 2), group)
-    verdict = orbit_verdict(partition, leader_constraints(group, gadget.ordering, "generators"))
-    survivors = group.coding.decode([c for kept in verdict.kept for c in kept])
-    if len(survivors) != 1:
-        raise InvariantViolationError(
-            f"ordering gadget left {len(survivors)} solutions, expected 1")
-    return (SAT if survivors[0][-1] == 0 else UNSAT), survivors[0]
+def solve_ordering_gadget(gadget: Gadget) -> tuple[str, Assignment]:
+    """The verdict and the one assignment that survives the flag swap's
+    leader constraint; flag 0 means the encoded instance is satisfiable."""
+    survivor = gadget.ordering.decode([least_solution(gadget)])[0]
+    return (SAT if survivor[-1] == 0 else UNSAT), survivor
 
 
 # ---------------------------------------------------------------------------
@@ -186,36 +175,19 @@ def cnf_satisfiable(phi: Cnf) -> bool:
     return bool(cnf_model_codes(phi))
 
 
-@dataclass(frozen=True)
-class GroupGadget:
-    """The gadget's solutions: phi's models plus the all-zero vector, as
-    increasing lex codes under `coding`; ordering = reverse lex.  Its group,
-    Sym(solutions), identity elsewhere, is transitive on the solutions, so
-    they are one orbit and its leader-full set keeps exactly their
-    revlex-least member: neither the group nor a problem is built."""
-
-    phi: Cnf
-    coding: LexOrdering
-    ordering: RevLexOrdering
-    solutions: tuple[int, ...]
-
-
-def group_gadget(phi: Cnf) -> GroupGadget:
+def group_gadget(phi: Cnf) -> Gadget:
     width = phi.num_vars
     if width > MAX_GROUP_GADGET_VARS:
         raise InputError(f"gadget width above {MAX_GROUP_GADGET_VARS}")
     models = cnf_model_codes(phi)
-    coding = LexOrdering(binary_domains(width))
-    return GroupGadget(phi, coding, RevLexOrdering(coding.domains),
-                       tuple(models if models[:1] == [0] else [0, *models]))
+    return Gadget(phi, RevLexOrdering(binary_domains(width)),
+                  tuple(models if models[:1] == [0] else [0, *models]))
 
 
-def solve_group_gadget(gadget: GroupGadget) -> str:
-    """The survivor of the group's leader-full set, the solutions'
-    revlex-least member, by one `ranks` call and a min.  That survivor being
-    all-zero and falsifying phi means UNSAT; anything else means SAT."""
-    survivor = min(zip(gadget.ordering.ranks(list(gadget.solutions)), gadget.solutions))[1]
-    return SAT if survivor or cnf_model_codes(gadget.phi, [0]) else UNSAT
+def solve_group_gadget(gadget: Gadget) -> str:
+    """The survivor being all-zero and falsifying phi means UNSAT; anything
+    else means SAT."""
+    return SAT if least_solution(gadget) or cnf_model_codes(gadget.instance, [0]) else UNSAT
 
 
 # ---------------------------------------------------------------------------

@@ -528,7 +528,9 @@ def benchmark_instances(corpus: Corpus) -> None:
 
 def deep_instances(corpus: Corpus) -> None:
     """Problems of 1000 or more variables under `--cap`, `demo-prop1`
-    instances whose nominal gadget space is above 2^24, and `demo-prop2`
+    instances whose nominal gadget space is above 2^24 and its edge cases
+    (one variable, UNSAT, so flag 1 survives; unsorted indices up to the
+    12-variable maximum; a two-clause UNSAT core), and `demo-prop2`
     instances of 10 variables: no clauses (1024 members), one clause, UNSAT;
     then the smallest gadgets, of 1, 2 and 3 members, and the edge cases of
     the bit-mask model filter: a tautological clause, a repeated literal,
@@ -554,6 +556,9 @@ def deep_instances(corpus: Corpus) -> None:
             [[rng.randint(1, 12) for _ in range(3)] for _ in range(60)]]):
         corpus.invoke(["demo-prop1", "--instance",
                        corpus.file(f"wide{i}.json", {"clauses": clauses})])
+    for i, clauses in enumerate([[[1, 1, 1]], [[12, 11, 10]], [[1, 1, 2], [2, 2, 1]]]):
+        corpus.invoke(["demo-prop1", "--instance",
+                       corpus.file(f"edge-1in3-{i}.json", {"clauses": clauses})])
     for i, clauses in enumerate([[], [[1, -5, 10]], [[3], [-3, 7], [-7]]]):
         corpus.invoke(["demo-prop2", "--instance",
                        corpus.file(f"wide-cnf{i}.json", {"n": 10, "clauses": clauses})])

@@ -4,7 +4,7 @@ The CLI answers these questions through the orbit kernel (`orbits` and
 `breaker.orbit_verdict`) or never asks them; here each is stated directly,
 so the tests can check the kernel and the library against them.  So are
 the objects only the tests build: assignment-level symmetries and their
-groups, the group gadget's group and table, and CNF models as value
+groups, both gadgets' groups and problems, and CNF models as value
 tuples.  The file name keeps pytest from collecting it.
 """
 
@@ -33,6 +33,7 @@ from symbreak.model import (
     binary_domains,
     check_shape,
     check_values,
+    unary,
 )
 from symbreak.orderings import (
     GrayOrdering,
@@ -44,7 +45,7 @@ from symbreak.orderings import (
 )
 from symbreak.reductions import (
     Cnf,
-    GroupGadget,
+    Gadget,
     OneInThreeInstance,
     OneInThreeOrdering,
     one_in_three_satisfiable,
@@ -107,27 +108,42 @@ class AssignmentGroup(SymmetryGroup):
                 lambda e: AssignmentSymmetry(dict(zip(listed, map(listed.__getitem__, e))), coding))
 
 
-def gadget_group(gadget: GroupGadget) -> AssignmentGroup:
+def gadget_group(gadget: Gadget) -> AssignmentGroup:
     """Sym(solutions) of the group gadget, identity elsewhere, generated by
     the cycle c_k -> c_{k+1} (c_{N-1} -> c_0) of its increasing codes and,
     above two members, the swap of c_0 and c_1."""
-    codes = gadget.solutions
+    codes, coding = gadget.solutions, LexOrdering(gadget.ordering.domains)
     cycle, swap = dict(zip(codes, codes[1:] + codes[:1])), dict(zip(codes[:2], codes[1::-1]))
     # one member: no generator; two: the cycle is the swap
-    gens = [AssignmentSymmetry(moves, gadget.coding) for moves in (cycle, swap)[:len(codes) - 1]]
-    return AssignmentGroup(tuple(gens), coding=gadget.coding)
+    gens = [AssignmentSymmetry(moves, coding) for moves in (cycle, swap)[:len(codes) - 1]]
+    return AssignmentGroup(tuple(gens), coding=coding)
 
 
 def binary_problem(n: int, constraints: Sequence[Constraint] = ()) -> Problem:
     return Problem(n, binary_domains(n), tuple(constraints))
 
 
-def gadget_problem(gadget: GroupGadget) -> Problem:
+def gadget_problem(gadget: Gadget) -> Problem:
     """The group gadget's solutions as the problem of one dense table over
     all its variables."""
-    width = gadget.phi.num_vars
+    width = gadget.instance.num_vars
     return binary_problem(width, [TableConstraint(
-        tuple(range(width)), frozenset(gadget.coding.decode(list(gadget.solutions))))])
+        tuple(range(width)), frozenset(gadget.ordering.decode(list(gadget.solutions))))])
+
+
+def ordering_gadget_problem(gadget: Gadget) -> Problem:
+    """The ordering gadget as a problem: 3m unary constraints pinning the
+    clause indices, then the free flag bit."""
+    domains = gadget.ordering.domains
+    return Problem(len(domains), domains, tuple(unary(3 * p + q, v)
+                                                for p, clause in enumerate(gadget.instance.clauses)
+                                                for q, v in enumerate(clause)))
+
+
+def flag_swap(gadget: Gadget) -> LiteralSymmetry:
+    """The ordering gadget's group: the swap of the flag bit's values 0 and 1."""
+    domains = gadget.ordering.domains
+    return LiteralSymmetry.value_swap(len(domains) - 1, 0, 1, LexOrdering(domains))
 
 
 def satisfied_by(phi: Cnf, bits: Sequence[int]) -> bool:

@@ -178,40 +178,11 @@ def test_demo_prop1(capsys, tmp_path):
     assert code == 1
     assert "verdict: UNSAT" in out and "agreement: true" in out
     # 13 gadget variables: 7^12 * 2 assignments, above MAX_ENUMERATION_SPACE;
-    # the gadget has exactly two solutions, so it is enumerated under cap 2
+    # the gadget's two solutions are built as codes, so nothing is enumerated
     inst.write_text(json.dumps({"clauses": [[1, 2, 3], [4, 5, 6], [1, 4, 7], [2, 5, 7]]}))
     code, out, err = invoke(capsys, ["demo-prop1", "--instance", str(inst)])
     assert (code, err) == (0, "")
     assert "verdict: SAT" in out and "agreement: true" in out
-
-
-def test_demo_prop1_judges_through_one_orbit_partition(capsys, tmp_path, monkeypatch):
-    # the flag swap's leader constraint is judged by the orbit kernel's rank
-    # lookups on one partition, not tested one assignment at a time
-    import symbreak.reductions
-    from symbreak.breaker import LeaderConstraint, SymmetryBreakingSet
-    from symbreak.symmetry import orbits
-
-    calls = {"orbits": 0, "set": 0, "leader": 0}
-
-    def counted_orbits(*args):
-        calls["orbits"] += 1
-        return orbits(*args)
-
-    def counter(name, method):
-        def counted(self, a):
-            calls[name] += 1
-            return method(self, a)
-        return counted
-
-    monkeypatch.setattr(symbreak.reductions, "orbits", counted_orbits)
-    for name, cls in (("set", SymmetryBreakingSet), ("leader", LeaderConstraint)):
-        monkeypatch.setattr(cls, "satisfied", counter(name, cls.satisfied))
-    inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({"clauses": [[1, 2, 3], [1, 1, 2]]}))
-    code, out, _ = invoke(capsys, ["demo-prop1", "--instance", str(inst)])
-    assert code == 0 and "agreement: true" in out
-    assert calls == {"orbits": 1, "set": 0, "leader": 0}
 
 
 def test_demo_prop2(capsys, tmp_path):
@@ -486,7 +457,7 @@ def test_deep_problem_solves_without_recursion(tmp_path):
 
 
 def test_demo_prop1_with_400_clauses_answers(tmp_path):
-    # 1201 gadget variables, enumerated one depth per variable
+    # 1201 gadget variables, whose two solutions are built as codes
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"clauses": [[3 * k + 1, 3 * k + 2, 3 * k + 3]
                                             for k in range(4)] * 100}))
@@ -541,12 +512,18 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
     assert proc.stdout.split() == ["False", "0", "False"]
 
 
-def test_gray_import_leaves_the_other_layers_unloaded():
-    proc = _run_cli_subprocess(["-c", "import sys, symbreak.gray; print(sorted(sys.modules))"])
+@pytest.mark.parametrize("layer, unloaded", [
+    ("symbreak.gray", ("symbreak.breaker", "symbreak.reductions", "symbreak.cli")),
+    # the gadgets are solved on codes: only the model and the orderings
+    ("symbreak.reductions",
+     ("symbreak.breaker", "symbreak.symmetry", "symbreak.literals", "symbreak.cli")),
+], ids=["symbreak.gray", "symbreak.reductions"])
+def test_import_leaves_the_other_layers_unloaded(layer, unloaded):
+    proc = _run_cli_subprocess(["-c", f"import sys, {layer}; print(sorted(sys.modules))"])
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout
-    assert "symbreak.gray" in loaded
-    for module in ("symbreak.breaker", "symbreak.reductions", "symbreak.cli"):
+    assert repr(layer) in loaded
+    for module in unloaded:
         assert repr(module) not in loaded
 
 

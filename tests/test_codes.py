@@ -45,6 +45,7 @@ from reference import (
     compare,
     digit_rank,
     digit_unrank,
+    flag_swap,
     symmetry_from_pairs,
     tuple_orbits,
     tuple_solutions,
@@ -131,13 +132,13 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
 
 def test_gadget_ordering_ranks_by_its_prefix_rule():
     gadget = ordering_gadget(OneInThreeInstance(((1, 2, 3), (1, 2, 3))))
-    domains = gadget.problem.domains
+    domains, flip = gadget.ordering.domains, flag_swap(gadget)
     lex, space = LexOrdering(domains), list(all_assignments(domains))
     check_bijection(gadget.ordering, space)
     for part in subsets(space):
         codes = lex.codes(part)
         assert gadget.ordering.ranks(codes) == [digit_rank(gadget.ordering, a) for a in part]
-        assert gadget.flip.image_codes(codes) == lex.codes([apply(gadget.flip, a) for a in part])
+        assert flip.image_codes(codes) == lex.codes([apply(flip, a) for a in part])
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 1000, 4096])

@@ -25,6 +25,7 @@ from reference import (
     check_assignment,
     gadget_problem,
     lex_codes,
+    ordering_gadget_problem,
     tuple_solutions,
 )
 
@@ -274,7 +275,8 @@ def _reference_problems():
             "n": 4, "domains": [[1, 0], [2, 0, 1], [1, 0], [2, 0, 1]], "constraints": [
                 {"kind": "table", "scope": [1, 0], "tuples": [[2, 1], [0, 0], [1, 1]]},
                 {"kind": "unary", "var": 1, "value": 0}]}),
-        "ordering-gadget": ordering_gadget(OneInThreeInstance(((1, 2, 3), (2, 3, 4)))).problem,
+        "ordering-gadget": ordering_gadget_problem(
+            ordering_gadget(OneInThreeInstance(((1, 2, 3), (2, 3, 4))))),
         "group-gadget": gadget_problem(group_gadget(Cnf(3, ((1, -2), (2, 3))))),
     }
     return problems

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from symbreak.breaker import leader_constraints, orbit_verdict
 from symbreak.model import InputError, enumerate_solutions
 from symbreak.reductions import (
     SAT,
@@ -19,7 +20,7 @@ from symbreak.reductions import (
     solve_group_gadget,
     solve_ordering_gadget,
 )
-from symbreak.symmetry import orbits
+from symbreak.symmetry import SymmetryGroup, orbits
 
 from reference import (
     EQ,
@@ -28,8 +29,10 @@ from reference import (
     apply,
     cnf_models,
     compare,
+    flag_swap,
     gadget_group,
     lex_codes,
+    ordering_gadget_problem,
     satisfied_by,
     tuple_solutions,
 )
@@ -41,7 +44,7 @@ def verdict(flag: bool) -> str:
 
 def members(gadget) -> tuple:
     """The group gadget's solutions, each decoded to its value tuple."""
-    return tuple(gadget.coding.decode(list(gadget.solutions)))
+    return tuple(gadget.ordering.decode(list(gadget.solutions)))
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +53,13 @@ def members(gadget) -> tuple:
 
 def test_gadget_construction_single_clause():
     g = ordering_gadget(OneInThreeInstance(((1, 2, 3),)))
-    assert g.problem.n == 4
-    sols = enumerate_solutions(g.problem)
-    assert sols == lex_codes(g.problem, [(1, 2, 3, 0), (1, 2, 3, 1)])  # prefix pinned, flag free
-    assert apply(g.flip, (1, 2, 3, 0)) == (1, 2, 3, 1)
-    assert apply(g.flip, (1, 2, 3, 1)) == (1, 2, 3, 0)
+    problem, flip = ordering_gadget_problem(g), flag_swap(g)
+    assert problem.n == g.ordering.n == 4
+    sols = enumerate_solutions(problem)
+    assert sols == lex_codes(problem, [(1, 2, 3, 0), (1, 2, 3, 1)])  # prefix pinned, flag free
+    assert tuple(sols) == g.solutions
+    assert apply(flip, (1, 2, 3, 0)) == (1, 2, 3, 1)
+    assert apply(flip, (1, 2, 3, 1)) == (1, 2, 3, 0)
 
 
 def test_gadget_ordering_cases():
@@ -120,6 +125,12 @@ def all_clauses(max_index):
             itertools.combinations_with_replacement(range(1, max_index + 1), 3)]
 
 
+def two_clause_sample():
+    clauses = all_clauses(6)
+    rng = random.Random(11)
+    return [OneInThreeInstance((rng.choice(clauses), rng.choice(clauses))) for _ in range(120)]
+
+
 def test_ordering_gadget_exhaustive_single_clause():
     for clause in all_clauses(6):
         inst = OneInThreeInstance((clause,))
@@ -128,10 +139,7 @@ def test_ordering_gadget_exhaustive_single_clause():
 
 
 def test_ordering_gadget_two_clause_sample():
-    clauses = all_clauses(6)
-    rng = random.Random(11)
-    for _ in range(120):
-        inst = OneInThreeInstance((rng.choice(clauses), rng.choice(clauses)))
+    for inst in two_clause_sample():
         assert solve_ordering_gadget(ordering_gadget(inst))[0] == \
             verdict(one_in_three_satisfiable(inst))
 
@@ -139,9 +147,26 @@ def test_ordering_gadget_two_clause_sample():
 def test_ordering_gadget_has_unique_survivor():
     g = ordering_gadget(OneInThreeInstance(((1, 2, 3),)))
     from symbreak.breaker import LeaderConstraint
-    leader = LeaderConstraint(g.flip, g.ordering)
-    kept = [a for a in tuple_solutions(g.problem) if leader.satisfied(a)]
-    assert len(kept) == 1
+    leader = LeaderConstraint(flag_swap(g), g.ordering)
+    kept = [a for a in tuple_solutions(ordering_gadget_problem(g)) if leader.satisfied(a)]
+    assert kept == [solve_ordering_gadget(g)[1]] == [(1, 2, 3, 0)]
+
+
+def test_ordering_gadget_leader_constraint_keeps_the_least_solution():
+    # the claim `solve_ordering_gadget` rests on, checked on the problem and
+    # the group it never builds: the reference problem's solutions are the
+    # gadget's two codes, the flag swap glues them into one orbit, and the
+    # swap's leader constraint keeps exactly the survivor the solver returns
+    instances = [OneInThreeInstance((clause,)) for clause in all_clauses(6)]
+    for inst in instances + two_clause_sample():
+        g = ordering_gadget(inst)
+        assert tuple(enumerate_solutions(ordering_gadget_problem(g))) == g.solutions, inst
+        group = SymmetryGroup((flag_swap(g),))
+        partition = orbits(list(g.solutions), group)
+        kept = orbit_verdict(partition, leader_constraints(group, g.ordering, "generators")).kept
+        assert len(partition) == 1, inst
+        assert g.ordering.decode([c for block in kept for c in block]) == \
+            [solve_ordering_gadget(g)[1]], inst
 
 
 def test_instance_validation():
@@ -219,10 +244,20 @@ def test_group_gadget_random_cnfs():
         assert solve_group_gadget(group_gadget(phi)) == verdict(cnf_satisfiable(phi))
 
 
-def test_group_gadget_builds_no_problem_group_or_partition(monkeypatch, tmp_path, capsys):
-    # Sym(1024 members): `demo-prop2` on the clause-free CNF of 10 variables
-    # builds, solves and prints its gadget without a Problem, a
-    # SymmetryGroup or an OrbitPartition
+@pytest.mark.parametrize("demo, instance, line, reference", [
+    # 13 variables, a nominal space of 7^12 * 2 assignments
+    ("demo-prop1", '{"clauses": [[1, 2, 3], [4, 5, 6], [1, 4, 7], [2, 5, 7]]}',
+     "survivor: 1,2,3,4,5,6,1,4,7,2,5,7,0",
+     lambda: ordering_gadget_problem(ordering_gadget(OneInThreeInstance(((1, 2, 3),))))),
+    # Sym(1024 members), on the clause-free CNF of 10 variables
+    ("demo-prop2", '{"n": 10, "clauses": []}', "solutions of the gadget (1024 members, 1 orbit):",
+     lambda: gadget_group(group_gadget(Cnf(2, ())))),
+], ids=["demo-prop1", "demo-prop2"])
+def test_demos_build_no_problem_group_or_partition(monkeypatch, tmp_path, capsys,
+                                                   demo, instance, line, reference):
+    # each demo builds, solves and prints its gadget without a Problem, a
+    # SymmetryGroup or an OrbitPartition; the test suite's reference builds
+    # them
     from symbreak.cli import run
     from symbreak.model import Problem
     from symbreak.symmetry import OrbitPartition, SymmetryGroup
@@ -232,14 +267,14 @@ def test_group_gadget_builds_no_problem_group_or_partition(monkeypatch, tmp_path
 
     for cls in (Problem, SymmetryGroup, OrbitPartition):
         monkeypatch.setattr(cls, "__init__", refused)
-    path = tmp_path / "cnf.json"
-    path.write_text('{"n": 10, "clauses": []}')
-    assert run(["demo-prop2", "--instance", str(path)]) == 0
+    path = tmp_path / "instance.json"
+    path.write_text(instance)
+    assert run([demo, "--instance", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "solutions of the gadget (1024 members, 1 orbit):" in out
+    assert line in out.splitlines()
     assert out.endswith("verdict: SAT\noracle: SAT\nagreement: true\n")
-    with pytest.raises(AssertionError, match="Group built"):  # the patch is live
-        gadget_group(group_gadget(Cnf(2, ())))
+    with pytest.raises(AssertionError, match="(Problem|Group) built"):  # the patch is live
+        reference()
 
 
 def test_group_gadget_is_solved_on_codes(monkeypatch):
@@ -256,7 +291,7 @@ def test_group_gadget_is_solved_on_codes(monkeypatch):
 
         monkeypatch.setattr(SimpleOrdering, name, counted)
     assert solve_group_gadget(gadget) == SAT and calls == []
-    assert len(gadget.solutions) == len(set(cnf_models(gadget.phi)) | {(0,) * 10}) == 896
+    assert len(gadget.solutions) == len(set(cnf_models(gadget.instance)) | {(0,) * 10}) == 896
 
 
 def test_group_gadget_width_checks():

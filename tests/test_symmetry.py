@@ -331,7 +331,7 @@ def test_orbit_of_matches_the_dense_search_on_group_gadgets():
     # variables) and from a point outside the solution set
     for phi in gadget_cnfs():
         gadget = group_gadget(phi)
-        solutions = gadget.coding.decode(list(gadget.solutions))
+        solutions = gadget.ordering.decode(list(gadget.solutions))
         space = list(itertools.product((0, 1), repeat=phi.num_vars))
         outside = [a for a in space if a not in solutions][:1]
         starts = solutions if phi.num_vars <= 3 else (solutions[0], solutions[-1])
@@ -365,7 +365,7 @@ def test_group_gadget_leader_full_set_keeps_the_revlex_least_solution():
         partition = orbits(solutions, group)
         verdict = orbit_verdict(partition, SymmetryBreakingSet(full=(group, gadget.ordering)))
         least = min(solutions, key=lambda c: digit_rank(gadget.ordering,
-                                                         gadget.coding.decode([c])[0]))
+                                                         gadget.ordering.decode([c])[0]))
         assert len(partition) == 1 and verdict.kept == ((least,),), phi
         sat = bool(cnf_models(phi))
         assert solve_group_gadget(gadget) == ("SAT" if sat else "UNSAT"), phi
