@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .model import Assignment, Domain, InputError, binary_domains
-from .orderings import LexOrdering, SimpleOrdering, applicable_orderings
+from .orderings import LexOrdering, applicable_orderings
 from .symmetry import (
     OrbitPartition,
     Symmetry,
@@ -29,7 +29,7 @@ class LeaderConstraint:
     """Satisfied by a iff a precedes-or-equals sigma(a) under the ordering."""
 
     sigma: Symmetry
-    ordering: SimpleOrdering
+    ordering: LexOrdering
 
     def satisfied(self, a: Sequence[int]) -> bool:
         if self.ordering.domains != self.sigma.coding.domains:
@@ -47,7 +47,7 @@ class SymmetryBreakingSet:
 
     posted: tuple[LeaderConstraint, ...] = ()
     allowed: Optional[frozenset] = None
-    full: Optional[tuple[SymmetryGroup, SimpleOrdering]] = None
+    full: Optional[tuple[SymmetryGroup, LexOrdering]] = None
 
     @cached_property
     def constraints(self) -> tuple[LeaderConstraint, ...]:
@@ -69,7 +69,7 @@ def extensional_set(satisfying: Iterable[Assignment]) -> SymmetryBreakingSet:
     return SymmetryBreakingSet((), frozenset(tuple(a) for a in satisfying))
 
 
-def leader_constraints(group: SymmetryGroup, ordering: SimpleOrdering,
+def leader_constraints(group: SymmetryGroup, ordering: LexOrdering,
                        mode: str = "full") -> SymmetryBreakingSet:
     """One leader constraint per group element (full) or per generator.
 

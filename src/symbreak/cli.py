@@ -37,7 +37,7 @@ from .model import (
     parse_assignment,
     read_fields,
 )
-from .orderings import ORDERING_NAMES, LexOrdering, SimpleOrdering, make_ordering
+from .orderings import ORDERING_NAMES, LexOrdering, make_ordering
 from .reductions import (
     SAT,
     UNSAT,
@@ -136,7 +136,7 @@ def _breaking_set(ns: argparse.Namespace, problem: Problem, group):
 # subcommands
 
 
-def _printed(codes: Sequence[int], coding: SimpleOrdering) -> list[str]:
+def _printed(codes: Sequence[int], coding: LexOrdering) -> list[str]:
     """The printed row of the assignment with each of these lex codes."""
     return list(map(assignment_formatter(coding.domains), coding.decode(codes)))
 

@@ -8,7 +8,7 @@ from itertools import compress
 from operator import ne
 from typing import Sequence
 
-from .model import InputError, check_values
+from .model import InputError
 from .orderings import LexOrdering
 
 
@@ -85,18 +85,6 @@ class LiteralSymmetry:
             if pos[i].keys() != pos[j].keys():
                 raise InputError(f"variables {i} and {j} have different domains")
             lits[offsets[i]:offsets[i + 1]] = [offsets[j] + pos[j][v] for v in coding.domains[i]]
-        return cls(tuple(lits), coding)
-
-    @classmethod
-    def value_swap(cls, var: int, a: int, b: int, coding: LexOrdering) -> "LiteralSymmetry":
-        """Identity on variables; swaps two values of one variable: the
-        identity literal permutation with the two literals exchanged."""
-        if not 0 <= var < coding.n:
-            raise InputError(f"variable {var} outside 0..{coding.n - 1}")
-        check_values(coding.domains, ((var, a), (var, b)))
-        lits = list(range(coding.offsets[-1]))
-        la, lb = (coding.offsets[var] + coding._pos[var][v] for v in (a, b))
-        lits[la], lits[lb] = lb, la
         return cls(tuple(lits), coding)
 
     def image_codes(self, codes: list[int]) -> list[int]:

@@ -35,10 +35,6 @@ class CapExceededError(SymbreakError):
     """An enumeration or closure grew past its configured cap."""
 
 
-class UnsupportedOrderingError(InputError):
-    """The requested ordering is not defined over the given domains."""
-
-
 def binary_domains(n: int) -> tuple[Domain, ...]:
     return ((0, 1),) * n
 

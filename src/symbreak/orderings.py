@@ -2,12 +2,12 @@
 
 An assignment's lex code is its lex rank, Σ pos·place in mixed radix with
 variable 0 most significant, where a position is the value's index in its
-domain as listed (`SimpleOrdering.codes`; `decode` inverts it).  Each
+domain as listed (`LexOrdering.codes`; `decode` inverts it).  Each
 ordering is stated once, as a bijection of range(space_size): `ranks` maps
 lex codes to the ordering's ranks and `unranks` is its inverse, both on
 lists: the identity for lex, space_size - 1 - code for revlex, the prefix
 XOR for gray (k XOR (k >> 1) back), and for snakelex a variable
-permutation by chunk tables (`SimpleOrdering.digit_sums`).  `rank` and
+permutation by chunk tables (`LexOrdering.digit_sums`).  `rank` and
 `unrank` are written once, on top of that pair.  O.unranks is π, the
 rank-preserving bijection from lex to O, and O.ranks is π⁻¹.  Ranks are
 0-indexed.
@@ -25,13 +25,12 @@ from .model import (
     Assignment,
     Domain,
     InputError,
-    UnsupportedOrderingError,
     check_domains,
     check_shape,
     check_values,
 )
 
-CHUNK_CAP = 1 << 10  # digit combinations in one table of `SimpleOrdering.chunks`
+CHUNK_CAP = 1 << 10  # digit combinations in one table of `LexOrdering.chunks`
 
 
 def _places(radices: Sequence[int]) -> list[int]:
@@ -39,14 +38,16 @@ def _places(radices: Sequence[int]) -> list[int]:
     return list(accumulate(reversed(radices[1:]), mul, initial=1))[::-1]
 
 
-class SimpleOrdering:
-    """Lex after the bijection `ranks` of the lex codes; the only statement
-    of rank and unrank.  A subclass supplies `ranks`, `unranks`
+class LexOrdering:
+    """Big-endian positional order: variable 0 is most significant, and an
+    assignment's rank is its lex code.  Every other ordering is lex after
+    the bijection `ranks` of the lex codes, and this class is the only
+    statement of rank and unrank: a subclass supplies `ranks`, `unranks`
     (both list rules) and `unsupported`, its check of the domains (and
-    matrix shape) it is defined on.  Here both rules are the identity: lex.
+    matrix shape) it is defined on.  Here both rules are the identity.
     """
 
-    name = "?"
+    name = "lex"
 
     @staticmethod
     def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
@@ -57,18 +58,14 @@ class SimpleOrdering:
         self.domains = tuple(map(tuple, domains))
         self.n = len(self.domains)
         check_domains("an ordering", self.n, self.domains)
-        distinct = set(self.domains)  # one position table each
-        pos = {d: dict(zip(d, range(len(d)))) for d in distinct}
+        pos = {d: dict(zip(d, range(len(d)))) for d in set(self.domains)}  # one per domain
         self._pos = tuple(map(pos.__getitem__, self.domains))
         reason = self.unsupported(self.domains, shape)
         if reason is not None:
-            raise UnsupportedOrderingError(reason)
+            raise InputError(reason)
         self.radices = tuple(map(len, self.domains))
         self.space_size = math.prod(self.radices)
         self.places = _places(self.radices)
-        # over one domain 0..k-1, an assignment is its own position vector
-        own = tuple(range(len(self.domains[0])))
-        self._own_positions = frozenset(own).issuperset if distinct == {own} else None
 
     def __eq__(self, other: object) -> bool:
         return self is other or (type(self) is type(other) and self.domains == other.domains
@@ -112,8 +109,6 @@ class SimpleOrdering:
         variable's domain is refused by name."""
         places = self.places
         if not {*map(len, assignments)} - {self.n}:
-            if self._own_positions is not None and all(map(self._own_positions, assignments)):
-                return [sum(map(mul, a, places)) for a in assignments]
             try:
                 return [sum(map(mul, map(getitem, self._pos, a), places)) for a in assignments]
             except KeyError:
@@ -168,14 +163,7 @@ class SimpleOrdering:
         return chunks
 
 
-class LexOrdering(SimpleOrdering):
-    """Big-endian positional order: variable 0 is most significant, and an
-    assignment's rank is its lex code."""
-
-    name = "lex"
-
-
-class RevLexOrdering(SimpleOrdering):
+class RevLexOrdering(LexOrdering):
     """Lex with every comparison reversed: rank space_size - 1 - code."""
 
     name = "revlex"
@@ -187,7 +175,7 @@ class RevLexOrdering(SimpleOrdering):
     unranks = ranks
 
 
-class GrayOrdering(SimpleOrdering):
+class GrayOrdering(LexOrdering):
     """Reflected-binary order: codeword at rank k is k XOR (k >> 1).
 
     Defined for two-valued domains only; consecutive codewords differ in one
@@ -224,7 +212,7 @@ def snake_variable_order(shape: tuple[int, int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-class SnakeLexOrdering(SimpleOrdering):
+class SnakeLexOrdering(LexOrdering):
     """Lex comparison of the serpentine vectorization of a matrix: its rank
     is the lex code over the domains in snake order, a variable permutation
     of the lex code, moved digit by digit through chunk tables."""
@@ -245,7 +233,7 @@ class SnakeLexOrdering(SimpleOrdering):
         super().__init__(domains, shape)
         self.shape = tuple(shape)
         self.order = snake_variable_order(self.shape)
-        self._snake = SimpleOrdering(map(self.domains.__getitem__, self.order))
+        self._snake = LexOrdering(map(self.domains.__getitem__, self.order))
         # variable order[k] moves from its lex place to place k of the snake
         moves = [(k, i, place - self.places[i])
                  for k, (i, place) in enumerate(zip(self.order, self._snake.places))
@@ -265,14 +253,14 @@ ORDERING_NAMES = tuple(ORDERINGS)
 
 
 def make_ordering(name: str, domains: Sequence[Domain],
-                  shape: Optional[tuple[int, int]] = None) -> SimpleOrdering:
+                  shape: Optional[tuple[int, int]] = None) -> LexOrdering:
     if name not in ORDERINGS:
         raise InputError(f"unknown ordering '{name}' (choose from {', '.join(ORDERING_NAMES)})")
     return ORDERINGS[name](domains, shape)
 
 
 def applicable_orderings(domains: Sequence[Domain],
-                         shape: Optional[tuple[int, int]] = None) -> list[SimpleOrdering]:
+                         shape: Optional[tuple[int, int]] = None) -> list[LexOrdering]:
     """Every named ordering defined on the domains and shape, in ORDERING_NAMES order."""
     return [make_ordering(name, domains, shape) for name, cls in ORDERINGS.items()
             if cls.unsupported(domains, shape) is None]

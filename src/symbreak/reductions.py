@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .model import (
     Assignment,
-    Domain,
     InputError,
     binary_domains,
     load_json_object,
     read_fields,
 )
-from .orderings import RevLexOrdering, SimpleOrdering
+from .orderings import LexOrdering, RevLexOrdering
 
 MAX_ONE_IN_THREE_VARS = 12
 MAX_GROUP_GADGET_VARS = 10
@@ -44,7 +43,7 @@ class Gadget:
     the gadget's solutions, on which its group is transitive."""
 
     instance: Union[OneInThreeInstance, Cnf]
-    ordering: SimpleOrdering
+    ordering: LexOrdering
     solutions: tuple[int, ...]
 
 
@@ -83,7 +82,7 @@ def one_in_three_satisfiable(inst: OneInThreeInstance) -> bool:
                for bits in itertools.product((0, 1), repeat=inst.num_vars))
 
 
-class OneInThreeOrdering(SimpleOrdering):
+class OneInThreeOrdering(LexOrdering):
     """Orders gadget assignments: lex after flipping the flag whenever the
     prefix spells out an instance that is not 1-in-3 satisfiable, so a
     satisfiable prefix puts flag 0 first and an unsatisfiable one flag 1.
@@ -91,26 +90,20 @@ class OneInThreeOrdering(SimpleOrdering):
     The flag is the last variable and binary, so it is bit 0 of the lex
     code and the prefix's code is code >> 1.  The rule keeps the prefix, so
     it is its own inverse, but computing it embeds an NP-hard decision,
-    answered by brute force at this scale once per prefix.
+    answered by brute force at this scale once per distinct prefix a call
+    ranks.
     """
 
     name = "one-in-three"
 
-    def __init__(self, domains: Sequence[Domain]):
-        super().__init__(domains)
-        self._satisfiable: dict[int, bool] = {}  # by the prefix's code
-
     def ranks(self, codes: list[int]) -> list[int]:
-        return [c if self._prefix_satisfiable(c >> 1) else c ^ 1 for c in codes]
+        prefixes = list({c >> 1 for c in codes})
+        satisfiable = {p for p, a in zip(prefixes, self.decode([p << 1 for p in prefixes]))
+                       if one_in_three_satisfiable(OneInThreeInstance(
+                           tuple(a[i:i + 3] for i in range(0, len(a) - 1, 3))))}
+        return [c if c >> 1 in satisfiable else c ^ 1 for c in codes]
 
     unranks = ranks
-
-    def _prefix_satisfiable(self, prefix: int) -> bool:
-        if prefix not in self._satisfiable:
-            values = self.decode([prefix << 1])[0][:-1]
-            self._satisfiable[prefix] = one_in_three_satisfiable(OneInThreeInstance(
-                tuple(values[i:i + 3] for i in range(0, len(values), 3))))
-        return self._satisfiable[prefix]
 
 
 def ordering_gadget(inst: OneInThreeInstance) -> Gadget:

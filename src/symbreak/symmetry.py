@@ -34,7 +34,7 @@ from .model import (
     read_fields,
 )
 from .literals import LiteralSymmetry
-from .orderings import LexOrdering, SimpleOrdering
+from .orderings import LexOrdering
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -52,7 +52,7 @@ class ConjugateSymmetry:
     bulk, so nothing is tabulated; equal by equal orderings iff the gs are."""
 
     g: Union[LiteralSymmetry, "ConjugateSymmetry"]
-    ordering: SimpleOrdering
+    ordering: LexOrdering
 
     @property
     def coding(self) -> LexOrdering:
@@ -277,7 +277,7 @@ def orbits(codes: Sequence[int], group: SymmetryGroup) -> OrbitPartition:
     return OrbitPartition(codes, block_of, tuple(lists), group)
 
 
-def conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> SymmetryGroup:
+def conjugate(ordering: LexOrdering, group: SymmetryGroup) -> SymmetryGroup:
     """Group with generators π∘g∘π⁻¹, π the ordering, each held as (g, π),
     refusing a π over other listed domains; its chain and elements are G's, conjugated."""
     coding = group.coding
@@ -289,7 +289,7 @@ def conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> SymmetryGroup:
 
 
 def partitions_isomorphic(p1: OrbitPartition, p2: OrbitPartition,
-                          ordering: SimpleOrdering) -> tuple[bool, Optional[tuple[int, ...]]]:
+                          ordering: LexOrdering) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Does π = `ordering.unranks` map every block of p1 exactly onto a block of p2?
 
     Returns (True, tau) with the witness block bijection, or (False, None).

@@ -39,7 +39,6 @@ from symbreak.orderings import (
     GrayOrdering,
     LexOrdering,
     RevLexOrdering,
-    SimpleOrdering,
     SnakeLexOrdering,
     snake_variable_order,
 )
@@ -140,10 +139,22 @@ def ordering_gadget_problem(gadget: Gadget) -> Problem:
                                                 for q, v in enumerate(clause)))
 
 
+def value_swap(var: int, a: int, b: int, coding: LexOrdering) -> LiteralSymmetry:
+    """Identity on variables; swaps two values of one variable: the
+    identity literal permutation with the two literals exchanged."""
+    if not 0 <= var < coding.n:
+        raise InputError(f"variable {var} outside 0..{coding.n - 1}")
+    check_values(coding.domains, ((var, a), (var, b)))
+    lits = list(range(coding.offsets[-1]))
+    la, lb = (coding.offsets[var] + coding._pos[var][v] for v in (a, b))
+    lits[la], lits[lb] = lb, la
+    return LiteralSymmetry(tuple(lits), coding)
+
+
 def flag_swap(gadget: Gadget) -> LiteralSymmetry:
     """The ordering gadget's group: the swap of the flag bit's values 0 and 1."""
     domains = gadget.ordering.domains
-    return LiteralSymmetry.value_swap(len(domains) - 1, 0, 1, LexOrdering(domains))
+    return value_swap(len(domains) - 1, 0, 1, LexOrdering(domains))
 
 
 def satisfied_by(phi: Cnf, bits: Sequence[int]) -> bool:
@@ -163,7 +174,7 @@ def cnf_models(phi: Cnf) -> list[Assignment]:
     return models
 
 
-def compare(ordering: SimpleOrdering, a: Sequence[int], b: Sequence[int]) -> int:
+def compare(ordering: LexOrdering, a: Sequence[int], b: Sequence[int]) -> int:
     """LT, EQ or GT as a ranks before, with or after b under the ordering."""
     ra, rb = ordering.ranks(ordering.codes([a, b]))
     return LT if ra < rb else GT if ra > rb else EQ
@@ -218,13 +229,13 @@ def symmetry_from_pairs(mapping: dict, domains: Sequence[Domain]) -> AssignmentS
                                        coding.codes(list(mapping.values())))), coding)
 
 
-def forward(ordering: SimpleOrdering, a: Sequence[int]) -> Assignment:
+def forward(ordering: LexOrdering, a: Sequence[int]) -> Assignment:
     """π of one assignment, π the rank-preserving bijection from lex to the
     ordering: encode, `unranks` and decode."""
     return ordering.decode(ordering.unranks(ordering.codes([a])))[0]
 
 
-def inverse(ordering: SimpleOrdering, a: Sequence[int]) -> Assignment:
+def inverse(ordering: LexOrdering, a: Sequence[int]) -> Assignment:
     """π⁻¹ of one assignment: encode, `ranks` and decode."""
     return ordering.decode(ordering.ranks(ordering.codes([a])))[0]
 
@@ -355,7 +366,7 @@ def orbit_of(group: SymmetryGroup, code: int) -> tuple[int, ...]:
     return tuple(orbit_search(code, step, cap=group.cap))
 
 
-def min_in_class(a: Assignment, group: SymmetryGroup, ordering: SimpleOrdering) -> bool:
+def min_in_class(a: Assignment, group: SymmetryGroup, ordering: LexOrdering) -> bool:
     """Is `a` the smallest member of its orbit under the ordering?
 
     Decided by enumerating the orbit; orbits larger than the group's cap
@@ -421,7 +432,7 @@ def walk(tree: Sequence[tuple[int, int]], lists: Sequence[list[int]],
             yield pos, path[-1][0]
 
 
-def walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
+def walked_kept(partition: OrbitPartition, ordering: LexOrdering) -> tuple:
     """Survivors of the leader-full set of the partition's group, per block:
     every closure element's image list by `walk`, compared by `digit_rank`."""
     keys = [digit_rank(ordering, a) for a in partition.group.coding.decode(partition.codes)]
@@ -529,7 +540,7 @@ def _descend(reps: list[list[Sequence[int]]], parent: Sequence[int],
             yield from _descend(reps, child, l)
 
 
-def chain_walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tuple:
+def chain_walked_kept(partition: OrbitPartition, ordering: LexOrdering) -> tuple:
     """Survivors of the leader-full set of the partition's group, per block:
     every element's image list along the stabilizer chain by `_chain_walk`,
     compared by `digit_rank`."""
@@ -540,7 +551,7 @@ def chain_walked_kept(partition: OrbitPartition, ordering: SimpleOrdering) -> tu
     return partition.grouped(alive)
 
 
-def digit_map(ordering: SimpleOrdering) -> tuple:
+def digit_map(ordering: LexOrdering) -> tuple:
     """(digits, undigits, radices): the ordering stated as lex over digits,
     digits(p) for an assignment's positions p, undigits the inverse map, and
     radices those of the digits.  Each ordering here is such a map; the
@@ -567,7 +578,7 @@ def digit_map(ordering: SimpleOrdering) -> tuple:
     return tuple, tuple, radices
 
 
-def digit_rank(ordering: SimpleOrdering, a: Sequence[int]) -> int:
+def digit_rank(ordering: LexOrdering, a: Sequence[int]) -> int:
     """The ordering's rank of `a`: its digits read in mixed radix, digit 0
     most significant."""
     digits, _, radices = digit_map(ordering)
@@ -578,7 +589,7 @@ def digit_rank(ordering: SimpleOrdering, a: Sequence[int]) -> int:
     return rank
 
 
-def digit_unrank(ordering: SimpleOrdering, k: int) -> Assignment:
+def digit_unrank(ordering: LexOrdering, k: int) -> Assignment:
     """The assignment of rank k under the ordering: `digit_rank` inverted."""
     _, undigits, radices = digit_map(ordering)
     digits = []
@@ -653,7 +664,7 @@ def set_propagate(decomp: GrayDecomposition, store: DomainStore) -> PropagationO
     return PropagationOutcome(not all(work.candidates), work, trace)
 
 
-def tabulated_conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> SymmetryGroup:
+def tabulated_conjugate(ordering: LexOrdering, group: SymmetryGroup) -> SymmetryGroup:
     """The group with generators π∘g∘π⁻¹, π the rank-preserving bijection
     from lex to `ordering`, tabulated assignment by assignment over the
     full space, with π read off `digit_rank` and `digit_unrank` and each
@@ -669,18 +680,18 @@ def tabulated_conjugate(ordering: SimpleOrdering, group: SymmetryGroup) -> Symme
 
 def count_rank_calls(monkeypatch) -> dict:
     """Count the per-assignment `rank` and `unrank` calls of every ordering
-    ("rank"): SimpleOrdering writes both, and no ordering overrides them."""
+    ("rank"): LexOrdering writes both, and no ordering overrides them."""
     calls = {"rank": 0}
     for name in ("rank", "unrank"):
-        def counted(self, *args, method=getattr(SimpleOrdering, name)):
+        def counted(self, *args, method=getattr(LexOrdering, name)):
             calls["rank"] += 1
             return method(self, *args)
 
-        monkeypatch.setattr(SimpleOrdering, name, counted)
+        monkeypatch.setattr(LexOrdering, name, counted)
     return calls
 
 
-def map_constraint_set(ordering: SimpleOrdering,
+def map_constraint_set(ordering: LexOrdering,
                        satisfying: Iterable[Assignment]) -> frozenset:
     """Image of an extensionally given constraint set under π, the
     rank-preserving bijection from lex to the ordering."""

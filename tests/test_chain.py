@@ -48,6 +48,7 @@ from reference import (
     chain_walked_kept,
     gadget_group,
     tuple_orbits,
+    value_swap,
     walked_kept,
     word_chain,
 )
@@ -100,7 +101,7 @@ def _cases():
             LiteralSymmetry.from_maps([2, 3, 0, 1], [{0: 1, 1: 2, 2: 0}, {0: 0, 1: 1},
                                                      {0: 0, 1: 1, 2: 2}, {0: 0, 1: 1}],
                                       LexOrdering(MIXED)),
-            LiteralSymmetry.value_swap(1, 0, 1, LexOrdering(MIXED)),
+            value_swap(1, 0, 1, LexOrdering(MIXED)),
             LiteralSymmetry.variable([0, 3, 2, 1], LexOrdering(MIXED)))), MIXED, (2, 2)),
     ]
     ident = LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4)))

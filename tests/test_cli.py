@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,36 @@ def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_command_lines() -> list[str]:
+    """The commands of README's "Command line" block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
+def test_readme_command_line_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # in order, in one directory: an echo line writes its file, a symbreak
+    # line goes through run, and a "# -> X" comment is the line's output
+    monkeypatch.chdir(tmp_path)
+    shown = 0
+    for line in readme_command_lines():
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        if words[0] == "echo":
+            assert words[2] == ">", line
+            Path(words[3]).write_text(words[1] + "\n")
+            continue
+        assert words[0] == "symbreak", line
+        code, (out, err) = run(words[1:]), capsys.readouterr()
+        assert code in (0, 1), (line, code, err)
+        assert not any(text.startswith("error:") for text in (out + err).splitlines()), line
+        if comment.strip().startswith("->"):
+            assert out.strip() == comment.strip()[2:].strip(), line
+            shown += 1
+    assert shown == 1
 
 
 def test_unrank_gray(capsys):
@@ -361,16 +393,16 @@ def test_usage_error_exit_code():
 
 
 def count_codes(monkeypatch, calls: dict):
-    """Count into `calls` the lex codes `SimpleOrdering.codes` returns
+    """Count into `calls` the lex codes `LexOrdering.codes` returns
     ("codes"); the returned Counter counts each literal symmetry's
     `image_codes` calls."""
     from collections import Counter
 
     from symbreak.literals import LiteralSymmetry
-    from symbreak.orderings import SimpleOrdering
+    from symbreak.orderings import LexOrdering
 
     image_codes_of = Counter()
-    codes, image_codes = SimpleOrdering.codes, LiteralSymmetry.image_codes
+    codes, image_codes = LexOrdering.codes, LiteralSymmetry.image_codes
 
     def counted_codes(self, assignments):
         found = codes(self, assignments)
@@ -381,7 +413,7 @@ def count_codes(monkeypatch, calls: dict):
         image_codes_of[self] += 1
         return image_codes(self, some)
 
-    monkeypatch.setattr(SimpleOrdering, "codes", counted_codes)
+    monkeypatch.setattr(LexOrdering, "codes", counted_codes)
     monkeypatch.setattr(LiteralSymmetry, "image_codes", counted_image_codes)
     return image_codes_of
 

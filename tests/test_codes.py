@@ -169,13 +169,31 @@ def test_orbits_index_by_code_only_when_the_codes_are_the_space():
     assert set(map(frozenset, listed.blocks)) == set(map(frozenset, reversed_.blocks))
 
 
-@pytest.mark.parametrize("bad, message", [
-    ([(0, 1, 0)], "assignment arity 3 != 2"),
-    ([(0, 1), (0, 2)], "value 2 outside domain of variable 1"),
-])
-def test_codes_refuse_what_positions_refuse(bad, message):
-    with pytest.raises(InputError, match=message):
-        LexOrdering(binary_domains(2)).codes(bad)
+REFUSED_CODES = [  # domains, assignments, the refusal of the first bad one
+    (binary_domains(2), [(0, 1, 0)], "assignment arity 3 != 2"),
+    (binary_domains(2), [(0, 1), (0, 2)], "value 2 outside domain of variable 1"),
+    (((0, 1, 2),) * 2, [(2, 1), (0, 3), (3, 0)], "value 3 outside domain of variable 1"),
+    (((0, 1, 2),) * 2, [(2, 1), (0, 1, 2)], "assignment arity 3 != 2"),
+    (((1, 0),) * 2, [(1, 0), (0, 1), (1, 2)], "value 2 outside domain of variable 1"),
+    (((1, 0),) * 2, [(0, 1), (-1, 0)], "value -1 outside domain of variable 0"),
+    (MIXED, [(2, 7, 4, 1), (1, 5, 0, 0)], "value 0 outside domain of variable 2"),  # 0 is in 0's
+    (MIXED, [(0, 5, 1, 7)], "value 7 outside domain of variable 3"),  # 7 is in variable 1's
+    (MIXED, [(0, 5, 1)], "assignment arity 3 != 4"),
+]
+REFUSAL_DOMAINS = list(dict.fromkeys(domains for domains, _, _ in REFUSED_CODES))
+
+
+@pytest.mark.parametrize("domains, bad, message", [
+    pytest.param(*case, id=f"bad{i}-{case[2]}") for i, case in enumerate(REFUSED_CODES)])
+def test_codes_refuse_what_positions_refuse(domains, bad, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        LexOrdering(domains).codes(bad)
+
+
+@pytest.mark.parametrize("domains", REFUSAL_DOMAINS)
+def test_codes_are_the_digit_rank_under_lex(domains):
+    lex, space = LexOrdering(domains), list(all_assignments(domains))
+    assert lex.codes(space) == [digit_rank(lex, a) for a in space]
 
 
 OTHER_LISTINGS = [((0, 1, 2),) * 2, ((1, 0), (0, 1)), binary_domains(3)]

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symbreak.model import InputError, UnsupportedOrderingError, binary_domains
+from symbreak.model import InputError, binary_domains
 from symbreak.orderings import (
+    ORDERINGS,
     GrayOrdering,
     LexOrdering,
     RevLexOrdering,
-    SimpleOrdering,
     SnakeLexOrdering,
     applicable_orderings,
     make_ordering,
@@ -62,9 +62,9 @@ def test_gray_known_positions():
 
 
 def test_gray_rejects_non_binary_domains():
-    with pytest.raises(UnsupportedOrderingError):
+    with pytest.raises(InputError, match="^gray ordering needs two-valued domains$"):
         GrayOrdering(((0, 1, 2), (0, 1)))
-    with pytest.raises(UnsupportedOrderingError):
+    with pytest.raises(InputError, match="^gray ordering needs two-valued domains$"):
         make_ordering("gray", ((0, 1), (0, 1, 2)))
 
 
@@ -91,9 +91,9 @@ def test_ordering_refuses_a_domain_that_repeats_a_value(cls):
 
 
 def test_snakelex_requires_shape():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^snakelex needs a matrix shape$"):
         SnakeLexOrdering(binary_domains(4), None)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^shape \(3, 2\) does not cover 4 variables$"):
         make_ordering("snakelex", binary_domains(4), (3, 2))
 
 
@@ -211,8 +211,7 @@ def test_rank_preserving_map_is_bijection(n):
 def test_orderings_of_one_kind_domains_and_shape_are_equal():
     doms = binary_domains(6)
     for make in (lambda: LexOrdering(doms), lambda: RevLexOrdering(doms),
-                 lambda: GrayOrdering(doms), lambda: SnakeLexOrdering(doms, (2, 3)),
-                 lambda: SimpleOrdering(doms)):
+                 lambda: GrayOrdering(doms), lambda: SnakeLexOrdering(doms, (2, 3))):
         a, b = make(), make()
         assert a is not b and a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
@@ -221,21 +220,26 @@ def test_orderings_of_one_kind_domains_and_shape_are_equal():
 @pytest.mark.parametrize("a, b", [
     (LexOrdering(((1, 0),) * 4), LexOrdering(((0, 1),) * 4)),  # domains relisted
     (SnakeLexOrdering(binary_domains(6), (2, 3)), SnakeLexOrdering(binary_domains(6), (3, 2))),
-    (LexOrdering(binary_domains(4)), SimpleOrdering(binary_domains(4))),
     (RevLexOrdering(binary_domains(4)), LexOrdering(binary_domains(4))),
     (GrayOrdering(binary_domains(3)), GrayOrdering(binary_domains(4))),
-], ids=["relisted", "snake-shape", "lex-simple", "revlex-lex", "gray-size"])
+], ids=["relisted", "snake-shape", "revlex-lex", "gray-size"])
 def test_orderings_differing_in_kind_domains_or_shape_are_unequal(a, b):
     assert a != b and b != a
 
 
+def test_every_ordering_is_lex_after_a_bijection():
+    doms = binary_domains(4)
+    assert make_ordering("lex", doms) == LexOrdering(doms)
+    assert all(issubclass(cls, LexOrdering) for cls in (*ORDERINGS.values(), OneInThreeOrdering))
+
+
 def test_one_in_three_orderings_over_one_space_are_equal():
     # the rule reads only the prefix, so the instance the gadget came from
-    # is not part of the ordering
+    # is not part of the ordering; ranking keeps no state between calls
     doms = (tuple(range(1, 4)),) * 3 + ((0, 1),)
     first, second = OneInThreeOrdering(doms), OneInThreeOrdering(doms)
-    first.ranks(list(range(first.space_size)))  # one fills its prefix table first
-    assert first == second and hash(first) == hash(second)
+    first.ranks(list(range(first.space_size)))
+    assert first == second and hash(first) == hash(second) and vars(first) == vars(second)
 
 
 @pytest.mark.parametrize("domains, shape, names", [

@@ -120,6 +120,21 @@ def test_solve_ordering_gadget_examples(clauses, expected):
         (expected, sum(clauses, ()) + (flag,))
 
 
+def test_gadget_ordering_decides_each_distinct_prefix_once_per_call(monkeypatch):
+    # a solve ranks the two codes of one prefix: one decision, made again
+    # on the next solve, since the ordering keeps nothing between calls
+    import symbreak.reductions
+
+    decided = []
+    monkeypatch.setattr(symbreak.reductions, "one_in_three_satisfiable",
+                        lambda inst: decided.append(inst) or one_in_three_satisfiable(inst))
+    gadget = ordering_gadget(OneInThreeInstance(((1, 2, 3), (1, 2, 4))))
+    for solves in (1, 2):
+        assert solve_ordering_gadget(gadget)[0] == SAT and len(decided) == solves
+    gadget.ordering.ranks(list(range(gadget.ordering.space_size)))
+    assert len(decided) == 2 + gadget.ordering.space_size // 2
+
+
 def all_clauses(max_index):
     return [tuple(c) for c in
             itertools.combinations_with_replacement(range(1, max_index + 1), 3)]
@@ -280,16 +295,16 @@ def test_demos_build_no_problem_group_or_partition(monkeypatch, tmp_path, capsys
 def test_group_gadget_is_solved_on_codes(monkeypatch):
     # the gadget's codes are ranked as they are: solving encodes and decodes
     # no assignment
-    from symbreak.orderings import SimpleOrdering
+    from symbreak.orderings import LexOrdering
 
     gadget = group_gadget(cnf_from_dict({"n": 10, "clauses": [[1, -5, 10]]}))
     calls = []
     for name in ("codes", "decode"):
-        def counted(self, items, method=getattr(SimpleOrdering, name), name=name):
+        def counted(self, items, method=getattr(LexOrdering, name), name=name):
             calls.append(name)
             return method(self, items)
 
-        monkeypatch.setattr(SimpleOrdering, name, counted)
+        monkeypatch.setattr(LexOrdering, name, counted)
     assert solve_group_gadget(gadget) == SAT and calls == []
     assert len(gadget.solutions) == len(set(cnf_models(gadget.instance)) | {(0,) * 10}) == 896
 

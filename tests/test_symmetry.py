@@ -56,6 +56,7 @@ from reference import (
     symmetry_from_pairs,
     tabulated_conjugate,
     tuple_orbits,
+    value_swap,
 )
 
 SPACE2x2 = list(all_assignments(binary_domains(4)))
@@ -79,7 +80,7 @@ def test_identity_apply():
 
 def test_value_swap_on_last_variable():
     doms = binary_domains(4)
-    flip = LiteralSymmetry.value_swap(3, 0, 1, LexOrdering(doms))
+    flip = value_swap(3, 0, 1, LexOrdering(doms))
     assert apply(flip, (0, 1, 1, 0)) == (0, 1, 1, 1)
     assert apply(flip, (0, 1, 1, 1)) == (0, 1, 1, 0)
 
@@ -94,7 +95,7 @@ def test_value_swap_equals_its_value_maps(var, a, b):
     # the identity value maps with the two values traded
     maps = [{v: v for v in d} for d in VALUE_SWAP_DOMAINS]
     maps[var][a], maps[var][b] = b, a
-    swap = LiteralSymmetry.value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
+    swap = value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
     assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps,
                                              LexOrdering(VALUE_SWAP_DOMAINS))
     assert swap.val_maps == \
@@ -115,7 +116,7 @@ def test_value_swap_equals_its_value_maps(var, a, b):
 ])
 def test_value_swap_refuses_bad_variables_and_values(var, a, b, message):
     with pytest.raises(InputError, match=re.escape(message)):
-        LiteralSymmetry.value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
+        value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
 
 
 def test_row_swap_on_2x2():
@@ -125,7 +126,7 @@ def test_row_swap_on_2x2():
 
 
 def test_apply_arity_and_domain_errors():
-    flip = LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
+    flip = value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
     with pytest.raises(InputError):
         apply(flip, (0,))
     with pytest.raises(InputError):
@@ -134,7 +135,7 @@ def test_apply_arity_and_domain_errors():
 
 @pytest.mark.parametrize("sym", [
     LiteralSymmetry.variable((1, 0), LexOrdering(binary_domains(2))),
-    LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))], ids=["swap", "flip"])
+    value_swap(0, 0, 1, LexOrdering(binary_domains(2)))], ids=["swap", "flip"])
 @pytest.mark.parametrize("bad", [(0, 5), (5, 0), (0, 1, 1), (1,)])
 def test_images_refuse_what_apply_refuses(sym, bad):
     with pytest.raises(InputError) as refused:
@@ -161,7 +162,7 @@ def test_literal_value_map_must_land_on_its_target_domain():
 def test_compose_and_invert_are_inverse_actions():
     doms = binary_domains(4)
     row_swap, col_swap = row_col_generators((2, 2))
-    for sym in (row_swap, col_swap, LiteralSymmetry.value_swap(2, 0, 1, LexOrdering(doms))):
+    for sym in (row_swap, col_swap, value_swap(2, 0, 1, LexOrdering(doms))):
         back = compose(sym, invert(sym))
         for a in SPACE2x2:
             assert apply(back, a) == a
@@ -237,7 +238,7 @@ def test_assignment_symmetry_compose_invert(perm):
 
 
 def test_closure_sizes():
-    flip = LiteralSymmetry.value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
+    flip = value_swap(0, 0, 1, LexOrdering(binary_domains(2)))
     assert len(SymmetryGroup((flip,)).closure()) == 2
     assert len(row_col_group((2, 2)).closure()) == 4
     assert len(row_col_group((3, 3)).closure()) == 36  # 3! * 3!
@@ -460,8 +461,8 @@ def test_orbits_name_the_first_escape_in_search_order():
     # x0 takes 001 out first; 100 leaves too, but by flip x2 and later in
     # the search, though earlier in the input and generator order
     coding = LexOrdering(binary_domains(3))
-    group = SymmetryGroup((LiteralSymmetry.value_swap(2, 0, 1, coding),
-                           LiteralSymmetry.value_swap(0, 0, 1, coding)))
+    group = SymmetryGroup((value_swap(2, 0, 1, coding),
+                           value_swap(0, 0, 1, coding)))
     solutions = [(0, 0, 0), (1, 0, 0), (0, 0, 1)]
     message = re.escape("generator maps a solution outside the solution set "
                         "((0, 0, 1) -> (1, 0, 1))")
@@ -478,7 +479,7 @@ def test_orbits_refuse_a_solution_with_the_error_apply_raises(bad):
     # the others gather unchecked, and the message is the one apply gives
     mixed = ((0, 1, 2), (0, 1), (0, 1, 2), (0, 1))
     group = SymmetryGroup((LiteralSymmetry.variable((2, 1, 0, 3), LexOrdering(mixed)),
-                           LiteralSymmetry.value_swap(1, 0, 1, LexOrdering(mixed))))
+                           value_swap(1, 0, 1, LexOrdering(mixed))))
     for gen in group.generators:
         with pytest.raises(InputError) as refused:
             apply(gen, bad)
