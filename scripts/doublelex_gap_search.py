@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from symbreak.breaker import doublelex_constraints, orbit_verdict
-from symbreak.model import assignment_formatter, binary_domains
 from symbreak.symmetry import orbits, row_col_group
 
 
@@ -25,14 +24,13 @@ def main(argv=None):
         for c in range(1, args.max_cells + 1):
             if r * c > args.max_cells:
                 continue
-            doms = binary_domains(r * c)
             group = row_col_group((r, c))
             partition = orbits(range(2 ** (r * c)), group)
             verdict = orbit_verdict(partition, doublelex_constraints((r, c)))
             for block, kept in zip(partition.blocks, verdict.kept):
                 if len(kept) > 1:
                     found += 1
-                    members = " ".join(map(assignment_formatter(doms), group.coding.decode(kept)))
+                    members = " ".join(group.coding.texts(kept))
                     print(f"{r}x{c}: orbit of size {len(block)} keeps "
                           f"{len(kept)} members: {members}")
     if not found:

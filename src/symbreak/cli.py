@@ -28,7 +28,6 @@ from .model import (
     InputError,
     Problem,
     SymbreakError,
-    assignment_formatter,
     binary_domains,
     check_shape,
     enumerate_solutions,
@@ -136,17 +135,12 @@ def _breaking_set(ns: argparse.Namespace, problem: Problem, group):
 # subcommands
 
 
-def _printed(codes: Sequence[int], coding: LexOrdering) -> list[str]:
-    """The printed row of the assignment with each of these lex codes."""
-    return list(map(assignment_formatter(coding.domains), coding.decode(codes)))
-
-
 @_command("solve", "enumerate all solutions", _PROBLEM, _CAP)
 def _cmd_solve(ns: argparse.Namespace) -> int:
     problem = load_problem(ns.problem)
     sols = enumerate_solutions(problem, ns.cap)
     print(f"# seed={ns.seed} solutions={len(sols)}")
-    _print_rows(["assignment"], [[row] for row in _printed(sols, LexOrdering(problem.domains))],
+    _print_rows(["assignment"], [[row] for row in LexOrdering(problem.domains).texts(sols)],
                 ns.format)
     return 0 if sols else 1
 
@@ -156,8 +150,9 @@ def _cmd_orbits(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     partition = orbits(enumerate_solutions(problem, ns.cap), group)
     print(f"# seed={ns.seed} orbits={len(partition)}")
-    rows = [[i, len(block), " ".join(_printed(block, group.coding))]
-            for i, block in enumerate(partition.blocks)]
+    texts = group.coding.texts(partition.codes)
+    rows = [[i, len(members), " ".join(map(texts.__getitem__, members))]
+            for i, members in enumerate(partition.members)]
     _print_rows(["orbit", "size", "members"], rows, ns.format)
     return 0
 
@@ -174,8 +169,7 @@ def _cmd_break(ns: argparse.Namespace) -> int:
     survivors = [a for a in sols if a in kept]
     print(f"# seed={ns.seed} ordering={ns.ordering} method={ns.method} "
           f"constraints={len(bset)} survivors={len(survivors)}")
-    _print_rows(["assignment"], [[row] for row in _printed(survivors, group.coding)],
-                ns.format)
+    _print_rows(["assignment"], [[row] for row in group.coding.texts(survivors)], ns.format)
     print()
     _print_rows(["orbit", "size", "survivors"],
                 [[i, len(block), count]
@@ -247,7 +241,7 @@ def _cmd_rank(ns: argparse.Namespace) -> int:
           ("--k", {"type": int, "required": True}), report=False)
 def _cmd_unrank(ns: argparse.Namespace) -> int:
     ordering = _ordering(ns)
-    print(assignment_formatter(ordering.domains)(ordering.unrank(ns.k)))
+    print(ordering.texts([ordering.unrank_code(ns.k)])[0])
     return 0
 
 
@@ -304,7 +298,7 @@ def _cmd_demo_prop1(ns: argparse.Namespace) -> int:
     print(f"# clauses={list(list(c) for c in inst.clauses)}")
     print(f"problem: {gadget.ordering.n} variables; prefix fixed to the clause "
           f"indices; flag bit free; symmetry swaps the flag bit's values")
-    print(f"survivor: {assignment_formatter(gadget.ordering.domains)(survivor)}")
+    print(f"survivor: {gadget.ordering.texts([survivor])[0]}")
     return _report_verdict(verdict, oracle)
 
 
@@ -317,8 +311,8 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
     oracle = SAT if cnf_satisfiable(phi) else UNSAT
     print(f"# n={phi.num_vars} clauses={list(list(c) for c in phi.clauses)}")
     print(f"solutions of the gadget ({len(gadget.solutions)} members, 1 orbit):")
-    for row in _printed(gadget.solutions, gadget.ordering):
-        print(f"  {row}")
+    # one print for all members: a gadget always holds the all-zero vector
+    print("  " + "\n  ".join(gadget.ordering.texts(gadget.solutions)))
     return _report_verdict(verdict, oracle)
 
 

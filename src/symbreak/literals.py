@@ -18,15 +18,11 @@ def _check_permutation(perm: Sequence[int], n: int) -> None:
 
 
 class LiteralSymmetry:
-    """result[var_perm[i]] = val_maps[i][a[i]].
-
-    The symmetry is `lits`, the permutation it induces on the literals of
-    `coding`, a LexOrdering of its domains as listed: literal (i, v) is
-    coding.offsets[i] plus v's position in domain i, and lits[l] is the
-    index of l's image.  `var_perm` and `val_maps` (per source variable,
-    the sorted (value, image) pairs of a bijection from its domain onto the
-    image variable's) are read off `lits`.  `from_maps` and the
-    constructors after it check their input.
+    """result[var_perm[i]] = maps[i][a[i]], stated as `lits`, the
+    permutation it induces on the literals of `coding`, a LexOrdering of
+    its domains as listed: literal (i, v) is coding.offsets[i] plus v's
+    position in domain i, and lits[l] is the index of l's image.
+    `from_maps` and the constructors after it check their input.
     """
 
     __slots__ = ("lits", "coding", "_deltas")
@@ -35,19 +31,6 @@ class LiteralSymmetry:
         """From a literal permutation that maps variables onto variables, unchecked."""
         self.lits, self.coding = lits, coding
         self._deltas = None  # `image_codes` builds it on first use
-
-    @property
-    def var_perm(self) -> tuple[int, ...]:
-        coding = self.coding
-        return tuple(map(coding.var_of.__getitem__,
-                         map(self.lits.__getitem__, coding.offsets[:-1])))
-
-    @property
-    def val_maps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        coding = self.coding
-        images, offsets = list(map(coding.val_of.__getitem__, self.lits)), coding.offsets
-        return tuple(tuple(sorted(zip(dom, images[start:end]))) for dom, start, end
-                     in zip(coding.domains, offsets, offsets[1:]))
 
     @classmethod
     def from_maps(cls, var_perm: Sequence[int], maps: Sequence[dict],
@@ -113,4 +96,4 @@ class LiteralSymmetry:
         return hash(self.lits)
 
     def __repr__(self) -> str:
-        return f"LiteralSymmetry(var_perm={self.var_perm}, val_maps={self.val_maps})"
+        return f"LiteralSymmetry({self.lits})"

@@ -374,13 +374,6 @@ def load_problem(path) -> Problem:
     return problem_from_dict(load_json_object(path, "problem file"))
 
 
-def assignment_formatter(domains: Sequence[Domain]) -> Callable[[Sequence[int]], str]:
-    """The row formatter of a space: a 0/1 string for binary spaces (leftmost
-    char = variable 0), else comma-joined values."""
-    sep = "" if all(tuple(d) == (0, 1) for d in domains) else ","
-    return lambda a: sep.join(map(str, a))
-
-
 def parse_assignment(text: str, domains: Sequence[Domain]) -> Assignment:
     text = text.strip()
     if "," in text:

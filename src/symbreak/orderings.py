@@ -2,15 +2,15 @@
 
 An assignment's lex code is its lex rank, Σ pos·place in mixed radix with
 variable 0 most significant, where a position is the value's index in its
-domain as listed (`LexOrdering.codes`; `decode` inverts it).  Each
-ordering is stated once, as a bijection of range(space_size): `ranks` maps
-lex codes to the ordering's ranks and `unranks` is its inverse, both on
-lists: the identity for lex, space_size - 1 - code for revlex, the prefix
-XOR for gray (k XOR (k >> 1) back), and for snakelex a variable
-permutation by chunk tables (`LexOrdering.digit_sums`).  `rank` and
-`unrank` are written once, on top of that pair.  O.unranks is π, the
-rank-preserving bijection from lex to O, and O.ranks is π⁻¹.  Ranks are
-0-indexed.
+domain as listed (`LexOrdering.codes`; `decode` inverts it and `texts`
+prints it).  Each ordering is stated once, as a bijection of
+range(space_size): `ranks` maps lex codes to the ordering's ranks and
+`unranks` is its inverse, both on lists: the identity for lex,
+space_size - 1 - code for revlex, the prefix XOR for gray (k XOR (k >> 1)
+back), and for snakelex a variable permutation by chunk tables
+(`LexOrdering.digit_sums`).  `rank` and `unrank` are written once, on top
+of that pair.  O.unranks is π, the rank-preserving bijection from lex to
+O, and O.ranks is π⁻¹.  Ranks are 0-indexed.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class LexOrdering:
     def var_of(self) -> list[int]:  # the variable of each literal
         return [i for i, radix in enumerate(self.radices) for _ in range(radix)]
 
-    @cached_property
-    def val_of(self) -> list[int]:  # the value of each literal
-        return [v for dom in self.domains for v in dom]
-
     def ranks(self, codes: list[int]) -> list[int]:
         """The rank of each assignment whose lex code is in `codes`."""
         return codes
@@ -99,9 +95,13 @@ class LexOrdering:
         return self.ranks(self.codes([a]))[0]
 
     def unrank(self, k: int) -> Assignment:
+        return self.decode([self.unrank_code(k)])[0]
+
+    def unrank_code(self, k: int) -> int:
+        """The lex code of the assignment at rank k."""
         if not 0 <= k < self.space_size:
             raise InputError(f"rank {k} outside [0, {self.space_size})")
-        return self.decode(self.unranks([k]))[0]
+        return self.unranks([k])[0]
 
     def codes(self, assignments: Sequence[Sequence[int]]) -> list[int]:
         """The lex code of each assignment, Σ pos·place, checked in bulk: the
@@ -142,23 +142,42 @@ class LexOrdering:
             sums = list(map(add, sums, [table[c // low % size] for c in codes]))
         return sums
 
-    def chunks(self, deltas: dict[int, list[int]], cap: int) -> list[tuple[int, int, list[int]]]:
+    def texts(self, codes: Sequence[int]) -> list[str]:
+        """The printed row of the assignment with each of these lex codes:
+        its values in variable order, run together on all-(0, 1) domains
+        and comma-joined otherwise.  A variable's step lists its values as
+        strings, each but the first variable's led by the separator; a row
+        is one lookup per chunk of `chunks`, most significant chunk first."""
+        sep = "" if all(d == (0, 1) for d in self.domains) else ","
+        each = {dom: [sep + str(v) for v in dom] for dom in set(self.domains)}
+        steps = dict(enumerate(map(each.__getitem__, self.domains)))
+        steps[0] = list(map(str, self.domains[0]))
+        chunks = self.chunks(steps, min(CHUNK_CAP, len(codes)))[::-1]
+        if len(chunks) == 1:  # its place is 1 and its size the space's
+            return list(map(chunks[0][2].__getitem__, codes))
+        if len(codes) < len(chunks):  # the shorter of the two loops goes outside
+            return ["".join([table[c // place % size] for place, size, table in chunks])
+                    for c in codes]
+        return list(map("".join, zip(*([table[c // place % size] for c in codes]
+                                        for place, size, table in chunks))))
+
+    def chunks(self, steps: dict[int, list], cap: int) -> list[tuple[int, int, list]]:
         """(place, size, table) per chunk: the variables from the first to
-        the last with deltas, cut into runs of consecutive variables from the
+        the last with steps, cut into runs of consecutive variables from the
         least significant up, each of at most `cap` digit combinations (one
-        variable at least).  table[s] sums the run's deltas at the digits
-        that s, read in mixed radix, gives its variables; the run's digits
-        in a code c are c // place % size."""
+        variable at least).  table[s] sums the run's steps (ints, or strings
+        concatenated most significant first; a variable without steps adds
+        0) at the digits that s, read in mixed radix, gives its variables;
+        the run's digits in a code c are c // place % size."""
         chunks = []
-        first, i = min(deltas, default=0), max(deltas, default=-1)
+        first, i = min(steps, default=0), max(steps, default=-1)
+        step = lambda i: steps.get(i) or [0] * self.radices[i]
         while i >= first:
-            place, table = self.places[i], [0]
-            while True:
-                step = deltas.get(i) or [0] * self.radices[i]
-                table = [t + d for d in step for t in table]  # variable i most significant
+            place, table = self.places[i], step(i)
+            i -= 1
+            while i >= first and len(table) * self.radices[i] <= cap:
+                table = [d + t for d in step(i) for t in table]  # variable i most significant
                 i -= 1
-                if i < first or len(table) * self.radices[i] > cap:
-                    break
             chunks.append((place, len(table), table))
         return chunks
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .model import (
-    Assignment,
     InputError,
     binary_domains,
     load_json_object,
@@ -115,11 +114,12 @@ def ordering_gadget(inst: OneInThreeInstance) -> Gadget:
     return Gadget(inst, ordering, (code, code + 1))
 
 
-def solve_ordering_gadget(gadget: Gadget) -> tuple[str, Assignment]:
-    """The verdict and the one assignment that survives the flag swap's
-    leader constraint; flag 0 means the encoded instance is satisfiable."""
-    survivor = gadget.ordering.decode([least_solution(gadget)])[0]
-    return (SAT if survivor[-1] == 0 else UNSAT), survivor
+def solve_ordering_gadget(gadget: Gadget) -> tuple[str, int]:
+    """The verdict and the lex code of the one solution that survives the
+    flag swap's leader constraint; its flag, bit 0, is 0 exactly when the
+    encoded instance is satisfiable."""
+    survivor = least_solution(gadget)
+    return (UNSAT if survivor & 1 else SAT), survivor
 
 
 # ---------------------------------------------------------------------------

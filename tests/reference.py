@@ -180,6 +180,34 @@ def compare(ordering: LexOrdering, a: Sequence[int], b: Sequence[int]) -> int:
     return LT if ra < rb else GT if ra > rb else EQ
 
 
+def assignment_formatter(domains: Sequence[Domain]) -> Callable[[Sequence[int]], str]:
+    """The row formatter of a space: a 0/1 string for binary spaces (leftmost
+    char = variable 0), else comma-joined values.  `LexOrdering.texts`
+    prints the same rows from lex codes."""
+    sep = "" if all(tuple(d) == (0, 1) for d in domains) else ","
+    return lambda a: sep.join(map(str, a))
+
+
+def val_of(coding: LexOrdering) -> list[int]:
+    """The value of each literal of the coding."""
+    return [v for dom in coding.domains for v in dom]
+
+
+def var_perm(s: LiteralSymmetry) -> tuple[int, ...]:
+    """The variable that each variable's literals map to under s."""
+    coding = s.coding
+    return tuple(map(coding.var_of.__getitem__, map(s.lits.__getitem__, coding.offsets[:-1])))
+
+
+def val_maps(s: LiteralSymmetry) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per source variable, the sorted (value, image) pairs of s's bijection
+    from its domain onto the image variable's, read off `lits`."""
+    coding, offsets = s.coding, s.coding.offsets
+    images = list(map(val_of(coding).__getitem__, s.lits))
+    return tuple(tuple(sorted(zip(dom, images[start:end]))) for dom, start, end
+                 in zip(coding.domains, offsets, offsets[1:]))
+
+
 def apply(s: Symmetry, a: Sequence[int]) -> Assignment:
     """s of one assignment, without `image_codes`.  A literal symmetry maps
     each value's literal through `lits` to m and sets var_of[m] to val_of[m];
@@ -197,11 +225,11 @@ def apply(s: Symmetry, a: Sequence[int]) -> Assignment:
         return coding.decode([s._map.get(code, code)])[0]
     if len(a) != coding.n:
         raise InputError(f"assignment arity {len(a)} != {coding.n}")
-    image, var_of, val_of = [None] * coding.n, coding.var_of, coding.val_of
+    image, var_of, values = [None] * coding.n, coding.var_of, val_of(coding)
     try:
         for m in map(s.lits.__getitem__,
                      map(add, coding.offsets, map(getitem, coding._pos, a))):
-            image[var_of[m]] = val_of[m]
+            image[var_of[m]] = values[m]
     except KeyError:
         check_values(coding.domains, enumerate(a))
         raise

@@ -9,9 +9,12 @@ other domains), a group's coding is its problem's listing, every ordering's
 `ranks` rule gives the rank of its digit map (`reference.digit_rank`), and
 on the whole space `unranks` inverts `ranks` and `unrank` agrees with the
 digit map's.  Subsets of the space exercise the chunk tables at every size
-from one variable per chunk to one chunk.
+from one variable per chunk to one chunk.  The printed rows of `texts`, one
+chunk-table lookup per chunk, are the reference formatter's rows of the
+decoded assignments.
 """
 
+import random
 import re
 
 import pytest
@@ -41,6 +44,7 @@ from symbreak.symmetry import (
 
 from reference import (
     all_assignments,
+    assignment_formatter,
     apply,
     compare,
     digit_rank,
@@ -49,6 +53,7 @@ from reference import (
     symmetry_from_pairs,
     tuple_orbits,
     tuple_solutions,
+    val_maps,
 )
 
 
@@ -88,7 +93,9 @@ CASES += [
 
 def subsets(space):
     """The whole space and spread-out subsets of 1, 2, 5 and 17 members:
-    min(CHUNK_CAP, len(codes)) sets how many variables share a chunk."""
+    min(CHUNK_CAP, len(codes)) sets how many variables share a chunk, from
+    the whole space's one (every space of CASES has at most CHUNK_CAP
+    members) down to one variable per chunk."""
     return [space] + [space[::max(1, len(space) // k)][:k] for k in (1, 2, 5, 17)
                       if k < len(space)]
 
@@ -117,9 +124,10 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
     orderings = applicable_orderings(domains, shape)
     for ordering in orderings:
         check_bijection(ordering, space)
-    for part in subsets(space):
+    for part in subsets(space) + [space[:0], space[-3:]]:
         part_codes = lex.codes(part)
         assert lex.decode(part_codes) == part
+        assert lex.texts(part_codes) == list(map(assignment_formatter(domains), part))
         for g in gens:
             assert g.image_codes(part_codes) == lex.codes([apply(g, a) for a in part])
         reversal = symmetry_from_pairs(dict(zip(part, part[::-1])), domains)
@@ -128,6 +136,32 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
         for ordering in orderings:
             assert ordering.ranks(part_codes) == [digit_rank(ordering, a) for a in part], \
                 ordering.name
+
+
+def assert_reference_rows(lex, codes):
+    assert lex.texts(codes) == list(map(assignment_formatter(lex.domains), lex.decode(codes)))
+
+
+@pytest.mark.parametrize("domains", [binary_domains(12), ((1, 0),) * 11, ((0, 1, 2),) * 7,
+                                     MIXED_2x3 * 2],
+                         ids=["binary-12", "binary-unsorted-11", "ternary-7", "mixed-12"])
+def test_texts_past_the_chunk_cap(domains):
+    # above CHUNK_CAP codes the tables stop at the cap and a row takes several
+    lex = LexOrdering(domains)
+    assert lex.space_size > CHUNK_CAP + 1
+    codes = list(range(0, lex.space_size, 3))
+    for count in (0, 1, 3, CHUNK_CAP + 1, len(codes)):
+        assert_reference_rows(lex, codes[:count])
+    assert_reference_rows(lex, list(range(lex.space_size)))
+
+
+def test_texts_of_a_thousand_binary_variables():
+    # the corpus's 1x1000 problems: one variable per chunk up to 17 codes,
+    # whose tables hold 4 variables each
+    lex, rng = LexOrdering(binary_domains(1000)), random.Random(7)
+    for count in (0, 1, 3, 17):
+        assert_reference_rows(lex, [rng.getrandbits(1000) for _ in range(count)])
+    assert lex.texts([0, lex.space_size - 1]) == ["0" * 1000, "1" * 1000]
 
 
 def test_gadget_ordering_ranks_by_its_prefix_rule():
@@ -242,8 +276,8 @@ def test_a_loaded_literal_group_codes_over_the_problem_listing():
     sols = tuple_solutions(problem)
     partition = orbits(enumerate_solutions(problem), group)
     assert partition.codes == LexOrdering(problem.domains).codes(sols)
-    assert group.generators[1].val_maps == (((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 0)),
-                                            ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1)))
+    assert val_maps(group.generators[1]) == (((0, 1), (1, 2), (2, 0)), ((0, 1), (1, 0)),
+                                             ((0, 0), (1, 1), (2, 2)), ((0, 0), (1, 1)))
 
 
 def test_conjugate_refuses_a_permutation_over_another_listing_of_the_same_values():

@@ -49,6 +49,8 @@ from reference import (
     invert,
     kept_of,
     tuple_orbits,
+    val_maps,
+    var_perm,
 )
 
 # leader-full rows need the closure; beyond this the reference is too slow
@@ -237,9 +239,9 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     if refs and math.factorial(r) * math.factorial(c) * (len(domains[0]) if values else 1) \
             <= MAX_REFERENCE_GROUP:
         closure = ref_closure(refs, domains)
-        breadth_first = [(s.var_perm, s.val_maps) for s in breadth_first_closure(group)]
+        breadth_first = [(var_perm(s), val_maps(s)) for s in breadth_first_closure(group)]
         assert breadth_first == [ref.key() for ref in closure]
-        assert Counter((s.var_perm, s.val_maps) for s in group.closure()) == \
+        assert Counter((var_perm(s), val_maps(s)) for s in group.closure()) == \
             Counter(breadth_first)
         modes.append(("full", closure))
     for ordering_name in ORDERING_NAMES:
@@ -359,7 +361,7 @@ def test_compose_and_invert_match_reference():
                 [rs.apply(a) for a in all_assignments(domains)]
         for (s, rs), (t, rt) in itertools.product(pairs, repeat=2):
             prod = compose(s, t)
-            assert (prod.var_perm, prod.val_maps) == rs.compose(rt).key()
+            assert (var_perm(prod), val_maps(prod)) == rs.compose(rt).key()
             assert compose(prod, invert(prod)).is_identity()
             for a in all_assignments(domains):
                 assert apply(prod, a) == rs.apply(rt.apply(a))

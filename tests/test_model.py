@@ -12,7 +12,6 @@ from symbreak.model import (
     Literal,
     Problem,
     TableConstraint,
-    assignment_formatter,
     binary_domains,
     enumerate_solutions,
     parse_assignment,
@@ -21,6 +20,7 @@ from symbreak.model import (
 )
 
 from reference import (
+    assignment_formatter,
     binary_problem,
     check_assignment,
     gadget_problem,

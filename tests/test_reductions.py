@@ -116,8 +116,9 @@ def test_one_in_three_brute_force():
 def test_solve_ordering_gadget_examples(clauses, expected):
     # the survivor spells out the clauses, then flag 0 exactly when satisfiable
     flag = 0 if expected == SAT else 1
-    assert solve_ordering_gadget(ordering_gadget(OneInThreeInstance(clauses))) == \
-        (expected, sum(clauses, ()) + (flag,))
+    gadget = ordering_gadget(OneInThreeInstance(clauses))
+    verdict, survivor = solve_ordering_gadget(gadget)
+    assert (verdict, gadget.ordering.decode([survivor])) == (expected, [sum(clauses, ()) + (flag,)])
 
 
 def test_gadget_ordering_decides_each_distinct_prefix_once_per_call(monkeypatch):
@@ -164,7 +165,7 @@ def test_ordering_gadget_has_unique_survivor():
     from symbreak.breaker import LeaderConstraint
     leader = LeaderConstraint(flag_swap(g), g.ordering)
     kept = [a for a in tuple_solutions(ordering_gadget_problem(g)) if leader.satisfied(a)]
-    assert kept == [solve_ordering_gadget(g)[1]] == [(1, 2, 3, 0)]
+    assert kept == g.ordering.decode([solve_ordering_gadget(g)[1]]) == [(1, 2, 3, 0)]
 
 
 def test_ordering_gadget_leader_constraint_keeps_the_least_solution():
@@ -180,8 +181,7 @@ def test_ordering_gadget_leader_constraint_keeps_the_least_solution():
         partition = orbits(list(g.solutions), group)
         kept = orbit_verdict(partition, leader_constraints(group, g.ordering, "generators")).kept
         assert len(partition) == 1, inst
-        assert g.ordering.decode([c for block in kept for c in block]) == \
-            [solve_ordering_gadget(g)[1]], inst
+        assert [c for block in kept for c in block] == [solve_ordering_gadget(g)[1]], inst
 
 
 def test_instance_validation():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from symbreak.breaker import (
     leader_constraints,
     orbit_verdict,
 )
+from symbreak.cli import run
 from symbreak.model import CapExceededError, InputError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
@@ -39,6 +41,7 @@ from symbreak.symmetry import (
 from reference import (
     AssignmentSymmetry,
     all_assignments,
+    assignment_formatter,
     apply,
     blocks_of,
     breadth_first_closure,
@@ -56,6 +59,7 @@ from reference import (
     symmetry_from_pairs,
     tabulated_conjugate,
     tuple_orbits,
+    val_maps,
     value_swap,
 )
 
@@ -98,8 +102,8 @@ def test_value_swap_equals_its_value_maps(var, a, b):
     swap = value_swap(var, a, b, LexOrdering(VALUE_SWAP_DOMAINS))
     assert swap == LiteralSymmetry.from_maps(range(len(maps)), maps,
                                              LexOrdering(VALUE_SWAP_DOMAINS))
-    assert swap.val_maps == \
-        LiteralSymmetry.from_maps(range(len(maps)), maps, LexOrdering(VALUE_SWAP_DOMAINS)).val_maps
+    assert val_maps(swap) == \
+        val_maps(LiteralSymmetry.from_maps(range(len(maps)), maps, LexOrdering(VALUE_SWAP_DOMAINS)))
     assert swap.is_identity() == (a == b)
     for x in all_assignments(VALUE_SWAP_DOMAINS):
         image = list(x)
@@ -337,6 +341,20 @@ def test_orbit_of_matches_the_dense_search_on_group_gadgets():
         outside = [a for a in space if a not in solutions][:1]
         starts = solutions if phi.num_vars <= 3 else (solutions[0], solutions[-1])
         assert_orbit_of_matches_dense(gadget_group(gadget), [*starts, *outside])
+
+
+def test_demo_prop2_prints_the_reference_rows_of_every_gadget(capsys, tmp_path):
+    # the member lines, from the chunk tables, are the reference formatter's
+    # rows of the decoded solutions, in increasing code order
+    path = tmp_path / "cnf.json"
+    for phi in gadget_cnfs():
+        path.write_text(json.dumps({"n": phi.num_vars, "clauses": phi.clauses}))
+        run(["demo-prop2", "--instance", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        gadget = group_gadget(phi)
+        rows = map(assignment_formatter(gadget.ordering.domains),
+                   gadget.ordering.decode(list(gadget.solutions)))
+        assert lines[2:-3] == [f"  {row}" for row in rows], phi
 
 
 def test_group_gadget_group_is_the_symmetric_group_on_its_solutions():
