@@ -153,8 +153,6 @@ class LexOrdering:
         steps = dict(enumerate(map(each.__getitem__, self.domains)))
         steps[0] = list(map(str, self.domains[0]))
         chunks = self.chunks(steps, min(CHUNK_CAP, len(codes)))[::-1]
-        if len(chunks) == 1:  # its place is 1 and its size the space's
-            return list(map(chunks[0][2].__getitem__, codes))
         if len(codes) < len(chunks):  # the shorter of the two loops goes outside
             return ["".join([table[c // place % size] for place, size, table in chunks])
                     for c in codes]

@@ -4,8 +4,9 @@ The CLI answers these questions through the orbit kernel (`orbits` and
 `breaker.orbit_verdict`) or never asks them; here each is stated directly,
 so the tests can check the kernel and the library against them.  So are
 the objects only the tests build: assignment-level symmetries and their
-groups, both gadgets' groups and problems, and CNF models as value
-tuples.  The file name keeps pytest from collecting it.
+groups, both gadgets' groups and problems, CNF models as value tuples,
+and the CNFs the gadget tests run on.  The file name keeps pytest from
+collecting it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property, reduce
-from itertools import accumulate, count, islice, product
+from itertools import accumulate, combinations, count, islice, product
 from operator import add, getitem, itemgetter, xor
+from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from symbreak.breaker import SymmetryBreakingSet, Verdict, orbit_verdict
@@ -172,6 +174,28 @@ def cnf_models(phi: Cnf) -> list[Assignment]:
         bad = tuple(int(lit < 0) for lit in clause) if len(clause) > 1 else int(clause[0] < 0)
         models = [bits for bits in models if get(bits) != bad]
     return models
+
+
+def cnf_with_models(n: int, models: set[Assignment]) -> Cnf:
+    """A CNF over n variables whose models are exactly `models`: one clause
+    falsified by each other assignment."""
+    return Cnf(n, tuple(tuple(-(i + 1) if v else i + 1 for i, v in enumerate(a))
+                        for a in product((0, 1), repeat=n) if a not in models))
+
+
+def gadget_cnfs() -> list[Cnf]:
+    """Every CNF up to 3 variables (one per set of models), then seeded random
+    CNFs and the clause-free CNF up to 6."""
+    cnfs = [cnf_with_models(n, set(models)) for n in (1, 2, 3)
+            for k in range(2 ** n + 1)
+            for models in combinations(product((0, 1), repeat=n), k)]
+    rng = Random(13)
+    for n in (4, 5, 6):
+        cnfs.append(Cnf(n, ()))
+        cnfs += [Cnf(n, tuple(tuple(rng.choice((-1, 1)) * rng.randint(1, n)
+                                    for _ in range(rng.randint(1, 3)))
+                              for _ in range(rng.randint(1, 4)))) for _ in range(10)]
+    return cnfs
 
 
 def compare(ordering: LexOrdering, a: Sequence[int], b: Sequence[int]) -> int:

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from symbreak.cli import run
+from symbreak.reductions import group_gadget
 
-from reference import count_rank_calls
+from reference import assignment_formatter, count_rank_calls, gadget_cnfs
 
 PROBLEM_2x2 = {"n": 4, "domains": [[0, 1]] * 4, "constraints": [], "shape": [2, 2]}
 ROWCOL_2x2 = {"generators": [{"kind": "row_col", "rows": 2, "cols": 2}]}
@@ -227,6 +228,20 @@ def test_demo_prop2(capsys, tmp_path):
     code, out, _ = invoke(capsys, ["demo-prop2", "--instance", str(inst)])
     assert code == 1
     assert "verdict: UNSAT" in out and "agreement: true" in out
+
+
+def test_demo_prop2_prints_the_reference_rows_of_every_gadget(capsys, tmp_path):
+    # the member lines, from the chunk tables, are the reference formatter's
+    # rows of the decoded solutions, in increasing code order
+    path = tmp_path / "cnf.json"
+    for phi in gadget_cnfs():
+        path.write_text(json.dumps({"n": phi.num_vars, "clauses": phi.clauses}))
+        run(["demo-prop2", "--instance", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        gadget = group_gadget(phi)
+        rows = map(assignment_formatter(gadget.ordering.domains),
+                   gadget.ordering.decode(list(gadget.solutions)))
+        assert lines[2:-3] == [f"  {row}" for row in rows], phi
 
 
 def test_compare_grid(capsys, files):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 import re
@@ -15,7 +14,6 @@ from symbreak.breaker import (
     leader_constraints,
     orbit_verdict,
 )
-from symbreak.cli import run
 from symbreak.model import CapExceededError, InputError, binary_domains
 from symbreak.orderings import (
     ORDERING_NAMES,
@@ -41,7 +39,6 @@ from symbreak.symmetry import (
 from reference import (
     AssignmentSymmetry,
     all_assignments,
-    assignment_formatter,
     apply,
     blocks_of,
     breadth_first_closure,
@@ -52,6 +49,7 @@ from reference import (
     dense_orbit_of,
     digit_rank,
     forward,
+    gadget_cnfs,
     gadget_group,
     invert,
     map_constraint_set,
@@ -309,28 +307,6 @@ def assert_orbit_of_matches_dense(group, starts, space=None):
                     search(start)
 
 
-def cnf_with_models(n, models):
-    """A CNF over n variables whose models are exactly `models`: one clause
-    falsified by each other assignment."""
-    return Cnf(n, tuple(tuple(-(i + 1) if v else i + 1 for i, v in enumerate(a))
-                        for a in itertools.product((0, 1), repeat=n) if a not in models))
-
-
-def gadget_cnfs():
-    """Every CNF up to 3 variables (one per set of models), then seeded random
-    CNFs and the clause-free CNF up to 6."""
-    cnfs = [cnf_with_models(n, set(models)) for n in (1, 2, 3)
-            for k in range(2 ** n + 1)
-            for models in itertools.combinations(itertools.product((0, 1), repeat=n), k)]
-    rng = random.Random(13)
-    for n in (4, 5, 6):
-        cnfs.append(Cnf(n, ()))
-        cnfs += [Cnf(n, tuple(tuple(rng.choice((-1, 1)) * rng.randint(1, n)
-                                    for _ in range(rng.randint(1, 3)))
-                              for _ in range(rng.randint(1, 4)))) for _ in range(10)]
-    return cnfs
-
-
 def test_orbit_of_matches_the_dense_search_on_group_gadgets():
     # each gadget from its first and last solution (every solution up to 3
     # variables) and from a point outside the solution set
@@ -341,20 +317,6 @@ def test_orbit_of_matches_the_dense_search_on_group_gadgets():
         outside = [a for a in space if a not in solutions][:1]
         starts = solutions if phi.num_vars <= 3 else (solutions[0], solutions[-1])
         assert_orbit_of_matches_dense(gadget_group(gadget), [*starts, *outside])
-
-
-def test_demo_prop2_prints_the_reference_rows_of_every_gadget(capsys, tmp_path):
-    # the member lines, from the chunk tables, are the reference formatter's
-    # rows of the decoded solutions, in increasing code order
-    path = tmp_path / "cnf.json"
-    for phi in gadget_cnfs():
-        path.write_text(json.dumps({"n": phi.num_vars, "clauses": phi.clauses}))
-        run(["demo-prop2", "--instance", str(path)])
-        lines = capsys.readouterr().out.splitlines()
-        gadget = group_gadget(phi)
-        rows = map(assignment_formatter(gadget.ordering.domains),
-                   gadget.ordering.decode(list(gadget.solutions)))
-        assert lines[2:-3] == [f"  {row}" for row in rows], phi
 
 
 def test_group_gadget_group_is_the_symmetric_group_on_its_solutions():
