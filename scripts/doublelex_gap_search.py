@@ -27,12 +27,12 @@ def main(argv=None):
             group = row_col_group((r, c))
             partition = orbits(range(2 ** (r * c)), group)
             verdict = orbit_verdict(partition, doublelex_constraints((r, c)))
-            for block, kept in zip(partition.blocks, verdict.kept):
+            for members, kept in zip(partition.members, verdict.kept):
                 if len(kept) > 1:
                     found += 1
-                    members = " ".join(group.coding.texts(kept))
-                    print(f"{r}x{c}: orbit of size {len(block)} keeps "
-                          f"{len(kept)} members: {members}")
+                    texts = " ".join(group.coding.texts(kept))
+                    print(f"{r}x{c}: orbit of size {len(members)} keeps "
+                          f"{len(kept)} members: {texts}")
     if not found:
         print(f"no doublelex gap on any shape with r*c <= {args.max_cells}")
     return 0

@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from symbreak.breaker import COMPARE_HEADERS, compare_table
-from symbreak.model import binary_domains
 from symbreak.symmetry import row_col_group
 
 
@@ -25,8 +24,7 @@ def main(argv=None):
         for c in range(2, args.max_cells + 1):
             if r * c > args.max_cells:
                 continue
-            doms = binary_domains(r * c)
-            rows = compare_table(range(2 ** (r * c)), row_col_group((r, c)), doms, (r, c))
+            rows = compare_table(range(2 ** (r * c)), row_col_group((r, c)), (r, c))
             for row in rows:
                 print(",".join(str(x).lower() for x in (f"{r}x{c}",) + row))
     return 0

@@ -126,36 +126,38 @@ def _judge(partition: OrbitPartition,
     """Verdicts of breaking sets on one partition, over solution indices.
 
     Each posted ordering, over the coding's domains as listed, ranks the
-    solutions once, by its `ranks` rule on their lex codes.  A leader constraint (sigma,
-    ordering) keeps index i iff rank[i] <= the rank of sigma's image of
-    solution i: for a generator a lookup, rank[img[i]] with img the
-    partition's image list, and for any other sigma over the coding's
-    domains its `image_codes` ranked by the same rule.  Every posted constraint is tested, on the
-    indices still alive.  A leader-full set of a group with the partition's generators
-    keeps each block's least-ranked member: `orbits` refused any image
-    outside the solutions, so the block of i is its orbit G·i, and i passes
-    every element's constraint iff nothing in G·i ranks below it."""
-    codes, lists = partition.codes, partition.images
-    gens, coding = partition.group.generators, partition.group.coding
+    solutions once, by its `ranks` rule on their lex codes.  A leader
+    constraint (sigma, ordering) keeps index i, if still alive, iff rank[i]
+    <= the rank of sigma's image of i: rank[img[i]] for a generator, found
+    by key, with img its image list, else the rank of sigma's `image_codes`.
+    A leader-full set of a group H keeps each H-orbit's least-ranked member,
+    which passes every element's constraint: the orbits are the partition's
+    blocks when H has its generators, else `orbits(codes, H)`, and both
+    refuse an image outside the solutions.  No element of H is built."""
+    codes, gens, coding = partition.codes, partition.group.generators, partition.group.coding
+    lists = dict(zip(gens, partition.images))  # equal generators have equal image lists
     idx = list(range(len(codes)))
-    posted, alive = {}, []  # posted: ordering -> [(set, sigma, or None for the block minima)]
+    posted, alive = {}, []  # posted: ordering -> [(set, sigma, or a leader-full set's orbits)]
     for n, bset in enumerate(bsets):
         allowed = None if bset.allowed is None else set(coding.codes(list(bset.allowed)))
         alive.append(idx if allowed is None else [i for i in idx if codes[i] in allowed])
-        if bset.full is not None and bset.full[0].generators == gens:
-            posted.setdefault(bset.full[1], []).append((n, None))
-            continue
-        for con in bset.constraints if allowed is None else ():
+        if bset.full is not None:
+            group, ordering = bset.full
+            if group.coding.domains != coding.domains:
+                raise InputError("symmetry and codes act on different domains")
+            same = group.generators == gens
+            posted.setdefault(ordering, []).append(
+                (n, partition.members if same else orbits(codes, group).members))
+        for con in bset.posted if allowed is None else ():
             posted.setdefault(con.ordering, []).append((n, con.sigma))
     for ordering, judged in posted.items():  # one ordering's ranks at a time
         if ordering.domains != coding.domains:
             raise InputError("ordering and partition act on different domains")
         rank = ordering.ranks(codes)
         for n, sigma in judged:
-            if sigma is None:
-                alive[n] = [min(block, key=rank.__getitem__) for block in partition.members]
-            elif sigma in gens:
-                img = lists[gens.index(sigma)]
+            if isinstance(sigma, tuple):  # the orbits: increasing, as `grouped` reads them
+                alive[n] = sorted(min(orbit, key=rank.__getitem__) for orbit in sigma)
+            elif (img := lists.get(sigma)) is not None:
                 alive[n] = [i for i in alive[n] if rank[i] <= rank[img[i]]]
             elif sigma.coding.domains != coding.domains:
                 raise InputError("symmetry and codes act on different domains")
@@ -192,21 +194,21 @@ COMPARE_HEADERS = ("ordering", "method", "constraints", "survivors", "orbits",
 
 
 def compare_table(codes: Sequence[int], group: SymmetryGroup,
-                  domains: Sequence[Domain], shape: Optional[tuple[int, int]]) -> list[tuple]:
+                  shape: Optional[tuple[int, int]]) -> list[tuple]:
     """One COMPARE_HEADERS row per breaking set, all judged on one partition
     of the solutions with these lex codes.
 
-    Every ordering defined on the domains is posted both leader-full and
-    leader-generators, then doublelex when there is a shape.  The ordering
-    only picks which member of an orbit survives, so the orbits are
-    computed once.
+    Every ordering defined on the group's domains is posted both
+    leader-full and leader-generators, then doublelex when there is a
+    shape.  The ordering only picks which member of an orbit survives, so
+    the orbits are computed once.
     """
-    orderings = applicable_orderings(domains, shape)  # lex, defined everywhere, first
+    orderings = applicable_orderings(group.coding.domains, shape)  # lex, defined everywhere, first
     sets = [(ordering.name, method, leader_constraints(group, ordering, mode))
             for ordering in orderings
             for method, mode in (("leader-full", "full"), ("leader-generators", "generators"))]
     if shape is not None:
-        sets.append(("lex", "doublelex", doublelex_constraints(shape, domains)))
+        sets.append(("lex", "doublelex", doublelex_constraints(shape, group.coding.domains)))
     # after the sets, so a closure over its cap is reported ahead of an orbit error
     partition = orbits(codes, group)
     verdicts = _judge(partition, [bset for _, _, bset in sets])

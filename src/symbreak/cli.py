@@ -165,15 +165,14 @@ def _cmd_break(ns: argparse.Namespace) -> int:
     sols = enumerate_solutions(problem, ns.cap)
     partition = orbits(sols, group)
     verdict = orbit_verdict(partition, bset)
-    kept = {a for block in verdict.kept for a in block}
-    survivors = [a for a in sols if a in kept]
+    survivors = sorted(a for kept in verdict.kept for a in kept)
     print(f"# seed={ns.seed} ordering={ns.ordering} method={ns.method} "
           f"constraints={len(bset)} survivors={len(survivors)}")
     _print_rows(["assignment"], [[row] for row in group.coding.texts(survivors)], ns.format)
     print()
     _print_rows(["orbit", "size", "survivors"],
-                [[i, len(block), count]
-                 for i, (block, count) in enumerate(zip(partition.blocks, verdict.counts))],
+                [[i, len(members), count]
+                 for i, (members, count) in enumerate(zip(partition.members, verdict.counts))],
                 ns.format)
     return 0 if survivors else 1
 
@@ -321,7 +320,7 @@ def _cmd_demo_prop2(ns: argparse.Namespace) -> int:
 def _cmd_compare(ns: argparse.Namespace) -> int:
     problem, group = _load_pair(ns)
     sols = enumerate_solutions(problem, ns.cap)
-    rows = compare_table(sols, group, problem.domains, problem.shape)
+    rows = compare_table(sols, group, problem.shape)
     print(f"# seed={ns.seed} solutions={len(sols)}")
     _print_rows(COMPARE_HEADERS, rows, ns.format)
     return 0

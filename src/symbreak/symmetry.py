@@ -143,7 +143,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], cap: int) -> list[list[tu
     inverse = lambda p: tuple(sorted(ident, key=p.__getitem__))
     moved = lambda p: next(x for x, y in enumerate(p) if x != y)
     # those fixing base[0] come back as residues
-    fixing = [[(g, inverse(g)) for k, g in enumerate(gens) if g != ident and g not in gens[:k]]]
+    fixing = [[(g, inverse(g)) for g in dict.fromkeys(gens) if g != ident]]
     base = [moved(s) for s, _ in fixing[0][:1]]
 
     def transversal(l: int) -> dict:  # point -> (rep, its inverse)
@@ -217,10 +217,6 @@ class OrbitPartition:
         for i, first in enumerate(self.block_of):
             members[first].append(i)
         return tuple(members.values())
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.grouped(range(len(self.codes)))
 
     def grouped(self, indices: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         """The codes at `indices`, increasing, listed block by block."""

@@ -29,7 +29,8 @@ solution set of a ternary and of a mixed model, `rank` and `unrank` grids (binar
 3x1 and unsorted domains), `gray-check` stores of up to 5 bit positions
 and stores of the benchmark's widths (8 to 128) and kinds, the
 `gadgets` benchmark instances of seeds 1-3, the two matrix benchmark
-ladders at seed 1, problems of 1000 or more variables, `demo-prop1`
+ladders at seed 1, problems of 1000 or more variables (with `break`,
+`check` and `compare` on a shaped 1x1000 row/column model), `demo-prop1`
 instances above the uncapped enumeration limit, `demo-prop2` instances of
 10 variables, gadgets of 1, 2 and 3 members and CNFs with a tautological
 clause, a repeated literal or only unit clauses, `clause` constraints on
@@ -527,7 +528,8 @@ def benchmark_instances(corpus: Corpus) -> None:
 
 
 def deep_instances(corpus: Corpus) -> None:
-    """Problems of 1000 or more variables under `--cap`, `demo-prop1`
+    """Problems of 1000 or more variables under `--cap`, verdicts on the
+    shaped 1x1000 row/column model, `demo-prop1`
     instances whose nominal gadget space is above 2^24 and its edge cases
     (one variable, UNSAT, so flag 1 survives; unsorted indices up to the
     12-variable maximum; a two-clause UNSAT core), and `demo-prop2`
@@ -547,6 +549,24 @@ def deep_instances(corpus: Corpus) -> None:
         syms = corpus.file(f"deep{n}-{free}-syms.json", {"generators": gens})
         corpus.invoke(["solve", "--problem", problem, "--cap", "5"])
         corpus.invoke(["orbits", "--problem", problem, "--symmetries", syms, "--cap", "5"])
+    # the verdicts on the shaped 1x1000 model's 999 column swaps: a posted
+    # generator is found among the partition's by key, so no command here
+    # compares generators pairwise; then leader-full sets under a closure
+    # cap of 10, which the stabilizer chain's first level, of 1000 points,
+    # already exceeds
+    n = 1000
+    problem = corpus.file("deep-shaped.json", {
+        "n": n, "domains": [[0, 1]] * n, "shape": [1, n], "constraints": [
+            {"kind": "unary", "var": v, "value": 0} for v in range(n)]})
+    columns = [{"kind": "row_col", "rows": 1, "cols": n}]
+    pair = ["--problem", problem, "--symmetries", corpus.file("deep-shaped-syms.json",
+                                                              {"generators": columns})]
+    corpus.invoke(["break", *pair, "--method", "leader-generators", "--cap", "5"])
+    corpus.invoke(["break", *pair, "--method", "doublelex", "--cap", "5"])
+    corpus.invoke(["check", *pair, "--method", "leader-generators", "--cap", "5"])
+    pair[-1] = corpus.file("deep-shaped-cap.json", {"generators": columns, "cap": 10})
+    corpus.invoke(["break", *pair, "--method", "leader-full", "--cap", "5"])
+    corpus.invoke(["compare", *pair, "--cap", "5"])
     rng = random.Random(4)
     for i, clauses in enumerate([
             [[1, 2, 3], [4, 5, 6], [1, 4, 7], [2, 5, 7]],

@@ -361,9 +361,14 @@ def tuple_orbits(solutions: Iterable[Sequence[int]], group: SymmetryGroup) -> Or
     return orbits(group.coding.codes(list(solutions)), group)
 
 
+def code_blocks(partition: OrbitPartition) -> tuple[tuple[int, ...], ...]:
+    """The partition's blocks, as their members' lex codes."""
+    return partition.grouped(range(len(partition.codes)))
+
+
 def blocks_of(partition: OrbitPartition) -> tuple[tuple[Assignment, ...], ...]:
     """The partition's blocks, each member decoded to its value tuple."""
-    return tuple(map(tuple, map(partition.group.coding.decode, partition.blocks)))
+    return tuple(map(tuple, map(partition.group.coding.decode, code_blocks(partition))))
 
 
 def kept_of(verdict: Verdict, partition: OrbitPartition) -> tuple[tuple[Assignment, ...], ...]:

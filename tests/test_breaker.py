@@ -316,3 +316,49 @@ def test_leader_full_length_without_generators_or_with_repeated_ones(gens, order
     assert group.order == order
     assert filter_solutions(SPACE2x2, bset) == [a for a in SPACE2x2 if all(
         compare(LEX4, a, apply(s, a)) != GT for s in group.closure())]
+
+
+def test_posted_generators_are_found_by_key(monkeypatch):
+    # the verdict looks each posted generator up among the partition's, so
+    # the LiteralSymmetry comparisons grow linearly, not quadratically, in
+    # the 1 x n group's n - 1 generators
+    n = 200
+    group = row_col_group((1, n))
+    partition = orbits([0], group)
+    calls, eq = [], LiteralSymmetry.__eq__
+    monkeypatch.setattr(LiteralSymmetry, "__eq__",
+                        lambda self, other: calls.append(None) or eq(self, other))
+    for bset in (leader_constraints(group, LexOrdering(binary_domains(n)), "generators"),
+                 doublelex_constraints((1, n))):
+        calls.clear()
+        assert orbit_verdict(partition, bset).kept == ((0,),)
+        assert len(calls) < 2 * n
+
+
+def test_leader_full_set_of_a_subgroup_keeps_each_of_its_orbits_minimum():
+    # the row swap alone, judged on the partition of the whole row/column
+    # group: several survivors per block, those the per-assignment filter keeps
+    shape, domains = (2, 3), binary_domains(6)
+    group = row_col_group(shape)
+    rows = SymmetryGroup(group.generators[:1])
+    space = list(all_assignments(domains))
+    partition = tuple_orbits(space, group)
+    for ordering in applicable_orderings(domains, shape):
+        bset = leader_constraints(rows, ordering)
+        survivors = set(filter_solutions(space, bset))
+        verdict = orbit_verdict(partition, bset)
+        assert kept_of(verdict, partition) == tuple(
+            tuple(a for a in block if a in survivors) for block in blocks_of(partition))
+        assert verdict.sound and not verdict.complete
+
+
+def test_leader_full_set_of_a_group_leaving_the_solutions_is_refused():
+    # the x0 = 1 assignments in singleton blocks; the row swap of the
+    # leader-full set's group sends the first of them outside, and the
+    # verdict names both assignments, as `orbits` does
+    solutions = [a for a in SPACE2x2 if a[0] == 1]
+    group = row_col_group((2, 2))
+    partition = tuple_orbits(solutions, SymmetryGroup((), coding=group.coding))
+    with pytest.raises(InputError, match=r"^generator maps a solution outside the solution "
+                                         r"set \(\(1, 0, 0, 0\) -> \(0, 0, 1, 0\)\)$"):
+        orbit_verdict(partition, leader_constraints(group, LEX4))

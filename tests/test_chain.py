@@ -289,7 +289,7 @@ def test_leader_full_verdicts_read_no_chain(monkeypatch):
     monkeypatch.setattr(SymmetryGroup, "chain", property(counted))
     partition = tuple_orbits(space, group)
     verdict = orbit_verdict(partition, bset)
-    rows = compare_table(partition.codes, group, domains, shape)
+    rows = compare_table(partition.codes, group, shape)
     assert reads == []
     assert verdict.counts == (1,) * len(partition) == (1,) * 36
     full = [row for row in rows if row[1] == "leader-full"]

@@ -46,6 +46,7 @@ from reference import (
     all_assignments,
     assignment_formatter,
     apply,
+    code_blocks,
     compare,
     digit_rank,
     digit_unrank,
@@ -200,7 +201,7 @@ def test_orbits_index_by_code_only_when_the_codes_are_the_space():
     listed, reversed_ = tuple_orbits(space, group), tuple_orbits(space[::-1], group)
     assert listed.codes == list(range(64)) and reversed_.codes == list(range(63, -1, -1))
     assert len(listed) == len(reversed_) == 13
-    assert set(map(frozenset, listed.blocks)) == set(map(frozenset, reversed_.blocks))
+    assert set(map(frozenset, code_blocks(listed))) == set(map(frozenset, code_blocks(reversed_)))
 
 
 REFUSED_CODES = [  # domains, assignments, the refusal of the first bad one
@@ -235,11 +236,14 @@ REFUSAL = "^symmetry and codes act on different domains$"
 
 
 def refuse_on_other_domains(swap, domains):
-    """A verdict on a partition over `domains` refuses swap's leader constraint."""
+    """A verdict on a partition over `domains` refuses swap's leader
+    constraint, and the leader-full set of swap's group."""
     coding = LexOrdering(domains)
     partition = orbits(list(range(coding.space_size)), SymmetryGroup((), coding=coding))
-    with pytest.raises(InputError, match=REFUSAL):
-        orbit_verdict(partition, SymmetryBreakingSet((LeaderConstraint(swap, coding),)))
+    for bset in (SymmetryBreakingSet((LeaderConstraint(swap, coding),)),
+                 SymmetryBreakingSet(full=(SymmetryGroup((swap,)), coding))):
+        with pytest.raises(InputError, match=REFUSAL):
+            orbit_verdict(partition, bset)
 
 
 def test_image_codes_refuse_codes_over_other_domains():

@@ -257,7 +257,7 @@ def test_kernel_matches_per_assignment_reference(name, shape, domains, values, s
     row_col = [RefSymmetry(p, m) for p, m in row_col_specs(r, c, domains)]
     assert kept_of(doublelex, partition) == ref_kept(blocks, row_col, "lex", domains, shape)
     if len(modes) == 2:
-        assert compare_table(partition.codes, group, domains, shape) == \
+        assert compare_table(partition.codes, group, shape) == \
             reference_rows(solutions, group, domains, shape)
 
 
@@ -302,15 +302,15 @@ def test_indexed_kernel_matches_leader_constraint_oracle(name):
             for mode in ("full", "generators")]
     for bset in sets + [doublelex_constraints(shape, domains)]:
         assert kept_of(orbit_verdict(partition, bset), partition) == reference_kept(partition, bset)
-    assert compare_table(partition.codes, group, domains, shape) == \
+    assert compare_table(partition.codes, group, shape) == \
         reference_rows(solutions, group, domains, shape)
 
 
 @pytest.mark.parametrize("name", ["row-col-2x3", "conjugated-gray-2x2"])
 def test_sets_near_the_closure_match_leader_constraint_oracle(name):
-    # only a leader-full set, which names its group, is walked; these list
-    # closure elements one by one, the last exactly the closure after the
-    # identity, and are judged per constraint
+    # a leader-full set names its group and is judged by its orbits'
+    # minima; these list closure elements one by one, the last exactly the
+    # closure after the identity, and are judged per constraint
     if name.startswith("row-col"):
         domains, shape = binary_domains(6), (2, 3)
         solutions, group = list(all_assignments(domains)), row_col_group(shape)

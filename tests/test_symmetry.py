@@ -44,6 +44,7 @@ from reference import (
     breadth_first_closure,
     closure_tree,
     cnf_models,
+    code_blocks,
     compose,
     count_rank_calls,
     dense_orbit_of,
@@ -401,14 +402,14 @@ def test_orbits_2x2_full_space():
     part = tuple_orbits(SPACE2x2, group)
     assert len(part) == 7
     assert len(part) == burnside_orbit_count(group, SPACE2x2)
-    assert sorted(map(len, part.blocks), reverse=True) == [4, 4, 2, 2, 2, 1, 1]
+    assert sorted(map(len, part.members), reverse=True) == [4, 4, 2, 2, 2, 1, 1]
 
 
 def test_orbits_identity_only_group():
     group = SymmetryGroup((LiteralSymmetry.variable(range(4), LexOrdering(binary_domains(4))),))
     part = tuple_orbits(SPACE2x2, group)
     assert len(part) == 16
-    assert all(len(block) == 1 for block in part.blocks)
+    assert all(len(members) == 1 for members in part.members)
 
 
 def test_orbits_3x3_full_space():
@@ -597,7 +598,7 @@ def test_conjugate_preserves_orbit_size_multiset():
     group = row_col_group((2, 2))
     p1 = tuple_orbits(SPACE2x2, group)
     p2 = tuple_orbits(SPACE2x2, conjugate(gray, group))
-    assert sorted(map(len, p1.blocks)) == sorted(map(len, p2.blocks))
+    assert sorted(map(len, p1.members)) == sorted(map(len, p2.members))
     ok, tau = partitions_isomorphic(p1, p2, gray)
     assert ok
     assert sorted(tau) == list(range(len(p1)))
@@ -721,12 +722,12 @@ def test_a_group_without_generators_gives_singleton_orbits(domains):
     group = SymmetryGroup((), coding=LexOrdering(domains))
     codes = list(range(0, group.coding.space_size, 2))
     partition = orbits(codes, group)
-    assert partition.blocks == tuple((c,) for c in codes) and partition.images == ()
+    assert code_blocks(partition) == tuple((c,) for c in codes) and partition.images == ()
     sets = [leader_constraints(group, ordering, mode)
             for ordering in applicable_orderings(domains) for mode in ("full", "generators")]
     chosen = group.coding.decode(codes[1::3])
     verdicts = [orbit_verdict(partition, bset) for bset in sets + [extensional_set(chosen)]]
-    assert all(verdict.kept == partition.blocks for verdict in verdicts[:-1])
+    assert all(verdict.kept == code_blocks(partition) for verdict in verdicts[:-1])
     assert verdicts[-1].kept == tuple((c,) if c in codes[1::3] else () for c in codes)
     revlex = RevLexOrdering(domains)
     image = orbits(revlex.unranks(codes), group)
