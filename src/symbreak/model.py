@@ -376,7 +376,7 @@ def load_problem(path) -> Problem:
 
 def parse_assignment(text: str, domains: Sequence[Domain]) -> Assignment:
     text = text.strip()
-    if "," in text:
+    if "," in text or len(domains) == 1:  # one variable: its value, whatever its domain
         try:
             values = tuple(int(tok) for tok in text.split(","))
         except ValueError as exc:

@@ -5,12 +5,12 @@ variable 0 most significant, where a position is the value's index in its
 domain as listed (`LexOrdering.codes`; `decode` inverts it and `texts`
 prints it).  Each ordering is stated once, as a bijection of
 range(space_size): `ranks` maps lex codes to the ordering's ranks and
-`unranks` is its inverse, both on lists: the identity for lex,
-space_size - 1 - code for revlex, the prefix XOR for gray (k XOR (k >> 1)
-back), and for snakelex a variable permutation by chunk tables
-(`LexOrdering.digit_sums`).  `rank` and `unrank` are written once, on top
-of that pair.  O.unranks is π, the rank-preserving bijection from lex to
-O, and O.ranks is π⁻¹.  Ranks are 0-indexed.
+`unranks` is its inverse, both on lists: for lex, revlex and snakelex the
+static rule of `LexOrdering` (digits moved to a variable `order` by chunk
+tables, the code complemented for `reverse`), for gray the prefix XOR (k
+XOR (k >> 1) back).  `rank` and `unrank` are written once, on top of that
+pair.  O.unranks is π, the rank-preserving bijection from lex to O, and
+O.ranks is π⁻¹.  Ranks are 0-indexed.
 """
 
 from __future__ import annotations
@@ -42,17 +42,25 @@ class LexOrdering:
     """Big-endian positional order: variable 0 is most significant, and an
     assignment's rank is its lex code.  Every other ordering is lex after
     the bijection `ranks` of the lex codes, and this class is the only
-    statement of rank and unrank: a subclass supplies `ranks`, `unranks`
-    (both list rules) and `unsupported`, its check of the domains (and
-    matrix shape) it is defined on.  Here both rules are the identity.
+    statement of rank and unrank.  Its rule is the static one: lex over the
+    variables in `order`, which `variable_order` derives from the shape,
+    with every value compared in reverse if `reverse` is set.  A subclass
+    supplies `unsupported`, its check of the domains (and matrix shape) it
+    is defined on, and either that data or its own `ranks` and `unranks`.
     """
 
     name = "lex"
+    reverse = False
 
     @staticmethod
     def unsupported(domains: Sequence[Domain], shape) -> Optional[str]:
         """Why the ordering is undefined on these domains and shape, or None."""
         return None
+
+    @staticmethod
+    def variable_order(n: int, shape) -> tuple[int, ...]:
+        """The variables in order of significance, most significant first."""
+        return tuple(range(n))
 
     def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
         self.domains = tuple(map(tuple, domains))
@@ -66,10 +74,19 @@ class LexOrdering:
         self.radices = tuple(map(len, self.domains))
         self.space_size = math.prod(self.radices)
         self.places = _places(self.radices)
+        self.order = self.variable_order(self.n, shape)
+        self._to_target = self._from_target = {}
+        if self.order != tuple(range(self.n)):  # lex would be its own target
+            self._target = LexOrdering(map(self.domains.__getitem__, self.order))
+            # variable order[k] moves from its lex place to place k of the target
+            moves = [(k, i, place - self.places[i]) for k, (i, place)
+                     in enumerate(zip(self.order, self._target.places)) if place != self.places[i]]
+            self._to_target = {i: [m * p for p in range(self.radices[i])] for _, i, m in moves}
+            self._from_target = {k: [-m * p for p in range(self.radices[i])] for k, i, m in moves}
 
     def __eq__(self, other: object) -> bool:
         return self is other or (type(self) is type(other) and self.domains == other.domains
-                                 and getattr(self, "shape", None) == getattr(other, "shape", None))
+                                 and self.order == other.order)
 
     def __hash__(self) -> int:  # O(1) in the variables: codings of 1000 are hashed on load
         return hash((type(self), self.space_size))
@@ -84,12 +101,20 @@ class LexOrdering:
         return [i for i, radix in enumerate(self.radices) for _ in range(radix)]
 
     def ranks(self, codes: list[int]) -> list[int]:
-        """The rank of each assignment whose lex code is in `codes`."""
-        return codes
+        """The rank of each assignment whose lex code is in `codes`: each
+        digit moved to its place in `order`, then the code complemented if
+        `reverse` (every digit reversed, so the two steps commute)."""
+        if self._to_target:
+            codes = self.digit_sums(codes, self._to_target)
+        top = self.space_size - 1
+        return [top - c for c in codes] if self.reverse else codes
 
     def unranks(self, ranks: list[int]) -> list[int]:
         """The lex code of the assignment at each of `ranks`: `ranks` inverted."""
-        return ranks
+        if self._from_target:
+            ranks = self._target.digit_sums(ranks, self._from_target)
+        top = self.space_size - 1
+        return [top - k for k in ranks] if self.reverse else ranks
 
     def rank(self, a: Sequence[int]) -> int:
         return self.ranks(self.codes([a]))[0]
@@ -129,8 +154,6 @@ class LexOrdering:
         """c + Σ_i deltas[i][digit i of c] for each code c, over the variables
         i with deltas: one lookup per chunk of `chunks`."""
         chunks = self.chunks(deltas, min(CHUNK_CAP, len(codes)))
-        if not chunks:
-            return list(codes)
         if len(chunks) == 1:
             (low, size, table), = chunks
             return [c + table[c // low % size] for c in codes]
@@ -181,15 +204,10 @@ class LexOrdering:
 
 
 class RevLexOrdering(LexOrdering):
-    """Lex with every comparison reversed: rank space_size - 1 - code."""
+    """Lex with every value compared in reverse: rank space_size - 1 - code."""
 
     name = "revlex"
-
-    def ranks(self, codes: list[int]) -> list[int]:
-        top = self.space_size - 1
-        return [top - c for c in codes]
-
-    unranks = ranks
+    reverse = True
 
 
 class GrayOrdering(LexOrdering):
@@ -219,20 +237,9 @@ class GrayOrdering(LexOrdering):
         return [k ^ (k >> 1) for k in ranks]
 
 
-def snake_variable_order(shape: tuple[int, int]) -> tuple[int, ...]:
-    """Cell indices in serpentine column order: odd columns read bottom-up."""
-    r, c = shape
-    order = []
-    for j in range(c):
-        rows = range(r) if j % 2 == 0 else range(r - 1, -1, -1)
-        order.extend(i * c + j for i in rows)
-    return tuple(order)
-
-
 class SnakeLexOrdering(LexOrdering):
-    """Lex comparison of the serpentine vectorization of a matrix: its rank
-    is the lex code over the domains in snake order, a variable permutation
-    of the lex code, moved digit by digit through chunk tables."""
+    """Lex comparison of the serpentine vectorization of a matrix: lex over
+    the variables in snake order."""
 
     name = "snakelex"
 
@@ -246,23 +253,11 @@ class SnakeLexOrdering(LexOrdering):
             return str(exc)
         return None
 
-    def __init__(self, domains: Sequence[Domain], shape: Optional[tuple[int, int]] = None):
-        super().__init__(domains, shape)
-        self.shape = tuple(shape)
-        self.order = snake_variable_order(self.shape)
-        self._snake = LexOrdering(map(self.domains.__getitem__, self.order))
-        # variable order[k] moves from its lex place to place k of the snake
-        moves = [(k, i, place - self.places[i])
-                 for k, (i, place) in enumerate(zip(self.order, self._snake.places))
-                 if place != self.places[i]]
-        self._to_snake = {i: [m * p for p in range(self.radices[i])] for _, i, m in moves}
-        self._from_snake = {k: [-m * p for p in range(self.radices[i])] for k, i, m in moves}
-
-    def ranks(self, codes: list[int]) -> list[int]:
-        return self.digit_sums(codes, self._to_snake)
-
-    def unranks(self, ranks: list[int]) -> list[int]:
-        return self._snake.digit_sums(ranks, self._from_snake)
+    @staticmethod
+    def variable_order(n: int, shape) -> tuple[int, ...]:
+        """Cell indices in serpentine column order: odd columns read bottom-up."""
+        r, c = shape
+        return tuple(i * c + j for j in range(c) for i in (range(r)[::-1] if j % 2 else range(r)))
 
 
 ORDERINGS = {o.name: o for o in (LexOrdering, RevLexOrdering, GrayOrdering, SnakeLexOrdering)}

@@ -42,7 +42,6 @@ from symbreak.orderings import (
     LexOrdering,
     RevLexOrdering,
     SnakeLexOrdering,
-    snake_variable_order,
 )
 from symbreak.reductions import (
     Cnf,
@@ -669,7 +668,17 @@ def snake_vectorize(values: Sequence[int], shape: Optional[tuple[int, int]]) -> 
     if shape is None:
         raise InputError("snake vectorization needs a matrix shape")
     check_shape(shape, len(values))
-    return tuple(values[v] for v in snake_variable_order(shape))
+    return tuple(values[v] for v in snake_order(shape))
+
+
+def snake_order(shape: tuple[int, int]) -> list[int]:
+    """Cell indices in serpentine column order: odd columns read bottom-up."""
+    r, c = shape
+    order = []
+    for j in range(c):
+        rows = range(r) if j % 2 == 0 else range(r - 1, -1, -1)
+        order.extend(i * c + j for i in rows)
+    return order
 
 
 def is_berge_acyclic_chain(decomp: GrayDecomposition) -> bool:

@@ -141,6 +141,22 @@ def test_break_output_round_trips_into_check(capsys, files, tmp_path):
     assert direct == reread
 
 
+def test_break_rows_over_one_variable_round_trip_into_check(capsys, tmp_path):
+    # one variable over {2, 3}: its printed rows are its values, without a comma
+    problem = tmp_path / "p1.json"
+    problem.write_text(json.dumps({"n": 1, "domains": [[2, 3]]}))
+    syms = tmp_path / "s1.json"
+    syms.write_text(json.dumps({"generators": []}))
+    pair = ["--problem", str(problem), "--symmetries", str(syms)]
+    code, out, _ = invoke(capsys, ["break", *pair, "--format", "csv"])
+    assert code == 0 and out.splitlines()[1:5] == ["assignment", "2", "3", ""]
+    surv = tmp_path / "survivors.csv"
+    surv.write_text(out)
+    assert invoke(capsys, ["check", *pair, "--survivors", str(surv), "--format", "csv"]) == (
+        0, "# seed=0\nsound,complete,orbits,survivors\ntrue,true,2,2\n", "")
+    assert invoke(capsys, ["rank", "--problem", str(problem), "3"]) == (0, "1\n", "")
+
+
 def test_check_incomplete_set_exits_one(capsys, tmp_path):
     # doublelex keeps two members of one orbit at 2x3
     problem = tmp_path / "p23.json"

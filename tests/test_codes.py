@@ -31,6 +31,7 @@ from symbreak.orderings import (
     CHUNK_CAP,
     LexOrdering,
     RevLexOrdering,
+    SnakeLexOrdering,
     applicable_orderings,
 )
 from symbreak.reductions import OneInThreeInstance, ordering_gadget
@@ -51,6 +52,7 @@ from reference import (
     digit_rank,
     digit_unrank,
     flag_swap,
+    snake_order,
     symmetry_from_pairs,
     tuple_orbits,
     tuple_solutions,
@@ -137,6 +139,33 @@ def test_codes_images_and_ranks_match_the_per_assignment_path(name, domains, sha
         for ordering in orderings:
             assert ordering.ranks(part_codes) == [digit_rank(ordering, a) for a in part], \
                 ordering.name
+
+
+@pytest.mark.parametrize("name, domains, shape, gens", CASES, ids=[c[0] for c in CASES])
+def test_static_orderings_rank_by_lex_over_their_variable_order(name, domains, shape, gens):
+    # the rank is the lex code of the assignment read in `order`, over the
+    # domains listed in `order`, each one reversed when `reverse` is set
+    space = list(all_assignments(domains))
+    codes = list(range(len(space)))
+    for ordering in (cls(domains, shape)
+                     for cls in (LexOrdering, RevLexOrdering, SnakeLexOrdering)):
+        order, step = ordering.order, -1 if ordering.reverse else 1
+        assert order == tuple(snake_order(shape) if ordering.name == "snakelex"
+                              else range(len(domains))), ordering.name
+        target = LexOrdering([domains[i][::step] for i in order])
+        ranks = target.codes([[a[i] for i in order] for a in space])
+        assert ordering.ranks(codes) == ranks and ordering.unranks(ranks) == codes, ordering.name
+
+
+def test_lex_and_revlex_rank_without_chunk_tables(monkeypatch):
+    built, chunks = [], LexOrdering.chunks
+    monkeypatch.setattr(LexOrdering, "chunks",
+                        lambda self, *args: built.append(self.name) or chunks(self, *args))
+    for cls in (LexOrdering, RevLexOrdering, SnakeLexOrdering):
+        ordering = cls(MIXED_2x3, (2, 3))
+        codes = list(range(ordering.space_size))
+        assert ordering.unranks(ordering.ranks(codes)) == codes
+    assert built == ["snakelex", "lex"]  # snakelex's ranks, then its target coding's
 
 
 def assert_reference_rows(lex, codes):

@@ -33,7 +33,6 @@ from symbreak.orderings import (
     LexOrdering,
     applicable_orderings,
     make_ordering,
-    snake_variable_order,
 )
 from symbreak.symmetry import LiteralSymmetry, SymmetryGroup, conjugate, row_col_group
 
@@ -48,6 +47,7 @@ from reference import (
     compose,
     invert,
     kept_of,
+    snake_order,
     tuple_orbits,
     val_maps,
     var_perm,
@@ -110,7 +110,7 @@ def ref_compare(name, domains, shape, a, b):
                 k = (k << 1) | acc
             ranks.append(k)
         return LT if ranks[0] < ranks[1] else GT if ranks[0] > ranks[1] else EQ
-    order = snake_variable_order(shape) if name == "snakelex" else range(len(a))
+    order = snake_order(shape) if name == "snakelex" else range(len(a))
     for v in order:
         if pa[v] != pb[v]:
             result = LT if pa[v] < pb[v] else GT

@@ -226,6 +226,11 @@ def test_assignment_formatting_round_trip():
     assert parse_assignment("2,5", mixed) == (2, 5)
     with pytest.raises(InputError):
         parse_assignment("012", doms[:3])
+    # a text without a comma over one variable is its value, whatever its domain
+    for domain in ((2, 3), (-1, 0), (0, 10)):
+        for value in domain:
+            text = assignment_formatter((domain,))((value,))
+            assert text == str(value) and parse_assignment(text, (domain,)) == (value,)
 
 
 def _reference_problems():
